@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .cylinders import mapping_cylinder_metric
 from .errors import PreconditionError, StructuralError
 from .gluing import adjunction_space
-from .moduli import check_uniform_continuity, continuity_modulus
+from .moduli import check_uniform_continuity, pair_distances
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
 from .spaces import FiniteMetricSpace, as_mapping, ensure_total_map
 
@@ -775,16 +775,17 @@ def _attained_continuity(
 ) -> Scalar:
     """Worst image distance of the bond composite upper -> lower at delta <= alpha.
 
-    Read off the exact continuity modulus of the composite: the largest
-    epsilon among its rows with delta within the alpha budget.
+    The largest image distance over the pairs at source distance within the
+    alpha budget: the largest epsilon of the composite's continuity modulus
+    among its rows with delta <= alpha.  The composite is total by
+    construction.
     """
-    table = continuity_modulus(
-        target.levels[upper], target.levels[lower], target.composite(upper, lower)
-    )
     attained = ZERO
-    for delta, eps in table.rows:
-        if delta <= alpha and eps > attained:
-            attained = eps
+    for sd, td in pair_distances(
+        target.levels[upper], target.levels[lower], target.composite(upper, lower)
+    ):
+        if sd <= alpha and td > attained:
+            attained = td
     return attained
 
 

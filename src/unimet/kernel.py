@@ -1,0 +1,140 @@
+"""Exact integer kernels over one common denominator.
+
+A matrix of ``Fraction`` entries (``None`` marks a forbidden hop) has an
+integer form ``(M, L)``: ``L`` is the least common multiple of the entries'
+denominators and ``M[i][j] = entry * L`` as an ``int``, ``None`` kept as
+``None``.  Sums and comparisons of such entries are exact on ``M``, so the
+min-plus product, the shortest-path closure and the triangle scan run on
+Python ints and the results convert back exactly with ``Fraction(v, L)``.
+
+No sentinel stands in for ``None``: entries may be negative (``glue_parts``
+does not check its parts), so no finite value is safely "infinite".  Rows
+and columns free of ``None`` take the vector path, where C builtins
+(``map``, ``min``, ``max`` over ``operator.add`` and ``sub``) do the inner
+loops; the others skip the missing hops entry by entry.
+
+Every matrix returned here is a list of lists, so results compare equal
+exactly when their entries do.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from itertools import repeat
+from operator import add, sub
+from typing import Optional, Sequence
+
+IntMatrix = list
+
+
+def to_int_matrix(rows: Sequence[Sequence[Optional[Fraction]]]) -> tuple:
+    """The integer form ``(M, L)`` of a matrix of Fractions and Nones."""
+    scale = lcm(*{v.denominator for row in rows for v in row if v is not None})
+    factor = {}
+    out = []
+    for row in rows:
+        out_row = []
+        for v in row:
+            if v is None:
+                out_row.append(None)
+                continue
+            q = v.denominator
+            f = factor.get(q)
+            if f is None:
+                f = factor[q] = scale // q
+            out_row.append(v.numerator * f)
+        out.append(out_row)
+    return out, scale
+
+
+def to_fractions(m: IntMatrix, scale: int) -> tuple:
+    """Convert an integer form back: each entry ``Fraction(v, scale)``."""
+    return tuple(
+        tuple(None if v is None else Fraction(v, scale) for v in row) for row in m
+    )
+
+
+def _min_sum(row: Sequence[Optional[int]], col: Sequence[Optional[int]]) -> Optional[int]:
+    """min over k of row[k] + col[k], skipping None; None if every k is None."""
+    return min(
+        (x + y for x, y in zip(row, col) if x is not None and y is not None),
+        default=None,
+    )
+
+
+def min_plus(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Min-plus product: out[i][j] = min over k of a[i][k] + b[k][j].
+
+    Pairs with a None factor are skipped; an entry with no finite pair is
+    None.
+    """
+    cols = list(zip(*b))
+    full = [None not in col for col in cols]
+    out = []
+    for row in a:
+        if None in row:
+            out.append([_min_sum(row, col) for col in cols])
+        else:
+            out.append([
+                min(map(add, row, col)) if ok else _min_sum(row, col)
+                for col, ok in zip(cols, full)
+            ])
+    return out
+
+
+def closure(block: IntMatrix) -> IntMatrix:
+    """Shortest-path closure by Floyd–Warshall, diagonal set to zero first.
+
+    The loop order is k, then i, each row i relaxed through row k in place,
+    so the result is defined on any input, negative entries included.  A
+    None entry is unreachable and stays None.
+    """
+    dist = [list(row) for row in block]
+    for i, row in enumerate(dist):
+        row[i] = 0
+    for k, row_k in enumerate(dist):
+        k_full = None not in row_k
+        for row_i in dist:
+            dik = row_i[k]
+            if dik is None:
+                continue
+            # The slice assignment builds the whole new row before it
+            # writes, so each entry relaxes against row k as it stood for
+            # this i; the entry-by-entry loop reads row_k[j] before it
+            # writes j, which is the same value even when row_i is row_k.
+            if k_full and None not in row_i:
+                # Row i improves through k only where row_i - row_k > dik.
+                if max(map(sub, row_i, row_k)) > dik:
+                    row_i[:] = [
+                        a if a <= b else b
+                        for a, b in zip(row_i, map(add, repeat(dik), row_k))
+                    ]
+            else:
+                row_i[:] = [
+                    a if b is None else dik + b if a is None or dik + b < a else a
+                    for a, b in zip(row_i, row_k)
+                ]
+    return dist
+
+
+def first_triangle_witness(m: IntMatrix) -> Optional[tuple]:
+    """Lexicographically first (i, j, k), k not in {i, j}, with
+    m[i][k] > m[i][j] + m[j][k]; None when the triangle inequality holds.
+
+    For each (i, j) the vector test ``max(row_i - row_j) <= m[i][j]`` clears
+    every k at once; only when it fails does the walk over k run.  The test
+    also covers k = i and k = j, so it can fail on a defective diagonal
+    (m[j][j] < 0, or m[i][i] large) without a witness; the walk then finds
+    none and the scan moves on.
+    """
+    for i, row_i in enumerate(m):
+        for j, row_j in enumerate(m):
+            if j == i:
+                continue
+            dij = row_i[j]
+            if max(map(sub, row_i, row_j)) <= dij:
+                continue
+            for k, (x, y) in enumerate(zip(row_i, row_j)):
+                if x - y > dij and k != i and k != j:
+                    return i, j, k
+    return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
@@ -66,11 +67,12 @@ class ModulusTable:
         return best
 
 
-def _pair_distances(
+def pair_distances(
     source: FiniteMetricSpace,
     target: FiniteMetricSpace,
     mapping: Mapping[int, int],
 ) -> list:
+    """(source distance, image distance) for each pair i < j of source points."""
     pairs = []
     for i in range(source.n):
         for j in range(i + 1, source.n):
@@ -92,13 +94,17 @@ def continuity_modulus(
     """
     m = as_mapping(mapping)
     ensure_total_map(m, source, target, "continuity_modulus")
-    pairs = _pair_distances(source, target, m)
+    # One sweep: pairs sorted by source distance, spectrum ascending, with
+    # the running max of the image distances admitted so far.
+    pairs = sorted(pair_distances(source, target, m), key=itemgetter(0))
     rows = []
+    eps = ZERO
+    k = 0
     for delta in source.spectrum():
-        eps = ZERO
-        for sd, td in pairs:
-            if sd <= delta and td > eps:
-                eps = td
+        while k < len(pairs) and pairs[k][0] <= delta:
+            if pairs[k][1] > eps:
+                eps = pairs[k][1]
+            k += 1
         rows.append((delta, eps))
     return ModulusTable("continuity", tuple(rows))
 
@@ -118,7 +124,7 @@ def separation_modulus(
     """
     m = as_mapping(mapping)
     ensure_total_map(m, source, target, "separation_modulus")
-    pairs = _pair_distances(source, target, m)
+    pairs = pair_distances(source, target, m)
     image_values = sorted({td for _, td in pairs} | {ZERO})
     rows = []
     failed = []

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
+from .kernel import closure, min_plus, to_fractions, to_int_matrix
 from .moduli import ModulusTable
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
 from .spaces import (
@@ -112,48 +113,12 @@ def block_distance(sur: Surjection) -> tuple:
     return tuple(rows)
 
 
-def _min_plus(a: Sequence[Sequence[Optional[Scalar]]],
-              b: Sequence[Sequence[Optional[Scalar]]]) -> list:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(n):
-            best: Optional[Scalar] = None
-            for k in range(n):
-                x = row_a[k]
-                y = b[k][j]
-                if x is None or y is None:
-                    continue
-                s = x + y
-                if best is None or s < best:
-                    best = s
-            row.append(best)
-        out.append(row)
-    return out
-
-
-def _shortest_paths(block: Sequence[Sequence[Optional[Scalar]]]) -> list:
-    n = len(block)
-    dist = [[block[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        dist[i][i] = ZERO
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            row_i = dist[i]
-            row_k = dist[k]
-            for j in range(n):
-                dkj = row_k[j]
-                if dkj is None:
-                    continue
-                alt = dik + dkj
-                if row_i[j] is None or alt < row_i[j]:
-                    row_i[j] = alt
-    return dist
+def _chain_power(block: list, hops: int) -> list:
+    """d_hops on an integer block: the (hops)-th min-plus power."""
+    power = block
+    for _ in range(hops - 1):
+        power = min_plus(power, block)
+    return power
 
 
 @dataclass(frozen=True)
@@ -180,28 +145,30 @@ class ChainMetric:
         return self.pseudo_metric_ok and self.positive_ok
 
 
-def _finish_chain(sur: Surjection, steps: Optional[int], matrix: Sequence[Sequence[Optional[Scalar]]]) -> ChainMetric:
-    for row in matrix:
-        for entry in row:
-            if entry is None:
-                raise PreconditionError(
-                    "chain distance is infinite: the quotient is disconnected "
-                    "at the requested chain length"
-                )
-    space = FiniteMetricSpace(
-        sur.class_labels(), tuple(tuple(row) for row in matrix), pseudo=True
-    )
-    report = check_metric_axioms(space, allow_pseudo=True)
+def _axiom_verdicts(space: FiniteMetricSpace) -> tuple:
+    """(pseudo_metric_ok, positive_ok, first_violation) from one strict scan.
+
+    The values form a pseudo-metric exactly when positivity is the only
+    axiom they violate.
+    """
     strict = check_metric_axioms(space, allow_pseudo=False)
+    failed = set(strict.violated_axioms())
     violation = strict.violations[0] if strict.violations else None
-    return ChainMetric(
-        sur,
-        steps,
-        space,
-        report.ok,
-        "positivity" not in strict.violated_axioms(),
-        violation,
+    return failed <= {"positivity"}, "positivity" not in failed, violation
+
+
+def _finish_chain(sur: Surjection, steps: Optional[int], matrix: list, scale: int) -> ChainMetric:
+    """Wrap an integer chain matrix over ``scale`` as a certified ChainMetric."""
+    for row in matrix:
+        if None in row:
+            raise PreconditionError(
+                "chain distance is infinite: the quotient is disconnected "
+                "at the requested chain length"
+            )
+    space = FiniteMetricSpace(
+        sur.class_labels(), to_fractions(matrix, scale), pseudo=True
     )
+    return ChainMetric(sur, steps, space, *_axiom_verdicts(space))
 
 
 def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
@@ -213,16 +180,13 @@ def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
     hops than class_count - 1 (repeats drop out), so d_n with larger n equals
     d_infinity; the computation caps there.
     """
-    block = block_distance(sur)
+    block, scale = to_int_matrix(block_distance(sur))
     if steps is None:
-        return _finish_chain(sur, None, _shortest_paths(block))
+        return _finish_chain(sur, None, closure(block), scale)
     if not isinstance(steps, int) or steps < 1:
         raise StructuralError("steps must be a positive integer or None")
     effective = min(steps, max(1, sur.class_count - 1))
-    power: Sequence[Sequence[Optional[Scalar]]] = block
-    for _ in range(effective - 1):
-        power = _min_plus(power, block)
-    return _finish_chain(sur, steps, power)
+    return _finish_chain(sur, steps, _chain_power(block, effective), scale)
 
 
 def quotient_order_modulus(sur: Surjection, steps: int) -> ModulusTable:
@@ -294,20 +258,21 @@ def quotient_by_discrete_family(
             seen.add(i)
         cleaned.append(members)
     sur = Surjection.from_classes(space, cleaned)
-    two = chain_metric(sur, 2)
-    inf = chain_metric(sur, None)
-    equal = two.values == inf.values
-    block = block_distance(sur)
-    target = [list(row) for row in inf.values]
+    block, scale = to_int_matrix(block_distance(sur))
+    two_matrix = _chain_power(block, min(2, max(1, sur.class_count - 1)))
+    inf_matrix = closure(block)
+    two = _finish_chain(sur, 2, two_matrix, scale)
+    inf = _finish_chain(sur, None, inf_matrix, scale)
+    equal = two_matrix == inf_matrix
     power = [list(row) for row in block]
-    for i in range(len(power)):
-        power[i][i] = ZERO
+    for i, row in enumerate(power):
+        row[i] = 0
     settled: Optional[int] = None
     for n in range(1, max(2, sur.class_count)):
-        if power == target:
+        if power == inf_matrix:
             settled = n
             break
-        power = _min_plus(power, block)
+        power = min_plus(power, block)
     if not equal:
         raise PreconditionError(
             "two-hop quotient distance differs from the chain limit for this "
@@ -428,19 +393,14 @@ def glue_parts(
         )
 
     # run the chain engine on the assembled block matrix
-    power: Sequence[Sequence[Optional[Scalar]]] = block
-    for _ in range(max(1, min(steps, count - 1)) - 1):
-        power = _min_plus(power, block)
-    inf_matrix = _shortest_paths(block)
-    for i in range(count):
-        for j in range(count):
-            if power[i][j] is None or inf_matrix[i][j] is None:
-                raise PreconditionError("glued union is disconnected")
-    space = FiniteMetricSpace(tuple(labels), tuple(tuple(r) for r in power), pseudo=True)
-    report = check_metric_axioms(space, allow_pseudo=True)
-    strict = check_metric_axioms(space, allow_pseudo=False)
-    violation = strict.violations[0] if strict.violations else None
-    equal = [list(r) for r in power] == inf_matrix
+    ints, scale = to_int_matrix(block)
+    power = _chain_power(ints, max(1, min(steps, count - 1)))
+    inf_matrix = closure(ints)
+    for row in power + inf_matrix:
+        if None in row:
+            raise PreconditionError("glued union is disconnected")
+    space = FiniteMetricSpace(tuple(labels), to_fractions(power, scale), pseudo=True)
+    equal = power == inf_matrix
     class_of_part = tuple(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))
@@ -449,9 +409,7 @@ def glue_parts(
         space,
         steps,
         equal,
-        report.ok,
-        "positivity" not in strict.violated_axioms(),
-        violation,
+        *_axiom_verdicts(space),
         class_of_part,
     )
 

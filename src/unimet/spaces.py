@@ -6,8 +6,14 @@ labels, square matrix, exact scalars); the metric axioms themselves are the
 job of ``check_metric_axioms`` so that defective matrices can be represented,
 checked, and reported with witnesses.
 
+Each space also has an integer form, built once on first use and cached: the
+least common multiple ``L`` of its distances' denominators, and every
+distance times ``L`` as an ``int`` (see ``kernel``).  The axiom checker runs
+on those ints, which order and add exactly as the Fractions do.
+
 Witness order is deterministic: the checker scans index tuples in
-lexicographic order and reports, per violated axiom, the first witness found.
+lexicographic order and reports, per violated axiom, the first witness found,
+with the original ``Fraction`` values.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
+from .kernel import first_triangle_witness, to_int_matrix
 from .scalars import ZERO, Scalar, ScalarLike, as_scalar
 
 Label = object  # any hashable, JSON-encodable label
@@ -62,6 +69,11 @@ class FiniteMetricSpace:
     @cached_property
     def _index(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _int_form(self) -> tuple:
+        """``(M, L)``: the distances over their common denominator ``L``."""
+        return to_int_matrix(self.dist)
 
     def index_of(self, label) -> int:
         try:
@@ -144,70 +156,58 @@ def check_metric_axioms(space: FiniteMetricSpace,
                         allow_pseudo: Optional[bool] = None) -> AxiomReport:
     """Check symmetry, zero diagonal, nonnegativity, positivity, triangle.
 
-    One violation per axiom, carrying the lexicographically first witness.
-    ``allow_pseudo`` defaults to the space's own pseudo flag; when true, the
-    positivity axiom is skipped.
+    One violation per axiom, carrying the lexicographically first witness:
+    the first index tuple in lexicographic order that breaks it, with the
+    triangle witness (i, j, k) ranging over k distinct from i and j.  The
+    scan runs on the space's integer form, so it is exact; the reported
+    ``lhs`` and ``rhs`` are the original Fractions.  ``allow_pseudo``
+    defaults to the space's own pseudo flag; when true, the positivity axiom
+    is skipped.
     """
     if allow_pseudo is None:
         allow_pseudo = space.pseudo
     d = space.dist
     pts = space.points
+    m, _ = space._int_form
     n = space.n
     violations = []
 
     for i in range(n):
-        if d[i][i] != 0:
+        if m[i][i] != 0:
             violations.append(AxiomViolation("diagonal", (pts[i],), d[i][i], ZERO))
             break
-    for i in range(n):
-        found = False
-        for j in range(n):
-            if d[i][j] < 0:
-                violations.append(AxiomViolation("nonnegativity", (pts[i], pts[j]), d[i][j], ZERO))
-                found = True
-                break
-        if found:
+    for i, row in enumerate(m):
+        if min(row) < 0:
+            j = next(j for j, v in enumerate(row) if v < 0)
+            violations.append(AxiomViolation("nonnegativity", (pts[i], pts[j]), d[i][j], ZERO))
             break
-    for i in range(n):
-        found = False
-        for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
-                violations.append(AxiomViolation("symmetry", (pts[i], pts[j]), d[i][j], d[j][i]))
-                found = True
-                break
-        if found:
-            break
+    pair = _first_pair(m, lambda a, b: a != b)
+    if pair is not None:
+        i, j = pair
+        violations.append(AxiomViolation("symmetry", (pts[i], pts[j]), d[i][j], d[j][i]))
     if not allow_pseudo:
-        for i in range(n):
-            found = False
-            for j in range(i + 1, n):
-                if d[i][j] == 0 and d[j][i] == 0:
-                    violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
-                    found = True
-                    break
-            if found:
-                break
-    done = False
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                lhs = d[i][k]
-                rhs = d[i][j] + d[j][k]
-                if lhs > rhs:
-                    violations.append(AxiomViolation("triangle", (pts[i], pts[j], pts[k]), lhs, rhs))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+        pair = _first_pair(m, lambda a, b: a == 0 and b == 0)
+        if pair is not None:
+            i, j = pair
+            violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
+    witness = first_triangle_witness(m)
+    if witness is not None:
+        i, j, k = witness
+        violations.append(AxiomViolation(
+            "triangle", (pts[i], pts[j], pts[k]), d[i][k], d[i][j] + d[j][k]))
 
     return AxiomReport(ok=not violations, allow_pseudo=allow_pseudo,
                        violations=tuple(violations))
+
+
+def _first_pair(m, test) -> Optional[tuple]:
+    """First (i, j) with i < j, in lexicographic order, where
+    ``test(m[i][j], m[j][i])`` holds."""
+    for i, row in enumerate(m):
+        for j in range(i + 1, len(m)):
+            if test(row[j], m[j][i]):
+                return i, j
+    return None
 
 
 def ensure_metric(space: FiniteMetricSpace, what: str = "space",

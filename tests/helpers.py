@@ -67,6 +67,28 @@ def random_space(rng, size, den=8, top=16, labels=None):
     return FiniteMetricSpace(pts, tuple(tuple(row) for row in dist))
 
 
+PRIMES_7_TO_31 = (7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def wide_matrix(rng, size):
+    """Random symmetric nonnegative matrix with zero diagonal whose entries
+    lie in (0, 2] over denominators drawn from the primes 7..31."""
+    m = [[ZERO] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            q = rng.choice(PRIMES_7_TO_31)
+            m[i][j] = m[j][i] = Fraction(rng.randint(1, 2 * q), q)
+    return m
+
+
+def wide_space(rng, size, labels=None):
+    """Random finite metric space with coprime denominators: the
+    shortest-path closure of ``wide_matrix``."""
+    dist = metric_closure(wide_matrix(rng, size))
+    pts = tuple(labels) if labels is not None else tuple(range(size))
+    return FiniteMetricSpace(pts, tuple(tuple(row) for row in dist))
+
+
 def matrix_of(space):
     """Plain Fraction matrix in point-index order."""
     return [list(row) for row in space.dist]

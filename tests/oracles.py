@@ -104,6 +104,77 @@ def triangle_valid(matrix):
     return True
 
 
+# ---- metric axioms ----
+
+
+def axiom_report_reference(points, dist, allow_pseudo):
+    """The axiom scan on Fractions, entry by entry, as the package ran it
+    before its integer kernel.
+
+    Returns (ok, violations) with one (axiom, witness, lhs, rhs) per
+    violated axiom, in the order diagonal, nonnegativity, symmetry,
+    positivity (skipped when ``allow_pseudo``), triangle, each carrying the
+    lexicographically first witness; a triangle witness (i, j, k) has k
+    distinct from i and j.
+    """
+    d = dist
+    pts = points
+    n = len(d)
+    violations = []
+
+    for i in range(n):
+        if d[i][i] != 0:
+            violations.append(("diagonal", (pts[i],), d[i][i], ZERO))
+            break
+    for i in range(n):
+        found = False
+        for j in range(n):
+            if d[i][j] < 0:
+                violations.append(("nonnegativity", (pts[i], pts[j]), d[i][j], ZERO))
+                found = True
+                break
+        if found:
+            break
+    for i in range(n):
+        found = False
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                violations.append(("symmetry", (pts[i], pts[j]), d[i][j], d[j][i]))
+                found = True
+                break
+        if found:
+            break
+    if not allow_pseudo:
+        for i in range(n):
+            found = False
+            for j in range(i + 1, n):
+                if d[i][j] == 0 and d[j][i] == 0:
+                    violations.append(("positivity", (pts[i], pts[j]), ZERO, ZERO))
+                    found = True
+                    break
+            if found:
+                break
+    done = False
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                lhs = d[i][k]
+                rhs = d[i][j] + d[j][k]
+                if lhs > rhs:
+                    violations.append(("triangle", (pts[i], pts[j], pts[k]), lhs, rhs))
+                    done = True
+                    break
+            if done:
+                break
+        if done:
+            break
+    return not violations, violations
+
+
 # ---- Hausdorff ----
 
 

@@ -1,0 +1,221 @@
+"""The exact integer kernel against the frozen Fraction references."""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from helpers import (
+    PRIMES_7_TO_31,
+    matrix_of,
+    random_partition,
+    random_space,
+    wide_matrix,
+    wide_space,
+)
+from oracles import (
+    axiom_report_reference,
+    block_distance_matrix,
+    chain_limit_apsp,
+    chain_power,
+)
+from unimet.errors import PreconditionError
+from unimet.kernel import closure, min_plus, to_fractions, to_int_matrix
+from unimet.quotients import Surjection, chain_metric, glue_parts
+from unimet.spaces import FiniteMetricSpace, check_metric_axioms
+
+ZERO = Fraction(0)
+
+
+def _assert_same_report(space):
+    for allow_pseudo in (False, True):
+        report = check_metric_axioms(space, allow_pseudo=allow_pseudo)
+        ok, expected = axiom_report_reference(space.points, space.dist, allow_pseudo)
+        got = [(v.axiom, v.witness, v.lhs, v.rhs) for v in report.violations]
+        assert (report.ok, got) == (ok, expected)
+        assert report.allow_pseudo == allow_pseudo
+
+
+def _defective(rng, rows):
+    """Apply a few seeded defects: negative entries, nonzero or negative
+    diagonals, asymmetric pairs, zero off-diagonals, triangle breaks."""
+    n = len(rows)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        q = rng.choice(PRIMES_7_TO_31)
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[i][j] = Fraction(-rng.randint(1, q), q)
+        elif kind == 1:
+            rows[i][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3 * q), q)
+        elif kind == 2 and i != j:
+            rows[i][j] += Fraction(1, q)
+        elif kind == 3 and i != j:
+            rows[i][j] = rows[j][i] = ZERO
+        else:
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 4 * q), q)
+    return rows
+
+
+def test_axiom_scan_matches_reference_on_defective_matrices():
+    rng = random.Random(4242)
+    for trial in range(300):
+        size = rng.randint(1, 7)
+        if trial % 2:
+            rows = [list(r) for r in wide_space(rng, size).dist]
+        else:
+            rows = wide_matrix(rng, size)
+        rows = _defective(rng, rows)
+        space = FiniteMetricSpace(tuple(range(size)), tuple(map(tuple, rows)))
+        _assert_same_report(space)
+
+
+def test_axiom_scan_skips_a_diagonal_only_failure_of_the_vector_test():
+    # d[1][1] < 0: row_0 - row_1 exceeds d[0][1] only at k = 1 = j, which is
+    # no triangle witness; the scan must go on and find none.  d[2][2] above
+    # twice the diameter (at most 2 here) fails the vector test at k = i = 2
+    # in the same way.
+    rng = random.Random(7)
+    base = wide_space(rng, 5)
+    for i, value in ((1, Fraction(-1, 7)), (2, Fraction(60, 11))):
+        rows = [list(r) for r in base.dist]
+        rows[i][i] = value
+        space = FiniteMetricSpace(base.points, tuple(map(tuple, rows)))
+        report = check_metric_axioms(space)
+        assert report.violated_axioms()[0] == "diagonal"
+        assert "triangle" not in report.violated_axioms()
+        _assert_same_report(space)
+
+
+def test_axiom_scan_on_metrics_agrees_with_reference():
+    rng = random.Random(11)
+    for _ in range(20):
+        for make in (random_space, wide_space):
+            space = make(rng, rng.randint(2, 9))
+            assert check_metric_axioms(space).ok
+            _assert_same_report(space)
+
+
+def test_integer_form_round_trips():
+    rng = random.Random(5)
+    rows = wide_matrix(rng, 6)
+    rows[0][3] = rows[3][0] = None
+    ints, scale = to_int_matrix(rows)
+    assert scale == lcm(*(v.denominator for row in rows for v in row if v is not None))
+    assert all(isinstance(v, int) for row in ints for v in row if v is not None)
+    assert [list(r) for r in to_fractions(ints, scale)] == rows
+    assert to_int_matrix([[ZERO]]) == ([[0]], 1)
+
+
+def _none_block(rng, size):
+    """Symmetric block over wide denominators with some hops forbidden."""
+    block = wide_matrix(rng, size)
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.3:
+                block[i][j] = block[j][i] = None
+    return block
+
+
+def test_min_plus_and_closure_match_oracles_on_none_blocks():
+    rng = random.Random(99)
+    for _ in range(40):
+        size = rng.randint(1, 8)
+        block = _none_block(rng, size)
+        ints, scale = to_int_matrix(block)
+        power = ints
+        for hops in range(1, size + 1):
+            assert [list(r) for r in to_fractions(power, scale)] == chain_power(block, hops)
+            power = min_plus(power, ints)
+        assert [list(r) for r in to_fractions(closure(ints), scale)] == chain_limit_apsp(block)
+
+
+def test_chain_metric_matches_oracles_on_wide_denominators():
+    rng = random.Random(2025)
+    for _ in range(30):
+        size = rng.randint(2, 8)
+        classes = rng.randint(1, size)
+        sp = wide_space(rng, size)
+        class_of = random_partition(rng, size, classes)
+        sur = Surjection(sp, classes, tuple(class_of))
+        block = block_distance_matrix(matrix_of(sp), class_of)
+        inf = chain_metric(sur, None)
+        assert [list(r) for r in inf.values] == chain_limit_apsp(block)
+        for n in range(1, classes + 1):
+            dn = chain_metric(sur, n)
+            assert [list(r) for r in dn.values] == chain_power(block, n)
+            strict = check_metric_axioms(dn.space, allow_pseudo=False)
+            pseudo = check_metric_axioms(dn.space, allow_pseudo=True)
+            assert dn.pseudo_metric_ok == pseudo.ok
+            assert dn.positive_ok == ("positivity" not in strict.violated_axioms())
+
+
+def test_glue_parts_matches_oracles_on_none_blocks():
+    rng = random.Random(303)
+    for _ in range(40):
+        parts = [wide_space(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+        # glue one or two points of each later part to points of part 0,
+        # no point in two groups
+        used = set()
+        groups = []
+        for p in range(1, len(parts)):
+            for _ in range(rng.randint(1, 2)):
+                free_0 = [a for a in range(parts[0].n) if (0, a) not in used]
+                free_p = [b for b in range(parts[p].n) if (p, b) not in used]
+                if not free_0 or not free_p:
+                    break
+                group = ((0, rng.choice(free_0)), (p, rng.choice(free_p)))
+                used.update(group)
+                groups.append(group)
+        steps = rng.randint(1, 4)
+        offsets = [sum(part.n for part in parts[:p]) for p in range(len(parts))]
+        total = sum(part.n for part in parts)
+        glued_points = {offsets[p] + i: g for g, group in enumerate(groups)
+                        for p, i in group}
+        class_of, count = [], len(groups)
+        for g in range(total):
+            if g in glued_points:
+                class_of.append(glued_points[g])
+            else:
+                class_of.append(count)
+                count += 1
+        # block over classes: hops inside a part only, None across parts
+        block = [[None] * count for _ in range(count)]
+        for c in range(count):
+            block[c][c] = ZERO
+        for p, part in enumerate(parts):
+            for i in range(part.n):
+                for j in range(part.n):
+                    a, b = class_of[offsets[p] + i], class_of[offsets[p] + j]
+                    v = part.d(i, j)
+                    if a != b and (block[a][b] is None or v < block[a][b]):
+                        block[a][b] = v
+        limit = chain_limit_apsp(block)
+        hops = max(1, min(steps, count - 1))
+        expected = chain_power(block, hops)
+        if any(v is None for row in expected + limit for v in row):
+            with pytest.raises(PreconditionError, match="disconnected"):
+                glue_parts(parts, groups, None, steps)
+            continue
+        glued = glue_parts(parts, groups, None, steps)
+        assert [list(r) for r in glued.space.dist] == expected
+        assert glued.dn_equals_dinf == (expected == limit)
+        strict = check_metric_axioms(glued.space, allow_pseudo=False)
+        assert glued.pseudo_metric_ok == check_metric_axioms(glued.space, allow_pseudo=True).ok
+        assert glued.positive_ok == ("positivity" not in strict.violated_axioms())
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy would add about 11 MiB of resident memory and slow cold starts.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, unimet.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import interval_points, random_space, space
+from helpers import interval_points, random_space, space, wide_space
 from unimet.errors import PreconditionError, StructuralError
 from unimet.moduli import (
     ModulusTable,
@@ -44,9 +44,9 @@ def test_table_validates_rows():
 
 def test_continuity_rows_certify_and_are_tight():
     rng = random.Random(101)
-    for _ in range(15):
-        source = random_space(rng, rng.randint(2, 6))
-        target = random_space(rng, rng.randint(2, 5))
+    for make in [random_space] * 15 + [wide_space] * 10:
+        source = make(rng, rng.randint(2, 6))
+        target = make(rng, rng.randint(2, 5))
         mapping = [rng.randrange(target.n) for _ in range(source.n)]
         table = continuity_modulus(source, target, mapping)
         assert table.kind == "continuity"
