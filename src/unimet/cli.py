@@ -435,14 +435,9 @@ def _build_telescope(args: argparse.Namespace, doc, builder: ReportBuilder) -> N
         )
     grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
     result = telescope_metric(truncation, 0, stop, grid)
-    if isinstance(result, FiniteMetricSpace):
-        builder.info("telescope over a single level is that level")
-        space = result
-    else:
-        builder.check("every stage is certified", result.all_certified)
-        space = result.space
-    _metric_row(builder, "telescope satisfies the metric axioms", space)
-    builder.info("constructed space", witnesses=[space_to_json(space)])
+    builder.check("every stage is certified", result.all_certified)
+    _metric_row(builder, "telescope satisfies the metric axioms", result.space)
+    builder.info("constructed space", witnesses=[space_to_json(result.space)])
 
 
 _BUILDERS = {

@@ -9,12 +9,12 @@ symmetry and positivity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
-from .sequences import SequencePoint, sup_distance
-from .spaces import FiniteMetricSpace, as_mapping, ensure_metric
+from .sequences import SequencePoint
+from .spaces import FiniteMetricSpace, ensure_metric
 
 PRODUCT_NORMS = ("l1", "linf", "l2")
 

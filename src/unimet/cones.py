@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .combinators import product_metric
-from .errors import PreconditionError, StructuralError
+from .errors import StructuralError
 from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional
 
 import networkx as nx
 
 from .errors import PreconditionError, StructuralError
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
+from .kernel import closure, to_fractions, to_int_matrix
+from .scalars import ZERO, Scalar, ScalarLike, as_scalar, pow2
 from .spaces import FiniteMetricSpace
 
 
@@ -336,18 +337,8 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
             val = pow2(-depth_hit)
             gauge[x][y] = val
             gauge[y][x] = val
-    dist = [[gauge[x][y] for y in range(g)] for x in range(g)]
-    for x in range(g):
-        dist[x][x] = ZERO
-    for k in range(g):
-        for i in range(g):
-            dik = dist[i][k]
-            row_k = dist[k]
-            row_i = dist[i]
-            for j in range(g):
-                alt = dik + row_k[j]
-                if alt < row_i[j]:
-                    row_i[j] = alt
+    ints, scale = to_int_matrix(gauge)
+    dist = to_fractions(closure(ints), scale)
     witnesses = []
     comparison_ok = True
     for x in range(g):
@@ -355,9 +346,7 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
             if not (dist[x][y] <= gauge[x][y] <= 2 * dist[x][y] or x == y):
                 comparison_ok = False
                 witnesses.append(("comparison", x, y, dist[x][y], gauge[x][y]))
-    space = FiniteMetricSpace(
-        tuple(range(g)), tuple(tuple(row) for row in dist)
-    )
+    space = FiniteMetricSpace(tuple(range(g)), dist)
     member_diameter_ok = True
     for n in even_levels:
         bound = pow2(-(n // 2))

@@ -10,13 +10,13 @@ neighborhood of any subcomplex into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
-from .sequences import SequencePoint, sup_distance, tail_ramp
+from .sequences import SequencePoint, tail_ramp
 
 HALF = Fraction(1, 2)
 

@@ -12,11 +12,11 @@ Lipschitz way with the map: nearby maps receive nearby thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from .cones import _clean_grid, interval_space
 from .combinators import product_metric
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 from .gluing import adjunction_space
 from .moduli import check_uniform_continuity
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2

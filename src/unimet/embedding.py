@@ -10,7 +10,6 @@ outrun the smallest positive distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .covers import (
     Cover,

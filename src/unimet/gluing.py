@@ -16,13 +16,12 @@ clearance of X - A from the attached part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional
 
 from .combinators import mcshane_extend
 from .errors import PreconditionError, StructuralError
-from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .quotients import glue_parts, quotient_by_discrete_family
+from .scalars import ONE, ZERO, ScalarLike, as_scalar
 from .spaces import (
     FiniteMetricSpace,
     as_mapping,

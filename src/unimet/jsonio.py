@@ -12,9 +12,7 @@ Shapes:
   Cover               {"ground": n, "sets": [[indices]]}
   FundamentalSequence {"covers": [Cover]}
   Surjection          {"class_of": [classIdx per point]}
-  NormedPointSet      {"dim": k, "points": [[scalar]], "norm": "sup"|"l1"}
   SequencePoint       {"support": {"idx": scalar}, "tail": scalar}
-  Cubohedron          {"level": n, "cubes": [{"base": support, "extent": [i]}]}
   truncation          {"levels": [FiniteMetricSpace], "bonds": [map]}
   ladder              truncation plus {"cross": [map], "alphas": [scalar],
                       "betas": [scalar]} and optional {"target": truncation,
@@ -28,9 +26,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .conemodels import NormedPointSet
 from .covers import Cover, FundamentalSequence
-from .cubohedra import Cube, Cubohedron
 from .errors import StructuralError
 from .invlim import InverseSequenceTruncation, LadderData, inverse_sequence, ladder
 from .quotients import Surjection
@@ -150,14 +146,6 @@ def mapping_from_json(obj) -> dict:
     return out
 
 
-def mapping_to_json(mapping) -> dict:
-    if isinstance(mapping, dict):
-        items = sorted(mapping.items())
-    else:
-        items = list(enumerate(mapping))
-    return {"pairs": [[s, t] for s, t in items]}
-
-
 def subset_from_json(obj) -> tuple:
     return tuple(sorted(set(_index_list(obj, "a subset"))))
 
@@ -203,98 +191,17 @@ def surjection_from_json(obj, space: FiniteMetricSpace) -> Surjection:
     return Surjection(space, count, tuple(class_of))
 
 
-def surjection_to_json(sur: Surjection) -> dict:
-    return {"class_of": list(sur.class_of)}
-
-
-# ---- normed points, sequence points, cube complexes ----
-
-
-def normed_point_set_from_json(obj) -> NormedPointSet:
-    dim = _expect(obj, "dim", "a normed point set")
-    points = _expect(obj, "points", "a normed point set")
-    norm = obj.get("norm", "sup")
-    if not isinstance(points, list):
-        raise StructuralError("normed point set points must be an array")
-    vectors = []
-    for p in points:
-        if not isinstance(p, list):
-            raise StructuralError("each point must be a coordinate array")
-        vectors.append(tuple(scalar_from_json(c) for c in p))
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise StructuralError("dim must be an integer")
-    if not isinstance(norm, str):
-        raise StructuralError("norm must be a string")
-    return NormedPointSet(dim, tuple(vectors), norm)
-
-
-def normed_point_set_to_json(points: NormedPointSet) -> dict:
-    return {
-        "dim": points.dim,
-        "points": [[scalar_to_json(c) for c in p] for p in points.points],
-        "norm": points.norm,
-    }
-
-
-def _support_from_json(obj, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise StructuralError(f"{what} must be an object of index: scalar")
-    out = {}
-    for key, value in obj.items():
-        try:
-            idx = int(key)
-        except ValueError as exc:
-            raise StructuralError(f"{what} index {key!r} is not an integer") from exc
-        if idx < 0:
-            raise StructuralError(f"{what} index {idx} must be nonnegative")
-        out[idx] = scalar_from_json(value)
-    return out
+# ---- sequence points ----
 
 
 def _support_to_json(pairs) -> dict:
     return {str(i): scalar_to_json(v) for i, v in sorted(pairs)}
 
 
-def sequence_point_from_json(obj) -> SequencePoint:
-    support = _support_from_json(_expect(obj, "support", "a sequence point"), "support")
-    tail = scalar_from_json(obj.get("tail", 0))
-    return SequencePoint.from_dict(support, tail)
-
-
 def sequence_point_to_json(point: SequencePoint) -> dict:
     return {
         "support": _support_to_json(point.support),
         "tail": scalar_to_json(point.tail),
-    }
-
-
-def cubohedron_from_json(obj) -> Cubohedron:
-    level = _expect(obj, "level", "a cube complex")
-    cubes = _expect(obj, "cubes", "a cube complex")
-    if not isinstance(level, int) or isinstance(level, bool):
-        raise StructuralError("complex level must be an integer")
-    if not isinstance(cubes, list):
-        raise StructuralError("cubes must be an array")
-    built = []
-    for cube in cubes:
-        base = _support_from_json(_expect(cube, "base", "a cube"), "cube base")
-        extent = _index_list(_expect(cube, "extent", "a cube"), "cube extent")
-        built.append(Cube(tuple(sorted(base.items())), tuple(extent)))
-    try:
-        return Cubohedron(level, tuple(built))
-    except StructuralError:
-        raise
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from exc
-
-
-def cubohedron_to_json(complex_: Cubohedron) -> dict:
-    return {
-        "level": complex_.level,
-        "cubes": [
-            {"base": _support_to_json(c.base), "extent": list(c.extent)}
-            for c in complex_.cubes
-        ],
     }
 
 
@@ -314,7 +221,8 @@ def truncation_from_json(obj) -> InverseSequenceTruncation:
 def truncation_to_json(truncation: InverseSequenceTruncation) -> dict:
     return {
         "levels": [space_to_json(level) for level in truncation.levels],
-        "bonds": [mapping_to_json(bond) for bond in truncation.bonds],
+        "bonds": [{"pairs": [list(pair) for pair in enumerate(bond)]}
+                  for bond in truncation.bonds],
     }
 
 

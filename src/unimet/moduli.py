@@ -10,12 +10,12 @@ map glues points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional
 
-from .errors import PreconditionError, StructuralError
+from .errors import StructuralError
 from .scalars import ZERO, Scalar
 from .spaces import FiniteMetricSpace, as_mapping, ensure_total_map
 

@@ -7,24 +7,29 @@ made checkable here: d_n decreases in n, doubling composes in the min-plus
 sense, and d_infinity = d_n exactly when d_n already satisfies the triangle
 inequality.
 
-Gluing several spaces along identifications runs through the same engine via
-a parts list: block hops inside a part use its metric, hops across parts use
-a constant (or are forbidden), and identified points share a class.
+One engine serves every construction: ``_class_block`` reduces a point
+matrix to the class block, and ``_chain`` takes the block's min-plus powers
+and its shortest-path closure on the integer kernel, returning d_n,
+d_infinity and the least n at which they agree.  ``chain_metric``,
+``quotient_by_discrete_family`` and ``glue_parts`` all run on it.
+
+Gluing several spaces along identifications builds one union matrix over
+the points of all parts first: distances inside a part are its metric,
+distances across parts are a constant (or forbidden), and identified points
+in different parts sit at distance zero, so they share a class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .kernel import closure, min_plus, to_fractions, to_int_matrix
 from .moduli import ModulusTable
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .scalars import ONE, ZERO, ScalarLike, as_scalar
 from .spaces import (
     AxiomViolation,
     FiniteMetricSpace,
-    PartialMap,
     as_mapping,
     check_metric_axioms,
     ensure_diameter_at_most,
@@ -93,32 +98,54 @@ class Surjection:
         )
 
 
+def _class_block(dist, members_of: Sequence[Sequence[int]]) -> list:
+    """Class-to-class minimum of ``dist`` over member pairs.
+
+    ``None`` entries are forbidden hops; a pair of classes with no allowed
+    hop gets None.  The rows of each class merge first, then the columns;
+    a singleton class passes its row through.  Works on Fractions and on
+    integer forms alike.
+    """
+
+    def merge(rows):
+        return [
+            rows[members[0]] if len(members) == 1 else [
+                min((v for v in column if v is not None), default=None)
+                for column in zip(*(rows[u] for u in members))
+            ]
+            for members in members_of
+        ]
+
+    return [list(row) for row in zip(*merge(list(zip(*merge(dist)))))]
+
+
 def block_distance(sur: Surjection) -> tuple:
     """Matrix of infimum distances between class preimages."""
-    classes = sur.classes()
-    k = sur.class_count
-    space = sur.source
-    rows = []
-    for p in range(k):
-        row = []
-        for q in range(k):
-            best: Optional[Scalar] = None
-            for u in classes[p]:
-                for v in classes[q]:
-                    val = space.d(u, v)
-                    if best is None or val < best:
-                        best = val
-            row.append(best)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(map(tuple, _class_block(sur.source.dist, sur.classes())))
 
 
-def _chain_power(block: list, hops: int) -> list:
-    """d_hops on an integer block: the (hops)-th min-plus power."""
-    power = block
-    for _ in range(hops - 1):
-        power = min_plus(power, block)
-    return power
+def _chain(block: list, steps: int) -> tuple:
+    """``(d_hops, d_infinity, settled_at)`` of an integer block matrix.
+
+    ``hops = max(1, min(steps, class_count - 1))``: chains never need more
+    hops than class_count - 1, because repeats drop out.  ``settled_at`` is
+    the least n in 1..max(hops, class_count - 1) with d_n = d_infinity, or
+    None; the powers go past ``hops`` only until they settle.
+    """
+    count = len(block)
+    limit = closure(block)
+    hops = max(1, min(steps, count - 1))
+    power, settled = block, None
+    for n in range(1, max(hops, count - 1) + 1):
+        if n > 1:
+            power = min_plus(power, block)
+        if n == hops:
+            powered = power
+        if settled is None and power == limit:
+            settled = n
+        if settled is not None and n >= hops:
+            break
+    return powered, limit, settled
 
 
 @dataclass(frozen=True)
@@ -180,13 +207,13 @@ def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
     hops than class_count - 1 (repeats drop out), so d_n with larger n equals
     d_infinity; the computation caps there.
     """
-    block, scale = to_int_matrix(block_distance(sur))
+    ints, scale = sur.source._int_form
+    block = _class_block(ints, sur.classes())
     if steps is None:
         return _finish_chain(sur, None, closure(block), scale)
     if not isinstance(steps, int) or steps < 1:
         raise StructuralError("steps must be a positive integer or None")
-    effective = min(steps, max(1, sur.class_count - 1))
-    return _finish_chain(sur, steps, _chain_power(block, effective), scale)
+    return _finish_chain(sur, steps, _chain(block, steps)[0], scale)
 
 
 def quotient_order_modulus(sur: Surjection, steps: int) -> ModulusTable:
@@ -258,33 +285,21 @@ def quotient_by_discrete_family(
             seen.add(i)
         cleaned.append(members)
     sur = Surjection.from_classes(space, cleaned)
-    block, scale = to_int_matrix(block_distance(sur))
-    two_matrix = _chain_power(block, min(2, max(1, sur.class_count - 1)))
-    inf_matrix = closure(block)
-    two = _finish_chain(sur, 2, two_matrix, scale)
-    inf = _finish_chain(sur, None, inf_matrix, scale)
-    equal = two_matrix == inf_matrix
-    power = [list(row) for row in block]
-    for i, row in enumerate(power):
-        row[i] = 0
-    settled: Optional[int] = None
-    for n in range(1, max(2, sur.class_count)):
-        if power == inf_matrix:
-            settled = n
-            break
-        power = min_plus(power, block)
-    if not equal:
+    ints, scale = space._int_form
+    two, limit, settled = _chain(_class_block(ints, sur.classes()), 2)
+    if two != limit:
         raise PreconditionError(
             "two-hop quotient distance differs from the chain limit for this "
             f"family (they agree first at n = {settled})"
         )
-    if not inf.is_metric():
+    chain = _finish_chain(sur, 2, two, scale)
+    if not chain.is_metric():
         raise PreconditionError(
             "quotient of a metric by a disjoint family failed to be a metric; "
-            f"violation: {inf.first_violation}"
+            f"violation: {chain.first_violation}"
         )
-    quotient_space = FiniteMetricSpace(two.space.points, two.values)
-    return QuotientResult(quotient_space, two, equal, settled)
+    quotient_space = FiniteMetricSpace(chain.space.points, chain.values)
+    return QuotientResult(quotient_space, chain, True, settled)
 
 
 @dataclass(frozen=True)
@@ -318,9 +333,10 @@ def glue_parts(
 
     Cross-part block hops cost the constant ``cross``; None forbids them, so
     every chain must pivot through glued classes.  Identified pairs must list
-    existing points; points not identified become singleton classes.  The
-    block structure is assembled into one auxiliary space (cross None uses a
-    None sentinel internally), then the chain engine runs on it.
+    existing points; points not identified become singleton classes.  One
+    union matrix over the points of all parts (None for a forbidden cross
+    hop, zero between identified points of different parts) is reduced to
+    the class block, and the chain engine runs on it.
     """
     if not parts:
         raise StructuralError("glue_parts needs at least one part")
@@ -353,54 +369,30 @@ def glue_parts(
             class_of[g] = count
             count += 1
 
-    def part_of(g: int) -> int:
-        for p in range(len(parts) - 1, -1, -1):
-            if g >= offsets[p]:
-                return p
-        raise AssertionError
-
-    # block matrix over classes, with None for missing cross hops
+    places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
+    union = [
+        [
+            parts[p].dist[i][j] if p == q
+            else ZERO if class_of[g] == class_of[h]
+            else cross_val
+            for h, (q, j) in enumerate(places)
+        ]
+        for g, (p, i) in enumerate(places)
+    ]
     members_of: list = [[] for _ in range(count)]
     for g in range(total):
         members_of[class_of[g]].append(g)
-    block: list = []
-    for p in range(count):
-        row: list = []
-        for q in range(count):
-            best: Optional[Scalar] = None
-            for u in members_of[p]:
-                pu = part_of(u)
-                for v in members_of[q]:
-                    pv = part_of(v)
-                    if pu == pv:
-                        val = parts[pu].d(u - offsets[pu], v - offsets[pv])
-                    elif cross_val is not None and p != q:
-                        val = cross_val
-                    elif p == q:
-                        val = ZERO
-                    else:
-                        continue
-                    if best is None or val < best:
-                        best = val
-            row.append(best)
-        block.append(row)
+    labels = tuple(
+        tuple((p, parts[p].points[i]) for p, i in (places[g] for g in members))
+        for members in members_of
+    )
 
-    labels = []
-    for p in range(count):
-        labels.append(
-            tuple((part_of(g), parts[part_of(g)].points[g - offsets[part_of(g)]])
-                  for g in members_of[p])
-        )
-
-    # run the chain engine on the assembled block matrix
-    ints, scale = to_int_matrix(block)
-    power = _chain_power(ints, max(1, min(steps, count - 1)))
-    inf_matrix = closure(ints)
-    for row in power + inf_matrix:
+    ints, scale = to_int_matrix(_class_block(union, members_of))
+    power, limit, _ = _chain(ints, steps)
+    for row in power + limit:
         if None in row:
             raise PreconditionError("glued union is disconnected")
-    space = FiniteMetricSpace(tuple(labels), to_fractions(power, scale), pseudo=True)
-    equal = power == inf_matrix
+    space = FiniteMetricSpace(labels, to_fractions(power, scale), pseudo=True)
     class_of_part = tuple(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))
@@ -408,7 +400,7 @@ def glue_parts(
     return GluedUnion(
         space,
         steps,
-        equal,
+        power == limit,
         *_axiom_verdicts(space),
         class_of_part,
     )

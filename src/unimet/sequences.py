@@ -8,12 +8,12 @@ tails), so embeddings and retractions can be certified in rational arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping
 
 from .errors import PreconditionError, StructuralError
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .scalars import ZERO, Scalar, ScalarLike, as_scalar
 
 
 @dataclass(frozen=True)

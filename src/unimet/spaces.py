@@ -9,7 +9,9 @@ checked, and reported with witnesses.
 Each space also has an integer form, built once on first use and cached: the
 least common multiple ``L`` of its distances' denominators, and every
 distance times ``L`` as an ``int`` (see ``kernel``).  The axiom checker runs
-on those ints, which order and add exactly as the Fractions do.
+on those ints, which order and add exactly as the Fractions do.  The scan
+itself is cached per object too: a space is scanned at most once, however
+many layers check it.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -74,6 +76,11 @@ class FiniteMetricSpace:
     def _int_form(self) -> tuple:
         """``(M, L)``: the distances over their common denominator ``L``."""
         return to_int_matrix(self.dist)
+
+    @cached_property
+    def _axiom_report(self) -> AxiomReport:
+        """The strict ``AxiomReport`` (positivity checked), scanned once."""
+        return _scan_axioms(self)
 
     def index_of(self, label) -> int:
         try:
@@ -162,10 +169,21 @@ def check_metric_axioms(space: FiniteMetricSpace,
     scan runs on the space's integer form, so it is exact; the reported
     ``lhs`` and ``rhs`` are the original Fractions.  ``allow_pseudo``
     defaults to the space's own pseudo flag; when true, the positivity axiom
-    is skipped.
+    is skipped.  The scan is cached per object: every call on one space,
+    in either mode, reads the same strict report, with the positivity
+    violation dropped for a pseudo check.
     """
     if allow_pseudo is None:
         allow_pseudo = space.pseudo
+    report = space._axiom_report
+    if allow_pseudo:
+        violations = tuple(v for v in report.violations if v.axiom != "positivity")
+        report = AxiomReport(not violations, allow_pseudo, violations)
+    return report
+
+
+def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
+    """Run every axiom, positivity included, once over the integer form."""
     d = space.dist
     pts = space.points
     m, _ = space._int_form
@@ -185,18 +203,17 @@ def check_metric_axioms(space: FiniteMetricSpace,
     if pair is not None:
         i, j = pair
         violations.append(AxiomViolation("symmetry", (pts[i], pts[j]), d[i][j], d[j][i]))
-    if not allow_pseudo:
-        pair = _first_pair(m, lambda a, b: a == 0 and b == 0)
-        if pair is not None:
-            i, j = pair
-            violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
+    pair = _first_pair(m, lambda a, b: a == 0 and b == 0)
+    if pair is not None:
+        i, j = pair
+        violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
     witness = first_triangle_witness(m)
     if witness is not None:
         i, j, k = witness
         violations.append(AxiomViolation(
             "triangle", (pts[i], pts[j], pts[k]), d[i][k], d[i][j] + d[j][k]))
 
-    return AxiomReport(ok=not violations, allow_pseudo=allow_pseudo,
+    return AxiomReport(ok=not violations, allow_pseudo=False,
                        violations=tuple(violations))
 
 

@@ -105,6 +105,7 @@ def test_identity_tower_reports():
     assert convergence_report(ident).all_hold
     sep = separation_index(ident, Fraction(0))
     assert sep.found and sep.level == 0
+    assert sep.threshold == Fraction(1, 2)
     assert sep.scanned[0].threshold == Fraction(1, 2)
 
 
@@ -248,6 +249,8 @@ def test_telescope_stacks_cylinder_lengths():
     tower = retraction_tower(4)
     tele = telescope_metric(tower, 0, 3, GRID)
     assert tele.all_certified
+    assert tele.space.n > 0
+    # the deep end slice keeps the adjusted metric of the last cylinder
     deep = tele.level_class(3)
     for a in range(tower.levels[3].n):
         for b in range(tower.levels[3].n):
@@ -298,6 +301,8 @@ def test_zero_budget_ladder_flags_bad_squares():
     assert not report.hypotheses_ok
     bad = {row.level for row in report.square_rows if not row.ok}
     assert bad and bad <= {1, 2}
+    # the bounds fail only through a failing limit row
+    assert any(not row.ok for row in report.limit_rows) or report.bounds_ok
 
 
 def test_measured_budgets_absorb_the_swap():

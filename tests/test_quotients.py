@@ -1,6 +1,7 @@
 """Chain quotient metrics against independent oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,12 @@ def test_quotient_family_guards():
         quotient_by_discrete_family(bad, [[0, 1]])
 
 
+def least_settling_hops(block):
+    """The least n with d_n = d_infinity, by the oracles."""
+    limit = chain_limit_apsp(block)
+    return next(n for n in range(1, len(block) + 1) if chain_power(block, n) == limit)
+
+
 def test_two_set_family_failure_raises():
     # collapsing both ends of a long path makes two hops beat three only
     # through the glued classes; engineered so d_2 > d_inf
@@ -162,11 +169,26 @@ def test_two_set_family_failure_raises():
     sur = Surjection.from_classes(s, family)
     two = chain_metric(sur, 2).values
     inf = chain_metric(sur, None).values
+    settled = least_settling_hops(block_distance_matrix(matrix_of(s), sur.class_of))
     if two != inf:
         with pytest.raises(PreconditionError, match="two-hop"):
             quotient_by_discrete_family(s, family)
     else:
-        quotient_by_discrete_family(s, family)
+        assert quotient_by_discrete_family(s, family).settled_at == settled
+
+    # three short hops 0 -> 1 ~ 4 -> 5 ~ 8 -> 9 beat every chain of at most
+    # two hops, so d_2 > d_inf here for certain
+    line = interval_points(range(10), Fraction(1, 8))
+    family = [[1, 4], [5, 8]]
+    sur = Surjection.from_classes(line, family)
+    settled = least_settling_hops(block_distance_matrix(matrix_of(line), sur.class_of))
+    assert settled > 2
+    message = (
+        "two-hop quotient distance differs from the chain limit for this "
+        f"family (they agree first at n = {settled})"
+    )
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        quotient_by_discrete_family(line, family)
 
 
 # ---- glued unions ----

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import interval_points, metric_closure, random_matrix, random_space, space
 from unimet.errors import PreconditionError, StructuralError
+from unimet import spaces
 from unimet.scalars import ONE, ZERO, as_scalar, format_scalar, pow2
 from unimet.spaces import (
     FiniteMetricSpace,
@@ -138,6 +139,28 @@ def test_ensure_helpers_raise_with_context():
     s = interval_points([0, 1], Fraction(3, 2))
     with pytest.raises(PreconditionError, match="rescale"):
         ensure_diameter_at_most(s, ONE, "probe")
+
+
+def test_axioms_are_scanned_once_per_space(monkeypatch):
+    scans = []
+    scan = spaces.first_triangle_witness
+    monkeypatch.setattr(
+        spaces, "first_triangle_witness", lambda m: scans.append(m) or scan(m)
+    )
+    metric = interval_points([0, 1, 2], Fraction(1, 4))
+    reports = [check_metric_axioms(metric, allow_pseudo=mode) for mode in (None, True, False)]
+    ensure_metric(metric)
+    assert len(scans) == 1
+    assert all(report.ok for report in reports)
+    assert [report.allow_pseudo for report in reports] == [False, True, False]
+
+    glued = FiniteMetricSpace.from_rows("ab", [["0", "0"], ["0", "0"]])
+    assert check_metric_axioms(glued).violated_axioms() == ("positivity",)
+    assert check_metric_axioms(glued, allow_pseudo=True).ok
+    ensure_metric(glued, allow_pseudo=True)
+    with pytest.raises(PreconditionError, match="positivity"):
+        ensure_metric(glued)
+    assert len(scans) == 2
 
 
 def test_random_closures_are_metrics():
