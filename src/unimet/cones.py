@@ -2,10 +2,13 @@
 
 The cone places the apex at t = 1 over a base sampled at grid values in
 [0, 1]; its two-case distance is the two-hop quotient metric of the l1
-product with the top slice collapsed (checked against that construction).
-The join samples X x Y x [-1, 1]; the X factor survives at t = -1, the Y
-factor at t = +1, and the four-case distance realizes the three-hop chains
-through the two collapsed ends.
+product with the top slice collapsed.  The join samples X x Y x [-1, 1];
+the X factor survives at t = -1, the Y factor at t = +1, and the four-case
+distance realizes the three-hop chains through the two collapsed ends.
+The constructions evaluate the closed formulas only; ``cone_quotient_check``
+and ``join_amalgam_equality`` take a built cone or join and measure it
+against the product-quotient route, as the oracles that tests and
+``--oracle`` run.
 """
 from __future__ import annotations
 
@@ -17,7 +20,12 @@ from .combinators import product_metric
 from .errors import StructuralError
 from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
-from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
+from .spaces import (
+    FiniteMetricSpace,
+    ensure_diameter_at_most,
+    ensure_metric,
+    largest_gap,
+)
 
 TWO = Fraction(2)
 
@@ -115,34 +123,20 @@ def cone_metric(space: FiniteMetricSpace, t_grid) -> ConeSpace:
     return ConeSpace(FiniteMetricSpace(tuple(points), tuple(rows)), space, grid)
 
 
-def cone_quotient_check(space: FiniteMetricSpace, t_grid) -> Scalar:
+def cone_quotient_check(cone: ConeSpace) -> Scalar:
     """Largest gap between the cone formula and the collapsed-slice quotient.
 
-    Builds the l1 product of the base with the grid interval, collapses the
-    top slice through the two-hop quotient, and compares entrywise with the
-    cone distances.  Exactness means a return value of 0.
+    Builds the l1 product of the cone's base with its grid interval,
+    collapses the top slice through the two-hop quotient, and compares
+    entrywise with the cone distances.  Exactness means a return value of 0.
     """
-    cone = cone_metric(space, t_grid)
-    grid = cone.t_grid
-    product = product_metric(space, interval_space(grid), "l1")
-    top = [i * len(grid) + len(grid) - 1 for i in range(space.n)]
+    k = len(cone.t_grid)
+    product = product_metric(cone.base, interval_space(cone.t_grid), "l1")
+    top = [i * k + k - 1 for i in range(cone.base.n)]
     quotient = quotient_by_discrete_family(product, [top])
     class_of = quotient.chain.surjection.class_of
-
-    def q_index(cone_idx: int) -> int:
-        if cone_idx == cone.apex_index:
-            return class_of[top[0]]
-        i, tp = divmod(cone_idx, len(cone.inner_ts))
-        t = cone.inner_ts[tp]
-        return class_of[i * len(grid) + grid.index(t)]
-
-    worst = ZERO
-    for a in range(cone.space.n):
-        for b in range(cone.space.n):
-            gap = abs(cone.space.d(a, b) - quotient.space.d(q_index(a), q_index(b)))
-            if gap > worst:
-                worst = gap
-    return worst
+    index = [class_of[i * k + tp] for i in range(cone.base.n) for tp in range(k - 1)]
+    return largest_gap(cone.space, quotient.space, index + [class_of[top[0]]])
 
 
 # ---- join ----
@@ -261,18 +255,15 @@ class JoinAmalgamReport:
     two_hops_suffice: bool
 
 
-def join_amalgam_equality(
-    left: FiniteMetricSpace, right: FiniteMetricSpace, t_grid
-) -> JoinAmalgamReport:
+def join_amalgam_equality(join: JoinSpace) -> JoinAmalgamReport:
     """Check that the join equals CX x Y and X x CY glued along X x Y.
 
     Both cone products carry l1 metrics; they are glued along the middle
     slice t = 0 with no direct cross hops, so chains pivot at glued classes.
-    The grid must contain -1, 0 and 1.  The report compares the glued
-    two-hop metric with the join distance entrywise.
+    The join's grid must contain -1, 0 and 1.  The report compares the
+    glued two-hop metric with the join distance entrywise.
     """
-    join = join_metric(left, right, t_grid)
-    grid = join.t_grid
+    left, right, grid = join.left, join.right, join.t_grid
     if ZERO not in grid:
         raise StructuralError("the amalgam comparison needs 0 in the grid")
     grid_pos = tuple(t for t in grid if t >= 0)
@@ -305,20 +296,18 @@ def join_amalgam_equality(
             return class_of_bottom[bottom_index(i, j, t)]
         return class_of_top[top_index(i, ZERO, j)]
 
-    worst = ZERO
-    for i in range(left.n):
-        for j in range(right.n):
-            for t in grid:
-                for i2 in range(left.n):
-                    for j2 in range(right.n):
-                        for s in grid:
-                            a = join.class_index(i, j, t)
-                            b = join.class_index(i2, j2, s)
-                            ga = amalgam_class(i, j, t)
-                            gb = amalgam_class(i2, j2, s)
-                            gap = abs(join.space.d(a, b) - glued.space.d(ga, gb))
-                            if gap > worst:
-                                worst = gap
+    # the ends ignore the collapsed coordinate, so index 0 stands in for it
+    index = (
+        [amalgam_class(i, 0, -ONE) for i in range(left.n)]
+        + [amalgam_class(0, j, ONE) for j in range(right.n)]
+        + [
+            amalgam_class(i, j, t)
+            for i in range(left.n)
+            for j in range(right.n)
+            for t in join.inner_ts
+        ]
+    )
+    worst = largest_gap(join.space, glued.space, index)
     return JoinAmalgamReport(
         join, glued, worst == 0, worst, glued.dn_equals_dinf
     )

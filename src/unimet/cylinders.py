@@ -2,8 +2,9 @@
 
 The cylinder glues X x I onto Y along (x, 1) -> f(x).  Its metric is the
 three-hop adjunction distance for the drift-adjusted l1 product upstairs,
-which closes to three exact formulas; the construction computes both sides
-and refuses to return a cylinder whose formulas disagree with the quotient.
+which closes to three exact formulas.  The construction evaluates the
+formulas; ``cylinder_adjunction_check`` rebuilds the adjunction and measures
+the gap, as the oracle that tests and ``--oracle`` run.
 
 The uniform modulus assigns to every member of a finite family of maps a
 positive continuity threshold delta(p) for a common epsilon, varying in a
@@ -26,6 +27,7 @@ from .spaces import (
     ensure_diameter_at_most,
     ensure_metric,
     ensure_total_map,
+    largest_gap,
 )
 
 CYLINDER_CROSS = as_scalar(3)
@@ -98,10 +100,8 @@ def mapping_cylinder_metric(
     The metric is given by three exact formulas (rho is the adjusted metric):
     d([y],[y']) = d_Y(y,y'); d([(x,t)],[y]) = (1-t) + d_Y(f(x),y);
     d([(x,t)],[(x',t')]) = min(rho(x,x') + |t-t'|,
-    (1-t) + (1-t') + d_Y(f(x),f(x'))).  The same space is built a second
-    time as an adjunction of the adjusted l1 product onto Y (cross hops at
-    3, above every displayed value, so chains pivot at glued classes); the
-    two must agree entrywise and carry full certificates, else this raises.
+    (1-t) + (1-t') + d_Y(f(x),f(x'))).  ``cylinder_adjunction_check``
+    compares them with the adjunction they close.
     """
     ensure_metric(source, "mapping_cylinder_metric source")
     ensure_metric(target, "mapping_cylinder_metric target")
@@ -140,27 +140,20 @@ def mapping_cylinder_metric(
     size = len(points)
     rows = tuple(tuple(dist(a, b) for b in range(size)) for a in range(size))
     space = FiniteMetricSpace(tuple(points), rows)
-    cylinder = CylinderSpace(space, source, target, f, grid, adjusted)
-    gap = cylinder_adjunction_check(cylinder)
-    if gap != 0:
-        raise PreconditionError(
-            f"cylinder formulas differ from the adjunction metric by {gap}"
-        )
-    return cylinder
+    return CylinderSpace(space, source, target, f, grid, adjusted)
 
 
 def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
     """Largest gap between the cylinder formulas and the adjunction route.
 
     Rebuilds the cylinder as adjunction_space(adjusted X x I, top slice, Y)
-    with cross hops at 3 and the product metric itself as the extension,
-    requires every adjunction certificate, and compares entrywise.
+    with cross hops at 3 (above every displayed value, so chains pivot at
+    glued classes) and the product metric itself as the extension, requires
+    every adjunction certificate, and compares entrywise.
     """
-    grid = cylinder.t_grid
-    product = product_metric(cylinder.adjusted, interval_space(grid), "l1")
-    top = [
-        i * len(grid) + len(grid) - 1 for i in range(cylinder.source.n)
-    ]
+    k = len(cylinder.t_grid)
+    product = product_metric(cylinder.adjusted, interval_space(cylinder.t_grid), "l1")
+    top = [i * k + k - 1 for i in range(cylinder.source.n)]
     attaching = {a: cylinder.mapping[i] for i, a in enumerate(top)}
     result = adjunction_space(
         product,
@@ -174,25 +167,12 @@ def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
         raise PreconditionError(
             "cylinder adjunction oracle failed its certificates"
         )
-
-    def adjunction_class(cyl_idx: int) -> int:
-        seg_count = cylinder.source.n * len(cylinder.inner_ts)
-        if cyl_idx >= seg_count:
-            return result.y_class[cyl_idx - seg_count]
-        i, tp = divmod(cyl_idx, len(cylinder.inner_ts))
-        t = cylinder.inner_ts[tp]
-        return result.x_class[i * len(grid) + grid.index(t)]
-
-    worst = ZERO
-    for a in range(cylinder.space.n):
-        for b in range(cylinder.space.n):
-            gap = abs(
-                cylinder.space.d(a, b)
-                - result.space.d(adjunction_class(a), adjunction_class(b))
-            )
-            if gap > worst:
-                worst = gap
-    return worst
+    index = [
+        result.x_class[i * k + tp]
+        for i in range(cylinder.source.n)
+        for tp in range(k - 1)
+    ]
+    return largest_gap(cylinder.space, result.space, index + list(result.y_class))
 
 
 def sub_cylinder(cylinder: CylinderSpace, indices: Sequence[int]):

@@ -28,6 +28,7 @@ from .spaces import (
     check_metric_axioms,
     ensure_diameter_at_most,
     ensure_metric,
+    largest_gap,
 )
 
 
@@ -231,11 +232,7 @@ def adjunction_space(
     result_space = FiniteMetricSpace(
         glued.space.points, glued.space.dist, pseudo=not glued.is_metric()
     )
-    y_isometric = True
-    for i in range(target.n):
-        for j in range(target.n):
-            if result_space.d(y_class[i], y_class[j]) != target.d(i, j):
-                y_isometric = False
+    y_isometric = largest_gap(target, result_space, y_class) == 0
     clearance = tuple(
         min(ext.d(x, a) for a in A) for x in range(space.n)
     )

@@ -882,7 +882,7 @@ class ContinuityBudgetRow:
 
     The composite from target level ``upper`` down to ``lower`` must send
     pairs within alpha to pairs within the halving bound; ``attained`` is
-    the exact worst image distance read off the modulus table.
+    the exact worst image distance, one scan over ``pair_distances``.
     """
 
     upper: int

@@ -34,6 +34,7 @@ from .spaces import (
     check_metric_axioms,
     ensure_diameter_at_most,
     ensure_metric,
+    largest_gap,
 )
 
 
@@ -457,15 +458,9 @@ def amalgamated_union(
             f"amalgamated union failed the metric axioms: {glued.first_violation}"
         )
     # isometric embedding checks for both factors
-    left_classes = glued.class_of_part[0]
-    right_classes = glued.class_of_part[1]
     space = FiniteMetricSpace(glued.space.points, glued.space.dist)
-    for i in range(left.n):
-        for j in range(left.n):
-            if space.d(left_classes[i], left_classes[j]) != left.d(i, j):
-                raise PreconditionError("left factor does not embed isometrically")
-    for i in range(right.n):
-        for j in range(right.n):
-            if space.d(right_classes[i], right_classes[j]) != right.d(i, j):
-                raise PreconditionError("right factor does not embed isometrically")
+    if largest_gap(left, space, glued.class_of_part[0]) != 0:
+        raise PreconditionError("left factor does not embed isometrically")
+    if largest_gap(right, space, glued.class_of_part[1]) != 0:
+        raise PreconditionError("right factor does not embed isometrically")
     return space

@@ -248,6 +248,19 @@ def ensure_diameter_at_most(space: FiniteMetricSpace, bound: ScalarLike,
             f"(rescaled_to_diameter)")
 
 
+def largest_gap(space: FiniteMetricSpace, other: FiniteMetricSpace,
+                index: Sequence[int]) -> Scalar:
+    """Largest |d(a, b) - d_other(index[a], index[b])| over the points of
+    ``space``; 0 exactly when ``index`` embeds ``space`` isometrically."""
+    worst = ZERO
+    for a, row in enumerate(space.dist):
+        for b, value in enumerate(row):
+            gap = abs(value - other.d(index[a], index[b]))
+            if gap > worst:
+                worst = gap
+    return worst
+
+
 @dataclass(frozen=True)
 class PartialMap:
     """A map between index ranges, total or partial, as (source, target) pairs."""

@@ -1,6 +1,11 @@
 """Shared fixtures and seeded generators for the test suite."""
 
+import random
 from fractions import Fraction
+from typing import NamedTuple, Optional
+
+from hypothesis import example
+from hypothesis import strategies as st
 
 from unimet.invlim import inverse_sequence
 from unimet.spaces import FiniteMetricSpace
@@ -101,6 +106,57 @@ def random_partition(rng, size, classes):
     ]
     rng.shuffle(class_of)
     return class_of
+
+
+# ---- generated construction inputs ----
+
+
+class ConstructionInputs(NamedTuple):
+    """A source space and a parameter grid, with the target space and the
+    map that the join and the cylinder also read."""
+
+    source: FiniteMetricSpace
+    grid: tuple
+    target: Optional[FiniteMetricSpace] = None
+    mapping: tuple = ()
+
+
+@st.composite
+def construction_inputs(draw, low, required, cap, max_size=4):
+    """Inputs for the cone, join and cylinder formula-versus-oracle tests.
+
+    Each space has 1..max_size points (the source at least 2) and is drawn
+    from a seed as ``random_space`` (dyadic weights) or ``wide_space``
+    (denominators 7..31), then rescaled to a drawn diameter k/8 * cap for
+    k in 1..8.  The map sends source indices to target indices; the grid
+    holds ``required`` and up to three more values in [low, 1] with
+    denominators up to 8.
+    """
+
+    def one_space(min_size):
+        make = draw(st.sampled_from((random_space, wide_space)))
+        size = draw(st.integers(min_size, max_size))
+        drawn = make(random.Random(draw(st.integers(0, 2**32 - 1))), size)
+        return drawn.rescaled_to_diameter(Fraction(draw(st.integers(1, 8)), 8) * cap)
+
+    source = one_space(2)
+    target = one_space(1)
+    image = st.integers(0, target.n - 1)
+    mapping = draw(st.lists(image, min_size=source.n, max_size=source.n))
+    extra = draw(st.sets(st.fractions(low, ONE, max_denominator=8), max_size=3))
+    grid = tuple(sorted(extra | set(required)))
+    return ConstructionInputs(source, grid, target, tuple(mapping))
+
+
+def with_examples(cases):
+    """Decorator: run each of ``cases`` as an explicit hypothesis example."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return decorate
 
 
 # ---- inverse sequence fixtures ----

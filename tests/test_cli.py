@@ -1,0 +1,342 @@
+"""The command line end to end: fixtures, exit codes 0 / 1 / 2, determinism."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+import unimet.cli
+import unimet.cones
+import unimet.cylinders
+from helpers import halving_chain, retraction_tower, space, window_chain
+from unimet.cli import main
+from unimet.covers import ball_fundamental_sequence
+from unimet.invlim import telescope_metric
+from unimet.jsonio import (
+    fundamental_sequence_to_json,
+    space_to_json,
+    truncation_to_json,
+)
+from unimet.reporting import canonical_bytes
+
+S3 = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
+S2 = space("pq", {(0, 1): "1/2"})
+TOWER = retraction_tower(4)
+
+
+def run(argv):
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def write(directory, name, tree):
+    path = directory / name
+    path.write_text(json.dumps(tree))
+    return path
+
+
+def rows(out):
+    return {r["check"]: r for r in json.loads(out)["results"]}
+
+
+def all_pass(out):
+    return all(r["status"] != "fail" for r in json.loads(out)["results"])
+
+
+@pytest.fixture
+def s3(tmp_path):
+    return write(tmp_path, "s3.json", space_to_json(S3))
+
+
+@pytest.fixture
+def tower(tmp_path):
+    return write(tmp_path, "tower.json", truncation_to_json(TOWER))
+
+
+@pytest.fixture
+def join_file(tmp_path):
+    tree = {"left": space_to_json(S2), "right": space_to_json(S3)}
+    return write(tmp_path, "join.json", tree)
+
+
+@pytest.fixture
+def cylinder_file(tmp_path):
+    tree = {
+        "source": space_to_json(S3),
+        "target": space_to_json(S2),
+        "mapping": [0, 1, 1],
+    }
+    return write(tmp_path, "cyl.json", tree)
+
+
+# ---- check ----
+
+
+def test_check_valid_space_passes(s3):
+    code, out, err = run(["check", s3])
+    assert code == 0, err
+    assert json.loads(out)["exit_status"] == 0
+    assert all_pass(out)
+
+
+def test_check_reports_a_triangle_witness(tmp_path):
+    bad = {
+        "points": ["a", "b", "c"],
+        "dist": [["0", "1", "1/4"], ["1", "0", "1/4"], ["1/4", "1/4", "0"]],
+    }
+    code, out, err = run(["check", write(tmp_path, "bad.json", bad)])
+    assert code == 1, err
+    triangle = rows(out)["axiom triangle"]
+    assert triangle["status"] == "fail" and triangle["witnesses"]
+
+
+def test_check_input_errors_exit_2(tmp_path):
+    malformed = tmp_path / "mal.json"
+    malformed.write_text("{oops")
+    code, out, err = run(["check", malformed])
+    assert code == 2 and "input error" in err
+    code, out, err = run(["check", tmp_path / "missing.json"])
+    assert code == 2, err
+
+
+def test_check_pseudo_acceptance(tmp_path):
+    zeros = {"points": ["a", "b"], "dist": [["0", "0"], ["0", "0"]]}
+    flagged = dict(zeros, pseudo=True)
+    code, out, err = run(["check", write(tmp_path, "pseudo.json", flagged)])
+    assert code == 0, err
+    plain = write(tmp_path, "nf.json", zeros)
+    code, out, err = run(["check", plain])
+    assert code == 1, err
+    code, out, err = run(["check", plain, "--pseudo"])
+    assert code == 0, err
+
+
+# ---- build ----
+
+
+def test_build_cone_oracle_passes(s3):
+    code, out, err = run(["build", "cone", s3, "--oracle"])
+    assert code == 0, err
+    oracle = rows(out)["cone formula matches the collapsed-slice quotient"]
+    assert oracle["status"] == "pass"
+
+
+def test_build_join_oracle_passes(join_file):
+    code, out, err = run(["build", "join", join_file, "--oracle"])
+    assert code == 0, err
+    found = rows(out)
+    assert found["join equals the glued union of cone products"]["status"] == "pass"
+    assert found["two chain hops settle the glued union"]["status"] == "pass"
+
+
+def test_build_join_grid_errors_exit_1(join_file):
+    code, out, err = run(["build", "join", join_file, "--grid", "0,abc,1"])
+    assert code == 1 and "not a rational" in err
+    code, out, err = run(["build", "join", join_file, "--grid", "0,1/2,1"])
+    assert code == 1 and "must contain" in err
+
+
+def test_build_cylinder_oracle_passes(cylinder_file):
+    code, out, err = run(["build", "cylinder", cylinder_file, "--oracle"])
+    assert code == 0, err
+    assert all_pass(out)
+    assert rows(out)["cylinder matches the attachment pipeline"]["status"] == "pass"
+
+
+def test_build_adjunction_and_amalgam(tmp_path):
+    adjunction = {
+        "space": space_to_json(S3),
+        "subset": [0, 1],
+        "target": space_to_json(S2),
+        "attaching": {"pairs": [[0, 0], [1, 1]]},
+    }
+    amalgam = {
+        "left": space_to_json(S2),
+        "right": space_to_json(S2),
+        "gluing": {"pairs": [[0, 0]]},
+    }
+    for kind, tree in (("adjunction", adjunction), ("amalgam", amalgam)):
+        code, out, err = run(["build", kind, write(tmp_path, "in.json", tree)])
+        assert code == 0, (kind, err)
+
+
+def test_quotient_family_and_class_of_give_the_same_space(tmp_path):
+    by_family = {"space": space_to_json(S3), "family": [[0, 1]]}
+    by_class = {"space": space_to_json(S3), "class_of": [0, 0, 1]}
+    spaces = []
+    for tree in (by_family, by_class):
+        code, out, err = run(["build", "quotient", write(tmp_path, "q.json", tree)])
+        assert code == 0, err
+        spaces.append(rows(out)["constructed space"]["witnesses"])
+    assert spaces[0] == spaces[1]
+
+
+@pytest.mark.parametrize("depth, expected", [(None, 0), (2, 0), (0, 0), (9, 1)])
+def test_build_telescope_depths(tower, depth, expected):
+    extra = [] if depth is None else ["--depth", depth]
+    code, out, err = run(["build", "telescope", tower, *extra])
+    assert code == expected, err
+
+
+# ---- oracles run once, and only when asked ----
+
+
+def count_calls(monkeypatch, name, *modules):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_oracle_build_runs_its_oracle_and_its_construction_once(
+    monkeypatch, s3, join_file, cylinder_file
+):
+    checks = count_calls(
+        monkeypatch, "cylinder_adjunction_check", unimet.cylinders, unimet.cli
+    )
+    telescope_metric(TOWER, 0, 3)
+    assert len(checks) == 0
+    assert run(["build", "cylinder", cylinder_file, "--oracle"])[0] == 0
+    assert len(checks) == 1
+
+    cones = count_calls(monkeypatch, "cone_metric", unimet.cones, unimet.cli)
+    assert run(["build", "cone", s3, "--oracle"])[0] == 0
+    assert len(cones) == 1
+
+    joins = count_calls(monkeypatch, "join_metric", unimet.cones, unimet.cli)
+    assert run(["build", "join", join_file, "--oracle"])[0] == 0
+    assert len(joins) == 1
+
+
+# ---- metrize ----
+
+
+def test_metrize_ball_sequence(tmp_path):
+    seq = fundamental_sequence_to_json(ball_fundamental_sequence(S3, 3))
+    code, out, err = run(["metrize", write(tmp_path, "seq.json", seq)])
+    assert code == 0, err
+    assert any(name.startswith("gauge within") for name in rows(out))
+
+
+def test_metrize_rejects_a_sequence_without_star_refinement(tmp_path):
+    bad = {
+        "covers": [
+            {"ground": 3, "sets": [[0, 1, 2]]},
+            {"ground": 3, "sets": [[0, 1], [1, 2]]},
+            {"ground": 3, "sets": [[0, 1], [1, 2]]},
+        ]
+    }
+    code, out, err = run(["metrize", write(tmp_path, "badseq.json", bad)])
+    assert code == 1, err
+
+
+# ---- embed ----
+
+
+def test_embed_certifies_injectivity(s3):
+    code, out, err = run(["embed", s3])
+    assert code == 0, err
+    assert "map is injective" in rows(out)
+
+
+def test_embed_diameter_rescale_and_depth(tmp_path, s3):
+    big = write(tmp_path, "big.json", space_to_json(space("xy", {(0, 1): "3/2"})))
+    code, out, err = run(["embed", big])
+    assert code == 1 and "diameter" in err
+    code, out, err = run(["embed", big, "--rescale"])
+    assert code == 0, err
+    code, out, err = run(["embed", s3, "--depth", "0"])
+    assert code == 1, err
+
+
+# ---- invlim ----
+
+
+def test_invlim_threads_and_ml(tmp_path, tower):
+    halving = write(tmp_path, "halv.json", truncation_to_json(halving_chain(5, 6)))
+    assert run(["invlim", "threads", tower])[0] == 0
+    assert run(["invlim", "ml", tower])[0] == 0
+    assert run(["invlim", "ml", halving])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "chain, converge_code, cauchy_code",
+    [
+        (TOWER, 0, 0),
+        (halving_chain(5, 6), 1, 0),
+        (window_chain(4), 1, 1),
+    ],
+    ids=["tower", "halving", "window"],
+)
+def test_invlim_converge_and_cauchy(tmp_path, chain, converge_code, cauchy_code):
+    path = write(tmp_path, "chain.json", truncation_to_json(chain))
+    code, out, err = run(["invlim", "converge", path])
+    assert code == converge_code, err
+    code, out, err = run(["invlim", "cauchy", path])
+    assert code == cauchy_code, err
+
+
+def test_invlim_separate_passes(tower):
+    code, out, err = run(["invlim", "separate", tower])
+    assert code == 0, err
+    assert all_pass(out)
+
+
+def _identity_ladder():
+    doc = truncation_to_json(TOWER)
+    doc["cross"] = [list(range(TOWER.levels[i].n)) for i in range(TOWER.top + 1)]
+    return doc
+
+
+def test_invlim_perturb_exact_self_ladder(tmp_path):
+    path = write(tmp_path, "lad.json", _identity_ladder())
+    code, out, err = run(["invlim", "perturb", path])
+    assert code == 0, err
+    limit_rows = [r for name, r in rows(out).items() if name.startswith("limit map at")]
+    assert limit_rows and all(r["scalars"]["measured"] == "0" for r in limit_rows)
+
+
+def test_invlim_perturb_detects_an_over_budget_cross_map(tmp_path):
+    doc = _identity_ladder()
+    doc["cross"][2] = [0, 2, 1]
+    doc["alphas"] = ["0"] * TOWER.top
+    code, out, err = run(["invlim", "perturb", write(tmp_path, "badlad.json", doc)])
+    assert code == 1, err
+    failing = [
+        name
+        for name, r in rows(out).items()
+        if r["status"] == "fail" and "ladder square" in name
+    ]
+    assert failing
+
+
+# ---- determinism and --out ----
+
+
+def test_reports_are_deterministic_and_fold_in_the_seed(s3):
+    first = run(["check", s3, "--seed", "7"])
+    assert first[:2] == run(["check", s3, "--seed", "7"])[:2]
+    assert run(["check", s3, "--seed", "8"])[1] != first[1]
+
+
+def test_out_writes_the_bytes_stdout_would_carry(tmp_path, s3):
+    code, printed, err = run(["check", s3])
+    assert code == 0, err
+    target = tmp_path / "r.json"
+    code, out, err = run(["check", s3, "--out", target])
+    assert code == 0 and out == ""
+    data = target.read_bytes()
+    assert data == printed.encode("ascii")
+    report = json.loads(data)
+    assert report["exit_status"] == 0
+    assert data == canonical_bytes(report)

@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from helpers import interval_points, matrix_of, random_space, space
+from helpers import (
+    ConstructionInputs,
+    construction_inputs,
+    interval_points,
+    matrix_of,
+    random_space,
+    space,
+    with_examples,
+)
 from oracles import cone_reference, join_reference
 from unimet.cones import (
     cone_distance,
@@ -80,11 +89,21 @@ def test_cone_indexing_and_base_slice():
     assert cone.space.d(cone.apex_index, cone.seg_index(0, Fraction(1, 2))) == Fraction(1, 2)
 
 
-def test_cone_quotient_check_is_exact():
+def _seeded_bases():
     rng = random.Random(409)
-    for _ in range(6):
-        base = random_space(rng, rng.randint(2, 4), den=8, top=16)
-        assert cone_quotient_check(base, CONE_GRID) == 0
+    return [
+        ConstructionInputs(
+            random_space(rng, rng.randint(2, 4), den=8, top=16), CONE_GRID
+        )
+        for _ in range(6)
+    ]
+
+
+@with_examples(_seeded_bases())
+@given(construction_inputs(Fraction(0), (Fraction(0), Fraction(1)), Fraction(2)))
+def test_cone_quotient_check_is_exact(inputs):
+    cone = cone_metric(inputs.source, inputs.grid)
+    assert cone_quotient_check(cone) == 0
 
 
 def test_cone_guards():
@@ -170,15 +189,30 @@ def test_join_guards():
     with pytest.raises(StructuralError, match="contain"):
         join_metric(small, small, (Fraction(0), Fraction(1)))
     with pytest.raises(StructuralError, match="needs 0"):
-        join_amalgam_equality(small, small, (Fraction(-1), Fraction(1, 2), Fraction(1)))
+        join_amalgam_equality(
+            join_metric(small, small, (Fraction(-1), Fraction(1, 2), Fraction(1)))
+        )
 
 
-def test_join_equals_amalgam_of_cone_products():
+def _seeded_factor_pairs():
     rng = random.Random(421)
+    cases = []
     for _ in range(5):
         left = random_space(rng, rng.randint(2, 3), den=8, top=16)
         right = random_space(rng, rng.randint(2, 3), den=8, top=16)
-        report = join_amalgam_equality(left, right, JOIN_GRID)
-        assert report.equal
-        assert report.max_discrepancy == 0
-        assert report.two_hops_suffice
+        cases.append(ConstructionInputs(left, JOIN_GRID, right))
+    return cases
+
+
+@with_examples(_seeded_factor_pairs())
+@given(
+    construction_inputs(
+        Fraction(-1), (Fraction(-1), Fraction(0), Fraction(1)), Fraction(2), max_size=3
+    )
+)
+def test_join_equals_amalgam_of_cone_products(inputs):
+    join = join_metric(inputs.source, inputs.target, inputs.grid)
+    report = join_amalgam_equality(join)
+    assert report.equal
+    assert report.max_discrepancy == 0
+    assert report.two_hops_suffice

@@ -4,8 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from helpers import interval_points, random_space, space
+from helpers import (
+    ConstructionInputs,
+    construction_inputs,
+    interval_points,
+    random_space,
+    space,
+    with_examples,
+)
 from unimet.cylinders import (
     CYLINDER_CROSS,
     adjusted_metric,
@@ -22,11 +30,15 @@ from unimet.spaces import check_metric_axioms
 GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
-def random_cylinder(rng):
-    source = random_space(rng, rng.randint(2, 4), den=16, top=16)
-    target = random_space(rng, rng.randint(1, 3), den=16, top=16)
-    mapping = tuple(rng.randrange(target.n) for _ in range(source.n))
-    return mapping_cylinder_metric(source, target, mapping, GRID)
+def _seeded_cylinder_inputs():
+    rng = random.Random(311)
+    cases = []
+    for _ in range(8):
+        source = random_space(rng, rng.randint(2, 4), den=16, top=16)
+        target = random_space(rng, rng.randint(1, 3), den=16, top=16)
+        mapping = tuple(rng.randrange(target.n) for _ in range(source.n))
+        cases.append(ConstructionInputs(source, GRID, target, mapping))
+    return cases
 
 
 # ---- adjusted metric ----
@@ -67,15 +79,17 @@ def expected_distance(cyl, a, b):
     return min(around, through)
 
 
-def test_cylinder_matches_displayed_formulas():
-    rng = random.Random(311)
-    for _ in range(8):
-        cyl = random_cylinder(rng)
-        assert check_metric_axioms(cyl.space).ok
-        for a in range(cyl.space.n):
-            for b in range(cyl.space.n):
-                assert cyl.space.d(a, b) == expected_distance(cyl, a, b)
-        assert cylinder_adjunction_check(cyl) == 0
+@with_examples(_seeded_cylinder_inputs())
+@given(construction_inputs(Fraction(0), (Fraction(0), Fraction(1)), Fraction(1)))
+def test_cylinder_matches_displayed_formulas(inputs):
+    cyl = mapping_cylinder_metric(
+        inputs.source, inputs.target, inputs.mapping, inputs.grid
+    )
+    assert check_metric_axioms(cyl.space).ok
+    for a in range(cyl.space.n):
+        for b in range(cyl.space.n):
+            assert cyl.space.d(a, b) == expected_distance(cyl, a, b)
+    assert cylinder_adjunction_check(cyl) == 0
 
 
 def test_cylinder_indexing_and_top_slice():
