@@ -17,8 +17,8 @@ from typing import Iterable, Optional
 import networkx as nx
 
 from .errors import PreconditionError, StructuralError
-from .kernel import closure, to_fractions, to_int_matrix
-from .scalars import ZERO, Scalar, ScalarLike, as_scalar, pow2
+from .kernel import closure, to_fractions
+from .scalars import Scalar, ScalarLike, as_scalar, pow2
 from .spaces import FiniteMetricSpace
 
 
@@ -121,14 +121,21 @@ def meet(left: Cover, right: Cover) -> Cover:
 
 
 def ball_cover(space: FiniteMetricSpace, radius: ScalarLike) -> Cover:
-    """Cover by the closed balls of the given radius, one per point."""
+    """Cover by the closed balls of the given radius, one per point.
+
+    Runs on the space's integer form ``(M, L)``: y lies in the ball of x
+    when ``M[x][y] * q <= p * L`` for the radius p/q, so the radius needs no
+    common denominator with the distances.
+    """
     r = as_scalar(radius)
     if r < 0:
         raise StructuralError("ball radius must be nonnegative")
-    members = []
-    for x in range(space.n):
-        members.append(tuple(y for y in range(space.n) if space.d(x, y) <= r))
-    return Cover(space.n, tuple(members))
+    m, scale = space._int_form
+    q, p = r.denominator, r.numerator * scale
+    members = tuple(
+        tuple(y for y, v in enumerate(row) if v * q <= p) for row in m
+    )
+    return Cover(space.n, members)
 
 
 # ---- Lebesgue-style numbers ----
@@ -148,12 +155,14 @@ class LebesgueNumber:
 
 
 def _cliques_within(space: FiniteMetricSpace, threshold: Scalar, strict: bool) -> list:
+    m, scale = space._int_form
+    q, p = threshold.denominator, threshold.numerator * scale
     graph = nx.Graph()
     graph.add_nodes_from(range(space.n))
-    for i in range(space.n):
+    for i, row in enumerate(m):
         for j in range(i + 1, space.n):
-            d = space.d(i, j)
-            if (d < threshold) if strict else (d <= threshold):
+            d = row[j] * q
+            if (d < p) if strict else (d <= p):
                 graph.add_edge(i, j)
     return [frozenset(c) for c in nx.find_cliques(graph)]
 
@@ -195,28 +204,40 @@ def ball_containment_number(
     Stronger than a Lebesgue number for the uses here: it names a containing
     member per point rather than per small set.  Returns the cap itself when
     even the cap works, None when no positive threshold works.
+
+    The open ball B(x, L) lies in a member V exactly when L is at most the
+    distance from x to the complement of V, so a threshold works exactly
+    when it is at most ``reach``, the least over x of the largest such
+    distance over the members (unbounded when a member is the whole
+    ground).  Both are taken on the space's integer form ``(M, L)``; the
+    cap compares as ``p * L`` against ``reach * q`` for the cap p/q.
     """
     if cover.ground != space.n:
         raise StructuralError("cover ground does not match the space")
+    m, scale = space._int_form
+    complements = [
+        [y for y in range(space.n) if y not in member]
+        for member in cover.member_sets()
+    ]
+    reach = None
+    if all(complements):
+        reach = min(
+            max(min(map(row.__getitem__, rest)) for rest in complements)
+            for row in m
+        )
     capped = as_scalar(cap) if cap is not None else None
-    candidates = [v for v in space.positive_spectrum()]
+    if capped is not None and (
+        reach is None or capped.numerator * scale <= reach * capped.denominator
+    ):
+        return capped
+    fits = [
+        v for i, row in enumerate(m) for v in row[i + 1:]
+        if v > 0 and (reach is None or v <= reach)
+    ]
     if capped is not None:
-        candidates = [v for v in candidates if v <= capped]
-        candidates.append(capped)
-    targets = cover.member_sets()
-    best: Optional[Scalar] = None
-    for threshold in sorted(set(candidates)):
-        ok = True
-        for x in range(space.n):
-            ball = frozenset(y for y in range(space.n) if space.d(x, y) < threshold)
-            if not any(ball <= t for t in targets):
-                ok = False
-                break
-        if ok:
-            best = threshold
-        else:
-            break
-    return best
+        limit = capped.numerator * scale
+        fits = [v for v in fits if v * capped.denominator <= limit]
+    return Fraction(max(fits), scale) if fits else None
 
 
 # ---- fundamental sequences and metrization ----
@@ -326,7 +347,10 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
         )
     g = seq.ground
     even_levels = [n for n in range(1, seq.depth + 1) if n % 2 == 0]
-    gauge = [[ZERO] * g for _ in range(g)]
+    # The gauge 2^-h as the int 2^(top - h) over 2^top, top the deepest h.
+    top = seq.depth // 2
+    scale = 2**top
+    gauge = [[0] * g for _ in range(g)]
     for x in range(g):
         for y in range(x, g):
             depth_hit = 0
@@ -334,22 +358,24 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
                 if _co_contained(seq.level(n), x, y):
                     depth_hit = n // 2
                     break
-            val = pow2(-depth_hit)
+            val = 2 ** (top - depth_hit)
             gauge[x][y] = val
             gauge[y][x] = val
-    ints, scale = to_int_matrix(gauge)
-    dist = to_fractions(closure(ints), scale)
+    dist = closure(gauge)
     witnesses = []
     comparison_ok = True
     for x in range(g):
         for y in range(g):
             if not (dist[x][y] <= gauge[x][y] <= 2 * dist[x][y] or x == y):
                 comparison_ok = False
-                witnesses.append(("comparison", x, y, dist[x][y], gauge[x][y]))
-    space = FiniteMetricSpace(tuple(range(g)), dist)
+                witnesses.append((
+                    "comparison", x, y,
+                    Fraction(dist[x][y], scale), Fraction(gauge[x][y], scale),
+                ))
+    space = FiniteMetricSpace.from_int(tuple(range(g)), dist, scale)
     member_diameter_ok = True
     for n in even_levels:
-        bound = pow2(-(n // 2))
+        bound = 2 ** (top - n // 2)
         for idx, member in enumerate(seq.level(n).members):
             pts = list(member)
             for a in range(len(pts)):
@@ -371,7 +397,7 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
                 witnesses.append(("clique_containment", n, tuple(sorted(clique))))
     return AuMetrization(
         space,
-        tuple(tuple(row) for row in gauge),
+        to_fractions(gauge, scale),
         comparison_ok,
         member_diameter_ok,
         clique_containment_ok,

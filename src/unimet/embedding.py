@@ -6,10 +6,19 @@ the complement of V.  Small image distance at the scale's clamp forces the
 two points into one member, whose diameter is controlled, which is the
 quantitative separation certificate; injectivity follows once the scales
 outrun the smallest positive distance.
+
+The covers run on the space's integer form (see ``covers``).  The
+coordinates, image distances and every certificate run on ints over one
+denominator, ``lcm(L, 2^(depth+2))`` with ``L`` that of the integer form,
+so that each clamp 2^-n and radius 2^-(n+2) is an int too; Fractions are
+built only for the returned embedding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import sub
 
 from .covers import (
     Cover,
@@ -20,8 +29,8 @@ from .covers import (
 )
 from .errors import PreconditionError
 from .moduli import ModulusTable, continuity_modulus
-from .scalars import ONE, ZERO, Scalar, pow2
-from .sequences import SequencePoint, sup_distance
+from .scalars import ONE, Scalar, pow2
+from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
 
 
@@ -109,6 +118,13 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     level-n coordinates lie in [0, 2^-n], and image distance <= clamp/2 at
     level n forces point distance <= 2^(1-n); injectivity is checked
     directly.
+
+    Everything after the covers runs on ints over ``big = lcm(L, 2^(depth+2))``,
+    ``L`` the denominator of the space's integer form, so every distance,
+    clamp, cap 2^-n and bound 2^(1-n) is an int over ``big``.  Each image is
+    a dense int vector whose tail is 0, so an image gap is the largest
+    coordinate difference.  Fractions are built only for the returned
+    clamps, images, rows and image space.
     """
     ensure_metric(space, "aharoni_embed")
     ensure_diameter_at_most(
@@ -133,64 +149,64 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
         levels.append(LevelData(n, refinement, clamp, offset))
         offset += len(refinement.cover.members)
 
-    everything = set(range(space.n))
-    images = []
-    for x in range(space.n):
-        pairs = []
-        for data in levels:
-            for i, member in enumerate(data.cover.members):
-                complement = everything - set(member)
-                if complement:
-                    value = min(space.d(x, c) for c in complement)
-                    if value > data.clamp:
-                        value = data.clamp
-                else:
-                    value = ZERO
-                if value != 0:
-                    pairs.append((data.offset + i, value))
-        images.append(SequencePoint(tuple(pairs)))
-    images = tuple(images)
+    m, scale = space._int_form
+    big = lcm(scale, 2 ** (depth + 2))
+    factor = big // scale
+    rows = [[v * factor for v in row] for row in m]
+    everything = range(space.n)
+    clamps = [data.clamp.numerator * (big // data.clamp.denominator) for data in levels]
+    # One column of coordinates per member: min(d(x, complement), clamp).
+    columns = []
+    for data, clamp in zip(levels, clamps):
+        for member in data.cover.member_sets():
+            rest = [c for c in everything if c not in member]
+            if not rest:
+                columns.append([0] * space.n)
+                continue
+            columns.append([
+                value if value < clamp else clamp
+                for value in (min(map(row.__getitem__, rest)) for row in rows)
+            ])
+    vectors = list(zip(*columns))
+    gaps = [[0] * space.n for _ in everything]
+    for a, va in enumerate(vectors):
+        for b in range(a + 1, space.n):
+            gaps[a][b] = gaps[b][a] = max(map(abs, map(sub, va, vectors[b])))
 
-    image_gaps = [
-        [sup_distance(images[a], images[b]) for b in range(space.n)]
-        for a in range(space.n)
-    ]
     nonexpansive = all(
-        image_gaps[a][b] <= space.d(a, b)
-        for a in range(space.n)
-        for b in range(space.n)
+        gap <= d for gap_row, row in zip(gaps, rows) for gap, d in zip(gap_row, row)
     )
     bounds_ok = True
     for data in levels:
-        hi = pow2(-data.level)
-        members = len(data.cover.members)
-        for img in images:
-            for idx, value in img.support:
-                if data.offset <= idx < data.offset + members:
-                    if not 0 <= value <= hi:
-                        bounds_ok = False
-    rows = []
-    for data in levels:
-        threshold = data.clamp / 2
-        bound = pow2(1 - data.level)
+        hi = big >> data.level
+        block = columns[data.offset:data.offset + len(data.cover.members)]
+        if not all(0 <= value <= hi for column in block for value in column):
+            bounds_ok = False
+    separation = []
+    for data, clamp in zip(levels, clamps):
+        bound = big >> (data.level - 1)
         holds = all(
-            image_gaps[a][b] > threshold or space.d(a, b) <= bound
-            for a in range(space.n)
-            for b in range(space.n)
+            2 * gap > clamp or d <= bound
+            for gap_row, row in zip(gaps, rows)
+            for gap, d in zip(gap_row, row)
         )
-        rows.append(SeparationRow(data.level, threshold, bound, holds))
+        separation.append(
+            SeparationRow(data.level, data.clamp / 2, pow2(1 - data.level), holds)
+        )
     injective = all(
-        image_gaps[a][b] > 0
-        for a in range(space.n)
-        for b in range(a + 1, space.n)
+        gap > 0 for a, gap_row in enumerate(gaps) for gap in gap_row[a + 1:]
     )
-    image_space = FiniteMetricSpace(
-        tuple(range(space.n)),
-        tuple(tuple(row) for row in image_gaps),
-        pseudo=not injective,
+
+    exact = {v: Fraction(v, big) for v in set().union(*columns)}
+    images = tuple(
+        SequencePoint(tuple((i, exact[v]) for i, v in enumerate(vector) if v))
+        for vector in vectors
     )
-    table = continuity_modulus(space, image_space, tuple(range(space.n)))
+    image_space = FiniteMetricSpace.from_int(
+        tuple(everything), gaps, big, pseudo=not injective
+    )
+    table = continuity_modulus(space, image_space, tuple(everything))
     certificate = EmbeddingCertificate(
-        table, tuple(rows), injective, nonexpansive, bounds_ok
+        table, tuple(separation), injective, nonexpansive, bounds_ok
     )
     return AharoniEmbedding(space, depth, tuple(levels), images, certificate)

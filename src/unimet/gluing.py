@@ -29,6 +29,7 @@ from .spaces import (
     ensure_diameter_at_most,
     ensure_metric,
     largest_gap,
+    reflagged,
 )
 
 
@@ -229,9 +230,7 @@ def adjunction_space(
 
     x_class = glued.class_of_part[0]
     y_class = glued.class_of_part[1]
-    result_space = FiniteMetricSpace(
-        glued.space.points, glued.space.dist, pseudo=not glued.is_metric()
-    )
+    result_space = reflagged(glued.space, not glued.is_metric())
     y_isometric = largest_gap(target, result_space, y_class) == 0
     clearance = tuple(
         min(ext.d(x, a) for a in A) for x in range(space.n)

@@ -90,22 +90,30 @@ def continuity_modulus(
     For each delta in the source spectrum the row gives the largest image
     distance among pairs at source distance <= delta.  The table certifies
     (delta, epsilon)-continuity for every row and is tight: each epsilon is
-    attained by some pair.
+    attained by some pair.  The sweep runs on each space's own integer
+    form; only the rows are converted back to Fractions.
     """
     m = as_mapping(mapping)
     ensure_total_map(m, source, target, "continuity_modulus")
+    src, src_scale = source._int_form
+    img, img_scale = target._int_form
     # One sweep: pairs sorted by source distance, spectrum ascending, with
     # the running max of the image distances admitted so far.
-    pairs = sorted(pair_distances(source, target, m), key=itemgetter(0))
+    pairs = sorted((
+        (row[j], img[m[i]][m[j]])
+        for i, row in enumerate(src)
+        for j in range(i + 1, source.n)
+    ), key=itemgetter(0))
+    spectrum = sorted({0}.union(*(row[i + 1:] for i, row in enumerate(src))))
     rows = []
-    eps = ZERO
+    eps = 0
     k = 0
-    for delta in source.spectrum():
+    for delta in spectrum:
         while k < len(pairs) and pairs[k][0] <= delta:
             if pairs[k][1] > eps:
                 eps = pairs[k][1]
             k += 1
-        rows.append((delta, eps))
+        rows.append((Fraction(delta, src_scale), Fraction(eps, img_scale)))
     return ModulusTable("continuity", tuple(rows))
 
 

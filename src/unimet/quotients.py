@@ -8,10 +8,11 @@ sense, and d_infinity = d_n exactly when d_n already satisfies the triangle
 inequality.
 
 One engine serves every construction: ``_class_block`` reduces a point
-matrix to the class block, and ``_chain`` takes the block's min-plus powers
-and its shortest-path closure on the integer kernel, returning d_n,
-d_infinity and the least n at which they agree.  ``chain_metric``,
-``quotient_by_discrete_family`` and ``glue_parts`` all run on it.
+matrix to the class block, and the integer kernel takes the block's min-plus
+powers (``_power``) and its shortest-path closure.  ``chain_metric`` takes
+only what it returns, the powers up to n or the closure; ``glue_parts``
+takes both; ``quotient_by_discrete_family`` also needs the least n at which
+they agree, which ``_chain`` finds on the way.
 
 Gluing several spaces along identifications builds one union matrix over
 the points of all parts first: distances inside a part are its metric,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .kernel import closure, min_plus, to_fractions, to_int_matrix
+from .kernel import closure, min_plus, to_int_matrix
 from .moduli import ModulusTable
 from .scalars import ONE, ZERO, ScalarLike, as_scalar
 from .spaces import (
@@ -35,6 +36,7 @@ from .spaces import (
     ensure_diameter_at_most,
     ensure_metric,
     largest_gap,
+    reflagged,
 )
 
 
@@ -125,19 +127,31 @@ def block_distance(sur: Surjection) -> tuple:
     return tuple(map(tuple, _class_block(sur.source.dist, sur.classes())))
 
 
+def _hops(block: list, steps: int) -> int:
+    """``max(1, min(steps, class_count - 1))``: chains never need more hops
+    than class_count - 1, because repeats drop out."""
+    return max(1, min(steps, len(block) - 1))
+
+
+def _power(block: list, steps: int) -> list:
+    """d_hops of an integer block matrix, hops as ``_hops`` caps them."""
+    power = block
+    for _ in range(_hops(block, steps) - 1):
+        power = min_plus(power, block)
+    return power
+
+
 def _chain(block: list, steps: int) -> tuple:
     """``(d_hops, d_infinity, settled_at)`` of an integer block matrix.
 
-    ``hops = max(1, min(steps, class_count - 1))``: chains never need more
-    hops than class_count - 1, because repeats drop out.  ``settled_at`` is
-    the least n in 1..max(hops, class_count - 1) with d_n = d_infinity, or
-    None; the powers go past ``hops`` only until they settle.
+    ``settled_at`` is the least n in 1..max(hops, class_count - 1) with
+    d_n = d_infinity, or None; the powers go past ``hops`` only until they
+    settle.
     """
-    count = len(block)
     limit = closure(block)
-    hops = max(1, min(steps, count - 1))
+    hops = _hops(block, steps)
     power, settled = block, None
-    for n in range(1, max(hops, count - 1) + 1):
+    for n in range(1, max(hops, len(block) - 1) + 1):
         if n > 1:
             power = min_plus(power, block)
         if n == hops:
@@ -193,9 +207,7 @@ def _finish_chain(sur: Surjection, steps: Optional[int], matrix: list, scale: in
                 "chain distance is infinite: the quotient is disconnected "
                 "at the requested chain length"
             )
-    space = FiniteMetricSpace(
-        sur.class_labels(), to_fractions(matrix, scale), pseudo=True
-    )
+    space = FiniteMetricSpace.from_int(sur.class_labels(), matrix, scale, pseudo=True)
     return ChainMetric(sur, steps, space, *_axiom_verdicts(space))
 
 
@@ -214,7 +226,7 @@ def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
         return _finish_chain(sur, None, closure(block), scale)
     if not isinstance(steps, int) or steps < 1:
         raise StructuralError("steps must be a positive integer or None")
-    return _finish_chain(sur, steps, _chain(block, steps)[0], scale)
+    return _finish_chain(sur, steps, _power(block, steps), scale)
 
 
 def quotient_order_modulus(sur: Surjection, steps: int) -> ModulusTable:
@@ -299,7 +311,7 @@ def quotient_by_discrete_family(
             "quotient of a metric by a disjoint family failed to be a metric; "
             f"violation: {chain.first_violation}"
         )
-    quotient_space = FiniteMetricSpace(chain.space.points, chain.values)
+    quotient_space = reflagged(chain.space, False)
     return QuotientResult(quotient_space, chain, True, settled)
 
 
@@ -389,11 +401,11 @@ def glue_parts(
     )
 
     ints, scale = to_int_matrix(_class_block(union, members_of))
-    power, limit, _ = _chain(ints, steps)
+    power, limit = _power(ints, steps), closure(ints)
     for row in power + limit:
         if None in row:
             raise PreconditionError("glued union is disconnected")
-    space = FiniteMetricSpace(labels, to_fractions(power, scale), pseudo=True)
+    space = FiniteMetricSpace.from_int(labels, power, scale, pseudo=True)
     class_of_part = tuple(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))
@@ -458,7 +470,7 @@ def amalgamated_union(
             f"amalgamated union failed the metric axioms: {glued.first_violation}"
         )
     # isometric embedding checks for both factors
-    space = FiniteMetricSpace(glued.space.points, glued.space.dist)
+    space = reflagged(glued.space, False)
     if largest_gap(left, space, glued.class_of_part[0]) != 0:
         raise PreconditionError("left factor does not embed isometrically")
     if largest_gap(right, space, glued.class_of_part[1]) != 0:

@@ -8,10 +8,14 @@ checked, and reported with witnesses.
 
 Each space also has an integer form, built once on first use and cached: the
 least common multiple ``L`` of its distances' denominators, and every
-distance times ``L`` as an ``int`` (see ``kernel``).  The axiom checker runs
-on those ints, which order and add exactly as the Fractions do.  The scan
-itself is cached per object too: a space is scanned at most once, however
-many layers check it.
+distance times ``L`` as an ``int`` (see ``kernel``).  The axiom checker, the
+ball covers, the sequence-space embedding and the continuity moduli run on
+those ints, which order and add exactly as the Fractions do.  A construction
+that computed its result on ints builds it with ``from_int``, which seeds
+the cache with the same form, so the result is never converted back to
+ints.  The scan itself is cached per object too: a space is scanned at most
+once, however many layers check it, and ``reflagged`` carries the scan over
+to a copy that only changes the pseudo flag.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -22,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
-from .kernel import first_triangle_witness, to_int_matrix
+from .kernel import first_triangle_witness, to_fractions, to_int_matrix
 from .scalars import ZERO, Scalar, ScalarLike, as_scalar
 
 Label = object  # any hashable, JSON-encodable label
@@ -60,6 +65,24 @@ class FiniteMetricSpace:
                   pseudo: bool = False) -> "FiniteMetricSpace":
         dist = tuple(tuple(as_scalar(v) for v in row) for row in rows)
         return FiniteMetricSpace(tuple(points), dist, pseudo)
+
+    @staticmethod
+    def from_int(points: Sequence, m: list, scale: int,
+                 pseudo: bool = False) -> "FiniteMetricSpace":
+        """Space with distances ``m[i][j] / scale``, its integer form cached.
+
+        ``m`` is a square list of int rows.  The cached form is reduced to
+        the least common denominator, so it equals what ``to_int_matrix``
+        gives for the Fractions; ``m`` is kept, not copied, when ``scale``
+        is already least.
+        """
+        common = gcd(scale, *(v for row in m for v in row))
+        if common > 1:
+            m = [[v // common for v in row] for row in m]
+            scale //= common
+        space = FiniteMetricSpace(tuple(points), to_fractions(m, scale), pseudo)
+        space.__dict__["_int_form"] = (m, scale)
+        return space
 
     @property
     def n(self) -> int:
@@ -180,6 +203,20 @@ def check_metric_axioms(space: FiniteMetricSpace,
         violations = tuple(v for v in report.violations if v.axiom != "positivity")
         report = AxiomReport(not violations, allow_pseudo, violations)
     return report
+
+
+def reflagged(space: FiniteMetricSpace, pseudo: bool) -> FiniteMetricSpace:
+    """``space`` with its pseudo flag set to ``pseudo``.
+
+    The copy shares the points and distances, and keeps whatever integer
+    form and strict axiom report ``space`` has cached: neither depends on
+    the flag, so the copy is never converted or scanned again.
+    """
+    copy = FiniteMetricSpace(space.points, space.dist, pseudo)
+    for name in ("_int_form", "_axiom_report"):
+        if name in space.__dict__:
+            copy.__dict__[name] = space.__dict__[name]
+    return copy
 
 
 def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:

@@ -122,21 +122,28 @@ class ConstructionInputs(NamedTuple):
 
 
 @st.composite
+def metric_spaces(draw, min_size, max_size):
+    """A space of min_size..max_size points, drawn from a seed as
+    ``random_space`` (dyadic weights) or ``wide_space`` (denominators
+    7..31)."""
+    make = draw(st.sampled_from((random_space, wide_space)))
+    size = draw(st.integers(min_size, max_size))
+    return make(random.Random(draw(st.integers(0, 2**32 - 1))), size)
+
+
+@st.composite
 def construction_inputs(draw, low, required, cap, max_size=4):
     """Inputs for the cone, join and cylinder formula-versus-oracle tests.
 
     Each space has 1..max_size points (the source at least 2) and is drawn
-    from a seed as ``random_space`` (dyadic weights) or ``wide_space``
-    (denominators 7..31), then rescaled to a drawn diameter k/8 * cap for
+    by ``metric_spaces``, then rescaled to a drawn diameter k/8 * cap for
     k in 1..8.  The map sends source indices to target indices; the grid
     holds ``required`` and up to three more values in [low, 1] with
     denominators up to 8.
     """
 
     def one_space(min_size):
-        make = draw(st.sampled_from((random_space, wide_space)))
-        size = draw(st.integers(min_size, max_size))
-        drawn = make(random.Random(draw(st.integers(0, 2**32 - 1))), size)
+        drawn = draw(metric_spaces(min_size, max_size))
         return drawn.rescaled_to_diameter(Fraction(draw(st.integers(1, 8)), 8) * cap)
 
     source = one_space(2)

@@ -6,12 +6,33 @@ limit taken by library shortest paths), Hausdorff values by the raw
 formulas, cover gauges straight from membership tables, and cone and join
 metrics through product-then-quotient pipelines.  Everything operates on
 plain distance matrices (lists of Fraction rows) so the oracles never
-depend on the package's own data structures.
+depend on the package's own data structures, with one exception: the
+sequence-space embedding, its ball covers and its continuity table are
+frozen copies of the package's Fraction code, which read a space and build
+the package's own result types, so that a result compares whole against
+its reference.
 """
 
 from fractions import Fraction
 
 import networkx as nx
+
+from unimet.covers import Cover, point_finite_refinement
+from unimet.embedding import (
+    AharoniEmbedding,
+    EmbeddingCertificate,
+    LevelData,
+    SeparationRow,
+)
+from unimet.errors import PreconditionError, StructuralError
+from unimet.moduli import ModulusTable
+from unimet.scalars import as_scalar, pow2
+from unimet.sequences import SequencePoint, sup_distance
+from unimet.spaces import (
+    FiniteMetricSpace,
+    ensure_diameter_at_most,
+    ensure_metric,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -319,3 +340,152 @@ def weighted_sup_reference(level_dists, ta, tb):
         if v > best:
             best = v
     return best
+
+
+# ---- sequence-space embedding, as the Fraction code ran it ----
+
+
+def ball_cover_reference(space, radius):
+    """Closed-ball cover on Fractions, one member per point."""
+    r = as_scalar(radius)
+    if r < 0:
+        raise StructuralError("ball radius must be nonnegative")
+    members = []
+    for x in range(space.n):
+        members.append(tuple(y for y in range(space.n) if space.d(x, y) <= r))
+    return Cover(space.n, tuple(members))
+
+
+def ball_containment_number_reference(space, cover, cap=None):
+    """Largest spectrum threshold (or the cap) at which every open ball
+    B(x, L) sits inside one member, threshold by threshold on Fractions."""
+    if cover.ground != space.n:
+        raise StructuralError("cover ground does not match the space")
+    capped = as_scalar(cap) if cap is not None else None
+    candidates = [v for v in space.positive_spectrum()]
+    if capped is not None:
+        candidates = [v for v in candidates if v <= capped]
+        candidates.append(capped)
+    targets = cover.member_sets()
+    best = None
+    for threshold in sorted(set(candidates)):
+        ok = True
+        for x in range(space.n):
+            ball = frozenset(y for y in range(space.n) if space.d(x, y) < threshold)
+            if not any(ball <= t for t in targets):
+                ok = False
+                break
+        if ok:
+            best = threshold
+        else:
+            break
+    return best
+
+
+def continuity_modulus_reference(source, target, mapping):
+    """Continuity table by its definition: per source-spectrum delta, the
+    largest image distance over pairs at source distance <= delta."""
+    rows = []
+    for delta in source.spectrum():
+        eps = ZERO
+        for i in range(source.n):
+            for j in range(i + 1, source.n):
+                if source.d(i, j) <= delta:
+                    image = target.d(mapping[i], mapping[j])
+                    if image > eps:
+                        eps = image
+        rows.append((delta, eps))
+    return ModulusTable("continuity", tuple(rows))
+
+
+def aharoni_embed_reference(space, depth):
+    """The embedding computed on Fractions, point by point and member by
+    member, with its certificate, as the package built it before its
+    integer form; it returns the package's own ``AharoniEmbedding``, so the
+    two results compare whole."""
+    ensure_metric(space, "aharoni_embed")
+    ensure_diameter_at_most(
+        space, ONE, "aharoni_embed (rescale with rescaled_to_diameter)"
+    )
+    if not isinstance(depth, int) or depth < 1:
+        raise PreconditionError("depth must be a positive integer")
+
+    levels = []
+    offset = 0
+    for n in range(1, depth + 1):
+        radius = pow2(-n - 2)
+        target = ball_cover_reference(space, radius)
+        helper = ball_cover_reference(space, radius / 5)
+        try:
+            refinement = point_finite_refinement(target, helper)
+        except PreconditionError as exc:
+            raise PreconditionError(f"refinement failed at level {n}: {exc}")
+        clamp = ball_containment_number_reference(
+            space, refinement.cover, cap=pow2(-n)
+        )
+        if clamp is None or clamp <= 0:
+            raise PreconditionError(f"no positive containment number at level {n}")
+        levels.append(LevelData(n, refinement, clamp, offset))
+        offset += len(refinement.cover.members)
+
+    everything = set(range(space.n))
+    images = []
+    for x in range(space.n):
+        pairs = []
+        for data in levels:
+            for i, member in enumerate(data.cover.members):
+                complement = everything - set(member)
+                if complement:
+                    value = min(space.d(x, c) for c in complement)
+                    if value > data.clamp:
+                        value = data.clamp
+                else:
+                    value = ZERO
+                if value != 0:
+                    pairs.append((data.offset + i, value))
+        images.append(SequencePoint(tuple(pairs)))
+    images = tuple(images)
+
+    image_gaps = [
+        [sup_distance(images[a], images[b]) for b in range(space.n)]
+        for a in range(space.n)
+    ]
+    nonexpansive = all(
+        image_gaps[a][b] <= space.d(a, b)
+        for a in range(space.n)
+        for b in range(space.n)
+    )
+    bounds_ok = True
+    for data in levels:
+        hi = pow2(-data.level)
+        members = len(data.cover.members)
+        for img in images:
+            for idx, value in img.support:
+                if data.offset <= idx < data.offset + members:
+                    if not 0 <= value <= hi:
+                        bounds_ok = False
+    rows = []
+    for data in levels:
+        threshold = data.clamp / 2
+        bound = pow2(1 - data.level)
+        holds = all(
+            image_gaps[a][b] > threshold or space.d(a, b) <= bound
+            for a in range(space.n)
+            for b in range(space.n)
+        )
+        rows.append(SeparationRow(data.level, threshold, bound, holds))
+    injective = all(
+        image_gaps[a][b] > 0
+        for a in range(space.n)
+        for b in range(a + 1, space.n)
+    )
+    image_space = FiniteMetricSpace(
+        tuple(range(space.n)),
+        tuple(tuple(row) for row in image_gaps),
+        pseudo=not injective,
+    )
+    table = continuity_modulus_reference(space, image_space, tuple(range(space.n)))
+    certificate = EmbeddingCertificate(
+        table, tuple(rows), injective, nonexpansive, bounds_ok
+    )
+    return AharoniEmbedding(space, depth, tuple(levels), images, certificate)

@@ -9,6 +9,7 @@ import pytest
 import unimet.cli
 import unimet.cones
 import unimet.cylinders
+import unimet.spaces
 from helpers import halving_chain, retraction_tower, space, window_chain
 from unimet.cli import main
 from unimet.covers import ball_fundamental_sequence
@@ -216,6 +217,43 @@ def test_each_oracle_build_runs_its_oracle_and_its_construction_once(
     joins = count_calls(monkeypatch, "join_metric", unimet.cones, unimet.cli)
     assert run(["build", "join", join_file, "--oracle"])[0] == 0
     assert len(joins) == 1
+
+
+BUILD_TREES = {
+    "quotient": {"space": space_to_json(S3), "family": [[0, 1]]},
+    "amalgam": {
+        "left": space_to_json(S2),
+        "right": space_to_json(S3),
+        "gluing": {"pairs": [[0, 0]]},
+    },
+    "adjunction": {
+        "space": space_to_json(S3),
+        "subset": [0, 1],
+        "target": space_to_json(S2),
+        "attaching": {"pairs": [[0, 0], [1, 1]]},
+    },
+    # Each telescope stage attaches a cylinder to the previous stage's
+    # adjunction result, which the next stage checks again.
+    "telescope": truncation_to_json(TOWER),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_TREES))
+def test_each_built_matrix_is_scanned_once(monkeypatch, tmp_path, kind):
+    """A construction that only re-flags a space it already scanned keeps
+    the scan, so a later check of its result reads that scan instead of
+    scanning a copy."""
+    scanned = []
+    original = unimet.spaces._scan_axioms
+
+    def counted(space):
+        scanned.append(space.dist)
+        return original(space)
+
+    monkeypatch.setattr(unimet.spaces, "_scan_axioms", counted)
+    code, out, err = run(["build", kind, write(tmp_path, "in.json", BUILD_TREES[kind])])
+    assert code == 0, err
+    assert scanned and len(scanned) == len(set(scanned))
 
 
 # ---- metrize ----

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import interval_points, metric_closure, random_space
-from oracles import gauge_from_covers
+from helpers import (
+    interval_points,
+    metric_closure,
+    random_space,
+    wide_matrix,
+    wide_space,
+)
+from oracles import (
+    ball_containment_number_reference,
+    ball_cover_reference,
+    gauge_from_covers,
+)
 from unimet.covers import (
     Cover,
     FundamentalSequence,
@@ -163,6 +173,62 @@ def test_ball_containment_number_uses_open_balls():
     degenerate = pseudo_pair()
     singletons = Cover(2, ((0,), (1,)))
     assert ball_containment_number(degenerate, singletons) is None
+
+
+def _random_cover(rng, n, whole):
+    members = [
+        [y for y in range(n) if rng.random() < 0.4] or [rng.randrange(n)]
+        for _ in range(rng.randint(1, n))
+    ]
+    if whole:
+        members.append(range(n))
+    members += [[y] for y in range(n)]
+    rng.shuffle(members)
+    return Cover(n, tuple(members))
+
+
+def _defective_space(rng, n):
+    """A symmetric matrix without the triangle inequality, then a few
+    asymmetric, negative or zero entries."""
+    rows = wide_matrix(rng, n)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = Fraction(rng.randint(-3, 20), rng.choice((7, 11, 13)))
+    return FiniteMetricSpace(tuple(range(n)), tuple(map(tuple, rows)))
+
+
+def _outcome(function, *args):
+    """The result, or the type and text of the error raised."""
+    try:
+        return function(*args)
+    except StructuralError as exc:
+        return type(exc), str(exc)
+
+
+def test_ball_covers_match_the_fraction_reference():
+    """Ball covers at radii r and r/5, and containment numbers under caps,
+    with denominators dyadic and coprime to the spaces' (37, 41, 43)."""
+    rng = random.Random(739)
+    spaces = [wide_space(rng, rng.randint(2, 7)) for _ in range(8)]
+    spaces += [random_space(rng, rng.randint(2, 7)) for _ in range(4)]
+    spaces += [_defective_space(rng, rng.randint(2, 6)) for _ in range(4)]
+    spaces.append(pseudo_pair())
+    for sp in spaces:
+        radii = [Fraction(1, 2**k) for k in range(0, 6)]
+        radii += [Fraction(rng.randint(1, 60), q) for q in (37, 41)]
+        caps = [None, Fraction(0), Fraction(-1, 3), Fraction(1, 2 ** rng.randint(0, 5))]
+        caps += [Fraction(rng.randint(1, 60), 43), Fraction(2)]
+        covers = [_random_cover(rng, sp.n, whole) for whole in (False, True)]
+        for r in radii:
+            for radius in (r, r / 5):
+                got = _outcome(ball_cover, sp, radius)
+                assert got == _outcome(ball_cover_reference, sp, radius)
+                if isinstance(got, Cover):
+                    covers.append(got)
+        for cover in covers:
+            for cap in caps:
+                got = ball_containment_number(sp, cover, cap)
+                assert got == ball_containment_number_reference(sp, cover, cap)
 
 
 # ---- fundamental sequences ----

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import interval_points, random_space
+from helpers import interval_points, metric_spaces, random_space, wide_space
+from oracles import aharoni_embed_reference
 from unimet.embedding import aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError
 from unimet.scalars import pow2
@@ -95,3 +98,79 @@ def test_embedding_guards():
     small = interval_points([0, 1], Fraction(1, 2))
     with pytest.raises(PreconditionError, match="depth"):
         aharoni_embed(small, 0)
+
+
+# ---- the integer form against the Fraction code ----
+
+
+def _reference_cases():
+    """Wide spaces, whose odd denominators do not divide the clamps 2^-n,
+    and dyadic ones, each rescaled to diameter 1, at every depth from 1 to
+    one past ``sufficient_depth``."""
+    rng = random.Random(733)
+    for make in (wide_space, wide_space, random_space):
+        for size in range(2, 8):
+            sp = make(rng, size).rescaled_to_diameter(1)
+            for depth in range(1, sufficient_depth(sp) + 2):
+                yield sp, depth
+
+
+def test_embedding_matches_the_fraction_reference():
+    cases = 0
+    for sp, depth in _reference_cases():
+        got = aharoni_embed(sp, depth)
+        want = aharoni_embed_reference(sp, depth)
+        assert [(d.cover, d.clamp, d.offset) for d in got.levels] == [
+            (d.cover, d.clamp, d.offset) for d in want.levels
+        ]
+        assert got.images == want.images
+        cert, ref = got.certificate, want.certificate
+        assert cert.separation == ref.separation
+        assert cert.injective == ref.injective
+        assert cert.nonexpansive_ok == ref.nonexpansive_ok
+        assert cert.coordinate_bounds_ok == ref.coordinate_bounds_ok
+        assert cert.continuity == ref.continuity
+        assert got == want
+        cases += 1
+    assert cases > 50
+
+
+# ---- properties on generated spaces ----
+
+
+@st.composite
+def embedding_inputs(draw):
+    """A space of diameter 1 and a depth from 1 to one past
+    ``sufficient_depth``."""
+    sp = draw(metric_spaces(2, 6)).rescaled_to_diameter(1)
+    return sp, draw(st.integers(1, sufficient_depth(sp) + 1))
+
+
+@given(embedding_inputs())
+def test_embedding_properties(case):
+    sp, depth = case
+    emb = aharoni_embed(sp, depth)
+    cert = emb.certificate
+    gaps = [[sup_distance(a, b) for b in emb.images] for a in emb.images]
+    assert cert.nonexpansive_ok
+    assert all(gaps[a][b] <= sp.d(a, b) for a in range(sp.n) for b in range(sp.n))
+    assert cert.coordinate_bounds_ok
+    for data in emb.levels:
+        assert 0 < data.clamp <= pow2(-data.level)
+        block = range(data.offset, data.offset + len(data.cover.members))
+        for img in emb.images:
+            assert all(0 <= img.value(i) <= data.clamp for i in block)
+    assert cert.all_separation_rows_hold()
+    for data, row in zip(emb.levels, cert.separation):
+        assert (row.image_threshold, row.point_bound) == (
+            data.clamp / 2, pow2(1 - data.level)
+        )
+        assert all(
+            gaps[a][b] > row.image_threshold or sp.d(a, b) <= row.point_bound
+            for a in range(sp.n)
+            for b in range(sp.n)
+        )
+    injective = all(gaps[a][b] > 0 for a in range(sp.n) for b in range(a + 1, sp.n))
+    assert cert.injective == injective
+    if depth >= sufficient_depth(sp):
+        assert injective

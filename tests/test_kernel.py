@@ -26,7 +26,7 @@ from oracles import (
 from unimet.errors import PreconditionError
 from unimet.kernel import closure, min_plus, to_fractions, to_int_matrix
 from unimet.quotients import Surjection, chain_metric, glue_parts
-from unimet.spaces import FiniteMetricSpace, check_metric_axioms
+from unimet.spaces import FiniteMetricSpace, check_metric_axioms, reflagged
 
 ZERO = Fraction(0)
 
@@ -109,6 +109,26 @@ def test_integer_form_round_trips():
     assert all(isinstance(v, int) for row in ints for v in row if v is not None)
     assert [list(r) for r in to_fractions(ints, scale)] == rows
     assert to_int_matrix([[ZERO]]) == ([[0]], 1)
+
+
+def test_from_int_and_reflagged_keep_the_cached_forms():
+    rng = random.Random(743)
+    for size in (1, 2, 5):
+        rows = wide_matrix(rng, size)
+        ints, scale = to_int_matrix(rows)
+        k = rng.randint(2, 9)
+        space = FiniteMetricSpace.from_int(
+            range(size), [[v * k for v in row] for row in ints], scale * k, pseudo=True
+        )
+        assert [list(r) for r in space.dist] == rows and space.pseudo
+        assert space._int_form == (ints, scale) == to_int_matrix(space.dist)
+        report = check_metric_axioms(space, allow_pseudo=False)
+        copy = reflagged(space, False)
+        assert (copy.points, copy.dist, copy.pseudo) == (space.points, space.dist, False)
+        assert copy._int_form is space._int_form
+        assert check_metric_axioms(copy) is report
+    zero = FiniteMetricSpace.from_int("ab", [[0, 0], [0, 0]], 6)
+    assert zero._int_form == ([[0, 0], [0, 0]], 1) == to_int_matrix(zero.dist)
 
 
 def _none_block(rng, size):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import interval_points, random_space, space, wide_space
+from oracles import continuity_modulus_reference
 from unimet.errors import PreconditionError, StructuralError
 from unimet.moduli import (
     ModulusTable,
@@ -49,6 +50,7 @@ def test_continuity_rows_certify_and_are_tight():
         target = make(rng, rng.randint(2, 5))
         mapping = [rng.randrange(target.n) for _ in range(source.n)]
         table = continuity_modulus(source, target, mapping)
+        assert table == continuity_modulus_reference(source, target, mapping)
         assert table.kind == "continuity"
         assert table.failed == ()
         assert [d for d, _ in table.rows] == sorted(source.spectrum())

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import unimet.quotients
 from helpers import (
     interval_points,
     matrix_of,
@@ -189,6 +190,26 @@ def test_two_set_family_failure_raises():
     )
     with pytest.raises(PreconditionError, match=re.escape(message)):
         quotient_by_discrete_family(line, family)
+
+
+def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
+    """d_2 on the line above needs one min-plus product and no closure,
+    although its powers settle only at n = 3."""
+    calls = []
+    for name in ("closure", "min_plus"):
+        original = getattr(unimet.quotients, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(unimet.quotients, name, counted)
+    line = interval_points(range(10), Fraction(1, 8))
+    sur = Surjection.from_classes(line, [[1, 4], [5, 8]])
+    two = chain_metric(sur, 2)
+    assert calls == ["min_plus"]
+    block = block_distance_matrix(matrix_of(line), sur.class_of)
+    assert [list(row) for row in two.values] == chain_power(block, 2)
 
 
 # ---- glued unions ----
