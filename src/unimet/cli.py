@@ -550,18 +550,11 @@ def _invlim_ml(truncation, builder: ReportBuilder) -> None:
         )
 
 
-def _invlim_converge(truncation, builder: ReportBuilder) -> None:
-    report = convergence_report(truncation)
-    for level in range(truncation.top + 1):
-        builder.check(
-            f"images reach the shadow at level {level} inside the window",
-            level_shadow_reached(truncation, level),
-        )
-        for row in report.rows:
-            if row.level != level:
-                continue
+def _neighborhood_rows(builder: ReportBuilder, report, level: int, label: str) -> None:
+    for row in report.rows:
+        if row.level == level:
             builder.info(
-                "convergence row",
+                label,
                 scalars={
                     "level": row.level,
                     "epsilon": row.epsilon,
@@ -569,6 +562,16 @@ def _invlim_converge(truncation, builder: ReportBuilder) -> None:
                     "witnessed": row.witnessed,
                 },
             )
+
+
+def _invlim_converge(truncation, builder: ReportBuilder) -> None:
+    report = convergence_report(truncation)
+    for level in range(truncation.top + 1):
+        builder.check(
+            f"images reach the shadow at level {level} inside the window",
+            level_shadow_reached(truncation, level),
+        )
+        _neighborhood_rows(builder, report, level, "convergence row")
 
 
 def _invlim_cauchy(truncation, builder: ReportBuilder) -> None:
@@ -592,18 +595,7 @@ def _invlim_cauchy(truncation, builder: ReportBuilder) -> None:
             witnesses=witnesses,
             scalars=scalars,
         )
-        for row in report.rows:
-            if row.level != level:
-                continue
-            builder.info(
-                "cauchy row",
-                scalars={
-                    "level": row.level,
-                    "epsilon": row.epsilon,
-                    "holds_from": row.holds_from,
-                    "witnessed": row.witnessed,
-                },
-            )
+        _neighborhood_rows(builder, report, level, "cauchy row")
 
 
 def _invlim_separate(truncation, builder: ReportBuilder) -> None:

@@ -60,8 +60,9 @@ def product_metric(
 
 
 def _diameter_witness(space: FiniteMetricSpace, bound: Scalar):
+    """First entry above ``bound`` in row-major order, as (label, label, value)."""
     for i in range(space.n):
-        for j in range(i + 1, space.n):
+        for j in range(space.n):
             if space.d(i, j) > bound:
                 return (space.points[i], space.points[j], space.d(i, j))
     return None
@@ -101,14 +102,8 @@ def disjoint_union_metric(
     return FiniteMetricSpace(points, tuple(rows), pseudo=left.pseudo or right.pseudo)
 
 
-def weighted_sup_metric(levels: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
-    """Countable-product style metric on the full product of the levels.
-
-    d((x_i), (y_i)) = max_i 2^{-i} d_i(x_i, y_i), levels weighted from i = 1.
-    Each level must have diameter at most 1 so the weights dominate.
-    """
-    if not levels:
-        raise StructuralError("weighted_sup_metric needs at least one level")
+def check_weighted_levels(levels: Sequence[FiniteMetricSpace]) -> None:
+    """Refuse a level of diameter above 1, where the weights stop dominating."""
     for pos, level in enumerate(levels):
         bad = _diameter_witness(level, ONE)
         if bad is not None:
@@ -116,12 +111,10 @@ def weighted_sup_metric(levels: Sequence[FiniteMetricSpace]) -> FiniteMetricSpac
                 f"weighted sup needs diameter <= 1; level {pos} has "
                 f"d({bad[0]!r}, {bad[1]!r}) = {bad[2]}"
             )
-    index_tuples = [()]
-    for level in levels:
-        index_tuples = [t + (i,) for t in index_tuples for i in range(level.n)]
-    points = tuple(
-        tuple(levels[k].points[t[k]] for k in range(len(levels))) for t in index_tuples
-    )
+
+
+def weighted_sup_rows(levels: Sequence[FiniteMetricSpace], index_tuples) -> tuple:
+    """Distance rows of max_k 2^{-(k+1)} d_k(a_k, b_k) over the index tuples."""
     weights = [Fraction(1, 2 ** (k + 1)) for k in range(len(levels))]
     rows = []
     for ta in index_tuples:
@@ -134,7 +127,26 @@ def weighted_sup_metric(levels: Sequence[FiniteMetricSpace]) -> FiniteMetricSpac
                     best = val
             row.append(best)
         rows.append(tuple(row))
-    return FiniteMetricSpace(points, tuple(rows), pseudo=any(l.pseudo for l in levels))
+    return tuple(rows)
+
+
+def weighted_sup_metric(levels: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
+    """Countable-product style metric on the full product of the levels.
+
+    d((x_i), (y_i)) = max_i 2^{-i} d_i(x_i, y_i), levels weighted from i = 1.
+    Each level must have diameter at most 1 so the weights dominate.
+    """
+    if not levels:
+        raise StructuralError("weighted_sup_metric needs at least one level")
+    check_weighted_levels(levels)
+    index_tuples = [()]
+    for level in levels:
+        index_tuples = [t + (i,) for t in index_tuples for i in range(level.n)]
+    points = tuple(
+        tuple(levels[k].points[t[k]] for k in range(len(levels))) for t in index_tuples
+    )
+    rows = weighted_sup_rows(levels, index_tuples)
+    return FiniteMetricSpace(points, rows, pseudo=any(l.pseudo for l in levels))
 
 
 # ---- hyperspace ----

@@ -19,11 +19,10 @@ from .cones import _clean_grid, interval_space
 from .combinators import product_metric
 from .errors import PreconditionError
 from .gluing import adjunction_space
-from .moduli import check_uniform_continuity
+from .moduli import PairSweep, pair_distances
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
 from .spaces import (
     FiniteMetricSpace,
-    as_mapping,
     ensure_diameter_at_most,
     ensure_metric,
     ensure_total_map,
@@ -78,8 +77,7 @@ def adjusted_metric(
     Always a metric (the image term obeys the triangle inequality and the
     d_X term keeps distinct points apart), and f is 1-Lipschitz for it.
     """
-    m = as_mapping(mapping)
-    ensure_total_map(m, source, target, "adjusted_metric")
+    m = ensure_total_map(mapping, source, target, "adjusted_metric")
     rows = tuple(
         tuple(
             source.d(i, j) + target.d(m[i], m[j]) for j in range(source.n)
@@ -107,9 +105,7 @@ def mapping_cylinder_metric(
     ensure_metric(target, "mapping_cylinder_metric target")
     ensure_diameter_at_most(source, ONE, "mapping_cylinder_metric source")
     ensure_diameter_at_most(target, ONE, "mapping_cylinder_metric target")
-    m = as_mapping(mapping)
-    ensure_total_map(m, source, target, "mapping_cylinder_metric")
-    f = tuple(m[i] for i in range(source.n))
+    f = ensure_total_map(mapping, source, target, "mapping_cylinder_metric")
     grid = _clean_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     inner = tuple(t for t in grid if t < 1)
     adjusted = adjusted_metric(source, target, f)
@@ -228,8 +224,9 @@ class UniformModulus:
 
 
 def map_sup_distance(target: FiniteMetricSpace, f: Sequence[int], g) -> Scalar:
-    """Sup distance between two maps into the same target, coordinatewise."""
-    return max(target.d(f[i], g[i]) for i in range(len(f)))
+    """Sup distance between two maps into the same target, coordinatewise;
+    zero for maps on an empty source."""
+    return max((target.d(f[i], g[i]) for i in range(len(f))), default=ZERO)
 
 
 def uniform_modulus(
@@ -252,24 +249,19 @@ def uniform_modulus(
     eps = as_scalar(epsilon)
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
-    family = []
-    for mp in maps:
-        m = as_mapping(mp)
-        ensure_total_map(m, source, target, "uniform_modulus")
-        family.append(tuple(m[i] for i in range(source.n)))
+    family = [ensure_total_map(mp, source, target, "uniform_modulus") for mp in maps]
     if not family:
         raise PreconditionError("uniform_modulus needs at least one map")
 
+    # A map is (delta, e)-continuous when its pair sweep stays within e up to delta.
+    sweeps = [PairSweep(pair_distances(source.dist, target.dist, f)) for f in family]
     third = eps / 3
     floor = source.min_positive_distance()
     bands: list = []
     n = 0
     while True:
         members = [
-            k
-            for k, f in enumerate(family)
-            if check_uniform_continuity(source, target, f, pow2(-n), third)
-            is None
+            k for k, sweep in enumerate(sweeps) if sweep.largest_within(pow2(-n)) <= third
         ]
         bands.append(members)
         if len(members) == len(family):
@@ -296,8 +288,7 @@ def uniform_modulus(
         values.append(best)
 
     continuity_ok = all(
-        check_uniform_continuity(source, target, f, values[k], eps) is None
-        for k, f in enumerate(family)
+        sweep.largest_within(values[k]) <= eps for k, sweep in enumerate(sweeps)
     )
     bound = 6 / eps
     lipschitz_ok = True

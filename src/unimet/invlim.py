@@ -6,8 +6,9 @@ p_i: X_{i+1} -> X_i.  Every verdict produced here is scoped to the window
 
 - threads: compatible tuples (x_0, .., x_N) with p_i(x_{i+1}) = x_i, and the
   weighted-sup metric on them (the restriction of the full product metric).
-- stabilization (discrete image chains), convergence and Cauchy containment
-  tables: neighborhood diagnostics per level and per spectrum scale.
+- stabilization (discrete image chains) and neighborhood tables: per level
+  and per spectrum scale, from which image on every image lies near the
+  limit shadow, which answers the convergence and the Cauchy question.
 - separation index: the first level whose thread projection pins thread
   distances, with the certifying threshold.
 - telescope metrics: iterated mapping-cylinder attachments over a segment
@@ -18,7 +19,9 @@ p_i: X_{i+1} -> X_i.  Every verdict produced here is scoped to the window
 
 Neighborhoods are closed throughout: the eps-neighborhood of a set contains
 the points at distance <= eps from it, so all containments are exact
-rational comparisons.
+rational comparisons.  Every scan over point pairs reads a
+``moduli.PairSweep``; a truncation builds each of its sweeps, its excess
+tables and its thread space once and keeps them beside its composites.
 """
 from __future__ import annotations
 
@@ -27,12 +30,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cylinders import mapping_cylinder_metric
+from .combinators import check_weighted_levels, weighted_sup_rows
+from .cylinders import map_sup_distance, mapping_cylinder_metric
 from .errors import PreconditionError, StructuralError
 from .gluing import adjunction_space
-from .moduli import check_uniform_continuity, pair_distances
+from .moduli import PairSweep, check_uniform_continuity, pair_distances
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
-from .spaces import FiniteMetricSpace, as_mapping, ensure_total_map
+from .spaces import FiniteMetricSpace, ensure_total_map
 
 # Exhaustive thread enumeration refuses levels larger than this.
 THREAD_CAP = 16
@@ -49,7 +53,9 @@ class InverseSequenceTruncation:
 
     ``bonds[i]`` is the index tuple of p_i, so ``bonds[i][x]`` is the image
     in level i of point x of level i+1.  Composites p_i o .. o p_{j-1} are
-    cached; ``composite(j, i)`` is the identity when j == i.
+    cached; ``composite(j, i)`` is the identity when j == i.  So are what
+    the diagnostics read of them: the pair sweep of each composite, the
+    excess table of each level and the thread space.
     """
 
     levels: tuple
@@ -81,6 +87,10 @@ class InverseSequenceTruncation:
     def _composites(self) -> dict:
         return {}
 
+    @cached_property
+    def _sweeps(self) -> dict:
+        return {}
+
     def composite(self, j: int, i: int) -> tuple:
         """Index tuple of p^j_i: X_j -> X_i for i <= j."""
         if not 0 <= i <= j <= self.top:
@@ -95,34 +105,82 @@ class InverseSequenceTruncation:
                 cache[key] = tuple(upper[x] for x in self.bonds[j - 1])
         return cache[key]
 
+    def composite_sweep(self, j: int, i: int) -> PairSweep:
+        """Pairs a < b of level j as (d_j(a, b), distance of their images
+        under p^j_i), swept once: its ``largest_within(alpha)`` is the worst
+        image distance the composite attains on pairs within alpha."""
+        key = (j, i)
+        if key not in self._sweeps:
+            self._sweeps[key] = PairSweep(
+                pair_distances(self.levels[j].dist, self.levels[i].dist, self.composite(j, i))
+            )
+        return self._sweeps[key]
+
     def image(self, j: int, i: int) -> tuple:
         """Sorted index set of p^j_i(X_j) inside level i."""
         return tuple(sorted(set(self.composite(j, i))))
 
-    def bond_surjective(self, i: int) -> bool:
-        return set(self.bonds[i]) == set(range(self.levels[i].n))
+    @cached_property
+    def shadow_excess(self) -> tuple:
+        """Per level i, the excess over the shadow of each image p^k_i(X_k).
+
+        The shadow is the top image, where every thread projects.  Entry
+        k - i of row i is the largest distance from a point of image k to
+        the shadow: zero for an empty image, None for a nonempty image over
+        an empty shadow, which no neighborhood reaches.  Images only shrink
+        as k grows, so the entries never increase along a row.
+        """
+        table = []
+        for i, space in enumerate(self.levels):
+            shadow = self.image(self.top, i)
+            images = [self.image(k, i) for k in range(i, self.top + 1)]
+            if shadow:
+                near = [min(space.d(x, y) for y in shadow) for x in range(space.n)]
+                table.append(tuple(
+                    max((near[x] for x in image), default=ZERO) for image in images
+                ))
+            else:
+                table.append(tuple(None if image else ZERO for image in images))
+        return tuple(table)
 
     def surjective_bonds(self) -> tuple:
         """Per-bond surjectivity flags; informational, never required."""
-        return tuple(self.bond_surjective(i) for i in range(self.top))
+        return tuple(
+            set(bond) == set(range(self.levels[i].n)) for i, bond in enumerate(self.bonds)
+        )
+
+    @cached_property
+    def _threads(self) -> tuple:
+        composites = [self.composite(self.top, i) for i in range(self.top + 1)]
+        return tuple(
+            Thread(tuple(comp[x] for comp in composites))
+            for x in range(self.levels[self.top].n)
+        )
+
+    @cached_property
+    def _thread_space(self) -> "ThreadSpace":
+        entries = [thread.entries for thread in self._threads]
+        points = tuple(
+            tuple(self.levels[i].points[x] for i, x in enumerate(e)) for e in entries
+        )
+        rows = weighted_sup_rows(self.levels, entries)
+        return ThreadSpace(self, self._threads, FiniteMetricSpace(points, rows))
 
 
 def inverse_sequence(levels: Sequence[FiniteMetricSpace], bonds: Sequence) -> InverseSequenceTruncation:
-    """Build a truncation, normalizing each bond to a total index tuple."""
+    """Build a truncation, normalizing each bond to a total index tuple.
+
+    Bonds whose count does not fit the levels are passed on as given, for
+    the truncation to refuse with its own message.
+    """
     level_tuple = tuple(levels)
-    if not level_tuple:
-        raise StructuralError("a truncation needs at least one level")
-    if len(bonds) != len(level_tuple) - 1:
-        raise StructuralError(
-            f"{len(level_tuple)} levels need {len(level_tuple) - 1} bonds, "
-            f"got {len(bonds)}"
+    bond_tuple = tuple(bonds)
+    if len(bond_tuple) == len(level_tuple) - 1:
+        bond_tuple = tuple(
+            ensure_total_map(bond, level_tuple[i + 1], level_tuple[i], f"bond {i}")
+            for i, bond in enumerate(bond_tuple)
         )
-    normalized = []
-    for i, bond in enumerate(bonds):
-        mapping = as_mapping(bond)
-        ensure_total_map(mapping, level_tuple[i + 1], level_tuple[i], f"bond {i}")
-        normalized.append(tuple(mapping[x] for x in range(level_tuple[i + 1].n)))
-    return InverseSequenceTruncation(level_tuple, tuple(normalized))
+    return InverseSequenceTruncation(level_tuple, bond_tuple)
 
 
 # ---- threads ----
@@ -159,11 +217,7 @@ def threads(truncation: InverseSequenceTruncation, cap: int = THREAD_CAP) -> lis
     top-level point.  The cap guards the associated table sizes.
     """
     _check_cap(truncation, cap)
-    composites = [truncation.composite(truncation.top, i) for i in range(truncation.top + 1)]
-    return [
-        Thread(tuple(comp[x] for comp in composites))
-        for x in range(truncation.levels[truncation.top].n)
-    ]
+    return list(truncation._threads)
 
 
 @dataclass(frozen=True)
@@ -183,44 +237,33 @@ class ThreadSpace:
         """Index tuple of the projection to level i, in thread order."""
         return tuple(thread.entries[i] for thread in self.threads)
 
+    @cached_property
+    def pair_sweeps(self) -> tuple:
+        """Per level i, the thread pairs a < b as (distance of their
+        projections to level i, thread distance, a, b), each swept once."""
+        count = len(self.threads)
+        pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
+        sweeps = []
+        for i, level in enumerate(self.truncation.levels):
+            proj = self.projection(i)
+            sweeps.append(PairSweep(
+                (level.d(proj[a], proj[b]), self.space.d(a, b), a, b) for a, b in pairs
+            ))
+        return tuple(sweeps)
+
 
 def thread_space(truncation: InverseSequenceTruncation, cap: int = THREAD_CAP) -> ThreadSpace:
-    """Threads with their weighted-sup metric.
+    """Threads with the weighted-sup metric of ``combinators.weighted_sup_metric``.
 
     Levels need diameter <= 1 so the level weights dominate, exactly as in
     the full product construction; rescale the levels first otherwise.
+    Built once per truncation; each call checks the cap, and the diameters
+    until the space exists (it is built only after they pass).
     """
-    for i, level in enumerate(truncation.levels):
-        for a in range(level.n):
-            for b in range(level.n):
-                if level.d(a, b) > ONE:
-                    raise PreconditionError(
-                        "weighted sup needs diameter <= 1; level "
-                        f"{i} has d({level.points[a]!r}, {level.points[b]!r}) "
-                        f"= {level.d(a, b)}"
-                    )
-    thread_list = tuple(threads(truncation, cap))
-    weights = [pow2(-(i + 1)) for i in range(truncation.top + 1)]
-    points = tuple(
-        tuple(
-            truncation.levels[i].points[thread.entries[i]]
-            for i in range(truncation.top + 1)
-        )
-        for thread in thread_list
-    )
-    rows = []
-    for ta in thread_list:
-        row = []
-        for tb in thread_list:
-            best = ZERO
-            for i, level in enumerate(truncation.levels):
-                value = weights[i] * level.d(ta.entries[i], tb.entries[i])
-                if value > best:
-                    best = value
-            row.append(best)
-        rows.append(tuple(row))
-    space = FiniteMetricSpace(points, tuple(rows))
-    return ThreadSpace(truncation, thread_list, space)
+    if "_thread_space" not in vars(truncation):
+        check_weighted_levels(truncation.levels)
+    _check_cap(truncation, cap)
+    return truncation._thread_space
 
 
 # ---- image stabilization ----
@@ -243,10 +286,6 @@ class StabilizationRow:
     @property
     def stabilized(self) -> bool:
         return self.stabilized_at is not None
-
-    def constant_from(self, j: int) -> bool:
-        offset = j - self.level
-        return all(image == self.images[-1] for image in self.images[offset:])
 
 
 @dataclass(frozen=True)
@@ -275,42 +314,28 @@ def mittag_leffler_report(truncation: InverseSequenceTruncation) -> MittagLeffle
     top = truncation.top
     for i in range(top + 1):
         images = tuple(truncation.image(k, i) for k in range(i, top + 1))
-        settle = top
-        for k in range(top - 1, i - 1, -1):
-            if images[k - i] == images[-1]:
-                settle = k
-            else:
-                break
+        # Images are nested, so once one equals the last, all later ones do.
+        settle = next(k for k in range(i, top + 1) if images[k - i] == images[-1])
         witnessed = settle < top or i == top
         rows.append(StabilizationRow(i, images, settle if witnessed else None))
     return MittagLefflerReport(tuple(rows))
 
 
-# ---- convergence and Cauchy tables ----
-
-
-def _distance_to_set(space: FiniteMetricSpace, point: int, subset) -> Scalar:
-    return min(space.d(point, other) for other in subset)
-
-
-def _within_neighborhood(space: FiniteMetricSpace, inner, outer, eps: Scalar) -> bool:
-    # Empty inner sets are contained in anything; nothing nonempty fits in
-    # a neighborhood of the empty set.
-    if not inner:
-        return True
-    if not outer:
-        return False
-    return all(_distance_to_set(space, x, outer) <= eps for x in inner)
+# ---- neighborhood tables ----
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    """Containments of level images in a neighborhood of the limit shadow.
+class NeighborhoodRow:
+    """Containments of the level images in a neighborhood of the shadow.
 
     ``holds[k]`` says whether p^j_i(X_j), j = level + k, lies inside the
-    closed epsilon-neighborhood of the thread projection; ``holds_from`` is
-    the smallest j from which every later containment holds (the top index
-    at worst, where the containment is automatic).
+    closed epsilon-neighborhood of the shadow, the thread projection.  That
+    is the convergence containment, and it is also the Cauchy condition
+    that image j lies in the neighborhood of every later image: each later
+    image contains the shadow, so the shadow's neighborhood is the
+    smallest of them.  Images only shrink, so ``holds`` turns true at most
+    once and stays true; ``holds_from`` is its first true index (the top
+    index when none is).
     """
 
     level: int
@@ -330,119 +355,45 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class NeighborhoodReport:
     rows: tuple
 
     @property
     def all_hold(self) -> bool:
         return all(row.all_hold for row in self.rows)
 
-    def row(self, level: int, epsilon: ScalarLike) -> ConvergenceRow:
-        eps = as_scalar(epsilon)
-        for row in self.rows:
-            if row.level == level and row.epsilon == eps:
-                return row
-        raise StructuralError(f"no convergence row for level {level} at {eps}")
-
 
 def convergence_row(
     truncation: InverseSequenceTruncation, level: int, epsilon: ScalarLike
-) -> ConvergenceRow:
-    """One containment row; the thread projection is the top-level image.
-
-    Every top-level point generates a thread, so the projection of the
-    thread set to any level coincides with the image of the top level there.
-    """
+) -> NeighborhoodRow:
+    """One neighborhood row, read from the level's excess table."""
     if not 0 <= level <= truncation.top:
         raise StructuralError(f"level {level} out of range")
     eps = as_scalar(epsilon)
-    space = truncation.levels[level]
-    shadow = truncation.image(truncation.top, level)
+    if eps < 0:
+        raise PreconditionError("a neighborhood scale must be nonnegative")
     holds = tuple(
-        _within_neighborhood(space, truncation.image(j, level), shadow, eps)
-        for j in range(level, truncation.top + 1)
+        excess is not None and excess <= eps
+        for excess in truncation.shadow_excess[level]
     )
-    start = truncation.top
-    for j in range(truncation.top - 1, level - 1, -1):
-        if holds[j - level]:
-            start = j
-        else:
-            break
-    return ConvergenceRow(level, truncation.top, eps, holds, start)
+    start = next((level + k for k, ok in enumerate(holds) if ok), truncation.top)
+    return NeighborhoodRow(level, truncation.top, eps, holds, start)
 
 
-def convergence_report(truncation: InverseSequenceTruncation) -> ConvergenceReport:
-    """Containment rows for every level and every spectrum scale of it."""
-    rows = []
-    for i in range(truncation.top + 1):
-        for eps in truncation.levels[i].spectrum():
-            rows.append(convergence_row(truncation, i, eps))
-    return ConvergenceReport(tuple(rows))
+def convergence_report(truncation: InverseSequenceTruncation) -> NeighborhoodReport:
+    """Neighborhood rows for every level and every spectrum scale of it."""
+    return NeighborhoodReport(tuple(
+        convergence_row(truncation, i, eps)
+        for i in range(truncation.top + 1)
+        for eps in truncation.levels[i].spectrum()
+    ))
 
 
-@dataclass(frozen=True)
-class CauchyRow:
-    """Anchors k whose image stays inside later images' neighborhoods.
-
-    ``viable[k - level]`` says whether every later image's closed
-    epsilon-neighborhood contains p^k_i(X_k); ``holds_from`` is the smallest
-    viable anchor (the top index at worst, vacuously).
-    """
-
-    level: int
-    top: int
-    epsilon: Scalar
-    viable: tuple
-    holds_from: int
-
-    @property
-    def witnessed(self) -> bool:
-        return self.holds_from < self.top or self.level == self.top
-
-
-@dataclass(frozen=True)
-class CauchyReport:
-    rows: tuple
-
-    def row(self, level: int, epsilon: ScalarLike) -> CauchyRow:
-        eps = as_scalar(epsilon)
-        for row in self.rows:
-            if row.level == level and row.epsilon == eps:
-                return row
-        raise StructuralError(f"no cauchy row for level {level} at {eps}")
-
-
-def cauchy_row(
-    truncation: InverseSequenceTruncation, level: int, epsilon: ScalarLike
-) -> CauchyRow:
-    if not 0 <= level <= truncation.top:
-        raise StructuralError(f"level {level} out of range")
-    eps = as_scalar(epsilon)
-    space = truncation.levels[level]
-    images = {
-        j: truncation.image(j, level) for j in range(level, truncation.top + 1)
-    }
-    viable = []
-    for k in range(level, truncation.top + 1):
-        viable.append(
-            all(
-                _within_neighborhood(space, images[k], images[j], eps)
-                for j in range(k + 1, truncation.top + 1)
-            )
-        )
-    start = next(
-        k for k in range(level, truncation.top + 1) if viable[k - level]
-    )
-    return CauchyRow(level, truncation.top, eps, tuple(viable), start)
-
-
-def cauchy_report(truncation: InverseSequenceTruncation) -> CauchyReport:
-    """Anchor rows for every level and every spectrum scale of it."""
-    rows = []
-    for i in range(truncation.top + 1):
-        for eps in truncation.levels[i].spectrum():
-            rows.append(cauchy_row(truncation, i, eps))
-    return CauchyReport(tuple(rows))
+# A Cauchy anchor k needs image k inside the neighborhood of every later
+# image, and the smallest of those neighborhoods is the shadow's: the
+# anchor rows are the convergence rows.
+cauchy_row = convergence_row
+cauchy_report = convergence_report
 
 
 # ---- window-scoped summary verdicts ----
@@ -554,30 +505,20 @@ def separation_index(
     bundle = thread_space(truncation, cap)
     if not bundle.threads:
         raise PreconditionError("separation_index needs at least one thread")
-    count = len(bundle.threads)
     scanned = []
     for i in range(truncation.top + 1):
-        level_space = truncation.levels[i]
-        proj = bundle.projection(i)
-        cut: Optional[Scalar] = None
-        witness: Optional[tuple] = None
-        for a in range(count):
-            for b in range(a + 1, count):
-                if bundle.space.d(a, b) <= eps:
-                    continue
-                gap = level_space.d(proj[a], proj[b])
-                if cut is None or gap < cut:
-                    cut = gap
-                    witness = (a, b, gap, bundle.space.d(a, b))
-        if cut is None:
+        # The closest pair at level i among the threads further apart than
+        # epsilon; ties go to the lexicographically first pair.
+        blocking = bundle.pair_sweeps[i].first_above(eps)
+        if blocking is None:
             # Nothing to separate at this scale: any threshold certifies.
-            positive = level_space.positive_spectrum()
-            threshold = positive[-1] if positive else ONE
-            row = SeparationLevel(i, threshold, None)
-        elif cut > 0:
-            row = SeparationLevel(i, cut, None)
+            positive = truncation.levels[i].positive_spectrum()
+            row = SeparationLevel(i, positive[-1] if positive else ONE, None)
+        elif blocking[0] > 0:
+            row = SeparationLevel(i, blocking[0], None)
         else:
-            row = SeparationLevel(i, None, witness)
+            gap, apart, a, b = blocking
+            row = SeparationLevel(i, None, (a, b, gap, apart))
         scanned.append(row)
         if row.separates:
             return SeparationIndexResult(eps, i, row.threshold, tuple(scanned))
@@ -640,83 +581,44 @@ def telescope_metric(
         raise StructuralError(
             f"segment [{start}, {stop}] out of range for top level {truncation.top}"
         )
-    if start == stop:
-        level = truncation.levels[start]
-        return Telescope(
-            start, stop, tuple(as_scalar(t) for t in t_grid), level,
-            (tuple(range(level.n)),), (),
-        )
-
-    first = mapping_cylinder_metric(
-        truncation.levels[start + 1],
-        truncation.levels[start],
-        truncation.bonds[start],
-        t_grid,
-    )
-    current = first.space
-    tracked = [
-        tuple(first.y_index(j) for j in range(truncation.levels[start].n)),
-        tuple(first.class_index(i, ZERO) for i in range(truncation.levels[start + 1].n)),
-    ]
+    # tracked[j - start] holds the classes of level j in the union so far;
+    # the first cylinder replaces the single level, later ones are attached.
+    current = truncation.levels[start]
+    grid = tuple(as_scalar(t) for t in t_grid)
+    tracked = [tuple(range(current.n))]
     certified = []
-    for k in range(start + 1, stop):
-        cylinder = mapping_cylinder_metric(
-            truncation.levels[k + 1],
-            truncation.levels[k],
-            truncation.bonds[k],
-            t_grid,
-        )
-        slice_classes = tracked[-1]
-        attaching = {
-            slice_classes[x]: cylinder.y_index(x)
-            for x in range(truncation.levels[k].n)
-        }
-        result = adjunction_space(
-            current,
-            slice_classes,
-            cylinder.space,
-            attaching,
-            cross=None,
-            extension=current,
-        )
-        if not result.all_certified():
-            raise PreconditionError(
-                f"telescope stage at level {k} failed its certificates"
+    for k in range(start, stop):
+        level, upper = truncation.levels[k], truncation.levels[k + 1]
+        cylinder = mapping_cylinder_metric(upper, level, truncation.bonds[k], t_grid)
+        grid = cylinder.t_grid
+        if k == start:
+            current, y_class = cylinder.space, range(cylinder.space.n)
+        else:
+            slice_classes = tracked[-1]
+            attaching = {slice_classes[x]: cylinder.y_index(x) for x in range(level.n)}
+            result = adjunction_space(
+                current,
+                slice_classes,
+                cylinder.space,
+                attaching,
+                cross=None,
+                extension=current,
             )
-        certified.append(True)
-        tracked = [tuple(result.x_class[c] for c in classes) for classes in tracked]
-        tracked[-1] = tuple(
-            result.y_class[cylinder.y_index(x)]
-            for x in range(truncation.levels[k].n)
-        )
-        tracked.append(
-            tuple(
-                result.y_class[cylinder.class_index(i, ZERO)]
-                for i in range(truncation.levels[k + 1].n)
-            )
-        )
-        current = result.space
-    return Telescope(
-        start, stop, first.t_grid, current, tuple(tracked), tuple(certified)
-    )
+            if not result.all_certified():
+                raise PreconditionError(
+                    f"telescope stage at level {k} failed its certificates"
+                )
+            certified.append(True)
+            tracked = [tuple(result.x_class[c] for c in classes) for classes in tracked]
+            current, y_class = result.space, result.y_class
+        tracked[-1:] = [
+            tuple(y_class[cylinder.y_index(x)] for x in range(level.n)),
+            tuple(y_class[cylinder.class_index(i, ZERO)] for i in range(upper.n)),
+        ]
+    return Telescope(start, stop, grid, current, tuple(tracked), tuple(certified))
 
 
 # ---- ladders and perturbation limits ----
-
-
-def _check_indices(
-    indices: tuple,
-    source: InverseSequenceTruncation,
-    target: InverseSequenceTruncation,
-) -> None:
-    """One in-range source level per target level, in nondecreasing order."""
-    if len(indices) != target.top + 1:
-        raise StructuralError("one source index per target level required")
-    for n in indices:
-        if not isinstance(n, int) or not 0 <= n <= source.top:
-            raise StructuralError(f"source index {n!r} out of range")
-    if any(low > high for low, high in zip(indices, indices[1:])):
-        raise StructuralError("source indices must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -738,7 +640,13 @@ class LadderData:
 
     def __post_init__(self) -> None:
         squares = self.target.top
-        _check_indices(self.indices, self.source, self.target)
+        if len(self.indices) != squares + 1:
+            raise StructuralError("one source index per target level required")
+        for n in self.indices:
+            if not isinstance(n, int) or not 0 <= n <= self.source.top:
+                raise StructuralError(f"source index {n!r} out of range")
+        if any(low > high for low, high in zip(self.indices, self.indices[1:])):
+            raise StructuralError("source indices must be nondecreasing")
         if len(self.cross) != squares + 1:
             raise StructuralError("one cross map per target level required")
         if len(self.alphas) != squares:
@@ -750,43 +658,21 @@ class LadderData:
                 raise PreconditionError("beta scales must be positive")
 
 
+def _worst_gap(level: FiniteMetricSpace, f: tuple, g: tuple) -> tuple:
+    """Sup distance between two maps into ``level`` and the first point
+    attaining it (None for maps on an empty source)."""
+    worst = map_sup_distance(level, f, g)
+    return worst, next((x for x in range(len(f)) if level.d(f[x], g[x]) == worst), None)
+
+
 def _measured_square(ladder_data: LadderData, i: int):
     """Worst defect of square i and its witness (point, left, right)."""
-    source = ladder_data.source
-    target = ladder_data.target
-    down = source.composite(ladder_data.indices[i + 1], ladder_data.indices[i])
-    bond = target.composite(i + 1, i)
-    f_low = ladder_data.cross[i]
-    f_high = ladder_data.cross[i + 1]
-    worst = ZERO
-    witness = None
-    for x in range(source.levels[ladder_data.indices[i + 1]].n):
-        left = f_low[down[x]]
-        right = bond[f_high[x]]
-        gap = target.levels[i].d(left, right)
-        if witness is None or gap > worst:
-            worst = gap
-            witness = (x, left, right)
-    return worst, witness
-
-
-def _attained_continuity(
-    target: InverseSequenceTruncation, upper: int, lower: int, alpha: Scalar
-) -> Scalar:
-    """Worst image distance of the bond composite upper -> lower at delta <= alpha.
-
-    The largest image distance over the pairs at source distance within the
-    alpha budget: the largest epsilon of the composite's continuity modulus
-    among its rows with delta <= alpha.  The composite is total by
-    construction.
-    """
-    attained = ZERO
-    for sd, td in pair_distances(
-        target.levels[upper], target.levels[lower], target.composite(upper, lower)
-    ):
-        if sd <= alpha and td > attained:
-            attained = td
-    return attained
+    down = ladder_data.source.composite(ladder_data.indices[i + 1], ladder_data.indices[i])
+    bond = ladder_data.target.composite(i + 1, i)
+    left = tuple(ladder_data.cross[i][y] for y in down)
+    right = tuple(bond[y] for y in ladder_data.cross[i + 1])
+    worst, x = _worst_gap(ladder_data.target.levels[i], left, right)
+    return worst, None if x is None else (x, left[x], right[x])
 
 
 def ladder(
@@ -820,23 +706,19 @@ def ladder(
         index_tuple = tuple(range(target.top + 1))
     else:
         index_tuple = tuple(indices)
-    _check_indices(index_tuple, source, target)
-    if len(cross) != target.top + 1:
-        raise StructuralError("one cross map per target level required")
-    normalized = []
-    for i, mapping in enumerate(cross):
-        m = as_mapping(mapping)
-        ensure_total_map(
-            m, source.levels[index_tuple[i]], target.levels[i], f"cross map {i}"
-        )
-        normalized.append(
-            tuple(m[x] for x in range(source.levels[index_tuple[i]].n))
-        )
+    # Placeholder budgets: the data checks the indices and the cross count
+    # before the cross maps are read against them.
     partial = LadderData(
-        source, target, index_tuple, tuple(normalized),
+        source, target, index_tuple, tuple(cross),
         tuple(ZERO for _ in range(target.top)),
         tuple(ONE for _ in range(target.top + 1)),
     )
+    partial = replace(partial, cross=tuple(
+        ensure_total_map(
+            mapping, source.levels[index_tuple[i]], target.levels[i], f"cross map {i}"
+        )
+        for i, mapping in enumerate(cross)
+    ))
     if alphas is None:
         alpha_tuple = tuple(
             _measured_square(partial, i)[0] for i in range(target.top)
@@ -851,10 +733,8 @@ def ladder(
             floor = level.min_positive_distance()
             beta = floor / 9 if floor is not None else ONE
             for i in range(j, target.top):
-                beta = max(
-                    beta,
-                    pow2(i - j) * _attained_continuity(target, i, j, alpha_tuple[i]),
-                )
+                attained = target.composite_sweep(i, j).largest_within(alpha_tuple[i])
+                beta = max(beta, pow2(i - j) * attained)
             beta_list.append(beta)
         beta_tuple = tuple(beta_list)
     else:
@@ -882,7 +762,8 @@ class ContinuityBudgetRow:
 
     The composite from target level ``upper`` down to ``lower`` must send
     pairs within alpha to pairs within the halving bound; ``attained`` is
-    the exact worst image distance, one scan over ``pair_distances``.
+    the exact worst image distance, read from the composite's pair sweep,
+    which the truncation builds once for ``ladder`` and this row alike.
     """
 
     upper: int
@@ -972,11 +853,11 @@ class PerturbationReport:
     limit_rows: tuple
     limit_maps: tuple
     thread_map: tuple
+    injective_observed: bool
     uniqueness_rows: tuple
     unique: Optional[bool]
     injectivity_rows: tuple
     injective_certified: Optional[bool]
-    injective_observed: bool
     separation_note: Optional[str]
 
     @property
@@ -992,8 +873,52 @@ class PerturbationReport:
         )
 
 
-def _diameter_at_most_one(truncation: InverseSequenceTruncation) -> bool:
-    return all(level.diameter() <= ONE for level in truncation.levels)
+def _separation_readouts(ladder_data: LadderData, cap: int) -> tuple:
+    """The last five fields of ``PerturbationReport``, from the uniqueness
+    rows to the note that says why they are empty when they are."""
+    source = ladder_data.source
+    target = ladder_data.target
+    try:
+        _check_cap(source, cap)
+        _check_cap(target, cap)
+    except PreconditionError:
+        note = f"separation readouts skipped: a level exceeds the enumeration cap {cap}"
+        return (), None, (), None, note
+    if any(level.diameter() > ONE for level in source.levels + target.levels):
+        note = (
+            "separation readouts skipped: thread metrics need every level "
+            "of diameter <= 1"
+        )
+        return (), None, (), None, note
+    target_bundle = thread_space(target, cap)
+    source_bundle = thread_space(source, cap)
+    betas = ladder_data.betas
+
+    uniqueness_rows = tuple(
+        UniquenessRow(j, 4 * betas[j], target_bundle.pair_sweeps[j].largest_within(4 * betas[j]))
+        for j in range(target.top + 1)
+    )
+    unique = len(target_bundle.threads) <= 1 or any(
+        row.forced == 0 for row in uniqueness_rows
+    )
+
+    injectivity_rows = []
+    for j in range(target.top + 1):
+        n = ladder_data.indices[j]
+        # Cross-map pairs keyed by image distance, valued by source distance.
+        crossing = PairSweep(
+            (td, sd)
+            for sd, td in pair_distances(
+                source.levels[n].dist, target.levels[j].dist, ladder_data.cross[j]
+            )
+        )
+        gamma = crossing.largest_within(5 * betas[j])
+        epsilon = source_bundle.pair_sweeps[n].largest_within(gamma)
+        injectivity_rows.append(InjectivityRow(j, gamma, epsilon))
+    injective_certified = len(source_bundle.threads) <= 1 or any(
+        row.epsilon == 0 for row in injectivity_rows
+    )
+    return uniqueness_rows, unique, tuple(injectivity_rows), injective_certified, None
 
 
 def perturbation_limit(ladder_data: LadderData, cap: int = THREAD_CAP) -> PerturbationReport:
@@ -1018,142 +943,56 @@ def perturbation_limit(ladder_data: LadderData, cap: int = THREAD_CAP) -> Pertur
     top = source.top
     stages = target.top
     levels = target.levels
+    alphas = ladder_data.alphas
+    betas = ladder_data.betas
 
-    square_rows = []
-    for i in range(stages):
-        measured, witness = _measured_square(ladder_data, i)
-        square_rows.append(
-            LadderSquareRow(i, ladder_data.alphas[i], measured, witness)
-        )
+    square_rows = tuple(
+        LadderSquareRow(i, alphas[i], *_measured_square(ladder_data, i))
+        for i in range(stages)
+    )
 
     continuity_rows = []
     for i in range(stages):
-        alpha = ladder_data.alphas[i]
         for j in range(i, -1, -1):
-            bound = pow2(j - i) * ladder_data.betas[j]
-            attained = _attained_continuity(target, i, j, alpha)
+            bound = pow2(j - i) * betas[j]
+            attained = target.composite_sweep(i, j).largest_within(alphas[i])
             witness = None
             if attained > bound:
                 witness = check_uniform_continuity(
-                    levels[i], levels[j], target.composite(i, j), alpha, bound
+                    levels[i], levels[j], target.composite(i, j), alphas[i], bound
                 )
             continuity_rows.append(
-                ContinuityBudgetRow(i, j, alpha, bound, attained, witness)
+                ContinuityBudgetRow(i, j, alphas[i], bound, attained, witness)
             )
 
     def stage_map(i: int, j: int) -> tuple:
-        down = source.composite(top, ladder_data.indices[i])
         across = ladder_data.cross[i]
         out = target.composite(i, j)
-        return tuple(
-            out[across[down[x]]] for x in range(source.levels[top].n)
-        )
+        return tuple(out[across[y]] for y in source.composite(top, ladder_data.indices[i]))
 
-    telescoping_rows = []
-    for j in range(stages + 1):
-        for i in range(j, stages):
-            lower = stage_map(i, j)
-            upper = stage_map(i + 1, j)
-            measured = ZERO
-            for x in range(source.levels[top].n):
-                gap = levels[j].d(lower[x], upper[x])
-                if gap > measured:
-                    measured = gap
-            telescoping_rows.append(
-                TelescopingRow(i, j, pow2(j - i) * ladder_data.betas[j], measured)
-            )
+    telescoping_rows = tuple(
+        TelescopingRow(
+            i, j, pow2(j - i) * betas[j],
+            map_sup_distance(levels[j], stage_map(i, j), stage_map(i + 1, j)),
+        )
+        for j in range(stages + 1)
+        for i in range(j, stages)
+    )
 
     limit_maps = tuple(stage_map(stages, j) for j in range(stages + 1))
-    limit_rows = []
-    for j in range(stages + 1):
-        direct = stage_map(j, j)
-        measured = ZERO
-        witness = None
-        for x in range(source.levels[top].n):
-            gap = levels[j].d(limit_maps[j][x], direct[x])
-            if witness is None or gap > measured:
-                measured = gap
-                witness = x
-        limit_rows.append(
-            LimitClosenessRow(j, 2 * ladder_data.betas[j], measured, witness)
-        )
-    thread_map = limit_maps[stages]
-
-    injective_observed = len(set(thread_map)) == source.levels[top].n
-
-    uniqueness_rows: tuple = ()
-    unique: Optional[bool] = None
-    injectivity_rows: tuple = ()
-    injective_certified: Optional[bool] = None
-    note: Optional[str] = None
-    oversized = any(level.n > cap for level in source.levels) or any(
-        level.n > cap for level in target.levels
+    limit_rows = tuple(
+        LimitClosenessRow(j, 2 * betas[j], *_worst_gap(levels[j], limit_maps[j], stage_map(j, j)))
+        for j in range(stages + 1)
     )
-    if oversized:
-        note = f"separation readouts skipped: a level exceeds the enumeration cap {cap}"
-    elif not (_diameter_at_most_one(source) and _diameter_at_most_one(target)):
-        note = (
-            "separation readouts skipped: thread metrics need every level "
-            "of diameter <= 1"
-        )
-    else:
-        target_bundle = thread_space(target, cap)
-        source_bundle = thread_space(source, cap)
-
-        rows = []
-        for j in range(stages + 1):
-            threshold = 4 * ladder_data.betas[j]
-            proj = target_bundle.projection(j)
-            forced = ZERO
-            for a in range(len(target_bundle.threads)):
-                for b in range(a + 1, len(target_bundle.threads)):
-                    if levels[j].d(proj[a], proj[b]) <= threshold:
-                        gap = target_bundle.space.d(a, b)
-                        if gap > forced:
-                            forced = gap
-            rows.append(UniquenessRow(j, threshold, forced))
-        uniqueness_rows = tuple(rows)
-        unique = len(target_bundle.threads) <= 1 or any(
-            row.forced == 0 for row in uniqueness_rows
-        )
-
-        rows = []
-        for j in range(stages + 1):
-            five = 5 * ladder_data.betas[j]
-            cross_map = ladder_data.cross[j]
-            level = source.levels[ladder_data.indices[j]]
-            gamma = ZERO
-            for a in range(level.n):
-                for b in range(a + 1, level.n):
-                    if levels[j].d(cross_map[a], cross_map[b]) <= five:
-                        if level.d(a, b) > gamma:
-                            gamma = level.d(a, b)
-            proj = source_bundle.projection(ladder_data.indices[j])
-            epsilon = ZERO
-            for a in range(len(source_bundle.threads)):
-                for b in range(a + 1, len(source_bundle.threads)):
-                    if level.d(proj[a], proj[b]) <= gamma:
-                        gap = source_bundle.space.d(a, b)
-                        if gap > epsilon:
-                            epsilon = gap
-            rows.append(InjectivityRow(j, gamma, epsilon))
-        injectivity_rows = tuple(rows)
-        injective_certified = len(source_bundle.threads) <= 1 or any(
-            row.epsilon == 0 for row in injectivity_rows
-        )
-
+    thread_map = limit_maps[stages]
     return PerturbationReport(
         ladder_data,
-        tuple(square_rows),
+        square_rows,
         tuple(continuity_rows),
-        tuple(telescoping_rows),
-        tuple(limit_rows),
+        telescoping_rows,
+        limit_rows,
         limit_maps,
         thread_map,
-        uniqueness_rows,
-        unique,
-        injectivity_rows,
-        injective_certified,
-        injective_observed,
-        note,
+        len(set(thread_map)) == source.levels[top].n,
+        *_separation_readouts(ladder_data, cap),
     )

@@ -7,17 +7,25 @@ separation table asserts the reverse implication: whenever the image distance
 is at most delta, the source distance is at most epsilon.  Distances compare
 with <= on both sides, so a delta of 0 is already a nontrivial claim when the
 map glues points.
+
+Both tables, and the pair scans of ``invlim``, read one primitive: a
+``PairSweep`` sorts a list of pairs of distances once by the first, and then
+answers, for any threshold t, with the largest second distance among the
+pairs whose first distance is at most t, or with the first pair whose
+second distance exceeds a bound.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import StructuralError
 from .scalars import ZERO, Scalar
-from .spaces import FiniteMetricSpace, as_mapping, ensure_total_map
+from .spaces import FiniteMetricSpace, ensure_total_map
 
 
 @dataclass(frozen=True)
@@ -67,17 +75,47 @@ class ModulusTable:
         return best
 
 
-def pair_distances(
-    source: FiniteMetricSpace,
-    target: FiniteMetricSpace,
-    mapping: Mapping[int, int],
-) -> list:
-    """(source distance, image distance) for each pair i < j of source points."""
-    pairs = []
-    for i in range(source.n):
-        for j in range(i + 1, source.n):
-            pairs.append((source.d(i, j), target.d(mapping[i], mapping[j])))
-    return pairs
+class PairSweep:
+    """Pairs ``(first, second, *tags)`` sorted once by their first distance.
+
+    The sort is stable, so pairs with equal first distances keep the order
+    they came in.  ``firsts`` lists the first distances in that order and
+    ``peaks[k]`` is the largest second distance among pairs 0..k, so every
+    query is one bisection.
+    """
+
+    def __init__(self, pairs: Iterable[Sequence]) -> None:
+        self.pairs = tuple(sorted(pairs, key=itemgetter(0)))
+        self.firsts = tuple(pair[0] for pair in self.pairs)
+        self.peaks = tuple(accumulate((pair[1] for pair in self.pairs), max))
+
+    def largest_within(self, t):
+        """Largest second distance among pairs with first distance <= t;
+        ``ZERO`` when no such pair is at a positive distance."""
+        k = bisect_right(self.firsts, t)
+        return self.peaks[k - 1] if k and self.peaks[k - 1] > 0 else ZERO
+
+    def first_above(self, bound) -> Optional[Sequence]:
+        """First pair, in sweep order, whose second distance exceeds bound.
+
+        Its first distance is the smallest among all such pairs, and ties go
+        to the pair that came first.  None when no pair exceeds the bound.
+        """
+        k = bisect_right(self.peaks, bound)
+        return self.pairs[k] if k < len(self.pairs) else None
+
+
+def pair_distances(source: Sequence, target: Sequence, mapping: Sequence[int]) -> list:
+    """(source distance, image distance) for each pair i < j of source points.
+
+    ``source`` and ``target`` are distance matrices, the ``dist`` of two
+    spaces or their integer forms alike.
+    """
+    return [
+        (row[j], target[mapping[i]][mapping[j]])
+        for i, row in enumerate(source)
+        for j in range(i + 1, len(source))
+    ]
 
 
 def continuity_modulus(
@@ -93,28 +131,14 @@ def continuity_modulus(
     attained by some pair.  The sweep runs on each space's own integer
     form; only the rows are converted back to Fractions.
     """
-    m = as_mapping(mapping)
-    ensure_total_map(m, source, target, "continuity_modulus")
+    m = ensure_total_map(mapping, source, target, "continuity_modulus")
     src, src_scale = source._int_form
     img, img_scale = target._int_form
-    # One sweep: pairs sorted by source distance, spectrum ascending, with
-    # the running max of the image distances admitted so far.
-    pairs = sorted((
-        (row[j], img[m[i]][m[j]])
-        for i, row in enumerate(src)
-        for j in range(i + 1, source.n)
-    ), key=itemgetter(0))
-    spectrum = sorted({0}.union(*(row[i + 1:] for i, row in enumerate(src))))
-    rows = []
-    eps = 0
-    k = 0
-    for delta in spectrum:
-        while k < len(pairs) and pairs[k][0] <= delta:
-            if pairs[k][1] > eps:
-                eps = pairs[k][1]
-            k += 1
-        rows.append((Fraction(delta, src_scale), Fraction(eps, img_scale)))
-    return ModulusTable("continuity", tuple(rows))
+    sweep = PairSweep(pair_distances(src, img, m))
+    return ModulusTable("continuity", tuple(
+        (Fraction(delta, src_scale), Fraction(sweep.largest_within(delta), img_scale))
+        for delta in sorted({0, *sweep.firsts})
+    ))
 
 
 def separation_modulus(
@@ -125,29 +149,28 @@ def separation_modulus(
     """Largest image threshold that still pins source distances, per epsilon.
 
     For each epsilon in the source spectrum the row's delta is the largest
-    image-spectrum value such that image distance <= delta forces source
-    distance <= epsilon.  Epsilon values admitting no delta at all (the map
+    image distance (zero included) such that image distance <= delta forces
+    source distance <= epsilon: the largest one below the image distance of
+    the closest pair, in the image, among the pairs further apart than
+    epsilon in the source.  Epsilon values admitting no delta at all (the map
     collapses a pair further apart than epsilon, so even delta = 0 fails)
     appear in ``failed`` instead of the rows.
     """
-    m = as_mapping(mapping)
-    ensure_total_map(m, source, target, "separation_modulus")
-    pairs = pair_distances(source, target, m)
-    image_values = sorted({td for _, td in pairs} | {ZERO})
+    m = ensure_total_map(mapping, source, target, "separation_modulus")
+    sweep = PairSweep((td, sd) for sd, td in pair_distances(source.dist, target.dist, m))
+    image_values = sorted({ZERO, *sweep.firsts})
     rows = []
     failed = []
     for eps in source.spectrum():
-        blocking = [td for sd, td in pairs if sd > eps]
-        if not blocking:
-            rows.append((image_values[-1], eps))
-            continue
-        cut = min(blocking)
-        candidates = [v for v in image_values if v < cut]
-        if candidates:
-            rows.append((candidates[-1], eps))
+        blocking = sweep.first_above(eps)
+        below = (
+            len(image_values) if blocking is None
+            else bisect_left(image_values, blocking[0])
+        )
+        if below:
+            rows.append((image_values[below - 1], eps))
         else:
             failed.append(eps)
-    rows.sort()
     return ModulusTable("separation", tuple(rows), tuple(failed))
 
 
@@ -163,8 +186,7 @@ def check_uniform_continuity(
     Returns None when the claim holds, else the lexicographically first
     offending pair (i, j, source_distance, image_distance).
     """
-    m = as_mapping(mapping)
-    ensure_total_map(m, source, target, "check_uniform_continuity")
+    m = ensure_total_map(mapping, source, target, "check_uniform_continuity")
     for i in range(source.n):
         for j in range(i + 1, source.n):
             if source.d(i, j) <= delta and target.d(m[i], m[j]) > epsilon:

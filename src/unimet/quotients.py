@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .kernel import closure, min_plus, to_int_matrix
-from .moduli import ModulusTable
+from .moduli import ModulusTable, PairSweep
 from .scalars import ONE, ZERO, ScalarLike, as_scalar
 from .spaces import (
     AxiomViolation,
@@ -240,16 +240,12 @@ def quotient_order_modulus(sur: Surjection, steps: int) -> ModulusTable:
     fine = chain_metric(sur, None)
     coarse = chain_metric(sur, steps)
     k = sur.class_count
-    values = sorted({fine.values[p][q] for p in range(k) for q in range(k)})
-    rows = []
-    for delta in values:
-        eps = ZERO
-        for p in range(k):
-            for q in range(k):
-                if fine.values[p][q] <= delta and coarse.values[p][q] > eps:
-                    eps = coarse.values[p][q]
-        rows.append((delta, eps))
-    return ModulusTable("quotient_order", tuple(rows))
+    sweep = PairSweep(
+        (fine.values[p][q], coarse.values[p][q]) for p in range(k) for q in range(k)
+    )
+    return ModulusTable("quotient_order", tuple(
+        (delta, sweep.largest_within(delta)) for delta in sorted(set(sweep.firsts))
+    ))
 
 
 # ---- quotients by families and glued unions ----

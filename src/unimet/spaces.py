@@ -323,12 +323,6 @@ class PartialMap:
     def as_dict(self) -> dict:
         return {s: t for s, t in self.pairs}
 
-    def domain(self) -> tuple:
-        return tuple(sorted(s for s, _ in self.pairs))
-
-    def is_total(self, source_size: int) -> bool:
-        return set(self.domain()) == set(range(source_size))
-
 
 MappingLike = Union[PartialMap, Mapping[int, int], Iterable]
 
@@ -346,10 +340,14 @@ def as_mapping(obj: MappingLike) -> dict:
     return PartialMap(tuple((int(s), int(t)) for s, t in items)).as_dict()
 
 
-def ensure_total_map(mapping: dict, source: FiniteMetricSpace,
-                     target: FiniteMetricSpace, what: str = "map") -> None:
-    if set(mapping) != set(range(source.n)):
+def ensure_total_map(mapping: MappingLike, source: FiniteMetricSpace,
+                     target: FiniteMetricSpace, what: str = "map") -> tuple:
+    """Index tuple of ``mapping``, in any form ``as_mapping`` reads, checked
+    to be a total map from ``source`` into ``target``."""
+    m = as_mapping(mapping)
+    if set(m) != set(range(source.n)):
         raise PreconditionError(f"{what} must be total on the source points")
-    for t in mapping.values():
+    for t in m.values():
         if not (0 <= t < target.n):
             raise StructuralError(f"{what} has target index {t} out of range")
+    return tuple(m[i] for i in range(source.n))

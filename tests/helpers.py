@@ -7,7 +7,7 @@ from typing import NamedTuple, Optional
 from hypothesis import example
 from hypothesis import strategies as st
 
-from unimet.invlim import inverse_sequence
+from unimet.invlim import inverse_sequence, ladder
 from unimet.spaces import FiniteMetricSpace
 
 ZERO = Fraction(0)
@@ -167,6 +167,60 @@ def with_examples(cases):
 
 
 # ---- inverse sequence fixtures ----
+
+
+def _index_lists(draw, size, count):
+    """``count`` indices into 0..size-1, as a list."""
+    return draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count))
+
+
+@st.composite
+def truncations(draw, max_levels=4, max_size=5):
+    """A truncation of 1..max_levels levels, each drawn by ``metric_spaces``
+    with 1..max_size points and rescaled to a diameter k/8 for k in 1..8,
+    with arbitrary total bonds, so images shrink at uneven rates."""
+    levels = [
+        draw(metric_spaces(1, max_size)).rescaled_to_diameter(
+            Fraction(draw(st.integers(1, 8)), 8)
+        )
+        for _ in range(draw(st.integers(1, max_levels)))
+    ]
+    bonds = [
+        _index_lists(draw, lower.n, upper.n)
+        for lower, upper in zip(levels, levels[1:])
+    ]
+    return inverse_sequence(levels, bonds)
+
+
+class LadderCase(NamedTuple):
+    """A ladder and whether its betas took their defaults."""
+
+    data: object
+    default_betas: bool
+
+
+@st.composite
+def ladders(draw):
+    """A ladder between two drawn truncations: default or drawn
+    nondecreasing indices, arbitrary cross maps, measured or drawn alphas
+    and default or drawn betas (multiples of 1/64 up to 1)."""
+    source = draw(truncations())
+    target = draw(truncations(max_levels=source.top + 1))
+    indices = None
+    if draw(st.booleans()):
+        indices = sorted(_index_lists(draw, source.top + 1, target.top + 1))
+    feeds = indices if indices is not None else range(target.top + 1)
+    cross = [
+        _index_lists(draw, level.n, source.levels[n].n)
+        for n, level in zip(feeds, target.levels)
+    ]
+    scale = st.integers(0, 64).map(lambda k: Fraction(k, 64))
+    alphas = draw(st.none() | st.lists(scale, min_size=target.top, max_size=target.top))
+    betas = draw(st.none() | st.lists(
+        scale.filter(lambda v: v > 0), min_size=target.top + 1, max_size=target.top + 1
+    ))
+    data = ladder(source, target, cross, indices=indices, alphas=alphas, betas=betas)
+    return LadderCase(data, betas is None)
 
 
 def retraction_tower(depth, scale=Fraction(1, 8)):

@@ -10,7 +10,9 @@ depend on the package's own data structures, with one exception: the
 sequence-space embedding, its ball covers and its continuity table are
 frozen copies of the package's Fraction code, which read a space and build
 the package's own result types, so that a result compares whole against
-its reference.
+its reference.  So are the pair scans of the inverse-sequence diagnostics
+and the separation and quotient-order tables: the loops over point pairs
+as they ran before those scans read one sorted sweep.
 """
 
 from fractions import Fraction
@@ -25,6 +27,15 @@ from unimet.embedding import (
     SeparationRow,
 )
 from unimet.errors import PreconditionError, StructuralError
+from unimet.invlim import (
+    InjectivityRow,
+    LimitClosenessRow,
+    NeighborhoodRow,
+    SeparationIndexResult,
+    SeparationLevel,
+    TelescopingRow,
+    UniquenessRow,
+)
 from unimet.moduli import ModulusTable
 from unimet.scalars import as_scalar, pow2
 from unimet.sequences import SequencePoint, sup_distance
@@ -489,3 +500,245 @@ def aharoni_embed_reference(space, depth):
         table, tuple(rows), injective, nonexpansive, bounds_ok
     )
     return AharoniEmbedding(space, depth, tuple(levels), images, certificate)
+
+
+# ---- pair scans, as the loops ran them ----
+
+
+def separation_modulus_reference(source, target, mapping):
+    """Per source-spectrum epsilon, the largest image distance below the
+    smallest image distance of a pair further apart than epsilon."""
+    pairs = [
+        (source.d(i, j), target.d(mapping[i], mapping[j]))
+        for i in range(source.n)
+        for j in range(i + 1, source.n)
+    ]
+    image_values = sorted({td for _, td in pairs} | {ZERO})
+    rows = []
+    failed = []
+    for eps in source.spectrum():
+        blocking = [td for sd, td in pairs if sd > eps]
+        if not blocking:
+            rows.append((image_values[-1], eps))
+            continue
+        cut = min(blocking)
+        candidates = [v for v in image_values if v < cut]
+        if candidates:
+            rows.append((candidates[-1], eps))
+        else:
+            failed.append(eps)
+    rows.sort()
+    return ModulusTable("separation", tuple(rows), tuple(failed))
+
+
+def quotient_order_reference(fine, coarse):
+    """Per d_infinity value delta, the largest d_n value over class pairs
+    at d_infinity distance <= delta, from the two value matrices."""
+    k = len(fine)
+    rows = []
+    for delta in sorted({fine[p][q] for p in range(k) for q in range(k)}):
+        eps = ZERO
+        for p in range(k):
+            for q in range(k):
+                if fine[p][q] <= delta and coarse[p][q] > eps:
+                    eps = coarse[p][q]
+        rows.append((delta, eps))
+    return ModulusTable("quotient_order", tuple(rows))
+
+
+def image_reference(truncation, j, i):
+    """Sorted image of level j in level i, folding the bonds one by one."""
+    points = set(range(truncation.levels[j].n))
+    for k in range(j - 1, i - 1, -1):
+        points = {truncation.bonds[k][x] for x in points}
+    return tuple(sorted(points))
+
+
+def within_neighborhood_reference(space, inner, outer, eps):
+    """Whether every point of ``inner`` lies within eps of ``outer``."""
+    if not inner:
+        return True
+    if not outer:
+        return False
+    return all(min(space.d(x, y) for y in outer) <= eps for x in inner)
+
+
+def convergence_row_reference(truncation, level, epsilon):
+    """Containment of each image in the closed neighborhood of the top
+    image, with the first index from which every later containment holds."""
+    eps = as_scalar(epsilon)
+    space = truncation.levels[level]
+    shadow = image_reference(truncation, truncation.top, level)
+    holds = tuple(
+        within_neighborhood_reference(space, image_reference(truncation, j, level), shadow, eps)
+        for j in range(level, truncation.top + 1)
+    )
+    start = truncation.top
+    for j in range(truncation.top - 1, level - 1, -1):
+        if holds[j - level]:
+            start = j
+        else:
+            break
+    return NeighborhoodRow(level, truncation.top, eps, holds, start)
+
+
+def cauchy_row_reference(truncation, level, epsilon):
+    """Anchors k whose image lies in the neighborhood of every later image,
+    with the smallest anchor."""
+    eps = as_scalar(epsilon)
+    space = truncation.levels[level]
+    images = {
+        j: image_reference(truncation, j, level)
+        for j in range(level, truncation.top + 1)
+    }
+    viable = tuple(
+        all(
+            within_neighborhood_reference(space, images[k], images[j], eps)
+            for j in range(k + 1, truncation.top + 1)
+        )
+        for k in range(level, truncation.top + 1)
+    )
+    start = next(k for k in range(level, truncation.top + 1) if viable[k - level])
+    return NeighborhoodRow(level, truncation.top, eps, viable, start)
+
+
+def separation_index_reference(truncation, bundle, epsilon):
+    """The separation scan over every thread pair, level by level: the
+    smallest projected gap among threads further apart than epsilon, with
+    the first pair attaining it."""
+    eps = as_scalar(epsilon)
+    count = len(bundle.threads)
+    scanned = []
+    for i in range(truncation.top + 1):
+        level_space = truncation.levels[i]
+        proj = [thread.entries[i] for thread in bundle.threads]
+        cut = None
+        witness = None
+        for a in range(count):
+            for b in range(a + 1, count):
+                if bundle.space.d(a, b) <= eps:
+                    continue
+                gap = level_space.d(proj[a], proj[b])
+                if cut is None or gap < cut:
+                    cut = gap
+                    witness = (a, b, gap, bundle.space.d(a, b))
+        if cut is None:
+            positive = level_space.positive_spectrum()
+            row = SeparationLevel(i, positive[-1] if positive else ONE, None)
+        elif cut > 0:
+            row = SeparationLevel(i, cut, None)
+        else:
+            row = SeparationLevel(i, None, witness)
+        scanned.append(row)
+        if row.separates:
+            return SeparationIndexResult(eps, i, row.threshold, tuple(scanned))
+    return SeparationIndexResult(eps, None, None, tuple(scanned))
+
+
+def _largest_forced(level, proj, bundle, threshold):
+    """Largest thread distance among thread pairs whose projections lie
+    within ``threshold`` in ``level``."""
+    forced = ZERO
+    for a in range(len(bundle.threads)):
+        for b in range(a + 1, len(bundle.threads)):
+            if level.d(proj[a], proj[b]) <= threshold:
+                gap = bundle.space.d(a, b)
+                if gap > forced:
+                    forced = gap
+    return forced
+
+
+def uniqueness_rows_reference(ladder_data, target_bundle):
+    """Per target level j: four betas and the thread distance they force."""
+    rows = []
+    for j, level in enumerate(ladder_data.target.levels):
+        threshold = 4 * ladder_data.betas[j]
+        proj = [thread.entries[j] for thread in target_bundle.threads]
+        rows.append(UniquenessRow(j, threshold, _largest_forced(level, proj, target_bundle, threshold)))
+    return tuple(rows)
+
+
+def injectivity_rows_reference(ladder_data, source_bundle):
+    """Per target level j: the source distance gamma that cross-map images
+    within five betas force, and the thread distance gamma forces."""
+    rows = []
+    for j, image_level in enumerate(ladder_data.target.levels):
+        five = 5 * ladder_data.betas[j]
+        cross_map = ladder_data.cross[j]
+        level = ladder_data.source.levels[ladder_data.indices[j]]
+        gamma = ZERO
+        for a in range(level.n):
+            for b in range(a + 1, level.n):
+                if image_level.d(cross_map[a], cross_map[b]) <= five:
+                    if level.d(a, b) > gamma:
+                        gamma = level.d(a, b)
+        proj = [thread.entries[ladder_data.indices[j]] for thread in source_bundle.threads]
+        rows.append(InjectivityRow(j, gamma, _largest_forced(level, proj, source_bundle, gamma)))
+    return tuple(rows)
+
+
+def attained_continuity_reference(upper, lower, composite, alpha):
+    """Largest image distance under ``composite`` over pairs within alpha."""
+    attained = ZERO
+    for a in range(upper.n):
+        for b in range(a + 1, upper.n):
+            if upper.d(a, b) <= alpha:
+                image = lower.d(composite[a], composite[b])
+                if image > attained:
+                    attained = image
+    return attained
+
+
+def _worst_gap_reference(level, f, g):
+    worst = ZERO
+    witness = None
+    for x in range(len(f)):
+        gap = level.d(f[x], g[x])
+        if witness is None or gap > worst:
+            worst = gap
+            witness = x
+    return worst, witness
+
+
+def _fold(truncation, points, upper, lower):
+    """Images in level ``lower`` of ``points`` of level ``upper``."""
+    for k in range(upper - 1, lower - 1, -1):
+        points = [truncation.bonds[k][x] for x in points]
+    return points
+
+
+def closeness_rows_reference(ladder_data):
+    """Square defects with their witnesses, telescoping rows and limit rows,
+    point by point, with every map composed bond by bond."""
+    source, target = ladder_data.source, ladder_data.target
+    stages = target.top
+    indices = ladder_data.indices
+    top_points = list(range(source.levels[source.top].n))
+
+    def stage_map(i, j):
+        down = _fold(source, top_points, source.top, indices[i])
+        return _fold(target, [ladder_data.cross[i][y] for y in down], i, j)
+
+    squares = []
+    for i in range(stages):
+        down = _fold(source, list(range(source.levels[indices[i + 1]].n)), indices[i + 1], indices[i])
+        left = [ladder_data.cross[i][y] for y in down]
+        right = [target.bonds[i][y] for y in ladder_data.cross[i + 1]]
+        worst, x = _worst_gap_reference(target.levels[i], left, right)
+        squares.append((worst, None if x is None else (x, left[x], right[x])))
+    telescoping = tuple(
+        TelescopingRow(
+            i, j, pow2(j - i) * ladder_data.betas[j],
+            max([ZERO] + [target.levels[j].d(a, b) for a, b in zip(stage_map(i, j), stage_map(i + 1, j))]),
+        )
+        for j in range(stages + 1)
+        for i in range(j, stages)
+    )
+    limits = tuple(
+        LimitClosenessRow(
+            j, 2 * ladder_data.betas[j],
+            *_worst_gap_reference(target.levels[j], stage_map(stages, j), stage_map(j, j)),
+        )
+        for j in range(stages + 1)
+    )
+    return tuple(squares), telescoping, limits

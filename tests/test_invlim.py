@@ -3,8 +3,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from helpers import halving_chain, interval_points, retraction_tower, window_chain
+from helpers import (
+    halving_chain,
+    interval_points,
+    ladders,
+    retraction_tower,
+    truncations,
+    window_chain,
+    with_examples,
+)
+from oracles import (
+    attained_continuity_reference,
+    cauchy_row_reference,
+    closeness_rows_reference,
+    convergence_row_reference,
+    injectivity_rows_reference,
+    separation_index_reference,
+    uniqueness_rows_reference,
+    weighted_sup_reference,
+)
 from unimet.cylinders import mapping_cylinder_metric
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import (
@@ -363,4 +382,76 @@ def test_ladder_shape_validation():
             tower,
             cross=cross,
             indices=[3, 2, 1, 0][: tower.top + 1],
+        )
+
+
+# ---- pair scans against the frozen loops ----
+
+
+@given(truncations())
+@with_examples([retraction_tower(5), halving_chain(5, 6), window_chain(4)])
+def test_neighborhood_rows_match_the_frozen_loops(truncation):
+    # Every spectrum scale, plus one between two scales and one past them all.
+    for i, level in enumerate(truncation.levels):
+        spectrum = level.spectrum()
+        scales = set(spectrum) | {spectrum[-1] / 2, spectrum[-1] + 1}
+        for eps in sorted(scales):
+            row = convergence_row(truncation, i, eps)
+            assert row == convergence_row_reference(truncation, i, eps)
+            assert cauchy_row(truncation, i, eps) == cauchy_row_reference(truncation, i, eps)
+    rows = convergence_report(truncation).rows
+    assert rows == tuple(
+        convergence_row_reference(truncation, i, eps)
+        for i, level in enumerate(truncation.levels)
+        for eps in level.spectrum()
+    )
+
+
+@given(truncations())
+@with_examples([retraction_tower(5), halving_chain(5, 6), window_chain(4)])
+def test_separation_index_matches_the_frozen_loop(truncation):
+    bundle = thread_space(truncation)
+    levels = [level.dist for level in truncation.levels]
+    for a, ta in enumerate(bundle.threads):
+        for b, tb in enumerate(bundle.threads):
+            want = weighted_sup_reference(levels, ta.entries, tb.entries)
+            assert bundle.space.d(a, b) == want
+    for eps in sorted(set(bundle.space.spectrum()) | {bundle.space.diameter() / 3}):
+        assert separation_index(truncation, eps) == separation_index_reference(
+            truncation, bundle, eps
+        )
+
+
+@given(ladders())
+def test_ladder_pair_scans_match_the_frozen_loops(case):
+    data = case.data
+    target = data.target
+    levels = target.levels
+    if case.default_betas:
+        for j, level in enumerate(levels):
+            floor = level.min_positive_distance()
+            want = floor / 9 if floor is not None else Fraction(1)
+            for i in range(j, target.top):
+                attained = attained_continuity_reference(
+                    levels[i], level, target.composite(i, j), data.alphas[i]
+                )
+                want = max(want, Fraction(2) ** (i - j) * attained)
+            assert data.betas[j] == want
+    report = perturbation_limit(data)
+    for row in report.continuity_rows:
+        assert row.attained == attained_continuity_reference(
+            levels[row.upper], levels[row.lower],
+            target.composite(row.upper, row.lower), row.alpha,
+        )
+        assert (row.witness is None) == row.ok
+    squares, telescoping, limits = closeness_rows_reference(data)
+    assert tuple((row.measured, row.witness) for row in report.square_rows) == squares
+    assert report.telescoping_rows == telescoping
+    assert report.limit_rows == limits
+    if report.separation_note is None:
+        assert report.uniqueness_rows == uniqueness_rows_reference(
+            data, thread_space(target)
+        )
+        assert report.injectivity_rows == injectivity_rows_reference(
+            data, thread_space(data.source)
         )

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import interval_points, random_space, space, wide_space
-from oracles import continuity_modulus_reference
+from helpers import interval_points, metric_spaces, random_space, space, wide_space
+from oracles import continuity_modulus_reference, separation_modulus_reference
 from unimet.errors import PreconditionError, StructuralError
 from unimet.moduli import (
     ModulusTable,
@@ -98,6 +100,18 @@ def test_separation_rows_pin_source_distances():
         for eps in table.failed:
             # even an image distance of zero fails to pin the source pair
             assert any(td == 0 and sd > eps for sd, td in pairs)
+
+
+@given(metric_spaces(1, 6), metric_spaces(1, 5), st.data())
+def test_moduli_tables_match_the_frozen_loops(source, target, data):
+    image = st.integers(0, target.n - 1)
+    mapping = data.draw(st.lists(image, min_size=source.n, max_size=source.n))
+    assert separation_modulus(source, target, mapping) == separation_modulus_reference(
+        source, target, mapping
+    )
+    assert continuity_modulus(source, target, mapping) == continuity_modulus_reference(
+        source, target, mapping
+    )
 
 
 def test_separation_failure_on_collapsing_map():

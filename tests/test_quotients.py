@@ -19,6 +19,7 @@ from oracles import (
     block_distance_matrix,
     chain_limit_apsp,
     chain_power,
+    quotient_order_reference,
     triangle_valid,
 )
 from unimet.errors import PreconditionError, StructuralError
@@ -128,6 +129,21 @@ def test_quotient_order_modulus_tracks_identity():
             for q in range(k):
                 if fine[p][q] <= delta:
                     assert coarse[p][q] <= eps
+
+
+def test_quotient_order_modulus_matches_the_frozen_loop():
+    rng = random.Random(409)
+    for _ in range(20):
+        size = rng.randint(2, 7)
+        source = random_space(rng, size)
+        class_of = random_partition(rng, size, rng.randint(1, size))
+        sur = Surjection(source, max(class_of) + 1, tuple(class_of))
+        for steps in (1, 2, 3):
+            table = quotient_order_modulus(sur, steps)
+            want = quotient_order_reference(
+                chain_metric(sur, None).values, chain_metric(sur, steps).values
+            )
+            assert table == want
 
 
 # ---- quotients by families ----
