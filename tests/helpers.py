@@ -7,6 +7,7 @@ from typing import NamedTuple, Optional
 from hypothesis import example
 from hypothesis import strategies as st
 
+from unimet.covers import Cover, FundamentalSequence
 from unimet.invlim import inverse_sequence, ladder
 from unimet.spaces import FiniteMetricSpace
 
@@ -106,6 +107,41 @@ def random_partition(rng, size, classes):
     ]
     rng.shuffle(class_of)
     return class_of
+
+
+# ---- Moon–Moser graphs: 3^k maximal cliques on 3k points ----
+
+
+def moon_moser_neighbours(triples):
+    """Neighbour sets of the complement of ``triples`` disjoint triangles;
+    its maximal cliques take one point from each triangle."""
+    size = 3 * triples
+    return [{v for v in range(size) if v // 3 != u // 3} for u in range(size)]
+
+
+def moon_moser_space(triples):
+    """Distance 1 inside each triple of points and 1/2 across triples, so
+    the pairs closer than 1 form the Moon–Moser graph."""
+    size = 3 * triples
+    return space(range(size), {
+        (i, j): "1" if i // 3 == j // 3 else "1/2"
+        for i in range(size) for j in range(i + 1, size)
+    })
+
+
+def moon_moser_sequence(triples):
+    """Fundamental sequence (whole, whole, whole, cross-triple pairs).
+
+    Its metric puts the cross-triple pairs at 1/4 and the other pairs at
+    1/2, so the sets of diameter at most 1/4 that ``au_metrize`` tests at
+    level 2 are the cliques of the Moon–Moser graph.
+    """
+    size = 3 * triples
+    whole = Cover(size, (tuple(range(size)),))
+    pairs = Cover(size, tuple(
+        (i, j) for i in range(size) for j in range(i + 1, size) if i // 3 != j // 3
+    ))
+    return FundamentalSequence(size, (whole, whole, whole, pairs))
 
 
 # ---- generated construction inputs ----

@@ -3,16 +3,17 @@
 Each oracle recomputes a published quantity along an independent route:
 chain quotient metrics as min-plus powers of the block matrix (with the
 limit taken by library shortest paths), Hausdorff values by the raw
-formulas, cover gauges straight from membership tables, and cone and join
-metrics through product-then-quotient pipelines.  Everything operates on
-plain distance matrices (lists of Fraction rows) so the oracles never
-depend on the package's own data structures, with one exception: the
-sequence-space embedding, its ball covers and its continuity table are
-frozen copies of the package's Fraction code, which read a space and build
-the package's own result types, so that a result compares whole against
-its reference.  So are the pair scans of the inverse-sequence diagnostics
-and the separation and quotient-order tables: the loops over point pairs
-as they ran before those scans read one sorted sweep.
+formulas, cover gauges straight from membership tables, maximal cliques
+by a scan over every vertex subset, and cone and join metrics through
+product-then-quotient pipelines.  Everything operates on plain distance
+matrices (lists of Fraction rows) so the oracles never depend on the
+package's own data structures, with one exception: the sequence-space
+embedding, its ball covers and its continuity table are frozen copies of
+the package's Fraction code, which read a space and build the package's
+own result types, so that a result compares whole against its reference.
+So are the pair scans of the inverse-sequence diagnostics and the
+separation and quotient-order tables: the loops over point pairs as they
+ran before those scans read one sorted sweep.
 """
 
 from fractions import Fraction
@@ -260,6 +261,25 @@ def gauge_from_covers(member_lists, ground):
                     break
             gauge[x][y] = Fraction(1, 2**hit)
     return gauge
+
+
+def maximal_cliques_reference(neighbours):
+    """Every vertex subset that is a clique and has no one-point extension,
+    from a scan over all 2^n subsets (``neighbours[v]`` as in the package)."""
+    size = len(neighbours)
+    cliques = []
+    for mask in range(1 << size):
+        members = [v for v in range(size) if mask >> v & 1]
+        if not all(b in neighbours[a] for a in members for b in members if a != b):
+            continue
+        if any(
+            all(v in neighbours[u] for v in members)
+            for u in range(size)
+            if not mask >> u & 1
+        ):
+            continue
+        cliques.append(frozenset(members))
+    return cliques
 
 
 # ---- product helpers ----

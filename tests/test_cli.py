@@ -10,7 +10,13 @@ import unimet.cli
 import unimet.cones
 import unimet.cylinders
 import unimet.spaces
-from helpers import halving_chain, retraction_tower, space, window_chain
+from helpers import (
+    halving_chain,
+    moon_moser_sequence,
+    retraction_tower,
+    space,
+    window_chain,
+)
 from unimet.cli import main
 from unimet.covers import ball_fundamental_sequence
 from unimet.invlim import telescope_metric
@@ -276,6 +282,13 @@ def test_metrize_rejects_a_sequence_without_star_refinement(tmp_path):
     }
     code, out, err = run(["metrize", write(tmp_path, "badseq.json", bad)])
     assert code == 1, err
+
+
+def test_metrize_stops_at_the_clique_cap(tmp_path):
+    seq = fundamental_sequence_to_json(moon_moser_sequence(10))
+    code, out, err = run(["metrize", write(tmp_path, "cliques.json", seq)])
+    assert code == 1 and out == ""
+    assert err.startswith("precondition failed:") and "CLIQUE_CAP" in err
 
 
 # ---- embed ----

@@ -4,10 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     interval_points,
     metric_closure,
+    moon_moser_neighbours,
+    moon_moser_sequence,
+    moon_moser_space,
     random_space,
     wide_matrix,
     wide_space,
@@ -16,8 +21,10 @@ from oracles import (
     ball_containment_number_reference,
     ball_cover_reference,
     gauge_from_covers,
+    maximal_cliques_reference,
 )
 from unimet.covers import (
+    CLIQUE_CAP,
     Cover,
     FundamentalSequence,
     au_metrize,
@@ -26,6 +33,7 @@ from unimet.covers import (
     ball_fundamental_sequence,
     barycentric_refines,
     lebesgue_number,
+    maximal_cliques,
     meet,
     point_finite_refinement,
     refines,
@@ -162,6 +170,54 @@ def test_lebesgue_number_degenerate_cases():
     assert result.value is None and not result.infinite
     with pytest.raises(StructuralError, match="ground"):
         lebesgue_number(sp, Cover(3, ((0, 1, 2),)))
+
+
+# ---- maximal cliques ----
+
+
+@st.composite
+def graphs(draw, max_size=10):
+    """Neighbour sets of a graph on 0..max_size vertices."""
+    size = draw(st.integers(0, max_size))
+    neighbours = [set() for _ in range(size)]
+    for a in range(size):
+        for b in range(a + 1, size):
+            if draw(st.booleans()):
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+    return neighbours
+
+
+@given(graphs())
+def test_maximal_cliques_match_brute_force(neighbours):
+    cliques = maximal_cliques(neighbours)
+    assert len(set(cliques)) == len(cliques)
+    assert set(cliques) == set(maximal_cliques_reference(neighbours))
+
+
+def test_maximal_cliques_count_on_moon_moser_graphs():
+    cliques = maximal_cliques(moon_moser_neighbours(8))
+    assert len(set(cliques)) == len(cliques) == 3**8
+    assert all(sorted(v // 3 for v in c) == list(range(8)) for c in cliques)
+
+
+def test_clique_cap_stops_the_listing():
+    assert len(maximal_cliques(moon_moser_neighbours(2), cap=9)) == 9
+    with pytest.raises(PreconditionError, match="more than 8 maximal cliques"):
+        maximal_cliques(moon_moser_neighbours(2), cap=8)
+    # 3^10 maximal cliques on 30 points, past the default cap
+    triples = 10
+    assert 3**triples > CLIQUE_CAP
+    sp = moon_moser_space(triples)
+    singletons = Cover(sp.n, tuple((x,) for x in range(sp.n)))
+    with pytest.raises(PreconditionError, match="CLIQUE_CAP"):
+        lebesgue_number(sp, singletons)
+    with pytest.raises(PreconditionError, match="CLIQUE_CAP"):
+        au_metrize(moon_moser_sequence(triples))
+    # below the cap both run: the cross-triple pairs are the cliques at 1
+    six = Cover(6, tuple((x,) for x in range(6)))
+    assert lebesgue_number(moon_moser_space(2), six).value == Fraction(1, 2)
+    assert au_metrize(moon_moser_sequence(2)).clique_containment_ok
 
 
 def test_ball_containment_number_uses_open_balls():

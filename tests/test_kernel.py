@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tomllib
 from fractions import Fraction
 from math import lcm
 
@@ -229,13 +230,21 @@ def test_glue_parts_matches_oracles_on_none_blocks():
         assert glued.positive_ok == ("positivity" not in strict.violated_axioms())
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy would add about 11 MiB of resident memory and slow cold starts.
+def test_cli_import_loads_only_the_standard_library():
+    # Every module outside the standard library is paid at each cold start.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # Modules loaded before the import (by the site hook) are not counted.
+    probe = (
+        "import sys; before = set(sys.modules); import unimet.cli; "
+        "top = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(top - set(sys.stdlib_module_names) - {'unimet'}))"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, unimet.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), "rb") as handle:
+        assert tomllib.load(handle)["project"]["dependencies"] == []
