@@ -161,7 +161,7 @@ class LebesgueNumber:
     infinite: bool
 
 
-def maximal_cliques(neighbours: list, cap: int = CLIQUE_CAP) -> list:
+def maximal_cliques(neighbours: list) -> list:
     """Every maximal clique of a graph on {0, ..., n-1}, each exactly once.
 
     ``neighbours[v]`` is the set of vertices adjacent to v (v itself not
@@ -172,7 +172,7 @@ def maximal_cliques(neighbours: list, cap: int = CLIQUE_CAP) -> list:
     pivot u of P | X with the most neighbours in P: every maximal clique
     above R holds u or a vertex not adjacent to u, and is listed in that
     vertex's branch.  R is maximal exactly when P and X are both empty.
-    More than ``cap`` cliques raise a ``PreconditionError``.
+    More than ``CLIQUE_CAP`` cliques raise a ``PreconditionError``.
     """
     cliques = []
     stack = [((), set(range(len(neighbours))), set())]
@@ -181,10 +181,10 @@ def maximal_cliques(neighbours: list, cap: int = CLIQUE_CAP) -> list:
         if not p:
             if not x:
                 cliques.append(frozenset(clique))
-                if len(cliques) > cap:
+                if len(cliques) > CLIQUE_CAP:
                     raise PreconditionError(
-                        f"more than {cap} maximal cliques, above the clique "
-                        "cap (CLIQUE_CAP)"
+                        f"more than {CLIQUE_CAP} maximal cliques, above the "
+                        "clique cap (CLIQUE_CAP)"
                     )
             continue
         pivot = max(p | x, key=lambda u: len(p & neighbours[u]))
@@ -195,9 +195,7 @@ def maximal_cliques(neighbours: list, cap: int = CLIQUE_CAP) -> list:
     return cliques
 
 
-def _cliques_within(
-    space: FiniteMetricSpace, threshold: Scalar, strict: bool, cap: int
-) -> list:
+def _cliques_within(space: FiniteMetricSpace, threshold: Scalar, strict: bool) -> list:
     """Maximal cliques of the graph joining the points at distance below the
     threshold (at most it when not strict), sorted by their sorted tuples."""
     m, scale = space._int_form
@@ -209,7 +207,7 @@ def _cliques_within(
             if (d < p) if strict else (d <= p):
                 neighbours[i].add(j)
                 neighbours[j].add(i)
-    return sorted(maximal_cliques(neighbours, cap), key=sorted)
+    return sorted(maximal_cliques(neighbours), key=sorted)
 
 
 def _sets_within_members(cliques: list, cover: Cover) -> bool:
@@ -217,15 +215,13 @@ def _sets_within_members(cliques: list, cover: Cover) -> bool:
     return all(any(c <= t for t in targets) for c in cliques)
 
 
-def lebesgue_number(
-    space: FiniteMetricSpace, cover: Cover, cap: int = CLIQUE_CAP
-) -> LebesgueNumber:
+def lebesgue_number(space: FiniteMetricSpace, cover: Cover) -> LebesgueNumber:
     """Largest positive spectrum value L such that every set of diameter
     strictly below L lies in some member.
 
     Sets of diameter < L are exactly the cliques of the graph with edges
     d < L, so it suffices to test its maximal cliques (``maximal_cliques``,
-    at most ``cap`` per threshold).
+    at most ``CLIQUE_CAP`` per threshold).
     """
     if cover.ground != space.n:
         raise StructuralError("cover ground does not match the space")
@@ -233,7 +229,7 @@ def lebesgue_number(
         return LebesgueNumber(None, True)
     best: Optional[Scalar] = None
     for threshold in space.positive_spectrum():
-        cliques = _cliques_within(space, threshold, strict=True, cap=cap)
+        cliques = _cliques_within(space, threshold, strict=True)
         if _sets_within_members(cliques, cover):
             best = threshold
         else:
@@ -371,7 +367,7 @@ class AuMetrization:
     witnesses: tuple = ()
 
 
-def au_metrize(seq: FundamentalSequence, cap: int = CLIQUE_CAP) -> AuMetrization:
+def au_metrize(seq: FundamentalSequence) -> AuMetrization:
     """Metrize a fundamental sequence by chaining the level gauge.
 
     The gauge is f(x, y) = 2^-n with n the largest index such that x and y
@@ -380,8 +376,8 @@ def au_metrize(seq: FundamentalSequence, cap: int = CLIQUE_CAP) -> AuMetrization
     star-refinement axiom makes f at most 2d, so the metric determines the
     same uniformity as the covers; both inequalities are checked exactly.
     Sets of diameter at most 2^-(n+1) are checked through the maximal
-    cliques of the threshold graph (``maximal_cliques``, at most ``cap`` per
-    level), in the order of their sorted tuples.
+    cliques of the threshold graph (``maximal_cliques``, at most ``CLIQUE_CAP``
+    per level), in the order of their sorted tuples.
     """
     bad = validate_fundamental_sequence(seq)
     if bad is not None:
@@ -436,7 +432,7 @@ def au_metrize(seq: FundamentalSequence, cap: int = CLIQUE_CAP) -> AuMetrization
         if n - 1 < 1:
             continue
         threshold = pow2(-(half + 1))
-        cliques = _cliques_within(space, threshold, strict=False, cap=cap)
+        cliques = _cliques_within(space, threshold, strict=False)
         targets = seq.level(n - 1).member_sets()
         for clique in cliques:
             if not any(clique <= t for t in targets):

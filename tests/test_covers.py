@@ -23,6 +23,7 @@ from oracles import (
     gauge_from_covers,
     maximal_cliques_reference,
 )
+from unimet import covers
 from unimet.covers import (
     CLIQUE_CAP,
     Cover,
@@ -201,10 +202,13 @@ def test_maximal_cliques_count_on_moon_moser_graphs():
     assert all(sorted(v // 3 for v in c) == list(range(8)) for c in cliques)
 
 
-def test_clique_cap_stops_the_listing():
-    assert len(maximal_cliques(moon_moser_neighbours(2), cap=9)) == 9
-    with pytest.raises(PreconditionError, match="more than 8 maximal cliques"):
-        maximal_cliques(moon_moser_neighbours(2), cap=8)
+def test_clique_cap_stops_the_listing(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(covers, "CLIQUE_CAP", 9)
+        assert len(maximal_cliques(moon_moser_neighbours(2))) == 9
+        patched.setattr(covers, "CLIQUE_CAP", 8)
+        with pytest.raises(PreconditionError, match="more than 8 maximal cliques"):
+            maximal_cliques(moon_moser_neighbours(2))
     # 3^10 maximal cliques on 30 points, past the default cap
     triples = 10
     assert 3**triples > CLIQUE_CAP

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import tomllib
 from fractions import Fraction
 from math import lcm
 
@@ -246,5 +245,5 @@ def test_cli_import_loads_only_the_standard_library():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert out.stdout.strip() == "[]"
-    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), "rb") as handle:
-        assert tomllib.load(handle)["project"]["dependencies"] == []
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml")) as handle:
+        assert "dependencies = []" in handle.read().splitlines()
