@@ -8,6 +8,12 @@ The metrization routine turns a fundamental sequence of covers (each level a
 star-refinement of the one before) into an exact metric via shortest chains,
 with the classical two-sided comparison d <= f <= 2d checked entrywise.
 
+A cover indexes its points once, on first use: ``point_stars[x]`` is the
+union of the members that hold x, and the star of a subset is the union of
+its points' stars.  Ball containment numbers are reduced, for any cap, from
+one table of int distances to the members' complements
+(``complement_distances``), which a caller can build once and reuse.
+
 Sets of small diameter are tested through the maximal cliques of a
 threshold graph, listed by ``maximal_cliques``.  Their number can grow as
 3^(n/3), so each listing stops past ``CLIQUE_CAP`` cliques.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import PreconditionError, StructuralError
@@ -69,6 +76,20 @@ class Cover:
     def members_containing(self, point: int) -> list:
         return [k for k, m in enumerate(self.members) if point in m]
 
+    @cached_property
+    def point_stars(self) -> tuple:
+        """Per point x, st(x): the union of the members holding x, built
+        once and cached."""
+        stars = [set() for _ in range(self.ground)]
+        for member in self.members:
+            for x in member:
+                stars[x].update(member)
+        return tuple(map(frozenset, stars))
+
+    def star_of(self, subset: Iterable[int]) -> set:
+        """Union of the members meeting the subset, read off ``point_stars``."""
+        return set().union(*map(self.point_stars.__getitem__, subset))
+
 
 def refines(cover: Cover, target: Cover):
     """None if every member of cover sits inside some member of target,
@@ -81,22 +102,12 @@ def refines(cover: Cover, target: Cover):
     return None
 
 
-def star(cover: Cover, subset: Iterable[int]) -> tuple:
-    """Union of the members meeting the subset, as a sorted index tuple."""
-    s = set(subset)
-    out = set()
-    for member in cover.members:
-        if s & set(member):
-            out.update(member)
-    return tuple(sorted(out))
-
-
 def star_refines(cover: Cover, target: Cover):
     """None if the star of every member of cover lies in a member of target,
     else the index of the first member whose star does not."""
     targets = target.member_sets()
     for k, member in enumerate(cover.members):
-        st = set(star(cover, member))
+        st = cover.star_of(member)
         if not any(st <= t for t in targets):
             return k
     return None
@@ -106,8 +117,7 @@ def barycentric_refines(cover: Cover, target: Cover):
     """None if the star of every point lies in a member of target, else the
     first offending point."""
     targets = target.member_sets()
-    for x in range(cover.ground):
-        st = set(star(cover, (x,)))
+    for x, st in enumerate(cover.point_stars):
         if not any(st <= t for t in targets):
             return x
     return None
@@ -237,6 +247,49 @@ def lebesgue_number(space: FiniteMetricSpace, cover: Cover) -> LebesgueNumber:
     return LebesgueNumber(best, False)
 
 
+def complement_distances(space: FiniteMetricSpace, cover: Cover) -> list:
+    """Per member V, in cover order, the column of d(x, complement of V)
+    over the points x; None when V is the whole ground.
+
+    The columns are ints over the denominator ``L`` of the space's integer
+    form ``(M, L)``: the least entry of row x over the complement's points.
+    """
+    if cover.ground != space.n:
+        raise StructuralError("cover ground does not match the space")
+    m, _ = space._int_form
+    table = []
+    for member in cover.member_sets():
+        rest = [y for y in range(space.n) if y not in member]
+        table.append([min(map(row.__getitem__, rest)) for row in m] if rest else None)
+    return table
+
+
+def containment_from_distances(
+    space: FiniteMetricSpace,
+    table: list,
+    cap: Optional[ScalarLike] = None,
+) -> Optional[Scalar]:
+    """``ball_containment_number`` of the cover whose ``complement_distances``
+    are ``table``: the threshold the cover's table allows under ``cap``."""
+    m, scale = space._int_form
+    reach = None
+    if all(column is not None for column in table):
+        reach = min(map(max, zip(*table)))
+    capped = as_scalar(cap) if cap is not None else None
+    if capped is not None and (
+        reach is None or capped.numerator * scale <= reach * capped.denominator
+    ):
+        return capped
+    fits = [
+        v for i, row in enumerate(m) for v in row[i + 1:]
+        if v > 0 and (reach is None or v <= reach)
+    ]
+    if capped is not None:
+        limit = capped.numerator * scale
+        fits = [v for v in fits if v * capped.denominator <= limit]
+    return Fraction(max(fits), scale) if fits else None
+
+
 def ball_containment_number(
     space: FiniteMetricSpace,
     cover: Cover,
@@ -253,35 +306,12 @@ def ball_containment_number(
     distance from x to the complement of V, so a threshold works exactly
     when it is at most ``reach``, the least over x of the largest such
     distance over the members (unbounded when a member is the whole
-    ground).  Both are taken on the space's integer form ``(M, L)``; the
-    cap compares as ``p * L`` against ``reach * q`` for the cap p/q.
+    ground).  This builds the cover's ``complement_distances`` table and
+    reduces it with ``containment_from_distances``, both on the space's
+    integer form ``(M, L)``; the cap compares as ``p * L`` against
+    ``reach * q`` for the cap p/q.
     """
-    if cover.ground != space.n:
-        raise StructuralError("cover ground does not match the space")
-    m, scale = space._int_form
-    complements = [
-        [y for y in range(space.n) if y not in member]
-        for member in cover.member_sets()
-    ]
-    reach = None
-    if all(complements):
-        reach = min(
-            max(min(map(row.__getitem__, rest)) for rest in complements)
-            for row in m
-        )
-    capped = as_scalar(cap) if cap is not None else None
-    if capped is not None and (
-        reach is None or capped.numerator * scale <= reach * capped.denominator
-    ):
-        return capped
-    fits = [
-        v for i, row in enumerate(m) for v in row[i + 1:]
-        if v > 0 and (reach is None or v <= reach)
-    ]
-    if capped is not None:
-        limit = capped.numerator * scale
-        fits = [v for v in fits if v * capped.denominator <= limit]
-    return Fraction(max(fits), scale) if fits else None
+    return containment_from_distances(space, complement_distances(space, cover), cap)
 
 
 # ---- fundamental sequences and metrization ----
@@ -475,7 +505,9 @@ def point_finite_refinement(target: Cover, helper: Cover) -> RefinementResult:
     Requires the helper to star-refine the target (star of every helper
     member inside some target member).  Kernels W_n peel the helper-star of
     target member n off the earlier stars; the output members are the helper
-    stars of the surviving kernels.
+    stars of the surviving kernels.  Every star is a union of the helper's
+    ``point_stars``, and each target member's star is taken once, for its
+    kernel and again as the inner star of its double star.
     """
     if target.ground != helper.ground:
         raise StructuralError("covers must share the ground")
@@ -485,35 +517,33 @@ def point_finite_refinement(target: Cover, helper: Cover) -> RefinementResult:
             f"helper member {bad} has a star inside no target member"
         )
     ground = target.ground
+    # The helper star of each target member, each a union of point stars.
+    stars = [helper.star_of(member) for member in target.members]
     eaten: set = set()
     members = []
     origins = []
     core = []
-    for n, member in enumerate(target.members):
-        st_n = set(star(helper, member))
+    for n, st_n in enumerate(stars):
         kernel = st_n - eaten
         eaten |= st_n
         if not kernel:
             continue
-        v = star(helper, kernel)
-        members.append(v)
+        members.append(helper.star_of(kernel))
         origins.append(n)
         core.append(tuple(sorted(kernel)))
     result_cover = Cover(ground, tuple(members))
-    double_star_ok = True
-    for pos, v in enumerate(result_cover.members):
-        u = target.members[origins[pos]]
-        double = set(star(helper, star(helper, u)))
-        if not set(v) <= double:
-            double_star_ok = False
+    double_star_ok = all(
+        helper.star_of(stars[origins[pos]]).issuperset(v)
+        for pos, v in enumerate(result_cover.members)
+    )
     index_bound_ok = True
     target_sets = target.member_sets()
-    for x in range(ground):
-        hits = [origins[pos] for pos, v in enumerate(result_cover.members) if x in v]
+    result_sets = result_cover.member_sets()
+    for x, point_star in enumerate(helper.point_stars):
+        hits = [origins[pos] for pos, v in enumerate(result_sets) if x in v]
         if not hits:
             index_bound_ok = False
             continue
-        point_star = set(star(helper, (x,)))
         bounds = [j for j, u in enumerate(target_sets) if point_star <= u]
         if not bounds or max(hits) > min(bounds):
             index_bound_ok = False

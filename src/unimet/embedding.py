@@ -7,11 +7,17 @@ two points into one member, whose diameter is controlled, which is the
 quantitative separation certificate; injectivity follows once the scales
 outrun the smallest positive distance.
 
-The covers run on the space's integer form (see ``covers``).  The
-coordinates, image distances and every certificate run on ints over one
-denominator, ``lcm(L, 2^(depth+2))`` with ``L`` that of the integer form,
-so that each clamp 2^-n and radius 2^-(n+2) is an int too; Fractions are
-built only for the returned embedding.
+The covers run on the space's integer form (see ``covers``).  Each level's
+refined cover gives one table of distances to its members' complements;
+the level's clamp is reduced from that table and its coordinates are the
+table's columns, clamped.  From the depth where the radius drops below the
+smallest positive distance on, every level has the same target and helper
+covers, so consecutive levels with equal covers share one refinement and
+one table, and only the clamp is taken again for the level's own cap.
+The coordinates, image distances and every certificate run on ints over
+one denominator, ``lcm(L, 2^(depth+2))`` with ``L`` that of the integer
+form, so that each clamp 2^-n and radius 2^-(n+2) is an int too;
+Fractions are built only for the returned embedding.
 """
 from __future__ import annotations
 
@@ -23,8 +29,9 @@ from operator import sub
 from .covers import (
     Cover,
     RefinementResult,
-    ball_containment_number,
     ball_cover,
+    complement_distances,
+    containment_from_distances,
     point_finite_refinement,
 )
 from .errors import PreconditionError
@@ -119,12 +126,16 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     level n forces point distance <= 2^(1-n); injectivity is checked
     directly.
 
-    Everything after the covers runs on ints over ``big = lcm(L, 2^(depth+2))``,
-    ``L`` the denominator of the space's integer form, so every distance,
-    clamp, cap 2^-n and bound 2^(1-n) is an int over ``big``.  Each image is
-    a dense int vector whose tail is 0, so an image gap is the largest
-    coordinate difference.  Fractions are built only for the returned
-    clamps, images, rows and image space.
+    A level whose target and helper covers equal the previous level's
+    reuses that level's refinement and its table of distances to the
+    members' complements (``covers.complement_distances``); the clamp is
+    reduced from the table for each level's own cap 2^-n.  Everything after
+    the covers runs on ints over ``big = lcm(L, 2^(depth+2))``, ``L`` the
+    denominator of the space's integer form, so every distance, clamp, cap
+    2^-n and bound 2^(1-n) is an int over ``big``.  Each image is a dense
+    int vector whose tail is 0, so an image gap is the largest coordinate
+    difference.  Fractions are built only for the returned clamps, images,
+    rows and image space.
     """
     ensure_metric(space, "aharoni_embed")
     ensure_diameter_at_most(
@@ -134,19 +145,24 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
         raise PreconditionError("depth must be a positive integer")
 
     levels = []
+    tables = []
     offset = 0
+    previous = None
     for n in range(1, depth + 1):
         radius = pow2(-n - 2)
-        target = ball_cover(space, radius)
-        helper = ball_cover(space, radius / 5)
-        try:
-            refinement = point_finite_refinement(target, helper)
-        except PreconditionError as exc:
-            raise PreconditionError(f"refinement failed at level {n}: {exc}")
-        clamp = ball_containment_number(space, refinement.cover, cap=pow2(-n))
+        covers = (ball_cover(space, radius), ball_cover(space, radius / 5))
+        if covers != previous:
+            try:
+                refinement = point_finite_refinement(*covers)
+            except PreconditionError as exc:
+                raise PreconditionError(f"refinement failed at level {n}: {exc}")
+            table = complement_distances(space, refinement.cover)
+            previous = covers
+        clamp = containment_from_distances(space, table, cap=pow2(-n))
         if clamp is None or clamp <= 0:
             raise PreconditionError(f"no positive containment number at level {n}")
         levels.append(LevelData(n, refinement, clamp, offset))
+        tables.append(table)
         offset += len(refinement.cover.members)
 
     m, scale = space._int_form
@@ -157,15 +173,14 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     clamps = [data.clamp.numerator * (big // data.clamp.denominator) for data in levels]
     # One column of coordinates per member: min(d(x, complement), clamp).
     columns = []
-    for data, clamp in zip(levels, clamps):
-        for member in data.cover.member_sets():
-            rest = [c for c in everything if c not in member]
-            if not rest:
+    for table, clamp in zip(tables, clamps):
+        for column in table:
+            if column is None:
                 columns.append([0] * space.n)
                 continue
             columns.append([
                 value if value < clamp else clamp
-                for value in (min(map(row.__getitem__, rest)) for row in rows)
+                for value in (v * factor for v in column)
             ])
     vectors = list(zip(*columns))
     gaps = [[0] * space.n for _ in everything]

@@ -263,9 +263,12 @@ def ladder_from_json(obj) -> LadderData:
 
 
 def parse_document(text: str):
+    """The JSON tree of ``text``.  ``json.loads`` raises ``ValueError`` for
+    malformed text and for an integer literal longer than
+    ``sys.get_int_max_str_digits()``; both are input errors."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise StructuralError(f"invalid JSON: {exc}") from exc
 
 

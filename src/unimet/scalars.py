@@ -7,10 +7,15 @@ trigonometric functions make exactness impossible; the boundary is explicit.
 
 Wire format: a scalar serializes to the string ``"p/q"`` (or ``"p"`` for an
 integer value) and parses from that form, from a decimal string, or from a
-plain integer.
+plain integer.  A decimal exponent is refused before it is applied when the
+value could have more digits than ``sys.get_int_max_str_digits()``: such a
+value could not be printed, and building 10^k alone grows without bound
+in k.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -34,11 +39,35 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            _check_exponent(text)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse scalar from {value!r}") from exc
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact scalar")
+
+
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\Z"
+
+
+def _check_exponent(text: str) -> None:
+    """Raise ValueError when the decimal exponent of ``text`` would give a
+    numerator or denominator of more digits than ``int`` may print: the
+    mantissa's digit count plus the exponent's size bounds that count."""
+    found = re.search(_EXPONENT, text)
+    limit = sys.get_int_max_str_digits()
+    if found is None or not limit:
+        return
+    digits = sum(c.isdigit() for c in text[:found.start()])
+    exponent = found.group(1)
+    # int() itself refuses an exponent string longer than the limit.
+    if len(exponent) > limit or digits + abs(int(exponent)) > limit:
+        raise ValueError(
+            f"cannot parse scalar from {text!r}: its exponent gives a value "
+            f"of more than {limit} digits"
+        )
 
 
 def format_scalar(value: Fraction) -> str:

@@ -9,13 +9,15 @@ checked, and reported with witnesses.
 Each space also has an integer form, built once on first use and cached: the
 least common multiple ``L`` of its distances' denominators, and every
 distance times ``L`` as an ``int`` (see ``kernel``).  The axiom checker, the
-ball covers, the sequence-space embedding and the continuity moduli run on
-those ints, which order and add exactly as the Fractions do.  A construction
-that computed its result on ints builds it with ``from_int``, which seeds
-the cache with the same form, so the result is never converted back to
-ints.  The scan itself is cached per object too: a space is scanned at most
-once, however many layers check it, and ``reflagged`` carries the scan over
-to a copy that only changes the pseudo flag.
+diameter, the spectrum, the rescale, the ball covers, the sequence-space
+embedding and the continuity moduli run on those ints, which order, add and
+multiply exactly as the Fractions do; only their results become Fractions.
+A construction that computed its result on ints builds it with
+``from_int``, which seeds the cache with the same form, so the result is
+never converted back to ints.  The scan itself is cached per object too: a
+space is scanned at most once, however many layers check it, and
+``reflagged`` carries the scan over to a copy that only changes the pseudo
+flag.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -112,15 +114,17 @@ class FiniteMetricSpace:
             raise StructuralError(f"unknown point label {label!r}") from None
 
     def diameter(self) -> Scalar:
-        return max((v for row in self.dist for v in row), default=ZERO)
+        """Largest entry of the matrix, zero for the empty space."""
+        m, scale = self._int_form
+        return Fraction(max(map(max, m), default=0), scale)
 
     def spectrum(self) -> tuple:
-        """Sorted distinct distance values, zero included."""
-        values = {ZERO}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                values.add(self.dist[i][j])
-        return tuple(sorted(values))
+        """Sorted distinct distance values above the diagonal, zero included."""
+        m, scale = self._int_form
+        values = {0}
+        for i, row in enumerate(m):
+            values.update(row[i + 1:])
+        return tuple(Fraction(v, scale) for v in sorted(values))
 
     def positive_spectrum(self) -> tuple:
         return tuple(v for v in self.spectrum() if v > 0)
@@ -141,11 +145,17 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(pts, dist, self.pseudo)
 
     def scaled(self, factor: ScalarLike) -> "FiniteMetricSpace":
+        """Every distance times ``factor`` > 0, built from the integer form:
+        entry v/L times p/q is v*p over L*q."""
         f = as_scalar(factor)
         if f <= 0:
             raise PreconditionError("scale factor must be positive")
-        dist = tuple(tuple(f * v for v in row) for row in self.dist)
-        return FiniteMetricSpace(self.points, dist, self.pseudo)
+        m, scale = self._int_form
+        p = f.numerator
+        return FiniteMetricSpace.from_int(
+            self.points, [[v * p for v in row] for row in m],
+            scale * f.denominator, self.pseudo,
+        )
 
     def rescaled_to_diameter(self, target: ScalarLike = 1) -> "FiniteMetricSpace":
         """Explicit normalization helper: scale so the diameter equals target.

@@ -8,9 +8,12 @@ by a scan over every vertex subset, and cone and join metrics through
 product-then-quotient pipelines.  Everything operates on plain distance
 matrices (lists of Fraction rows) so the oracles never depend on the
 package's own data structures, with one exception: the sequence-space
-embedding, its ball covers and its continuity table are frozen copies of
-the package's Fraction code, which read a space and build the package's
-own result types, so that a result compares whole against its reference.
+embedding, its ball covers, its table of distances to the members'
+complements and its continuity table are frozen copies of the package's
+Fraction code, which read a space and build the package's own result
+types, so that a result compares whole against its reference; so are a
+space's diameter, spectrum and rescale, as they ran before the integer
+form.
 So are the pair scans of the inverse-sequence diagnostics and the
 separation and quotient-order tables: the loops over point pairs as they
 ran before those scans read one sorted sweep.
@@ -373,6 +376,32 @@ def weighted_sup_reference(level_dists, ta, tb):
     return best
 
 
+# ---- diameter, spectrum and rescale, as the Fraction code ran them ----
+
+
+def diameter_reference(space):
+    """Largest entry of the matrix, over Fractions; zero when empty."""
+    return max((v for row in space.dist for v in row), default=ZERO)
+
+
+def spectrum_reference(space):
+    """Sorted distinct Fractions above the diagonal, zero included."""
+    values = {ZERO}
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            values.add(space.dist[i][j])
+    return tuple(sorted(values))
+
+
+def scaled_reference(space, factor):
+    """Every distance times the factor, one Fraction product per entry."""
+    f = as_scalar(factor)
+    if f <= 0:
+        raise PreconditionError("scale factor must be positive")
+    dist = tuple(tuple(f * v for v in row) for row in space.dist)
+    return FiniteMetricSpace(space.points, dist, space.pseudo)
+
+
 # ---- sequence-space embedding, as the Fraction code ran it ----
 
 
@@ -385,6 +414,20 @@ def ball_cover_reference(space, radius):
     for x in range(space.n):
         members.append(tuple(y for y in range(space.n) if space.d(x, y) <= r))
     return Cover(space.n, tuple(members))
+
+
+def complement_distances_reference(space, cover):
+    """Per member, d(x, complement of the member) over the points x, as
+    Fractions; None for a member that is the whole ground."""
+    everything = set(range(space.n))
+    table = []
+    for member in cover.members:
+        complement = everything - set(member)
+        table.append(
+            [min(space.d(x, c) for c in complement) for x in range(space.n)]
+            if complement else None
+        )
+    return table
 
 
 def ball_containment_number_reference(space, cover, cap=None):

@@ -3,8 +3,13 @@
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 import unimet.cli
 import unimet.cones
@@ -17,7 +22,7 @@ from helpers import (
     space,
     window_chain,
 )
-from unimet.cli import main
+from unimet.cli import INVLIM_MODES, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.invlim import telescope_metric
 from unimet.jsonio import (
@@ -30,19 +35,35 @@ from unimet.reporting import canonical_bytes
 S3 = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
 S2 = space("pq", {(0, 1): "1/2"})
 TOWER = retraction_tower(4)
+# A JSON integer literal of 5,001 digits: past int's default limit of
+# 4,300 digits for conversion from text, so json.loads refuses it.
+BIG_INT = "1" + "0" * 5000
+BIG_INT_MARK = "@big-int@"
+# A decimal exponent whose value would have 5,001 digits.
+BIG_EXPONENT = "1e5000"
+SCHEMA = json.loads(
+    (Path(__file__).parents[1] / "docs" / "report-schema.json").read_text()
+)
+REPORTS = Draft202012Validator(SCHEMA)
 
 
 def run(argv):
+    """Exit code, stdout and stderr of one in-process run; a report on
+    stdout must match the report schema."""
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
+    if out.getvalue():
+        REPORTS.validate(json.loads(out.getvalue()))
     return code, out.getvalue(), err.getvalue()
 
 
 def write(directory, name, tree):
-    path = directory / name
-    path.write_text(json.dumps(tree))
+    """Write ``tree`` as JSON, with each ``BIG_INT_MARK`` string replaced by
+    the bare ``BIG_INT`` literal, which ``json.dumps`` cannot print."""
+    path = Path(directory) / name
+    path.write_text(json.dumps(tree).replace(f'"{BIG_INT_MARK}"', BIG_INT))
     return path
 
 
@@ -389,5 +410,105 @@ def test_out_writes_the_bytes_stdout_would_carry(tmp_path, s3):
     data = target.read_bytes()
     assert data == printed.encode("ascii")
     report = json.loads(data)
+    REPORTS.validate(report)
     assert report["exit_status"] == 0
     assert data == canonical_bytes(report)
+
+
+# ---- the report schema ----
+
+
+def test_report_schema_ties_the_exit_status_to_failing_rows(s3):
+    Draft202012Validator.check_schema(SCHEMA)
+    code, out, err = run(["check", s3])
+    report = json.loads(out)
+    assert code == 0 and REPORTS.is_valid(report)
+    report["results"][0]["status"] = "fail"
+    assert not REPORTS.is_valid(report)
+    report["exit_status"] = 1
+    assert REPORTS.is_valid(report)
+    report["results"][0]["status"] = "skipped"
+    assert not REPORTS.is_valid(report)
+
+
+# ---- malformed and oversized input ----
+
+
+@pytest.mark.parametrize("value", [BIG_INT_MARK, BIG_EXPONENT], ids=["literal", "exponent"])
+@pytest.mark.parametrize("command", [["check"], ["embed"], ["build", "cone"]], ids="-".join)
+def test_oversized_numbers_exit_2(tmp_path, command, value):
+    doc = space_to_json(S3)
+    doc["dist"][0][1] = doc["dist"][1][0] = value
+    code, out, err = run([*command, write(tmp_path, "big.json", doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+TRUNCATION = truncation_to_json(TOWER)
+# Each input kind: a valid document, the commands that read it, and the
+# places to break it.  A place is a key path and the kind of value it holds:
+# "tree" (an array or object), "index" (a point index) or "scalar".
+SPACE_PLACES = [
+    (("points",), "tree"),
+    (("dist",), "tree"),
+    (("dist", 1), "tree"),
+    (("dist", 0, 1), "scalar"),
+]
+TRUNCATION_PLACES = [
+    (("levels",), "tree"),
+    (("bonds",), "tree"),
+    (("levels", 1), "tree"),
+    (("levels", 1, "points"), "tree"),
+    (("levels", 1, "dist", 0, 1), "scalar"),
+    (("bonds", 0), "tree"),
+    (("bonds", 0, "pairs", 0, 1), "index"),
+]
+FUZZ_INPUTS = [
+    (space_to_json(S3), [["check"], ["embed"], ["embed", "--rescale"], ["build", "cone"]],
+     SPACE_PLACES),
+    (fundamental_sequence_to_json(ball_fundamental_sequence(S3, 3)), [["metrize"]], [
+        (("covers",), "tree"),
+        (("covers", 1, "sets"), "tree"),
+        (("covers", 1, "sets", 0), "tree"),
+        (("covers", 1, "sets", 0, 0), "index"),
+    ]),
+    (TRUNCATION, [["invlim", mode] for mode in INVLIM_MODES if mode != "perturb"]
+     + [["build", "telescope"]], TRUNCATION_PLACES),
+    (dict(TRUNCATION, cross=[list(range(level.n)) for level in TOWER.levels]),
+     [["invlim", "perturb"]], TRUNCATION_PLACES + [
+        (("cross",), "tree"),
+        (("cross", 1), "tree"),
+        (("cross", 1, 0), "index"),
+    ]),
+]
+WRONG_TYPES = [None, True, 0.5, "x", {}, [None], [[0.5]], {"pairs": 3}]
+BAD_VALUES = {
+    "tree": WRONG_TYPES + [[]],
+    "index": WRONG_TYPES + [-1, 99],
+    "scalar": WRONG_TYPES + ["1/0", BIG_EXPONENT, BIG_INT_MARK],
+}
+
+
+@st.composite
+def malformed_runs(draw):
+    """A command and its input document with one value replaced by a value
+    of the wrong JSON type, an out-of-range index or an oversized scalar."""
+    doc, commands, places = draw(st.sampled_from(FUZZ_INPUTS))
+    command = draw(st.sampled_from(commands))
+    path, kind = draw(st.sampled_from(places))
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(st.sampled_from(BAD_VALUES[kind]))
+    return command, doc
+
+
+@settings(max_examples=150)
+@given(malformed_runs())
+def test_malformed_input_never_prints_a_traceback(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err = run([*command, write(directory, "bad.json", doc)])
+    assert code in (1, 2), (command, doc, out)
+    assert "Traceback" not in err

@@ -20,6 +20,7 @@ from helpers import (
 from oracles import (
     ball_containment_number_reference,
     ball_cover_reference,
+    complement_distances_reference,
     gauge_from_covers,
     maximal_cliques_reference,
 )
@@ -33,12 +34,12 @@ from unimet.covers import (
     ball_cover,
     ball_fundamental_sequence,
     barycentric_refines,
+    complement_distances,
     lebesgue_number,
     maximal_cliques,
     meet,
     point_finite_refinement,
     refines,
-    star,
     star_refines,
     validate_fundamental_sequence,
 )
@@ -85,9 +86,11 @@ def test_refines_reports_first_bad_member():
 
 def test_star_is_union_of_meeting_members():
     cover = Cover(4, ((0, 1), (1, 2), (3,)))
-    assert star(cover, (0,)) == (0, 1)
-    assert star(cover, (1,)) == (0, 1, 2)
-    assert star(cover, (0, 3)) == (0, 1, 3)
+    assert cover.point_stars == ({0, 1}, {0, 1, 2}, {1, 2}, {3})
+    assert cover.star_of((0,)) == {0, 1}
+    assert cover.star_of((1,)) == {0, 1, 2}
+    assert cover.star_of((0, 3)) == {0, 1, 3}
+    assert cover.star_of(()) == set()
 
 
 def test_star_refinement_implies_weaker_relations():
@@ -266,8 +269,9 @@ def _outcome(function, *args):
 
 
 def test_ball_covers_match_the_fraction_reference():
-    """Ball covers at radii r and r/5, and containment numbers under caps,
-    with denominators dyadic and coprime to the spaces' (37, 41, 43)."""
+    """Ball covers at radii r and r/5, tables of distances to the members'
+    complements, and containment numbers under caps, with denominators
+    dyadic and coprime to the spaces' (37, 41, 43)."""
     rng = random.Random(739)
     spaces = [wide_space(rng, rng.randint(2, 7)) for _ in range(8)]
     spaces += [random_space(rng, rng.randint(2, 7)) for _ in range(4)]
@@ -285,7 +289,13 @@ def test_ball_covers_match_the_fraction_reference():
                 assert got == _outcome(ball_cover_reference, sp, radius)
                 if isinstance(got, Cover):
                     covers.append(got)
+        _, scale = sp._int_form
         for cover in covers:
+            table = [
+                None if column is None else [Fraction(v, scale) for v in column]
+                for column in complement_distances(sp, cover)
+            ]
+            assert table == complement_distances_reference(sp, cover)
             for cap in caps:
                 got = ball_containment_number(sp, cover, cap)
                 assert got == ball_containment_number_reference(sp, cover, cap)
@@ -403,7 +413,7 @@ def test_point_finite_refinement_invariants():
                 for pos, v in enumerate(result.cover.members)
                 if x in v
             ]
-            point_star = set(star(helper, (x,)))
+            point_star = set().union(*(u for u in helper.members if x in u))
             bounds = [j for j, u in enumerate(target_sets) if point_star <= u]
             assert hits and bounds
             assert max(hits) <= min(bounds)

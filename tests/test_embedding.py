@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import interval_points, metric_spaces, random_space, wide_space
 from oracles import aharoni_embed_reference
+from unimet import embedding
+from unimet.covers import ball_cover
 from unimet.embedding import aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError
 from unimet.scalars import pow2
@@ -133,6 +135,33 @@ def test_embedding_matches_the_fraction_reference():
         assert got == want
         cases += 1
     assert cases > 50
+
+
+def test_levels_with_equal_covers_share_one_refinement(monkeypatch):
+    """From level depth - 3 on, the radius 2^-(n+2) is below the smallest
+    positive distance, so target and helper are both the singleton cover:
+    those levels share one refinement, and each still clamps at its own
+    cap 2^-n."""
+    sp = wide_space(random.Random(757), 12).rescaled_to_diameter(1)
+    depth = sufficient_depth(sp)
+    pairs = []
+    for n in range(1, depth + 1):
+        radius = pow2(-n - 2)
+        pair = (ball_cover(sp, radius), ball_cover(sp, radius / 5))
+        if pair not in pairs:
+            pairs.append(pair)
+    refined = []
+    real = embedding.point_finite_refinement
+
+    def counted(target, helper):
+        refined.append((target, helper))
+        return real(target, helper)
+
+    monkeypatch.setattr(embedding, "point_finite_refinement", counted)
+    got = aharoni_embed(sp, depth)
+    assert (depth, len(pairs)) == (5, 2)
+    assert refined == pairs
+    assert got == aharoni_embed_reference(sp, depth)
 
 
 # ---- properties on generated spaces ----

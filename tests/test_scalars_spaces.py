@@ -4,9 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import interval_points, metric_closure, random_matrix, random_space, space
+from helpers import (
+    PRIMES_7_TO_31,
+    interval_points,
+    metric_closure,
+    random_matrix,
+    random_space,
+    space,
+)
+from oracles import diameter_reference, scaled_reference, spectrum_reference
 from unimet.errors import PreconditionError, StructuralError
+from unimet.kernel import to_int_matrix
 from unimet import spaces
 from unimet.scalars import ONE, ZERO, as_scalar, format_scalar, pow2
 from unimet.spaces import (
@@ -29,6 +40,8 @@ def test_as_scalar_accepts_exact_forms():
     assert as_scalar("0.25") == Fraction(1, 4)
     assert as_scalar("-7/2") == Fraction(-7, 2)
     assert as_scalar(Fraction(2, 3)) == Fraction(2, 3)
+    assert as_scalar(" -2.5e-3 ") == Fraction(-1, 400)
+    assert as_scalar("1e4299") == 10**4299
 
 
 def test_as_scalar_rejects_floats_bools_and_garbage():
@@ -40,6 +53,10 @@ def test_as_scalar_rejects_floats_bools_and_garbage():
         as_scalar("abc")
     with pytest.raises(ValueError):
         as_scalar("1/0")
+    # 10^4300 has 4,301 digits, past int's default limit of 4,300
+    for oversized in ("1e4300", "1e-4300", "1.5e4299"):
+        with pytest.raises(ValueError, match="exponent"):
+            as_scalar(oversized)
 
 
 def test_format_scalar_round_trips():
@@ -91,6 +108,55 @@ def test_scaling_helpers():
     # zero-diameter spaces come back unchanged
     z = FiniteMetricSpace(("p",), ((ZERO,),))
     assert z.rescaled_to_diameter() is z
+
+
+@st.composite
+def defective_spaces(draw):
+    """Spaces of 0..6 points over denominators drawn from the primes 7..31:
+    a symmetric matrix with zero diagonal, then up to four entries
+    overwritten one at a time, which makes negative entries, nonzero
+    diagonals and asymmetric pairs."""
+    n = draw(st.integers(0, 6))
+    primes = st.sampled_from(PRIMES_7_TO_31)
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = draw(primes)
+            rows[i][j] = rows[j][i] = Fraction(draw(st.integers(0, 2 * q)), q)
+    if n:
+        index = st.integers(0, n - 1)
+        for _ in range(draw(st.integers(0, 4))):
+            value = Fraction(draw(st.integers(-30, 30)), draw(primes))
+            rows[draw(index)][draw(index)] = value
+    return FiniteMetricSpace(tuple(range(n)), tuple(map(tuple, rows)), draw(st.booleans()))
+
+
+DIAGONAL = FiniteMetricSpace((0, 1), ((Fraction(3, 7), ONE), (ONE, ZERO)))
+
+
+@given(defective_spaces(), st.fractions(-2, 5, max_denominator=31))
+@example(FiniteMetricSpace((), ()), Fraction(1, 3))
+@example(FiniteMetricSpace(("p",), ((Fraction(-2, 7),),)), Fraction(3))
+@example(DIAGONAL, Fraction(5, 11))
+def test_integer_form_matches_the_fraction_code(sp, factor):
+    """Diameter, spectrum, rescale and scale on the integer form equal the
+    Fraction loops on any matrix, and the rescaled space carries its form."""
+    assert sp.diameter() == diameter_reference(sp)
+    assert sp.spectrum() == spectrum_reference(sp)
+    if factor <= 0:
+        with pytest.raises(PreconditionError):
+            sp.scaled(factor)
+        with pytest.raises(PreconditionError):
+            scaled_reference(sp, factor)
+    else:
+        got = sp.scaled(factor)
+        assert got == scaled_reference(sp, factor)
+        assert got.__dict__["_int_form"] == to_int_matrix(got.dist)
+    diam = diameter_reference(sp)
+    if diam > 0:
+        rescaled = sp.rescaled_to_diameter(1)
+        assert rescaled == scaled_reference(sp, 1 / diam)
+        assert rescaled.__dict__["_int_form"] == to_int_matrix(rescaled.dist)
 
 
 # ---- axiom checker ----
