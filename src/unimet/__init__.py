@@ -9,214 +9,87 @@ truncations with convergence, separation, and perturbation analysis.
 
 All arithmetic is exact (fractions); floats appear only in the Euclidean
 cone comparison, which is explicitly tolerance-based.
+
+``import unimet`` loads no submodule.  Each public name below loads its
+module on first use (``unimet.cone_metric``, ``from unimet import
+cone_metric``, ``from unimet import *``), so a program pays only for the
+constructions it runs.
 """
 
-from .combinators import (
-    disjoint_union_metric,
-    hausdorff_distance,
-    hausdorff_hyperspace,
-    kuratowski_embed,
-    mcshane_extend,
-    product_metric,
-    weighted_sup_metric,
-)
-from .cones import (
-    ConeSpace,
-    JoinAmalgamReport,
-    JoinSpace,
-    cone_metric,
-    cone_quotient_check,
-    interval_space,
-    join_amalgam_equality,
-    join_metric,
-)
-from .conemodels import (
-    ConeComparisonReport,
-    NormedPointSet,
-    cone_comparison_bounds,
-    euclidean_cone_metric,
-    rectilinear_cone,
-)
-from .covers import (
-    AuMetrization,
-    Cover,
-    FundamentalSequence,
-    LebesgueNumber,
-    RefinementResult,
-    au_metrize,
-    ball_cover,
-    ball_fundamental_sequence,
-    lebesgue_number,
-    point_finite_refinement,
-    validate_fundamental_sequence,
-)
-from .cubohedra import (
-    Cube,
-    Cubohedron,
-    RetractionReport,
-    distance_to_complex,
-    lattice_homotopy,
-    minimal_enclosing_subcomplex,
-    neighborhood_retract_check,
-    subcomplex_membership,
-)
-from .cylinders import (
-    CylinderSpace,
-    adjusted_metric,
-    cylinder_adjunction_check,
-    mapping_cylinder_metric,
-    uniform_modulus,
-)
-from .embedding import (
-    AharoniEmbedding,
-    EmbeddingCertificate,
-    aharoni_embed,
-    sufficient_depth,
-)
-from .errors import PreconditionError, StructuralError
-from .gluing import AdjunctionResult, adjunction_space, extend_metric
-from .invlim import (
-    CauchyAnchorVerdict,
-    InverseSequenceTruncation,
-    LadderData,
-    MittagLefflerReport,
-    PerturbationReport,
-    SeparationIndexResult,
-    Telescope,
-    Thread,
-    ThreadSpace,
-    cauchy_report,
-    cauchy_row,
-    convergence_report,
-    convergence_row,
-    inverse_sequence,
-    ladder,
-    level_anchor_verdict,
-    level_shadow_reached,
-    mittag_leffler_report,
-    perturbation_limit,
-    separation_index,
-    telescope_metric,
-    thread_space,
-    threads,
-)
-from .moduli import ModulusTable, check_uniform_continuity, continuity_modulus
-from .quotients import (
-    ChainMetric,
-    QuotientResult,
-    Surjection,
-    amalgamated_union,
-    block_distance,
-    chain_metric,
-    glue_parts,
-    quotient_by_discrete_family,
-)
-from .scalars import Scalar, as_scalar, format_scalar, pow2
-from .sequences import SequencePoint
-from .spaces import (
-    AxiomReport,
-    FiniteMetricSpace,
-    check_metric_axioms,
-    ensure_diameter_at_most,
-    ensure_metric,
-)
+import importlib
 
-__all__ = [
-    "AdjunctionResult",
-    "AharoniEmbedding",
-    "AuMetrization",
-    "AxiomReport",
-    "CauchyAnchorVerdict",
-    "ChainMetric",
-    "ConeComparisonReport",
-    "ConeSpace",
-    "Cover",
-    "Cube",
-    "Cubohedron",
-    "CylinderSpace",
-    "EmbeddingCertificate",
-    "FiniteMetricSpace",
-    "FundamentalSequence",
-    "InverseSequenceTruncation",
-    "JoinAmalgamReport",
-    "JoinSpace",
-    "LadderData",
-    "LebesgueNumber",
-    "MittagLefflerReport",
-    "ModulusTable",
-    "NormedPointSet",
-    "PerturbationReport",
-    "PreconditionError",
-    "QuotientResult",
-    "RefinementResult",
-    "RetractionReport",
-    "Scalar",
-    "SeparationIndexResult",
-    "SequencePoint",
-    "StructuralError",
-    "Surjection",
-    "Telescope",
-    "Thread",
-    "ThreadSpace",
-    "adjunction_space",
-    "adjusted_metric",
-    "aharoni_embed",
-    "amalgamated_union",
-    "as_scalar",
-    "au_metrize",
-    "ball_cover",
-    "ball_fundamental_sequence",
-    "block_distance",
-    "cauchy_report",
-    "cauchy_row",
-    "chain_metric",
-    "check_metric_axioms",
-    "check_uniform_continuity",
-    "cone_comparison_bounds",
-    "cone_metric",
-    "cone_quotient_check",
-    "continuity_modulus",
-    "convergence_report",
-    "convergence_row",
-    "cylinder_adjunction_check",
-    "disjoint_union_metric",
-    "distance_to_complex",
-    "ensure_diameter_at_most",
-    "ensure_metric",
-    "euclidean_cone_metric",
-    "extend_metric",
-    "format_scalar",
-    "glue_parts",
-    "hausdorff_distance",
-    "hausdorff_hyperspace",
-    "interval_space",
-    "inverse_sequence",
-    "kuratowski_embed",
-    "join_amalgam_equality",
-    "join_metric",
-    "ladder",
-    "lattice_homotopy",
-    "lebesgue_number",
-    "level_anchor_verdict",
-    "level_shadow_reached",
-    "mapping_cylinder_metric",
-    "mcshane_extend",
-    "minimal_enclosing_subcomplex",
-    "mittag_leffler_report",
-    "neighborhood_retract_check",
-    "perturbation_limit",
-    "point_finite_refinement",
-    "pow2",
-    "product_metric",
-    "quotient_by_discrete_family",
-    "rectilinear_cone",
-    "separation_index",
-    "subcomplex_membership",
-    "sufficient_depth",
-    "telescope_metric",
-    "thread_space",
-    "threads",
-    "uniform_modulus",
-    "validate_fundamental_sequence",
-    "weighted_sup_metric",
-]
+# Defining module -> the public names it exports through the package.
+_EXPORTS = {
+    "combinators": (
+        "disjoint_union_metric", "hausdorff_distance", "hausdorff_hyperspace",
+        "kuratowski_embed", "mcshane_extend", "product_metric",
+        "weighted_sup_metric",
+    ),
+    "cones": (
+        "ConeSpace", "JoinAmalgamReport", "JoinSpace", "cone_metric",
+        "cone_quotient_check", "interval_space", "join_amalgam_equality",
+        "join_metric",
+    ),
+    "conemodels": (
+        "ConeComparisonReport", "NormedPointSet", "cone_comparison_bounds",
+        "euclidean_cone_metric", "rectilinear_cone",
+    ),
+    "covers": (
+        "AuMetrization", "Cover", "FundamentalSequence", "LebesgueNumber",
+        "RefinementResult", "au_metrize", "ball_cover",
+        "ball_fundamental_sequence", "lebesgue_number",
+        "point_finite_refinement", "validate_fundamental_sequence",
+    ),
+    "cubohedra": (
+        "Cube", "Cubohedron", "RetractionReport", "distance_to_complex",
+        "lattice_homotopy", "minimal_enclosing_subcomplex",
+        "neighborhood_retract_check", "subcomplex_membership",
+    ),
+    "cylinders": (
+        "CylinderSpace", "adjusted_metric", "cylinder_adjunction_check",
+        "mapping_cylinder_metric", "uniform_modulus",
+    ),
+    "embedding": (
+        "AharoniEmbedding", "EmbeddingCertificate", "aharoni_embed",
+        "sufficient_depth",
+    ),
+    "errors": ("PreconditionError", "StructuralError"),
+    "gluing": ("AdjunctionResult", "adjunction_space", "extend_metric"),
+    "invlim": (
+        "CauchyAnchorVerdict", "InverseSequenceTruncation", "LadderData",
+        "MittagLefflerReport", "PerturbationReport", "SeparationIndexResult",
+        "Telescope", "Thread", "ThreadSpace", "cauchy_report", "cauchy_row",
+        "convergence_report", "convergence_row", "inverse_sequence", "ladder",
+        "level_anchor_verdict", "level_shadow_reached", "mittag_leffler_report",
+        "perturbation_limit", "separation_index", "telescope_metric",
+        "thread_space", "threads",
+    ),
+    "moduli": ("ModulusTable", "check_uniform_continuity", "continuity_modulus"),
+    "quotients": (
+        "ChainMetric", "QuotientResult", "Surjection", "amalgamated_union",
+        "block_distance", "chain_metric", "glue_parts",
+        "quotient_by_discrete_family",
+    ),
+    "scalars": ("Scalar", "as_scalar", "format_scalar", "pow2"),
+    "sequences": ("SequencePoint",),
+    "spaces": (
+        "AxiomReport", "FiniteMetricSpace", "check_metric_axioms",
+        "ensure_diameter_at_most", "ensure_metric",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

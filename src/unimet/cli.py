@@ -7,6 +7,10 @@ Five subcommands cover the library surface: ``check`` audits metric axioms,
 analyzes inverse-sequence truncations.  Every run emits one canonical JSON
 report (schema in docs/report-schema.json) to stdout or to --out.
 
+Each command imports only what it runs: the construction modules are
+imported inside the handlers that call them, so ``check`` never loads
+them and each fresh process pays only for its own command.
+
 Exit codes: 0 when every check passes, 1 for mathematical failures
 (violated preconditions or failing check rows), 2 for input errors
 (unreadable files, malformed JSON, unknown commands).
@@ -19,29 +23,7 @@ import os
 import sys
 from typing import Optional
 
-from .cones import (
-    cone_metric,
-    cone_quotient_check,
-    join_amalgam_equality,
-    join_metric,
-)
-from .covers import au_metrize, validate_fundamental_sequence
-from .cylinders import cylinder_adjunction_check, mapping_cylinder_metric
-from .embedding import aharoni_embed, sufficient_depth
 from .errors import PreconditionError, StructuralError
-from .gluing import adjunction_space
-from .invlim import (
-    cauchy_report,
-    convergence_report,
-    level_anchor_verdict,
-    level_shadow_reached,
-    mittag_leffler_report,
-    perturbation_limit,
-    separation_index,
-    telescope_metric,
-    thread_space,
-    threads,
-)
 from .jsonio import (
     fundamental_sequence_from_json,
     label_to_json,
@@ -56,7 +38,6 @@ from .jsonio import (
     surjection_from_json,
     truncation_from_json,
 )
-from .quotients import amalgamated_union, quotient_by_discrete_family
 from .reporting import ReportBuilder, canonical_bytes, digest_inputs
 from .scalars import ONE, ZERO, Scalar, as_scalar
 from .spaces import FiniteMetricSpace, check_metric_axioms, largest_gap
@@ -278,6 +259,8 @@ def _cmd_check(args: argparse.Namespace) -> ReportBuilder:
 
 
 def _build_cone(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .cones import cone_metric, cone_quotient_check
+
     base = space_from_json(doc)
     grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
     cone = cone_metric(base, grid)
@@ -298,6 +281,8 @@ def _build_cone(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
 
 
 def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .cones import join_amalgam_equality, join_metric
+
     left = space_from_json(_section(doc, "left", "join"))
     right = space_from_json(_section(doc, "right", "join"))
     grid = _parse_grid(args.grid or DEFAULT_JOIN_GRID, -ONE, ONE, (-ONE, ONE))
@@ -330,6 +315,8 @@ def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
 
 
 def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .cylinders import cylinder_adjunction_check, mapping_cylinder_metric
+
     source = space_from_json(_section(doc, "source", "cylinder"))
     target = space_from_json(_section(doc, "target", "cylinder"))
     mapping = mapping_from_json(_section(doc, "mapping", "cylinder"))
@@ -357,6 +344,8 @@ def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> No
 
 
 def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .gluing import adjunction_space
+
     space = space_from_json(_section(doc, "space", "adjunction"))
     subset = subset_from_json(_section(doc, "subset", "adjunction"))
     target = space_from_json(_section(doc, "target", "adjunction"))
@@ -376,6 +365,8 @@ def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> 
 
 
 def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .quotients import amalgamated_union
+
     left = space_from_json(_section(doc, "left", "amalgam"))
     right = space_from_json(_section(doc, "right", "amalgam"))
     gluing = mapping_from_json(_section(doc, "gluing", "amalgam"))
@@ -385,6 +376,8 @@ def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> Non
 
 
 def _build_quotient(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .quotients import quotient_by_discrete_family
+
     space = space_from_json(_section(doc, "space", "quotient"))
     if isinstance(doc, dict) and "family" in doc:
         raw = doc["family"]
@@ -403,6 +396,8 @@ def _build_quotient(args: argparse.Namespace, doc, builder: ReportBuilder) -> No
 
 
 def _build_telescope(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+    from .invlim import telescope_metric
+
     truncation = truncation_from_json(doc)
     stop = truncation.top if args.depth is None else args.depth
     if not 0 <= stop <= truncation.top:
@@ -438,6 +433,8 @@ def _cmd_build(args: argparse.Namespace) -> ReportBuilder:
 
 
 def _cmd_metrize(args: argparse.Namespace) -> ReportBuilder:
+    from .covers import au_metrize, validate_fundamental_sequence
+
     seq = fundamental_sequence_from_json(load_document(args.path))
     builder = _builder(args)
     witness = validate_fundamental_sequence(seq)
@@ -475,6 +472,8 @@ def _cmd_metrize(args: argparse.Namespace) -> ReportBuilder:
 
 
 def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
+    from .embedding import aharoni_embed, sufficient_depth
+
     space = space_from_json(load_document(args.path))
     builder = _builder(args)
     if args.rescale:
@@ -521,6 +520,8 @@ def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
 
 
 def _invlim_threads(truncation, builder: ReportBuilder) -> None:
+    from .invlim import threads
+
     found = threads(truncation)
     builder.check(
         "one thread per top-level point",
@@ -538,6 +539,8 @@ def _invlim_threads(truncation, builder: ReportBuilder) -> None:
 
 
 def _invlim_ml(truncation, builder: ReportBuilder) -> None:
+    from .invlim import mittag_leffler_report
+
     report = mittag_leffler_report(truncation)
     for row in report.rows:
         builder.check(
@@ -565,6 +568,8 @@ def _neighborhood_rows(builder: ReportBuilder, report, level: int, label: str) -
 
 
 def _invlim_converge(truncation, builder: ReportBuilder) -> None:
+    from .invlim import convergence_report, level_shadow_reached
+
     report = convergence_report(truncation)
     for level in range(truncation.top + 1):
         builder.check(
@@ -575,6 +580,8 @@ def _invlim_converge(truncation, builder: ReportBuilder) -> None:
 
 
 def _invlim_cauchy(truncation, builder: ReportBuilder) -> None:
+    from .invlim import cauchy_report, level_anchor_verdict
+
     report = cauchy_report(truncation)
     for level in range(truncation.top + 1):
         verdict = level_anchor_verdict(truncation, level)
@@ -599,6 +606,8 @@ def _invlim_cauchy(truncation, builder: ReportBuilder) -> None:
 
 
 def _invlim_separate(truncation, builder: ReportBuilder) -> None:
+    from .invlim import separation_index, thread_space
+
     ts = thread_space(truncation)
     builder.info(
         "thread space",
@@ -618,6 +627,8 @@ def _invlim_separate(truncation, builder: ReportBuilder) -> None:
 
 
 def _invlim_perturb(doc, builder: ReportBuilder) -> None:
+    from .invlim import perturbation_limit
+
     data = ladder_from_json(doc)
     report = perturbation_limit(data)
     for row in report.square_rows:
@@ -719,14 +730,14 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         builder = _COMMANDS[args.command](args)
+        status = 0 if builder.all_passed else 1
+        data = canonical_bytes(builder.finish(status))
     except StructuralError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
-    status = 0 if builder.all_passed else 1
-    data = canonical_bytes(builder.finish(status))
     if args.out:
         try:
             with open(args.out, "wb") as handle:

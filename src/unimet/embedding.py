@@ -40,6 +40,13 @@ from .scalars import ONE, Scalar, pow2
 from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
 
+# Deepest embedding built.  Each level adds a refinement and a block of
+# coordinates, so the time grows with the depth: at depth 256 on Python
+# 3.11, ``aharoni_embed`` takes 0.02 s on 3 points and about 1 s on 40.
+# The depth that separates the points is about log2 of the spread
+# diameter / smallest distance, so the cap admits spreads up to 2^255.
+DEPTH_CAP = 256
+
 
 @dataclass(frozen=True)
 class LevelData:
@@ -103,13 +110,18 @@ def sufficient_depth(space: FiniteMetricSpace) -> int:
     """Smallest depth whose deepest separation bound certifies injectivity.
 
     The level-n bound is 2^(1-n); once it drops below the smallest positive
-    distance, separated images force equal points.
+    distance, separated images force equal points.  A space that needs a
+    depth above ``DEPTH_CAP`` is refused.
     """
     floor = space.min_positive_distance()
     if floor is None:
         return 1
     n = 1
     while pow2(1 - n) >= floor:
+        if n == DEPTH_CAP:
+            raise PreconditionError(
+                f"separating the points needs a depth above DEPTH_CAP = {DEPTH_CAP}"
+            )
         n += 1
     return n
 
@@ -143,6 +155,8 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     )
     if not isinstance(depth, int) or depth < 1:
         raise PreconditionError("depth must be a positive integer")
+    if depth > DEPTH_CAP:
+        raise PreconditionError(f"depth {depth} exceeds DEPTH_CAP = {DEPTH_CAP}")
 
     levels = []
     tables = []

@@ -26,12 +26,8 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .covers import Cover, FundamentalSequence
 from .errors import StructuralError
-from .invlim import InverseSequenceTruncation, LadderData, inverse_sequence, ladder
-from .quotients import Surjection
 from .scalars import Scalar, as_scalar, format_scalar
-from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace
 
 
@@ -154,6 +150,8 @@ def subset_from_json(obj) -> tuple:
 
 
 def cover_from_json(obj) -> Cover:
+    from .covers import Cover
+
     ground = _expect(obj, "ground", "a cover")
     sets = _expect(obj, "sets", "a cover")
     if not isinstance(ground, int) or isinstance(ground, bool):
@@ -174,6 +172,8 @@ def cover_to_json(cover: Cover) -> dict:
 
 
 def fundamental_sequence_from_json(obj) -> FundamentalSequence:
+    from .covers import FundamentalSequence
+
     covers = _expect(obj, "covers", "a fundamental sequence")
     if not isinstance(covers, list) or not covers:
         raise StructuralError("a fundamental sequence needs a nonempty covers array")
@@ -186,6 +186,8 @@ def fundamental_sequence_to_json(seq: FundamentalSequence) -> dict:
 
 
 def surjection_from_json(obj, space: FiniteMetricSpace) -> Surjection:
+    from .quotients import Surjection
+
     class_of = _index_list(_expect(obj, "class_of", "a surjection"), "class_of")
     count = max(class_of) + 1 if class_of else 0
     return Surjection(space, count, tuple(class_of))
@@ -209,6 +211,8 @@ def sequence_point_to_json(point: SequencePoint) -> dict:
 
 
 def truncation_from_json(obj) -> InverseSequenceTruncation:
+    from .invlim import inverse_sequence
+
     levels = _expect(obj, "levels", "a truncation")
     bonds = _expect(obj, "bonds", "a truncation")
     if not isinstance(levels, list) or not isinstance(bonds, list):
@@ -237,6 +241,8 @@ def ladder_from_json(obj) -> LadderData:
     composite into level j meets its continuity bound at its alpha, so the
     continuity hypotheses hold too (see ``invlim.ladder``).
     """
+    from .invlim import ladder
+
     source = truncation_from_json(obj)
     target = truncation_from_json(obj["target"]) if "target" in obj else source
     cross_raw = _expect(obj, "cross", "a ladder")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import StructuralError
+from .scalars import format_scalar
 
 SCHEMA_VERSION = 1
 
@@ -26,7 +27,7 @@ def jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, Fraction):
-        return str(value)
+        return format_scalar(value)
     if isinstance(value, int):
         return value
     if isinstance(value, float):

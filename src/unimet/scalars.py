@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Union
 
+from .errors import StructuralError
+
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
@@ -71,8 +73,20 @@ def _check_exponent(text: str) -> None:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Serialize a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    return str(value)
+    """Serialize a Fraction as "p/q" (or "p" when the denominator is 1).
+
+    Scalars that each parse can combine into one whose numerator or
+    denominator has more digits than ``sys.get_int_max_str_digits()``;
+    ``str`` refuses it with ValueError, raised here as StructuralError so
+    that no report dies with a traceback.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise StructuralError(
+            f"a scalar has more than {sys.get_int_max_str_digits()} digits "
+            "and cannot be printed"
+        ) from None
 
 
 def pow2(n: int) -> Fraction:

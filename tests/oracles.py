@@ -2,7 +2,7 @@
 
 Each oracle recomputes a published quantity along an independent route:
 chain quotient metrics as min-plus powers of the block matrix (with the
-limit taken by library shortest paths), Hausdorff values by the raw
+limit taken by a plain Floyd–Warshall), Hausdorff values by the raw
 formulas, cover gauges straight from membership tables, maximal cliques
 by a scan over every vertex subset, and cone and join metrics through
 product-then-quotient pipelines.  Everything operates on plain distance
@@ -20,8 +20,6 @@ ran before those scans read one sorted sweep.
 """
 
 from fractions import Fraction
-
-import networkx as nx
 
 from unimet.covers import Cover, point_finite_refinement
 from unimet.embedding import (
@@ -104,30 +102,32 @@ def chain_power(block, hops):
 
 
 def chain_limit_apsp(block):
-    """d_infinity as all-pairs shortest paths over the block graph.
+    """d_infinity as all-pairs shortest paths over the block graph: an
+    exact Floyd–Warshall on Fractions, None for no path.
 
-    Exact: the graph-library relaxation only adds and compares the Fraction
-    weights, so no floats enter reachable entries.
+    The graph is undirected: the edge {i, j} weighs the smaller of
+    block[i][j] and block[j][i] (None where both are None), and the block's
+    diagonal is ignored, each node at distance zero from itself.
     """
     size = len(block)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(size))
+    dist = [[ZERO] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             w = block[i][j]
             if block[j][i] is not None and (w is None or block[j][i] < w):
                 w = block[j][i]
-            if w is not None:
-                graph.add_edge(i, j, weight=w)
-    lengths = nx.floyd_warshall(graph, weight="weight")
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            v = lengths[i][j]
-            row.append(None if v == float("inf") else Fraction(v))
-        out.append(row)
-    return out
+            dist[i][j] = dist[j][i] = None if w is None else Fraction(w)
+    for k in range(size):
+        for i in range(size):
+            if dist[i][k] is None:
+                continue
+            for j in range(size):
+                if dist[k][j] is None:
+                    continue
+                v = dist[i][k] + dist[k][j]
+                if dist[i][j] is None or v < dist[i][j]:
+                    dist[i][j] = v
+    return dist
 
 
 def triangle_valid(matrix):

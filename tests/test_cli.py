@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-import unimet.cli
 import unimet.cones
 import unimet.cylinders
 import unimet.spaces
@@ -24,6 +23,7 @@ from helpers import (
 )
 from unimet.cli import INVLIM_MODES, main
 from unimet.covers import ball_fundamental_sequence
+from unimet.embedding import DEPTH_CAP
 from unimet.invlim import telescope_metric
 from unimet.jsonio import (
     fundamental_sequence_to_json,
@@ -213,35 +213,35 @@ def test_build_telescope_depths(tower, depth, expected):
 # ---- oracles run once, and only when asked ----
 
 
-def count_calls(monkeypatch, name, *modules):
+def count_calls(monkeypatch, name, module):
+    """Count the calls of ``module.name``.  The CLI imports each construction
+    inside the handler that runs it, so patching the defining module is
+    enough."""
     calls = []
-    original = getattr(modules[0], name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_each_oracle_build_runs_its_oracle_and_its_construction_once(
     monkeypatch, s3, join_file, cylinder_file
 ):
-    checks = count_calls(
-        monkeypatch, "cylinder_adjunction_check", unimet.cylinders, unimet.cli
-    )
+    checks = count_calls(monkeypatch, "cylinder_adjunction_check", unimet.cylinders)
     telescope_metric(TOWER, 0, 3)
     assert len(checks) == 0
     assert run(["build", "cylinder", cylinder_file, "--oracle"])[0] == 0
     assert len(checks) == 1
 
-    cones = count_calls(monkeypatch, "cone_metric", unimet.cones, unimet.cli)
+    cones = count_calls(monkeypatch, "cone_metric", unimet.cones)
     assert run(["build", "cone", s3, "--oracle"])[0] == 0
     assert len(cones) == 1
 
-    joins = count_calls(monkeypatch, "join_metric", unimet.cones, unimet.cli)
+    joins = count_calls(monkeypatch, "join_metric", unimet.cones)
     assert run(["build", "join", join_file, "--oracle"])[0] == 0
     assert len(joins) == 1
 
@@ -329,6 +329,26 @@ def test_embed_diameter_rescale_and_depth(tmp_path, s3):
     assert code == 0, err
     code, out, err = run(["embed", s3, "--depth", "0"])
     assert code == 1, err
+
+
+def test_embed_refuses_a_depth_past_the_cap(tmp_path, s3):
+    """A spread past 2^DEPTH_CAP, or a --depth past the cap, is refused
+    before any level is built; a report value too long to print is an
+    input error, not a traceback."""
+    tiny = space("abc", {(0, 1): "1", (0, 2): "1", (1, 2): f"1/{2 ** 300}"})
+    spread = write(tmp_path, "spread.json", space_to_json(tiny))
+    code, out, err = run(["embed", spread])
+    assert (code, out) == (1, "") and f"DEPTH_CAP = {DEPTH_CAP}" in err
+    code, out, err = run(["embed", s3, "--depth", DEPTH_CAP + 1])
+    assert (code, out) == (1, "") and f"DEPTH_CAP = {DEPTH_CAP}" in err
+    assert run(["embed", s3, "--depth", DEPTH_CAP])[0] == 0
+    # Rescaled, the distance 1e-4000 becomes 1e-8000: 8,001 digits.
+    huge = {(0, 1): "1e4000", (0, 2): "1e4000", (1, 2): "1e-4000"}
+    wide = write(tmp_path, "wide.json", space_to_json(space("abc", huge)))
+    code, out, err = run(["embed", wide, "--rescale"])
+    assert (code, out) == (1, "") and f"DEPTH_CAP = {DEPTH_CAP}" in err
+    code, out, err = run(["embed", wide, "--rescale", "--depth", "2"])
+    assert (code, out) == (2, "") and "cannot be printed" in err
 
 
 # ---- invlim ----

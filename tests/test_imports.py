@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package exports each public name from the module that defines it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,56 @@ def test_scan_flags_an_unused_import():
         "    return os.sep\n"
     )
     assert set(imported_names(tree)) - referenced_names(tree) == {"Tuple"}
+
+
+# ---- the package loads each module on first use ----
+
+
+def top_level_definitions(tree):
+    """Names a module defines itself: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def package_assignments():
+    """The package's top-level assignments by name, read without importing."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+
+
+def test_every_exported_name_is_defined_by_its_module():
+    assigned = package_assignments()
+    exports = ast.literal_eval(assigned["_EXPORTS"])
+    misplaced = []
+    for module, names in exports.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        defined = top_level_definitions(tree)
+        misplaced += [f"{module}.{name}" for name in names if name not in defined]
+    assert not misplaced
+    flat = [name for names in exports.values() for name in names]
+    assert len(flat) == len(set(flat))
+    assert ast.dump(assigned["__all__"]) == ast.dump(
+        ast.parse("sorted(_MODULE_OF)", mode="eval").body
+    )
+
+
+def test_lazy_names_are_the_module_objects():
+    for name in unimet.__all__:
+        module = importlib.import_module(f"unimet.{unimet._MODULE_OF[name]}")
+        assert getattr(unimet, name) is getattr(module, name), name
+    namespace = {}
+    exec("from unimet import *", namespace)
+    assert set(unimet.__all__) <= set(namespace)
+    assert set(unimet.__all__) <= set(dir(unimet))
+    with pytest.raises(AttributeError, match="^module 'unimet' has no attribute 'nope'$"):
+        unimet.nope

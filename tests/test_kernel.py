@@ -229,21 +229,48 @@ def test_glue_parts_matches_oracles_on_none_blocks():
         assert glued.positive_ok == ("positivity" not in strict.violated_axioms())
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(probe):
+    """Stdout of ``probe`` run by a fresh interpreter that imports from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return out.stdout
+
+
 def test_cli_import_loads_only_the_standard_library():
     # Every module outside the standard library is paid at each cold start.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     # Modules loaded before the import (by the site hook) are not counted.
     probe = (
         "import sys; before = set(sys.modules); import unimet.cli; "
         "top = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print(sorted(top - set(sys.stdlib_module_names) - {'unimet'}))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
-    )
-    assert out.stdout.strip() == "[]"
-    with open(os.path.join(os.path.dirname(src), "pyproject.toml")) as handle:
+    assert fresh_python(probe).strip() == "[]"
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as handle:
         assert "dependencies = []" in handle.read().splitlines()
+
+
+def test_check_loads_only_the_modules_it_runs(tmp_path):
+    # Each construction module is imported by the command that runs it, so
+    # the cold start of `unimet check` pays for none of them.
+    path = tmp_path / "two.json"
+    path.write_text('{"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}')
+    probe = (
+        "import sys; import unimet; "
+        "print(sorted(m for m in sys.modules if m.startswith('unimet')))\n"
+        "import io, contextlib, unimet.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = unimet.cli.main(['check', {str(path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('unimet')))"
+    )
+    package, check = fresh_python(probe).splitlines()
+    assert package == "['unimet']"
+    loaded = ["unimet"] + [f"unimet.{m}" for m in (
+        "cli", "errors", "jsonio", "kernel", "reporting", "scalars", "spaces")]
+    assert check == f"0 {loaded}"

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import unimet.quotients
 from helpers import (
@@ -88,6 +90,46 @@ def test_chain_metrics_match_oracle_and_biconditional():
             assert (dn.values == inf.values) == triangle_valid(
                 [list(r) for r in dn.values]
             )
+
+
+@st.composite
+def blocks(draw, symmetric):
+    """A block matrix of 1..7 classes with zero diagonal: each off-diagonal
+    entry is None or a multiple of 1/12 in [0, 4]."""
+    size = draw(st.integers(1, 7))
+    entry = st.none() | st.integers(0, 48).map(lambda k: Fraction(k, 12))
+    block = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            block[i][j] = draw(entry)
+            block[j][i] = block[i][j] if symmetric else draw(entry)
+    return block
+
+
+@given(blocks(symmetric=True))
+def test_chain_limit_oracle_matches_the_longest_chains(block):
+    # With a zero diagonal, chains of n - 1 hops reach every shortest path.
+    assert chain_limit_apsp(block) == chain_power(block, max(len(block) - 1, 1))
+
+
+@given(blocks(symmetric=False))
+def test_chain_limit_oracle_matches_networkx(block):
+    nx = pytest.importorskip("networkx")
+    size = len(block)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(size))
+    for i in range(size):
+        for j in range(i + 1, size):
+            weights = [w for w in (block[i][j], block[j][i]) if w is not None]
+            if weights:
+                graph.add_edge(i, j, weight=min(weights))
+    lengths = nx.floyd_warshall(graph, weight="weight")
+    expected = [
+        [None if lengths[i][j] == float("inf") else Fraction(lengths[i][j])
+         for j in range(size)]
+        for i in range(size)
+    ]
+    assert chain_limit_apsp(block) == expected
 
 
 def test_chain_doubling_composes():
