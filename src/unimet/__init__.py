@@ -32,7 +32,8 @@ _EXPORTS = {
     ),
     "conemodels": (
         "ConeComparisonReport", "NormedPointSet", "cone_comparison_bounds",
-        "euclidean_cone_metric", "rectilinear_cone",
+        "euclidean_cone_metric", "independent_rectilinear_join",
+        "rectilinear_cone",
     ),
     "covers": (
         "AuMetrization", "Cover", "FundamentalSequence", "LebesgueNumber",

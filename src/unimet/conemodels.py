@@ -20,8 +20,7 @@ from .spaces import FiniteMetricSpace, ensure_metric
 # rational lower bound of pi: guards "diameter <= pi" conservatively
 # (inputs between this and pi are rejected, never the other way around)
 PI_FLOOR = Fraction(314159265, 10**8)
-# squared-form identity tolerance and comparison-bound tolerance
-IDENTITY_TOL = 1e-12
+# comparison-bound tolerance
 COMPARISON_TOL = 1e-9
 
 
@@ -192,17 +191,6 @@ def euclidean_cone_distance(
     tf, sf, df = float(as_scalar(t)), float(as_scalar(s)), float(as_scalar(base_distance))
     squared = tf * tf + sf * sf - 2 * tf * sf * math.cos(df)
     return math.sqrt(squared) if squared > 0 else 0.0
-
-
-def euclidean_identity_gap(
-    t: ScalarLike, s: ScalarLike, base_distance: ScalarLike
-) -> float:
-    """|d_E^2 - ((t-s)^2 + 4 t s sin^2(d/2))|, the squared-form identity."""
-    tf, sf, df = float(as_scalar(t)), float(as_scalar(s)), float(as_scalar(base_distance))
-    law = tf * tf + sf * sf - 2 * tf * sf * math.cos(df)
-    half = math.sin(df / 2)
-    other = (tf - sf) ** 2 + 4 * tf * sf * half * half
-    return abs(law - other)
 
 
 @dataclass(frozen=True)

@@ -91,17 +91,6 @@ class Cover:
         return set().union(*map(self.point_stars.__getitem__, subset))
 
 
-def refines(cover: Cover, target: Cover):
-    """None if every member of cover sits inside some member of target,
-    else the index of the first member that does not."""
-    targets = target.member_sets()
-    for k, member in enumerate(cover.members):
-        s = set(member)
-        if not any(s <= t for t in targets):
-            return k
-    return None
-
-
 def star_refines(cover: Cover, target: Cover):
     """None if the star of every member of cover lies in a member of target,
     else the index of the first member whose star does not."""
@@ -111,30 +100,6 @@ def star_refines(cover: Cover, target: Cover):
         if not any(st <= t for t in targets):
             return k
     return None
-
-
-def barycentric_refines(cover: Cover, target: Cover):
-    """None if the star of every point lies in a member of target, else the
-    first offending point."""
-    targets = target.member_sets()
-    for x, st in enumerate(cover.point_stars):
-        if not any(st <= t for t in targets):
-            return x
-    return None
-
-
-def meet(left: Cover, right: Cover) -> Cover:
-    """Common refinement by pairwise intersections (left-major order)."""
-    if left.ground != right.ground:
-        raise StructuralError("meet needs covers of the same ground")
-    members = []
-    for a in left.members:
-        sa = set(a)
-        for b in right.members:
-            common = tuple(sorted(sa & set(b)))
-            if common:
-                members.append(common)
-    return Cover(left.ground, tuple(members))
 
 
 def ball_cover(space: FiniteMetricSpace, radius: ScalarLike) -> Cover:
@@ -269,8 +234,22 @@ def containment_from_distances(
     table: list,
     cap: Optional[ScalarLike] = None,
 ) -> Optional[Scalar]:
-    """``ball_containment_number`` of the cover whose ``complement_distances``
-    are ``table``: the threshold the cover's table allows under ``cap``."""
+    """Ball containment number of the cover whose ``complement_distances``
+    are ``table``: the largest threshold L (from the spectrum, optionally
+    capped) such that for every point some single member contains its open
+    ball B(x, L).
+
+    Stronger than a Lebesgue number for the uses here: it names a containing
+    member per point rather than per small set.  Returns the cap itself when
+    even the cap works, None when no positive threshold works.
+
+    The open ball B(x, L) lies in a member V exactly when L is at most the
+    distance from x to the complement of V, so a threshold works exactly
+    when it is at most ``reach``, the least over x of the largest such
+    distance over the members (unbounded when a member is the whole
+    ground).  Everything runs on the space's integer form ``(M, L)``; the
+    cap compares as ``p * L`` against ``reach * q`` for the cap p/q.
+    """
     m, scale = space._int_form
     reach = None
     if all(column is not None for column in table):
@@ -288,30 +267,6 @@ def containment_from_distances(
         limit = capped.numerator * scale
         fits = [v for v in fits if v * capped.denominator <= limit]
     return Fraction(max(fits), scale) if fits else None
-
-
-def ball_containment_number(
-    space: FiniteMetricSpace,
-    cover: Cover,
-    cap: Optional[ScalarLike] = None,
-) -> Optional[Scalar]:
-    """Largest threshold L (from the spectrum, optionally capped) such that
-    for every point some single member contains its open ball B(x, L).
-
-    Stronger than a Lebesgue number for the uses here: it names a containing
-    member per point rather than per small set.  Returns the cap itself when
-    even the cap works, None when no positive threshold works.
-
-    The open ball B(x, L) lies in a member V exactly when L is at most the
-    distance from x to the complement of V, so a threshold works exactly
-    when it is at most ``reach``, the least over x of the largest such
-    distance over the members (unbounded when a member is the whole
-    ground).  This builds the cover's ``complement_distances`` table and
-    reduces it with ``containment_from_distances``, both on the space's
-    integer form ``(M, L)``; the cap compares as ``p * L`` against
-    ``reach * q`` for the cap p/q.
-    """
-    return containment_from_distances(space, complement_distances(space, cover), cap)
 
 
 # ---- fundamental sequences and metrization ----

@@ -118,30 +118,9 @@ class Cube:
         low = self.base_value(index)
         return (low, low + edge) if index in self.extent else (low, low)
 
-    def faces(self, edge: Scalar) -> tuple:
-        """All proper faces: collapse each extent subset to bottom or top."""
-        out = []
-        ext = self.extent
-        for keep_mask in range(1 << len(ext)):
-            kept = tuple(ext[k] for k in range(len(ext)) if keep_mask >> k & 1)
-            collapsed = [ext[k] for k in range(len(ext)) if not keep_mask >> k & 1]
-            if not collapsed:
-                continue
-            for top_mask in range(1 << len(collapsed)):
-                base = dict(self.base)
-                for k, i in enumerate(collapsed):
-                    value = self.base_value(i)
-                    if top_mask >> k & 1:
-                        value = value + edge
-                    if value == 0:
-                        base.pop(i, None)
-                    else:
-                        base[i] = value
-                out.append(Cube(tuple(sorted(base.items())), kept))
-        return tuple(out)
-
 
 def _is_face(small: Cube, big: Cube, edge: Scalar) -> bool:
+    """Whether the box of ``small`` lies inside the box of ``big``."""
     for i in set(small.indices()) | set(big.indices()):
         lo_s, hi_s = small.interval(i, edge)
         lo_b, hi_b = big.interval(i, edge)
@@ -152,12 +131,16 @@ def _is_face(small: Cube, big: Cube, edge: Scalar) -> bool:
 
 @dataclass(frozen=True)
 class Cubohedron:
-    """Face-closed finite subcomplex of the level-n dyadic cubulation.
+    """Finite subcomplex of the level-n dyadic cubulation, stored as its
+    maximal cubes.
 
-    The constructor validates vertex alignment (all base coordinates are
-    multiples of the edge 2^-n) and closes the given cubes under faces, so
-    ``cubes`` always lists the full complex; ``maximal_cubes`` drops the
-    ones contained in another.
+    The complex is the union of the cubes and all their faces.  A face lies
+    inside its cube, so membership and distance read the maximal cubes
+    alone, and the 3^k faces of a k-cube are never listed.  The constructor
+    validates vertex alignment (all base coordinates are multiples of the
+    edge 2^-n), removes duplicates and drops every given cube that is a
+    face of another, so ``cubes`` holds the maximal cubes ordered by
+    dimension, extent and base.  That is quadratic in the given cubes.
     """
 
     level: int
@@ -168,9 +151,7 @@ class Cubohedron:
             raise StructuralError("grid level must be a nonnegative integer")
         edge = self.edge
         scale = pow2(self.level)
-        closed = set()
-        queue = list(self.cubes)
-        for cube in queue:
+        for cube in self.cubes:
             if not isinstance(cube, Cube):
                 raise StructuralError("cubes must be Cube instances")
             for _, v in cube.base:
@@ -178,30 +159,17 @@ class Cubohedron:
                     raise StructuralError(
                         f"cube base {v} is not a multiple of the edge {edge}"
                     )
-        while queue:
-            cube = queue.pop()
-            if cube in closed:
-                continue
-            closed.add(cube)
-            queue.extend(cube.faces(edge))
-        object.__setattr__(self, "cubes", tuple(sorted(closed, key=_cube_key)))
+        given = set(self.cubes)
+        # A face of a distinct cube has a smaller dimension.
+        maximal = [
+            c for c in given
+            if not any(o.dimension > c.dimension and _is_face(c, o, edge) for o in given)
+        ]
+        object.__setattr__(self, "cubes", tuple(sorted(maximal, key=_cube_key)))
 
     @property
     def edge(self) -> Scalar:
         return pow2(-self.level)
-
-    def maximal_cubes(self) -> tuple:
-        out = []
-        for c in self.cubes:
-            dominated = any(
-                other is not c
-                and other.dimension >= c.dimension
-                and _is_face(c, other, self.edge)
-                for other in self.cubes
-            )
-            if not dominated:
-                out.append(c)
-        return tuple(out)
 
 
 def _cube_key(cube: Cube):
@@ -287,7 +255,8 @@ class MinimalComplexReport:
 def minimal_enclosing_subcomplex(
     points: Sequence[SequencePoint], level: int
 ) -> MinimalComplexReport:
-    """Union of the points' carrier cubes, closed under faces.
+    """The complex spanned by the points' carrier cubes, stored as the
+    carriers that are no face of another carrier.
 
     Certifies that every input point is a member and that the complex is
     minimal: every maximal cube is the carrier of some input point, whose
@@ -300,7 +269,7 @@ def minimal_enclosing_subcomplex(
     complex_ = Cubohedron(level, carriers)
     covers = all(subcomplex_membership(x, complex_) for x in pts)
     carrier_set = set(carriers)
-    minimal = all(c in carrier_set for c in complex_.maximal_cubes())
+    minimal = all(c in carrier_set for c in complex_.cubes)
     return MinimalComplexReport(complex_, carriers, covers, minimal)
 
 

@@ -171,31 +171,6 @@ def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
     return largest_gap(cylinder.space, result.space, index + list(result.y_class))
 
 
-def sub_cylinder(cylinder: CylinderSpace, indices: Sequence[int]):
-    """Cylinder of the restriction f|_A, with the induced-submetric check.
-
-    Returns (restricted cylinder, True/False): the cylinder built from
-    scratch on the sub-source, and whether its metric equals the submetric
-    induced from the ambient cylinder on the matching classes entrywise.
-    """
-    idx = list(indices)
-    sub_source = cylinder.source.submetric(idx)
-    sub = mapping_cylinder_metric(
-        sub_source,
-        cylinder.target,
-        tuple(cylinder.mapping[i] for i in idx),
-        cylinder.t_grid,
-    )
-    ambient: list = []
-    for pos in range(len(idx)):
-        for t in sub.inner_ts:
-            ambient.append(cylinder.seg_index(idx[pos], t))
-    for j in range(cylinder.target.n):
-        ambient.append(cylinder.y_index(j))
-    induced = cylinder.space.submetric(ambient)
-    return sub, induced.dist == sub.space.dist
-
-
 # ---- uniform modulus ----
 
 

@@ -167,10 +167,6 @@ def cover_from_json(obj) -> Cover:
         raise StructuralError(str(exc)) from exc
 
 
-def cover_to_json(cover: Cover) -> dict:
-    return {"ground": cover.ground, "sets": [list(m) for m in cover.members]}
-
-
 def fundamental_sequence_from_json(obj) -> FundamentalSequence:
     from .covers import FundamentalSequence
 
@@ -179,10 +175,6 @@ def fundamental_sequence_from_json(obj) -> FundamentalSequence:
         raise StructuralError("a fundamental sequence needs a nonempty covers array")
     levels = tuple(cover_from_json(c) for c in covers)
     return FundamentalSequence(levels[0].ground, levels)
-
-
-def fundamental_sequence_to_json(seq: FundamentalSequence) -> dict:
-    return {"covers": [cover_to_json(c) for c in seq.levels]}
 
 
 def surjection_from_json(obj, space: FiniteMetricSpace) -> Surjection:
@@ -220,14 +212,6 @@ def truncation_from_json(obj) -> InverseSequenceTruncation:
     spaces = [space_from_json(level) for level in levels]
     maps = [mapping_from_json(bond) for bond in bonds]
     return inverse_sequence(spaces, maps)
-
-
-def truncation_to_json(truncation: InverseSequenceTruncation) -> dict:
-    return {
-        "levels": [space_to_json(level) for level in truncation.levels],
-        "bonds": [{"pairs": [list(pair) for pair in enumerate(bond)]}
-                  for bond in truncation.bonds],
-    }
 
 
 def ladder_from_json(obj) -> LadderData:

@@ -1,22 +1,20 @@
-"""Moduli of continuity and separation for maps between finite metric spaces.
+"""Moduli of continuity for maps between finite metric spaces.
 
-On finite spaces every modulus is a finite table over the distance spectrum.
-A row (delta, epsilon) of a continuity table asserts: whenever the input
-distance is at most delta, the output distance is at most epsilon.  A row of a
-separation table asserts the reverse implication: whenever the image distance
-is at most delta, the source distance is at most epsilon.  Distances compare
-with <= on both sides, so a delta of 0 is already a nontrivial claim when the
-map glues points.
+On finite spaces a modulus of continuity is a finite table over the distance
+spectrum.  A row (delta, epsilon) asserts: whenever the input distance is at
+most delta, the output distance is at most epsilon.  Distances compare with
+<= on both sides, so a delta of 0 is already a nontrivial claim when the map
+glues points.
 
-Both tables, and the pair scans of ``invlim``, read one primitive: a
-``PairSweep`` sorts a list of pairs of distances once by the first, and then
-answers, for any threshold t, with the largest second distance among the
-pairs whose first distance is at most t, or with the first pair whose
-second distance exceeds a bound.
+The table, and the pair scans of ``cylinders`` and ``invlim``, read one
+primitive: a ``PairSweep`` sorts a list of pairs of distances once by the
+first, and then answers, for any threshold t, with the largest second
+distance among the pairs whose first distance is at most t, or with the
+first pair whose second distance exceeds a bound.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -30,16 +28,13 @@ from .spaces import FiniteMetricSpace, ensure_total_map
 
 @dataclass(frozen=True)
 class ModulusTable:
-    """Finite modulus: rows (delta, epsilon), delta increasing.
-
-    ``kind`` names the implication direction ("continuity", "separation",
-    "quotient_order").  ``failed`` lists epsilon values for which no valid
-    delta exists at all (separation tables only; empty otherwise).
+    """Finite modulus of continuity: rows (delta, epsilon), delta increasing
+    and epsilon nondecreasing.  Each row asserts that input distances at
+    most delta give output distances at most epsilon; the rows are all the
+    table stores.
     """
 
-    kind: str
     rows: tuple
-    failed: tuple = ()
 
     def __post_init__(self) -> None:
         last_d: Optional[Scalar] = None
@@ -135,43 +130,10 @@ def continuity_modulus(
     src, src_scale = source._int_form
     img, img_scale = target._int_form
     sweep = PairSweep(pair_distances(src, img, m))
-    return ModulusTable("continuity", tuple(
+    return ModulusTable(tuple(
         (Fraction(delta, src_scale), Fraction(sweep.largest_within(delta), img_scale))
         for delta in sorted({0, *sweep.firsts})
     ))
-
-
-def separation_modulus(
-    source: FiniteMetricSpace,
-    target: FiniteMetricSpace,
-    mapping,
-) -> ModulusTable:
-    """Largest image threshold that still pins source distances, per epsilon.
-
-    For each epsilon in the source spectrum the row's delta is the largest
-    image distance (zero included) such that image distance <= delta forces
-    source distance <= epsilon: the largest one below the image distance of
-    the closest pair, in the image, among the pairs further apart than
-    epsilon in the source.  Epsilon values admitting no delta at all (the map
-    collapses a pair further apart than epsilon, so even delta = 0 fails)
-    appear in ``failed`` instead of the rows.
-    """
-    m = ensure_total_map(mapping, source, target, "separation_modulus")
-    sweep = PairSweep((td, sd) for sd, td in pair_distances(source.dist, target.dist, m))
-    image_values = sorted({ZERO, *sweep.firsts})
-    rows = []
-    failed = []
-    for eps in source.spectrum():
-        blocking = sweep.first_above(eps)
-        below = (
-            len(image_values) if blocking is None
-            else bisect_left(image_values, blocking[0])
-        )
-        if below:
-            rows.append((image_values[below - 1], eps))
-        else:
-            failed.append(eps)
-    return ModulusTable("separation", tuple(rows), tuple(failed))
 
 
 def check_uniform_continuity(

@@ -26,7 +26,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .kernel import closure, min_plus, to_int_matrix
-from .moduli import ModulusTable, PairSweep
 from .scalars import ONE, ZERO, ScalarLike, as_scalar
 from .spaces import (
     AxiomViolation,
@@ -227,25 +226,6 @@ def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
     if not isinstance(steps, int) or steps < 1:
         raise StructuralError("steps must be a positive integer or None")
     return _finish_chain(sur, steps, _power(block, steps), scale)
-
-
-def quotient_order_modulus(sur: Surjection, steps: int) -> ModulusTable:
-    """How well d_n tracks d_infinity, as a modulus table.
-
-    For each delta in the d_infinity spectrum, the row's epsilon is the
-    largest d_n value among class pairs at d_infinity distance <= delta.
-    The identity map (Q, d_infinity) -> (Q, d_n) is uniformly continuous on
-    the finite instance exactly when small deltas give small epsilons.
-    """
-    fine = chain_metric(sur, None)
-    coarse = chain_metric(sur, steps)
-    k = sur.class_count
-    sweep = PairSweep(
-        (fine.values[p][q], coarse.values[p][q]) for p in range(k) for q in range(k)
-    )
-    return ModulusTable("quotient_order", tuple(
-        (delta, sweep.largest_within(delta)) for delta in sorted(set(sweep.firsts))
-    ))
 
 
 # ---- quotients by families and glued unions ----

@@ -14,6 +14,7 @@ in k.
 """
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -87,6 +88,30 @@ def format_scalar(value: Fraction) -> str:
             f"a scalar has more than {sys.get_int_max_str_digits()} digits "
             "and cannot be printed"
         ) from None
+
+
+def brief_scalar(value: Fraction) -> str:
+    """A scalar for an error message, bounded in length.
+
+    A value whose numerator and denominator fit in 128 bits together prints
+    exactly, as ``format_scalar`` prints it.  A longer one prints as
+    "about d.ddde<k>": its first four significant digits, truncated, and
+    its decimal exponent.  So no message grows with the value, and none
+    needs more digits than ``sys.get_int_max_str_digits()`` allows.
+    """
+    magnitude = abs(value)
+    num, den = magnitude.numerator, magnitude.denominator
+    if num.bit_length() + den.bit_length() <= 128:
+        return str(value)
+    # The bit lengths place log10 of the value within one of this guess.
+    exponent = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while Fraction(10) ** exponent > magnitude:
+        exponent -= 1
+    while Fraction(10) ** (exponent + 1) <= magnitude:
+        exponent += 1
+    head = str(math.floor(magnitude * 1000 / Fraction(10) ** exponent))
+    sign = "-" if value < 0 else ""
+    return f"about {sign}{head[0]}.{head[1:]}e{exponent}"
 
 
 def pow2(n: int) -> Fraction:

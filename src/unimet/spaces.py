@@ -33,9 +33,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
 from .kernel import first_triangle_witness, to_fractions, to_int_matrix
-from .scalars import ZERO, Scalar, ScalarLike, as_scalar
-
-Label = object  # any hashable, JSON-encodable label
+from .scalars import ZERO, Scalar, ScalarLike, as_scalar, brief_scalar
 
 
 @dataclass(frozen=True)
@@ -291,8 +289,8 @@ def ensure_diameter_at_most(space: FiniteMetricSpace, bound: ScalarLike,
     diam = space.diameter()
     if diam > b:
         raise PreconditionError(
-            f"{what} has diameter {diam} > {b}; rescale explicitly first "
-            f"(rescaled_to_diameter)")
+            f"{what} has diameter {brief_scalar(diam)} > {brief_scalar(b)}; "
+            "rescale explicitly first (rescaled_to_diameter)")
 
 
 def largest_gap(space: FiniteMetricSpace, other: FiniteMetricSpace,

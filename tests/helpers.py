@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from unimet.covers import Cover, FundamentalSequence
 from unimet.invlim import inverse_sequence, ladder
+from unimet.jsonio import space_to_json
 from unimet.spaces import FiniteMetricSpace
 
 ZERO = Fraction(0)
@@ -301,3 +302,22 @@ def window_chain(depth, width=3):
         levels.append(FiniteMetricSpace(pts, rows))
     bonds = [tuple(min(x + 1, width) for x in range(width + 1))] * (depth - 1)
     return inverse_sequence(levels, bonds)
+
+
+# ---- input files ----
+
+
+def cover_to_json(cover):
+    return {"ground": cover.ground, "sets": [list(m) for m in cover.members]}
+
+
+def fundamental_sequence_to_json(seq):
+    return {"covers": [cover_to_json(c) for c in seq.levels]}
+
+
+def truncation_to_json(truncation):
+    return {
+        "levels": [space_to_json(level) for level in truncation.levels],
+        "bonds": [{"pairs": [list(pair) for pair in enumerate(bond)]}
+                  for bond in truncation.bonds],
+    }

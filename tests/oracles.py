@@ -14,14 +14,19 @@ Fraction code, which read a space and build the package's own result
 types, so that a result compares whole against its reference; so are a
 space's diameter, spectrum and rescale, as they ran before the integer
 form.
-So are the pair scans of the inverse-sequence diagnostics and the
-separation and quotient-order tables: the loops over point pairs as they
-ran before those scans read one sorted sweep.
+So are the pair scans of the inverse-sequence diagnostics: the loops
+over point pairs as they ran before those scans read one sorted sweep.
+A cubical complex, which the package stores as its maximal cubes, is
+checked against its face-closed listing: every face of every cube.  The
+sup distance of sequence space and the sub-cylinder of a restricted map
+are references only the tests use.
 """
 
 from fractions import Fraction
 
 from unimet.covers import Cover, point_finite_refinement
+from unimet.cubohedra import Cube
+from unimet.cylinders import mapping_cylinder_metric
 from unimet.embedding import (
     AharoniEmbedding,
     EmbeddingCertificate,
@@ -40,7 +45,7 @@ from unimet.invlim import (
 )
 from unimet.moduli import ModulusTable
 from unimet.scalars import as_scalar, pow2
-from unimet.sequences import SequencePoint, sup_distance
+from unimet.sequences import SequencePoint
 from unimet.spaces import (
     FiniteMetricSpace,
     ensure_diameter_at_most,
@@ -402,6 +407,105 @@ def scaled_reference(space, factor):
     return FiniteMetricSpace(space.points, dist, space.pseudo)
 
 
+# ---- sequence space and cubical complexes ----
+
+
+def sup_distance(a, b):
+    """Exact sup-norm distance: beyond both supports the gap is |tail-tail|."""
+    best = abs(a.tail - b.tail)
+    for i in set(a.support_indices()) | set(b.support_indices()):
+        best = max(best, abs(a.value(i) - b.value(i)))
+    return best
+
+
+def cube_faces(cube, edge):
+    """All proper faces of a cube: each nonempty subset of its extent
+    collapsed to the bottom or to the top of the edge."""
+    out = []
+    ext = cube.extent
+    for keep_mask in range(1 << len(ext)):
+        kept = tuple(ext[k] for k in range(len(ext)) if keep_mask >> k & 1)
+        collapsed = [ext[k] for k in range(len(ext)) if not keep_mask >> k & 1]
+        if not collapsed:
+            continue
+        for top_mask in range(1 << len(collapsed)):
+            base = dict(cube.base)
+            for k, i in enumerate(collapsed):
+                value = cube.base_value(i) + (edge if top_mask >> k & 1 else 0)
+                if value == 0:
+                    base.pop(i, None)
+                else:
+                    base[i] = value
+            out.append(Cube(tuple(sorted(base.items())), kept))
+    return tuple(out)
+
+
+def face_closure(complex_):
+    """Every cube of a complex and every face of one, ordered by dimension,
+    extent and base: 3^k cubes for one k-cube."""
+    closed = set()
+    queue = list(complex_.cubes)
+    while queue:
+        cube = queue.pop()
+        if cube not in closed:
+            closed.add(cube)
+            queue.extend(cube_faces(cube, complex_.edge))
+    return tuple(sorted(closed, key=lambda c: (c.dimension, c.extent, c.base)))
+
+
+def _gaps(x, cube, edge):
+    """Per coordinate, how far x lies outside the cube's interval."""
+    for i in set(cube.indices()) | set(x.support_indices()):
+        low, high = cube.interval(i, edge)
+        yield max(low - x.value(i), x.value(i) - high, ZERO)
+
+
+def maximal_cubes_reference(cubes, edge):
+    """The cubes that lie in no other cube of the list, in list order."""
+    def inside(small, big):
+        return all(
+            big.interval(i, edge)[0] <= small.interval(i, edge)[0]
+            and small.interval(i, edge)[1] <= big.interval(i, edge)[1]
+            for i in set(small.indices()) | set(big.indices())
+        )
+    return tuple(
+        c for c in cubes
+        if not any(o is not c and o.dimension >= c.dimension and inside(c, o) for o in cubes)
+    )
+
+
+def membership_reference(x, cubes, edge):
+    """A tail-0 point lies in some cube of the list."""
+    return x.tail == 0 and any(not any(_gaps(x, c, edge)) for c in cubes)
+
+
+def distance_to_cubes_reference(x, cubes, edge):
+    """Sup distance from a tail-0 point to the union of the cubes."""
+    return min(max(_gaps(x, c, edge), default=ZERO) for c in cubes)
+
+
+# ---- mapping cylinders ----
+
+
+def sub_cylinder(cylinder, indices):
+    """Cylinder of the restriction f|_A, with the induced-submetric check.
+
+    Returns (restricted cylinder, True/False): the cylinder built from
+    scratch on the sub-source, and whether its metric equals the submetric
+    induced from the ambient cylinder on the matching classes entrywise.
+    """
+    idx = list(indices)
+    sub = mapping_cylinder_metric(
+        cylinder.source.submetric(idx),
+        cylinder.target,
+        tuple(cylinder.mapping[i] for i in idx),
+        cylinder.t_grid,
+    )
+    ambient = [cylinder.seg_index(i, t) for i in idx for t in sub.inner_ts]
+    ambient += [cylinder.y_index(j) for j in range(cylinder.target.n)]
+    return sub, cylinder.space.submetric(ambient).dist == sub.space.dist
+
+
 # ---- sequence-space embedding, as the Fraction code ran it ----
 
 
@@ -469,7 +573,7 @@ def continuity_modulus_reference(source, target, mapping):
                     if image > eps:
                         eps = image
         rows.append((delta, eps))
-    return ModulusTable("continuity", tuple(rows))
+    return ModulusTable(tuple(rows))
 
 
 def aharoni_embed_reference(space, depth):
@@ -566,47 +670,6 @@ def aharoni_embed_reference(space, depth):
 
 
 # ---- pair scans, as the loops ran them ----
-
-
-def separation_modulus_reference(source, target, mapping):
-    """Per source-spectrum epsilon, the largest image distance below the
-    smallest image distance of a pair further apart than epsilon."""
-    pairs = [
-        (source.d(i, j), target.d(mapping[i], mapping[j]))
-        for i in range(source.n)
-        for j in range(i + 1, source.n)
-    ]
-    image_values = sorted({td for _, td in pairs} | {ZERO})
-    rows = []
-    failed = []
-    for eps in source.spectrum():
-        blocking = [td for sd, td in pairs if sd > eps]
-        if not blocking:
-            rows.append((image_values[-1], eps))
-            continue
-        cut = min(blocking)
-        candidates = [v for v in image_values if v < cut]
-        if candidates:
-            rows.append((candidates[-1], eps))
-        else:
-            failed.append(eps)
-    rows.sort()
-    return ModulusTable("separation", tuple(rows), tuple(failed))
-
-
-def quotient_order_reference(fine, coarse):
-    """Per d_infinity value delta, the largest d_n value over class pairs
-    at d_infinity distance <= delta, from the two value matrices."""
-    k = len(fine)
-    rows = []
-    for delta in sorted({fine[p][q] for p in range(k) for q in range(k)}):
-        eps = ZERO
-        for p in range(k):
-            for q in range(k):
-                if fine[p][q] <= delta and coarse[p][q] > eps:
-                    eps = coarse[p][q]
-        rows.append((delta, eps))
-    return ModulusTable("quotient_order", tuple(rows))
 
 
 def image_reference(truncation, j, i):

@@ -15,21 +15,19 @@ import unimet.cones
 import unimet.cylinders
 import unimet.spaces
 from helpers import (
+    fundamental_sequence_to_json,
     halving_chain,
     moon_moser_sequence,
     retraction_tower,
     space,
+    truncation_to_json,
     window_chain,
 )
 from unimet.cli import INVLIM_MODES, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP
 from unimet.invlim import telescope_metric
-from unimet.jsonio import (
-    fundamental_sequence_to_json,
-    space_to_json,
-    truncation_to_json,
-)
+from unimet.jsonio import space_to_json
 from unimet.reporting import canonical_bytes
 
 S3 = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
@@ -329,6 +327,16 @@ def test_embed_diameter_rescale_and_depth(tmp_path, s3):
     assert code == 0, err
     code, out, err = run(["embed", s3, "--depth", "0"])
     assert code == 1, err
+
+
+def test_a_huge_diameter_is_named_briefly(tmp_path):
+    """A diameter of 4,001 digits is refused with a message of bounded
+    length that names the bound."""
+    huge = {"points": [0, 1], "dist": [["0", "1e4000"], ["1e4000", "0"]]}
+    code, out, err = run(["embed", write(tmp_path, "huge.json", huge)])
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 300
+    assert "diameter about 1.000e4000 > 1;" in err
 
 
 def test_embed_refuses_a_depth_past_the_cap(tmp_path, s3):

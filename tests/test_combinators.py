@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import interval_points, random_space, space
-from oracles import hausdorff_formula, weighted_sup_reference
+from oracles import hausdorff_formula, sup_distance, weighted_sup_reference
 from unimet.combinators import (
     disjoint_union_metric,
     hausdorff_distance,
@@ -17,7 +17,6 @@ from unimet.combinators import (
     weighted_sup_metric,
 )
 from unimet.errors import PreconditionError, StructuralError
-from unimet.sequences import sup_distance
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
 

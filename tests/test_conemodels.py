@@ -8,13 +8,11 @@ import pytest
 
 from unimet.conemodels import (
     COMPARISON_TOL,
-    IDENTITY_TOL,
     PI_FLOOR,
     NormedPointSet,
     cone_comparison_bounds,
     euclidean_cone_distance,
     euclidean_cone_metric,
-    euclidean_identity_gap,
     independent_rectilinear_join,
     rectilinear_cone,
     rectilinear_cone_point,
@@ -120,15 +118,6 @@ def test_law_of_cosines_endpoints():
     assert abs(val - math.sqrt(2)) < 1e-7
     # radial pairs differ by |t - s|
     assert abs(euclidean_cone_distance(Fraction(1, 4), Fraction(3, 4), 0) - 0.5) < 1e-15
-
-
-def test_squared_identity_gap_is_tiny():
-    rng = random.Random(431)
-    for _ in range(200):
-        t = Fraction(rng.randint(0, 16), 16)
-        s = Fraction(rng.randint(0, 16), 16)
-        d = Fraction(rng.randint(0, 314), 100)
-        assert euclidean_identity_gap(t, s, d) <= IDENTITY_TOL
 
 
 def test_euclidean_cone_sampling_and_guards():

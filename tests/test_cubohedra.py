@@ -1,10 +1,20 @@
 """Dyadic cubical complexes and the lattice retraction homotopy."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import (
+    cube_faces,
+    distance_to_cubes_reference,
+    face_closure,
+    maximal_cubes_reference,
+    membership_reference,
+)
 from unimet.cubohedra import (
     Cube,
     Cubohedron,
@@ -20,7 +30,7 @@ from unimet.cubohedra import (
     subcomplex_membership,
 )
 from unimet.errors import PreconditionError, StructuralError
-from unimet.sequences import SequencePoint, sup_distance
+from unimet.sequences import SequencePoint
 
 
 def point(support, tail=0):
@@ -106,14 +116,14 @@ def test_cube_validation_and_geometry():
 def test_faces_of_edges_and_squares():
     edge = Fraction(1, 2)
     segment = Cube((), (0,))
-    faces = segment.faces(edge)
+    faces = cube_faces(segment, edge)
     # two endpoint vertices
     assert len(faces) == 2
     assert Cube((), ()) in faces
     assert Cube(((0, Fraction(1, 2)),), ()) in faces
     square = Cube((), (0, 1))
     # four edges plus four vertices
-    assert len(square.faces(edge)) == 8
+    assert len(cube_faces(square, edge)) == 8
 
 
 # ---- complexes ----
@@ -122,10 +132,28 @@ def test_faces_of_edges_and_squares():
 def test_cubohedron_closes_under_faces():
     square = Cube((), (0, 1))
     complex_ = Cubohedron(1, (square,))
-    # a square carries 3^2 faces including itself
-    assert len(complex_.cubes) == 9
-    assert complex_.maximal_cubes() == (square,)
+    # a square carries 3^2 faces including itself; the complex stores one
+    assert len(face_closure(complex_)) == 9
+    assert complex_.cubes == (square,)
     assert complex_.edge == Fraction(1, 2)
+
+
+def test_cubohedron_keeps_only_maximal_cubes():
+    square = Cube((), (0, 1))
+    edge, vertex, apart = Cube((), (0,)), Cube(((1, Fraction(1, 2)),), ()), Cube((), (2,))
+    complex_ = Cubohedron(1, (edge, square, vertex, apart, square))
+    assert complex_.cubes == (apart, square)
+    assert face_closure(complex_) == face_closure(Cubohedron(1, (square, apart)))
+
+
+def test_a_ten_cube_builds_without_its_faces():
+    start = time.perf_counter()
+    complex_ = Cubohedron(1, (Cube((), tuple(range(10))),))
+    assert time.perf_counter() - start < 1
+    assert complex_.cubes[0].dimension == 10
+    corner = point({i: "1/2" for i in range(10)})
+    assert subcomplex_membership(corner, complex_)
+    assert distance_to_complex(point({10: "1/4"}), complex_) == Fraction(1, 4)
 
 
 def test_cubohedron_guards():
@@ -154,6 +182,48 @@ def test_membership_and_distance():
         distance_to_complex(tailed, complex_)
     with pytest.raises(PreconditionError, match="no cubes"):
         distance_to_complex(inside, Cubohedron(1, ()))
+
+
+@st.composite
+def complexes_with_points(draw):
+    """A complex at level 0..2 of 1..3 cubes of dimension at most 4 over
+    the indices 0..5, and 1..4 points near it: up to four coordinates on
+    the quarter-edge grid between -2 and 2."""
+    level = draw(st.integers(0, 2))
+    edge = Fraction(1, 2**level)
+    index = st.integers(0, 5)
+    vertex = st.integers(-2, 2**level).map(lambda k: k * edge)
+    quarter = st.integers(-2**(level + 3), 2**(level + 3)).map(lambda k: k * edge / 4)
+    cubes = [
+        Cube(
+            tuple(sorted(draw(st.dictionaries(index, vertex.filter(bool), max_size=3)).items())),
+            tuple(draw(st.sets(index, max_size=4))),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    points = draw(st.lists(st.dictionaries(index, quarter, max_size=4), min_size=1, max_size=4))
+    return Cubohedron(level, tuple(cubes)), [point(p) for p in points]
+
+
+@given(complexes_with_points())
+def test_maximal_cubes_answer_as_the_face_closure(case):
+    """Membership, distance and the minimal enclosing complex read off the
+    maximal cubes equal the same computations over every face."""
+    complex_, points = case
+    edge = complex_.edge
+    closure = face_closure(complex_)
+    assert complex_.cubes == maximal_cubes_reference(closure, edge)
+    for x in points:
+        assert subcomplex_membership(x, complex_) == membership_reference(x, closure, edge)
+        assert distance_to_complex(x, complex_) == distance_to_cubes_reference(x, closure, edge)
+    report = minimal_enclosing_subcomplex(points, complex_.level)
+    closure = face_closure(report.complex)
+    maximal = maximal_cubes_reference(closure, edge)
+    assert report.complex.cubes == maximal
+    # stored cubes are carriers and carriers are faces: one closure
+    assert set(maximal) <= set(report.carriers) <= set(closure)
+    assert report.covers_all == all(membership_reference(x, closure, edge) for x in points)
+    assert report.minimal == all(c in report.carriers for c in maximal)
 
 
 # ---- carriers ----
@@ -206,9 +276,10 @@ def test_retraction_lands_in_complex_within_the_band():
         for _ in range(3)
     ]
     report_complex = minimal_enclosing_subcomplex(anchors, level).complex
+    closure = face_closure(report_complex)
     samples = []
     for _ in range(40):
-        cube = report_complex.cubes[rng.randrange(len(report_complex.cubes))]
+        cube = closure[rng.randrange(len(closure))]
         coords = {}
         for i in cube.indices():
             low, high = cube.interval(i, report_complex.edge)

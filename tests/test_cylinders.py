@@ -14,13 +14,13 @@ from helpers import (
     space,
     with_examples,
 )
+from oracles import sub_cylinder
 from unimet.cylinders import (
     CYLINDER_CROSS,
     adjusted_metric,
     cylinder_adjunction_check,
     map_sup_distance,
     mapping_cylinder_metric,
-    sub_cylinder,
     uniform_modulus,
 )
 from unimet.errors import PreconditionError, StructuralError

@@ -8,13 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import interval_points, metric_spaces, random_space, wide_space
-from oracles import aharoni_embed_reference
+from oracles import aharoni_embed_reference, sup_distance
 from unimet import embedding
 from unimet.covers import ball_cover
 from unimet.embedding import aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError
 from unimet.scalars import pow2
-from unimet.sequences import sup_distance
 
 
 # ---- depth heuristic ----

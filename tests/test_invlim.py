@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from helpers import (
+    ConstructionInputs,
+    construction_inputs,
     halving_chain,
     interval_points,
     ladders,
@@ -248,16 +250,18 @@ def test_separation_index_on_tower():
 # ---- telescopes ----
 
 
-def test_telescope_matches_mapping_cylinder():
-    base = interval_points([0, 1], Fraction(1, 2))
-    target = interval_points([0], Fraction(1))
-    trunc = inverse_sequence([target, base], [(0, 0)])
-    tele = telescope_metric(trunc, 0, 1, GRID)
-    cyl = mapping_cylinder_metric(base, target, (0, 0), GRID)
+@example(ConstructionInputs(
+    interval_points([0, 1], Fraction(1, 2)), GRID, interval_points([0], Fraction(1)), (0, 0)
+))
+@given(construction_inputs(Fraction(0), (Fraction(0), Fraction(1)), Fraction(1)))
+def test_telescope_matches_mapping_cylinder(inputs):
+    """The telescope of one bond is the mapping cylinder of that bond."""
+    base, target = inputs.source, inputs.target
+    trunc = inverse_sequence([target, base], [inputs.mapping])
+    tele = telescope_metric(trunc, 0, 1, inputs.grid)
+    cyl = mapping_cylinder_metric(base, target, inputs.mapping, inputs.grid)
     assert tele.space.points == cyl.space.points
-    for a in range(tele.space.n):
-        for b in range(tele.space.n):
-            assert tele.space.d(a, b) == cyl.space.d(a, b)
+    assert tele.space.dist == cyl.space.dist
     assert tele.level_class(0) == tuple(cyl.y_index(j) for j in range(target.n))
     assert tele.level_class(1) == tuple(
         cyl.class_index(i, Fraction(0)) for i in range(base.n)

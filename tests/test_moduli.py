@@ -1,4 +1,4 @@
-"""Continuity and separation modulus tables."""
+"""Continuity modulus tables."""
 
 import random
 from fractions import Fraction
@@ -8,23 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import interval_points, metric_spaces, random_space, space, wide_space
-from oracles import continuity_modulus_reference, separation_modulus_reference
+from oracles import continuity_modulus_reference
 from unimet.errors import PreconditionError, StructuralError
-from unimet.moduli import (
-    ModulusTable,
-    check_uniform_continuity,
-    continuity_modulus,
-    separation_modulus,
-)
+from unimet.moduli import ModulusTable, check_uniform_continuity, continuity_modulus
 
 
 # ---- table shape ----
 
 
 def test_table_validates_rows():
-    good = ModulusTable(
-        "continuity", ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)))
-    )
+    good = ModulusTable(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1))))
     assert good.epsilon_for(Fraction(0)) == 0
     # a row covers an input scale only when its delta is at least that scale
     assert good.epsilon_for(Fraction(1, 4)) == 1
@@ -33,13 +26,13 @@ def test_table_validates_rows():
     assert good.delta_for(Fraction(1)) == Fraction(1, 2)
     assert good.delta_for(Fraction(-1)) is None
     with pytest.raises(StructuralError, match="sorted"):
-        ModulusTable("continuity", ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
+        ModulusTable(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
     with pytest.raises(StructuralError, match="nondecreasing"):
-        ModulusTable("continuity", ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+        ModulusTable(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
     with pytest.raises(StructuralError, match="pairs"):
-        ModulusTable("continuity", ((Fraction(0),),))
+        ModulusTable(((Fraction(0),),))
     with pytest.raises(StructuralError, match="exact"):
-        ModulusTable("continuity", ((0.5, Fraction(1)),))
+        ModulusTable(((0.5, Fraction(1)),))
 
 
 # ---- continuity tables ----
@@ -53,8 +46,6 @@ def test_continuity_rows_certify_and_are_tight():
         mapping = [rng.randrange(target.n) for _ in range(source.n)]
         table = continuity_modulus(source, target, mapping)
         assert table == continuity_modulus_reference(source, target, mapping)
-        assert table.kind == "continuity"
-        assert table.failed == ()
         assert [d for d, _ in table.rows] == sorted(source.spectrum())
         for delta, eps in table.rows:
             assert check_uniform_continuity(source, target, mapping, delta, eps) is None
@@ -77,58 +68,16 @@ def test_continuity_witness_is_lexicographically_first():
     assert witness == (0, 1, Fraction(1, 2), Fraction(1, 2))
 
 
-# ---- separation tables ----
-
-
-def test_separation_rows_pin_source_distances():
-    rng = random.Random(103)
-    for _ in range(15):
-        source = random_space(rng, rng.randint(2, 6))
-        target = random_space(rng, rng.randint(2, 5))
-        mapping = [rng.randrange(target.n) for _ in range(source.n)]
-        table = separation_modulus(source, target, mapping)
-        assert table.kind == "separation"
-        pairs = [
-            (source.d(i, j), target.d(mapping[i], mapping[j]))
-            for i in range(source.n)
-            for j in range(i + 1, source.n)
-        ]
-        for delta, eps in table.rows:
-            for sd, td in pairs:
-                if td <= delta:
-                    assert sd <= eps
-        for eps in table.failed:
-            # even an image distance of zero fails to pin the source pair
-            assert any(td == 0 and sd > eps for sd, td in pairs)
+# ---- against the reference ----
 
 
 @given(metric_spaces(1, 6), metric_spaces(1, 5), st.data())
 def test_moduli_tables_match_the_frozen_loops(source, target, data):
     image = st.integers(0, target.n - 1)
     mapping = data.draw(st.lists(image, min_size=source.n, max_size=source.n))
-    assert separation_modulus(source, target, mapping) == separation_modulus_reference(
-        source, target, mapping
-    )
     assert continuity_modulus(source, target, mapping) == continuity_modulus_reference(
         source, target, mapping
     )
-
-
-def test_separation_failure_on_collapsing_map():
-    source = interval_points([0, 1], Fraction(1, 2))
-    target = interval_points([0], Fraction(1))
-    table = separation_modulus(source, target, [0, 0])
-    assert Fraction(0) in table.failed
-
-
-def test_injective_map_separates_fully():
-    source = interval_points([0, 1, 2], Fraction(1, 4))
-    target = interval_points([0, 1, 2], Fraction(1, 4))
-    table = separation_modulus(source, target, [0, 1, 2])
-    assert table.failed == ()
-    # the identity pins every epsilon with delta equal to epsilon
-    for delta, eps in table.rows:
-        assert delta == eps
 
 
 # ---- mapping guards ----
@@ -140,4 +89,4 @@ def test_moduli_reject_partial_maps():
     with pytest.raises(PreconditionError):
         continuity_modulus(source, target, {0: 0, 1: 1})
     with pytest.raises(StructuralError):
-        separation_modulus(source, target, [0, 1, 5])
+        continuity_modulus(source, target, [0, 1, 5])

@@ -21,7 +21,6 @@ from oracles import (
     block_distance_matrix,
     chain_limit_apsp,
     chain_power,
-    quotient_order_reference,
     triangle_valid,
 )
 from unimet.errors import PreconditionError, StructuralError
@@ -33,7 +32,6 @@ from unimet.quotients import (
     chain_metric,
     glue_parts,
     quotient_by_discrete_family,
-    quotient_order_modulus,
 )
 
 
@@ -157,35 +155,6 @@ def test_chain_metric_guards():
     # steps beyond class_count - 1 equal the chain limit
     big = chain_metric(sur, 99)
     assert big.values == chain_metric(sur, None).values
-
-
-def test_quotient_order_modulus_tracks_identity():
-    s = interval_points([0, 1, 2, 3], Fraction(1, 4))
-    sur = Surjection.from_classes(s, [[0, 3]])
-    table = quotient_order_modulus(sur, 1)
-    fine = chain_metric(sur, None).values
-    coarse = chain_metric(sur, 1).values
-    k = sur.class_count
-    for delta, eps in table.rows:
-        for p in range(k):
-            for q in range(k):
-                if fine[p][q] <= delta:
-                    assert coarse[p][q] <= eps
-
-
-def test_quotient_order_modulus_matches_the_frozen_loop():
-    rng = random.Random(409)
-    for _ in range(20):
-        size = rng.randint(2, 7)
-        source = random_space(rng, size)
-        class_of = random_partition(rng, size, rng.randint(1, size))
-        sur = Surjection(source, max(class_of) + 1, tuple(class_of))
-        for steps in (1, 2, 3):
-            table = quotient_order_modulus(sur, steps)
-            want = quotient_order_reference(
-                chain_metric(sur, None).values, chain_metric(sur, steps).values
-            )
-            assert table == want
 
 
 # ---- quotients by families ----

@@ -19,7 +19,7 @@ from oracles import diameter_reference, scaled_reference, spectrum_reference
 from unimet.errors import PreconditionError, StructuralError
 from unimet.kernel import to_int_matrix
 from unimet import spaces
-from unimet.scalars import ONE, ZERO, as_scalar, format_scalar, pow2
+from unimet.scalars import ONE, ZERO, as_scalar, brief_scalar, format_scalar, pow2
 from unimet.spaces import (
     FiniteMetricSpace,
     PartialMap,
@@ -62,6 +62,15 @@ def test_as_scalar_rejects_floats_bools_and_garbage():
 def test_format_scalar_round_trips():
     for v in (Fraction(0), Fraction(3), Fraction(-5, 8), Fraction(22, 7)):
         assert as_scalar(format_scalar(v)) == v
+
+
+def test_brief_scalar_bounds_long_values():
+    assert brief_scalar(Fraction(-22, 7)) == "-22/7"
+    assert brief_scalar(Fraction(2) ** 100) == str(2**100)
+    assert brief_scalar(Fraction(10) ** 4000) == "about 1.000e4000"
+    assert brief_scalar(-Fraction(99999, 10**5000)) == "about -9.999e-4996"
+    # past the digits int may print, the exponent still comes out exactly
+    assert brief_scalar(Fraction(7) * 10**9000) == "about 7.000e9000"
 
 
 def test_pow2_both_signs():

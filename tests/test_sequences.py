@@ -1,19 +1,14 @@
-"""Sequence points with constant tails: distances, retraction, contraction."""
+"""Sequence points with constant tails: canonical form, the reference sup
+distance, and the contraction profile."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from unimet.errors import PreconditionError, StructuralError
-from unimet.sequences import (
-    SequencePoint,
-    distance_to_vanishing_tail,
-    q0_retract,
-    sup_distance,
-    tail_contraction,
-    tail_ramp,
-)
+from oracles import sup_distance
+from unimet.errors import StructuralError
+from unimet.sequences import SequencePoint, tail_ramp
 
 
 def random_unit_point(rng):
@@ -76,31 +71,7 @@ def test_sup_distance_triangle_inequality():
         assert sup_distance(a, b) == sup_distance(b, a)
 
 
-# ---- retraction onto vanishing tails ----
-
-
-def test_q0_retract_achieves_the_tail_distance():
-    rng = random.Random(509)
-    for _ in range(50):
-        x = random_unit_point(rng)
-        r = q0_retract(x)
-        assert r.tail == 0
-        assert distance_to_vanishing_tail(x) == x.tail
-        assert sup_distance(x, r) == x.tail
-        # idempotent, identity on the subspace
-        assert q0_retract(r) == r
-    fixed = SequencePoint.from_dict({2: "3/4"}, 0)
-    assert q0_retract(fixed) == fixed
-
-
-def test_q0_retract_requires_unit_coordinates():
-    with pytest.raises(PreconditionError, match="outside"):
-        q0_retract(SequencePoint.from_dict({0: 2}, 0))
-    with pytest.raises(PreconditionError, match="outside"):
-        distance_to_vanishing_tail(SequencePoint.from_dict({}, 2))
-
-
-# ---- tail contraction ----
+# ---- contraction profile ----
 
 
 def test_tail_ramp_profile():
@@ -108,31 +79,3 @@ def test_tail_ramp_profile():
     assert tail_ramp(Fraction(1, 2), Fraction(1)) == 0
     assert tail_ramp(Fraction(3, 4), Fraction(1)) == Fraction(1, 2)
     assert tail_ramp(Fraction(1), Fraction(1)) == 1
-
-
-def test_tail_contraction_properties():
-    rng = random.Random(521)
-    for _ in range(30):
-        x = random_unit_point(rng)
-        assert tail_contraction(x, 0) == x
-        full = tail_contraction(x, 1)
-        # at t = 1 every coordinate at most 1/2 has been collapsed to 0
-        for i in x.support_indices():
-            if x.value(i) <= Fraction(1, 2):
-                assert full.value(i) == 0
-        if x.tail <= Fraction(1, 2):
-            assert full.tail == 0
-        # the contraction never increases coordinates
-        for t in (Fraction(1, 4), Fraction(1, 2)):
-            mid = tail_contraction(x, t)
-            for i in x.support_indices():
-                assert mid.value(i) <= x.value(i)
-            assert mid.tail <= x.tail
-
-
-def test_tail_contraction_guards():
-    x = SequencePoint.from_dict({0: "1/2"}, 0)
-    with pytest.raises(PreconditionError, match="outside"):
-        tail_contraction(x, 2)
-    with pytest.raises(PreconditionError, match="outside"):
-        tail_contraction(SequencePoint.from_dict({0: 2}, 0), Fraction(1, 2))
