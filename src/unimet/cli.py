@@ -11,6 +11,10 @@ Each command imports only what it runs: the construction modules are
 imported inside the handlers that call them, so ``check`` never loads
 them and each fresh process pays only for its own command.
 
+The command line restates no rule of the library it calls; the kinds,
+modes, axiom rows and echoed flags are read from the tables and the parsed
+arguments that define them.
+
 Exit codes: 0 when every check passes, 1 for mathematical failures
 (violated preconditions or failing check rows), 2 for input errors
 (unreadable files, malformed JSON, unknown commands).
@@ -25,13 +29,12 @@ from typing import Optional
 
 from .errors import PreconditionError, StructuralError
 from .jsonio import (
+    expect_key,
     fundamental_sequence_from_json,
-    label_to_json,
     ladder_from_json,
     load_document,
     mapping_from_json,
     scalar_from_json,
-    sequence_point_to_json,
     space_from_json,
     space_to_json,
     subset_from_json,
@@ -39,22 +42,11 @@ from .jsonio import (
     truncation_from_json,
 )
 from .reporting import ReportBuilder, canonical_bytes, digest_inputs
-from .scalars import ONE, ZERO, Scalar, as_scalar
-from .spaces import FiniteMetricSpace, check_metric_axioms, largest_gap
+from .scalars import ONE, ZERO, Scalar, as_scalar, parameter_grid
+from .spaces import AXIOMS, FiniteMetricSpace, check_metric_axioms, largest_gap
 
 # ---- constants ----
 
-AXIOM_NAMES = ("diagonal", "nonnegativity", "symmetry", "positivity", "triangle")
-BUILD_KINDS = (
-    "cone",
-    "join",
-    "cylinder",
-    "adjunction",
-    "amalgam",
-    "quotient",
-    "telescope",
-)
-INVLIM_MODES = ("threads", "ml", "converge", "cauchy", "separate", "perturb")
 DEFAULT_UNIT_GRID = "0,1/2,1"
 DEFAULT_JOIN_GRID = "-1,-1/2,0,1/2,1"
 
@@ -75,37 +67,26 @@ def _seed_value(text: str) -> int:
 
 
 def _parse_grid(text: str, low: Scalar, high: Scalar, required) -> tuple:
-    """Parse a comma separated rational grid, mirroring the builders' checks.
+    """Parse a comma separated rational grid and check it with parameter_grid.
 
     Grid problems are precondition failures (exit 1), not document errors:
     the grid is a construction parameter, not part of the input file.
     """
-    values = set()
+    values = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise PreconditionError("grid has an empty entry")
         try:
-            values.add(as_scalar(token))
+            values.append(as_scalar(token))
         except ValueError:
             raise PreconditionError(
                 f"grid entry {token!r} is not a rational"
             ) from None
-    for t in sorted(values):
-        if not low <= t <= high:
-            raise PreconditionError(f"grid value {t} outside [{low}, {high}]")
-    for needed in required:
-        if needed not in values:
-            raise PreconditionError(f"grid must contain {needed}")
-    return tuple(sorted(values))
-
-
-def _section(doc, key: str, what: str):
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{what} file must be a JSON object")
-    if key not in doc:
-        raise StructuralError(f"{what} file needs key {key!r}")
-    return doc[key]
+    try:
+        return parameter_grid(values, low, high, required)
+    except StructuralError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("build", help="run a construction and certify it")
-    p.add_argument("kind", choices=BUILD_KINDS)
+    p.add_argument("kind", choices=_BUILDERS)
     p.add_argument("path", help="JSON input bundle for the chosen kind")
     p.add_argument(
         "--grid",
@@ -191,25 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
 # ---- report assembly helpers ----
 
 
+# Left out of the echo: the positionals, and --out, which changes no result.
+_NOT_ECHOED = ("command", "kind", "mode", "path", "out")
+
+
 def _flag_echo(args: argparse.Namespace) -> list:
+    """Each set flag, sorted: --name when True, --name=value otherwise."""
     flags = []
-    if args.seed is not None:
-        flags.append(f"--seed={args.seed}")
-    if args.oracle:
-        flags.append("--oracle")
-    if getattr(args, "pseudo", False):
-        flags.append("--pseudo")
-    if getattr(args, "rescale", False):
-        flags.append("--rescale")
-    if getattr(args, "grid", None) is not None:
-        flags.append(f"--grid={args.grid}")
-    if getattr(args, "depth", None) is not None:
-        flags.append(f"--depth={args.depth}")
+    for name, value in vars(args).items():
+        if name in _NOT_ECHOED or value is None or value is False:
+            continue
+        flags.append(f"--{name}" if value is True else f"--{name}={value}")
     return sorted(flags)
 
 
 def _builder(args: argparse.Namespace, *extra: str) -> ReportBuilder:
-    # --out is left out of the echo: it does not affect the computation.
     echo = [args.command, *extra, os.path.basename(args.path)] + _flag_echo(args)
     return ReportBuilder(echo, digest_inputs([args.path], args.seed))
 
@@ -242,7 +219,7 @@ def _cmd_check(args: argparse.Namespace) -> ReportBuilder:
     )
     audit = check_metric_axioms(space, allow_pseudo=True if args.pseudo else None)
     by_axiom = {v.axiom: v for v in audit.violations}
-    for axiom in AXIOM_NAMES:
+    for axiom in AXIOMS:
         if axiom == "positivity" and audit.allow_pseudo:
             builder.info("axiom positivity waived for pseudometrics")
             continue
@@ -283,8 +260,8 @@ def _build_cone(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
 def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
     from .cones import join_amalgam_equality, join_metric
 
-    left = space_from_json(_section(doc, "left", "join"))
-    right = space_from_json(_section(doc, "right", "join"))
+    left = space_from_json(expect_key(doc, "left", "the join file"))
+    right = space_from_json(expect_key(doc, "right", "the join file"))
     grid = _parse_grid(args.grid or DEFAULT_JOIN_GRID, -ONE, ONE, (-ONE, ONE))
     if args.oracle and ZERO not in grid:
         raise PreconditionError("the amalgam comparison needs 0 in the grid")
@@ -317,9 +294,9 @@ def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
 def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
     from .cylinders import cylinder_adjunction_check, mapping_cylinder_metric
 
-    source = space_from_json(_section(doc, "source", "cylinder"))
-    target = space_from_json(_section(doc, "target", "cylinder"))
-    mapping = mapping_from_json(_section(doc, "mapping", "cylinder"))
+    source = space_from_json(expect_key(doc, "source", "the cylinder file"))
+    target = space_from_json(expect_key(doc, "target", "the cylinder file"))
+    mapping = mapping_from_json(expect_key(doc, "mapping", "the cylinder file"))
     grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
     cylinder = mapping_cylinder_metric(source, target, mapping, grid)
     _metric_row(builder, "cylinder satisfies the metric axioms", cylinder.space)
@@ -346,10 +323,10 @@ def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> No
 def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
     from .gluing import adjunction_space
 
-    space = space_from_json(_section(doc, "space", "adjunction"))
-    subset = subset_from_json(_section(doc, "subset", "adjunction"))
-    target = space_from_json(_section(doc, "target", "adjunction"))
-    attaching = mapping_from_json(_section(doc, "attaching", "adjunction"))
+    space = space_from_json(expect_key(doc, "space", "the adjunction file"))
+    subset = subset_from_json(expect_key(doc, "subset", "the adjunction file"))
+    target = space_from_json(expect_key(doc, "target", "the adjunction file"))
+    attaching = mapping_from_json(expect_key(doc, "attaching", "the adjunction file"))
     cross = scalar_from_json(doc["cross"]) if "cross" in doc else None
     extension = space_from_json(doc["extension"]) if "extension" in doc else None
     result = adjunction_space(
@@ -367,9 +344,9 @@ def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> 
 def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
     from .quotients import amalgamated_union
 
-    left = space_from_json(_section(doc, "left", "amalgam"))
-    right = space_from_json(_section(doc, "right", "amalgam"))
-    gluing = mapping_from_json(_section(doc, "gluing", "amalgam"))
+    left = space_from_json(expect_key(doc, "left", "the amalgam file"))
+    right = space_from_json(expect_key(doc, "right", "the amalgam file"))
+    gluing = mapping_from_json(expect_key(doc, "gluing", "the amalgam file"))
     space = amalgamated_union(left, right, gluing)
     _metric_row(builder, "amalgam satisfies the metric axioms", space)
     builder.info("constructed space", witnesses=[space_to_json(space)])
@@ -378,13 +355,13 @@ def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> Non
 def _build_quotient(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
     from .quotients import quotient_by_discrete_family
 
-    space = space_from_json(_section(doc, "space", "quotient"))
-    if isinstance(doc, dict) and "family" in doc:
+    space = space_from_json(expect_key(doc, "space", "the quotient file"))
+    if "family" in doc:
         raw = doc["family"]
         if not isinstance(raw, list):
             raise StructuralError("quotient family must be an array of index arrays")
         family = [subset_from_json(item) for item in raw]
-    elif isinstance(doc, dict) and "class_of" in doc:
+    elif "class_of" in doc:
         family = surjection_from_json(doc, space).classes()
     else:
         raise StructuralError("quotient file needs key 'family' or 'class_of'")
@@ -480,8 +457,6 @@ def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
         space = space.rescaled_to_diameter(ONE)
         builder.info("space rescaled to diameter 1")
     depth = sufficient_depth(space) if args.depth is None else args.depth
-    if depth < 1:
-        raise PreconditionError("embedding depth must be at least 1")
     embedding = aharoni_embed(space, depth)
     builder.info("embedding depth", scalars={"depth": depth})
     builder.check("map is nonexpansive", embedding.certificate.nonexpansive_ok)
@@ -507,10 +482,10 @@ def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
         "embedded images",
         witnesses=[
             {
-                "point": label_to_json(space.points[i]),
-                "image": sequence_point_to_json(embedding.images[i]),
+                "point": space.points[i],
+                "image": {"support": dict(img.support), "tail": img.tail},
             }
-            for i in range(space.n)
+            for i, img in enumerate(embedding.images)
         ],
     )
     return builder
@@ -532,10 +507,7 @@ def _invlim_threads(truncation, builder: ReportBuilder) -> None:
         "every thread is bond compatible",
         all(t.compatible_with(truncation) for t in found),
     )
-    builder.info(
-        "threads",
-        witnesses=[[label_to_json(e) for e in t.entries] for t in found],
-    )
+    builder.info("threads", witnesses=[t.entries for t in found])
 
 
 def _invlim_ml(truncation, builder: ReportBuilder) -> None:
@@ -696,21 +668,23 @@ def _invlim_perturb(doc, builder: ReportBuilder) -> None:
         )
 
 
+_INVLIM = {
+    "threads": _invlim_threads,
+    "ml": _invlim_ml,
+    "converge": _invlim_converge,
+    "cauchy": _invlim_cauchy,
+    "separate": _invlim_separate,
+}
+INVLIM_MODES = (*_INVLIM, "perturb")
+
+
 def _cmd_invlim(args: argparse.Namespace) -> ReportBuilder:
     doc = load_document(args.path)
     builder = _builder(args, args.mode)
     if args.mode == "perturb":
         _invlim_perturb(doc, builder)
         return builder
-    truncation = truncation_from_json(doc)
-    handler = {
-        "threads": _invlim_threads,
-        "ml": _invlim_ml,
-        "converge": _invlim_converge,
-        "cauchy": _invlim_cauchy,
-        "separate": _invlim_separate,
-    }[args.mode]
-    handler(truncation, builder)
+    _INVLIM[args.mode](truncation_from_json(doc), builder)
     return builder
 
 

@@ -156,17 +156,17 @@ def _subset_labels(space: FiniteMetricSpace, mask: int) -> tuple:
     return tuple(space.points[i] for i in range(space.n) if mask >> i & 1)
 
 
-def hausdorff_hyperspace(space: FiniteMetricSpace, cap: int = HYPERSPACE_CAP) -> FiniteMetricSpace:
+def hausdorff_hyperspace(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Space of nonempty subsets under the Hausdorff distance capped at 1.
 
     Points are label tuples in index order; the metric is min(d_H, 1).  The
-    construction enumerates all 2^n - 1 subsets, so grounds beyond ``cap``
-    points are refused.
+    construction enumerates all 2^n - 1 subsets, so grounds beyond
+    ``HYPERSPACE_CAP`` points are refused.
     """
     ensure_metric(space, "hausdorff_hyperspace")
-    if space.n > cap:
+    if space.n > HYPERSPACE_CAP:
         raise PreconditionError(
-            f"hyperspace over {space.n} points exceeds the cap of {cap}"
+            f"hyperspace over {space.n} points exceeds the cap of {HYPERSPACE_CAP}"
         )
     n = space.n
     masks = list(range(1, 1 << n))

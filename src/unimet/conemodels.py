@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
 from .spaces import FiniteMetricSpace, ensure_metric
 
 # rational lower bound of pi: guards "diameter <= pi" conservatively
@@ -118,12 +118,7 @@ def rectilinear_cone(
     """
     if base.norm != "sup":
         raise PreconditionError("rectilinear cone model needs the sup norm")
-    grid = sorted({as_scalar(t) for t in t_grid})
-    if not grid or grid[0] < 0 or grid[-1] > 1:
-        raise StructuralError("t grid must lie in [0, 1]")
-    for needed in (ZERO, ONE):
-        if needed not in grid:
-            raise StructuralError(f"t grid must contain {needed}")
+    grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     seen = set()
     sampled = []
     for p in base.points:
@@ -162,12 +157,7 @@ def independent_rectilinear_join(
     """
     if left.norm != "sup" or right.norm != "sup":
         raise PreconditionError("rectilinear join model needs sup norms")
-    grid = sorted({as_scalar(t) for t in tau_grid})
-    if not grid or grid[0] < -1 or grid[-1] > 1:
-        raise StructuralError("tau grid must lie in [-1, 1]")
-    for needed in (-ONE, ONE):
-        if needed not in grid:
-            raise StructuralError(f"tau grid must contain {needed}")
+    grid = parameter_grid(tau_grid, -ONE, ONE, (-ONE, ONE))
     seen = set()
     sampled = []
     for p in left.points:
@@ -220,6 +210,7 @@ def euclidean_cone_metric(base: FiniteMetricSpace, t_grid) -> EuclideanCone:
             "euclidean_cone_metric needs diameter <= pi "
             f"(guarded at {PI_FLOOR})"
         )
+    # Not ``parameter_grid``: only the apex end 0 is required here.
     grid = sorted({as_scalar(t) for t in t_grid})
     if not grid or grid[0] < 0 or grid[-1] > 1:
         raise StructuralError("t grid must lie in [0, 1]")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 from .combinators import product_metric
 from .errors import StructuralError
 from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
+from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
 from .spaces import (
     FiniteMetricSpace,
     ensure_diameter_at_most,
@@ -28,19 +28,6 @@ from .spaces import (
 )
 
 TWO = Fraction(2)
-
-
-def _clean_grid(grid, low: Scalar, high: Scalar, required: Sequence[Scalar]) -> tuple:
-    values = sorted({as_scalar(t) for t in grid})
-    if not values:
-        raise StructuralError("parameter grid must be nonempty")
-    for t in values:
-        if not low <= t <= high:
-            raise StructuralError(f"grid value {t} outside [{low}, {high}]")
-    for needed in required:
-        if needed not in values:
-            raise StructuralError(f"grid must contain {needed}")
-    return tuple(values)
 
 
 def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
@@ -98,7 +85,7 @@ def cone_metric(space: FiniteMetricSpace, t_grid) -> ConeSpace:
     """
     ensure_metric(space, "cone_metric")
     ensure_diameter_at_most(space, TWO, "cone_metric")
-    grid = _clean_grid(t_grid, ZERO, ONE, (ZERO, ONE))
+    grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     inner = tuple(t for t in grid if t < 1)
     points = [("seg", space.points[i], t) for i in range(space.n) for t in inner]
     points.append(("apex",))
@@ -218,7 +205,7 @@ def join_metric(
     ensure_metric(right, "join_metric right factor")
     ensure_diameter_at_most(left, TWO, "join_metric left factor")
     ensure_diameter_at_most(right, TWO, "join_metric right factor")
-    grid = _clean_grid(t_grid, -ONE, ONE, (-ONE, ONE))
+    grid = parameter_grid(t_grid, -ONE, ONE, (-ONE, ONE))
     inner = tuple(t for t in grid if -1 < t < 1)
     descriptors: list = []
     points: list = []

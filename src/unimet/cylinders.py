@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import _clean_grid, interval_space
+from .cones import interval_space
 from .combinators import product_metric
 from .errors import PreconditionError
 from .gluing import adjunction_space
 from .moduli import PairSweep, pair_distances
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
+from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid, pow2
 from .spaces import (
     FiniteMetricSpace,
     ensure_diameter_at_most,
@@ -106,7 +106,7 @@ def mapping_cylinder_metric(
     ensure_diameter_at_most(source, ONE, "mapping_cylinder_metric source")
     ensure_diameter_at_most(target, ONE, "mapping_cylinder_metric target")
     f = ensure_total_map(mapping, source, target, "mapping_cylinder_metric")
-    grid = _clean_grid(t_grid, ZERO, ONE, (ZERO, ONE))
+    grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     inner = tuple(t for t in grid if t < 1)
     adjusted = adjusted_metric(source, target, f)
 

@@ -35,7 +35,7 @@ from .cylinders import map_sup_distance, mapping_cylinder_metric
 from .errors import PreconditionError, StructuralError
 from .gluing import adjunction_space
 from .moduli import PairSweep, check_uniform_continuity, pair_distances
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
+from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid, pow2
 from .spaces import FiniteMetricSpace, ensure_total_map
 
 # Exhaustive thread enumeration refuses levels larger than this.
@@ -201,22 +201,22 @@ class Thread:
         )
 
 
-def _check_cap(truncation: InverseSequenceTruncation, cap: int) -> None:
+def _check_cap(truncation: InverseSequenceTruncation) -> None:
     for i, level in enumerate(truncation.levels):
-        if level.n > cap:
+        if level.n > THREAD_CAP:
             raise PreconditionError(
-                f"level {i} has {level.n} points, above the enumeration cap {cap}"
+                f"level {i} has {level.n} points, above the enumeration cap {THREAD_CAP}"
             )
 
 
-def threads(truncation: InverseSequenceTruncation, cap: int = THREAD_CAP) -> list:
+def threads(truncation: InverseSequenceTruncation) -> list:
     """All threads of the truncation, in top-level point order.
 
     Compatibility pins every lower entry from the top one (x_i must equal
     p^N_i(x_N)), so the exhaustive thread set is exactly one thread per
-    top-level point.  The cap guards the associated table sizes.
+    top-level point.  ``THREAD_CAP`` guards the associated table sizes.
     """
-    _check_cap(truncation, cap)
+    _check_cap(truncation)
     return list(truncation._threads)
 
 
@@ -252,17 +252,17 @@ class ThreadSpace:
         return tuple(sweeps)
 
 
-def thread_space(truncation: InverseSequenceTruncation, cap: int = THREAD_CAP) -> ThreadSpace:
+def thread_space(truncation: InverseSequenceTruncation) -> ThreadSpace:
     """Threads with the weighted-sup metric of ``combinators.weighted_sup_metric``.
 
     Levels need diameter <= 1 so the level weights dominate, exactly as in
     the full product construction; rescale the levels first otherwise.
-    Built once per truncation; each call checks the cap, and the diameters
-    until the space exists (it is built only after they pass).
+    Built once per truncation; each call checks ``THREAD_CAP``, and the
+    diameters until the space exists (it is built only after they pass).
     """
     if "_thread_space" not in vars(truncation):
         check_weighted_levels(truncation.levels)
-    _check_cap(truncation, cap)
+    _check_cap(truncation)
     return truncation._thread_space
 
 
@@ -489,7 +489,6 @@ class SeparationIndexResult:
 def separation_index(
     truncation: InverseSequenceTruncation,
     epsilon: ScalarLike,
-    cap: int = THREAD_CAP,
 ) -> SeparationIndexResult:
     """Smallest level whose projection pins thread distances to epsilon.
 
@@ -502,7 +501,7 @@ def separation_index(
     beyond the window.
     """
     eps = as_scalar(epsilon)
-    bundle = thread_space(truncation, cap)
+    bundle = thread_space(truncation)
     if not bundle.threads:
         raise PreconditionError("separation_index needs at least one thread")
     scanned = []
@@ -575,7 +574,8 @@ def telescope_metric(
     isometric target, positive clearance); a failed certificate raises.
 
     Levels on the segment need diameter <= 1, inherited from the cylinder
-    construction; rescale the levels first otherwise.
+    construction; rescale the levels first otherwise.  The grid is checked
+    by ``parameter_grid`` over [0, 1] with both ends, for a single level too.
     """
     if not 0 <= start <= stop <= truncation.top:
         raise StructuralError(
@@ -584,13 +584,12 @@ def telescope_metric(
     # tracked[j - start] holds the classes of level j in the union so far;
     # the first cylinder replaces the single level, later ones are attached.
     current = truncation.levels[start]
-    grid = tuple(as_scalar(t) for t in t_grid)
+    grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     tracked = [tuple(range(current.n))]
     certified = []
     for k in range(start, stop):
         level, upper = truncation.levels[k], truncation.levels[k + 1]
-        cylinder = mapping_cylinder_metric(upper, level, truncation.bonds[k], t_grid)
-        grid = cylinder.t_grid
+        cylinder = mapping_cylinder_metric(upper, level, truncation.bonds[k], grid)
         if k == start:
             current, y_class = cylinder.space, range(cylinder.space.n)
         else:
@@ -873,16 +872,16 @@ class PerturbationReport:
         )
 
 
-def _separation_readouts(ladder_data: LadderData, cap: int) -> tuple:
+def _separation_readouts(ladder_data: LadderData) -> tuple:
     """The last five fields of ``PerturbationReport``, from the uniqueness
     rows to the note that says why they are empty when they are."""
     source = ladder_data.source
     target = ladder_data.target
     try:
-        _check_cap(source, cap)
-        _check_cap(target, cap)
+        _check_cap(source)
+        _check_cap(target)
     except PreconditionError:
-        note = f"separation readouts skipped: a level exceeds the enumeration cap {cap}"
+        note = f"separation readouts skipped: a level exceeds the enumeration cap {THREAD_CAP}"
         return (), None, (), None, note
     if any(level.diameter() > ONE for level in source.levels + target.levels):
         note = (
@@ -890,8 +889,8 @@ def _separation_readouts(ladder_data: LadderData, cap: int) -> tuple:
             "of diameter <= 1"
         )
         return (), None, (), None, note
-    target_bundle = thread_space(target, cap)
-    source_bundle = thread_space(source, cap)
+    target_bundle = thread_space(target)
+    source_bundle = thread_space(source)
     betas = ladder_data.betas
 
     uniqueness_rows = tuple(
@@ -921,7 +920,7 @@ def _separation_readouts(ladder_data: LadderData, cap: int) -> tuple:
     return uniqueness_rows, unique, tuple(injectivity_rows), injective_certified, None
 
 
-def perturbation_limit(ladder_data: LadderData, cap: int = THREAD_CAP) -> PerturbationReport:
+def perturbation_limit(ladder_data: LadderData) -> PerturbationReport:
     """Build the stage-limit maps of a ladder and audit every bound.
 
     Stage map (i, j) sends the source top level through source bonds to
@@ -994,5 +993,5 @@ def perturbation_limit(ladder_data: LadderData, cap: int = THREAD_CAP) -> Pertur
         limit_maps,
         thread_map,
         len(set(thread_map)) == source.levels[top].n,
-        *_separation_readouts(ladder_data, cap),
+        *_separation_readouts(ladder_data),
     )

@@ -1,4 +1,5 @@
-"""JSON wire formats for every object the command line reads or writes.
+"""JSON wire formats: readers for every shape the command line takes in,
+and one writer, ``space_to_json``; ``reporting.jsonable`` writes the rest.
 
 Scalars travel as exact strings ("p/q", or "p" for integers; decimal
 strings parse too).  Floats inside data files are rejected so rounding
@@ -12,7 +13,6 @@ Shapes:
   Cover               {"ground": n, "sets": [[indices]]}
   FundamentalSequence {"covers": [Cover]}
   Surjection          {"class_of": [classIdx per point]}
-  SequencePoint       {"support": {"idx": scalar}, "tail": scalar}
   truncation          {"levels": [FiniteMetricSpace], "bonds": [map]}
   ladder              truncation plus {"cross": [map], "alphas": [scalar],
                       "betas": [scalar]} and optional {"target": truncation,
@@ -23,10 +23,10 @@ All malformed input raises StructuralError, never a bare JSON or key error.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .errors import StructuralError
+from .reporting import jsonable
 from .scalars import Scalar, as_scalar, format_scalar
 from .spaces import FiniteMetricSpace
 
@@ -45,10 +45,6 @@ def scalar_from_json(value) -> Scalar:
         raise StructuralError(str(exc)) from exc
 
 
-def scalar_to_json(value: Scalar) -> str:
-    return format_scalar(value)
-
-
 def label_from_json(value):
     if isinstance(value, list):
         return tuple(label_from_json(v) for v in value)
@@ -59,17 +55,7 @@ def label_from_json(value):
     raise StructuralError(f"unsupported label {value!r}")
 
 
-def label_to_json(value):
-    if isinstance(value, tuple):
-        return [label_to_json(v) for v in value]
-    if isinstance(value, Fraction):
-        return format_scalar(value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    raise StructuralError(f"unsupported label {value!r}")
-
-
-def _expect(obj, key: str, what: str):
+def expect_key(obj, key: str, what: str):
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be a JSON object")
     if key not in obj:
@@ -89,8 +75,8 @@ def _index_list(value, what: str) -> list:
 
 
 def space_from_json(obj) -> FiniteMetricSpace:
-    points = _expect(obj, "points", "a metric space")
-    dist = _expect(obj, "dist", "a metric space")
+    points = expect_key(obj, "points", "a metric space")
+    dist = expect_key(obj, "dist", "a metric space")
     if not isinstance(points, list) or not isinstance(dist, list):
         raise StructuralError("space points and dist must be arrays")
     labels = tuple(label_from_json(p) for p in points)
@@ -112,8 +98,8 @@ def space_from_json(obj) -> FiniteMetricSpace:
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
     out = {
-        "points": [label_to_json(p) for p in space.points],
-        "dist": [[scalar_to_json(v) for v in row] for row in space.dist],
+        "points": jsonable(space.points),
+        "dist": [[format_scalar(v) for v in row] for row in space.dist],
     }
     if space.pseudo:
         out["pseudo"] = True
@@ -125,7 +111,7 @@ def mapping_from_json(obj) -> dict:
     if isinstance(obj, list):
         images = _index_list(obj, "a map image array")
         return {i: t for i, t in enumerate(images)}
-    pairs = _expect(obj, "pairs", "a map")
+    pairs = expect_key(obj, "pairs", "a map")
     if not isinstance(pairs, list):
         raise StructuralError("map pairs must be an array")
     out: dict = {}
@@ -152,8 +138,8 @@ def subset_from_json(obj) -> tuple:
 def cover_from_json(obj) -> Cover:
     from .covers import Cover
 
-    ground = _expect(obj, "ground", "a cover")
-    sets = _expect(obj, "sets", "a cover")
+    ground = expect_key(obj, "ground", "a cover")
+    sets = expect_key(obj, "sets", "a cover")
     if not isinstance(ground, int) or isinstance(ground, bool):
         raise StructuralError("cover ground must be an integer")
     if not isinstance(sets, list):
@@ -170,7 +156,7 @@ def cover_from_json(obj) -> Cover:
 def fundamental_sequence_from_json(obj) -> FundamentalSequence:
     from .covers import FundamentalSequence
 
-    covers = _expect(obj, "covers", "a fundamental sequence")
+    covers = expect_key(obj, "covers", "a fundamental sequence")
     if not isinstance(covers, list) or not covers:
         raise StructuralError("a fundamental sequence needs a nonempty covers array")
     levels = tuple(cover_from_json(c) for c in covers)
@@ -180,23 +166,9 @@ def fundamental_sequence_from_json(obj) -> FundamentalSequence:
 def surjection_from_json(obj, space: FiniteMetricSpace) -> Surjection:
     from .quotients import Surjection
 
-    class_of = _index_list(_expect(obj, "class_of", "a surjection"), "class_of")
+    class_of = _index_list(expect_key(obj, "class_of", "a surjection"), "class_of")
     count = max(class_of) + 1 if class_of else 0
     return Surjection(space, count, tuple(class_of))
-
-
-# ---- sequence points ----
-
-
-def _support_to_json(pairs) -> dict:
-    return {str(i): scalar_to_json(v) for i, v in sorted(pairs)}
-
-
-def sequence_point_to_json(point: SequencePoint) -> dict:
-    return {
-        "support": _support_to_json(point.support),
-        "tail": scalar_to_json(point.tail),
-    }
 
 
 # ---- truncations and ladders ----
@@ -205,8 +177,8 @@ def sequence_point_to_json(point: SequencePoint) -> dict:
 def truncation_from_json(obj) -> InverseSequenceTruncation:
     from .invlim import inverse_sequence
 
-    levels = _expect(obj, "levels", "a truncation")
-    bonds = _expect(obj, "bonds", "a truncation")
+    levels = expect_key(obj, "levels", "a truncation")
+    bonds = expect_key(obj, "bonds", "a truncation")
     if not isinstance(levels, list) or not isinstance(bonds, list):
         raise StructuralError("truncation levels and bonds must be arrays")
     spaces = [space_from_json(level) for level in levels]
@@ -229,7 +201,7 @@ def ladder_from_json(obj) -> LadderData:
 
     source = truncation_from_json(obj)
     target = truncation_from_json(obj["target"]) if "target" in obj else source
-    cross_raw = _expect(obj, "cross", "a ladder")
+    cross_raw = expect_key(obj, "cross", "a ladder")
     if not isinstance(cross_raw, list):
         raise StructuralError("ladder cross maps must be an array")
     cross = [mapping_from_json(m) for m in cross_raw]

@@ -114,6 +114,22 @@ def brief_scalar(value: Fraction) -> str:
     return f"about {sign}{head[0]}.{head[1:]}e{exponent}"
 
 
+def parameter_grid(values, low: Fraction, high: Fraction, required) -> tuple:
+    """The grid of a cone, join, cylinder or telescope: ``values`` sorted and
+    deduplicated.  It must be nonempty, lie in [low, high] and hold every
+    value in ``required``; otherwise a StructuralError names the first miss."""
+    grid = sorted({as_scalar(t) for t in values})
+    if not grid:
+        raise StructuralError("parameter grid must be nonempty")
+    for t in grid:
+        if not low <= t <= high:
+            raise StructuralError(f"grid value {t} outside [{low}, {high}]")
+    for needed in required:
+        if needed not in grid:
+            raise StructuralError(f"grid must contain {needed}")
+    return tuple(grid)
+
+
 def pow2(n: int) -> Fraction:
     """2**n as an exact Fraction, for any integer n."""
     if n >= 0:

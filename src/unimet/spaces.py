@@ -227,6 +227,10 @@ def reflagged(space: FiniteMetricSpace, pseudo: bool) -> FiniteMetricSpace:
     return copy
 
 
+# The axioms ``_scan_axioms`` checks, by the names it reports, in scan order.
+AXIOMS = ("diagonal", "nonnegativity", "symmetry", "positivity", "triangle")
+
+
 def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
     """Run every axiom, positivity included, once over the integer form."""
     d = space.dist

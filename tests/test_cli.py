@@ -1,5 +1,6 @@
 """The command line end to end: fixtures, exit codes 0 / 1 / 2, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,12 +24,14 @@ from helpers import (
     truncation_to_json,
     window_chain,
 )
-from unimet.cli import INVLIM_MODES, main
+from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP
+from unimet.errors import StructuralError
 from unimet.invlim import telescope_metric
 from unimet.jsonio import space_to_json
 from unimet.reporting import canonical_bytes
+from unimet.scalars import ONE, ZERO, parameter_grid
 
 S3 = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
 S2 = space("pq", {(0, 1): "1/2"})
@@ -441,6 +444,85 @@ def test_out_writes_the_bytes_stdout_would_carry(tmp_path, s3):
     REPORTS.validate(report)
     assert report["exit_status"] == 0
     assert data == canonical_bytes(report)
+
+
+# ---- the command echo ----
+
+
+def subcommands():
+    """Each subcommand's parser by name, as ``build_parser`` builds it."""
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+# A value for each flag that takes one.  Depth 0 and seed 0 are falsy and
+# must still be echoed; embed refuses depth 0, so it runs at depth 1.
+FLAG_VALUES = {"--seed": "0", "--depth": "0", "--grid": "0,1"}
+
+
+def test_the_command_echo_names_every_flag_but_out(tmp_path, s3, tower):
+    seq = fundamental_sequence_to_json(ball_fundamental_sequence(S3, 3))
+    positionals = {
+        "check": [s3],
+        "build": ["telescope", tower],
+        "metrize": [write(tmp_path, "seq.json", seq)],
+        "embed": [s3],
+        "invlim": ["threads", tower],
+    }
+    for name, parser in subcommands().items():
+        argv, echoed = [name, *positionals[name]], []
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag in (None, "--help", "--out"):
+                continue
+            if action.nargs == 0:
+                argv.append(flag)
+                echoed.append(flag)
+            else:
+                value = "1" if (name, flag) == ("embed", "--depth") else FLAG_VALUES[flag]
+                argv += [flag, value]
+                echoed.append(f"{flag}={value}")
+        report = tmp_path / f"{name}.report.json"
+        code, out, err = run([*argv, "--out", report])
+        assert code in (0, 1) and out == "", (name, err)
+        command = json.loads(report.read_text())["command"]
+        assert [c for c in command if c.startswith("--")] == sorted(echoed), name
+
+
+# ---- grid errors, from the command line and from the library ----
+
+
+# Per kind: the grid bounds (both ends required), a grid with a value out of
+# range and a grid missing an end.
+GRID_CASES = {
+    "cone": (ZERO, ONE, "0,1,2", "0,1/2"),
+    "join": (-ONE, ONE, "-1,1,2", "0,1"),
+    "cylinder": (ZERO, ONE, "-1,0,1", "1/2,1"),
+    "telescope": (ZERO, ONE, "0,3/2,1", "0"),
+}
+
+
+@pytest.mark.parametrize("broken", [2, 3], ids=["out-of-range", "missing-end"])
+@pytest.mark.parametrize("kind", GRID_CASES)
+def test_grid_errors_read_as_the_library_words_them(
+    kind, broken, s3, join_file, cylinder_file, tower
+):
+    inputs = {"cone": s3, "join": join_file, "cylinder": cylinder_file, "telescope": tower}
+    low, high = GRID_CASES[kind][:2]
+    text = GRID_CASES[kind][broken]
+    with pytest.raises(StructuralError) as raised:
+        parameter_grid(text.split(","), low, high, (low, high))
+    code, out, err = run(["build", kind, inputs[kind], f"--grid={text}"])
+    assert (code, out, err) == (1, "", f"precondition failed: {raised.value}\n")
+
+
+def test_usage_lists_every_build_kind_and_invlim_mode():
+    found = subcommands()
+    kinds = "{cone,join,cylinder,adjunction,amalgam,quotient,telescope}"
+    assert kinds in found["build"].format_usage()
+    assert "{threads,ml,converge,cauchy,separate,perturb}" in found["invlim"].format_usage()
 
 
 # ---- the report schema ----

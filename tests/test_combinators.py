@@ -7,6 +7,7 @@ import pytest
 
 from helpers import interval_points, random_space, space
 from oracles import hausdorff_formula, sup_distance, weighted_sup_reference
+from unimet import combinators
 from unimet.combinators import (
     disjoint_union_metric,
     hausdorff_distance,
@@ -145,11 +146,12 @@ def test_hyperspace_values_are_capped_hausdorff_distances():
     assert check_metric_axioms(hyper).ok
 
 
-def test_hyperspace_guards():
+def test_hyperspace_guards(monkeypatch):
     rng = random.Random(42)
     sp = random_space(rng, 6)
+    monkeypatch.setattr(combinators, "HYPERSPACE_CAP", 5)
     with pytest.raises(PreconditionError, match="cap"):
-        hausdorff_hyperspace(sp, cap=5)
+        hausdorff_hyperspace(sp)
     bad = space("abc", {(0, 1): 1, (0, 2): "1/4", (1, 2): "1/4"})
     with pytest.raises(PreconditionError):
         hausdorff_hyperspace(bad)

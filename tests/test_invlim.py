@@ -286,6 +286,17 @@ def test_telescope_single_level_is_the_level():
     assert telescope_metric(tower, 2, 2).space is tower.levels[2]
 
 
+def test_a_single_level_checks_its_grid():
+    with pytest.raises(StructuralError, match="outside"):
+        telescope_metric(retraction_tower(4), 1, 1, ("0", "2"))
+
+
+def test_a_single_level_cleans_its_grid_as_a_segment_does():
+    tower = retraction_tower(4)
+    for stop in (1, 2):
+        assert telescope_metric(tower, 1, stop, ("1", "0", "0")).t_grid == (0, 1)
+
+
 def test_telescope_range_validation():
     tower = retraction_tower(4)
     with pytest.raises(StructuralError, match="range"):
