@@ -22,13 +22,12 @@ import importlib
 _EXPORTS = {
     "combinators": (
         "disjoint_union_metric", "hausdorff_distance", "hausdorff_hyperspace",
-        "kuratowski_embed", "mcshane_extend", "product_metric",
+        "interval_space", "kuratowski_embed", "mcshane_extend", "product_metric",
         "weighted_sup_metric",
     ),
     "cones": (
         "ConeSpace", "JoinAmalgamReport", "JoinSpace", "cone_metric",
-        "cone_quotient_check", "interval_space", "join_amalgam_equality",
-        "join_metric",
+        "cone_quotient_check", "join_amalgam_equality", "join_metric",
     ),
     "conemodels": (
         "ConeComparisonReport", "NormedPointSet", "cone_comparison_bounds",

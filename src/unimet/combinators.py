@@ -4,7 +4,9 @@ Everything here is exact.  The one deliberate wrinkle is the "l2" product,
 which returns squared distances (rationals) because square roots leave the
 exact field; its matrix is not a metric in general and is marked pseudo-unsafe
 by documentation rather than by flag, since squared distances still satisfy
-symmetry and positivity.
+symmetry and positivity.  ``interval_space``, the grid factor that the cone
+and cylinder oracles multiply by, lives here next to ``product_metric``.
+Every diameter-1 refusal is ``spaces.ensure_diameter_at_most``.
 """
 from __future__ import annotations
 
@@ -14,12 +16,19 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, StructuralError
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
 from .sequences import SequencePoint
-from .spaces import FiniteMetricSpace, ensure_metric
+from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
 
 PRODUCT_NORMS = ("l1", "linf", "l2")
 
 # Hyperspaces grow as 2^n; refuse grounds larger than this many points.
 HYPERSPACE_CAP = 12
+
+
+def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
+    """Grid points of a real interval with the absolute-value metric."""
+    values = tuple(sorted({as_scalar(t) for t in grid}))
+    rows = tuple(tuple(abs(a - b) for b in values) for a in values)
+    return FiniteMetricSpace(values, rows)
 
 
 def product_metric(
@@ -59,15 +68,6 @@ def product_metric(
     return FiniteMetricSpace(tuple(points), tuple(rows), pseudo=left.pseudo or right.pseudo)
 
 
-def _diameter_witness(space: FiniteMetricSpace, bound: Scalar):
-    """First entry above ``bound`` in row-major order, as (label, label, value)."""
-    for i in range(space.n):
-        for j in range(space.n):
-            if space.d(i, j) > bound:
-                return (space.points[i], space.points[j], space.d(i, j))
-    return None
-
-
 def disjoint_union_metric(
     left: FiniteMetricSpace,
     right: FiniteMetricSpace,
@@ -75,16 +75,10 @@ def disjoint_union_metric(
     """Disjoint union with every cross distance exactly 1.
 
     Both factors must have diameter at most 1, otherwise the triangle
-    inequality through the other side fails; violations are reported with the
-    offending pair.
+    inequality through the other side fails.
     """
-    for name, side in (("left", left), ("right", right)):
-        bad = _diameter_witness(side, ONE)
-        if bad is not None:
-            raise PreconditionError(
-                f"disjoint union needs diameter <= 1; {name} factor has "
-                f"d({bad[0]!r}, {bad[1]!r}) = {bad[2]}"
-            )
+    ensure_diameter_at_most(left, ONE, "disjoint_union_metric left factor")
+    ensure_diameter_at_most(right, ONE, "disjoint_union_metric right factor")
     points = tuple(("L", p) for p in left.points) + tuple(("R", q) for q in right.points)
     n_l = left.n
     size = n_l + right.n
@@ -105,12 +99,7 @@ def disjoint_union_metric(
 def check_weighted_levels(levels: Sequence[FiniteMetricSpace]) -> None:
     """Refuse a level of diameter above 1, where the weights stop dominating."""
     for pos, level in enumerate(levels):
-        bad = _diameter_witness(level, ONE)
-        if bad is not None:
-            raise PreconditionError(
-                f"weighted sup needs diameter <= 1; level {pos} has "
-                f"d({bad[0]!r}, {bad[1]!r}) = {bad[2]}"
-            )
+        ensure_diameter_at_most(level, ONE, f"weighted sup level {pos}")
 
 
 def weighted_sup_rows(levels: Sequence[FiniteMetricSpace], index_tuples) -> tuple:
@@ -224,11 +213,7 @@ def kuratowski_embed(space: FiniteMetricSpace) -> list:
     first if needed.  The embedding is exactly isometric for the sup norm.
     """
     ensure_metric(space, "kuratowski_embed", allow_pseudo=True)
-    bad = _diameter_witness(space, ONE)
-    if bad is not None:
-        raise PreconditionError(
-            f"kuratowski_embed needs diameter <= 1; got d({bad[0]!r}, {bad[1]!r}) = {bad[2]}"
-        )
+    ensure_diameter_at_most(space, ONE, "kuratowski_embed")
     out = []
     for x in range(space.n):
         support = tuple((i, space.d(x, i)) for i in range(space.n))

@@ -1,25 +1,28 @@
 """Cones and joins over finite metric spaces on rational parameter grids.
 
-The cone places the apex at t = 1 over a base sampled at grid values in
-[0, 1]; its two-case distance is the two-hop quotient metric of the l1
-product with the top slice collapsed.  The join samples X x Y x [-1, 1];
-the X factor survives at t = -1, the Y factor at t = +1, and the four-case
-distance realizes the three-hop chains through the two collapsed ends.
-The constructions evaluate the closed formulas only; ``cone_quotient_check``
-and ``join_amalgam_equality`` take a built cone or join and measure it
-against the product-quotient route, as the oracles that tests and
-``--oracle`` run.
+The cone is the mapping cylinder of the map from its base to a point: the
+apex sits at t = 1 over a base sampled at grid values in [0, 1], and
+``cylinders.cylinder_slices`` builds it with the base as its own adjusted
+metric (d + 0 = d).  Its two-case distance is the two-hop quotient metric
+of the l1 product with the top slice collapsed.  The join samples
+X x Y x [-1, 1]; the X factor survives at t = -1, the Y factor at t = +1,
+and the four-case distance realizes the three-hop chains through the two
+collapsed ends.  The constructions evaluate the closed formulas only;
+``cone_quotient_check`` and ``join_amalgam_equality`` take a built cone or
+join and measure it against the product-quotient route, as the oracles
+that tests and ``--oracle`` run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .combinators import product_metric
+from .combinators import interval_space, product_metric
+from .cylinders import CylinderSpace, cylinder_slices
 from .errors import StructuralError
 from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
+from .scalars import ONE, ZERO, Scalar, parameter_grid
 from .spaces import (
     FiniteMetricSpace,
     ensure_diameter_at_most,
@@ -30,51 +33,27 @@ from .spaces import (
 TWO = Fraction(2)
 
 
-def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
-    """Grid points of a real interval with the absolute-value metric."""
-    values = tuple(sorted({as_scalar(t) for t in grid}))
-    rows = tuple(tuple(abs(a - b) for b in values) for a in values)
-    return FiniteMetricSpace(values, rows)
-
-
 # ---- cone ----
 
+# The one-point target of the cone's cylinder.
+POINT = FiniteMetricSpace(("apex",), ((ZERO,),))
 
-@dataclass(frozen=True)
-class ConeSpace:
-    """Cone over a base space, sampled at a t grid with the apex at t = 1.
+
+class ConeSpace(CylinderSpace):
+    """Cone over a base space: the cylinder of the map to a point, sampled
+    at a t grid with the apex at t = 1.
 
     Points are ("seg", base label, t) for grid values t < 1, base-major,
     then ("apex",) last.
     """
 
-    space: FiniteMetricSpace
-    base: FiniteMetricSpace
-    t_grid: tuple
-
     @property
-    def inner_ts(self) -> tuple:
-        return tuple(t for t in self.t_grid if t < 1)
+    def base(self) -> FiniteMetricSpace:
+        return self.source
 
     @property
     def apex_index(self) -> int:
-        return self.base.n * len(self.inner_ts)
-
-    def seg_index(self, base_index: int, t: Scalar) -> int:
-        ts = self.inner_ts
-        return base_index * len(ts) + ts.index(t)
-
-    def class_index(self, base_index: int, t: Scalar) -> int:
-        return self.apex_index if t == 1 else self.seg_index(base_index, t)
-
-
-def cone_distance(
-    base: FiniteMetricSpace, i: int, t: Scalar, j: int, s: Scalar
-) -> Scalar:
-    """Two-case cone distance: around the base or through the apex."""
-    through_base = base.d(i, j) + abs(t - s)
-    through_apex = (1 - t) + (1 - s)
-    return through_base if through_base <= through_apex else through_apex
+        return self.y_index(0)
 
 
 def cone_metric(space: FiniteMetricSpace, t_grid) -> ConeSpace:
@@ -86,28 +65,9 @@ def cone_metric(space: FiniteMetricSpace, t_grid) -> ConeSpace:
     ensure_metric(space, "cone_metric")
     ensure_diameter_at_most(space, TWO, "cone_metric")
     grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
-    inner = tuple(t for t in grid if t < 1)
-    points = [("seg", space.points[i], t) for i in range(space.n) for t in inner]
-    points.append(("apex",))
-    size = len(points)
-    rows = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            if a == size - 1 and b == size - 1:
-                row.append(ZERO)
-            elif a == size - 1:
-                j, s = divmod(b, len(inner))
-                row.append(ONE - inner[s])
-            elif b == size - 1:
-                i, t = divmod(a, len(inner))
-                row.append(ONE - inner[t])
-            else:
-                i, tp = divmod(a, len(inner))
-                j, sp = divmod(b, len(inner))
-                row.append(cone_distance(space, i, inner[tp], j, inner[sp]))
-        rows.append(tuple(row))
-    return ConeSpace(FiniteMetricSpace(tuple(points), tuple(rows)), space, grid)
+    f = (0,) * space.n
+    cone = cylinder_slices(space, POINT, f, grid, space, [("apex",)])
+    return ConeSpace(cone, space, POINT, f, grid, space)
 
 
 def cone_quotient_check(cone: ConeSpace) -> Scalar:

@@ -2,9 +2,11 @@
 
 The cylinder glues X x I onto Y along (x, 1) -> f(x).  Its metric is the
 three-hop adjunction distance for the drift-adjusted l1 product upstairs,
-which closes to three exact formulas.  The construction evaluates the
-formulas; ``cylinder_adjunction_check`` rebuilds the adjunction and measures
-the gap, as the oracle that tests and ``--oracle`` run.
+which closes to three exact formulas.  ``mapping_cylinder_metric`` checks
+its inputs and ``cylinder_slices`` evaluates the formulas; the slice builder
+serves the cone too, which is the cylinder of the map to a point (see
+``cones``).  ``cylinder_adjunction_check`` rebuilds the adjunction and
+measures the gap, as the oracle that tests and ``--oracle`` run.
 
 The uniform modulus assigns to every member of a finite family of maps a
 positive continuity threshold delta(p) for a common epsilon, varying in a
@@ -15,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import interval_space
-from .combinators import product_metric
+from .combinators import interval_space, product_metric
 from .errors import PreconditionError
 from .gluing import adjunction_space
 from .moduli import PairSweep, pair_distances
@@ -107,36 +108,47 @@ def mapping_cylinder_metric(
     ensure_diameter_at_most(target, ONE, "mapping_cylinder_metric target")
     f = ensure_total_map(mapping, source, target, "mapping_cylinder_metric")
     grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
-    inner = tuple(t for t in grid if t < 1)
     adjusted = adjusted_metric(source, target, f)
-
-    points: list = []
-    for i in range(source.n):
-        for t in inner:
-            points.append(("seg", source.points[i], t))
-    for j in range(target.n):
-        points.append(("y", target.points[j]))
-    seg_count = source.n * len(inner)
-
-    def dist(a: int, b: int) -> Scalar:
-        if a >= seg_count and b >= seg_count:
-            return target.d(a - seg_count, b - seg_count)
-        if a >= seg_count or b >= seg_count:
-            if a >= seg_count:
-                a, b = b, a
-            i, tp = divmod(a, len(inner))
-            return (ONE - inner[tp]) + target.d(f[i], b - seg_count)
-        i, tp = divmod(a, len(inner))
-        j, sp = divmod(b, len(inner))
-        t, s = inner[tp], inner[sp]
-        around = adjusted.d(i, j) + abs(t - s)
-        through = (ONE - t) + (ONE - s) + target.d(f[i], f[j])
-        return around if around <= through else through
-
-    size = len(points)
-    rows = tuple(tuple(dist(a, b) for b in range(size)) for a in range(size))
-    space = FiniteMetricSpace(tuple(points), rows)
+    top_labels = [("y", q) for q in target.points]
+    space = cylinder_slices(source, target, f, grid, adjusted, top_labels)
     return CylinderSpace(space, source, target, f, grid, adjusted)
+
+
+def cylinder_slices(
+    source: FiniteMetricSpace,
+    target: FiniteMetricSpace,
+    f: tuple,
+    grid: tuple,
+    adjusted: FiniteMetricSpace,
+    top_labels: Sequence,
+) -> FiniteMetricSpace:
+    """The cylinder formulas over a checked map ``f``, a checked grid, the
+    adjusted metric on the source and one label per class of the target.
+
+    The points are ("seg", x label, t) for grid values t < 1, x-major, then
+    ``top_labels``.  Each 1 - t, and each image's row of target distances,
+    is computed once.
+    """
+    inner = tuple(t for t in grid if t < 1)
+    up = [ONE - t for t in inner]
+    gaps = [[abs(t - s) for s in inner] for t in inner]
+    image = [target.dist[y] for y in f]
+    points = [("seg", p, t) for p in source.points for t in inner] + list(top_labels)
+    rows = []
+    for i, near in enumerate(adjusted.dist):
+        for u, gap in zip(up, gaps):
+            row = []
+            for j, y in enumerate(f):
+                lift = u + image[i][y]
+                for g, v in zip(gap, up):
+                    around = near[j] + g
+                    through = lift + v
+                    row.append(around if around <= through else through)
+            row.extend(u + d for d in image[i])
+            rows.append(tuple(row))
+    for y, row_y in enumerate(target.dist):
+        rows.append(tuple(u + image[j][y] for j in range(source.n) for u in up) + row_y)
+    return FiniteMetricSpace(tuple(points), tuple(rows))
 
 
 def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:

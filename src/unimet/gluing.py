@@ -190,7 +190,6 @@ def adjunction_space(
     if extension is None:
         ensure_diameter_at_most(space, ONE, "adjunction_space")
         ensure_diameter_at_most(target, ONE, "adjunction_space target")
-        pos = {a: k for k, a in enumerate(A)}
         D = [
             [space.d(a, b) + target.d(f[a], f[b]) for b in A]
             for a in A
@@ -230,7 +229,8 @@ def adjunction_space(
 
     x_class = glued.class_of_part[0]
     y_class = glued.class_of_part[1]
-    result_space = reflagged(glued.space, not glued.is_metric())
+    metric_ok = glued.is_metric()
+    result_space = reflagged(glued.space, not metric_ok)
     y_isometric = largest_gap(target, result_space, y_class) == 0
     clearance = tuple(
         min(ext.d(x, a) for a in A) for x in range(space.n)
@@ -250,7 +250,7 @@ def adjunction_space(
         y_class,
         clearance,
         glued.dn_equals_dinf,
-        glued.is_metric(),
+        metric_ok,
         y_isometric,
         positivity_ok,
     )

@@ -18,17 +18,21 @@ Gluing several spaces along identifications builds one union matrix over
 the points of all parts first: distances inside a part are its metric,
 distances across parts are a constant (or forbidden), and identified points
 in different parts sit at distance zero, so they share a class.
+
+One routine, ``_assign_classes``, turns index groups into classes for
+``Surjection.from_classes``, ``quotient_by_discrete_family`` and
+``glue_parts`` alike.  No result stores an axiom verdict: ``is_metric``
+reads the scan that its space caches (see ``spaces``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Type
 
 from .errors import PreconditionError, StructuralError
 from .kernel import closure, min_plus, to_int_matrix
 from .scalars import ONE, ZERO, ScalarLike, as_scalar
 from .spaces import (
-    AxiomViolation,
     FiniteMetricSpace,
     as_mapping,
     check_metric_axioms,
@@ -67,26 +71,9 @@ class Surjection:
 
     @staticmethod
     def from_classes(space: FiniteMetricSpace, classes: Sequence[Iterable[int]]) -> "Surjection":
-        """Build from explicit index sets; unlisted points become singleton
-        classes appended in index order."""
-        class_of: list = [None] * space.n
-        count = 0
-        for cls in classes:
-            members = sorted(set(cls))
-            if not members:
-                raise StructuralError("classes must be nonempty")
-            for i in members:
-                if not isinstance(i, int) or not 0 <= i < space.n:
-                    raise StructuralError(f"class member {i} out of range")
-                if class_of[i] is not None:
-                    raise StructuralError(f"point {i} assigned to two classes")
-                class_of[i] = count
-            count += 1
-        for i in range(space.n):
-            if class_of[i] is None:
-                class_of[i] = count
-                count += 1
-        return Surjection(space, count, tuple(class_of))
+        """Build from explicit index sets, as ``_assign_classes`` reads them."""
+        class_of, count = _assign_classes(space.points, classes)
+        return Surjection(space, count, class_of)
 
     def classes(self) -> tuple:
         out: list = [[] for _ in range(self.class_count)]
@@ -98,6 +85,42 @@ class Surjection:
         return tuple(
             tuple(self.source.points[i] for i in members) for members in self.classes()
         )
+
+
+def _assign_classes(
+    labels: Sequence, groups: Iterable[Iterable[int]],
+    overlap: Type[Exception] = StructuralError,
+) -> tuple:
+    """``(class_of, class_count)`` for groups of indices into ``labels``.
+
+    Groups must be nonempty, in range and disjoint; every index is range
+    checked before any overlap, and a point in two groups raises
+    ``overlap`` naming its label.  Group k becomes class k, and each point
+    that no group lists becomes a singleton class after them, in index
+    order.
+    """
+    n = len(labels)
+    cleaned = []
+    for group in groups:
+        members = sorted(set(group))
+        if not members:
+            raise StructuralError("classes must be nonempty")
+        for i in members:
+            if not isinstance(i, int) or not 0 <= i < n:
+                raise StructuralError(f"class member {i} out of range")
+        cleaned.append(members)
+    class_of: list = [None] * n
+    for k, members in enumerate(cleaned):
+        for i in members:
+            if class_of[i] is not None:
+                raise overlap(f"point {labels[i]!r} assigned to two classes")
+            class_of[i] = k
+    count = len(cleaned)
+    for i in range(n):
+        if class_of[i] is None:
+            class_of[i] = count
+            count += 1
+    return tuple(class_of), count
 
 
 def _class_block(dist, members_of: Sequence[Sequence[int]]) -> list:
@@ -167,39 +190,24 @@ class ChainMetric:
     """A chain distance d_n (or d_infinity for steps None) on the classes.
 
     ``space`` wraps the values with the class labels; it is flagged pseudo
-    because positivity is a theorem to check, not a given.  The axiom flags
-    record what the values actually satisfy.
+    because positivity is a theorem to check, not a given.  ``is_metric``
+    reads what the values actually satisfy from the space's own scan.
     """
 
     surjection: Surjection
     steps: Optional[int]
     space: FiniteMetricSpace
-    pseudo_metric_ok: bool
-    positive_ok: bool
-    first_violation: Optional[AxiomViolation]
 
     @property
     def values(self) -> tuple:
         return self.space.dist
 
     def is_metric(self) -> bool:
-        return self.pseudo_metric_ok and self.positive_ok
-
-
-def _axiom_verdicts(space: FiniteMetricSpace) -> tuple:
-    """(pseudo_metric_ok, positive_ok, first_violation) from one strict scan.
-
-    The values form a pseudo-metric exactly when positivity is the only
-    axiom they violate.
-    """
-    strict = check_metric_axioms(space, allow_pseudo=False)
-    failed = set(strict.violated_axioms())
-    violation = strict.violations[0] if strict.violations else None
-    return failed <= {"positivity"}, "positivity" not in failed, violation
+        return check_metric_axioms(self.space, allow_pseudo=False).ok
 
 
 def _finish_chain(sur: Surjection, steps: Optional[int], matrix: list, scale: int) -> ChainMetric:
-    """Wrap an integer chain matrix over ``scale`` as a certified ChainMetric."""
+    """Wrap an integer chain matrix over ``scale`` as a ChainMetric."""
     for row in matrix:
         if None in row:
             raise PreconditionError(
@@ -207,7 +215,7 @@ def _finish_chain(sur: Surjection, steps: Optional[int], matrix: list, scale: in
                 "at the requested chain length"
             )
     space = FiniteMetricSpace.from_int(sur.class_labels(), matrix, scale, pseudo=True)
-    return ChainMetric(sur, steps, space, *_axiom_verdicts(space))
+    return ChainMetric(sur, steps, space)
 
 
 def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
@@ -260,20 +268,8 @@ def quotient_by_discrete_family(
     the quotient metric.
     """
     ensure_metric(space, "quotient_by_discrete_family")
-    seen: set = set()
-    cleaned = []
-    for cls in family:
-        members = sorted(set(cls))
-        if not members:
-            raise StructuralError("family sets must be nonempty")
-        for i in members:
-            if i in seen:
-                raise PreconditionError(
-                    f"family sets overlap at point {space.points[i]!r}"
-                )
-            seen.add(i)
-        cleaned.append(members)
-    sur = Surjection.from_classes(space, cleaned)
+    class_of, count = _assign_classes(space.points, family, PreconditionError)
+    sur = Surjection(space, count, class_of)
     ints, scale = space._int_form
     two, limit, settled = _chain(_class_block(ints, sur.classes()), 2)
     if two != limit:
@@ -282,11 +278,7 @@ def quotient_by_discrete_family(
             f"family (they agree first at n = {settled})"
         )
     chain = _finish_chain(sur, 2, two, scale)
-    if not chain.is_metric():
-        raise PreconditionError(
-            "quotient of a metric by a disjoint family failed to be a metric; "
-            f"violation: {chain.first_violation}"
-        )
+    ensure_metric(chain.space, "quotient of a metric by a disjoint family")
     quotient_space = reflagged(chain.space, False)
     return QuotientResult(quotient_space, chain, True, settled)
 
@@ -296,20 +288,17 @@ class GluedUnion:
     """Union of parts glued along identified points, via the chain engine.
 
     ``space`` carries d_steps on the classes; ``class_of_part`` maps (part
-    index, point index) to a class index; the equality and axiom flags are
-    computed, never assumed.
+    index, point index) to a class index; the equality flag is computed,
+    never assumed, and ``is_metric`` reads the space's own scan.
     """
 
     space: FiniteMetricSpace
     steps: int
     dn_equals_dinf: bool
-    pseudo_metric_ok: bool
-    positive_ok: bool
-    first_violation: Optional[AxiomViolation]
     class_of_part: tuple
 
     def is_metric(self) -> bool:
-        return self.pseudo_metric_ok and self.positive_ok
+        return check_metric_axioms(self.space, allow_pseudo=False).ok
 
 
 def glue_parts(
@@ -335,30 +324,19 @@ def glue_parts(
     for part in parts:
         offsets.append(total)
         total += part.n
-    # classes over global indices
-    class_of: list = [None] * total
-    count = 0
-    for group in identifications:
-        members = []
-        for part_idx, point_idx in group:
-            if not 0 <= part_idx < len(parts):
-                raise StructuralError(f"part index {part_idx} out of range")
-            if not 0 <= point_idx < parts[part_idx].n:
-                raise StructuralError(f"point index {point_idx} out of range in part {part_idx}")
-            members.append(offsets[part_idx] + point_idx)
-        if not members:
-            raise StructuralError("identification groups must be nonempty")
-        for g in members:
-            if class_of[g] is not None:
-                raise StructuralError("a point appears in two identification groups")
-            class_of[g] = count
-        count += 1
-    for g in range(total):
-        if class_of[g] is None:
-            class_of[g] = count
-            count += 1
+
+    def global_index(part_idx: int, point_idx: int) -> int:
+        if not 0 <= part_idx < len(parts):
+            raise StructuralError(f"part index {part_idx} out of range")
+        if not 0 <= point_idx < parts[part_idx].n:
+            raise StructuralError(f"point index {point_idx} out of range in part {part_idx}")
+        return offsets[part_idx] + point_idx
 
     places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
+    point_labels = [(p, parts[p].points[i]) for p, i in places]
+    class_of, count = _assign_classes(
+        point_labels, [[global_index(*pair) for pair in group] for group in identifications]
+    )
     union = [
         [
             parts[p].dist[i][j] if p == q
@@ -371,10 +349,7 @@ def glue_parts(
     members_of: list = [[] for _ in range(count)]
     for g in range(total):
         members_of[class_of[g]].append(g)
-    labels = tuple(
-        tuple((p, parts[p].points[i]) for p, i in (places[g] for g in members))
-        for members in members_of
-    )
+    labels = tuple(tuple(point_labels[g] for g in members) for members in members_of)
 
     ints, scale = to_int_matrix(_class_block(union, members_of))
     power, limit = _power(ints, steps), closure(ints)
@@ -386,13 +361,7 @@ def glue_parts(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))
     )
-    return GluedUnion(
-        space,
-        steps,
-        power == limit,
-        *_axiom_verdicts(space),
-        class_of_part,
-    )
+    return GluedUnion(space, steps, power == limit, class_of_part)
 
 
 def amalgamated_union(
@@ -441,10 +410,7 @@ def amalgamated_union(
     )
     if not glued.dn_equals_dinf:
         raise PreconditionError("amalgamated union: d_2 differs from the chain limit")
-    if not glued.is_metric():
-        raise PreconditionError(
-            f"amalgamated union failed the metric axioms: {glued.first_violation}"
-        )
+    ensure_metric(glued.space, "amalgamated union")
     # isometric embedding checks for both factors
     space = reflagged(glued.space, False)
     if largest_gap(left, space, glued.class_of_part[0]) != 0:

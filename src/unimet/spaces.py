@@ -22,6 +22,10 @@ flag.
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
 with the original ``Fraction`` values.
+
+A map between index ranges comes in one of two forms, which ``as_mapping``
+reads: a dict from source to target indices (what ``jsonio`` parses), or a
+flat sequence of images.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
 from .kernel import first_triangle_witness, to_fractions, to_int_matrix
@@ -310,46 +314,18 @@ def largest_gap(space: FiniteMetricSpace, other: FiniteMetricSpace,
     return worst
 
 
-@dataclass(frozen=True)
-class PartialMap:
-    """A map between index ranges, total or partial, as (source, target) pairs."""
-
-    pairs: tuple
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for pair in self.pairs:
-            if len(pair) != 2:
-                raise StructuralError("map pairs must be (source, target)")
-            s, t = pair
-            if not isinstance(s, int) or not isinstance(t, int) or s < 0 or t < 0:
-                raise StructuralError("map indices must be nonnegative integers")
-            if s in seen:
-                raise StructuralError(f"duplicate source index {s} in map")
-            seen.add(s)
-
-    @staticmethod
-    def from_dict(mapping: Mapping[int, int]) -> "PartialMap":
-        return PartialMap(tuple(sorted((int(s), int(t)) for s, t in mapping.items())))
-
-    def as_dict(self) -> dict:
-        return {s: t for s, t in self.pairs}
-
-
-MappingLike = Union[PartialMap, Mapping[int, int], Iterable]
+MappingLike = Union[Mapping[int, int], Sequence[int]]
 
 
 def as_mapping(obj: MappingLike) -> dict:
-    """Normalize a map given as a PartialMap, a dict, an iterable of
-    (source, image) pairs, or a flat sequence of images (i -> seq[i])."""
-    if isinstance(obj, PartialMap):
-        return obj.as_dict()
-    if isinstance(obj, Mapping):
-        return PartialMap.from_dict(obj).as_dict()
-    items = list(obj)
-    if all(isinstance(e, int) and not isinstance(e, bool) for e in items):
-        return PartialMap(tuple(enumerate(items))).as_dict()
-    return PartialMap(tuple((int(s), int(t)) for s, t in items)).as_dict()
+    """A map as a dict of indices in source order: given as a dict, or as a
+    flat sequence of images (i -> seq[i]).  Every index must be a
+    nonnegative int."""
+    pairs = list(obj.items() if isinstance(obj, Mapping) else enumerate(obj))
+    for index in (v for pair in pairs for v in pair):
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise StructuralError("map indices must be nonnegative integers")
+    return dict(sorted(pairs))
 
 
 def ensure_total_map(mapping: MappingLike, source: FiniteMetricSpace,

@@ -204,6 +204,17 @@ def test_quotient_family_and_class_of_give_the_same_space(tmp_path):
     assert spaces[0] == spaces[1]
 
 
+def test_quotient_family_indices_are_range_checked_before_the_overlap(tmp_path):
+    tree = {"space": space_to_json(S3), "family": [[99], [99]]}
+    code, out, err = run(["build", "quotient", write(tmp_path, "q.json", tree)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "99" in err
+    tree["family"] = [[0, 1], [1, 2]]
+    code, out, err = run(["build", "quotient", write(tmp_path, "q.json", tree)])
+    assert (code, out) == (1, "")
+    assert err.startswith("precondition failed:") and "'b'" in err
+
+
 @pytest.mark.parametrize("depth, expected", [(None, 0), (2, 0), (0, 0), (9, 1)])
 def test_build_telescope_depths(tower, depth, expected):
     extra = [] if depth is None else ["--depth", depth]
@@ -573,9 +584,39 @@ TRUNCATION_PLACES = [
     (("bonds", 0), "tree"),
     (("bonds", 0, "pairs", 0, 1), "index"),
 ]
+
+
+def under(key, places):
+    """``places`` of a space, moved under ``key`` of the document."""
+    return [((key, *path), kind) for path, kind in places]
+
+
+MAP_PLACES = [((), "tree"), (("pairs",), "tree"), (("pairs", 0, 0), "index"),
+              (("pairs", 0, 1), "index")]
 FUZZ_INPUTS = [
     (space_to_json(S3), [["check"], ["embed"], ["embed", "--rescale"], ["build", "cone"]],
      SPACE_PLACES),
+    ({"space": space_to_json(S3), "family": [[0, 1]]}, [["build", "quotient"]],
+     under("space", SPACE_PLACES) + [
+        (("family",), "family"),
+        (("family", 0), "tree"),
+        (("family", 0, 1), "index"),
+    ]),
+    ({"space": space_to_json(S3), "class_of": [0, 0, 1]}, [["build", "quotient"]],
+     under("space", SPACE_PLACES) + [(("class_of",), "tree"), (("class_of", 1), "index")]),
+    ({"left": space_to_json(S2), "right": space_to_json(S3), "gluing": {"pairs": [[0, 0]]}},
+     [["build", "amalgam"]],
+     under("left", SPACE_PLACES) + under("right", SPACE_PLACES)
+     + under("gluing", MAP_PLACES)),
+    (BUILD_TREES["adjunction"], [["build", "adjunction"]],
+     under("space", SPACE_PLACES) + under("target", SPACE_PLACES)
+     + under("attaching", MAP_PLACES) + [(("subset",), "tree"), (("subset", 1), "index")]),
+    ({"source": space_to_json(S3), "target": space_to_json(S2), "mapping": [0, 1, 1]},
+     [["build", "cylinder"]],
+     under("source", SPACE_PLACES) + under("target", SPACE_PLACES)
+     + [(("mapping",), "tree"), (("mapping", 2), "index")]),
+    ({"left": space_to_json(S2), "right": space_to_json(S3)}, [["build", "join"]],
+     under("left", SPACE_PLACES) + under("right", SPACE_PLACES)),
     (fundamental_sequence_to_json(ball_fundamental_sequence(S3, 3)), [["metrize"]], [
         (("covers",), "tree"),
         (("covers", 1, "sets"), "tree"),
@@ -596,6 +637,8 @@ BAD_VALUES = {
     "tree": WRONG_TYPES + [[]],
     "index": WRONG_TYPES + [-1, 99],
     "scalar": WRONG_TYPES + ["1/0", BIG_EXPONENT, BIG_INT_MARK],
+    # an empty family is a valid quotient by nothing
+    "family": WRONG_TYPES + [[[99], [99]], [[0], [0, 99]]],
 }
 
 
@@ -614,7 +657,7 @@ def malformed_runs(draw):
     return command, doc
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(malformed_runs())
 def test_malformed_input_never_prints_a_traceback(case):
     command, doc = case

@@ -16,17 +16,18 @@ from helpers import (
     with_examples,
 )
 from oracles import cone_reference, join_reference
+from unimet.combinators import interval_space
 from unimet.cones import (
-    cone_distance,
     cone_metric,
     cone_quotient_check,
-    interval_space,
     join_amalgam_equality,
     join_distance,
     join_metric,
 )
+from unimet.cylinders import mapping_cylinder_metric
 from unimet.errors import PreconditionError, StructuralError
-from unimet.spaces import check_metric_axioms
+from unimet.scalars import ONE
+from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
 CONE_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 JOIN_GRID = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
@@ -47,9 +48,11 @@ def test_interval_space_sorts_and_dedups():
 
 def test_cone_distance_two_cases():
     base = interval_points([0, 1], Fraction(2))
+    cone = cone_metric(base, CONE_GRID)
+    half = Fraction(1, 2)
     # around the base: 2 + 0; through the apex: 1/2 + 1/2
-    assert cone_distance(base, 0, Fraction(1, 2), 1, Fraction(1, 2)) == 1
-    assert cone_distance(base, 0, Fraction(0), 0, Fraction(1, 2)) == Fraction(1, 2)
+    assert cone.space.d(cone.seg_index(0, half), cone.seg_index(1, half)) == 1
+    assert cone.space.d(cone.seg_index(0, Fraction(0)), cone.seg_index(0, half)) == half
 
 
 def test_cone_matches_collapsed_product_reference():
@@ -87,6 +90,17 @@ def test_cone_indexing_and_base_slice():
     assert cone.space.d(cone.seg_index(0, Fraction(0)), cone.seg_index(1, Fraction(0))) == Fraction(1, 2)
     # apex sits at height 1 - t above each segment point
     assert cone.space.d(cone.apex_index, cone.seg_index(0, Fraction(1, 2))) == Fraction(1, 2)
+
+
+@given(construction_inputs(Fraction(0), (Fraction(0), Fraction(1)), ONE))
+def test_the_cone_is_the_cylinder_onto_a_point(inputs):
+    base, grid = inputs.source, inputs.grid
+    point = FiniteMetricSpace(("*",), ((Fraction(0),),))
+    cone = cone_metric(base, grid)
+    cylinder = mapping_cylinder_metric(base, point, [0] * base.n, grid)
+    assert cone.space.dist == cylinder.space.dist
+    assert cone.space.points[:-1] == cylinder.space.points[:-1]
+    assert cone.space.points[-1] == ("apex",)
 
 
 def _seeded_bases():

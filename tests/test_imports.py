@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-the package exports each public name from the module that defines it."""
+"""Every name a module of the package imports is used in that module, every
+local a function assigns is read, and the package exports each public name
+from the module that defines it."""
 
 import ast
 import importlib
@@ -49,6 +50,47 @@ def test_scan_flags_an_unused_import():
         "    return os.sep\n"
     )
     assert set(imported_names(tree)) - referenced_names(tree) == {"Tuple"}
+
+
+def unread_locals(tree):
+    """``function:line name`` of each name a function assigns and never
+    reads; a read in a nested function counts, and ``_`` is left out."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded = {}, set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    loaded.add(node.id)
+        found += [
+            f"{function.name}:{line} {name}"
+            for name, line in stored.items()
+            if name not in loaded and name != "_"
+        ]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_locals(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not unread_locals(tree), [f"{module} {hit}" for hit in unread_locals(tree)]
+
+
+def test_scan_flags_an_unread_local():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    total, unused = 0, 1\n"
+        "    for _ in xs:\n"
+        "        total += 1\n"
+        "    def g():\n"
+        "        return total\n"
+        "    return g\n"
+    )
+    assert unread_locals(tree) == ["f:2 unused"]
 
 
 # ---- the package loads each module on first use ----

@@ -168,10 +168,7 @@ def test_chain_metric_matches_oracles_on_wide_denominators():
         for n in range(1, classes + 1):
             dn = chain_metric(sur, n)
             assert [list(r) for r in dn.values] == chain_power(block, n)
-            strict = check_metric_axioms(dn.space, allow_pseudo=False)
-            pseudo = check_metric_axioms(dn.space, allow_pseudo=True)
-            assert dn.pseudo_metric_ok == pseudo.ok
-            assert dn.positive_ok == ("positivity" not in strict.violated_axioms())
+            assert dn.is_metric() == axiom_report_reference(dn.space.points, dn.values, False)[0]
 
 
 def test_glue_parts_matches_oracles_on_none_blocks():
@@ -224,9 +221,9 @@ def test_glue_parts_matches_oracles_on_none_blocks():
         glued = glue_parts(parts, groups, None, steps)
         assert [list(r) for r in glued.space.dist] == expected
         assert glued.dn_equals_dinf == (expected == limit)
-        strict = check_metric_axioms(glued.space, allow_pseudo=False)
-        assert glued.pseudo_metric_ok == check_metric_axioms(glued.space, allow_pseudo=True).ok
-        assert glued.positive_ok == ("positivity" not in strict.violated_axioms())
+        assert glued.is_metric() == axiom_report_reference(
+            glued.space.points, glued.space.dist, False
+        )[0]
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -183,6 +183,14 @@ def test_quotient_family_guards():
         quotient_by_discrete_family(bad, [[0, 1]])
 
 
+def test_a_family_index_is_range_checked_before_the_overlap():
+    s = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
+    with pytest.raises(StructuralError, match="99 out of range"):
+        quotient_by_discrete_family(s, [[99], [99]])
+    with pytest.raises(PreconditionError, match="'b'"):
+        quotient_by_discrete_family(s, [[0, 1], [1, 2]])
+
+
 def least_settling_hops(block):
     """The least n with d_n = d_infinity, by the oracles."""
     limit = chain_limit_apsp(block)

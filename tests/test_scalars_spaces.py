@@ -22,7 +22,6 @@ from unimet import spaces
 from unimet.scalars import ONE, ZERO, as_scalar, brief_scalar, format_scalar, pow2
 from unimet.spaces import (
     FiniteMetricSpace,
-    PartialMap,
     as_mapping,
     check_metric_axioms,
     ensure_diameter_at_most,
@@ -262,10 +261,10 @@ def test_closure_is_largest_metric_below_weights():
 def test_as_mapping_forms():
     assert as_mapping([2, 0, 1]) == {0: 2, 1: 0, 2: 1}
     assert as_mapping({1: 5, 0: 3}) == {0: 3, 1: 5}
-    assert as_mapping([(0, 4), (2, 1)]) == {0: 4, 2: 1}
-    assert as_mapping(PartialMap(((0, 1), (1, 0)))) == {0: 1, 1: 0}
-    with pytest.raises(StructuralError):
-        as_mapping([(0, 1), (0, 2)])
+    assert list(as_mapping({1: 5, 0: 3})) == [0, 1]
+    for bad in ([0, -1], [0, True], [(0, 1)], {0: "1"}, {-1: 0}):
+        with pytest.raises(StructuralError, match="nonnegative integers"):
+            as_mapping(bad)
 
 
 def test_ensure_total_map():
