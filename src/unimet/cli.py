@@ -11,9 +11,12 @@ Each command imports only what it runs: the construction modules are
 imported inside the handlers that call them, so ``check`` never loads
 them and each fresh process pays only for its own command.
 
-The command line restates no rule of the library it calls; the kinds,
-modes, axiom rows and echoed flags are read from the tables and the parsed
-arguments that define them.
+The command line restates no rule of the library it calls.  The library
+refuses a bad grid, a join grid without 0 under ``--oracle`` and a
+telescope ``--depth`` past the top level as preconditions (exit 1) in its
+own words.  The kinds, modes, axiom rows and echoed flags are read from the
+tables and the parsed arguments that define them.  ``--oracle`` belongs to
+``build`` alone, the one command whose constructions have oracles.
 
 Exit codes: 0 when every check passes, 1 for mathematical failures
 (violated preconditions or failing check rows), 2 for input errors
@@ -70,7 +73,8 @@ def _parse_grid(text: str, low: Scalar, high: Scalar, required) -> tuple:
     """Parse a comma separated rational grid and check it with parameter_grid.
 
     Grid problems are precondition failures (exit 1), not document errors:
-    the grid is a construction parameter, not part of the input file.
+    the grid is a construction parameter, not part of the input file, and
+    ``parameter_grid`` raises its own refusals as preconditions.
     """
     values = []
     for token in text.split(","):
@@ -83,10 +87,7 @@ def _parse_grid(text: str, low: Scalar, high: Scalar, required) -> tuple:
             raise PreconditionError(
                 f"grid entry {token!r} is not a rational"
             ) from None
-    try:
-        return parameter_grid(values, low, high, required)
-    except StructuralError as exc:
-        raise PreconditionError(str(exc)) from None
+    return parameter_grid(values, low, high, required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=_seed_value,
             default=None,
             help="unsigned 64-bit seed folded into the input digest",
-        )
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="also check cone, join and cylinder builds against their oracles",
         )
         p.add_argument(
             "--out",
@@ -136,6 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="stop level for telescope builds",
+    )
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="also check cone, join and cylinder builds against their oracles",
     )
     common(p)
 
@@ -263,8 +264,6 @@ def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
     left = space_from_json(expect_key(doc, "left", "the join file"))
     right = space_from_json(expect_key(doc, "right", "the join file"))
     grid = _parse_grid(args.grid or DEFAULT_JOIN_GRID, -ONE, ONE, (-ONE, ONE))
-    if args.oracle and ZERO not in grid:
-        raise PreconditionError("the amalgam comparison needs 0 in the grid")
     join = join_metric(left, right, grid)
     _metric_row(builder, "join satisfies the metric axioms", join.space)
     xends = [join.xend_index(i) for i in range(left.n)]
@@ -377,10 +376,6 @@ def _build_telescope(args: argparse.Namespace, doc, builder: ReportBuilder) -> N
 
     truncation = truncation_from_json(doc)
     stop = truncation.top if args.depth is None else args.depth
-    if not 0 <= stop <= truncation.top:
-        raise PreconditionError(
-            f"telescope stop level {stop} outside 0..{truncation.top}"
-        )
     grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
     result = telescope_metric(truncation, 0, stop, grid)
     builder.check("every stage is certified", result.all_certified)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, StructuralError
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
 from .sequences import SequencePoint
-from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
+from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric, index_set
 
 PRODUCT_NORMS = ("l1", "linf", "l2")
 
@@ -190,13 +190,10 @@ def hausdorff_hyperspace(space: FiniteMetricSpace) -> FiniteMetricSpace:
 
 def hausdorff_distance(space: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]) -> Scalar:
     """Uncapped Hausdorff distance between two nonempty index sets."""
-    sa = sorted(set(a))
-    sb = sorted(set(b))
+    sa = index_set(a, space.n, "subset index")
+    sb = index_set(b, space.n, "subset index")
     if not sa or not sb:
         raise StructuralError("hausdorff_distance needs nonempty subsets")
-    for idx in sa + sb:
-        if not 0 <= idx < space.n:
-            raise StructuralError(f"subset index {idx} out of range")
     d_a = max(min(space.d(x, y) for y in sb) for x in sa)
     d_b = max(min(space.d(x, y) for y in sa) for x in sb)
     return d_a if d_a >= d_b else d_b
@@ -238,13 +235,8 @@ def mcshane_extend(
     idxs = list(subset)
     if not idxs:
         raise PreconditionError("mcshane_extend needs a nonempty subset")
-    seen = set()
-    for a in idxs:
-        if not isinstance(a, int) or not 0 <= a < space.n:
-            raise StructuralError(f"subset index {a} out of range")
-        if a in seen:
-            raise StructuralError(f"duplicate subset index {a}")
-        seen.add(a)
+    if len(index_set(idxs, space.n, "subset index")) != len(idxs):
+        raise StructuralError("duplicate subset index")
     if isinstance(values, Mapping):
         g = {a: as_scalar(values[a]) for a in idxs}
     else:

@@ -213,9 +213,9 @@ def euclidean_cone_metric(base: FiniteMetricSpace, t_grid) -> EuclideanCone:
     # Not ``parameter_grid``: only the apex end 0 is required here.
     grid = sorted({as_scalar(t) for t in t_grid})
     if not grid or grid[0] < 0 or grid[-1] > 1:
-        raise StructuralError("t grid must lie in [0, 1]")
+        raise PreconditionError("t grid must lie in [0, 1]")
     if ZERO not in grid:
-        raise StructuralError("t grid must contain 0 (the apex)")
+        raise PreconditionError("t grid must contain 0 (the apex)")
     positive = tuple(t for t in grid if t > 0)
     points: list = [("apex",)]
     params: list = [(0, ZERO)]

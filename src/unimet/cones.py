@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 from .combinators import interval_space, product_metric
 from .cylinders import CylinderSpace, cylinder_slices
-from .errors import StructuralError
+from .errors import PreconditionError
 from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
 from .scalars import ONE, ZERO, Scalar, parameter_grid
 from .spaces import (
@@ -212,7 +212,7 @@ def join_amalgam_equality(join: JoinSpace) -> JoinAmalgamReport:
     """
     left, right, grid = join.left, join.right, join.t_grid
     if ZERO not in grid:
-        raise StructuralError("the amalgam comparison needs 0 in the grid")
+        raise PreconditionError("the amalgam comparison needs 0 in the grid")
     grid_pos = tuple(t for t in grid if t >= 0)
     grid_neg_u = tuple(sorted({-t for t in grid if t <= 0}))
     cone_x = cone_metric(left, grid_pos)

@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 from .errors import PreconditionError, StructuralError
 from .kernel import closure, to_fractions
 from .scalars import Scalar, ScalarLike, as_scalar, pow2
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, index_set
 
 # Maximal cliques one threshold graph may have.  Their count grows as
 # 3^(n/3): the Moon–Moser graph on 27 points has 3^9 = 19,683, listed in
@@ -46,23 +46,13 @@ class Cover:
     def __post_init__(self) -> None:
         if not isinstance(self.ground, int) or self.ground <= 0:
             raise StructuralError("cover ground must be a positive integer")
-        cleaned = []
-        seen = set()
-        for member in self.members:
-            ordered = tuple(sorted(set(member)))
-            if not ordered:
-                raise StructuralError("cover members must be nonempty")
-            for i in ordered:
-                if not isinstance(i, int) or not 0 <= i < self.ground:
-                    raise StructuralError(f"cover member index {i} out of range")
-            if ordered in seen:
-                continue
-            seen.add(ordered)
-            cleaned.append(ordered)
-        object.__setattr__(self, "members", tuple(cleaned))
-        covered = set()
-        for member in self.members:
-            covered.update(member)
+        cleaned = tuple(dict.fromkeys(
+            index_set(member, self.ground, "cover member index") for member in self.members
+        ))
+        if () in cleaned:
+            raise StructuralError("cover members must be nonempty")
+        object.__setattr__(self, "members", cleaned)
+        covered = set().union(*cleaned)
         if len(covered) != self.ground:
             missing = sorted(set(range(self.ground)) - covered)
             raise StructuralError(f"not a cover: points {missing} uncovered")

@@ -85,7 +85,7 @@ class Cube:
         pairs = []
         last = None
         for i, v in self.base:
-            if not isinstance(i, int) or i < 0:
+            if type(i) is not int or i < 0:
                 raise StructuralError("cube base indices must be nonnegative ints")
             if last is not None and i <= last:
                 raise StructuralError("cube base must be sorted by index")
@@ -95,11 +95,10 @@ class Cube:
                 raise StructuralError("cube base omits zero coordinates")
             pairs.append((i, val))
         object.__setattr__(self, "base", tuple(pairs))
-        ext = tuple(sorted(set(self.extent)))
-        for i in ext:
-            if not isinstance(i, int) or i < 0:
+        for i in self.extent:
+            if type(i) is not int or i < 0:
                 raise StructuralError("cube extent indices must be nonnegative ints")
-        object.__setattr__(self, "extent", ext)
+        object.__setattr__(self, "extent", tuple(sorted(set(self.extent))))
 
     @property
     def dimension(self) -> int:

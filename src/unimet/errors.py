@@ -8,9 +8,12 @@ from __future__ import annotations
 
 
 class StructuralError(ValueError):
-    """Input is malformed: wrong shape, bad JSON, unknown label, bad index."""
+    """Input is malformed: wrong shape, bad JSON, unknown label, bad index
+    (anything but an in-range non-bool int, see ``spaces.index_set``)."""
 
 
 class PreconditionError(ValueError):
     """Input is well-formed but violates a documented mathematical precondition
-    (e.g. not a metric, diameter above a required bound, map not isometric)."""
+    (e.g. not a metric, diameter above a required bound, map not isometric).
+    A construction parameter outside its documented range is a precondition
+    too: a grid value, a missing grid end, a telescope segment."""

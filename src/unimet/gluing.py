@@ -28,18 +28,16 @@ from .spaces import (
     check_metric_axioms,
     ensure_diameter_at_most,
     ensure_metric,
+    index_set,
     largest_gap,
     reflagged,
 )
 
 
 def _clean_subset(space: FiniteMetricSpace, subset: Iterable[int], what: str) -> tuple:
-    idxs = tuple(sorted(set(subset)))
+    idxs = index_set(subset, space.n, f"{what}: subset index")
     if not idxs:
         raise PreconditionError(f"{what}: the subset must be nonempty")
-    for a in idxs:
-        if not isinstance(a, int) or not 0 <= a < space.n:
-            raise StructuralError(f"{what}: subset index {a} out of range")
     return idxs
 
 
@@ -180,12 +178,9 @@ def adjunction_space(
     ensure_metric(space, "adjunction_space")
     ensure_metric(target, "adjunction_space target")
     A = _clean_subset(space, subset, "adjunction_space")
-    f = as_mapping(attaching)
-    if set(f.keys()) != set(A):
+    f = as_mapping(attaching, space, target, "attaching map")
+    if tuple(f) != A:
         raise PreconditionError("attaching map must be defined exactly on the subset")
-    for a, y in f.items():
-        if not isinstance(y, int) or not 0 <= y < target.n:
-            raise StructuralError(f"attaching image {y} out of range")
 
     if extension is None:
         ensure_diameter_at_most(space, ONE, "adjunction_space")
@@ -235,14 +230,13 @@ def adjunction_space(
     clearance = tuple(
         min(ext.d(x, a) for a in A) for x in range(space.n)
     )
-    positivity_ok = True
-    attached_classes = sorted(set(y_class))
-    for x in range(space.n):
-        if x in set(A):
-            continue
-        for q in attached_classes:
-            if result_space.d(x_class[x], q) < clearance[x] or clearance[x] <= 0:
-                positivity_ok = False
+    attached_classes = set(y_class)
+    in_subset = set(A)
+    positivity_ok = all(
+        clearance[x] > 0
+        and all(result_space.d(x_class[x], q) >= clearance[x] for q in attached_classes)
+        for x in range(space.n) if x not in in_subset
+    )
     return AdjunctionResult(
         result_space,
         ext,

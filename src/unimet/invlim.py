@@ -2,7 +2,10 @@
 
 A truncation holds finitely many levels X_0 .. X_N and total bonding maps
 p_i: X_{i+1} -> X_i.  Every verdict produced here is scoped to the window
-0..N; nothing extrapolates to an infinite tail.  The pieces:
+0..N; nothing extrapolates to an infinite tail.  The truncation and the
+ladder data normalize their own maps: each reads its bonds or cross maps, in
+any form that ``spaces.as_mapping`` reads, into total index tuples with
+``spaces.ensure_total_map``.  The pieces:
 
 - threads: compatible tuples (x_0, .., x_N) with p_i(x_{i+1}) = x_i, and the
   weighted-sup metric on them (the restriction of the full product metric).
@@ -36,7 +39,7 @@ from .errors import PreconditionError, StructuralError
 from .gluing import adjunction_space
 from .moduli import PairSweep, check_uniform_continuity, pair_distances
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid, pow2
-from .spaces import FiniteMetricSpace, ensure_total_map
+from .spaces import FiniteMetricSpace, ensure_total_map, index_set
 
 # Exhaustive thread enumeration refuses levels larger than this.
 THREAD_CAP = 16
@@ -52,10 +55,11 @@ class InverseSequenceTruncation:
     """Levels X_0 .. X_N with total bonds p_i: X_{i+1} -> X_i.
 
     ``bonds[i]`` is the index tuple of p_i, so ``bonds[i][x]`` is the image
-    in level i of point x of level i+1.  Composites p_i o .. o p_{j-1} are
-    cached; ``composite(j, i)`` is the identity when j == i.  So are what
-    the diagnostics read of them: the pair sweep of each composite, the
-    excess table of each level and the thread space.
+    in level i of point x of level i+1; a bond given as a dict or a sequence
+    is normalized to that tuple, checked total and in range.  Composites
+    p_i o .. o p_{j-1} are cached; ``composite(j, i)`` is the identity when
+    j == i.  So are what the diagnostics read of them: the pair sweep of
+    each composite, the excess table of each level and the thread space.
     """
 
     levels: tuple
@@ -72,12 +76,10 @@ class InverseSequenceTruncation:
                 f"{len(self.levels)} levels need {len(self.levels) - 1} bonds, "
                 f"got {len(self.bonds)}"
             )
-        for i, bond in enumerate(self.bonds):
-            if len(bond) != self.levels[i + 1].n:
-                raise StructuralError(f"bond {i} must be total on level {i + 1}")
-            for value in bond:
-                if not isinstance(value, int) or not 0 <= value < self.levels[i].n:
-                    raise StructuralError(f"bond {i} image {value!r} out of range")
+        object.__setattr__(self, "bonds", tuple(
+            ensure_total_map(bond, self.levels[i + 1], self.levels[i], f"bond {i}")
+            for i, bond in enumerate(self.bonds)
+        ))
 
     @property
     def top(self) -> int:
@@ -168,19 +170,9 @@ class InverseSequenceTruncation:
 
 
 def inverse_sequence(levels: Sequence[FiniteMetricSpace], bonds: Sequence) -> InverseSequenceTruncation:
-    """Build a truncation, normalizing each bond to a total index tuple.
-
-    Bonds whose count does not fit the levels are passed on as given, for
-    the truncation to refuse with its own message.
-    """
-    level_tuple = tuple(levels)
-    bond_tuple = tuple(bonds)
-    if len(bond_tuple) == len(level_tuple) - 1:
-        bond_tuple = tuple(
-            ensure_total_map(bond, level_tuple[i + 1], level_tuple[i], f"bond {i}")
-            for i, bond in enumerate(bond_tuple)
-        )
-    return InverseSequenceTruncation(level_tuple, bond_tuple)
+    """Build a truncation from level and bond sequences; the truncation
+    normalizes each bond to a total index tuple."""
+    return InverseSequenceTruncation(tuple(levels), tuple(bonds))
 
 
 # ---- threads ----
@@ -578,7 +570,7 @@ def telescope_metric(
     by ``parameter_grid`` over [0, 1] with both ends, for a single level too.
     """
     if not 0 <= start <= stop <= truncation.top:
-        raise StructuralError(
+        raise PreconditionError(
             f"segment [{start}, {stop}] out of range for top level {truncation.top}"
         )
     # tracked[j - start] holds the classes of level j in the union so far;
@@ -624,7 +616,8 @@ def telescope_metric(
 class LadderData:
     """Two truncations joined by cross maps, with closeness budgets.
 
-    ``cross[i]`` maps source level ``indices[i]`` to target level i; the
+    ``cross[i]`` maps source level ``indices[i]`` to target level i, and is
+    normalized to a total index tuple once the indices are checked; the
     index sequence is nondecreasing.  ``alphas[i]`` budgets the defect of
     square i (cross then bond against bond then cross); ``betas[j]`` scales
     every advertised closeness bound at target level j.
@@ -641,13 +634,17 @@ class LadderData:
         squares = self.target.top
         if len(self.indices) != squares + 1:
             raise StructuralError("one source index per target level required")
-        for n in self.indices:
-            if not isinstance(n, int) or not 0 <= n <= self.source.top:
-                raise StructuralError(f"source index {n!r} out of range")
+        index_set(self.indices, self.source.top + 1, "source index")
         if any(low > high for low, high in zip(self.indices, self.indices[1:])):
             raise StructuralError("source indices must be nondecreasing")
         if len(self.cross) != squares + 1:
             raise StructuralError("one cross map per target level required")
+        object.__setattr__(self, "cross", tuple(
+            ensure_total_map(
+                mapping, self.source.levels[n], self.target.levels[i], f"cross map {i}"
+            )
+            for i, (n, mapping) in enumerate(zip(self.indices, self.cross))
+        ))
         if len(self.alphas) != squares:
             raise StructuralError(f"{squares} squares need {squares} alpha budgets")
         if len(self.betas) != squares + 1:
@@ -705,19 +702,13 @@ def ladder(
         index_tuple = tuple(range(target.top + 1))
     else:
         index_tuple = tuple(indices)
-    # Placeholder budgets: the data checks the indices and the cross count
-    # before the cross maps are read against them.
+    # Placeholder budgets: the data checks the indices and normalizes the
+    # cross maps, which the measured alphas read.
     partial = LadderData(
         source, target, index_tuple, tuple(cross),
         tuple(ZERO for _ in range(target.top)),
         tuple(ONE for _ in range(target.top + 1)),
     )
-    partial = replace(partial, cross=tuple(
-        ensure_total_map(
-            mapping, source.levels[index_tuple[i]], target.levels[i], f"cross map {i}"
-        )
-        for i, mapping in enumerate(cross)
-    ))
     if alphas is None:
         alpha_tuple = tuple(
             _measured_square(partial, i)[0] for i in range(target.top)

@@ -38,6 +38,7 @@ from .spaces import (
     check_metric_axioms,
     ensure_diameter_at_most,
     ensure_metric,
+    index_set,
     largest_gap,
     reflagged,
 )
@@ -60,13 +61,9 @@ class Surjection:
             raise StructuralError("class_count must be a positive integer")
         if len(self.class_of) != self.source.n:
             raise StructuralError("class_of must assign every point")
-        hit = set()
-        for c in self.class_of:
-            if not isinstance(c, int) or not 0 <= c < self.class_count:
-                raise StructuralError(f"class index {c} out of range")
-            hit.add(c)
+        hit = index_set(self.class_of, self.class_count, "class index")
         if len(hit) != self.class_count:
-            missing = sorted(set(range(self.class_count)) - hit)
+            missing = sorted(set(range(self.class_count)).difference(hit))
             raise StructuralError(f"classes {missing} are empty")
 
     @staticmethod
@@ -100,15 +97,9 @@ def _assign_classes(
     order.
     """
     n = len(labels)
-    cleaned = []
-    for group in groups:
-        members = sorted(set(group))
-        if not members:
-            raise StructuralError("classes must be nonempty")
-        for i in members:
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise StructuralError(f"class member {i} out of range")
-        cleaned.append(members)
+    cleaned = [index_set(group, n, "class member") for group in groups]
+    if not all(cleaned):
+        raise StructuralError("classes must be nonempty")
     class_of: list = [None] * n
     for k, members in enumerate(cleaned):
         for i in members:
@@ -326,10 +317,8 @@ def glue_parts(
         total += part.n
 
     def global_index(part_idx: int, point_idx: int) -> int:
-        if not 0 <= part_idx < len(parts):
-            raise StructuralError(f"part index {part_idx} out of range")
-        if not 0 <= point_idx < parts[part_idx].n:
-            raise StructuralError(f"point index {point_idx} out of range in part {part_idx}")
+        index_set((part_idx,), len(parts), "part index")
+        index_set((point_idx,), parts[part_idx].n, f"part {part_idx} point index")
         return offsets[part_idx] + point_idx
 
     places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
@@ -381,19 +370,12 @@ def amalgamated_union(
     ensure_metric(right, "amalgamated_union right factor")
     ensure_diameter_at_most(left, ONE, "amalgamated_union left factor")
     ensure_diameter_at_most(right, ONE, "amalgamated_union right factor")
-    mapping = as_mapping(h)
+    mapping = as_mapping(h, left, right, "gluing")
     if not mapping:
         raise PreconditionError("amalgamated_union needs a nonempty gluing map")
-    targets = set()
-    for a, b in mapping.items():
-        if not 0 <= a < left.n:
-            raise StructuralError(f"gluing source index {a} out of range")
-        if not 0 <= b < right.n:
-            raise StructuralError(f"gluing target index {b} out of range")
-        if b in targets:
-            raise PreconditionError("gluing map must be injective")
-        targets.add(b)
-    items = sorted(mapping.items())
+    if len(set(mapping.values())) != len(mapping):
+        raise PreconditionError("gluing map must be injective")
+    items = list(mapping.items())
     for a, b in items:
         for a2, b2 in items:
             if left.d(a, a2) != right.d(b, b2):

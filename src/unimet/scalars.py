@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Union
 
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -117,16 +117,17 @@ def brief_scalar(value: Fraction) -> str:
 def parameter_grid(values, low: Fraction, high: Fraction, required) -> tuple:
     """The grid of a cone, join, cylinder or telescope: ``values`` sorted and
     deduplicated.  It must be nonempty, lie in [low, high] and hold every
-    value in ``required``; otherwise a StructuralError names the first miss."""
+    value in ``required``; otherwise a PreconditionError names the first
+    miss."""
     grid = sorted({as_scalar(t) for t in values})
     if not grid:
-        raise StructuralError("parameter grid must be nonempty")
+        raise PreconditionError("parameter grid must be nonempty")
     for t in grid:
         if not low <= t <= high:
-            raise StructuralError(f"grid value {t} outside [{low}, {high}]")
+            raise PreconditionError(f"grid value {t} outside [{low}, {high}]")
     for needed in required:
         if needed not in grid:
-            raise StructuralError(f"grid must contain {needed}")
+            raise PreconditionError(f"grid must contain {needed}")
     return tuple(grid)
 
 

@@ -23,9 +23,15 @@ Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
 with the original ``Fraction`` values.
 
-A map between index ranges comes in one of two forms, which ``as_mapping``
-reads: a dict from source to target indices (what ``jsonio`` parses), or a
-flat sequence of images.
+Indices are read in one place.  ``index_set`` reads a set of point
+indices: it checks every entry, before it sorts any, to be an ``int`` in
+range (a bool is no index), and returns the sorted distinct tuple.  A map
+between two spaces comes in one of two forms, which ``as_mapping`` reads and
+range-checks on both sides through ``index_set``: a dict from source to
+target indices (what ``jsonio`` parses), or a flat sequence of images.
+Every construction reads its subsets, families, members and maps through
+these two, so none checks an index of its own; only a cube's extent, whose
+coordinate indices have no bound, keeps its own check.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
 from .kernel import first_triangle_witness, to_fractions, to_int_matrix
@@ -137,10 +143,7 @@ class FiniteMetricSpace:
 
     def submetric(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         idx = list(indices)
-        for i in idx:
-            if not (0 <= i < self.n):
-                raise StructuralError(f"index {i} out of range")
-        if len(set(idx)) != len(idx):
+        if len(index_set(idx, self.n, "index")) != len(idx):
             raise StructuralError("subset indices must be distinct")
         pts = tuple(self.points[i] for i in idx)
         dist = tuple(tuple(self.dist[i][j] for j in idx) for i in idx)
@@ -314,17 +317,30 @@ def largest_gap(space: FiniteMetricSpace, other: FiniteMetricSpace,
     return worst
 
 
+def index_set(indices: Iterable[int], n: int, what: str) -> tuple:
+    """The sorted distinct tuple of ``indices``.  Each entry is checked
+    before anything sorts them: it must be an ``int``, not a bool, in
+    ``range(n)``; otherwise a StructuralError names it ("{what} {i!r} out of
+    range")."""
+    idx = tuple(indices)
+    for i in idx:
+        if not (type(i) is int and 0 <= i < n):
+            raise StructuralError(f"{what} {i!r} out of range")
+    return tuple(sorted(set(idx)))
+
+
 MappingLike = Union[Mapping[int, int], Sequence[int]]
 
 
-def as_mapping(obj: MappingLike) -> dict:
-    """A map as a dict of indices in source order: given as a dict, or as a
-    flat sequence of images (i -> seq[i]).  Every index must be a
-    nonnegative int."""
+def as_mapping(obj: MappingLike, source: FiniteMetricSpace,
+               target: FiniteMetricSpace, what: str = "map") -> dict:
+    """A map from ``source`` into ``target`` as a dict of indices in source
+    order: given as a dict, or as a flat sequence of images (i -> seq[i]).
+    ``index_set`` checks its source indices against ``source`` and its
+    images against ``target``."""
     pairs = list(obj.items() if isinstance(obj, Mapping) else enumerate(obj))
-    for index in (v for pair in pairs for v in pair):
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-            raise StructuralError("map indices must be nonnegative integers")
+    index_set((a for a, _ in pairs), source.n, f"{what} source index")
+    index_set((b for _, b in pairs), target.n, f"{what} target index")
     return dict(sorted(pairs))
 
 
@@ -332,10 +348,7 @@ def ensure_total_map(mapping: MappingLike, source: FiniteMetricSpace,
                      target: FiniteMetricSpace, what: str = "map") -> tuple:
     """Index tuple of ``mapping``, in any form ``as_mapping`` reads, checked
     to be a total map from ``source`` into ``target``."""
-    m = as_mapping(mapping)
-    if set(m) != set(range(source.n)):
+    m = as_mapping(mapping, source, target, what)
+    if len(m) != source.n:
         raise PreconditionError(f"{what} must be total on the source points")
-    for t in m.values():
-        if not (0 <= t < target.n):
-            raise StructuralError(f"{what} has target index {t} out of range")
-    return tuple(m[i] for i in range(source.n))
+    return tuple(m.values())

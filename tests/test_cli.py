@@ -27,7 +27,7 @@ from helpers import (
 from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP
-from unimet.errors import StructuralError
+from unimet.errors import PreconditionError
 from unimet.invlim import telescope_metric
 from unimet.jsonio import space_to_json
 from unimet.reporting import canonical_bytes
@@ -220,6 +220,36 @@ def test_build_telescope_depths(tower, depth, expected):
     extra = [] if depth is None else ["--depth", depth]
     code, out, err = run(["build", "telescope", tower, *extra])
     assert code == expected, err
+
+
+def test_a_telescope_depth_past_the_top_reads_as_the_library_words_it(tower):
+    code, out, err = run(["build", "telescope", tower, "--depth", 9])
+    assert (code, out) == (1, "")
+    assert err == f"precondition failed: segment [0, 9] out of range for top level {TOWER.top}\n"
+
+
+@pytest.mark.parametrize("kind, key, bad_map", [
+    ("cylinder", "mapping", {"pairs": [[0, 0], [1, 1], [2, 1], [7, 0]]}),
+    ("adjunction", "attaching", {"pairs": [[0, 0], [1, 1], [7, 0]]}),
+])
+def test_a_map_source_index_outside_the_space_is_an_input_error(tmp_path, kind, key, bad_map):
+    tree = {
+        "cylinder": {"source": space_to_json(S3), "target": space_to_json(S2)},
+        "adjunction": BUILD_TREES["adjunction"],
+    }[kind]
+    tree = dict(tree, **{key: bad_map})
+    code, out, err = run(["build", kind, write(tmp_path, "map.json", tree)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "source index 7 out of range" in err
+
+
+@pytest.mark.parametrize("command", ["check", "metrize", "embed", "invlim"])
+def test_only_build_takes_oracle(command, capsys):
+    argv = {"invlim": ["invlim", "threads", "t.json"]}.get(command, [command, "f.json"])
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--oracle"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --oracle" in capsys.readouterr().err
 
 
 # ---- oracles run once, and only when asked ----
@@ -523,7 +553,7 @@ def test_grid_errors_read_as_the_library_words_them(
     inputs = {"cone": s3, "join": join_file, "cylinder": cylinder_file, "telescope": tower}
     low, high = GRID_CASES[kind][:2]
     text = GRID_CASES[kind][broken]
-    with pytest.raises(StructuralError) as raised:
+    with pytest.raises(PreconditionError) as raised:
         parameter_grid(text.split(","), low, high, (low, high))
     code, out, err = run(["build", kind, inputs[kind], f"--grid={text}"])
     assert (code, out, err) == (1, "", f"precondition failed: {raised.value}\n")

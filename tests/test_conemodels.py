@@ -86,7 +86,7 @@ def test_rectilinear_cone_point_and_sampling():
     assert cone.points[0] == (Fraction(0), Fraction(1))
     with pytest.raises(PreconditionError, match="sup"):
         rectilinear_cone(NormedPointSet(1, ((0,),), "l1"))
-    with pytest.raises(StructuralError, match="contain"):
+    with pytest.raises(PreconditionError, match="contain"):
         rectilinear_cone(base, (0, "1/2"))
 
 
@@ -102,7 +102,7 @@ def test_rectilinear_join_point_and_sampling():
     # tau = -1 zeroes the right block, tau = +1 the left block
     assert (Fraction(1), Fraction(0), Fraction(-1)) in join.points
     assert (Fraction(0), Fraction(-1), Fraction(1)) in join.points
-    with pytest.raises(StructuralError, match="contain"):
+    with pytest.raises(PreconditionError, match="contain"):
         independent_rectilinear_join(left, right, (0, 1))
     with pytest.raises(PreconditionError, match="sup"):
         independent_rectilinear_join(NormedPointSet(1, ((0,),), "l1"), right)
@@ -136,7 +136,7 @@ def test_euclidean_cone_sampling_and_guards():
     apex = cone.index_of(("apex",))
     seg = cone.index_of(("seg", "b", Fraction(1)))
     assert abs(cone.matrix[apex][seg] - 1.0) < 1e-15
-    with pytest.raises(StructuralError, match="apex"):
+    with pytest.raises(PreconditionError, match="apex"):
         euclidean_cone_metric(ok, ("1/2", 1))
 
 

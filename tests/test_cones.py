@@ -25,7 +25,7 @@ from unimet.cones import (
     join_metric,
 )
 from unimet.cylinders import mapping_cylinder_metric
-from unimet.errors import PreconditionError, StructuralError
+from unimet.errors import PreconditionError
 from unimet.scalars import ONE
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
@@ -125,11 +125,11 @@ def test_cone_guards():
     with pytest.raises(PreconditionError, match="diameter"):
         cone_metric(big, CONE_GRID)
     small = interval_points([0, 1], Fraction(1, 2))
-    with pytest.raises(StructuralError, match="contain"):
+    with pytest.raises(PreconditionError, match="contain"):
         cone_metric(small, (Fraction(0), Fraction(1, 2)))
-    with pytest.raises(StructuralError, match="outside"):
+    with pytest.raises(PreconditionError, match="outside"):
         cone_metric(small, (Fraction(0), Fraction(1), Fraction(2)))
-    with pytest.raises(StructuralError, match="nonempty"):
+    with pytest.raises(PreconditionError, match="nonempty"):
         cone_metric(small, ())
 
 
@@ -200,9 +200,9 @@ def test_join_guards():
     big = interval_points([0, 1], Fraction(5, 2))
     with pytest.raises(PreconditionError, match="diameter"):
         join_metric(big, small, JOIN_GRID)
-    with pytest.raises(StructuralError, match="contain"):
+    with pytest.raises(PreconditionError, match="contain"):
         join_metric(small, small, (Fraction(0), Fraction(1)))
-    with pytest.raises(StructuralError, match="needs 0"):
+    with pytest.raises(PreconditionError, match="needs 0"):
         join_amalgam_equality(
             join_metric(small, small, (Fraction(-1), Fraction(1, 2), Fraction(1)))
         )

@@ -23,7 +23,7 @@ from unimet.cylinders import (
     mapping_cylinder_metric,
     uniform_modulus,
 )
-from unimet.errors import PreconditionError, StructuralError
+from unimet.errors import PreconditionError
 from unimet.moduli import check_uniform_continuity
 from unimet.spaces import check_metric_axioms
 
@@ -117,9 +117,9 @@ def test_cylinder_guards():
         mapping_cylinder_metric(big, small, (0, 0), GRID)
     with pytest.raises(PreconditionError, match="diameter"):
         mapping_cylinder_metric(small, big, (0, 0), GRID)
-    with pytest.raises(StructuralError, match="contain"):
+    with pytest.raises(PreconditionError, match="contain"):
         mapping_cylinder_metric(small, small, (0, 1), (Fraction(0), Fraction(1, 2)))
-    with pytest.raises(StructuralError):
+    with pytest.raises(PreconditionError):
         mapping_cylinder_metric(small, small, (0, 1), (Fraction(0), Fraction(2)))
     assert CYLINDER_CROSS == 3
 

@@ -287,7 +287,7 @@ def test_telescope_single_level_is_the_level():
 
 
 def test_a_single_level_checks_its_grid():
-    with pytest.raises(StructuralError, match="outside"):
+    with pytest.raises(PreconditionError, match="outside"):
         telescope_metric(retraction_tower(4), 1, 1, ("0", "2"))
 
 
@@ -299,9 +299,9 @@ def test_a_single_level_cleans_its_grid_as_a_segment_does():
 
 def test_telescope_range_validation():
     tower = retraction_tower(4)
-    with pytest.raises(StructuralError, match="range"):
+    with pytest.raises(PreconditionError, match="range"):
         telescope_metric(tower, 0, 9)
-    with pytest.raises(StructuralError, match="range"):
+    with pytest.raises(PreconditionError, match="range"):
         telescope_metric(tower, 2, 1)
 
 

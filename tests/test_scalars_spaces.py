@@ -259,12 +259,14 @@ def test_closure_is_largest_metric_below_weights():
 
 
 def test_as_mapping_forms():
-    assert as_mapping([2, 0, 1]) == {0: 2, 1: 0, 2: 1}
-    assert as_mapping({1: 5, 0: 3}) == {0: 3, 1: 5}
-    assert list(as_mapping({1: 5, 0: 3})) == [0, 1]
-    for bad in ([0, -1], [0, True], [(0, 1)], {0: "1"}, {-1: 0}):
-        with pytest.raises(StructuralError, match="nonnegative integers"):
-            as_mapping(bad)
+    src = interval_points([0, 1, 2], Fraction(1, 4))
+    tgt = interval_points([0, 1, 2, 3, 4, 5], Fraction(1, 8))
+    assert as_mapping([2, 0, 1], src, tgt) == {0: 2, 1: 0, 2: 1}
+    assert as_mapping({1: 5, 0: 3}, src, tgt) == {0: 3, 1: 5}
+    assert list(as_mapping({1: 5, 0: 3}, src, tgt)) == [0, 1]
+    for bad in ([0, -1], [0, True], [(0, 1)], {0: "1"}, {-1: 0}, [0, 6], {3: 0}):
+        with pytest.raises(StructuralError, match="index .* out of range"):
+            as_mapping(bad, src, tgt)
 
 
 def test_ensure_total_map():
