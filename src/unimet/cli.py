@@ -9,14 +9,18 @@ report (schema in docs/report-schema.json) to stdout or to --out.
 
 Each command imports only what it runs: the construction modules are
 imported inside the handlers that call them, so ``check`` never loads
-them and each fresh process pays only for its own command.
+them and each fresh process pays only for its own command.  Each command
+reads its input once (``_open``), so the parse and the report digest see
+the same bytes, and ``_cmd_build`` alone ends a build report with the
+space built.
 
-The command line restates no rule of the library it calls.  The library
-refuses a bad grid, a join grid without 0 under ``--oracle`` and a
-telescope ``--depth`` past the top level as preconditions (exit 1) in its
-own words.  The kinds, modes, axiom rows and echoed flags are read from the
-tables and the parsed arguments that define them.  ``--oracle`` belongs to
-``build`` alone, the one command whose constructions have oracles.
+The command line restates no rule of the library it calls.  It only splits
+and parses ``--grid``; the library refuses a bad grid, a join grid without
+0 under ``--oracle`` and a telescope ``--depth`` past the top level as
+preconditions (exit 1) in its own words.  The kinds, modes, axiom rows and
+echoed flags are read from the tables and the parsed arguments that define
+them.  ``--oracle`` belongs to ``build`` alone, the one command whose
+constructions have oracles.
 
 Exit codes: 0 when every check passes, 1 for mathematical failures
 (violated preconditions or failing check rows), 2 for input errors
@@ -45,7 +49,7 @@ from .jsonio import (
     truncation_from_json,
 )
 from .reporting import ReportBuilder, canonical_bytes, digest_inputs
-from .scalars import ONE, ZERO, Scalar, as_scalar, parameter_grid
+from .scalars import ONE, ZERO, as_scalar
 from .spaces import AXIOMS, FiniteMetricSpace, check_metric_axioms, largest_gap
 
 # ---- constants ----
@@ -69,13 +73,11 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _parse_grid(text: str, low: Scalar, high: Scalar, required) -> tuple:
-    """Parse a comma separated rational grid and check it with parameter_grid.
-
-    Grid problems are precondition failures (exit 1), not document errors:
-    the grid is a construction parameter, not part of the input file, and
-    ``parameter_grid`` raises its own refusals as preconditions.
-    """
+def _parse_grid(text: str) -> list:
+    """The values of a comma separated rational grid.  The construction
+    checks them with ``parameter_grid``; like its refusals, a bad token is a
+    precondition failure (exit 1), not a document error, because the grid
+    is a construction parameter, not part of the input file."""
     values = []
     for token in text.split(","):
         token = token.strip()
@@ -87,7 +89,7 @@ def _parse_grid(text: str, low: Scalar, high: Scalar, required) -> tuple:
             raise PreconditionError(
                 f"grid entry {token!r} is not a rational"
             ) from None
-    return parameter_grid(values, low, high, required)
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,9 +189,11 @@ def _flag_echo(args: argparse.Namespace) -> list:
     return sorted(flags)
 
 
-def _builder(args: argparse.Namespace, *extra: str) -> ReportBuilder:
+def _open(args: argparse.Namespace, *extra: str) -> tuple:
+    """The tree of ``args.path`` and a builder digesting the same bytes."""
+    data, doc = load_document(args.path)
     echo = [args.command, *extra, os.path.basename(args.path)] + _flag_echo(args)
-    return ReportBuilder(echo, digest_inputs([args.path], args.seed))
+    return doc, ReportBuilder(echo, digest_inputs(data, args.seed))
 
 
 def _violation_witness(violation) -> dict:
@@ -212,8 +216,8 @@ def _metric_row(builder: ReportBuilder, name: str, space: FiniteMetricSpace) -> 
 
 
 def _cmd_check(args: argparse.Namespace) -> ReportBuilder:
-    space = space_from_json(load_document(args.path))
-    builder = _builder(args)
+    doc, builder = _open(args)
+    space = space_from_json(doc)
     builder.info(
         "space loaded",
         scalars={"points": space.n, "diameter": space.diameter()},
@@ -236,12 +240,11 @@ def _cmd_check(args: argparse.Namespace) -> ReportBuilder:
 # ---- build ----
 
 
-def _build_cone(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_cone(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .cones import cone_metric, cone_quotient_check
 
     base = space_from_json(doc)
-    grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
-    cone = cone_metric(base, grid)
+    cone = cone_metric(base, _parse_grid(args.grid or DEFAULT_UNIT_GRID))
     _metric_row(builder, "cone satisfies the metric axioms", cone.space)
     bottom = [cone.class_index(i, ZERO) for i in range(base.n)]
     builder.check(
@@ -255,16 +258,15 @@ def _build_cone(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
             gap == 0,
             scalars={"gap": gap},
         )
-    builder.info("constructed space", witnesses=[space_to_json(cone.space)])
+    return cone.space
 
 
-def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .cones import join_amalgam_equality, join_metric
 
     left = space_from_json(expect_key(doc, "left", "the join file"))
     right = space_from_json(expect_key(doc, "right", "the join file"))
-    grid = _parse_grid(args.grid or DEFAULT_JOIN_GRID, -ONE, ONE, (-ONE, ONE))
-    join = join_metric(left, right, grid)
+    join = join_metric(left, right, _parse_grid(args.grid or DEFAULT_JOIN_GRID))
     _metric_row(builder, "join satisfies the metric axioms", join.space)
     xends = [join.xend_index(i) for i in range(left.n)]
     yends = [join.yend_index(j) for j in range(right.n)]
@@ -287,16 +289,16 @@ def _build_join(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
             "two chain hops settle the glued union",
             comparison.two_hops_suffice,
         )
-    builder.info("constructed space", witnesses=[space_to_json(join.space)])
+    return join.space
 
 
-def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .cylinders import cylinder_adjunction_check, mapping_cylinder_metric
 
     source = space_from_json(expect_key(doc, "source", "the cylinder file"))
     target = space_from_json(expect_key(doc, "target", "the cylinder file"))
     mapping = mapping_from_json(expect_key(doc, "mapping", "the cylinder file"))
-    grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
+    grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID)
     cylinder = mapping_cylinder_metric(source, target, mapping, grid)
     _metric_row(builder, "cylinder satisfies the metric axioms", cylinder.space)
     ys = [cylinder.y_index(j) for j in range(target.n)]
@@ -316,10 +318,10 @@ def _build_cylinder(args: argparse.Namespace, doc, builder: ReportBuilder) -> No
             gap == 0,
             scalars={"gap": gap},
         )
-    builder.info("constructed space", witnesses=[space_to_json(cylinder.space)])
+    return cylinder.space
 
 
-def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .gluing import adjunction_space
 
     space = space_from_json(expect_key(doc, "space", "the adjunction file"))
@@ -337,10 +339,10 @@ def _build_adjunction(args: argparse.Namespace, doc, builder: ReportBuilder) -> 
     builder.check(
         "points off the subset keep positive clearance", result.positivity_ok
     )
-    builder.info("constructed space", witnesses=[space_to_json(result.space)])
+    return result.space
 
 
-def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .quotients import amalgamated_union
 
     left = space_from_json(expect_key(doc, "left", "the amalgam file"))
@@ -348,10 +350,10 @@ def _build_amalgam(args: argparse.Namespace, doc, builder: ReportBuilder) -> Non
     gluing = mapping_from_json(expect_key(doc, "gluing", "the amalgam file"))
     space = amalgamated_union(left, right, gluing)
     _metric_row(builder, "amalgam satisfies the metric axioms", space)
-    builder.info("constructed space", witnesses=[space_to_json(space)])
+    return space
 
 
-def _build_quotient(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_quotient(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .quotients import quotient_by_discrete_family
 
     space = space_from_json(expect_key(doc, "space", "the quotient file"))
@@ -368,19 +370,19 @@ def _build_quotient(args: argparse.Namespace, doc, builder: ReportBuilder) -> No
     builder.check("two-hop distance equals the chain limit", result.d2_equals_dinf)
     _metric_row(builder, "quotient satisfies the metric axioms", result.space)
     builder.info("chain settles", scalars={"settled_at": result.settled_at})
-    builder.info("constructed space", witnesses=[space_to_json(result.space)])
+    return result.space
 
 
-def _build_telescope(args: argparse.Namespace, doc, builder: ReportBuilder) -> None:
+def _build_telescope(args: argparse.Namespace, doc, builder: ReportBuilder) -> FiniteMetricSpace:
     from .invlim import telescope_metric
 
     truncation = truncation_from_json(doc)
     stop = truncation.top if args.depth is None else args.depth
-    grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID, ZERO, ONE, (ZERO, ONE))
+    grid = _parse_grid(args.grid or DEFAULT_UNIT_GRID)
     result = telescope_metric(truncation, 0, stop, grid)
     builder.check("every stage is certified", result.all_certified)
     _metric_row(builder, "telescope satisfies the metric axioms", result.space)
-    builder.info("constructed space", witnesses=[space_to_json(result.space)])
+    return result.space
 
 
 _BUILDERS = {
@@ -395,9 +397,9 @@ _BUILDERS = {
 
 
 def _cmd_build(args: argparse.Namespace) -> ReportBuilder:
-    doc = load_document(args.path)
-    builder = _builder(args, args.kind)
-    _BUILDERS[args.kind](args, doc, builder)
+    doc, builder = _open(args, args.kind)
+    space = _BUILDERS[args.kind](args, doc, builder)
+    builder.info("constructed space", witnesses=[space_to_json(space)])
     return builder
 
 
@@ -407,8 +409,8 @@ def _cmd_build(args: argparse.Namespace) -> ReportBuilder:
 def _cmd_metrize(args: argparse.Namespace) -> ReportBuilder:
     from .covers import au_metrize, validate_fundamental_sequence
 
-    seq = fundamental_sequence_from_json(load_document(args.path))
-    builder = _builder(args)
+    doc, builder = _open(args)
+    seq = fundamental_sequence_from_json(doc)
     witness = validate_fundamental_sequence(seq)
     ok = builder.check(
         "each cover star-refines its predecessor",
@@ -446,8 +448,8 @@ def _cmd_metrize(args: argparse.Namespace) -> ReportBuilder:
 def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
     from .embedding import aharoni_embed, sufficient_depth
 
-    space = space_from_json(load_document(args.path))
-    builder = _builder(args)
+    doc, builder = _open(args)
+    space = space_from_json(doc)
     if args.rescale:
         space = space.rescaled_to_diameter(ONE)
         builder.info("space rescaled to diameter 1")
@@ -478,7 +480,7 @@ def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
         witnesses=[
             {
                 "point": space.points[i],
-                "image": {"support": dict(img.support), "tail": img.tail},
+                "image": {"support": {str(k): v for k, v in img.support}, "tail": img.tail},
             }
             for i, img in enumerate(embedding.images)
         ],
@@ -674,8 +676,7 @@ INVLIM_MODES = (*_INVLIM, "perturb")
 
 
 def _cmd_invlim(args: argparse.Namespace) -> ReportBuilder:
-    doc = load_document(args.path)
-    builder = _builder(args, args.mode)
+    doc, builder = _open(args, args.mode)
     if args.mode == "perturb":
         _invlim_perturb(doc, builder)
         return builder

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 from .errors import PreconditionError, StructuralError
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
-from .spaces import FiniteMetricSpace, ensure_metric
+from .spaces import FiniteMetricSpace, ensure_metric, index_set
 
 # rational lower bound of pi: guards "diameter <= pi" conservatively
 # (inputs between this and pi are rejected, never the other way around)
@@ -262,7 +262,7 @@ def cone_comparison_bounds(
     if not).  Each sample (i, t, j, s) compares the exact rectilinear
     distance S = max(||t x_i - s x_j||, |t - s|) with the float Euclidean
     distance E for the norm distance between the base points, at tolerance
-    1e-9.
+    1e-9.  The point indices i and j are read by ``spaces.index_set``.
     """
     if base.norm != "sup":
         raise PreconditionError("cone comparison needs the sup norm")
@@ -278,6 +278,7 @@ def cone_comparison_bounds(
     second_ok = True
     count = 0
     for k, (i, t, j, s) in enumerate(samples):
+        index_set((i, j), base.n, "sample point index")
         tv, sv = as_scalar(t), as_scalar(s)
         for v in (tv, sv):
             if not 0 <= v <= 1:

@@ -44,7 +44,7 @@ class Cover:
     members: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ground, int) or self.ground <= 0:
+        if type(self.ground) is not int or self.ground <= 0:
             raise StructuralError("cover ground must be a positive integer")
         cleaned = tuple(dict.fromkeys(
             index_set(member, self.ground, "cover member index") for member in self.members

@@ -5,7 +5,9 @@ p_i: X_{i+1} -> X_i.  Every verdict produced here is scoped to the window
 0..N; nothing extrapolates to an infinite tail.  The truncation and the
 ladder data normalize their own maps: each reads its bonds or cross maps, in
 any form that ``spaces.as_mapping`` reads, into total index tuples with
-``spaces.ensure_total_map``.  The pieces:
+``spaces.ensure_total_map``.  The ladder data also fills in the budgets it
+is not given.  Composites are built in a loop, one bond at a time, so a
+truncation of any length needs no deep stack.  The pieces:
 
 - threads: compatible tuples (x_0, .., x_N) with p_i(x_{i+1}) = x_i, and the
   weighted-sup metric on them (the restriction of the full product metric).
@@ -28,7 +30,7 @@ tables and its thread space once and keeps them beside its composites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -57,9 +59,10 @@ class InverseSequenceTruncation:
     ``bonds[i]`` is the index tuple of p_i, so ``bonds[i][x]`` is the image
     in level i of point x of level i+1; a bond given as a dict or a sequence
     is normalized to that tuple, checked total and in range.  Composites
-    p_i o .. o p_{j-1} are cached; ``composite(j, i)`` is the identity when
-    j == i.  So are what the diagnostics read of them: the pair sweep of
-    each composite, the excess table of each level and the thread space.
+    p_i o .. o p_{j-1} are cached, each extending the deepest cached one
+    into the same level; ``composite(j, i)`` is the identity when j == i.
+    So are what the diagnostics read of them: the pair sweep of each
+    composite, the excess table of each level and the thread space.
     """
 
     levels: tuple
@@ -97,15 +100,18 @@ class InverseSequenceTruncation:
         """Index tuple of p^j_i: X_j -> X_i for i <= j."""
         if not 0 <= i <= j <= self.top:
             raise StructuralError(f"composite needs 0 <= i <= j <= {self.top}")
-        key = (j, i)
         cache = self._composites
-        if key not in cache:
-            if i == j:
-                cache[key] = tuple(range(self.levels[j].n))
-            else:
-                upper = self.composite(j - 1, i)
-                cache[key] = tuple(upper[x] for x in self.bonds[j - 1])
-        return cache[key]
+        # The cached composites into level i are those from levels i .. k:
+        # extend the deepest of them one bond at a time up to level j.
+        k = j
+        while (k, i) not in cache and k > i:
+            k -= 1
+        if (k, i) not in cache:
+            cache[(i, i)] = tuple(range(self.levels[i].n))
+        for m in range(k, j):
+            upper = cache[(m, i)]
+            cache[(m + 1, i)] = tuple(upper[x] for x in self.bonds[m])
+        return cache[(j, i)]
 
     def composite_sweep(self, j: int, i: int) -> PairSweep:
         """Pairs a < b of level j as (d_j(a, b), distance of their images
@@ -621,14 +627,26 @@ class LadderData:
     index sequence is nondecreasing.  ``alphas[i]`` budgets the defect of
     square i (cross then bond against bond then cross); ``betas[j]`` scales
     every advertised closeness bound at target level j.
+
+    The budgets are filled in when omitted.  Each measured alpha is the
+    defect of its square, so the closeness hypothesis holds with equality.
+    The default beta_j is the larger of one ninth of the smallest positive
+    distance of target level j (one when the level has no positive
+    distances) and 2^(i-j) times the worst distance that the bond composite
+    from level i >= j down to j attains on pairs within alpha_i.  The first
+    term keeps the advertised bounds below the level's resolution; the
+    second is the least scale at which every continuity hypothesis holds,
+    so measured alphas with default betas satisfy all hypotheses.  When
+    every alpha is zero the second term vanishes on metric levels and the
+    default is the resolution term alone.
     """
 
     source: InverseSequenceTruncation
     target: InverseSequenceTruncation
     indices: tuple
     cross: tuple
-    alphas: tuple
-    betas: tuple
+    alphas: Optional[tuple] = None
+    betas: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         squares = self.target.top
@@ -645,13 +663,30 @@ class LadderData:
             )
             for i, (n, mapping) in enumerate(zip(self.indices, self.cross))
         ))
-        if len(self.alphas) != squares:
+        if self.alphas is None:
+            alphas = tuple(_measured_square(self, i)[0] for i in range(squares))
+        else:
+            alphas = tuple(as_scalar(a) for a in self.alphas)
+        if len(alphas) != squares:
             raise StructuralError(f"{squares} squares need {squares} alpha budgets")
-        if len(self.betas) != squares + 1:
+        object.__setattr__(self, "alphas", alphas)
+        if self.betas is None:
+            betas = []
+            for j, level in enumerate(self.target.levels):
+                floor = level.min_positive_distance()
+                beta = floor / 9 if floor is not None else ONE
+                for i in range(j, squares):
+                    attained = self.target.composite_sweep(i, j).largest_within(alphas[i])
+                    beta = max(beta, pow2(i - j) * attained)
+                betas.append(beta)
+        else:
+            betas = [as_scalar(b) for b in self.betas]
+        if len(betas) != squares + 1:
             raise StructuralError("one beta per target level required")
-        for beta in self.betas:
+        for beta in betas:
             if beta <= 0:
                 raise PreconditionError("beta scales must be positive")
+        object.__setattr__(self, "betas", tuple(betas))
 
 
 def _worst_gap(level: FiniteMetricSpace, f: tuple, g: tuple) -> tuple:
@@ -679,57 +714,15 @@ def ladder(
     alphas: Optional[Sequence[ScalarLike]] = None,
     betas: Optional[Sequence[ScalarLike]] = None,
 ) -> LadderData:
-    """Assemble ladder data, filling in measured or default budgets.
-
-    With ``indices`` omitted, target level i is fed from source level i.
-    With ``alphas`` omitted, each budget is the measured defect of its
-    square, so the closeness hypothesis holds with equality.  With
-    ``betas`` omitted, beta_j is the larger of one ninth of the smallest
-    positive distance of target level j (one when the level has no
-    positive distances) and 2^(i-j) times the worst distance that the bond
-    composite from level i >= j down to j attains on pairs within alpha_i.
-    The first term keeps the advertised bounds below the level's
-    resolution; the second is the least scale at which every continuity
-    hypothesis holds, so measured alphas with default betas satisfy all
-    hypotheses.  When every alpha is zero the second term vanishes on
-    metric levels and the default is the resolution term alone.
-    """
+    """Assemble ladder data; ``LadderData`` fills in omitted budgets.  With
+    ``indices`` omitted, target level i is fed from source level i."""
     if indices is None:
         if target.top > source.top:
             raise StructuralError(
                 "default indices need at least as many source levels as target levels"
             )
-        index_tuple = tuple(range(target.top + 1))
-    else:
-        index_tuple = tuple(indices)
-    # Placeholder budgets: the data checks the indices and normalizes the
-    # cross maps, which the measured alphas read.
-    partial = LadderData(
-        source, target, index_tuple, tuple(cross),
-        tuple(ZERO for _ in range(target.top)),
-        tuple(ONE for _ in range(target.top + 1)),
-    )
-    if alphas is None:
-        alpha_tuple = tuple(
-            _measured_square(partial, i)[0] for i in range(target.top)
-        )
-    else:
-        alpha_tuple = tuple(as_scalar(a) for a in alphas)
-    # Rebuilding validates the alpha count before the defaults index it.
-    budgeted = replace(partial, alphas=alpha_tuple)
-    if betas is None:
-        beta_list = []
-        for j, level in enumerate(target.levels):
-            floor = level.min_positive_distance()
-            beta = floor / 9 if floor is not None else ONE
-            for i in range(j, target.top):
-                attained = target.composite_sweep(i, j).largest_within(alpha_tuple[i])
-                beta = max(beta, pow2(i - j) * attained)
-            beta_list.append(beta)
-        beta_tuple = tuple(beta_list)
-    else:
-        beta_tuple = tuple(as_scalar(b) for b in betas)
-    return replace(budgeted, betas=beta_tuple)
+        indices = range(target.top + 1)
+    return LadderData(source, target, tuple(indices), tuple(cross), alphas, betas)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 and one writer, ``space_to_json``; ``reporting.jsonable`` writes the rest.
 
 Scalars travel as exact strings ("p/q", or "p" for integers; decimal
-strings parse too).  Floats inside data files are rejected so rounding
-error never enters the exact layer.  Point labels map JSON arrays to
-tuples recursively; rational labels serialize to their scalar strings and
-come back as strings, which is fine because labels are opaque identifiers.
+strings parse too); ``scalars.as_scalar`` owns their rules and refuses
+floats and booleans, so rounding error never enters the exact layer.
+Point labels map JSON arrays to tuples, at most ``LABEL_DEPTH_CAP`` deep;
+rational labels serialize to their scalar strings and come back as
+strings, which is fine because labels are opaque identifiers.
 
 Shapes:
   FiniteMetricSpace   {"points": [label], "dist": [[scalar]], "pseudo"?: bool}
@@ -18,7 +19,9 @@ Shapes:
                       "betas": [scalar]} and optional {"target": truncation,
                       "indices": [n_i]}
 
-All malformed input raises StructuralError, never a bare JSON or key error.
+``load_document`` returns a file's bytes, which the report digest hashes,
+and their JSON tree.  All malformed input raises StructuralError, never a
+bare JSON, key, decoding or recursion error.
 """
 from __future__ import annotations
 
@@ -30,24 +33,26 @@ from .reporting import jsonable
 from .scalars import Scalar, as_scalar, format_scalar
 from .spaces import FiniteMetricSpace
 
+# Array nesting a point label may reach; deeper labels are refused before
+# reading them, or writing them into a report, could exhaust the stack.
+LABEL_DEPTH_CAP = 64
+
 
 # ---- primitives ----
 
 
 def scalar_from_json(value) -> Scalar:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise StructuralError(
-            f"scalars must be exact strings or integers, got {value!r}"
-        )
     try:
         return as_scalar(value)
     except (ValueError, TypeError) as exc:
         raise StructuralError(str(exc)) from exc
 
 
-def label_from_json(value):
+def label_from_json(value, depth: int = 0):
     if isinstance(value, list):
-        return tuple(label_from_json(v) for v in value)
+        if depth == LABEL_DEPTH_CAP:
+            raise StructuralError(f"point label nests over {LABEL_DEPTH_CAP} arrays deep")
+        return tuple(label_from_json(v, depth + 1) for v in value)
     if isinstance(value, float):
         raise StructuralError(f"float label {value!r}; use a scalar string")
     if isinstance(value, (str, int, bool)) or value is None:
@@ -88,12 +93,7 @@ def space_from_json(obj) -> FiniteMetricSpace:
     pseudo = obj.get("pseudo", False)
     if not isinstance(pseudo, bool):
         raise StructuralError("pseudo must be a boolean")
-    try:
-        return FiniteMetricSpace(labels, tuple(rows), pseudo)
-    except StructuralError:
-        raise
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from exc
+    return FiniteMetricSpace(labels, tuple(rows), pseudo)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -140,17 +140,10 @@ def cover_from_json(obj) -> Cover:
 
     ground = expect_key(obj, "ground", "a cover")
     sets = expect_key(obj, "sets", "a cover")
-    if not isinstance(ground, int) or isinstance(ground, bool):
-        raise StructuralError("cover ground must be an integer")
     if not isinstance(sets, list):
         raise StructuralError("cover sets must be an array")
     members = tuple(tuple(_index_list(member, "a cover member")) for member in sets)
-    try:
-        return Cover(ground, members)
-    except StructuralError:
-        raise
-    except ValueError as exc:
-        raise StructuralError(str(exc)) from exc
+    return Cover(ground, members)
 
 
 def fundamental_sequence_from_json(obj) -> FundamentalSequence:
@@ -224,19 +217,16 @@ def ladder_from_json(obj) -> LadderData:
 # ---- file plumbing ----
 
 
-def parse_document(text: str):
-    """The JSON tree of ``text``.  ``json.loads`` raises ``ValueError`` for
-    malformed text and for an integer literal longer than
-    ``sys.get_int_max_str_digits()``; both are input errors."""
+def load_document(path: str) -> tuple:
+    """The bytes of the file at ``path`` and their JSON tree.  Bytes that
+    are not UTF-8, malformed JSON, nesting past the recursion limit and an
+    integer literal over ``sys.get_int_max_str_digits()`` are input errors."""
     try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise StructuralError(f"invalid JSON: {exc}") from exc
-
-
-def load_document(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_document(handle.read())
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data, json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise StructuralError(f"invalid JSON: {exc}") from exc

@@ -57,7 +57,7 @@ class Surjection:
     class_of: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.class_count, int) or self.class_count <= 0:
+        if type(self.class_count) is not int or self.class_count <= 0:
             raise StructuralError("class_count must be a positive integer")
         if len(self.class_of) != self.source.n:
             raise StructuralError("class_of must assign every point")

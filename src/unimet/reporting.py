@@ -1,12 +1,12 @@
 """Deterministic report assembly for the command line.
 
 A report is a schema-versioned JSON document: the echoed command, a digest
-of the input files, an ordered list of named check results, and the exit
+of the input file, an ordered list of named check results, and the exit
 status.  Rendering is canonical (sorted keys, two-space indent, trailing
-newline) and every value is exact or explicitly formatted: Fractions
-serialize as "p/q" strings, floats as 15-significant-digit strings (these
-occur only in Euclidean-cone comparisons), so identical inputs always
-produce byte-identical bytes.
+newline) and takes one walk: the encoder prints what JSON has, and hands
+only Fractions to ``jsonable``, which prints them as "p/q" strings.  No
+report holds a float, so identical inputs always produce byte-identical
+bytes.
 """
 from __future__ import annotations
 
@@ -23,15 +23,14 @@ SCHEMA_VERSION = 1
 
 
 def jsonable(value):
-    """Normalize a value tree into deterministic JSON-ready form."""
+    """Normalize a value tree into deterministic JSON-ready form; the
+    report encoder calls it only for the values it cannot print."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, Fraction):
         return format_scalar(value)
     if isinstance(value, int):
         return value
-    if isinstance(value, float):
-        return format(value, ".15g")
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -41,22 +40,16 @@ def jsonable(value):
 
 def canonical_bytes(tree) -> bytes:
     return (
-        json.dumps(jsonable(tree), sort_keys=True, indent=2, ensure_ascii=True)
+        json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=True, default=jsonable)
         + "\n"
     ).encode("ascii")
 
 
-def digest_inputs(paths, seed: Optional[int] = None) -> str:
-    """SHA-256 over the raw input files (in order) and the seed."""
+def digest_inputs(data: bytes, seed: Optional[int] = None) -> str:
+    """SHA-256 over the raw input bytes, their length first, and the seed."""
     h = hashlib.sha256()
-    for path in paths:
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            raise StructuralError(f"cannot read {path}: {exc}") from exc
-        h.update(len(data).to_bytes(8, "big"))
-        h.update(data)
+    h.update(len(data).to_bytes(8, "big"))
+    h.update(data)
     h.update(str(seed).encode("ascii"))
     return h.hexdigest()
 

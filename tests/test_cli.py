@@ -27,9 +27,9 @@ from helpers import (
 from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP
-from unimet.errors import PreconditionError
+from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import telescope_metric
-from unimet.jsonio import space_to_json
+from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
 from unimet.reporting import canonical_bytes
 from unimet.scalars import ONE, ZERO, parameter_grid
 
@@ -347,6 +347,12 @@ def test_metrize_rejects_a_sequence_without_star_refinement(tmp_path):
     assert code == 1, err
 
 
+def test_metrize_refuses_a_bool_ground(tmp_path):
+    bad = {"covers": [{"ground": True, "sets": [[0]]}]}
+    code, out, err = run(["metrize", write(tmp_path, "bool.json", bad)])
+    assert (code, out) == (2, "") and err.startswith("input error:")
+
+
 def test_metrize_stops_at_the_clique_cap(tmp_path):
     seq = fundamental_sequence_to_json(moon_moser_sequence(10))
     code, out, err = run(["metrize", write(tmp_path, "cliques.json", seq)])
@@ -361,6 +367,22 @@ def test_embed_certifies_injectivity(s3):
     code, out, err = run(["embed", s3])
     assert code == 0, err
     assert "map is injective" in rows(out)
+
+
+def test_embed_support_keys_sort_as_text(s3):
+    """Support coordinates print as string keys in text order ("10" before
+    "2"), as every report has; S3's images hold coordinates 1 to 11."""
+    code, out, err = run(["embed", s3])
+    assert code == 0, err
+    # Every object as its key-value pairs, in the order they print.
+    results = dict(json.loads(out, object_pairs_hook=list))["results"]
+    [embedded] = [dict(r) for r in results if ("check", "embedded images") in r]
+    keys = [
+        [k for k, _ in dict(dict(witness)["image"])["support"]]
+        for witness in embedded["witnesses"]
+    ]
+    assert any("2" in k and "11" in k for k in keys)
+    assert all(k == sorted(k) for k in keys)
 
 
 def test_embed_diameter_rescale_and_depth(tmp_path, s3):
@@ -428,6 +450,16 @@ def test_invlim_converge_and_cauchy(tmp_path, chain, converge_code, cauchy_code)
     assert code == converge_code, err
     code, out, err = run(["invlim", "cauchy", path])
     assert code == cauchy_code, err
+
+
+def test_invlim_threads_on_a_long_truncation(tmp_path):
+    """1,200 one-point levels: deeper than the recursion limit, so each
+    composite must be built without recursion."""
+    level = {"points": ["p"], "dist": [["0"]]}
+    long = {"levels": [level] * 1200, "bonds": [[0]] * 1199}
+    code, out, err = run(["invlim", "threads", write(tmp_path, "long.json", long)])
+    assert code == 0, err
+    assert rows(out)["one thread per top-level point"]["scalars"] == {"threads": 1}
 
 
 def test_invlim_separate_passes(tower):
@@ -559,6 +591,12 @@ def test_grid_errors_read_as_the_library_words_them(
     assert (code, out, err) == (1, "", f"precondition failed: {raised.value}\n")
 
 
+def test_a_grid_value_out_of_range_exits_1_in_the_library_words(s3):
+    code, out, err = run(["build", "cone", s3, "--grid", "0,2"])
+    assert (code, out) == (1, "")
+    assert err == "precondition failed: grid value 2 outside [0, 1]\n"
+
+
 def test_usage_lists_every_build_kind_and_invlim_mode():
     found = subcommands()
     kinds = "{cone,join,cylinder,adjunction,amalgam,quotient,telescope}"
@@ -593,6 +631,45 @@ def test_oversized_numbers_exit_2(tmp_path, command, value):
     code, out, err = run([*command, write(tmp_path, "big.json", doc)])
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_bytes_that_are_not_utf8_exit_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"points": ["\xe9"], "dist": [["0"]]}'.encode("latin-1"))
+    code, out, err = run(["check", path])
+    assert (code, out) == (2, "") and err.startswith("input error:")
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(["check", path])
+    assert (code, out) == (2, "") and err.startswith("input error: invalid JSON")
+
+
+def nested_label(depth):
+    label = "x"
+    for _ in range(depth):
+        label = [label]
+    return label
+
+
+@pytest.mark.parametrize("command", [["check"], ["build", "cone"]], ids="-".join)
+def test_a_label_nested_past_the_cap_exits_2(tmp_path, command):
+    doc = space_to_json(S2)
+    doc["points"][0] = nested_label(LABEL_DEPTH_CAP)
+    code, out, err = run([*command, write(tmp_path, "cap.json", doc)])
+    assert code == 0, err
+    for depth in (LABEL_DEPTH_CAP + 1, 900):
+        doc["points"][0] = nested_label(depth)
+        code, out, err = run([*command, write(tmp_path, "deep.json", doc)])
+        assert (code, out) == (2, ""), depth
+        assert err == f"input error: point label nests over {LABEL_DEPTH_CAP} arrays deep\n"
+
+
+def test_a_report_refuses_a_value_json_has_no_form_for():
+    with pytest.raises(StructuralError, match="cannot serialize set"):
+        canonical_bytes({"results": [{0, 1}]})
 
 
 TRUNCATION = truncation_to_json(TOWER)

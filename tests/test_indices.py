@@ -8,6 +8,7 @@ import pytest
 
 from helpers import interval_points
 from unimet.combinators import hausdorff_distance, mcshane_extend
+from unimet.conemodels import NormedPointSet, cone_comparison_bounds
 from unimet.covers import Cover
 from unimet.cubohedra import Cube
 from unimet.errors import StructuralError
@@ -18,6 +19,7 @@ from unimet.spaces import index_set
 
 S3 = interval_points([0, 1, 2], Fraction(1, 4))
 POINT = interval_points([0])
+UNIT = NormedPointSet(1, ((0,), ("1/2",)))
 LINE = inverse_sequence([S3, S3], [(0, 1, 2)])
 IDENTITY = (0, 1, 2)
 
@@ -41,6 +43,8 @@ INDEX_PLACES = {
         2, lambda bad: ladder(LINE, LINE, [IDENTITY, IDENTITY], indices=(*bad, 1)[:2])
     ),
     "cube extent": (None, lambda bad: Cube((), tuple(bad))),
+    "cone sample i": (2, lambda bad: cone_comparison_bounds(UNIT, [(i, 0, 0, 0) for i in bad])),
+    "cone sample j": (2, lambda bad: cone_comparison_bounds(UNIT, [(0, 0, j, 0) for j in bad])),
 }
 BAD_INDICES = {
     "mixed": lambda n: [0, "x"],
@@ -69,3 +73,10 @@ def test_index_set_sorts_after_it_checks():
         index_set([2, "x", 0], 3, "point")
     with pytest.raises(StructuralError, match=r"^point True out of range$"):
         index_set([True], 3, "point")
+
+
+def test_a_bool_is_not_a_count():
+    with pytest.raises(StructuralError, match="positive integer"):
+        Cover(True, ((0,),))
+    with pytest.raises(StructuralError, match="positive integer"):
+        Surjection(POINT, True, (0,))
