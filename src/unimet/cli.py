@@ -14,6 +14,12 @@ reads its input once (``_open``), so the parse and the report digest see
 the same bytes, and ``_cmd_build`` alone ends a build report with the
 space built.
 
+Each run builds one parser, and only what it parses: when the first
+argument names a command, ``main`` builds the parser of that one
+subcommand, under a metavar that lists all five, so its help, usage lines
+and errors are the full parser's byte for byte.  Any other first argument
+(``--help``, an unknown command, none) gets the parser of all five.
+
 The command line restates no rule of the library it calls.  It only splits
 and parses ``--grid``; the library refuses a bad grid, a join grid without
 0 under ``--oracle`` and a telescope ``--depth`` past the top level as
@@ -92,26 +98,21 @@ def _parse_grid(text: str) -> list:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="unimet",
-        description="exact metric constructions on finite spaces",
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--seed",
+        type=_seed_value,
+        default=None,
+        help="unsigned 64-bit seed folded into the input digest",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument(
+        "--out",
+        default=None,
+        help="write the report to this path instead of stdout",
+    )
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--seed",
-            type=_seed_value,
-            default=None,
-            help="unsigned 64-bit seed folded into the input digest",
-        )
-        p.add_argument(
-            "--out",
-            default=None,
-            help="write the report to this path instead of stdout",
-        )
 
+def _add_check(sub) -> None:
     p = sub.add_parser("check", help="audit the metric axioms of a space file")
     p.add_argument("path", help="JSON space file")
     p.add_argument(
@@ -119,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept distance zero between distinct points",
     )
-    common(p)
+    _common(p)
 
+
+def _add_build(sub) -> None:
     p = sub.add_parser("build", help="run a construction and certify it")
     p.add_argument("kind", choices=_BUILDERS)
     p.add_argument("path", help="JSON input bundle for the chosen kind")
@@ -140,12 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also check cone, join and cylinder builds against their oracles",
     )
-    common(p)
+    _common(p)
 
+
+def _add_metrize(sub) -> None:
     p = sub.add_parser("metrize", help="metrize a fundamental sequence of covers")
     p.add_argument("path", help="JSON fundamental sequence file")
-    common(p)
+    _common(p)
 
+
+def _add_embed(sub) -> None:
     p = sub.add_parser("embed", help="embed a space into weighted sequence space")
     p.add_argument("path", help="JSON space file")
     p.add_argument(
@@ -159,16 +166,46 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale the space to diameter 1 first",
     )
-    common(p)
+    _common(p)
 
+
+def _add_invlim(sub) -> None:
     p = sub.add_parser("invlim", help="analyze an inverse sequence truncation")
     p.add_argument("mode", choices=INVLIM_MODES)
     p.add_argument(
         "path",
         help="JSON truncation file (perturb: with cross, alphas, betas)",
     )
-    common(p)
+    _common(p)
 
+
+# Each subcommand's parser, in the order the usage lists them.
+_SUBPARSERS = {
+    "check": _add_check,
+    "build": _add_build,
+    "metrize": _add_metrize,
+    "embed": _add_embed,
+    "invlim": _add_invlim,
+}
+_COMMAND_METAVAR = "{" + ",".join(_SUBPARSERS) + "}"
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given a command's name, of that
+    one alone.  The one-command parser lists all five in its usage line, so
+    every help text and error it prints is the full parser's, byte for byte.
+    """
+    parser = argparse.ArgumentParser(
+        prog="unimet",
+        description="exact metric constructions on finite spaces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _SUBPARSERS:
+        sub.metavar = _COMMAND_METAVAR
+        _SUBPARSERS[command](sub)
+    else:
+        for add in _SUBPARSERS.values():
+            add(sub)
     return parser
 
 
@@ -696,8 +733,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         builder = _COMMANDS[args.command](args)
         status = 0 if builder.all_passed else 1

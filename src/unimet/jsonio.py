@@ -1,9 +1,21 @@
 """JSON wire formats: readers for every shape the command line takes in,
-and one writer, ``space_to_json``; ``reporting.jsonable`` writes the rest.
+and the space writer, ``space_to_json``.
 
 Scalars travel as exact strings ("p/q", or "p" for integers; decimal
 strings parse too); ``scalars.as_scalar`` owns their rules and refuses
 floats and booleans, so rounding error never enters the exact layer.
+A distance matrix takes a fast path for the wire format every writer
+emits: a JSON int, or a string matching ``-?[0-9]+(/[0-9]+)?`` with a
+nonzero denominator, is read with ``int``, and the space is built from
+the entries over their common denominator with
+``FiniteMetricSpace.from_int``, whose gcd step leaves the least integer
+form, so the space starts with that form cached.  Every other entry (a
+sign, whitespace, an underscore, a decimal, an exponent, a zero
+denominator, a non-ASCII digit, a bool, null, or digits past
+``sys.get_int_max_str_digits()``) goes through ``as_scalar``, so it
+parses, or fails, exactly as it would alone.  Truncation levels are
+spaces, so they take the same path.
+
 Point labels map JSON arrays to tuples, at most ``LABEL_DEPTH_CAP`` deep;
 rational labels serialize to their scalar strings and come back as
 strings, which is fine because labels are opaque identifiers.
@@ -26,6 +38,8 @@ bare JSON, key, decoding or recursion error.
 from __future__ import annotations
 
 import json
+import re
+from math import lcm
 from typing import Optional
 
 from .errors import StructuralError
@@ -38,6 +52,11 @@ from .spaces import FiniteMetricSpace
 LABEL_DEPTH_CAP = 64
 
 
+# The wire format of an exact scalar, ASCII digits only: ``int`` alone would
+# also take a sign, whitespace, underscores and other scripts' digits.
+_WIRE_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
 # ---- primitives ----
 
 
@@ -46,6 +65,28 @@ def scalar_from_json(value) -> Scalar:
         return as_scalar(value)
     except (ValueError, TypeError) as exc:
         raise StructuralError(str(exc)) from exc
+
+
+def _ratio_from_json(value) -> tuple:
+    """A distance entry as (numerator, denominator > 0), not necessarily
+    reduced: the wire format is read with ``int``, anything else through
+    ``scalar_from_json`` with its errors."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        found = _WIRE_SCALAR(value)
+        if found is not None:
+            num, den = found.groups()
+            try:
+                if den is None:
+                    return int(num), 1
+                q = int(den)
+                if q:
+                    return int(num), q
+            except ValueError:  # digits past sys.get_int_max_str_digits()
+                pass
+    x = scalar_from_json(value)
+    return x.numerator, x.denominator
 
 
 def label_from_json(value, depth: int = 0):
@@ -89,11 +130,13 @@ def space_from_json(obj) -> FiniteMetricSpace:
     for row in dist:
         if not isinstance(row, list):
             raise StructuralError("dist must be an array of arrays")
-        rows.append(tuple(scalar_from_json(v) for v in row))
+        rows.append([_ratio_from_json(v) for v in row])
     pseudo = obj.get("pseudo", False)
     if not isinstance(pseudo, bool):
         raise StructuralError("pseudo must be a boolean")
-    return FiniteMetricSpace(labels, tuple(rows), pseudo)
+    scale = lcm(*{q for row in rows for _, q in row})
+    m = [[p * (scale // q) for p, q in row] for row in rows]
+    return FiniteMetricSpace.from_int(labels, m, scale, pseudo)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:

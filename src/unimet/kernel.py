@@ -48,10 +48,20 @@ def to_int_matrix(rows: Sequence[Sequence[Optional[Fraction]]]) -> tuple:
 
 
 def to_fractions(m: IntMatrix, scale: int) -> tuple:
-    """Convert an integer form back: each entry ``Fraction(v, scale)``."""
-    return tuple(
-        tuple(None if v is None else Fraction(v, scale) for v in row) for row in m
-    )
+    """Convert an integer form back: each entry ``Fraction(v, scale)``,
+    built once per distinct value (a symmetric matrix holds each at least
+    twice) and shared, as Fractions are immutable."""
+    made = {None: None}
+    out = []
+    for row in m:
+        out_row = []
+        for v in row:
+            f = made.get(v, made)
+            if f is made:
+                f = made[v] = Fraction(v, scale)
+            out_row.append(f)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def _min_sum(row: Sequence[Optional[int]], col: Sequence[Optional[int]]) -> Optional[int]:

@@ -3,17 +3,20 @@
 A report is a schema-versioned JSON document: the echoed command, a digest
 of the input file, an ordered list of named check results, and the exit
 status.  Rendering is canonical (sorted keys, two-space indent, trailing
-newline) and takes one walk: the encoder prints what JSON has, and hands
-only Fractions to ``jsonable``, which prints them as "p/q" strings.  No
-report holds a float, so identical inputs always produce byte-identical
-bytes.
+newline, ASCII only) and takes one walk with no ``default`` hook: the
+emitter prints strings, ints, bools, None, lists, tuples and dicts with
+``str`` keys exactly as ``json.dumps(tree, sort_keys=True, indent=2,
+ensure_ascii=True)`` would, and each Fraction through ``format_scalar`` as
+a "p/q" string.  Any other type, a float, a set or a subclass of the
+above, is refused: no report holds a float, so identical inputs always
+produce byte-identical bytes.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .errors import StructuralError
@@ -23,8 +26,8 @@ SCHEMA_VERSION = 1
 
 
 def jsonable(value):
-    """Normalize a value tree into deterministic JSON-ready form; the
-    report encoder calls it only for the values it cannot print."""
+    """Normalize a value tree into deterministic JSON-ready form, as a
+    space file writes its labels."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, Fraction):
@@ -38,11 +41,46 @@ def jsonable(value):
     raise StructuralError(f"cannot serialize {type(value).__name__} into a report")
 
 
+def _render(value, indent: str) -> str:
+    """``value`` as canonical JSON text, its nested lines at ``indent``.
+    Strings inside a container are quoted in place, not by a call."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is Fraction:
+        return '"' + format_scalar(value) + '"'
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        body = (",\n" + inner).join(
+            [_quote(v) if type(v) is str else _render(v, inner) for v in value]
+        )
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        for key in value:
+            if type(key) is not str:
+                raise StructuralError(
+                    f"cannot serialize a {type(key).__name__} key into a report"
+                )
+        body = (",\n" + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _render(v, inner))
+            for k, v in sorted(value.items())
+        ])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise StructuralError(f"cannot serialize {kind.__name__} into a report")
+
+
 def canonical_bytes(tree) -> bytes:
-    return (
-        json.dumps(tree, sort_keys=True, indent=2, ensure_ascii=True, default=jsonable)
-        + "\n"
-    ).encode("ascii")
+    return (_render(tree, "") + "\n").encode("ascii")
 
 
 def digest_inputs(data: bytes, seed: Optional[int] = None) -> str:

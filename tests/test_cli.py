@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP
 from unimet.errors import PreconditionError, StructuralError
-from unimet.invlim import telescope_metric
+from unimet.invlim import LEVEL_CAP, telescope_metric
 from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
 from unimet.reporting import canonical_bytes
 from unimet.scalars import ONE, ZERO, parameter_grid
@@ -462,6 +463,16 @@ def test_invlim_threads_on_a_long_truncation(tmp_path):
     assert rows(out)["one thread per top-level point"]["scalars"] == {"threads": 1}
 
 
+def test_invlim_refuses_a_truncation_past_the_level_cap(tmp_path):
+    level = {"points": ["p"], "dist": [["0"]]}
+    long = {"levels": [level] * (LEVEL_CAP + 1), "bonds": [[0]] * LEVEL_CAP}
+    code, out, err = run(["invlim", "converge", write(tmp_path, "long.json", long)])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"precondition failed: {LEVEL_CAP + 1} levels exceed LEVEL_CAP = {LEVEL_CAP}\n"
+    )
+
+
 def test_invlim_separate_passes(tower):
     code, out, err = run(["invlim", "separate", tower])
     assert code == 0, err
@@ -602,6 +613,163 @@ def test_usage_lists_every_build_kind_and_invlim_mode():
     kinds = "{cone,join,cylinder,adjunction,amalgam,quotient,telescope}"
     assert kinds in found["build"].format_usage()
     assert "{threads,ml,converge,cauchy,separate,perturb}" in found["invlim"].format_usage()
+
+
+# ---- the argparse surface, pinned byte for byte ----
+
+
+USAGE = "usage: unimet [-h] {check,build,metrize,embed,invlim} ...\n"
+CHECK_USAGE = "usage: unimet check [-h] [--pseudo] [--seed SEED] [--out OUT] path\n"
+BUILD_USAGE = """\
+usage: unimet build [-h] [--grid GRID] [--depth DEPTH] [--oracle]
+                    [--seed SEED] [--out OUT]
+                    {cone,join,cylinder,adjunction,amalgam,quotient,telescope}
+                    path
+"""
+INVLIM_USAGE = """\
+usage: unimet invlim [-h] [--seed SEED] [--out OUT]
+                     {threads,ml,converge,cauchy,separate,perturb} path
+"""
+SEED_HELP = "  --seed SEED  unsigned 64-bit seed folded into the input digest\n"
+OUT_HELP = "  --out OUT    write the report to this path instead of stdout\n"
+HELP_TEXTS = {
+    "": USAGE + """
+exact metric constructions on finite spaces
+
+positional arguments:
+  {check,build,metrize,embed,invlim}
+    check               audit the metric axioms of a space file
+    build               run a construction and certify it
+    metrize             metrize a fundamental sequence of covers
+    embed               embed a space into weighted sequence space
+    invlim              analyze an inverse sequence truncation
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check": CHECK_USAGE + """
+positional arguments:
+  path         JSON space file
+
+options:
+  -h, --help   show this help message and exit
+  --pseudo     accept distance zero between distinct points
+""" + SEED_HELP + OUT_HELP,
+    "build": BUILD_USAGE + """
+positional arguments:
+  {cone,join,cylinder,adjunction,amalgam,quotient,telescope}
+  path                  JSON input bundle for the chosen kind
+
+options:
+  -h, --help            show this help message and exit
+  --grid GRID           comma separated rational parameter values
+  --depth DEPTH         stop level for telescope builds
+  --oracle              also check cone, join and cylinder builds against
+                        their oracles
+  --seed SEED           unsigned 64-bit seed folded into the input digest
+  --out OUT             write the report to this path instead of stdout
+""",
+    "metrize": """\
+usage: unimet metrize [-h] [--seed SEED] [--out OUT] path
+
+positional arguments:
+  path         JSON fundamental sequence file
+
+options:
+  -h, --help   show this help message and exit
+""" + SEED_HELP + OUT_HELP,
+    "embed": """\
+usage: unimet embed [-h] [--depth DEPTH] [--rescale] [--seed SEED] [--out OUT]
+                    path
+
+positional arguments:
+  path           JSON space file
+
+options:
+  -h, --help     show this help message and exit
+  --depth DEPTH  number of scales (default: enough to separate points)
+  --rescale      rescale the space to diameter 1 first
+  --seed SEED    unsigned 64-bit seed folded into the input digest
+  --out OUT      write the report to this path instead of stdout
+""",
+    "invlim": INVLIM_USAGE + """
+positional arguments:
+  {threads,ml,converge,cauchy,separate,perturb}
+  path                  JSON truncation file (perturb: with cross, alphas,
+                        betas)
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           unsigned 64-bit seed folded into the input digest
+  --out OUT             write the report to this path instead of stdout
+""",
+}
+USAGE_ERRORS = {
+    "no command": (
+        [], USAGE + "unimet: error: the following arguments are required: command\n"
+    ),
+    "unknown command": (
+        ["bogus"],
+        USAGE + "unimet: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'check', 'build', 'metrize', 'embed', 'invlim')\n",
+    ),
+    "unknown build kind": (
+        ["build", "bogus", "x.json"],
+        BUILD_USAGE + "unimet build: error: argument kind: invalid choice: 'bogus' "
+        "(choose from 'cone', 'join', 'cylinder', 'adjunction', 'amalgam', "
+        "'quotient', 'telescope')\n",
+    ),
+    "unknown invlim mode": (
+        ["invlim", "bogus", "x.json"],
+        INVLIM_USAGE + "unimet invlim: error: argument mode: invalid choice: 'bogus' "
+        "(choose from 'threads', 'ml', 'converge', 'cauchy', 'separate', 'perturb')\n",
+    ),
+    "extra positional": (
+        ["check", "a.json", "b.json"],
+        USAGE + "unimet: error: unrecognized arguments: b.json\n",
+    ),
+    "seed not an integer": (
+        ["check", "a.json", "--seed", "abc"],
+        CHECK_USAGE
+        + "unimet check: error: argument --seed: seed must be an integer, got 'abc'\n",
+    ),
+    "seed out of range": (
+        ["check", "a.json", "--seed", "-1"],
+        CHECK_USAGE + "unimet check: error: argument --seed: seed must fit in an "
+        "unsigned 64-bit integer\n",
+    ),
+}
+
+
+def exits(argv, monkeypatch):
+    """Exit code, stdout and stderr of a run that argparse ends, with help
+    wrapped at 80 columns; ``argv`` None reads ``sys.argv``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+    return raised.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", HELP_TEXTS)
+def test_help_texts_are_pinned(command, monkeypatch):
+    argv = [command, "--help"] if command else ["--help"]
+    assert exits(argv, monkeypatch) == (0, HELP_TEXTS[command], "")
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_errors_are_pinned(case, monkeypatch):
+    argv, stderr = USAGE_ERRORS[case]
+    assert exits(argv, monkeypatch) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("case", ["no command", "unknown command", "extra positional"])
+def test_usage_errors_read_the_process_arguments(case, monkeypatch):
+    argv, stderr = USAGE_ERRORS[case]
+    monkeypatch.setattr(sys, "argv", ["unimet", *argv])
+    assert exits(None, monkeypatch) == (2, "", stderr)
 
 
 # ---- the report schema ----
