@@ -55,7 +55,7 @@ from .jsonio import (
     truncation_from_json,
 )
 from .reporting import ReportBuilder, canonical_bytes, digest_inputs
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ONE, ZERO, as_scalar, brief_text
 from .spaces import AXIOMS, FiniteMetricSpace, check_metric_axioms, largest_gap
 
 # ---- constants ----
@@ -93,7 +93,7 @@ def _parse_grid(text: str) -> list:
             values.append(as_scalar(token))
         except ValueError:
             raise PreconditionError(
-                f"grid entry {token!r} is not a rational"
+                f"grid entry {brief_text(token)} is not a rational"
             ) from None
     return values
 

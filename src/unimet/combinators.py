@@ -10,7 +10,7 @@ Every diameter-1 refusal is ``spaces.ensure_diameter_at_most``.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
@@ -80,20 +80,11 @@ def disjoint_union_metric(
     ensure_diameter_at_most(left, ONE, "disjoint_union_metric left factor")
     ensure_diameter_at_most(right, ONE, "disjoint_union_metric right factor")
     points = tuple(("L", p) for p in left.points) + tuple(("R", q) for q in right.points)
-    n_l = left.n
-    size = n_l + right.n
-    rows = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            if a < n_l and b < n_l:
-                row.append(left.d(a, b))
-            elif a >= n_l and b >= n_l:
-                row.append(right.d(a - n_l, b - n_l))
-            else:
-                row.append(ONE)
-        rows.append(tuple(row))
-    return FiniteMetricSpace(points, tuple(rows), pseudo=left.pseudo or right.pseudo)
+    scale = lcm(left.scale, right.scale)
+    a, b = scale // left.scale, scale // right.scale
+    rows = [[v * a for v in row] + [scale] * right.n for row in left.ints]
+    rows += [[scale] * left.n + [v * b for v in row] for row in right.ints]
+    return FiniteMetricSpace.from_int(points, rows, scale, left.pseudo or right.pseudo)
 
 
 def check_weighted_levels(levels: Sequence[FiniteMetricSpace]) -> None:
@@ -103,20 +94,22 @@ def check_weighted_levels(levels: Sequence[FiniteMetricSpace]) -> None:
 
 
 def weighted_sup_rows(levels: Sequence[FiniteMetricSpace], index_tuples) -> tuple:
-    """Distance rows of max_k 2^{-(k+1)} d_k(a_k, b_k) over the index tuples."""
-    weights = [Fraction(1, 2 ** (k + 1)) for k in range(len(levels))]
+    """``(rows, scale)``: int rows of max_k 2^{-(k+1)} d_k(a_k, b_k), or 0,
+    over the index tuples; ``scale`` is the lcm of each level's scale << k+1."""
+    scale = lcm(*(level.scale << (k + 1) for k, level in enumerate(levels)))
+    weighted = [(lv.ints, scale // (lv.scale << (k + 1))) for k, lv in enumerate(levels)]
     rows = []
     for ta in index_tuples:
         row = []
         for tb in index_tuples:
-            best = ZERO
-            for k, level in enumerate(levels):
-                val = weights[k] * level.d(ta[k], tb[k])
+            best = 0
+            for (m, factor), a, b in zip(weighted, ta, tb):
+                val = m[a][b] * factor
                 if val > best:
                     best = val
             row.append(best)
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return rows, scale
 
 
 def weighted_sup_metric(levels: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
@@ -131,11 +124,9 @@ def weighted_sup_metric(levels: Sequence[FiniteMetricSpace]) -> FiniteMetricSpac
     index_tuples = [()]
     for level in levels:
         index_tuples = [t + (i,) for t in index_tuples for i in range(level.n)]
-    points = tuple(
-        tuple(levels[k].points[t[k]] for k in range(len(levels))) for t in index_tuples
-    )
-    rows = weighted_sup_rows(levels, index_tuples)
-    return FiniteMetricSpace(points, rows, pseudo=any(l.pseudo for l in levels))
+    points = tuple(tuple(lv.points[i] for lv, i in zip(levels, t)) for t in index_tuples)
+    rows, scale = weighted_sup_rows(levels, index_tuples)
+    return FiniteMetricSpace.from_int(points, rows, scale, any(l.pseudo for l in levels))
 
 
 # ---- hyperspace ----

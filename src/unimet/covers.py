@@ -95,17 +95,16 @@ def star_refines(cover: Cover, target: Cover):
 def ball_cover(space: FiniteMetricSpace, radius: ScalarLike) -> Cover:
     """Cover by the closed balls of the given radius, one per point.
 
-    Runs on the space's integer form ``(M, L)``: y lies in the ball of x
-    when ``M[x][y] * q <= p * L`` for the radius p/q, so the radius needs no
+    Runs on the space's stored form: y lies in the ball of x when
+    ``ints[x][y] * q <= p * scale`` for the radius p/q, so the radius needs no
     common denominator with the distances.
     """
     r = as_scalar(radius)
     if r < 0:
         raise StructuralError("ball radius must be nonnegative")
-    m, scale = space._int_form
-    q, p = r.denominator, r.numerator * scale
+    q, p = r.denominator, r.numerator * space.scale
     members = tuple(
-        tuple(y for y, v in enumerate(row) if v * q <= p) for row in m
+        tuple(y for y, v in enumerate(row) if v * q <= p) for row in space.ints
     )
     return Cover(space.n, members)
 
@@ -163,10 +162,9 @@ def maximal_cliques(neighbours: list) -> list:
 def _cliques_within(space: FiniteMetricSpace, threshold: Scalar, strict: bool) -> list:
     """Maximal cliques of the graph joining the points at distance below the
     threshold (at most it when not strict), sorted by their sorted tuples."""
-    m, scale = space._int_form
-    q, p = threshold.denominator, threshold.numerator * scale
+    q, p = threshold.denominator, threshold.numerator * space.scale
     neighbours = [set() for _ in range(space.n)]
-    for i, row in enumerate(m):
+    for i, row in enumerate(space.ints):
         for j in range(i + 1, space.n):
             d = row[j] * q
             if (d < p) if strict else (d <= p):
@@ -206,16 +204,15 @@ def complement_distances(space: FiniteMetricSpace, cover: Cover) -> list:
     """Per member V, in cover order, the column of d(x, complement of V)
     over the points x; None when V is the whole ground.
 
-    The columns are ints over the denominator ``L`` of the space's integer
-    form ``(M, L)``: the least entry of row x over the complement's points.
+    The columns are ints over the space's ``scale``: the least entry of row
+    x of its ``ints`` over the complement's points.
     """
     if cover.ground != space.n:
         raise StructuralError("cover ground does not match the space")
-    m, _ = space._int_form
     table = []
     for member in cover.member_sets():
         rest = [y for y in range(space.n) if y not in member]
-        table.append([min(map(row.__getitem__, rest)) for row in m] if rest else None)
+        table.append([min(map(row.__getitem__, rest)) for row in space.ints] if rest else None)
     return table
 
 
@@ -237,10 +234,10 @@ def containment_from_distances(
     distance from x to the complement of V, so a threshold works exactly
     when it is at most ``reach``, the least over x of the largest such
     distance over the members (unbounded when a member is the whole
-    ground).  Everything runs on the space's integer form ``(M, L)``; the
-    cap compares as ``p * L`` against ``reach * q`` for the cap p/q.
+    ground).  Everything runs on the space's ``ints`` over its ``scale``
+    L; the cap compares as ``p * L`` against ``reach * q`` for the cap p/q.
     """
-    m, scale = space._int_form
+    scale = space.scale
     reach = None
     if all(column is not None for column in table):
         reach = min(map(max, zip(*table)))
@@ -250,7 +247,7 @@ def containment_from_distances(
     ):
         return capped
     fits = [
-        v for i, row in enumerate(m) for v in row[i + 1:]
+        v for i, row in enumerate(space.ints) for v in row[i + 1:]
         if v > 0 and (reach is None or v <= reach)
     ]
     if capped is not None:

@@ -15,6 +15,7 @@ Lipschitz way with the map: nearby maps receive nearby thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .combinators import interval_space, product_metric
@@ -79,13 +80,13 @@ def adjusted_metric(
     d_X term keeps distinct points apart), and f is 1-Lipschitz for it.
     """
     m = ensure_total_map(mapping, source, target, "adjusted_metric")
-    rows = tuple(
-        tuple(
-            source.d(i, j) + target.d(m[i], m[j]) for j in range(source.n)
-        )
-        for i in range(source.n)
-    )
-    return FiniteMetricSpace(source.points, rows)
+    scale = lcm(source.scale, target.scale)
+    a, b = scale // source.scale, scale // target.scale
+    rows = [
+        [v * a + image[y] * b for v, y in zip(row, m)]
+        for row, image in zip(source.ints, (target.ints[y] for y in m))
+    ]
+    return FiniteMetricSpace.from_int(source.points, rows, scale)
 
 
 def mapping_cylinder_metric(
@@ -126,16 +127,20 @@ def cylinder_slices(
     adjusted metric on the source and one label per class of the target.
 
     The points are ("seg", x label, t) for grid values t < 1, x-major, then
-    ``top_labels``.  Each 1 - t, and each image's row of target distances,
-    is computed once.
+    ``top_labels``.  It runs on ints over the lcm of the two scales and the
+    grid's denominators; each 1 - t, and each image's row, is computed once.
     """
     inner = tuple(t for t in grid if t < 1)
-    up = [ONE - t for t in inner]
-    gaps = [[abs(t - s) for s in inner] for t in inner]
-    image = [target.dist[y] for y in f]
+    scale = lcm(adjusted.scale, target.scale, *(t.denominator for t in inner))
+    up = [scale - t.numerator * (scale // t.denominator) for t in inner]
+    gaps = [[abs(u - v) for v in up] for u in up]
+    a, b = scale // adjusted.scale, scale // target.scale
+    lifted = [[v * b for v in row] for row in target.ints]
+    image = [lifted[y] for y in f]
     points = [("seg", p, t) for p in source.points for t in inner] + list(top_labels)
     rows = []
-    for i, near in enumerate(adjusted.dist):
+    for i, row_i in enumerate(adjusted.ints):
+        near = [v * a for v in row_i]
         for u, gap in zip(up, gaps):
             row = []
             for j, y in enumerate(f):
@@ -145,10 +150,10 @@ def cylinder_slices(
                     through = lift + v
                     row.append(around if around <= through else through)
             row.extend(u + d for d in image[i])
-            rows.append(tuple(row))
-    for y, row_y in enumerate(target.dist):
-        rows.append(tuple(u + image[j][y] for j in range(source.n) for u in up) + row_y)
-    return FiniteMetricSpace(tuple(points), tuple(rows))
+            rows.append(row)
+    for y, row_y in enumerate(lifted):
+        rows.append([u + image[j][y] for j in range(source.n) for u in up] + row_y)
+    return FiniteMetricSpace.from_int(points, rows, scale)
 
 
 def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:

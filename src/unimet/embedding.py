@@ -7,7 +7,7 @@ two points into one member, whose diameter is controlled, which is the
 quantitative separation certificate; injectivity follows once the scales
 outrun the smallest positive distance.
 
-The covers run on the space's integer form (see ``covers``).  Each level's
+The covers run on the space's stored form (see ``covers``).  Each level's
 refined cover gives one table of distances to its members' complements;
 the level's clamp is reduced from that table and its coordinates are the
 table's columns, clamped.  From the depth where the radius drops below the
@@ -15,8 +15,8 @@ smallest positive distance on, every level has the same target and helper
 covers, so consecutive levels with equal covers share one refinement and
 one table, and only the clamp is taken again for the level's own cap.
 The coordinates, image distances and every certificate run on ints over
-one denominator, ``lcm(L, 2^(depth+2))`` with ``L`` that of the integer
-form, so that each clamp 2^-n and radius 2^-(n+2) is an int too;
+one denominator, ``lcm(L, 2^(depth+2))`` with ``L`` the space's
+``scale``, so that each clamp 2^-n and radius 2^-(n+2) is an int too;
 Fractions are built only for the returned embedding.
 """
 from __future__ import annotations
@@ -143,7 +143,7 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     members' complements (``covers.complement_distances``); the clamp is
     reduced from the table for each level's own cap 2^-n.  Everything after
     the covers runs on ints over ``big = lcm(L, 2^(depth+2))``, ``L`` the
-    denominator of the space's integer form, so every distance, clamp, cap
+    space's ``scale``, so every distance, clamp, cap
     2^-n and bound 2^(1-n) is an int over ``big``.  Each image is a dense
     int vector whose tail is 0, so an image gap is the largest coordinate
     difference.  Fractions are built only for the returned clamps, images,
@@ -179,10 +179,9 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
         tables.append(table)
         offset += len(refinement.cover.members)
 
-    m, scale = space._int_form
-    big = lcm(scale, 2 ** (depth + 2))
-    factor = big // scale
-    rows = [[v * factor for v in row] for row in m]
+    big = lcm(space.scale, 2 ** (depth + 2))
+    factor = big // space.scale
+    rows = [[v * factor for v in row] for row in space.ints]
     everything = range(space.n)
     clamps = [data.clamp.numerator * (big // data.clamp.denominator) for data in levels]
     # One column of coordinates per member: min(d(x, complement), clamp).

@@ -190,10 +190,8 @@ def adjunction_space(
             for a in A
         ]
         raw = extend_metric(space, A, D)
-        capped = tuple(
-            tuple(v if v <= 1 else ONE for v in row) for row in raw.dist
-        )
-        ext = FiniteMetricSpace(space.points, capped)
+        capped = [[min(v, raw.scale) for v in row] for row in raw.ints]
+        ext = FiniteMetricSpace.from_int(space.points, capped, raw.scale)
         cross_val = ONE if cross is None else as_scalar(cross)
     else:
         if extension.n != space.n:

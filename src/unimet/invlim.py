@@ -7,8 +7,8 @@ ladder data normalize their own maps: each reads its bonds or cross maps, in
 any form that ``spaces.as_mapping`` reads, into total index tuples with
 ``spaces.ensure_total_map``.  The ladder data also fills in the budgets it
 is not given.  Composites are built in a loop, one bond at a time, so no
-truncation needs a deep stack; one of more than ``LEVEL_CAP`` levels is
-refused before any composite is built.  The pieces:
+truncation needs a deep stack; ``check_level_count`` refuses more than
+``LEVEL_CAP`` levels, in a file before any level is parsed.  The pieces:
 
 - threads: compatible tuples (x_0, .., x_N) with p_i(x_{i+1}) = x_i, and the
   weighted-sup metric on them (the restriction of the full product metric).
@@ -57,6 +57,12 @@ LEVEL_CAP = 1_500
 DEFAULT_TELESCOPE_GRID = (ZERO, Fraction(1, 2), ONE)
 
 
+def check_level_count(count: int) -> None:
+    """Refuse more than ``LEVEL_CAP`` levels; ``jsonio`` asks before parsing any."""
+    if count > LEVEL_CAP:
+        raise PreconditionError(f"{count} levels exceed LEVEL_CAP = {LEVEL_CAP}")
+
+
 # ---- truncations ----
 
 
@@ -80,10 +86,7 @@ class InverseSequenceTruncation:
     def __post_init__(self) -> None:
         if not self.levels:
             raise StructuralError("a truncation needs at least one level")
-        if len(self.levels) > LEVEL_CAP:
-            raise PreconditionError(
-                f"{len(self.levels)} levels exceed LEVEL_CAP = {LEVEL_CAP}"
-            )
+        check_level_count(len(self.levels))
         for level in self.levels:
             if not isinstance(level, FiniteMetricSpace):
                 raise StructuralError("levels must be finite metric spaces")
@@ -181,11 +184,10 @@ class InverseSequenceTruncation:
     @cached_property
     def _thread_space(self) -> "ThreadSpace":
         entries = [thread.entries for thread in self._threads]
-        points = tuple(
-            tuple(self.levels[i].points[x] for i, x in enumerate(e)) for e in entries
-        )
-        rows = weighted_sup_rows(self.levels, entries)
-        return ThreadSpace(self, self._threads, FiniteMetricSpace(points, rows))
+        points = [tuple(lv.points[x] for lv, x in zip(self.levels, e)) for e in entries]
+        rows, scale = weighted_sup_rows(self.levels, entries)
+        space = FiniteMetricSpace.from_int(points, rows, scale)
+        return ThreadSpace(self, self._threads, space)
 
 
 def inverse_sequence(levels: Sequence[FiniteMetricSpace], bonds: Sequence) -> InverseSequenceTruncation:

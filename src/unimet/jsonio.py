@@ -9,12 +9,12 @@ emits: a JSON int, or a string matching ``-?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator, is read with ``int``, and the space is built from
 the entries over their common denominator with
 ``FiniteMetricSpace.from_int``, whose gcd step leaves the least integer
-form, so the space starts with that form cached.  Every other entry (a
-sign, whitespace, an underscore, a decimal, an exponent, a zero
-denominator, a non-ASCII digit, a bool, null, or digits past
+form, the one form a space stores.  Every other entry (a sign,
+whitespace, an underscore, a decimal, an exponent, a zero denominator, a
+non-ASCII digit, a bool, null, or digits past
 ``sys.get_int_max_str_digits()``) goes through ``as_scalar``, so it
 parses, or fails, exactly as it would alone.  Truncation levels are
-spaces, so they take the same path.
+spaces, so they take the same path, once their count is checked.
 
 Point labels map JSON arrays to tuples, at most ``LABEL_DEPTH_CAP`` deep;
 rational labels serialize to their scalar strings and come back as
@@ -211,12 +211,13 @@ def surjection_from_json(obj, space: FiniteMetricSpace) -> Surjection:
 
 
 def truncation_from_json(obj) -> InverseSequenceTruncation:
-    from .invlim import inverse_sequence
+    from .invlim import check_level_count, inverse_sequence
 
     levels = expect_key(obj, "levels", "a truncation")
     bonds = expect_key(obj, "bonds", "a truncation")
     if not isinstance(levels, list) or not isinstance(bonds, list):
         raise StructuralError("truncation levels and bonds must be arrays")
+    check_level_count(len(levels))
     spaces = [space_from_json(level) for level in levels]
     maps = [mapping_from_json(bond) for bond in bonds]
     return inverse_sequence(spaces, maps)

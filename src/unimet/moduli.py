@@ -103,8 +103,8 @@ class PairSweep:
 def pair_distances(source: Sequence, target: Sequence, mapping: Sequence[int]) -> list:
     """(source distance, image distance) for each pair i < j of source points.
 
-    ``source`` and ``target`` are distance matrices, the ``dist`` of two
-    spaces or their integer forms alike.
+    ``source`` and ``target`` are distance matrices, the ``dist`` views of
+    two spaces or their ``ints`` alike.
     """
     return [
         (row[j], target[mapping[i]][mapping[j]])
@@ -123,15 +123,13 @@ def continuity_modulus(
     For each delta in the source spectrum the row gives the largest image
     distance among pairs at source distance <= delta.  The table certifies
     (delta, epsilon)-continuity for every row and is tight: each epsilon is
-    attained by some pair.  The sweep runs on each space's own integer
-    form; only the rows are converted back to Fractions.
+    attained by some pair.  The sweep runs on each space's own ``ints``;
+    only the rows are converted back to Fractions.
     """
     m = ensure_total_map(mapping, source, target, "continuity_modulus")
-    src, src_scale = source._int_form
-    img, img_scale = target._int_form
-    sweep = PairSweep(pair_distances(src, img, m))
+    sweep = PairSweep(pair_distances(source.ints, target.ints, m))
     return ModulusTable(tuple(
-        (Fraction(delta, src_scale), Fraction(sweep.largest_within(delta), img_scale))
+        (Fraction(delta, source.scale), Fraction(sweep.largest_within(delta), target.scale))
         for delta in sorted({0, *sweep.firsts})
     ))
 

@@ -27,11 +27,12 @@ reads the scan that its space caches (see ``spaces``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence, Tuple, Type
 
 from .errors import PreconditionError, StructuralError
-from .kernel import closure, min_plus, to_int_matrix
-from .scalars import ONE, ZERO, ScalarLike, as_scalar
+from .kernel import closure, min_plus
+from .scalars import ONE, ScalarLike, as_scalar
 from .spaces import (
     FiniteMetricSpace,
     as_mapping,
@@ -218,13 +219,12 @@ def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
     hops than class_count - 1 (repeats drop out), so d_n with larger n equals
     d_infinity; the computation caps there.
     """
-    ints, scale = sur.source._int_form
-    block = _class_block(ints, sur.classes())
+    block = _class_block(sur.source.ints, sur.classes())
     if steps is None:
-        return _finish_chain(sur, None, closure(block), scale)
+        return _finish_chain(sur, None, closure(block), sur.source.scale)
     if not isinstance(steps, int) or steps < 1:
         raise StructuralError("steps must be a positive integer or None")
-    return _finish_chain(sur, steps, _power(block, steps), scale)
+    return _finish_chain(sur, steps, _power(block, steps), sur.source.scale)
 
 
 # ---- quotients by families and glued unions ----
@@ -261,14 +261,13 @@ def quotient_by_discrete_family(
     ensure_metric(space, "quotient_by_discrete_family")
     class_of, count = _assign_classes(space.points, family, PreconditionError)
     sur = Surjection(space, count, class_of)
-    ints, scale = space._int_form
-    two, limit, settled = _chain(_class_block(ints, sur.classes()), 2)
+    two, limit, settled = _chain(_class_block(space.ints, sur.classes()), 2)
     if two != limit:
         raise PreconditionError(
             "two-hop quotient distance differs from the chain limit for this "
             f"family (they agree first at n = {settled})"
         )
-    chain = _finish_chain(sur, 2, two, scale)
+    chain = _finish_chain(sur, 2, two, space.scale)
     ensure_metric(chain.space, "quotient of a metric by a disjoint family")
     quotient_space = reflagged(chain.space, False)
     return QuotientResult(quotient_space, chain, True, settled)
@@ -303,13 +302,17 @@ def glue_parts(
     Cross-part block hops cost the constant ``cross``; None forbids them, so
     every chain must pivot through glued classes.  Identified pairs must list
     existing points; points not identified become singleton classes.  One
-    union matrix over the points of all parts (None for a forbidden cross
-    hop, zero between identified points of different parts) is reduced to
-    the class block, and the chain engine runs on it.
+    int matrix over the points of all parts, over one scale (None for a
+    forbidden cross hop, zero between identified points of different parts),
+    is reduced to the class block, and the chain engine runs on it.
     """
     if not parts:
         raise StructuralError("glue_parts needs at least one part")
     cross_val = as_scalar(cross) if cross is not None else None
+    den = 1 if cross_val is None else cross_val.denominator
+    scale = lcm(den, *(part.scale for part in parts))
+    factors = [scale // part.scale for part in parts]
+    hop = None if cross_val is None else cross_val.numerator * (scale // den)
     offsets = []
     total = 0
     for part in parts:
@@ -328,9 +331,9 @@ def glue_parts(
     )
     union = [
         [
-            parts[p].dist[i][j] if p == q
-            else ZERO if class_of[g] == class_of[h]
-            else cross_val
+            parts[p].ints[i][j] * factors[p] if p == q
+            else 0 if class_of[g] == class_of[h]
+            else hop
             for h, (q, j) in enumerate(places)
         ]
         for g, (p, i) in enumerate(places)
@@ -340,8 +343,8 @@ def glue_parts(
         members_of[class_of[g]].append(g)
     labels = tuple(tuple(point_labels[g] for g in members) for members in members_of)
 
-    ints, scale = to_int_matrix(_class_block(union, members_of))
-    power, limit = _power(ints, steps), closure(ints)
+    block = _class_block(union, members_of)
+    power, limit = _power(block, steps), closure(block)
     for row in power + limit:
         if None in row:
             raise PreconditionError("glued union is disconnected")

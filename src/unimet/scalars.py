@@ -48,7 +48,7 @@ def as_scalar(value: ScalarLike) -> Fraction:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse scalar from {value!r}") from exc
+            raise ValueError(f"cannot parse scalar from {brief_text(value)}") from exc
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact scalar")
 
 
@@ -68,7 +68,7 @@ def _check_exponent(text: str) -> None:
     # int() itself refuses an exponent string longer than the limit.
     if len(exponent) > limit or digits + abs(int(exponent)) > limit:
         raise ValueError(
-            f"cannot parse scalar from {text!r}: its exponent gives a value "
+            f"cannot parse scalar from {brief_text(text)}: its exponent gives a value "
             f"of more than {limit} digits"
         )
 
@@ -112,6 +112,13 @@ def brief_scalar(value: Fraction) -> str:
     head = str(math.floor(magnitude * 1000 / Fraction(10) ** exponent))
     sign = "-" if value < 0 else ""
     return f"about {sign}{head[0]}.{head[1:]}e{exponent}"
+
+
+def brief_text(text: str) -> str:
+    """``repr(text)`` for a message: whole up to 60 characters, else its
+    first 40, "..." and the text's length."""
+    shown = repr(text)
+    return shown if len(shown) <= 60 else f"{shown[:40]}... ({len(text)} characters)"
 
 
 def parameter_grid(values, low: Fraction, high: Fraction, required) -> tuple:

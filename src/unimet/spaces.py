@@ -1,27 +1,20 @@
 """Finite metric spaces with exact rational distances.
 
-A ``FiniteMetricSpace`` is a tuple of point labels plus a square matrix of
-``Fraction`` distances.  The constructor enforces only structure (unique
-labels, square matrix, exact scalars); the metric axioms themselves are the
-job of ``check_metric_axioms`` so that defective matrices can be represented,
-checked, and reported with witnesses.
-
-Each space also has an integer form, built once on first use and cached: the
-least common multiple ``L`` of its distances' denominators, and every
-distance times ``L`` as an ``int`` (see ``kernel``).  The axiom checker, the
-diameter, the spectrum, the rescale, the ball covers, the sequence-space
-embedding and the continuity moduli run on those ints, which order, add and
-multiply exactly as the Fractions do; only their results become Fractions.
-A construction that computed its result on ints builds it with
-``from_int``, which seeds the cache with the same form, so the result is
-never converted back to ints.  The scan itself is cached per object too: a
-space is scanned at most once, however many layers check it, and
-``reflagged`` carries the scan over to a copy that only changes the pseudo
-flag.
+A ``FiniteMetricSpace`` is a tuple of point labels and one stored form of
+its distances: ``ints[i][j] / scale``, ``scale`` their least common
+denominator (see ``kernel``).  The constructor takes a ``Fraction`` matrix,
+checks only structure (unique labels, square matrix, exact scalars) and
+converts it once; ``from_int`` takes ints and reduces them to the least
+form.  ``dist``, the ``Fraction`` matrix, is a view built on first read.
+Scans and constructions run on the ints, which order, add and multiply
+exactly as the Fractions do.  The metric axioms are the job of
+``check_metric_axioms``, so that defective matrices can be represented and
+reported with witnesses; its scan runs once per space, and ``reflagged``
+carries it to a copy that only changes the pseudo flag.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
-with the original ``Fraction`` values.
+with its ``Fraction`` values.
 
 Indices are read in one place.  ``index_set`` reads a set of point
 indices: it checks every entry, before it sorts any, to be an ``int`` in
@@ -35,9 +28,9 @@ coordinate indices have no bound, keeps its own check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,9 +39,9 @@ from .kernel import first_triangle_witness, to_fractions, to_int_matrix
 from .scalars import ZERO, Scalar, ScalarLike, as_scalar, brief_scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteMetricSpace:
-    """Labeled points with an exact, symmetric distance matrix.
+    """Labeled points with exact distances ``ints[i][j] / scale``.
 
     ``pseudo`` marks a space intended as a pseudo-metric (distinct points at
     distance zero allowed); it is advisory and consulted by the axiom checker
@@ -56,19 +49,19 @@ class FiniteMetricSpace:
     """
 
     points: tuple
-    dist: tuple
+    ints: list = field(hash=False)
+    scale: int
     pseudo: bool = False
 
-    def __post_init__(self) -> None:
-        n = len(self.points)
-        if len(set(self.points)) != n:
-            raise StructuralError("point labels must be unique")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise StructuralError(f"distance matrix must be {n}x{n}")
-        for row in self.dist:
+    def __init__(self, points: tuple, dist: tuple, pseudo: bool = False) -> None:
+        """Space with the ``Fraction`` matrix ``dist``, kept as its view."""
+        _check_shape(points, dist)
+        for row in dist:
             for value in row:
                 if not isinstance(value, Fraction):
                     raise StructuralError("distance entries must be exact scalars")
+        m, scale = to_int_matrix(dist)
+        self.__dict__.update(points=points, ints=m, scale=scale, pseudo=pseudo, dist=dist)
 
     @staticmethod
     def from_rows(points: Sequence, rows: Sequence[Sequence[ScalarLike]],
@@ -79,19 +72,17 @@ class FiniteMetricSpace:
     @staticmethod
     def from_int(points: Sequence, m: list, scale: int,
                  pseudo: bool = False) -> "FiniteMetricSpace":
-        """Space with distances ``m[i][j] / scale``, its integer form cached.
-
-        ``m`` is a square list of int rows.  The cached form is reduced to
-        the least common denominator, so it equals what ``to_int_matrix``
-        gives for the Fractions; ``m`` is kept, not copied, when ``scale``
-        is already least.
-        """
+        """Space with distances ``m[i][j] / scale``, a square list of int
+        rows, reduced to the least form: it equals the space the constructor
+        builds from the same distances.  ``m`` is kept when already least."""
+        points = tuple(points)
+        _check_shape(points, m)
         common = gcd(scale, *(v for row in m for v in row))
         if common > 1:
             m = [[v // common for v in row] for row in m]
             scale //= common
-        space = FiniteMetricSpace(tuple(points), to_fractions(m, scale), pseudo)
-        space.__dict__["_int_form"] = (m, scale)
+        space = object.__new__(FiniteMetricSpace)
+        space.__dict__.update(points=points, ints=m, scale=scale, pseudo=pseudo)
         return space
 
     @property
@@ -102,13 +93,13 @@ class FiniteMetricSpace:
         return self.dist[i][j]
 
     @cached_property
-    def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
+    def dist(self) -> tuple:
+        """The distances as a tuple of ``Fraction`` rows, built on first read."""
+        return to_fractions(self.ints, self.scale)
 
     @cached_property
-    def _int_form(self) -> tuple:
-        """``(M, L)``: the distances over their common denominator ``L``."""
-        return to_int_matrix(self.dist)
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def _axiom_report(self) -> AxiomReport:
@@ -123,16 +114,14 @@ class FiniteMetricSpace:
 
     def diameter(self) -> Scalar:
         """Largest entry of the matrix, zero for the empty space."""
-        m, scale = self._int_form
-        return Fraction(max(map(max, m), default=0), scale)
+        return Fraction(max(map(max, self.ints), default=0), self.scale)
 
     def spectrum(self) -> tuple:
         """Sorted distinct distance values above the diagonal, zero included."""
-        m, scale = self._int_form
         values = {0}
-        for i, row in enumerate(m):
+        for i, row in enumerate(self.ints):
             values.update(row[i + 1:])
-        return tuple(Fraction(v, scale) for v in sorted(values))
+        return tuple(Fraction(v, self.scale) for v in sorted(values))
 
     def positive_spectrum(self) -> tuple:
         return tuple(v for v in self.spectrum() if v > 0)
@@ -145,21 +134,21 @@ class FiniteMetricSpace:
         idx = list(indices)
         if len(index_set(idx, self.n, "index")) != len(idx):
             raise StructuralError("subset indices must be distinct")
-        pts = tuple(self.points[i] for i in idx)
-        dist = tuple(tuple(self.dist[i][j] for j in idx) for i in idx)
-        return FiniteMetricSpace(pts, dist, self.pseudo)
+        m = self.ints
+        return FiniteMetricSpace.from_int(
+            [self.points[i] for i in idx], [[m[i][j] for j in idx] for i in idx],
+            self.scale, self.pseudo)
 
     def scaled(self, factor: ScalarLike) -> "FiniteMetricSpace":
-        """Every distance times ``factor`` > 0, built from the integer form:
+        """Every distance times ``factor`` > 0, built from the stored form:
         entry v/L times p/q is v*p over L*q."""
         f = as_scalar(factor)
         if f <= 0:
             raise PreconditionError("scale factor must be positive")
-        m, scale = self._int_form
         p = f.numerator
         return FiniteMetricSpace.from_int(
-            self.points, [[v * p for v in row] for row in m],
-            scale * f.denominator, self.pseudo,
+            self.points, [[v * p for v in row] for row in self.ints],
+            self.scale * f.denominator, self.pseudo,
         )
 
     def rescaled_to_diameter(self, target: ScalarLike = 1) -> "FiniteMetricSpace":
@@ -176,7 +165,7 @@ class FiniteMetricSpace:
     def relabeled(self, points: Sequence) -> "FiniteMetricSpace":
         if len(points) != self.n:
             raise StructuralError("relabeling must preserve point count")
-        return FiniteMetricSpace(tuple(points), self.dist, self.pseudo)
+        return FiniteMetricSpace.from_int(points, self.ints, self.scale, self.pseudo)
 
 
 @dataclass(frozen=True)
@@ -204,12 +193,12 @@ def check_metric_axioms(space: FiniteMetricSpace,
     One violation per axiom, carrying the lexicographically first witness:
     the first index tuple in lexicographic order that breaks it, with the
     triangle witness (i, j, k) ranging over k distinct from i and j.  The
-    scan runs on the space's integer form, so it is exact; the reported
-    ``lhs`` and ``rhs`` are the original Fractions.  ``allow_pseudo``
-    defaults to the space's own pseudo flag; when true, the positivity axiom
-    is skipped.  The scan is cached per object: every call on one space,
-    in either mode, reads the same strict report, with the positivity
-    violation dropped for a pseudo check.
+    scan runs on the space's stored form, so it is exact; the reported
+    ``lhs`` and ``rhs`` are Fractions.  ``allow_pseudo`` defaults to the
+    space's own pseudo flag; when true, the positivity axiom is skipped.
+    The scan is cached per object: every call on one space, in either mode,
+    reads the same strict report, with the positivity violation dropped for
+    a pseudo check.
     """
     if allow_pseudo is None:
         allow_pseudo = space.pseudo
@@ -223,15 +212,23 @@ def check_metric_axioms(space: FiniteMetricSpace,
 def reflagged(space: FiniteMetricSpace, pseudo: bool) -> FiniteMetricSpace:
     """``space`` with its pseudo flag set to ``pseudo``.
 
-    The copy shares the points and distances, and keeps whatever integer
-    form and strict axiom report ``space`` has cached: neither depends on
+    The copy shares the points and ``ints``, and keeps whatever ``dist``
+    view and strict axiom report ``space`` has built: neither depends on
     the flag, so the copy is never converted or scanned again.
     """
-    copy = FiniteMetricSpace(space.points, space.dist, pseudo)
-    for name in ("_int_form", "_axiom_report"):
-        if name in space.__dict__:
-            copy.__dict__[name] = space.__dict__[name]
+    copy = FiniteMetricSpace.from_int(space.points, space.ints, space.scale, pseudo)
+    built = space.__dict__
+    copy.__dict__.update((k, built[k]) for k in ("dist", "_axiom_report") if k in built)
     return copy
+
+
+def _check_shape(points: Sequence, rows: Sequence) -> None:
+    """Refuse repeated labels, then a matrix that is not n x n."""
+    n = len(points)
+    if len(set(points)) != n:
+        raise StructuralError("point labels must be unique")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise StructuralError(f"distance matrix must be {n}x{n}")
 
 
 # The axioms ``_scan_axioms`` checks, by the names it reports, in scan order.
@@ -239,26 +236,27 @@ AXIOMS = ("diagonal", "nonnegativity", "symmetry", "positivity", "triangle")
 
 
 def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
-    """Run every axiom, positivity included, once over the integer form."""
-    d = space.dist
-    pts = space.points
-    m, _ = space._int_form
-    n = space.n
+    """Run every axiom, positivity included, once over the stored form; a
+    violation's witness values are the only Fractions built."""
+    pts, m = space.points, space.ints
+    frac = partial(Fraction, denominator=space.scale)
     violations = []
 
-    for i in range(n):
-        if m[i][i] != 0:
-            violations.append(AxiomViolation("diagonal", (pts[i],), d[i][i], ZERO))
+    for i, row in enumerate(m):
+        if row[i] != 0:
+            violations.append(AxiomViolation("diagonal", (pts[i],), frac(row[i]), ZERO))
             break
     for i, row in enumerate(m):
         if min(row) < 0:
             j = next(j for j, v in enumerate(row) if v < 0)
-            violations.append(AxiomViolation("nonnegativity", (pts[i], pts[j]), d[i][j], ZERO))
+            violations.append(
+                AxiomViolation("nonnegativity", (pts[i], pts[j]), frac(row[j]), ZERO))
             break
     pair = _first_pair(m, lambda a, b: a != b)
     if pair is not None:
         i, j = pair
-        violations.append(AxiomViolation("symmetry", (pts[i], pts[j]), d[i][j], d[j][i]))
+        violations.append(
+            AxiomViolation("symmetry", (pts[i], pts[j]), frac(m[i][j]), frac(m[j][i])))
     pair = _first_pair(m, lambda a, b: a == 0 and b == 0)
     if pair is not None:
         i, j = pair
@@ -267,7 +265,7 @@ def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
     if witness is not None:
         i, j, k = witness
         violations.append(AxiomViolation(
-            "triangle", (pts[i], pts[j], pts[k]), d[i][k], d[i][j] + d[j][k]))
+            "triangle", (pts[i], pts[j], pts[k]), frac(m[i][k]), frac(m[i][j] + m[j][k])))
 
     return AxiomReport(ok=not violations, allow_pseudo=False,
                        violations=tuple(violations))

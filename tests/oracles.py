@@ -15,7 +15,9 @@ types, so that a result compares whole against its reference; so are a
 space's diameter, spectrum and rescale, as they ran before the integer
 form.
 So are the pair scans of the inverse-sequence diagnostics: the loops
-over point pairs as they ran before those scans read one sorted sweep.
+over point pairs as they ran before those scans read one sorted sweep;
+and the adjusted metric, the cylinder slices, the weighted-sup rows and
+the glued union as they ran on Fractions, before they built ints.
 A cubical complex, which the package stores as its maximal cubes, is
 checked against its face-closed listing: every face of every cube.  The
 sup distance of sequence space and the sub-cylinder of a restricted map
@@ -379,6 +381,86 @@ def weighted_sup_reference(level_dists, ta, tb):
         if v > best:
             best = v
     return best
+
+
+# ---- integer producers, as the Fraction code ran them ----
+
+
+def adjusted_metric_reference(source, target, m):
+    """Rows of d_X(x, x') + d_Y(f(x), f(x')), ``m`` a total index tuple."""
+    return tuple(
+        tuple(source.d(i, j) + target.d(m[i], m[j]) for j in range(source.n))
+        for i in range(source.n)
+    )
+
+
+def cylinder_slices_reference(source, target, f, grid, adjusted_rows, top_labels):
+    """(points, rows) of the three cylinder formulas over Fractions."""
+    inner = tuple(t for t in grid if t < 1)
+    up = [ONE - t for t in inner]
+    gaps = [[abs(t - s) for s in inner] for t in inner]
+    image = [target.dist[y] for y in f]
+    points = [("seg", p, t) for p in source.points for t in inner] + list(top_labels)
+    rows = []
+    for i, near in enumerate(adjusted_rows):
+        for u, gap in zip(up, gaps):
+            row = []
+            for j, y in enumerate(f):
+                lift = u + image[i][y]
+                for g, v in zip(gap, up):
+                    around = near[j] + g
+                    through = lift + v
+                    row.append(around if around <= through else through)
+            row.extend(u + d for d in image[i])
+            rows.append(tuple(row))
+    for y, row_y in enumerate(target.dist):
+        rows.append(tuple(u + image[j][y] for j in range(source.n) for u in up) + row_y)
+    return tuple(points), tuple(rows)
+
+
+def weighted_sup_rows_reference(levels, index_tuples):
+    """Rows of max(0, max_k 2^-(k+1) d_k(a_k, b_k)) over the index tuples."""
+    weights = [Fraction(1, 2 ** (k + 1)) for k in range(len(levels))]
+    rows = []
+    for ta in index_tuples:
+        row = []
+        for tb in index_tuples:
+            best = ZERO
+            for k, level in enumerate(levels):
+                val = weights[k] * level.d(ta[k], tb[k])
+                if val > best:
+                    best = val
+            row.append(best)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def glued_union_reference(parts, identifications, cross):
+    """(union, class_of): the union matrix of ``glue_parts`` over Fractions
+    and the class of each of its points.  Inside a part the part's metric,
+    between identified points of different parts zero, else ``cross`` (None
+    for a forbidden hop).  Group k is class k; the points no group lists
+    follow as singletons, in index order."""
+    places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
+    class_of = [None] * len(places)
+    for k, group in enumerate(identifications):
+        for pair in group:
+            class_of[places.index(tuple(pair))] = k
+    count = len(identifications)
+    for g, c in enumerate(class_of):
+        if c is None:
+            class_of[g] = count
+            count += 1
+    union = [
+        [
+            parts[p].d(i, j) if p == q
+            else ZERO if class_of[g] == class_of[h]
+            else cross
+            for h, (q, j) in enumerate(places)
+        ]
+        for g, (p, i) in enumerate(places)
+    ]
+    return union, class_of
 
 
 # ---- diameter, spectrum and rescale, as the Fraction code ran them ----

@@ -473,6 +473,16 @@ def test_invlim_refuses_a_truncation_past_the_level_cap(tmp_path):
     )
 
 
+def test_an_over_cap_truncation_is_refused_before_its_levels_are_parsed(tmp_path):
+    """The last of LEVEL_CAP + 1 levels holds "zz", an input error once it
+    is parsed: the level count is refused first."""
+    level = {"points": ["p"], "dist": [["0"]]}
+    bad = {"points": ["p"], "dist": [["zz"]]}
+    long = {"levels": [level] * LEVEL_CAP + [bad], "bonds": [[0]] * LEVEL_CAP}
+    code, out, err = run(["invlim", "threads", write(tmp_path, "long.json", long)])
+    assert (code, out) == (1, "") and "LEVEL_CAP" in err
+
+
 def test_invlim_separate_passes(tower):
     code, out, err = run(["invlim", "separate", tower])
     assert code == 0, err
@@ -799,6 +809,26 @@ def test_oversized_numbers_exit_2(tmp_path, command, value):
     code, out, err = run([*command, write(tmp_path, "big.json", doc)])
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000, "x" * 5000], ids=["digits", "letters"])
+def test_a_long_bad_scalar_is_named_briefly(tmp_path, entry):
+    """A 5,000-character entry that does not parse is echoed as a prefix
+    and its length; a short one is echoed whole, as it always was."""
+    doc = space_to_json(S2)
+    doc["dist"][0][1] = doc["dist"][1][0] = entry
+    code, out, err = run(["check", write(tmp_path, "long.json", doc)])
+    assert (code, out) == (2, "") and len(err) < 200
+    assert err.startswith("input error: cannot parse scalar from '") and "(5000 characters)" in err
+    doc["dist"][0][1] = doc["dist"][1][0] = "abc"
+    code, out, err = run(["check", write(tmp_path, "short.json", doc)])
+    assert (code, err) == (2, "input error: cannot parse scalar from 'abc'\n")
+
+
+def test_a_long_bad_grid_entry_is_named_briefly(s3):
+    code, out, err = run(["build", "cone", s3, "--grid", "0," + "9" * 5000 + "x,1"])
+    assert (code, out) == (1, "") and len(err) < 200
+    assert "is not a rational" in err and "(5001 characters)" in err
 
 
 def test_bytes_that_are_not_utf8_exit_2(tmp_path):

@@ -274,7 +274,7 @@ def test_ball_covers_match_the_fraction_reference():
                 assert got == _outcome(ball_cover_reference, sp, radius)
                 if isinstance(got, Cover):
                     covers.append(got)
-        _, scale = sp._int_form
+        scale = sp.scale
         for cover in covers:
             ints = complement_distances(sp, cover)
             table = [

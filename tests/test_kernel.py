@@ -121,14 +121,14 @@ def test_from_int_and_reflagged_keep_the_cached_forms():
             range(size), [[v * k for v in row] for row in ints], scale * k, pseudo=True
         )
         assert [list(r) for r in space.dist] == rows and space.pseudo
-        assert space._int_form == (ints, scale) == to_int_matrix(space.dist)
+        assert (space.ints, space.scale) == (ints, scale) == to_int_matrix(space.dist)
         report = check_metric_axioms(space, allow_pseudo=False)
         copy = reflagged(space, False)
         assert (copy.points, copy.dist, copy.pseudo) == (space.points, space.dist, False)
-        assert copy._int_form is space._int_form
+        assert copy.ints is space.ints
         assert check_metric_axioms(copy) is report
     zero = FiniteMetricSpace.from_int("ab", [[0, 0], [0, 0]], 6)
-    assert zero._int_form == ([[0, 0], [0, 0]], 1) == to_int_matrix(zero.dist)
+    assert (zero.ints, zero.scale) == ([[0, 0], [0, 0]], 1) == to_int_matrix(zero.dist)
 
 
 def _none_block(rng, size):

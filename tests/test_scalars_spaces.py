@@ -159,12 +159,12 @@ def test_integer_form_matches_the_fraction_code(sp, factor):
     else:
         got = sp.scaled(factor)
         assert got == scaled_reference(sp, factor)
-        assert got.__dict__["_int_form"] == to_int_matrix(got.dist)
+        assert (got.ints, got.scale) == to_int_matrix(got.dist)
     diam = diameter_reference(sp)
     if diam > 0:
         rescaled = sp.rescaled_to_diameter(1)
         assert rescaled == scaled_reference(sp, 1 / diam)
-        assert rescaled.__dict__["_int_form"] == to_int_matrix(rescaled.dist)
+        assert (rescaled.ints, rescaled.scale) == to_int_matrix(rescaled.dist)
 
 
 # ---- axiom checker ----

@@ -1,0 +1,181 @@
+"""The one stored form of a space, and the producers that build it on ints.
+
+A space stores ``(ints, scale)`` and reads ``dist`` as a view.  The
+``Fraction`` constructor and ``from_int`` must give equal spaces with equal
+hashes, the stored form must be the least one, which ``to_int_matrix`` gives
+for the view, and ``reflagged`` must share it.  The adjusted metric, the
+cylinder slices, the weighted-sup rows and the glued union compute on ints
+over a common scale; each is compared with its ``Fraction`` code, frozen in
+``oracles``, on inputs whose denominators are coprime, so that a factor
+dropped from a common scale shows.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from helpers import PRIMES_7_TO_31, metric_spaces, random_space, wide_space
+from oracles import (
+    adjusted_metric_reference,
+    chain_limit_apsp,
+    chain_power,
+    cylinder_slices_reference,
+    glued_union_reference,
+    weighted_sup_rows_reference,
+)
+from unimet.combinators import weighted_sup_rows
+from unimet.cylinders import adjusted_metric, cylinder_slices
+from unimet.errors import PreconditionError
+from unimet.kernel import to_int_matrix
+from unimet.quotients import glue_parts
+from unimet.spaces import FiniteMetricSpace, reflagged
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+# Grid values over 3, 5 and 9: coprime to the dyadic and the 7..31 spaces.
+GRID_VALUES = [Fraction(k, q) for q in (3, 5, 9) for k in range(1, q)]
+
+
+# ---- the stored form ----
+
+
+@st.composite
+def stored_spaces(draw):
+    """A ``metric_spaces`` space of 0..5 points with up to two entries,
+    the diagonal included, made negative over a denominator 7..31."""
+    sp = draw(metric_spaces(0, 5))
+    rows = [list(row) for row in sp.dist]
+    if sp.n:
+        index = st.integers(0, sp.n - 1)
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(index), draw(index)
+            rows[i][j] = -rows[i][j] - Fraction(1, draw(st.sampled_from(PRIMES_7_TO_31)))
+    return FiniteMetricSpace(sp.points, tuple(map(tuple, rows)), draw(st.booleans()))
+
+
+EMPTY = FiniteMetricSpace((), ())
+ZEROS = FiniteMetricSpace(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+
+
+@given(stored_spaces(), st.integers(1, 12))
+@example(EMPTY, 5)
+@example(ZEROS, 6)
+def test_both_constructors_store_one_least_form(sp, k):
+    """``from_int`` on an unreduced form (every entry and the scale times k)
+    gives the space the Fraction constructor gives: equal, with an equal
+    hash, the least form stored and the same Fractions in the view."""
+    ints, scale = to_int_matrix(sp.dist)
+    unreduced = FiniteMetricSpace.from_int(
+        sp.points, [[v * k for v in row] for row in ints], scale * k, sp.pseudo
+    )
+    assert unreduced == sp and hash(unreduced) == hash(sp)
+    assert (sp.ints, sp.scale) == (unreduced.ints, unreduced.scale) == (ints, scale)
+    assert unreduced.dist == sp.dist
+    assert (unreduced.ints, unreduced.scale) == to_int_matrix(unreduced.dist)
+
+
+@given(stored_spaces())
+@example(EMPTY)
+def test_reflagged_shares_the_stored_form(sp):
+    copy = reflagged(sp, not sp.pseudo)
+    assert copy.ints is sp.ints and copy.scale == sp.scale
+    assert copy.pseudo is not sp.pseudo and copy != sp
+    assert copy.dist is sp.dist
+    fresh = FiniteMetricSpace.from_int(sp.points, sp.ints, sp.scale)
+    assert reflagged(fresh, True).ints is fresh.ints
+
+
+# ---- producers on ints against their Fraction code ----
+
+
+@st.composite
+def coprime_inputs(draw):
+    """(source, target, map, grid): one space over dyadic denominators and
+    one over the primes 7..31, either way round, of 1..4 points each, an
+    arbitrary total map, and a [0, 1] grid over the denominators 3, 5, 9."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    makers = [random_space, wide_space]
+    if draw(st.booleans()):
+        makers.reverse()
+    source = makers[0](rng, draw(st.integers(1, 4)))
+    target = makers[1](rng, draw(st.integers(1, 4)))
+    image = st.integers(0, target.n - 1)
+    mapping = tuple(draw(st.lists(image, min_size=source.n, max_size=source.n)))
+    grid = tuple(sorted(draw(st.sets(st.sampled_from(GRID_VALUES), max_size=3)) | {ZERO, ONE}))
+    return source, target, mapping, grid
+
+
+@given(coprime_inputs())
+def test_adjusted_metric_matches_the_fraction_code(case):
+    source, target, mapping, _ = case
+    got = adjusted_metric(source, target, mapping)
+    assert got.points == source.points and not got.pseudo
+    assert got.dist == adjusted_metric_reference(source, target, mapping)
+
+
+@given(coprime_inputs())
+def test_cylinder_slices_match_the_fraction_code(case):
+    source, target, f, grid = case
+    tops = [("y", q) for q in target.points]
+    got = cylinder_slices(source, target, f, grid, adjusted_metric(source, target, f), tops)
+    rows = adjusted_metric_reference(source, target, f)
+    points, dist = cylinder_slices_reference(source, target, f, grid, rows, tops)
+    assert (got.points, got.dist) == (points, dist)
+
+
+@given(st.lists(metric_spaces(1, 3), min_size=1, max_size=4))
+def test_weighted_sup_rows_match_the_fraction_code(levels):
+    """Over the full product of 1..4 levels, dyadic and 7..31 mixed."""
+    tuples = list(itertools.product(*(range(level.n) for level in levels)))
+    rows, scale = weighted_sup_rows(levels, tuples)
+    got = tuple(tuple(Fraction(v, scale) for v in row) for row in rows)
+    assert got == weighted_sup_rows_reference(levels, tuples)
+
+
+@st.composite
+def glue_inputs(draw):
+    """(parts, identifications, cross, steps): 2..3 parts of 1..3 points
+    drawn by ``metric_spaces``, each point in one of up to three groups or
+    in none, a cross constant over 3, 5, 9 (or None) and 1..3 steps."""
+    parts = draw(st.lists(metric_spaces(1, 3), min_size=2, max_size=3))
+    places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
+    picks = draw(st.lists(st.integers(-1, 2), min_size=len(places), max_size=len(places)))
+    groups = [[pl for pl, k in zip(places, picks) if k == g] for g in range(3)]
+    cross = draw(st.none() | st.sampled_from(GRID_VALUES).map(lambda v: 2 * v))
+    return parts, [g for g in groups if g], cross, draw(st.integers(1, 3))
+
+
+def _block(union, class_of):
+    """Class block of ``union``: the least allowed hop between two classes,
+    None when none is allowed, zero on the diagonal."""
+    count = max(class_of) + 1
+    block = [[ZERO if a == b else None for b in range(count)] for a in range(count)]
+    for g, row in enumerate(union):
+        for h, v in enumerate(row):
+            a, b = class_of[g], class_of[h]
+            if a != b and v is not None and (block[a][b] is None or v < block[a][b]):
+                block[a][b] = v
+    return block
+
+
+@given(glue_inputs())
+def test_glued_union_matches_the_fraction_code(case):
+    """``glue_parts`` equals the chain power of the Fraction union's class
+    block at the capped hop count, and flags its agreement with the limit."""
+    parts, identifications, cross, steps = case
+    union, class_of = glued_union_reference(parts, identifications, cross)
+    block = _block(union, class_of)
+    power = chain_power(block, max(1, min(steps, len(block) - 1)))
+    limit = chain_limit_apsp(block)
+    if any(v is None for row in power + limit for v in row):
+        with pytest.raises(PreconditionError):
+            glue_parts(parts, identifications, cross, steps)
+        return
+    glued = glue_parts(parts, identifications, cross, steps)
+    assert [list(row) for row in glued.space.dist] == power
+    assert glued.dn_equals_dinf == (power == limit)
+    assert sum(glued.class_of_part, ()) == tuple(class_of)

@@ -80,7 +80,7 @@ def test_int_first_parse_equals_the_as_scalar_route(doc):
     assert got == want
     if isinstance(got, FiniteMetricSpace):
         assert got.dist == want.dist
-        assert got._int_form == to_int_matrix(want.dist)
+        assert (got.ints, got.scale) == to_int_matrix(want.dist)
 
 
 @pytest.mark.parametrize("entry", NEAR_MISSES, ids=repr)
@@ -89,7 +89,7 @@ def test_each_near_miss_parses_or_fails_as_as_scalar_does(entry):
     got = outcome(space_from_json, doc)
     assert got == outcome(space_via_as_scalar, doc)
     if isinstance(got, FiniteMetricSpace):
-        assert got._int_form == to_int_matrix(got.dist)
+        assert (got.ints, got.scale) == to_int_matrix(got.dist)
 
 
 # ---- the one-pass emitter ----
