@@ -144,6 +144,7 @@ def _add_build(sub) -> None:
         help="also check cone, join and cylinder builds against their oracles",
     )
     _common(p)
+    p.set_defaults(usage_error=p.error)
 
 
 def _add_metrize(sub) -> None:
@@ -212,8 +213,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 # ---- report assembly helpers ----
 
 
-# Left out of the echo: the positionals, and --out, which changes no result.
-_NOT_ECHOED = ("command", "kind", "mode", "path", "out")
+# Not echoed: the positionals, build's usage_error, and --out, which changes no result.
+_NOT_ECHOED = ("command", "kind", "mode", "path", "out", "usage_error")
 
 
 def _flag_echo(args: argparse.Namespace) -> list:
@@ -422,20 +423,27 @@ def _build_telescope(args: argparse.Namespace, doc, builder: ReportBuilder) -> F
     return result.space
 
 
+# Each kind's handler and the flags it reads besides --seed and --out, which
+# every kind reads; a kind refuses the rest of --grid, --depth and --oracle.
 _BUILDERS = {
-    "cone": _build_cone,
-    "join": _build_join,
-    "cylinder": _build_cylinder,
-    "adjunction": _build_adjunction,
-    "amalgam": _build_amalgam,
-    "quotient": _build_quotient,
-    "telescope": _build_telescope,
+    "cone": (_build_cone, ("grid", "oracle")),
+    "join": (_build_join, ("grid", "oracle")),
+    "cylinder": (_build_cylinder, ("grid", "oracle")),
+    "adjunction": (_build_adjunction, ()),
+    "amalgam": (_build_amalgam, ()),
+    "quotient": (_build_quotient, ()),
+    "telescope": (_build_telescope, ("grid", "depth")),
 }
 
 
 def _cmd_build(args: argparse.Namespace) -> ReportBuilder:
+    build, reads = _BUILDERS[args.kind]
+    for name in ("grid", "depth", "oracle"):
+        value = getattr(args, name)
+        if name not in reads and value is not None and value is not False:
+            args.usage_error(f"argument --{name}: not read by build {args.kind}")
     doc, builder = _open(args, args.kind)
-    space = _BUILDERS[args.kind](args, doc, builder)
+    space = build(args, doc, builder)
     builder.info("constructed space", witnesses=[space_to_json(space)])
     return builder
 

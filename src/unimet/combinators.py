@@ -1,16 +1,17 @@
 """Product, union, hyperspace, and extension combinators on finite spaces.
 
-Everything here is exact.  The one deliberate wrinkle is the "l2" product,
-which returns squared distances (rationals) because square roots leave the
-exact field; its matrix is not a metric in general and is marked pseudo-unsafe
-by documentation rather than by flag, since squared distances still satisfy
-symmetry and positivity.  ``interval_space``, the grid factor that the cone
-and cylinder oracles multiply by, lives here next to ``product_metric``.
-Every diameter-1 refusal is ``spaces.ensure_diameter_at_most``.
+Everything here is exact.  The product, the grid interval that the cone and
+cylinder oracles multiply by, the disjoint union and the weighted-sup rows
+build ints over a common scale; the hyperspace, the Hausdorff distance, the
+Kuratowski embedding and McShane's extension read the ``Fraction`` view.
+The "l2" product returns squared distances, over the square of the common
+scale, as square roots leave the exact field: a squared metric, not a
+metric.  Every diameter-1 refusal is ``spaces.ensure_diameter_at_most``.
 """
 from __future__ import annotations
 
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
@@ -19,16 +20,20 @@ from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric, index_set
 
 PRODUCT_NORMS = ("l1", "linf", "l2")
+# Per norm: how two factor entries over one scale combine.
+_COMBINE = {"l1": add, "linf": max, "l2": lambda x, y: x * x + y * y}
 
 # Hyperspaces grow as 2^n; refuse grounds larger than this many points.
 HYPERSPACE_CAP = 12
 
 
 def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
-    """Grid points of a real interval with the absolute-value metric."""
+    """Grid points of a real interval with the absolute-value metric, built
+    on int ticks over the lcm of the grid's denominators."""
     values = tuple(sorted({as_scalar(t) for t in grid}))
-    rows = tuple(tuple(abs(a - b) for b in values) for a in values)
-    return FiniteMetricSpace(values, rows)
+    scale = lcm(*(t.denominator for t in values))
+    ticks = [t.numerator * (scale // t.denominator) for t in values]
+    return FiniteMetricSpace.from_int(values, [[abs(u - v) for v in ticks] for u in ticks], scale)
 
 
 def product_metric(
@@ -40,32 +45,20 @@ def product_metric(
 
     norm "l1" sums the factor distances, "linf" takes their max, and "l2"
     returns the *squared* Euclidean combination d_X^2 + d_Y^2 so the result
-    stays rational; the l2 matrix is a squared metric, not a metric.
+    stays rational; the l2 matrix is a squared metric, not a metric.  The
+    factors' ints are lifted to the lcm of their scales, and the "l2" rows
+    are over its square.
     """
     if norm not in PRODUCT_NORMS:
         raise StructuralError(f"unknown product norm {norm!r}; use one of {PRODUCT_NORMS}")
-    points = []
-    for p in left.points:
-        for q in right.points:
-            points.append((p, q))
-    n_r = right.n
-    size = left.n * n_r
-    rows = []
-    for a in range(size):
-        i, j = divmod(a, n_r)
-        row = []
-        for b in range(size):
-            k, l = divmod(b, n_r)
-            dx = left.d(i, k)
-            dy = right.d(j, l)
-            if norm == "l1":
-                row.append(dx + dy)
-            elif norm == "linf":
-                row.append(dx if dx >= dy else dy)
-            else:
-                row.append(dx * dx + dy * dy)
-        rows.append(tuple(row))
-    return FiniteMetricSpace(tuple(points), tuple(rows), pseudo=left.pseudo or right.pseudo)
+    combine = _COMBINE[norm]
+    scale = lcm(left.scale, right.scale)
+    a, b = scale // left.scale, scale // right.scale
+    points = [(p, q) for p in left.points for q in right.points]
+    rows = [[combine(x * a, y * b) for x in row_l for y in row_r]
+            for row_l in left.ints for row_r in right.ints]
+    scale = scale * scale if norm == "l2" else scale
+    return FiniteMetricSpace.from_int(points, rows, scale, left.pseudo or right.pseudo)
 
 
 def disjoint_union_metric(

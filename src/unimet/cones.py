@@ -6,8 +6,9 @@ apex sits at t = 1 over a base sampled at grid values in [0, 1], and
 metric (d + 0 = d).  Its two-case distance is the two-hop quotient metric
 of the l1 product with the top slice collapsed.  The join samples
 X x Y x [-1, 1]; the X factor survives at t = -1, the Y factor at t = +1,
-and the four-case distance realizes the three-hop chains through the two
-collapsed ends.  The constructions evaluate the closed formulas only;
+and ``join_metric`` builds its rows on ints from a four-case formula that
+realizes the three-hop chains through the two collapsed ends.  The
+constructions evaluate the closed formulas only;
 ``cone_quotient_check`` and ``join_amalgam_equality`` take a built cone or
 join and measure it against the product-quotient route, as the oracles
 that tests and ``--oracle`` run.
@@ -15,8 +16,7 @@ that tests and ``--oracle`` run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Tuple
+from math import lcm
 
 from .combinators import interval_space, product_metric
 from .cylinders import CylinderSpace, cylinder_slices
@@ -30,13 +30,11 @@ from .spaces import (
     largest_gap,
 )
 
-TWO = Fraction(2)
-
 
 # ---- cone ----
 
 # The one-point target of the cone's cylinder.
-POINT = FiniteMetricSpace(("apex",), ((ZERO,),))
+POINT = FiniteMetricSpace.from_int(("apex",), [[0]], 1)
 
 
 class ConeSpace(CylinderSpace):
@@ -63,7 +61,7 @@ def cone_metric(space: FiniteMetricSpace, t_grid) -> ConeSpace:
     whole slice t = 1 collapsed to the apex.
     """
     ensure_metric(space, "cone_metric")
-    ensure_diameter_at_most(space, TWO, "cone_metric")
+    ensure_diameter_at_most(space, 2, "cone_metric")
     grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     f = (0,) * space.n
     cone = cylinder_slices(space, POINT, f, grid, space, [("apex",)])
@@ -115,12 +113,7 @@ class JoinSpace:
 
     def seg_index(self, i: int, j: int, t: Scalar) -> int:
         ts = self.inner_ts
-        return (
-            self.left.n
-            + self.right.n
-            + (i * self.right.n + j) * len(ts)
-            + ts.index(t)
-        )
+        return self.left.n + self.right.n + (i * self.right.n + j) * len(ts) + ts.index(t)
 
     def class_index(self, i: int, j: int, t: Scalar) -> int:
         if t == -1:
@@ -130,62 +123,47 @@ class JoinSpace:
         return self.seg_index(i, j, t)
 
 
-def join_distance(
-    left: FiniteMetricSpace,
-    right: FiniteMetricSpace,
-    a: Tuple[Optional[int], Optional[int], Scalar],
-    b: Tuple[Optional[int], Optional[int], Scalar],
-) -> Scalar:
-    """Four-case join distance between class descriptors.
-
-    A descriptor is (x index or None, y index or None, t); None marks the
-    collapsed coordinate at an end, whose distance term drops out (the
-    infimum over representatives picks equal values there).
-    """
-    xa, ya, ta = a
-    xb, yb, tb = b
-    term_x = left.d(xa, xb) if xa is not None and xb is not None else ZERO
-    term_y = right.d(ya, yb) if ya is not None and yb is not None else ZERO
-    direct = term_x + term_y + abs(ta - tb)
-    via_bottom = term_x + (ta + 1) + (tb + 1)
-    via_top = term_y + (1 - ta) + (1 - tb)
-    via_both = (2 - abs(ta - tb)) + 2
-    return min(direct, via_bottom, via_top, via_both)
-
-
 def join_metric(
     left: FiniteMetricSpace, right: FiniteMetricSpace, t_grid
 ) -> JoinSpace:
     """Join of two spaces of diameter <= 2 over a [-1, 1] grid.
 
-    The metric realizes the cheapest of: a direct product hop, a detour
-    through either collapsed end, or a crossing using both ends.
+    A class is (x, y, t); at an end the collapsed coordinate's term drops
+    out (the infimum over representatives picks equal values there).  The
+    distance is the least of a direct product hop dx + dy + |ta - tb|, a
+    detour through the X end dx + (ta + 1) + (tb + 1), one through the Y end
+    dy + (1 - ta) + (1 - tb), and a crossing of both ends (2 - |ta - tb|) + 2.
+    The rows are ints over S, the lcm of both scales and the inner grid's
+    denominators: t is stored as t * S, so the ends sit at -S and S, and
+    index n of a factor, whose row and column are zero, is its collapsed
+    coordinate.
     """
     ensure_metric(left, "join_metric left factor")
     ensure_metric(right, "join_metric right factor")
-    ensure_diameter_at_most(left, TWO, "join_metric left factor")
-    ensure_diameter_at_most(right, TWO, "join_metric right factor")
+    ensure_diameter_at_most(left, 2, "join_metric left factor")
+    ensure_diameter_at_most(right, 2, "join_metric right factor")
     grid = parameter_grid(t_grid, -ONE, ONE, (-ONE, ONE))
     inner = tuple(t for t in grid if -1 < t < 1)
-    descriptors: list = []
-    points: list = []
-    for i in range(left.n):
-        points.append(("xend", left.points[i]))
-        descriptors.append((i, None, -ONE))
-    for j in range(right.n):
-        points.append(("yend", right.points[j]))
-        descriptors.append((None, j, ONE))
-    for i in range(left.n):
-        for j in range(right.n):
-            for t in inner:
-                points.append(("seg", left.points[i], right.points[j], t))
-                descriptors.append((i, j, t))
+    nl, nr = left.n, right.n
+    scale = lcm(left.scale, right.scale, *(t.denominator for t in inner))
+    dx, dy = ([[v * (scale // sp.scale) for v in row] + [0] for row in sp.ints] + [[0] * (sp.n + 1)]
+              for sp in (left, right))
+    ticks = [t.numerator * (scale // t.denominator) for t in inner]
+    classes = ([(i, nr, -scale) for i in range(nl)] + [(nl, j, scale) for j in range(nr)]
+               + [(i, j, t) for i in range(nl) for j in range(nr) for t in ticks])
+    two, four = 2 * scale, 4 * scale
     rows = []
-    for da in descriptors:
-        rows.append(tuple(join_distance(left, right, da, db) for db in descriptors))
-    return JoinSpace(
-        FiniteMetricSpace(tuple(points), tuple(rows)), left, right, grid
-    )
+    for xa, ya, ta in classes:
+        row_x, row_y, row = dx[xa], dy[ya], []
+        for xb, yb, tb in classes:
+            gap = ta - tb if ta >= tb else tb - ta
+            near_x, near_y = row_x[xb], row_y[yb]
+            row.append(min(near_x + near_y + gap, near_x + two + ta + tb,
+                           near_y + two - ta - tb, four - gap))
+        rows.append(row)
+    points = ([("xend", p) for p in left.points] + [("yend", q) for q in right.points]
+              + [("seg", p, q, t) for p in left.points for q in right.points for t in inner])
+    return JoinSpace(FiniteMetricSpace.from_int(points, rows, scale), left, right, grid)
 
 
 # ---- the amalgam identity ----

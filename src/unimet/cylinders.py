@@ -15,6 +15,7 @@ Lipschitz way with the map: nearby maps receive nearby thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -218,7 +219,8 @@ class UniformModulus:
 def map_sup_distance(target: FiniteMetricSpace, f: Sequence[int], g) -> Scalar:
     """Sup distance between two maps into the same target, coordinatewise;
     zero for maps on an empty source."""
-    return max((target.d(f[i], g[i]) for i in range(len(f))), default=ZERO)
+    m = target.ints
+    return Fraction(max([m[y][z] for y, z in zip(f, g)], default=0), target.scale)
 
 
 def uniform_modulus(

@@ -16,6 +16,7 @@ clearance of X - A from the attached part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .combinators import mcshane_extend
@@ -203,9 +204,10 @@ def adjunction_space(
             if cross is None
             else as_scalar(cross)
         )
+    image, e = target.ints, ext.ints
     for a in A:
         for b in A:
-            if target.d(f[a], f[b]) > ext.d(a, b):
+            if image[f[a]][f[b]] * ext.scale > e[a][b] * target.scale:
                 raise PreconditionError(
                     "attaching map is not 1-Lipschitz for the union metric at "
                     f"({space.points[a]!r}, {space.points[b]!r})"
@@ -225,14 +227,15 @@ def adjunction_space(
     metric_ok = glued.is_metric()
     result_space = reflagged(glued.space, not metric_ok)
     y_isometric = largest_gap(target, result_space, y_class) == 0
-    clearance = tuple(
-        min(ext.d(x, a) for a in A) for x in range(space.n)
-    )
+    near = [min([row[a] for a in A]) for row in e]
+    clearance = tuple(Fraction(v, ext.scale) for v in near)
+    r = result_space.ints
     attached_classes = set(y_class)
     in_subset = set(A)
     positivity_ok = all(
-        clearance[x] > 0
-        and all(result_space.d(x_class[x], q) >= clearance[x] for q in attached_classes)
+        near[x] > 0
+        and min([r[x_class[x]][c] for c in attached_classes]) * ext.scale
+        >= near[x] * result_space.scale
         for x in range(space.n) if x not in in_subset
     )
     return AdjunctionResult(

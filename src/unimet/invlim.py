@@ -707,8 +707,9 @@ class LadderData:
 def _worst_gap(level: FiniteMetricSpace, f: tuple, g: tuple) -> tuple:
     """Sup distance between two maps into ``level`` and the first point
     attaining it (None for maps on an empty source)."""
-    worst = map_sup_distance(level, f, g)
-    return worst, next((x for x in range(len(f)) if level.d(f[x], g[x]) == worst), None)
+    gaps = [level.ints[y][z] for y, z in zip(f, g)]
+    worst = max(gaps, default=0)
+    return Fraction(worst, level.scale), gaps.index(worst) if gaps else None
 
 
 def _measured_square(ladder_data: LadderData, i: int):

@@ -379,9 +379,10 @@ def amalgamated_union(
     if len(set(mapping.values())) != len(mapping):
         raise PreconditionError("gluing map must be injective")
     items = list(mapping.items())
+    lm, rm = left.ints, right.ints
     for a, b in items:
         for a2, b2 in items:
-            if left.d(a, a2) != right.d(b, b2):
+            if lm[a][a2] * right.scale != rm[b][b2] * left.scale:
                 raise PreconditionError(
                     "gluing map is not isometric: "
                     f"d({left.points[a]!r}, {left.points[a2]!r}) = {left.d(a, a2)} "

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from math import gcd
+from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
@@ -55,6 +56,7 @@ class FiniteMetricSpace:
 
     def __init__(self, points: tuple, dist: tuple, pseudo: bool = False) -> None:
         """Space with the ``Fraction`` matrix ``dist``, kept as its view."""
+        points = tuple(points)
         _check_shape(points, dist)
         for row in dist:
             for value in row:
@@ -67,7 +69,7 @@ class FiniteMetricSpace:
     def from_rows(points: Sequence, rows: Sequence[Sequence[ScalarLike]],
                   pseudo: bool = False) -> "FiniteMetricSpace":
         dist = tuple(tuple(as_scalar(v) for v in row) for row in rows)
-        return FiniteMetricSpace(tuple(points), dist, pseudo)
+        return FiniteMetricSpace(points, dist, pseudo)
 
     @staticmethod
     def from_int(points: Sequence, m: list, scale: int,
@@ -305,14 +307,14 @@ def ensure_diameter_at_most(space: FiniteMetricSpace, bound: ScalarLike,
 def largest_gap(space: FiniteMetricSpace, other: FiniteMetricSpace,
                 index: Sequence[int]) -> Scalar:
     """Largest |d(a, b) - d_other(index[a], index[b])| over the points of
-    ``space``; 0 exactly when ``index`` embeds ``space`` isometrically."""
-    worst = ZERO
-    for a, row in enumerate(space.dist):
-        for b, value in enumerate(row):
-            gap = abs(value - other.d(index[a], index[b]))
-            if gap > worst:
-                worst = gap
-    return worst
+    ``space``; 0 exactly when ``index`` embeds ``space`` isometrically.
+    Both stored forms are compared over the lcm of their scales."""
+    scale = lcm(space.scale, other.scale)
+    a, b = scale // space.scale, scale // other.scale
+    m = other.ints
+    gaps = [max(map(abs, map(sub, [v * a for v in row], [m[i][j] * b for j in index])), default=0)
+            for i, row in zip(index, space.ints)]
+    return Fraction(max(gaps, default=0), scale)
 
 
 def index_set(indices: Iterable[int], n: int, what: str) -> tuple:

@@ -16,8 +16,10 @@ space's diameter, spectrum and rescale, as they ran before the integer
 form.
 So are the pair scans of the inverse-sequence diagnostics: the loops
 over point pairs as they ran before those scans read one sorted sweep;
-and the adjusted metric, the cylinder slices, the weighted-sup rows and
-the glued union as they ran on Fractions, before they built ints.
+and the adjusted metric, the cylinder slices, the weighted-sup rows, the
+glued union, the product, the interval, the largest isometry gap, the
+four-case join distance and the adjunction's certificates as they ran on
+Fractions, before they built ints.
 A cubical complex, which the package stores as its maximal cubes, is
 checked against its face-closed listing: every face of every cube.  The
 sup distance of sequence space and the sub-cylinder of a restricted map
@@ -461,6 +463,88 @@ def glued_union_reference(parts, identifications, cross):
         for g, (p, i) in enumerate(places)
     ]
     return union, class_of
+
+
+def product_metric_reference(left, right, norm):
+    """(points, rows) of the l1, linf or squared l2 product, left major."""
+    points = []
+    for p in left.points:
+        for q in right.points:
+            points.append((p, q))
+    n_r = right.n
+    size = left.n * n_r
+    rows = []
+    for a in range(size):
+        i, j = divmod(a, n_r)
+        row = []
+        for b in range(size):
+            k, l = divmod(b, n_r)
+            dx = left.d(i, k)
+            dy = right.d(j, l)
+            if norm == "l1":
+                row.append(dx + dy)
+            elif norm == "linf":
+                row.append(dx if dx >= dy else dy)
+            else:
+                row.append(dx * dx + dy * dy)
+        rows.append(tuple(row))
+    return tuple(points), tuple(rows)
+
+
+def interval_space_reference(grid):
+    """(points, rows): the sorted distinct grid values and |a - b|."""
+    values = tuple(sorted({as_scalar(t) for t in grid}))
+    return values, tuple(tuple(abs(a - b) for b in values) for a in values)
+
+
+def largest_gap_reference(space, other, index):
+    """Largest |d(a, b) - d_other(index[a], index[b])| over Fractions."""
+    worst = ZERO
+    for a, row in enumerate(space.dist):
+        for b, value in enumerate(row):
+            gap = abs(value - other.d(index[a], index[b]))
+            if gap > worst:
+                worst = gap
+    return worst
+
+
+def join_distance_reference(left, right, a, b):
+    """Four-case join distance between class descriptors (x index or None,
+    y index or None, t); None marks the collapsed coordinate at an end,
+    whose distance term drops out."""
+    xa, ya, ta = a
+    xb, yb, tb = b
+    term_x = left.d(xa, xb) if xa is not None and xb is not None else ZERO
+    term_y = right.d(ya, yb) if ya is not None and yb is not None else ZERO
+    direct = term_x + term_y + abs(ta - tb)
+    via_bottom = term_x + (ta + 1) + (tb + 1)
+    via_top = term_y + (1 - ta) + (1 - tb)
+    via_both = (2 - abs(ta - tb)) + 2
+    return min(direct, via_bottom, via_top, via_both)
+
+
+def attaching_is_lipschitz_reference(ext, target, attaching):
+    """Whether the attaching map, a dict on the subset, is 1-Lipschitz from
+    the extension into the target."""
+    return all(
+        target.d(attaching[a], attaching[b]) <= ext.d(a, b)
+        for a in attaching
+        for b in attaching
+    )
+
+
+def adjunction_clearance_reference(ext, subset, result):
+    """(clearance, positivity) of an ``AdjunctionResult``: each point's
+    extension distance to the subset, and whether every point off the subset
+    has a positive clearance that no attached class comes closer than."""
+    clearance = tuple(min(ext.d(x, a) for a in subset) for x in range(ext.n))
+    positivity = all(
+        clearance[x] > 0
+        and all(result.space.d(result.x_class[x], q) >= clearance[x] for q in set(result.y_class))
+        for x in range(ext.n)
+        if x not in subset
+    )
+    return clearance, positivity
 
 
 # ---- diameter, spectrum and rescale, as the Fraction code ran them ----

@@ -556,20 +556,39 @@ def subcommands():
 FLAG_VALUES = {"--seed": "0", "--depth": "0", "--grid": "0,1"}
 
 
+# The flags each build kind reads besides --seed and --out; it refuses the
+# others with a usage error.
+BUILD_FLAGS_READ = {
+    "cone": {"--grid", "--oracle"},
+    "join": {"--grid", "--oracle"},
+    "cylinder": {"--grid", "--oracle"},
+    "adjunction": set(),
+    "amalgam": set(),
+    "quotient": set(),
+    "telescope": {"--grid", "--depth"},
+}
+
+
 def test_the_command_echo_names_every_flag_but_out(tmp_path, s3, tower):
+    """Every subcommand with every flag it reads; build runs twice, as a
+    telescope (--grid, --depth) and as a cone (--grid, --oracle)."""
     seq = fundamental_sequence_to_json(ball_fundamental_sequence(S3, 3))
-    positionals = {
-        "check": [s3],
-        "build": ["telescope", tower],
-        "metrize": [write(tmp_path, "seq.json", seq)],
-        "embed": [s3],
-        "invlim": ["threads", tower],
-    }
-    for name, parser in subcommands().items():
-        argv, echoed = [name, *positionals[name]], []
-        for action in parser._actions:
+    runs = [
+        ("check", [s3]),
+        ("build", ["telescope", tower]),
+        ("build", ["cone", s3]),
+        ("metrize", [write(tmp_path, "seq.json", seq)]),
+        ("embed", [s3]),
+        ("invlim", ["threads", tower]),
+    ]
+    parsers = subcommands()
+    for number, (name, positionals) in enumerate(runs):
+        argv, echoed = [name, *positionals], []
+        for action in parsers[name]._actions:
             flag = action.option_strings[-1] if action.option_strings else None
             if flag in (None, "--help", "--out"):
+                continue
+            if name == "build" and flag not in BUILD_FLAGS_READ[positionals[0]] | {"--seed"}:
                 continue
             if action.nargs == 0:
                 argv.append(flag)
@@ -578,7 +597,7 @@ def test_the_command_echo_names_every_flag_but_out(tmp_path, s3, tower):
                 value = "1" if (name, flag) == ("embed", "--depth") else FLAG_VALUES[flag]
                 argv += [flag, value]
                 echoed.append(f"{flag}={value}")
-        report = tmp_path / f"{name}.report.json"
+        report = tmp_path / f"{number}.report.json"
         code, out, err = run([*argv, "--out", report])
         assert code in (0, 1) and out == "", (name, err)
         command = json.loads(report.read_text())["command"]
@@ -616,6 +635,24 @@ def test_a_grid_value_out_of_range_exits_1_in_the_library_words(s3):
     code, out, err = run(["build", "cone", s3, "--grid", "0,2"])
     assert (code, out) == (1, "")
     assert err == "precondition failed: grid value 2 outside [0, 1]\n"
+
+
+UNREAD_BUILD_FLAGS = [
+    (kind, flag)
+    for kind, read in BUILD_FLAGS_READ.items()
+    for flag in ("--grid", "--depth", "--oracle")
+    if flag not in read
+]
+
+
+@pytest.mark.parametrize("kind, flag", UNREAD_BUILD_FLAGS)
+def test_build_refuses_a_flag_its_kind_never_reads(kind, flag, tmp_path, monkeypatch):
+    """A usage error (exit 2) naming the flag and the kind, raised before
+    the input file is read: the path given does not exist."""
+    value = {"--grid": ["0,1"], "--depth": ["0"], "--oracle": []}[flag]
+    argv = ["build", kind, str(tmp_path / "missing.json"), flag, *value]
+    stderr = BUILD_USAGE + f"unimet build: error: argument {flag}: not read by build {kind}\n"
+    assert exits(argv, monkeypatch) == (2, "", stderr)
 
 
 def test_usage_lists_every_build_kind_and_invlim_mode():

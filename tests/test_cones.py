@@ -21,7 +21,6 @@ from unimet.cones import (
     cone_metric,
     cone_quotient_check,
     join_amalgam_equality,
-    join_distance,
     join_metric,
 )
 from unimet.cylinders import mapping_cylinder_metric
@@ -140,18 +139,19 @@ def test_join_distance_four_cases():
     left = interval_points([0, 1], Fraction(2))
     right = interval_points([0, 1], Fraction(2))
     zero = Fraction(0)
+    join = join_metric(left, right, (-1, Fraction(-3, 4), 0, Fraction(3, 4), 1))
+
+    def d(a, b):
+        return join.space.d(join.class_index(*a), join.class_index(*b))
+
     # direct product hop
-    assert join_distance(left, right, (0, 0, zero), (0, 1, zero)) == 2
+    assert d((0, 0, zero), (0, 1, zero)) == 2
     # through the collapsed bottom: x terms only
-    a = (0, 0, Fraction(-3, 4))
-    b = (0, 1, Fraction(-3, 4))
-    assert join_distance(left, right, a, b) == Fraction(1, 2)
+    assert d((0, 0, Fraction(-3, 4)), (0, 1, Fraction(-3, 4))) == Fraction(1, 2)
     # through the collapsed top: y terms only
-    a = (0, 0, Fraction(3, 4))
-    b = (1, 0, Fraction(3, 4))
-    assert join_distance(left, right, a, b) == Fraction(1, 2)
+    assert d((0, 0, Fraction(3, 4)), (1, 0, Fraction(3, 4))) == Fraction(1, 2)
     # crossing both ends caps everything at 4
-    assert join_distance(left, right, (0, 0, zero), (1, 1, zero)) == 4
+    assert d((0, 0, zero), (1, 1, zero)) == 4
 
 
 def test_join_matches_collapsed_product_reference():

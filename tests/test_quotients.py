@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import unimet.quotients
@@ -13,6 +13,7 @@ from helpers import (
     interval_points,
     matrix_of,
     metric_closure,
+    metric_spaces,
     random_partition,
     random_space,
     space,
@@ -225,6 +226,47 @@ def test_two_set_family_failure_raises():
     )
     with pytest.raises(PreconditionError, match=re.escape(message)):
         quotient_by_discrete_family(line, family)
+
+
+@st.composite
+def spaces_with_families(draw):
+    """A ``metric_spaces`` space of 1..6 points and a disjoint family: each
+    point joins one of up to three groups, or none, and each group lists its
+    members in a drawn order; empty groups are left out."""
+    sp = draw(metric_spaces(1, 6))
+    picks = draw(st.lists(st.integers(-1, 2), min_size=sp.n, max_size=sp.n))
+    groups = [[i for i, k in enumerate(picks) if k == g] for g in range(3)]
+    return sp, [draw(st.permutations(members)) for members in groups if members]
+
+
+# Three short hops 0 -> 1 ~ 4 -> 5 ~ 8 -> 9 beat every two-hop chain.
+THREE_HOP_LINE = (interval_points(range(10), Fraction(1, 8)), [[1, 4], [5, 8]])
+
+
+@given(spaces_with_families())
+@example(THREE_HOP_LINE)
+def test_quotient_matches_the_chain_limit_oracle(case):
+    """Group k is class k and the other points follow as singletons; the
+    quotient is the oracle's chain limit on the class block, or a two-hop
+    refusal exactly where two hops fall short of that limit."""
+    sp, family = case
+    class_of = [None] * sp.n
+    for k, members in enumerate(family):
+        for i in members:
+            class_of[i] = k
+    singles = [i for i in range(sp.n) if class_of[i] is None]
+    for k, i in enumerate(singles, len(family)):
+        class_of[i] = k
+    block = block_distance_matrix(matrix_of(sp), class_of)
+    limit = chain_limit_apsp(block)
+    try:
+        result = quotient_by_discrete_family(sp, family)
+    except PreconditionError as exc:
+        assert "two-hop" in str(exc)
+        assert chain_power(block, 2) != limit
+        return
+    assert result.chain.surjection.class_of == tuple(class_of)
+    assert [list(row) for row in result.space.dist] == limit
 
 
 def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):

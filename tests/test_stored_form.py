@@ -4,8 +4,9 @@ A space stores ``(ints, scale)`` and reads ``dist`` as a view.  The
 ``Fraction`` constructor and ``from_int`` must give equal spaces with equal
 hashes, the stored form must be the least one, which ``to_int_matrix`` gives
 for the view, and ``reflagged`` must share it.  The adjusted metric, the
-cylinder slices, the weighted-sup rows and the glued union compute on ints
-over a common scale; each is compared with its ``Fraction`` code, frozen in
+cylinder slices, the weighted-sup rows, the glued union, the product, the
+interval, the join, the largest isometry gap and the adjunction's
+certificates compute on ints over a common scale; each is compared with its ``Fraction`` code, frozen in
 ``oracles``, on inputs whose denominators are coprime, so that a factor
 dropped from a common scale shows.
 """
@@ -18,21 +19,40 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import PRIMES_7_TO_31, metric_spaces, random_space, wide_space
+from helpers import (
+    PRIMES_7_TO_31,
+    construction_inputs,
+    metric_spaces,
+    random_space,
+    wide_space,
+)
 from oracles import (
+    adjunction_clearance_reference,
     adjusted_metric_reference,
+    attaching_is_lipschitz_reference,
     chain_limit_apsp,
     chain_power,
     cylinder_slices_reference,
     glued_union_reference,
+    interval_space_reference,
+    join_distance_reference,
+    largest_gap_reference,
+    product_metric_reference,
     weighted_sup_rows_reference,
 )
-from unimet.combinators import weighted_sup_rows
+from unimet.combinators import (
+    PRODUCT_NORMS,
+    interval_space,
+    product_metric,
+    weighted_sup_rows,
+)
+from unimet.cones import join_metric
 from unimet.cylinders import adjusted_metric, cylinder_slices
 from unimet.errors import PreconditionError
+from unimet.gluing import adjunction_space
 from unimet.kernel import to_int_matrix
 from unimet.quotients import glue_parts
-from unimet.spaces import FiniteMetricSpace, reflagged
+from unimet.spaces import FiniteMetricSpace, largest_gap, reflagged
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,20 +79,25 @@ def stored_spaces(draw):
 
 EMPTY = FiniteMetricSpace((), ())
 ZEROS = FiniteMetricSpace(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+THIRD = ((ZERO, Fraction(1, 3)), (Fraction(1, 3), ZERO))
 
 
 @given(stored_spaces(), st.integers(1, 12))
 @example(EMPTY, 5)
 @example(ZEROS, 6)
+@example(FiniteMetricSpace("ab", THIRD), 2)
+@example(FiniteMetricSpace(["a", "b"], THIRD), 3)
 def test_both_constructors_store_one_least_form(sp, k):
     """``from_int`` on an unreduced form (every entry and the scale times k)
     gives the space the Fraction constructor gives: equal, with an equal
-    hash, the least form stored and the same Fractions in the view."""
+    hash, the least form stored and the same Fractions in the view.  Both
+    keep the labels as a tuple, whatever sequence they were given as."""
     ints, scale = to_int_matrix(sp.dist)
     unreduced = FiniteMetricSpace.from_int(
         sp.points, [[v * k for v in row] for row in ints], scale * k, sp.pseudo
     )
     assert unreduced == sp and hash(unreduced) == hash(sp)
+    assert type(sp.points) is tuple
     assert (sp.ints, sp.scale) == (unreduced.ints, unreduced.scale) == (ints, scale)
     assert unreduced.dist == sp.dist
     assert (unreduced.ints, unreduced.scale) == to_int_matrix(unreduced.dist)
@@ -179,3 +204,98 @@ def test_glued_union_matches_the_fraction_code(case):
     assert [list(row) for row in glued.space.dist] == power
     assert glued.dn_equals_dinf == (power == limit)
     assert sum(glued.class_of_part, ()) == tuple(class_of)
+
+
+# ---- the product, the interval, the join and the isometry gap ----
+
+
+@st.composite
+def coprime_construction_inputs(draw, low, required, cap):
+    """``construction_inputs`` with up to two grid values over 3, 5 or 9
+    added, each negated or not on a [-1, 1] grid: their denominators are
+    coprime to the dyadic and the 7..31 spaces'."""
+    inputs = draw(construction_inputs(low, required, cap))
+    extra = draw(st.sets(st.sampled_from(GRID_VALUES), max_size=2))
+    if low < 0:
+        extra = {v * draw(st.sampled_from((-1, 1))) for v in extra}
+    return inputs._replace(grid=tuple(sorted(set(inputs.grid) | extra)))
+
+
+UNIT_INPUTS = coprime_construction_inputs(ZERO, (ZERO, ONE), ONE)
+JOIN_INPUTS = coprime_construction_inputs(-ONE, (-ONE, ONE), 2)
+
+
+@given(UNIT_INPUTS, st.sampled_from(PRODUCT_NORMS))
+def test_product_metric_matches_the_fraction_code(inputs, norm):
+    """The product of the two drawn spaces, and of the source with its grid
+    interval, as the cone and cylinder oracles take it."""
+    left = inputs.source
+    for right in (inputs.target, interval_space(inputs.grid)):
+        got = product_metric(left, right, norm)
+        assert (got.points, got.dist) == product_metric_reference(left, right, norm)
+        assert got.pseudo == (left.pseudo or right.pseudo)
+
+
+@given(JOIN_INPUTS)
+def test_interval_space_matches_the_fraction_code(inputs):
+    got = interval_space(inputs.grid)
+    assert (got.points, got.dist) == interval_space_reference(inputs.grid)
+
+
+@given(JOIN_INPUTS)
+def test_join_metric_matches_the_four_case_formula(inputs):
+    """Every entry of the join against the four-case formula on the class
+    descriptors (x or None, y or None, t), in the join's point order."""
+    left, right, grid = inputs.source, inputs.target, inputs.grid
+    join = join_metric(left, right, grid)
+    inner = [t for t in grid if -1 < t < 1]
+    classes = (
+        [(i, None, -ONE) for i in range(left.n)]
+        + [(None, j, ONE) for j in range(right.n)]
+        + [(i, j, t) for i in range(left.n) for j in range(right.n) for t in inner]
+    )
+    assert join.space.n == len(classes)
+    for a, row in zip(classes, join.space.dist):
+        assert list(row) == [join_distance_reference(left, right, a, b) for b in classes]
+
+
+@given(UNIT_INPUTS)
+def test_largest_gap_matches_the_fraction_code(inputs):
+    """On the drawn map, and on the bottom slice of the l1 product with the
+    target, which embeds the source: a gap of 0."""
+    source, target = inputs.source, inputs.target
+    got = largest_gap(source, target, inputs.mapping)
+    assert got == largest_gap_reference(source, target, inputs.mapping)
+    product = product_metric(source, target, "l1")
+    bottom = [i * target.n for i in range(source.n)]
+    assert largest_gap(source, product, bottom) == 0
+    assert largest_gap(target, source, [0] * target.n) == largest_gap_reference(
+        target, source, [0] * target.n
+    )
+
+
+@st.composite
+def adjunction_inputs(draw):
+    """(space, subset, target, attaching, cross): a ``coprime_inputs`` pair,
+    the source its own extension, a nonempty subset with the drawn map
+    restricted to it, and a cross constant over 3, 5 or 9, or None."""
+    source, target, mapping, _ = draw(coprime_inputs())
+    subset = sorted(draw(st.sets(st.integers(0, source.n - 1), min_size=1)))
+    cross = draw(st.none() | st.sampled_from(GRID_VALUES))
+    return source, subset, target, {a: mapping[a] for a in subset}, cross
+
+
+@given(adjunction_inputs())
+def test_adjunction_certificates_match_the_fraction_code(case):
+    """The 1-Lipschitz refusal, the clearance, the positivity and the
+    target's isometry verdict, with the source as the extension."""
+    space, subset, target, attaching, cross = case
+    if not attaching_is_lipschitz_reference(space, target, attaching):
+        with pytest.raises(PreconditionError, match="1-Lipschitz"):
+            adjunction_space(space, subset, target, attaching, cross, space)
+        return
+    result = adjunction_space(space, subset, target, attaching, cross, space)
+    clearance, positivity = adjunction_clearance_reference(space, subset, result)
+    assert (result.clearance, result.positivity_ok) == (clearance, positivity)
+    gap = largest_gap_reference(target, result.space, result.y_class)
+    assert result.y_isometric == (gap == 0)
