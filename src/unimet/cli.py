@@ -743,6 +743,12 @@ _COMMANDS = {
 def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if argv and argv[0] == "build":
+        # "--grid -1,1" reads as "--grid=-1,1": argparse takes "-1,1" for an option.
+        argv = list(argv)
+        for i in range(len(argv) - 1, 0, -1):
+            if argv[i - 1] == "--grid" and argv[i][:1] == "-" and argv[i][1:2].isdecimal():
+                argv[i - 1:i + 1] = [f"--grid={argv[i]}"]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         builder = _COMMANDS[args.command](args)

@@ -1,20 +1,22 @@
 """Product, union, hyperspace, and extension combinators on finite spaces.
 
 Everything here is exact.  The product, the grid interval that the cone and
-cylinder oracles multiply by, the disjoint union and the weighted-sup rows
-build ints over a common scale; the hyperspace, the Hausdorff distance, the
-Kuratowski embedding and McShane's extension read the ``Fraction`` view.
+cylinder oracles multiply by, the disjoint union, the weighted-sup rows and
+McShane's extension build ints over a common scale; the hyperspace, the
+Hausdorff distance and the Kuratowski embedding read the ``Fraction`` view.
 The "l2" product returns squared distances, over the square of the common
 scale, as square roots leave the exact field: a squared metric, not a
 metric.  Every diameter-1 refusal is ``spaces.ensure_diameter_at_most``.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructuralError
+from .kernel import min_plus, to_int_matrix
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
 from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric, index_set
@@ -202,6 +204,33 @@ def kuratowski_embed(space: FiniteMetricSpace) -> list:
     return out
 
 
+def mcshane_rows(space: FiniteMetricSpace, subset: Sequence[int], rows: Sequence[Sequence[int]],
+                 scale: int, lipschitz: Scalar) -> tuple:
+    """``(ints, out_scale)``: McShane's extension g'(x) = min over a of
+    g(a) + L d(x, a) of each row of values g(a) * ``scale`` in subset order,
+    one min-plus product over ``lcm(scale, L.denominator * space.scale)``.
+    On a symmetric subset a row is L-Lipschitz exactly when its extension
+    restricts to it; otherwise the first failing pair, in order, is refused."""
+    L, m = lipschitz, space.ints
+    out_scale = lcm(scale, L.denominator * space.scale)
+    factor = L.numerator * (out_scale // (L.denominator * space.scale))
+    lifted = [[v * (out_scale // scale) for v in row] for row in rows]
+    ints = min_plus(lifted, [[row[a] * factor for row in m] for a in subset])
+    block = [[m[a][b] for b in subset] for a in subset]
+    if [[out[a] for a in subset] for out in ints] != lifted or block != [
+            list(col) for col in zip(*block)]:
+        for row in lifted:
+            for a, ga in zip(subset, row):
+                for b, gb in zip(subset, row):
+                    if abs(ga - gb) > m[a][b] * factor:
+                        raise PreconditionError(
+                            f"values are not {L}-Lipschitz on the subset: "
+                            f"|g({space.points[a]!r}) - g({space.points[b]!r})| = "
+                            f"{Fraction(abs(ga - gb), out_scale)} > "
+                            f"{Fraction(m[a][b] * factor, out_scale)}")
+    return ints, out_scale
+
+
 def mcshane_extend(
     space: FiniteMetricSpace,
     subset: Sequence[int],
@@ -221,22 +250,9 @@ def mcshane_extend(
         raise PreconditionError("mcshane_extend needs a nonempty subset")
     if len(index_set(idxs, space.n, "subset index")) != len(idxs):
         raise StructuralError("duplicate subset index")
-    if isinstance(values, Mapping):
-        g = {a: as_scalar(values[a]) for a in idxs}
-    else:
-        vals = list(values)
-        if len(vals) != len(idxs):
-            raise StructuralError("values must align with the subset")
-        g = {a: as_scalar(v) for a, v in zip(idxs, vals)}
-    for a in idxs:
-        for b in idxs:
-            if abs(g[a] - g[b]) > L * space.d(a, b):
-                raise PreconditionError(
-                    f"values are not {L}-Lipschitz on the subset: "
-                    f"|g({space.points[a]!r}) - g({space.points[b]!r})| = {abs(g[a] - g[b])} "
-                    f"> {L * space.d(a, b)}"
-                )
-    out = []
-    for x in range(space.n):
-        out.append(min(g[a] + L * space.d(x, a) for a in idxs))
-    return out
+    vals = [values[a] for a in idxs] if isinstance(values, Mapping) else list(values)
+    if len(vals) != len(idxs):
+        raise StructuralError("values must align with the subset")
+    (row,), scale = to_int_matrix([[as_scalar(v) for v in vals]])
+    (out,), out_scale = mcshane_rows(space, idxs, [row], scale, L)
+    return [Fraction(v, out_scale) for v in out]

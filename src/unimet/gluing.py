@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Iterable, Optional
 
-from .combinators import mcshane_extend
+from .combinators import mcshane_rows
 from .errors import PreconditionError, StructuralError
 from .quotients import glue_parts, quotient_by_discrete_family
-from .scalars import ONE, ZERO, ScalarLike, as_scalar
+from .scalars import ONE, ScalarLike, as_scalar
 from .spaces import (
     FiniteMetricSpace,
     as_mapping,
@@ -42,16 +44,15 @@ def _clean_subset(space: FiniteMetricSpace, subset: Iterable[int], what: str) ->
     return idxs
 
 
-def _partial_matrix(partial, size: int, what: str) -> tuple:
-    if isinstance(partial, FiniteMetricSpace):
-        rows = partial.dist
-    else:
-        rows = tuple(tuple(as_scalar(v) for v in row) for row in partial)
+def _partial_space(partial, size: int, what: str) -> FiniteMetricSpace:
+    given = isinstance(partial, FiniteMetricSpace)
+    rows = partial.ints if given else [[as_scalar(v) for v in row] for row in partial]
     if len(rows) != size or any(len(r) != size for r in rows):
         raise StructuralError(f"{what}: partial metric must be {size}x{size}")
-    probe = FiniteMetricSpace(tuple(range(size)), rows)
+    probe = (FiniteMetricSpace.from_int(range(size), rows, partial.scale) if given
+             else FiniteMetricSpace.from_rows(range(size), rows))
     ensure_metric(probe, f"{what}: partial metric")
-    return rows
+    return probe
 
 
 def extend_metric(
@@ -64,60 +65,46 @@ def extend_metric(
     The result restricts to D on A (checked), is a metric on X (checked),
     and has diameter at most max(diam D, 1).  The extension is the pointwise
     max of the coordinate construction sup_a |D~(x, a) - D~(y, a)| (each
-    D~(., a) a clamped Lipschitz extension of D(., a)) with the collapsed
-    quotient metric scaled into [0, 1]; the first part carries D, the second
-    separates points outside A.
+    D~(., a) a clamped Lipschitz extension of D(., a), all one
+    ``mcshane_rows``) with the collapsed quotient metric scaled into [0, 1];
+    the first part carries D, the second separates points outside A.
     """
     ensure_metric(space, "extend_metric")
     A = _clean_subset(space, subset, "extend_metric")
-    D = _partial_matrix(partial, len(A), "extend_metric")
-    pos = {a: k for k, a in enumerate(A)}
-    diam_d = max((D[i][j] for i in range(len(A)) for j in range(len(A))), default=ZERO)
+    probe = _partial_space(partial, len(A), "extend_metric")
+    D, d = probe.ints, space.ints
 
-    # Lipschitz constant of the coordinate functions relative to d_X
-    L = ONE
+    # L: the largest D(a, b) / d(a, b), and 1, compared as D * d' > D' * d.
+    top_d, top_x = probe.scale, space.scale
     for i, a in enumerate(A):
         for j, b in enumerate(A):
-            if a == b:
-                continue
-            ratio = D[i][j] / space.d(a, b)
-            if ratio > L:
-                L = ratio
+            if a != b and D[i][j] * top_x > top_d * d[a][b]:
+                top_d, top_x = D[i][j], d[a][b]
+    L = Fraction(top_d * space.scale, top_x * probe.scale)
 
-    coords = []
+    coords, scale = mcshane_rows(space, A, D, probe.scale, L)
+    # The collapsed quotient, scaled into [0, 1]: q / max(q's scale, diam q).
+    if len(A) < space.n:
+        quotient = quotient_by_discrete_family(space, [A])
+        q, q_class = quotient.space.ints, quotient.chain.surjection.class_of
+        q_scale = max(quotient.space.scale, max(map(max, q)))
+    else:
+        q, q_class, q_scale = [[0]], [0] * space.n, 1
+    out_scale = lcm(scale, q_scale)
+    # Each point's coordinates, clamped at diam D, over out_scale.
+    cap, lift = max(map(max, D)) * (scale // probe.scale), out_scale // scale
+    vecs = [[(v if v <= cap else cap) * lift for v in col] for col in zip(*coords)]
+    q_lift = out_scale // q_scale
+    rows = [[max(q[cx][cy] * q_lift, *map(abs, map(sub, vx, vy))) for vy, cy in zip(vecs, q_class)]
+            for vx, cx in zip(vecs, q_class)]
     for i, a in enumerate(A):
-        values = {b: D[i][pos[b]] for b in A}
-        extended = mcshane_extend(space, A, values, L)
-        coords.append([v if v <= diam_d else diam_d for v in extended])
-
-    quotient = quotient_by_discrete_family(space, [A]) if len(A) < space.n else None
-    if quotient is not None:
-        q_class = quotient.chain.surjection.class_of
-        q_diam = quotient.space.diameter()
-        q_scale = ONE / q_diam if q_diam > 1 else ONE
-    rows = []
-    for x in range(space.n):
-        row = []
-        for y in range(space.n):
-            best = ZERO
-            for coord in coords:
-                gap = abs(coord[x] - coord[y])
-                if gap > best:
-                    best = gap
-            if quotient is not None:
-                q = quotient.space.d(q_class[x], q_class[y]) * q_scale
-                if q > best:
-                    best = q
-            row.append(best)
-        rows.append(tuple(row))
-    result = FiniteMetricSpace(space.points, tuple(rows))
-    for a in A:
-        for b in A:
-            if result.d(a, b) != D[pos[a]][pos[b]]:
+        for j, b in enumerate(A):
+            if rows[a][b] * probe.scale != D[i][j] * out_scale:
                 raise PreconditionError(
                     "extension failed to restrict to the given metric at "
                     f"({space.points[a]!r}, {space.points[b]!r})"
                 )
+    result = FiniteMetricSpace.from_int(space.points, rows, out_scale)
     report = check_metric_axioms(result)
     if not report.ok:
         raise PreconditionError(f"extension failed the metric axioms: {report.violations[0]}")
@@ -183,28 +170,25 @@ def adjunction_space(
     if tuple(f) != A:
         raise PreconditionError("attaching map must be defined exactly on the subset")
 
+    image = target.ints
     if extension is None:
         ensure_diameter_at_most(space, ONE, "adjunction_space")
         ensure_diameter_at_most(target, ONE, "adjunction_space target")
-        D = [
-            [space.d(a, b) + target.d(f[a], f[b]) for b in A]
-            for a in A
-        ]
-        raw = extend_metric(space, A, D)
+        scale = lcm(space.scale, target.scale)
+        u, w, d = scale // space.scale, scale // target.scale, space.ints
+        D = [[d[a][b] * u + image[f[a]][f[b]] * w for b in A] for a in A]
+        raw = extend_metric(space, A, FiniteMetricSpace.from_int(A, D, scale))
         capped = [[min(v, raw.scale) for v in row] for row in raw.ints]
         ext = FiniteMetricSpace.from_int(space.points, capped, raw.scale)
-        cross_val = ONE if cross is None else as_scalar(cross)
+        default_cross = ONE
     else:
         if extension.n != space.n:
             raise StructuralError("extension must live on the points of the space")
         ensure_metric(extension, "adjunction_space extension")
         ext = extension
-        cross_val = (
-            ONE + ext.diameter() + target.diameter()
-            if cross is None
-            else as_scalar(cross)
-        )
-    image, e = target.ints, ext.ints
+        default_cross = ONE + ext.diameter() + target.diameter()
+    cross_val = default_cross if cross is None else as_scalar(cross)
+    e = ext.ints
     for a in A:
         for b in A:
             if image[f[a]][f[b]] * ext.scale > e[a][b] * target.scale:

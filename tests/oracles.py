@@ -19,13 +19,16 @@ over point pairs as they ran before those scans read one sorted sweep;
 and the adjusted metric, the cylinder slices, the weighted-sup rows, the
 glued union, the product, the interval, the largest isometry gap, the
 four-case join distance and the adjunction's certificates as they ran on
-Fractions, before they built ints.
+Fractions, before they built ints; so are ``mcshane_extend_reference``
+and ``extend_metric_reference``, McShane's extension (one call per row)
+and the metric extension off a subset built on it.
 A cubical complex, which the package stores as its maximal cubes, is
 checked against its face-closed listing: every face of every cube.  The
 sup distance of sequence space and the sub-cylinder of a restricted map
 are references only the tests use.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from unimet.covers import Cover, point_finite_refinement
@@ -48,12 +51,15 @@ from unimet.invlim import (
     UniquenessRow,
 )
 from unimet.moduli import ModulusTable
+from unimet.quotients import quotient_by_discrete_family
 from unimet.scalars import as_scalar, pow2
 from unimet.sequences import SequencePoint
 from unimet.spaces import (
     FiniteMetricSpace,
+    check_metric_axioms,
     ensure_diameter_at_most,
     ensure_metric,
+    index_set,
 )
 
 ZERO = Fraction(0)
@@ -571,6 +577,93 @@ def scaled_reference(space, factor):
         raise PreconditionError("scale factor must be positive")
     dist = tuple(tuple(f * v for v in row) for row in space.dist)
     return FiniteMetricSpace(space.points, dist, space.pseudo)
+
+
+# ---- McShane's extension and the metric extension, as they ran on Fractions ----
+
+
+def mcshane_extend_reference(space, subset, values, lipschitz):
+    """min over a of g(a) + L d(x, a), after the pair scan that refuses the
+    first pair in subset order with |g(a) - g(b)| > L d(a, b)."""
+    L = as_scalar(lipschitz)
+    if L < 0:
+        raise StructuralError("Lipschitz constant must be nonnegative")
+    idxs = list(subset)
+    if not idxs:
+        raise PreconditionError("mcshane_extend needs a nonempty subset")
+    if len(index_set(idxs, space.n, "subset index")) != len(idxs):
+        raise StructuralError("duplicate subset index")
+    if isinstance(values, Mapping):
+        g = {a: as_scalar(values[a]) for a in idxs}
+    else:
+        vals = list(values)
+        if len(vals) != len(idxs):
+            raise StructuralError("values must align with the subset")
+        g = {a: as_scalar(v) for a, v in zip(idxs, vals)}
+    for a in idxs:
+        for b in idxs:
+            if abs(g[a] - g[b]) > L * space.d(a, b):
+                raise PreconditionError(
+                    f"values are not {L}-Lipschitz on the subset: "
+                    f"|g({space.points[a]!r}) - g({space.points[b]!r})| = {abs(g[a] - g[b])} "
+                    f"> {L * space.d(a, b)}"
+                )
+    return [min(g[a] + L * space.d(x, a) for a in idxs) for x in range(space.n)]
+
+
+def extend_metric_reference(space, subset, partial):
+    """The pointwise max of the clamped coordinates sup_a |D~(x, a) - D~(y,
+    a)|, each D~(., a) one ``mcshane_extend_reference`` call, and the
+    collapsed quotient metric times 1 / max(1, its diameter), with the
+    restriction and axiom checks, all on Fractions."""
+    ensure_metric(space, "extend_metric")
+    A = index_set(subset, space.n, "extend_metric: subset index")
+    if not A:
+        raise PreconditionError("extend_metric: the subset must be nonempty")
+    if isinstance(partial, FiniteMetricSpace):
+        D = partial.dist
+    else:
+        D = tuple(tuple(as_scalar(v) for v in row) for row in partial)
+    if len(D) != len(A) or any(len(r) != len(A) for r in D):
+        raise StructuralError(f"extend_metric: partial metric must be {len(A)}x{len(A)}")
+    ensure_metric(FiniteMetricSpace(tuple(range(len(A))), D), "extend_metric: partial metric")
+    pos = {a: k for k, a in enumerate(A)}
+    diam_d = max((v for row in D for v in row), default=ZERO)
+    L = ONE
+    for i, a in enumerate(A):
+        for j, b in enumerate(A):
+            if a != b and D[i][j] / space.d(a, b) > L:
+                L = D[i][j] / space.d(a, b)
+    coords = []
+    for i, a in enumerate(A):
+        extended = mcshane_extend_reference(space, A, {b: D[i][pos[b]] for b in A}, L)
+        coords.append([min(v, diam_d) for v in extended])
+    quotient = quotient_by_discrete_family(space, [A]) if len(A) < space.n else None
+    if quotient is not None:
+        q_class = quotient.chain.surjection.class_of
+        q_diam = quotient.space.diameter()
+        q_scale = ONE / q_diam if q_diam > 1 else ONE
+    rows = []
+    for x in range(space.n):
+        row = []
+        for y in range(space.n):
+            best = max((abs(c[x] - c[y]) for c in coords), default=ZERO)
+            if quotient is not None:
+                best = max(best, quotient.space.d(q_class[x], q_class[y]) * q_scale)
+            row.append(best)
+        rows.append(tuple(row))
+    result = FiniteMetricSpace(space.points, tuple(rows))
+    for a in A:
+        for b in A:
+            if result.d(a, b) != D[pos[a]][pos[b]]:
+                raise PreconditionError(
+                    "extension failed to restrict to the given metric at "
+                    f"({space.points[a]!r}, {space.points[b]!r})"
+                )
+    report = check_metric_axioms(result)
+    if not report.ok:
+        raise PreconditionError(f"extension failed the metric axioms: {report.violations[0]}")
+    return result
 
 
 # ---- sequence space and cubical complexes ----

@@ -637,6 +637,18 @@ def test_a_grid_value_out_of_range_exits_1_in_the_library_words(s3):
     assert err == "precondition failed: grid value 2 outside [0, 1]\n"
 
 
+def test_a_grid_that_starts_below_zero_may_follow_its_flag(join_file, s3):
+    """``--grid -1,1`` reads as ``--grid=-1,1``, though argparse would take
+    ``-1,1`` for an option, and ``--grid -1/2`` reaches the library's own
+    range check."""
+    joined = run(["build", "join", join_file, "--grid=-1,1"])
+    assert joined[0] == 0
+    assert run(["build", "join", join_file, "--grid", "-1,1"])[:2] == joined[:2]
+    code, out, err = run(["build", "cone", s3, "--grid", "-1/2"])
+    assert (code, out) == (1, "")
+    assert err == "precondition failed: grid value -1/2 outside [0, 1]\n"
+
+
 UNREAD_BUILD_FLAGS = [
     (kind, flag)
     for kind, read in BUILD_FLAGS_READ.items()
@@ -774,6 +786,10 @@ USAGE_ERRORS = {
     "extra positional": (
         ["check", "a.json", "b.json"],
         USAGE + "unimet: error: unrecognized arguments: b.json\n",
+    ),
+    "grid without a value": (
+        ["build", "cone", "x.json", "--grid", "--oracle"],
+        BUILD_USAGE + "unimet build: error: argument --grid: expected one argument\n",
     ),
     "seed not an integer": (
         ["check", "a.json", "--seed", "abc"],

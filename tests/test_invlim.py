@@ -470,3 +470,12 @@ def test_ladder_pair_scans_match_the_frozen_loops(case):
         assert report.injectivity_rows == injectivity_rows_reference(
             data, thread_space(data.source)
         )
+
+
+@given(ladders())
+def test_hypotheses_imply_the_bounds_on_generated_ladders(case):
+    """When every square stays within its alpha budget and every
+    down-composite is continuous within its halving bound, every
+    telescoping row and every limit row meets its bound."""
+    report = perturbation_limit(case.data)
+    assert report.bounds_ok or not report.hypotheses_ok

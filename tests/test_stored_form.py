@@ -6,7 +6,9 @@ hashes, the stored form must be the least one, which ``to_int_matrix`` gives
 for the view, and ``reflagged`` must share it.  The adjusted metric, the
 cylinder slices, the weighted-sup rows, the glued union, the product, the
 interval, the join, the largest isometry gap and the adjunction's
-certificates compute on ints over a common scale; each is compared with its ``Fraction`` code, frozen in
+certificates compute on ints over a common scale, and so do McShane's
+extension, the metric extension off a subset and the adjunction's default
+route through it; each is compared with its ``Fraction`` code, frozen in
 ``oracles``, on inputs whose denominators are coprime, so that a factor
 dropped from a common scale shows.
 """
@@ -33,23 +35,26 @@ from oracles import (
     chain_limit_apsp,
     chain_power,
     cylinder_slices_reference,
+    extend_metric_reference,
     glued_union_reference,
     interval_space_reference,
     join_distance_reference,
     largest_gap_reference,
+    mcshane_extend_reference,
     product_metric_reference,
     weighted_sup_rows_reference,
 )
 from unimet.combinators import (
     PRODUCT_NORMS,
     interval_space,
+    mcshane_extend,
     product_metric,
     weighted_sup_rows,
 )
 from unimet.cones import join_metric
 from unimet.cylinders import adjusted_metric, cylinder_slices
 from unimet.errors import PreconditionError
-from unimet.gluing import adjunction_space
+from unimet.gluing import adjunction_space, extend_metric
 from unimet.kernel import to_int_matrix
 from unimet.quotients import glue_parts
 from unimet.spaces import FiniteMetricSpace, largest_gap, reflagged
@@ -299,3 +304,101 @@ def test_adjunction_certificates_match_the_fraction_code(case):
     assert (result.clearance, result.positivity_ok) == (clearance, positivity)
     gap = largest_gap_reference(target, result.space, result.y_class)
     assert result.y_isometric == (gap == 0)
+
+
+# ---- McShane's extension, the metric extension and the adjunction's default route ----
+
+
+def _outcome(build, *args):
+    """The result of ``build(*args)``, or the type and words of its refusal."""
+    try:
+        return build(*args)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def extension_inputs(draw):
+    """(space, subset, partial): a ``coprime_inputs``-style pair of spaces,
+    one dyadic and one over the primes 7..31, of diameter up to 2, so that
+    a collapsed quotient may need rescaling; a nonempty subset, the whole
+    space included; and the other space, on the subset's size, times a
+    factor over 3, 5 or 9 up to 16/3, so that L often exceeds 1."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    makers = [random_space, wide_space]
+    if draw(st.booleans()):
+        makers.reverse()
+    space = makers[0](rng, draw(st.integers(1, 5)))
+    subset = sorted(draw(st.sets(st.integers(0, space.n - 1), min_size=1)))
+    factor = draw(st.sampled_from(GRID_VALUES)) * draw(st.sampled_from((1, 2, 6)))
+    return space, subset, makers[1](rng, len(subset)).scaled(factor)
+
+
+@given(extension_inputs())
+def test_extend_metric_matches_the_fraction_code(case):
+    """The same space, with the partial given as a space and as "p/q" rows.
+    The input shapes that decide it: L > 1, a quotient of diameter above 1,
+    a coordinate that its clamp cuts and A the whole space."""
+    space, subset, partial = case
+    want = extend_metric_reference(space, subset, partial)
+    rows = [[str(v) for v in row] for row in partial.dist]
+    assert extend_metric(space, subset, partial) == want
+    assert extend_metric(space, subset, rows) == want
+
+
+@st.composite
+def mcshane_inputs(draw):
+    """(space, subset, values, L): an ``extension_inputs`` space, or a
+    ``stored_spaces`` one, whose matrix may be negative or asymmetric; the
+    subset in drawn order; L over 3, 5 or 9 (or 0 or 1); values that are
+    L times the distance to a point plus a constant, so L-Lipschitz on a
+    metric, or drawn over 3, 5 or 9, which often are not."""
+    space = draw(extension_inputs())[0]
+    if draw(st.booleans()):
+        space = draw(stored_spaces().filter(lambda sp: sp.n > 0))
+    subset = draw(st.permutations(range(space.n)))[: draw(st.integers(1, space.n))]
+    L = draw(st.sampled_from([ZERO, ONE, *GRID_VALUES])) * draw(st.sampled_from((1, 4)))
+    if draw(st.booleans()):
+        anchor = draw(st.integers(0, space.n - 1))
+        shift = draw(st.sampled_from(GRID_VALUES))
+        values = [L * space.d(a, anchor) + shift for a in subset]
+    else:
+        values = draw(st.lists(st.sampled_from(GRID_VALUES), min_size=len(subset),
+                               max_size=len(subset)))
+    return space, subset, values, L
+
+
+# On this asymmetric matrix the values (0, 1) are their own extension's
+# restriction, yet |g(a) - g(b)| = 1 > d(a, b) = 0: only the pair scan
+# refuses them.
+ASYMMETRIC = FiniteMetricSpace("ab", ((ZERO, ZERO), (Fraction(5), ZERO)))
+
+
+@given(mcshane_inputs())
+@example((ASYMMETRIC, [0, 1], [ZERO, ONE], ONE))
+def test_mcshane_extend_matches_the_fraction_code(case):
+    """Equal Fractions, or the same refusal naming the same first pair."""
+    space, subset, values, L = case
+    want = _outcome(mcshane_extend_reference, space, subset, values, L)
+    assert _outcome(mcshane_extend, space, subset, values, L) == want
+    keyed = dict(zip(subset, values))
+    assert _outcome(mcshane_extend, space, subset, keyed, L) == want
+
+
+@given(adjunction_inputs())
+def test_default_adjunction_matches_the_reference_route(case):
+    """The default route (no extension given) against the Fraction
+    extension of d_X + d_Y(f., f.), capped at 1, passed as the extension
+    with the cross constant 1 unless one is given."""
+    space, subset, target, attaching, cross = case
+    space = space.rescaled_to_diameter(1) if space.diameter() > 1 else space
+    target = target.rescaled_to_diameter(Fraction(1, 3))
+    partial = [[space.d(a, b) + target.d(attaching[a], attaching[b]) for b in subset]
+               for a in subset]
+    raw = extend_metric_reference(space, subset, partial)
+    capped = tuple(tuple(min(v, ONE) for v in row) for row in raw.dist)
+    ext = FiniteMetricSpace(space.points, capped)
+    want = adjunction_space(space, subset, target, attaching, cross or ONE, ext)
+    got = adjunction_space(space, subset, target, attaching, cross)
+    assert (got.extension, got.space, got.clearance) == (ext, want.space, want.clearance)
+    assert got.all_certified() == want.all_certified()
