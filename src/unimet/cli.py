@@ -744,11 +744,14 @@ def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "build":
-        # "--grid -1,1" reads as "--grid=-1,1": argparse takes "-1,1" for an option.
+        # "--grid -1,1" reads as "--grid=-1,1": argparse takes "-1,1" for an
+        # option.  So does each abbreviation argparse expands to --grid.
         argv = list(argv)
         for i in range(len(argv) - 1, 0, -1):
-            if argv[i - 1] == "--grid" and argv[i][:1] == "-" and argv[i][1:2].isdecimal():
-                argv[i - 1:i + 1] = [f"--grid={argv[i]}"]
+            flag, value = argv[i - 1], argv[i]
+            if (len(flag) > 2 and "--grid".startswith(flag)
+                    and value[:1] == "-" and value[1:2].isdecimal()):
+                argv[i - 1:i + 1] = [f"--grid={value}"]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         builder = _COMMANDS[args.command](args)

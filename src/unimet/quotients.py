@@ -8,11 +8,13 @@ sense, and d_infinity = d_n exactly when d_n already satisfies the triangle
 inequality.
 
 One engine serves every construction: ``_class_block`` reduces a point
-matrix to the class block, and the integer kernel takes the block's min-plus
-powers (``_power``) and its shortest-path closure.  ``chain_metric`` takes
-only what it returns, the powers up to n or the closure; ``glue_parts``
-takes both; ``quotient_by_discrete_family`` also needs the least n at which
-they agree, which ``_chain`` finds on the way.
+matrix to the class block, and the integer kernel takes its min-plus powers
+(``_power``).  On a nonnegative block with a zero diagonal (None is +inf),
+d_n = d_infinity exactly when d_n has no triangle violation, so the result's
+one axiom scan is also that certificate.  The shortest-path closure runs
+only where it is the result (``chain_metric`` with steps None), and in
+``glue_parts`` on a block outside that hypothesis: it does not check its
+parts.
 
 Gluing several spaces along identifications builds one union matrix over
 the points of all parts first: distances inside a part are its metric,
@@ -155,26 +157,9 @@ def _power(block: list, steps: int) -> list:
     return power
 
 
-def _chain(block: list, steps: int) -> tuple:
-    """``(d_hops, d_infinity, settled_at)`` of an integer block matrix.
-
-    ``settled_at`` is the least n in 1..max(hops, class_count - 1) with
-    d_n = d_infinity, or None; the powers go past ``hops`` only until they
-    settle.
-    """
-    limit = closure(block)
-    hops = _hops(block, steps)
-    power, settled = block, None
-    for n in range(1, max(hops, len(block) - 1) + 1):
-        if n > 1:
-            power = min_plus(power, block)
-        if n == hops:
-            powered = power
-        if settled is None and power == limit:
-            settled = n
-        if settled is not None and n >= hops:
-            break
-    return powered, limit, settled
+def _triangle_holds(space: FiniteMetricSpace) -> bool:
+    """Whether the cached scan of ``space`` finds no triangle violation."""
+    return "triangle" not in check_metric_axioms(space).violated_axioms()
 
 
 @dataclass(frozen=True)
@@ -234,9 +219,9 @@ def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
 class QuotientResult:
     """Quotient by a disjoint family with its certificates.
 
-    ``chain`` holds d_2; ``settled_at`` is the least n with d_n = d_infinity
-    (None if that never happens below the class count, which cannot occur);
-    ``d2_equals_dinf`` is the identity the two-hop formula relies on.
+    ``chain`` holds d_2; ``settled_at`` is the least n with d_n = d_infinity,
+    1 or 2; ``d2_equals_dinf`` is the identity the two-hop formula relies
+    on, read from the triangle scan of the chain space.
     """
 
     space: FiniteMetricSpace
@@ -261,16 +246,22 @@ def quotient_by_discrete_family(
     ensure_metric(space, "quotient_by_discrete_family")
     class_of, count = _assign_classes(space.points, family, PreconditionError)
     sur = Surjection(space, count, class_of)
-    two, limit, settled = _chain(_class_block(space.ints, sur.classes()), 2)
-    if two != limit:
+    block = _class_block(space.ints, sur.classes())
+    two = _power(block, 2)
+    chain = _finish_chain(sur, 2, two, space.scale)
+    if not _triangle_holds(chain.space):
+        # d_2 falls short, so d_1 and d_2 differ; the powers settle at the
+        # first n with d_n = d_{n+1}, since d_{n+1} = d_n then holds for good.
+        settled, power = 2, two
+        while (following := min_plus(power, block)) != power:
+            settled, power = settled + 1, following
         raise PreconditionError(
             "two-hop quotient distance differs from the chain limit for this "
             f"family (they agree first at n = {settled})"
         )
-    chain = _finish_chain(sur, 2, two, space.scale)
     ensure_metric(chain.space, "quotient of a metric by a disjoint family")
     quotient_space = reflagged(chain.space, False)
-    return QuotientResult(quotient_space, chain, True, settled)
+    return QuotientResult(quotient_space, chain, True, 1 if two == block else 2)
 
 
 @dataclass(frozen=True)
@@ -278,8 +269,9 @@ class GluedUnion:
     """Union of parts glued along identified points, via the chain engine.
 
     ``space`` carries d_steps on the classes; ``class_of_part`` maps (part
-    index, point index) to a class index; the equality flag is computed,
-    never assumed, and ``is_metric`` reads the space's own scan.
+    index, point index) to a class index; the equality flag is the triangle
+    verdict of the space's own scan (see ``glue_parts``), which ``is_metric``
+    reads too.
     """
 
     space: FiniteMetricSpace
@@ -304,7 +296,8 @@ def glue_parts(
     existing points; points not identified become singleton classes.  One
     int matrix over the points of all parts, over one scale (None for a
     forbidden cross hop, zero between identified points of different parts),
-    is reduced to the class block, and the chain engine runs on it.
+    is reduced to the class block, and the chain engine runs on it; a block
+    with a negative entry or a nonzero diagonal is compared to its closure.
     """
     if not parts:
         raise StructuralError("glue_parts needs at least one part")
@@ -344,16 +337,20 @@ def glue_parts(
     labels = tuple(tuple(point_labels[g] for g in members) for members in members_of)
 
     block = _class_block(union, members_of)
-    power, limit = _power(block, steps), closure(block)
-    for row in power + limit:
+    power = _power(block, steps)
+    # The closure has a None only where every power has one.
+    for row in power:
         if None in row:
             raise PreconditionError("glued union is disconnected")
     space = FiniteMetricSpace.from_int(labels, power, scale, pseudo=True)
+    nonneg_zero_diag = all(row[c] == 0 and min(v for v in row if v is not None) >= 0
+                           for c, row in enumerate(block))
+    dn_equals_dinf = _triangle_holds(space) if nonneg_zero_diag else power == closure(block)
     class_of_part = tuple(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))
     )
-    return GluedUnion(space, steps, power == limit, class_of_part)
+    return GluedUnion(space, steps, dn_equals_dinf, class_of_part)
 
 
 def amalgamated_union(

@@ -639,11 +639,12 @@ def test_a_grid_value_out_of_range_exits_1_in_the_library_words(s3):
 
 def test_a_grid_that_starts_below_zero_may_follow_its_flag(join_file, s3):
     """``--grid -1,1`` reads as ``--grid=-1,1``, though argparse would take
-    ``-1,1`` for an option, and ``--grid -1/2`` reaches the library's own
-    range check."""
+    ``-1,1`` for an option, and so does each abbreviation argparse expands
+    to ``--grid``; ``--grid -1/2`` reaches the library's own range check."""
     joined = run(["build", "join", join_file, "--grid=-1,1"])
     assert joined[0] == 0
-    assert run(["build", "join", join_file, "--grid", "-1,1"])[:2] == joined[:2]
+    for flag in ("--grid", "--gri", "--gr", "--g"):
+        assert run(["build", "join", join_file, flag, "-1,1"])[:2] == joined[:2], flag
     code, out, err = run(["build", "cone", s3, "--grid", "-1/2"])
     assert (code, out) == (1, "")
     assert err == "precondition failed: grid value -1/2 outside [0, 1]\n"

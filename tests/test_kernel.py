@@ -1,5 +1,8 @@
 """The exact integer kernel against the frozen Fraction references."""
 
+import contextlib
+import io
+import json
 import os
 import random
 import subprocess
@@ -9,11 +12,16 @@ from math import lcm
 
 import pytest
 
+import unimet.quotients
 from helpers import (
     PRIMES_7_TO_31,
+    interval_points,
     matrix_of,
     random_partition,
     random_space,
+    retraction_tower,
+    space,
+    truncation_to_json,
     wide_matrix,
     wide_space,
 )
@@ -23,7 +31,9 @@ from oracles import (
     chain_limit_apsp,
     chain_power,
 )
+from unimet.cli import main
 from unimet.errors import PreconditionError
+from unimet.jsonio import space_to_json
 from unimet.kernel import closure, min_plus, to_fractions, to_int_matrix
 from unimet.quotients import Surjection, chain_metric, glue_parts
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms, reflagged
@@ -171,12 +181,12 @@ def test_chain_metric_matches_oracles_on_wide_denominators():
             assert dn.is_metric() == axiom_report_reference(dn.space.points, dn.values, False)[0]
 
 
-def test_glue_parts_matches_oracles_on_none_blocks():
-    rng = random.Random(303)
-    for _ in range(40):
+def _random_glue_cases(rng, count):
+    """``count`` (parts, groups, steps) over ``wide_space`` parts: one or two
+    points of each later part glued to points of part 0, no point in two
+    groups."""
+    for _ in range(count):
         parts = [wide_space(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
-        # glue one or two points of each later part to points of part 0,
-        # no point in two groups
         used = set()
         groups = []
         for p in range(1, len(parts)):
@@ -188,42 +198,102 @@ def test_glue_parts_matches_oracles_on_none_blocks():
                 group = ((0, rng.choice(free_0)), (p, rng.choice(free_p)))
                 used.update(group)
                 groups.append(group)
-        steps = rng.randint(1, 4)
-        offsets = [sum(part.n for part in parts[:p]) for p in range(len(parts))]
-        total = sum(part.n for part in parts)
-        glued_points = {offsets[p] + i: g for g, group in enumerate(groups)
-                        for p, i in group}
-        class_of, count = [], len(groups)
-        for g in range(total):
-            if g in glued_points:
-                class_of.append(glued_points[g])
-            else:
-                class_of.append(count)
-                count += 1
-        # block over classes: hops inside a part only, None across parts
-        block = [[None] * count for _ in range(count)]
-        for c in range(count):
-            block[c][c] = ZERO
-        for p, part in enumerate(parts):
-            for i in range(part.n):
-                for j in range(part.n):
-                    a, b = class_of[offsets[p] + i], class_of[offsets[p] + j]
-                    v = part.d(i, j)
-                    if a != b and (block[a][b] is None or v < block[a][b]):
-                        block[a][b] = v
-        limit = chain_limit_apsp(block)
-        hops = max(1, min(steps, count - 1))
-        expected = chain_power(block, hops)
-        if any(v is None for row in expected + limit for v in row):
-            with pytest.raises(PreconditionError, match="disconnected"):
-                glue_parts(parts, groups, None, steps)
-            continue
-        glued = glue_parts(parts, groups, None, steps)
-        assert [list(r) for r in glued.space.dist] == expected
-        assert glued.dn_equals_dinf == (expected == limit)
-        assert glued.is_metric() == axiom_report_reference(
-            glued.space.points, glued.space.dist, False
-        )[0]
+        yield parts, groups, rng.randint(1, 4)
+
+
+# Parts outside the hypothesis under which a chain power equals the limit
+# exactly when it has no triangle violation: a negative entry, a nonzero
+# diagonal.  Each glued to one point, the block has two classes and no
+# triple to break, yet its power is not its limit.
+DEFECTIVE_GLUE_CASES = [
+    ([FiniteMetricSpace.from_rows("ab", rows), FiniteMetricSpace.from_rows("c", [[0]])],
+     [((0, 0), (1, 0))], 2)
+    for rows in ([[0, "-1/3"], ["-1/3", 0]], [[0, "1/2"], ["1/2", "1/5"]])
+]
+
+
+def test_glue_parts_matches_oracles_on_none_blocks():
+    cases = [*_random_glue_cases(random.Random(303), 40), *DEFECTIVE_GLUE_CASES]
+    for parts, groups, steps in cases:
+        _check_glue(parts, groups, steps)
+
+
+def _check_glue(parts, groups, steps):
+    """``glue_parts`` against the chain power and the limit of the oracle
+    block, with cross hops forbidden."""
+    offsets = [sum(part.n for part in parts[:p]) for p in range(len(parts))]
+    total = sum(part.n for part in parts)
+    glued_points = {offsets[p] + i: g for g, group in enumerate(groups)
+                    for p, i in group}
+    class_of, count = [], len(groups)
+    for g in range(total):
+        if g in glued_points:
+            class_of.append(glued_points[g])
+        else:
+            class_of.append(count)
+            count += 1
+    # block over classes: hops inside a part only, None across parts; a
+    # glued class holds a zero hop between its parts
+    block = [[ZERO if c < len(groups) and c == d else None for d in range(count)]
+             for c in range(count)]
+    for p, part in enumerate(parts):
+        for i in range(part.n):
+            for j in range(part.n):
+                a, b = class_of[offsets[p] + i], class_of[offsets[p] + j]
+                v = part.d(i, j)
+                if block[a][b] is None or v < block[a][b]:
+                    block[a][b] = v
+    limit = chain_limit_apsp(block)
+    hops = max(1, min(steps, count - 1))
+    expected = chain_power(block, hops)
+    if any(v is None for row in expected + limit for v in row):
+        with pytest.raises(PreconditionError, match="disconnected"):
+            glue_parts(parts, groups, None, steps)
+        return
+    glued = glue_parts(parts, groups, None, steps)
+    assert [list(r) for r in glued.space.dist] == expected
+    assert glued.dn_equals_dinf == (expected == limit)
+    assert glued.is_metric() == axiom_report_reference(
+        glued.space.points, glued.space.dist, False
+    )[0]
+
+
+S2 = space_to_json(space("pq", {(0, 1): "1/2"}))
+S3 = space_to_json(space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"}))
+# Three short hops 0 -> 1 ~ 4 -> 5 ~ 8 -> 9 beat every two-hop chain.
+LINE = space_to_json(interval_points(range(10), Fraction(1, 8)))
+CONSTRUCTIONS = [
+    ("quotient", {"space": S3, "family": [[0, 1]]}, [], 0),
+    ("quotient", {"space": LINE, "family": [[1, 4], [5, 8]]}, [], 1),
+    ("amalgam", {"left": S2, "right": S3, "gluing": {"pairs": [[0, 0]]}}, [], 0),
+    ("adjunction", {"space": S3, "subset": [0, 1], "target": S2,
+                    "attaching": {"pairs": [[0, 0], [1, 1]]}}, [], 0),
+    ("cylinder", {"source": S3, "target": S2, "mapping": [0, 1, 1]}, ["--oracle"], 0),
+    ("cone", S3, ["--oracle"], 0),
+    ("join", {"left": S2, "right": S3}, ["--oracle"], 0),
+    ("telescope", truncation_to_json(retraction_tower(4)), [], 0),
+]
+
+
+def test_no_construction_takes_a_closure(monkeypatch, tmp_path):
+    """Each chain construction certifies d_n = d_infinity from the triangle
+    scan of its result, settled or not: the shortest-path closure is never
+    computed on the way."""
+    calls = []
+    original = unimet.quotients.closure
+
+    def counted(block):
+        calls.append(len(block))
+        return original(block)
+
+    monkeypatch.setattr(unimet.quotients, "closure", counted)
+    for kind, tree, flags, code in CONSTRUCTIONS:
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(tree))
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO()) as err):
+            assert main(["build", kind, str(path), *flags]) == code, (kind, err.getvalue())
+    assert calls == []
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

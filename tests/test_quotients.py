@@ -248,7 +248,8 @@ THREE_HOP_LINE = (interval_points(range(10), Fraction(1, 8)), [[1, 4], [5, 8]])
 def test_quotient_matches_the_chain_limit_oracle(case):
     """Group k is class k and the other points follow as singletons; the
     quotient is the oracle's chain limit on the class block, or a two-hop
-    refusal exactly where two hops fall short of that limit."""
+    refusal exactly where two hops fall short of that limit.  Either way it
+    names the least n whose chain power is that limit."""
     sp, family = case
     class_of = [None] * sp.n
     for k, members in enumerate(family):
@@ -259,14 +260,19 @@ def test_quotient_matches_the_chain_limit_oracle(case):
         class_of[i] = k
     block = block_distance_matrix(matrix_of(sp), class_of)
     limit = chain_limit_apsp(block)
-    try:
-        result = quotient_by_discrete_family(sp, family)
-    except PreconditionError as exc:
-        assert "two-hop" in str(exc)
-        assert chain_power(block, 2) != limit
+    settled = least_settling_hops(block)
+    if chain_power(block, 2) != limit:
+        message = (
+            "two-hop quotient distance differs from the chain limit for this "
+            f"family (they agree first at n = {settled})"
+        )
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            quotient_by_discrete_family(sp, family)
         return
+    result = quotient_by_discrete_family(sp, family)
     assert result.chain.surjection.class_of == tuple(class_of)
     assert [list(row) for row in result.space.dist] == limit
+    assert result.settled_at == settled
 
 
 def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
