@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .combinators import mcshane_rows
 from .errors import PreconditionError, StructuralError
-from .quotients import glue_parts, quotient_by_discrete_family
+from .quotients import glue_parts
 from .scalars import ONE, ScalarLike, as_scalar
 from .spaces import (
     FiniteMetricSpace,
@@ -67,7 +67,8 @@ def extend_metric(
     max of the coordinate construction sup_a |D~(x, a) - D~(y, a)| (each
     D~(., a) a clamped Lipschitz extension of D(., a), all one
     ``mcshane_rows``) with the collapsed quotient metric scaled into [0, 1];
-    the first part carries D, the second separates points outside A.
+    the first part carries D, the second separates points outside A.  X/A
+    is one pass in closed form (``_collapse``); only the result is scanned.
     """
     ensure_metric(space, "extend_metric")
     A = _clean_subset(space, subset, "extend_metric")
@@ -83,13 +84,9 @@ def extend_metric(
     L = Fraction(top_d * space.scale, top_x * probe.scale)
 
     coords, scale = mcshane_rows(space, A, D, probe.scale, L)
-    # The collapsed quotient, scaled into [0, 1]: q / max(q's scale, diam q).
-    if len(A) < space.n:
-        quotient = quotient_by_discrete_family(space, [A])
-        q, q_class = quotient.space.ints, quotient.chain.surjection.class_of
-        q_scale = max(quotient.space.scale, max(map(max, q)))
-    else:
-        q, q_class, q_scale = [[0]], [0] * space.n, 1
+    # The collapsed quotient, scaled into [0, 1]: q / max(X's scale, diam q).
+    q, q_class = _collapse(space, A)
+    q_scale = max(space.scale, max(map(max, q)))
     out_scale = lcm(scale, q_scale)
     # Each point's coordinates, clamped at diam D, over out_scale.
     cap, lift = max(map(max, D)) * (scale // probe.scale), out_scale // scale
@@ -109,6 +106,22 @@ def extend_metric(
     if not report.ok:
         raise PreconditionError(f"extension failed the metric axioms: {report.violations[0]}")
     return result
+
+
+def _collapse(space: FiniteMetricSpace, A: tuple) -> tuple:
+    """``(q, class_of)`` of X/A over X's scale: class 0 is A (its first
+    point stands for it), then the other points in index order, and
+    q = min(d(x, y), d(x, A) + d(A, y)), the quotient metric of one set."""
+    d = space.ints
+    near = [min([row[a] for a in A]) for row in d]
+    in_A = set(A)
+    rest = [x for x in range(space.n) if x not in in_A]
+    class_of = [0] * space.n
+    for c, x in enumerate(rest, 1):
+        class_of[x] = c
+    reps = [A[0], *rest]
+    q = [[min(d[x][y], near[x] + near[y]) for y in reps] for x in reps]
+    return q, class_of
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """JSON wire formats: readers for every shape the command line takes in,
-and the space writer, ``space_to_json``.
+and the space writer, ``space_to_json``, which prints each distinct int of
+the stored form once, as ``format_scalar`` prints it over the scale.
 
 Scalars travel as exact strings ("p/q", or "p" for integers; decimal
 strings parse too); ``scalars.as_scalar`` owns their rules and refuses
@@ -9,7 +10,8 @@ emits: a JSON int, or a string matching ``-?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator, is read with ``int``, and the space is built from
 the entries over their common denominator with
 ``FiniteMetricSpace.from_int``, whose gcd step leaves the least integer
-form, the one form a space stores.  Every other entry (a sign,
+form, the one form a space stores.  Each distinct string or int entry of
+a matrix is parsed once.  Every other entry (a sign,
 whitespace, an underscore, a decimal, an exponent, a zero denominator, a
 non-ASCII digit, a bool, null, or digits past
 ``sys.get_int_max_str_digits()``) goes through ``as_scalar``, so it
@@ -39,7 +41,8 @@ from __future__ import annotations
 
 import json
 import re
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import StructuralError
@@ -126,11 +129,24 @@ def space_from_json(obj) -> FiniteMetricSpace:
     if not isinstance(points, list) or not isinstance(dist, list):
         raise StructuralError("space points and dist must be arrays")
     labels = tuple(label_from_json(p) for p in points)
+    # Each distinct str or int entry is read once.  The type is in the key:
+    # a bool is an int, and True == 1, yet a bool must still be refused.
+    read = {}
     rows = []
     for row in dist:
         if not isinstance(row, list):
             raise StructuralError("dist must be an array of arrays")
-        rows.append([_ratio_from_json(v) for v in row])
+        out = []
+        for v in row:
+            if isinstance(v, (str, int)):
+                key = (type(v), v)
+                ratio = read.get(key)
+                if ratio is None:
+                    ratio = read[key] = _ratio_from_json(v)
+            else:
+                ratio = _ratio_from_json(v)
+            out.append(ratio)
+        rows.append(out)
     pseudo = obj.get("pseudo", False)
     if not isinstance(pseudo, bool):
         raise StructuralError("pseudo must be a boolean")
@@ -140,9 +156,17 @@ def space_from_json(obj) -> FiniteMetricSpace:
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
+    scale, text = space.scale, {}
+    for v in set().union(*space.ints):
+        common = gcd(v, scale)
+        p, q = v // common, scale // common
+        try:
+            text[v] = str(p) if q == 1 else f"{p}/{q}"
+        except ValueError:  # past the digit limit: format_scalar's refusal
+            text[v] = format_scalar(Fraction(p, q))
     out = {
         "points": jsonable(space.points),
-        "dist": [[format_scalar(v) for v in row] for row in space.dist],
+        "dist": [list(map(text.__getitem__, row)) for row in space.ints],
     }
     if space.pseudo:
         out["pseudo"] = True

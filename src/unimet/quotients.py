@@ -13,8 +13,9 @@ matrix to the class block, and the integer kernel takes its min-plus powers
 d_n = d_infinity exactly when d_n has no triangle violation, so the result's
 one axiom scan is also that certificate.  The shortest-path closure runs
 only where it is the result (``chain_metric`` with steps None), and in
-``glue_parts`` on a block outside that hypothesis: it does not check its
-parts.
+``glue_parts`` on a block outside that hypothesis (it does not check its
+parts) or on a union that d_steps leaves unconnected, to tell a union that
+needs more hops from one that is disconnected.
 
 Gluing several spaces along identifications builds one union matrix over
 the points of all parts first: distances inside a part are its metric,
@@ -338,10 +339,12 @@ def glue_parts(
 
     block = _class_block(union, members_of)
     power = _power(block, steps)
-    # The closure has a None only where every power has one.
-    for row in power:
-        if None in row:
+    # A None in d_steps means no chain of at most ``steps`` hops; only the
+    # closure tells whether a longer chain connects the pair.
+    if any(None in row for row in power):
+        if any(None in row for row in closure(block)):
             raise PreconditionError("glued union is disconnected")
+        raise PreconditionError(f"glued union needs more hops than steps = {steps}")
     space = FiniteMetricSpace.from_int(labels, power, scale, pseudo=True)
     nonneg_zero_diag = all(row[c] == 0 and min(v for v in row if v is not None) >= 0
                            for c, row in enumerate(block))

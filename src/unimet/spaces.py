@@ -10,7 +10,9 @@ Scans and constructions run on the ints, which order, add and multiply
 exactly as the Fractions do.  The metric axioms are the job of
 ``check_metric_axioms``, so that defective matrices can be represented and
 reported with witnesses; its scan runs once per space, and ``reflagged``
-carries it to a copy that only changes the pseudo flag.
+carries it to a copy that only changes the pseudo flag.  The scan decides
+first, by a one-pass verdict on the ints, and locates witnesses only on a
+matrix the verdict refuses.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -31,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from math import gcd, lcm
-from operator import sub
+from operator import ne, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
@@ -79,7 +82,7 @@ class FiniteMetricSpace:
         builds from the same distances.  ``m`` is kept when already least."""
         points = tuple(points)
         _check_shape(points, m)
-        common = gcd(scale, *(v for row in m for v in row))
+        common = gcd(scale, *chain.from_iterable(m))
         if common > 1:
             m = [[v // common for v in row] for row in m]
             scale //= common
@@ -196,8 +199,9 @@ def check_metric_axioms(space: FiniteMetricSpace,
     the first index tuple in lexicographic order that breaks it, with the
     triangle witness (i, j, k) ranging over k distinct from i and j.  The
     scan runs on the space's stored form, so it is exact; the reported
-    ``lhs`` and ``rhs`` are Fractions.  ``allow_pseudo`` defaults to the
-    space's own pseudo flag; when true, the positivity axiom is skipped.
+    ``lhs`` and ``rhs`` are Fractions.  A one-pass verdict clears a metric;
+    only a matrix it refuses is walked for witnesses.  ``allow_pseudo``
+    defaults to the space's own pseudo flag; when true, the positivity axiom is skipped.
     The scan is cached per object: every call on one space, in either mode,
     reads the same strict report, with the positivity violation dropped for
     a pseudo check.
@@ -238,9 +242,12 @@ AXIOMS = ("diagonal", "nonnegativity", "symmetry", "positivity", "triangle")
 
 
 def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
-    """Run every axiom, positivity included, once over the stored form; a
-    violation's witness values are the only Fractions built."""
+    """Decide by ``_is_metric``, then locate: a matrix it refuses runs every
+    axiom, positivity included, once over the stored form; a violation's
+    witness values are the only Fractions built."""
     pts, m = space.points, space.ints
+    if _is_metric(m):
+        return AxiomReport(ok=True, allow_pseudo=False, violations=())
     frac = partial(Fraction, denominator=space.scale)
     violations = []
 
@@ -271,6 +278,18 @@ def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
 
     return AxiomReport(ok=not violations, allow_pseudo=False,
                        violations=tuple(violations))
+
+
+def _is_metric(m) -> bool:
+    """Each row has a zero diagonal, no negative entry and no other zero,
+    the matrix is symmetric, and each pair i < j has ``max |row_i - row_j|
+    <= m[i][j]``: the triangles of (i, j) and (j, i), every k at once."""
+    if any(row[i] != 0 or min(row) < 0 or row.count(0) != 1 for i, row in enumerate(m)):
+        return False
+    if any(map(ne, m, map(list, zip(*m)))):
+        return False
+    return all(max(map(abs, map(sub, row_i, row_j))) <= dij
+               for i, row_i in enumerate(m) for row_j, dij in zip(m[i + 1:], row_i[i + 1:]))
 
 
 def _first_pair(m, test) -> Optional[tuple]:

@@ -169,6 +169,20 @@ def metric_spaces(draw, min_size, max_size):
 
 
 @st.composite
+def stored_spaces(draw):
+    """A ``metric_spaces`` space of 0..5 points with up to two entries,
+    the diagonal included, made negative over a denominator 7..31."""
+    sp = draw(metric_spaces(0, 5))
+    rows = [list(row) for row in sp.dist]
+    if sp.n:
+        index = st.integers(0, sp.n - 1)
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(index), draw(index)
+            rows[i][j] = -rows[i][j] - Fraction(1, draw(st.sampled_from(PRIMES_7_TO_31)))
+    return FiniteMetricSpace(sp.points, tuple(map(tuple, rows)), draw(st.booleans()))
+
+
+@st.composite
 def construction_inputs(draw, low, required, cap, max_size=4):
     """Inputs for the cone, join and cylinder formula-versus-oracle tests.
 

@@ -22,6 +22,12 @@ four-case join distance and the adjunction's certificates as they ran on
 Fractions, before they built ints; so are ``mcshane_extend_reference``
 and ``extend_metric_reference``, McShane's extension (one call per row)
 and the metric extension off a subset built on it.
+So are a build op's boundary and certificate steps as they ran before
+each took one pass: the axiom scan that walked every axiom for its first
+witness on every space (``axiom_scan_reference``), the parse that read
+every matrix entry (``space_from_json_reference``, on ``jsonio``'s own
+entry reader) and the render through the ``Fraction`` view
+(``space_to_json_reference``).
 A cubical complex, which the package stores as its maximal cubes, is
 checked against its face-closed listing: every face of every cube.  The
 sup distance of sequence space and the sub-cylinder of a restricted map
@@ -30,6 +36,8 @@ are references only the tests use.
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
+from operator import sub
 
 from unimet.covers import Cover, point_finite_refinement
 from unimet.cubohedra import Cube
@@ -50,11 +58,15 @@ from unimet.invlim import (
     TelescopingRow,
     UniquenessRow,
 )
+from unimet.jsonio import _ratio_from_json, expect_key, label_from_json
 from unimet.moduli import ModulusTable
 from unimet.quotients import quotient_by_discrete_family
-from unimet.scalars import as_scalar, pow2
+from unimet.reporting import jsonable
+from unimet.scalars import as_scalar, format_scalar, pow2
 from unimet.sequences import SequencePoint
 from unimet.spaces import (
+    AxiomReport,
+    AxiomViolation,
     FiniteMetricSpace,
     check_metric_axioms,
     ensure_diameter_at_most,
@@ -224,6 +236,60 @@ def axiom_report_reference(points, dist, allow_pseudo):
         if done:
             break
     return not violations, violations
+
+
+def axiom_scan_reference(space):
+    """The strict ``AxiomReport`` of ``space`` by the scan that ran on every
+    space before the one-pass verdict: each axiom walked on the stored form
+    for its first witness, the triangle by one row test per ordered pair
+    (i, j) and a walk over k where it fails."""
+    pts, m = space.points, space.ints
+
+    def frac(v):
+        return Fraction(v, space.scale)
+
+    def first_pair(test):
+        for i, row in enumerate(m):
+            for j in range(i + 1, len(m)):
+                if test(row[j], m[j][i]):
+                    return i, j
+        return None
+
+    violations = []
+    for i, row in enumerate(m):
+        if row[i] != 0:
+            violations.append(AxiomViolation("diagonal", (pts[i],), frac(row[i]), ZERO))
+            break
+    for i, row in enumerate(m):
+        if min(row) < 0:
+            j = next(j for j, v in enumerate(row) if v < 0)
+            violations.append(
+                AxiomViolation("nonnegativity", (pts[i], pts[j]), frac(row[j]), ZERO))
+            break
+    pair = first_pair(lambda a, b: a != b)
+    if pair is not None:
+        i, j = pair
+        violations.append(
+            AxiomViolation("symmetry", (pts[i], pts[j]), frac(m[i][j]), frac(m[j][i])))
+    pair = first_pair(lambda a, b: a == 0 and b == 0)
+    if pair is not None:
+        i, j = pair
+        violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
+    witness = None
+    for i, row_i in enumerate(m):
+        for j, row_j in enumerate(m):
+            if j != i and max(map(sub, row_i, row_j)) > row_i[j]:
+                witness = next(((i, j, k) for k, (x, y) in enumerate(zip(row_i, row_j))
+                                if x - y > row_i[j] and k != i and k != j), None)
+                if witness is not None:
+                    break
+        if witness is not None:
+            break
+    if witness is not None:
+        i, j, k = witness
+        violations.append(AxiomViolation(
+            "triangle", (pts[i], pts[j], pts[k]), frac(m[i][k]), frac(m[i][j] + m[j][k])))
+    return AxiomReport(ok=not violations, allow_pseudo=False, violations=tuple(violations))
 
 
 # ---- Hausdorff ----
@@ -1127,3 +1193,39 @@ def closeness_rows_reference(ladder_data):
         for j in range(stages + 1)
     )
     return tuple(squares), telescoping, limits
+
+
+# ---- the space wire format, entry by entry ----
+
+
+def space_from_json_reference(obj):
+    """A space document read as before the parse memo: every matrix entry
+    through ``jsonio``'s entry reader, in row-major order."""
+    points = expect_key(obj, "points", "a metric space")
+    dist = expect_key(obj, "dist", "a metric space")
+    if not isinstance(points, list) or not isinstance(dist, list):
+        raise StructuralError("space points and dist must be arrays")
+    labels = tuple(label_from_json(p) for p in points)
+    rows = []
+    for row in dist:
+        if not isinstance(row, list):
+            raise StructuralError("dist must be an array of arrays")
+        rows.append([_ratio_from_json(v) for v in row])
+    pseudo = obj.get("pseudo", False)
+    if not isinstance(pseudo, bool):
+        raise StructuralError("pseudo must be a boolean")
+    scale = lcm(*{q for row in rows for _, q in row})
+    m = [[p * (scale // q) for p, q in row] for row in rows]
+    return FiniteMetricSpace.from_int(labels, m, scale, pseudo)
+
+
+def space_to_json_reference(space):
+    """A space document written as before the render from the stored form:
+    every entry of the ``Fraction`` view through ``format_scalar``."""
+    out = {
+        "points": jsonable(space.points),
+        "dist": [[format_scalar(v) for v in row] for row in space.dist],
+    }
+    if space.pseudo:
+        out["pseudo"] = True
+    return out

@@ -13,6 +13,7 @@ from math import lcm
 import pytest
 
 import unimet.quotients
+import unimet.spaces
 from helpers import (
     PRIMES_7_TO_31,
     interval_points,
@@ -247,7 +248,11 @@ def _check_glue(parts, groups, steps):
     hops = max(1, min(steps, count - 1))
     expected = chain_power(block, hops)
     if any(v is None for row in expected + limit for v in row):
-        with pytest.raises(PreconditionError, match="disconnected"):
+        # Only a pair that no chain joins is disconnected; one that a chain
+        # of more than ``steps`` hops joins names the steps.
+        connected = all(v is not None for row in limit for v in row)
+        message = f"more hops than steps = {steps}$" if connected else "disconnected"
+        with pytest.raises(PreconditionError, match=message):
             glue_parts(parts, groups, None, steps)
         return
     glued = glue_parts(parts, groups, None, steps)
@@ -275,6 +280,16 @@ CONSTRUCTIONS = [
 ]
 
 
+def build_each(directory, constructions):
+    """Run ``unimet build`` on each case, checking its exit code."""
+    for kind, tree, flags, code in constructions:
+        path = directory / f"{kind}.json"
+        path.write_text(json.dumps(tree))
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO()) as err):
+            assert main(["build", kind, str(path), *flags]) == code, (kind, err.getvalue())
+
+
 def test_no_construction_takes_a_closure(monkeypatch, tmp_path):
     """Each chain construction certifies d_n = d_infinity from the triangle
     scan of its result, settled or not: the shortest-path closure is never
@@ -287,12 +302,22 @@ def test_no_construction_takes_a_closure(monkeypatch, tmp_path):
         return original(block)
 
     monkeypatch.setattr(unimet.quotients, "closure", counted)
-    for kind, tree, flags, code in CONSTRUCTIONS:
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(tree))
-        with (contextlib.redirect_stdout(io.StringIO()),
-              contextlib.redirect_stderr(io.StringIO()) as err):
-            assert main(["build", kind, str(path), *flags]) == code, (kind, err.getvalue())
+    build_each(tmp_path, CONSTRUCTIONS)
+    assert calls == []
+
+
+def test_no_construction_locates_a_witness_on_a_valid_input(monkeypatch, tmp_path):
+    """Every space that a build on a valid input scans is a metric, so the
+    one-pass verdict clears it: the triangle witness locator never runs."""
+    calls = []
+    original = unimet.spaces.first_triangle_witness
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(unimet.spaces, "first_triangle_witness", counted)
+    build_each(tmp_path, [case for case in CONSTRUCTIONS if case[3] == 0])
     assert calls == []
 
 

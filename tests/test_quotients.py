@@ -316,6 +316,20 @@ def test_glue_parts_disconnected_raises():
         glue_parts([a, b], [], None, 2)
 
 
+def test_glue_parts_names_the_steps_a_connected_union_needs():
+    """Three unit segments glued end to end, cross hops forbidden: the far
+    ends are three hops apart, so two hops leave the union connected but
+    unreached, and three give the chain limit."""
+    segments = [interval_points([0, 1]) for _ in range(3)]
+    ends = [((0, 1), (1, 0)), ((1, 1), (2, 0))]
+    with pytest.raises(PreconditionError, match=r"more hops than steps = 2$"):
+        glue_parts(segments, ends, None, 2)
+    glued = glue_parts(segments, ends, None, 3)
+    assert glued.is_metric() and glued.dn_equals_dinf
+    ca, cc = glued.class_of_part[0], glued.class_of_part[2]
+    assert glued.space.d(ca[0], cc[1]) == 3
+
+
 def test_amalgamated_union_certificates():
     rng = random.Random(31)
     for _ in range(15):

@@ -217,9 +217,9 @@ def test_ensure_helpers_raise_with_context():
 
 def test_axioms_are_scanned_once_per_space(monkeypatch):
     scans = []
-    scan = spaces.first_triangle_witness
+    scan = spaces._scan_axioms
     monkeypatch.setattr(
-        spaces, "first_triangle_witness", lambda m: scans.append(m) or scan(m)
+        spaces, "_scan_axioms", lambda space: scans.append(space) or scan(space)
     )
     metric = interval_points([0, 1, 2], Fraction(1, 4))
     reports = [check_metric_axioms(metric, allow_pseudo=mode) for mode in (None, True, False)]

@@ -22,10 +22,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
-    PRIMES_7_TO_31,
     construction_inputs,
     metric_spaces,
     random_space,
+    stored_spaces,
     wide_space,
 )
 from oracles import (
@@ -66,20 +66,6 @@ GRID_VALUES = [Fraction(k, q) for q in (3, 5, 9) for k in range(1, q)]
 
 
 # ---- the stored form ----
-
-
-@st.composite
-def stored_spaces(draw):
-    """A ``metric_spaces`` space of 0..5 points with up to two entries,
-    the diagonal included, made negative over a denominator 7..31."""
-    sp = draw(metric_spaces(0, 5))
-    rows = [list(row) for row in sp.dist]
-    if sp.n:
-        index = st.integers(0, sp.n - 1)
-        for _ in range(draw(st.integers(0, 2))):
-            i, j = draw(index), draw(index)
-            rows[i][j] = -rows[i][j] - Fraction(1, draw(st.sampled_from(PRIMES_7_TO_31)))
-    return FiniteMetricSpace(sp.points, tuple(map(tuple, rows)), draw(st.booleans()))
 
 
 EMPTY = FiniteMetricSpace((), ())

@@ -1,7 +1,9 @@
-"""The two fast routes at the command boundary, each against the route it
+"""The fast routes at the command boundary, each against the route it
 replaced: the int-first parse of a distance matrix against ``as_scalar``
-on every entry, and the one-pass report emitter against ``json.dumps``
-with a ``default`` hook."""
+on every entry, the parse of each distinct entry once against the parse of
+every entry, frozen in ``oracles``, the space render from the stored form
+against the render of its ``Fraction`` view, also frozen there, and the
+one-pass report emitter against ``json.dumps`` with a ``default`` hook."""
 
 import json
 import string
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import stored_spaces
+from oracles import space_from_json_reference, space_to_json_reference
 from unimet.errors import StructuralError
-from unimet.jsonio import space_from_json
+from unimet.jsonio import space_from_json, space_to_json
 from unimet.kernel import to_int_matrix
 from unimet.reporting import canonical_bytes, jsonable
 from unimet.scalars import as_scalar
@@ -90,6 +94,45 @@ def test_each_near_miss_parses_or_fails_as_as_scalar_does(entry):
     assert got == outcome(space_via_as_scalar, doc)
     if isinstance(got, FiniteMetricSpace):
         assert (got.ints, got.scale) == to_int_matrix(got.dist)
+
+
+@settings(max_examples=300)
+@given(documents())
+# A bool after the int it equals: True == 1, yet only the int is a scalar.
+@example({"points": [0, 1], "dist": [[0, 1], [True, 0]]})
+@example({"points": [0, 1], "dist": [[BIG_DIGITS, "1"], [1, BIG_DIGITS]]})
+def test_the_parse_of_each_distinct_entry_equals_the_entry_by_entry_parse(doc):
+    got = outcome(space_from_json, doc)
+    assert got == outcome(space_from_json_reference, doc)
+
+
+@pytest.mark.parametrize("entry", NEAR_MISSES, ids=repr)
+def test_each_entry_form_read_once_parses_or_fails_as_each_time(entry):
+    """Each form twice, after the ints 1 and 0 that a bool equals."""
+    doc = {"points": ["p", "q", "r"],
+           "dist": [["0", 1, 0], [entry, "0", entry], ["1/3", "1/3", "0"]]}
+    assert outcome(space_from_json, doc) == outcome(space_from_json_reference, doc)
+
+
+PAST_THE_LIMIT = [
+    FiniteMetricSpace.from_int("ab", [[0, 10**5000], [10**5000, 0]], 3),
+    FiniteMetricSpace.from_int("ab", [[0, 1], [1, 0]], 10**5000),
+]
+
+
+@given(stored_spaces())
+@example(PAST_THE_LIMIT[0])
+@example(PAST_THE_LIMIT[1])
+def test_the_render_from_the_stored_form_equals_the_render_of_the_view(sp):
+    fresh = FiniteMetricSpace.from_int(sp.points, sp.ints, sp.scale, sp.pseudo)
+    assert outcome(space_to_json, fresh) == outcome(space_to_json_reference, sp)
+    assert "dist" not in fresh.__dict__
+
+
+@pytest.mark.parametrize("sp", PAST_THE_LIMIT, ids=["numerator", "denominator"])
+def test_a_value_past_the_digit_limit_is_refused_as_format_scalar_refuses_it(sp):
+    with pytest.raises(StructuralError, match="cannot be printed"):
+        space_to_json(sp)
 
 
 # ---- the one-pass emitter ----
