@@ -1,11 +1,12 @@
 """Exact metric constructions on finite spaces.
 
 Finite metric spaces with rational distances, and the constructions that
-combine them: quotients by chain metrics, glued unions and adjunctions,
-cones, joins and mapping cylinders over parameter grids, cover calculus
-with an exact metrization, embeddings into weighted sequence space,
-cubical complexes with retraction homotopies, and inverse-sequence
-truncations with convergence, separation, and perturbation analysis.
+combine them: quotients by disjoint families through chain metrics, glued
+unions and adjunctions, cones, joins and mapping cylinders over parameter
+grids, cover calculus with an exact metrization, embeddings into weighted
+sequence space, cubical complexes with retraction homotopies, and
+inverse-sequence truncations with convergence, separation, and
+perturbation analysis.
 
 All arithmetic is exact (fractions); floats appear only in the Euclidean
 cone comparison, which is explicitly tolerance-based.
@@ -20,11 +21,7 @@ import importlib
 
 # Defining module -> the public names it exports through the package.
 _EXPORTS = {
-    "combinators": (
-        "disjoint_union_metric", "hausdorff_distance", "hausdorff_hyperspace",
-        "interval_space", "kuratowski_embed", "mcshane_extend", "product_metric",
-        "weighted_sup_metric",
-    ),
+    "combinators": ("interval_space", "kuratowski_embed", "product_metric"),
     "cones": (
         "ConeSpace", "JoinAmalgamReport", "JoinSpace", "cone_metric",
         "cone_quotient_check", "join_amalgam_equality", "join_metric",
@@ -35,9 +32,8 @@ _EXPORTS = {
         "rectilinear_cone",
     ),
     "covers": (
-        "AuMetrization", "Cover", "FundamentalSequence", "LebesgueNumber",
-        "RefinementResult", "au_metrize", "ball_cover",
-        "ball_fundamental_sequence", "lebesgue_number",
+        "AuMetrization", "Cover", "FundamentalSequence", "RefinementResult",
+        "au_metrize", "ball_cover", "ball_fundamental_sequence",
         "point_finite_refinement", "validate_fundamental_sequence",
     ),
     "cubohedra": (
@@ -47,7 +43,7 @@ _EXPORTS = {
     ),
     "cylinders": (
         "CylinderSpace", "adjusted_metric", "cylinder_adjunction_check",
-        "mapping_cylinder_metric", "uniform_modulus",
+        "mapping_cylinder_metric",
     ),
     "embedding": (
         "AharoniEmbedding", "EmbeddingCertificate", "aharoni_embed",
@@ -66,8 +62,7 @@ _EXPORTS = {
     ),
     "moduli": ("ModulusTable", "check_uniform_continuity", "continuity_modulus"),
     "quotients": (
-        "ChainMetric", "QuotientResult", "Surjection", "amalgamated_union",
-        "block_distance", "chain_metric", "glue_parts",
+        "QuotientResult", "amalgamated_union", "glue_parts",
         "quotient_by_discrete_family",
     ),
     "scalars": ("Scalar", "as_scalar", "format_scalar", "pow2"),

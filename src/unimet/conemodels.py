@@ -192,9 +192,6 @@ class EuclideanCone:
     points: tuple
     matrix: tuple  # floats
 
-    def index_of(self, label) -> int:
-        return self.points.index(label)
-
 
 def euclidean_cone_metric(base: FiniteMetricSpace, t_grid) -> EuclideanCone:
     """Sample the Law-of-Cosines cone over a base of diameter <= pi.

@@ -74,12 +74,15 @@ def cone_quotient_check(cone: ConeSpace) -> Scalar:
     Builds the l1 product of the cone's base with its grid interval,
     collapses the top slice through the two-hop quotient, and compares
     entrywise with the cone distances.  Exactness means a return value of 0.
+    The empty base has no top slice to collapse, so it is refused.
     """
+    if not cone.base.n:
+        raise PreconditionError("the collapsed-slice comparison needs a nonempty base")
     k = len(cone.t_grid)
     product = product_metric(cone.base, interval_space(cone.t_grid), "l1")
     top = [i * k + k - 1 for i in range(cone.base.n)]
     quotient = quotient_by_discrete_family(product, [top])
-    class_of = quotient.chain.surjection.class_of
+    class_of = quotient.class_of
     index = [class_of[i * k + tp] for i in range(cone.base.n) for tp in range(k - 1)]
     return largest_gap(cone.space, quotient.space, index + [class_of[top[0]]])
 
@@ -185,10 +188,15 @@ def join_amalgam_equality(join: JoinSpace) -> JoinAmalgamReport:
 
     Both cone products carry l1 metrics; they are glued along the middle
     slice t = 0 with no direct cross hops, so chains pivot at glued classes.
-    The join's grid must contain -1, 0 and 1.  The report compares the
-    glued two-hop metric with the join distance entrywise.
+    The join's grid must contain -1, 0 and 1, and both factors must be
+    nonempty: a point of the other factor stands in for the coordinate that
+    each end collapses.  The report compares the glued two-hop metric with
+    the join distance entrywise.
     """
     left, right, grid = join.left, join.right, join.t_grid
+    for name, factor in (("left", left), ("right", right)):
+        if not factor.n:
+            raise PreconditionError(f"the amalgam comparison needs a nonempty {name} factor")
     if ZERO not in grid:
         raise PreconditionError("the amalgam comparison needs 0 in the grid")
     grid_pos = tuple(t for t in grid if t >= 0)

@@ -109,20 +109,7 @@ def ball_cover(space: FiniteMetricSpace, radius: ScalarLike) -> Cover:
     return Cover(space.n, members)
 
 
-# ---- Lebesgue-style numbers ----
-
-
-@dataclass(frozen=True)
-class LebesgueNumber:
-    """Largest spectrum threshold at which small sets sit inside members.
-
-    ``infinite`` marks the degenerate case of a member equal to the whole
-    ground, where every set qualifies.  ``value`` is None when no positive
-    threshold works at all (possible only for pseudo-metrics).
-    """
-
-    value: Optional[Scalar]
-    infinite: bool
+# ---- small sets and containment numbers ----
 
 
 def maximal_cliques(neighbours: list) -> list:
@@ -159,45 +146,17 @@ def maximal_cliques(neighbours: list) -> list:
     return cliques
 
 
-def _cliques_within(space: FiniteMetricSpace, threshold: Scalar, strict: bool) -> list:
-    """Maximal cliques of the graph joining the points at distance below the
-    threshold (at most it when not strict), sorted by their sorted tuples."""
+def _cliques_within(space: FiniteMetricSpace, threshold: Scalar) -> list:
+    """Maximal cliques of the graph joining the points at distance at most
+    the threshold, sorted by their sorted tuples."""
     q, p = threshold.denominator, threshold.numerator * space.scale
     neighbours = [set() for _ in range(space.n)]
     for i, row in enumerate(space.ints):
         for j in range(i + 1, space.n):
-            d = row[j] * q
-            if (d < p) if strict else (d <= p):
+            if row[j] * q <= p:
                 neighbours[i].add(j)
                 neighbours[j].add(i)
     return sorted(maximal_cliques(neighbours), key=sorted)
-
-
-def _sets_within_members(cliques: list, cover: Cover) -> bool:
-    targets = cover.member_sets()
-    return all(any(c <= t for t in targets) for c in cliques)
-
-
-def lebesgue_number(space: FiniteMetricSpace, cover: Cover) -> LebesgueNumber:
-    """Largest positive spectrum value L such that every set of diameter
-    strictly below L lies in some member.
-
-    Sets of diameter < L are exactly the cliques of the graph with edges
-    d < L, so it suffices to test its maximal cliques (``maximal_cliques``,
-    at most ``CLIQUE_CAP`` per threshold).
-    """
-    if cover.ground != space.n:
-        raise StructuralError("cover ground does not match the space")
-    if any(len(m) == space.n for m in cover.members):
-        return LebesgueNumber(None, True)
-    best: Optional[Scalar] = None
-    for threshold in space.positive_spectrum():
-        cliques = _cliques_within(space, threshold, strict=True)
-        if _sets_within_members(cliques, cover):
-            best = threshold
-        else:
-            break
-    return LebesgueNumber(best, False)
 
 
 def complement_distances(space: FiniteMetricSpace, cover: Cover) -> list:
@@ -404,7 +363,7 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
         if n - 1 < 1:
             continue
         threshold = pow2(-(half + 1))
-        cliques = _cliques_within(space, threshold, strict=False)
+        cliques = _cliques_within(space, threshold)
         targets = seq.level(n - 1).member_sets()
         for clique in cliques:
             if not any(clique <= t for t in targets):

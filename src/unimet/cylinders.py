@@ -1,4 +1,4 @@
-"""Mapping cylinders with exact metrics, and the uniform modulus function.
+"""Mapping cylinders with exact metrics.
 
 The cylinder glues X x I onto Y along (x, 1) -> f(x).  Its metric is the
 three-hop adjunction distance for the drift-adjusted l1 product upstairs,
@@ -7,10 +7,6 @@ its inputs and ``cylinder_slices`` evaluates the formulas; the slice builder
 serves the cone too, which is the cylinder of the map to a point (see
 ``cones``).  ``cylinder_adjunction_check`` rebuilds the adjunction and
 measures the gap, as the oracle that tests and ``--oracle`` run.
-
-The uniform modulus assigns to every member of a finite family of maps a
-positive continuity threshold delta(p) for a common epsilon, varying in a
-Lipschitz way with the map: nearby maps receive nearby thresholds.
 """
 from __future__ import annotations
 
@@ -22,8 +18,7 @@ from typing import Sequence
 from .combinators import interval_space, product_metric
 from .errors import PreconditionError
 from .gluing import adjunction_space
-from .moduli import PairSweep, pair_distances
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid, pow2
+from .scalars import ONE, ZERO, Scalar, as_scalar, parameter_grid
 from .spaces import (
     FiniteMetricSpace,
     ensure_diameter_at_most,
@@ -189,31 +184,7 @@ def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
     return largest_gap(cylinder.space, result.space, index + list(result.y_class))
 
 
-# ---- uniform modulus ----
-
-
-@dataclass(frozen=True)
-class UniformModulus:
-    """Continuity thresholds for a family of maps at a common epsilon.
-
-    ``values[k]`` is delta for the k-th map, in (0, 1]; every map is
-    (values[k], epsilon)-continuous and the assignment is Lipschitz in the
-    sup distance between maps with constant ``lipschitz_constant``.  The
-    certificate flags are computed by exhaustive check.
-    """
-
-    epsilon: Scalar
-    values: tuple
-    band_count: int
-    continuity_ok: bool
-    lipschitz_ok: bool
-
-    @property
-    def lipschitz_constant(self) -> Scalar:
-        return 6 / self.epsilon
-
-    def delta_for(self, k: int) -> Scalar:
-        return self.values[k]
+# ---- maps ----
 
 
 def map_sup_distance(target: FiniteMetricSpace, f: Sequence[int], g) -> Scalar:
@@ -221,76 +192,3 @@ def map_sup_distance(target: FiniteMetricSpace, f: Sequence[int], g) -> Scalar:
     zero for maps on an empty source."""
     m = target.ints
     return Fraction(max([m[y][z] for y, z in zip(f, g)], default=0), target.scale)
-
-
-def uniform_modulus(
-    source: FiniteMetricSpace,
-    target: FiniteMetricSpace,
-    maps: Sequence,
-    epsilon: ScalarLike,
-) -> UniformModulus:
-    """Assign each map a positive (delta, epsilon)-continuity threshold.
-
-    Z_n collects the members that are (2^-n, epsilon/3)-continuous; they
-    exhaust the family once 2^-n drops below the smallest positive source
-    distance.  Each band contributes the taper
-    (2^-(n+1) - (3/epsilon) * (d(p, Z_n) - R_n)_+)_+ with R_n the band
-    radius (1 - 2^-(n+1)) * epsilon/3, and delta(p) is the largest
-    contribution.  A member of Z_n collects at least 2^-(n+1), so delta is
-    positive; each band's taper is (3/epsilon)-Lipschitz in p, so delta is
-    too, within the 6/epsilon certificate bound.
-    """
-    eps = as_scalar(epsilon)
-    if eps <= 0:
-        raise PreconditionError("epsilon must be positive")
-    family = [ensure_total_map(mp, source, target, "uniform_modulus") for mp in maps]
-    if not family:
-        raise PreconditionError("uniform_modulus needs at least one map")
-
-    # A map is (delta, e)-continuous when its pair sweep stays within e up to delta.
-    sweeps = [PairSweep(pair_distances(source.dist, target.dist, f)) for f in family]
-    third = eps / 3
-    floor = source.min_positive_distance()
-    bands: list = []
-    n = 0
-    while True:
-        members = [
-            k for k, sweep in enumerate(sweeps) if sweep.largest_within(pow2(-n)) <= third
-        ]
-        bands.append(members)
-        if len(members) == len(family):
-            break
-        # vacuous once 2^-n is below every positive distance, so this ends
-        if floor is not None and pow2(-n) < floor:
-            raise AssertionError("continuity bands failed to exhaust the family")
-        n += 1
-
-    values = []
-    for k, f in enumerate(family):
-        best = ZERO
-        for n, members in enumerate(bands):
-            if not members:
-                continue
-            to_band = min(map_sup_distance(target, f, family[j]) for j in members)
-            radius = (1 - pow2(-n - 1)) * third
-            over = to_band - radius
-            if over < 0:
-                over = ZERO
-            taper = pow2(-n - 1) - over * 3 / eps
-            if taper > best:
-                best = taper
-        values.append(best)
-
-    continuity_ok = all(
-        sweep.largest_within(values[k]) <= eps for k, sweep in enumerate(sweeps)
-    )
-    bound = 6 / eps
-    lipschitz_ok = True
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            gap = abs(values[a] - values[b])
-            if gap > bound * map_sup_distance(target, family[a], family[b]):
-                lipschitz_ok = False
-    return UniformModulus(
-        eps, tuple(values), len(bands), continuity_ok, lipschitz_ok
-    )

@@ -266,10 +266,11 @@ class ThreadSpace:
 
 
 def thread_space(truncation: InverseSequenceTruncation) -> ThreadSpace:
-    """Threads with the weighted-sup metric of ``combinators.weighted_sup_metric``.
+    """Threads with the weighted-sup metric, ``combinators.weighted_sup_rows``
+    on the thread tuples.
 
     Levels need diameter <= 1 so the level weights dominate, exactly as in
-    the full product construction; rescale the levels first otherwise.
+    the full product; rescale the levels first otherwise.
     Built once per truncation; each call checks ``THREAD_CAP``, and the
     diameters until the space exists (it is built only after they pass).
     """

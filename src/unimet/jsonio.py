@@ -27,7 +27,7 @@ Shapes:
   map                 {"pairs": [[srcIdx, tgtIdx]]} (or a bare image array)
   Cover               {"ground": n, "sets": [[indices]]}
   FundamentalSequence {"covers": [Cover]}
-  Surjection          {"class_of": [classIdx per point]}
+  classes             {"class_of": [classIdx per point]}
   truncation          {"levels": [FiniteMetricSpace], "bonds": [map]}
   ladder              truncation plus {"cross": [map], "alphas": [scalar],
                       "betas": [scalar]} and optional {"target": truncation,
@@ -48,7 +48,7 @@ from typing import Optional
 from .errors import StructuralError
 from .reporting import jsonable
 from .scalars import Scalar, as_scalar, format_scalar
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, index_set
 
 # Array nesting a point label may reach; deeper labels are refused before
 # reading them, or writing them into a report, could exhaust the stack.
@@ -223,12 +223,24 @@ def fundamental_sequence_from_json(obj) -> FundamentalSequence:
     return FundamentalSequence(levels[0].ground, levels)
 
 
-def surjection_from_json(obj, space: FiniteMetricSpace) -> Surjection:
-    from .quotients import Surjection
+def classes_from_json(obj, space: FiniteMetricSpace) -> list:
+    """The member indices of each class that ``obj["class_of"]`` assigns
+    the points of ``space`` to.  The classes are 0 up to the largest index,
+    and each must be hit; only the empty space has none."""
+    from .quotients import class_members
 
-    class_of = _index_list(expect_key(obj, "class_of", "a surjection"), "class_of")
-    count = max(class_of) + 1 if class_of else 0
-    return Surjection(space, count, tuple(class_of))
+    class_of = _index_list(expect_key(obj, "class_of", "a quotient file"), "class_of")
+    count = max(class_of, default=-1) + 1
+    if space.n and count <= 0:
+        raise StructuralError("class_count must be a positive integer")
+    if len(class_of) != space.n:
+        raise StructuralError("class_of must assign every point")
+    index_set(class_of, count, "class index")
+    classes = class_members(class_of, count)
+    missing = [c for c, members in enumerate(classes) if not members]
+    if missing:
+        raise StructuralError(f"classes {missing} are empty")
+    return classes
 
 
 # ---- truncations and ladders ----

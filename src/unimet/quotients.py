@@ -1,6 +1,6 @@
 """Chain metrics on quotients of finite metric spaces.
 
-A surjection onto classes induces the block distance (infimum over
+A partition into classes induces the block distance (infimum over
 representatives) and the chain distances d_n = cheapest n-segment chain of
 block hops.  d_infinity is the shortest-path closure.  The classical facts
 made checkable here: d_n decreases in n, doubling composes in the min-plus
@@ -12,20 +12,19 @@ matrix to the class block, and the integer kernel takes its min-plus powers
 (``_power``).  On a nonnegative block with a zero diagonal (None is +inf),
 d_n = d_infinity exactly when d_n has no triangle violation, so the result's
 one axiom scan is also that certificate.  The shortest-path closure runs
-only where it is the result (``chain_metric`` with steps None), and in
-``glue_parts`` on a block outside that hypothesis (it does not check its
-parts) or on a union that d_steps leaves unconnected, to tell a union that
-needs more hops from one that is disconnected.
+only in ``glue_parts``, on a block outside that hypothesis (it does not
+check its parts) or on a union that d_steps leaves unconnected, to tell a
+union that needs more hops from one that is disconnected.
 
 Gluing several spaces along identifications builds one union matrix over
 the points of all parts first: distances inside a part are its metric,
 distances across parts are a constant (or forbidden), and identified points
 in different parts sit at distance zero, so they share a class.
 
-One routine, ``_assign_classes``, turns index groups into classes for
-``Surjection.from_classes``, ``quotient_by_discrete_family`` and
-``glue_parts`` alike.  No result stores an axiom verdict: ``is_metric``
-reads the scan that its space caches (see ``spaces``).
+One routine, ``_assign_classes``, turns index groups into classes and
+their member lists for ``quotient_by_discrete_family`` and ``glue_parts``
+alike.  No result stores an axiom verdict: ``is_metric`` reads the scan
+that its space caches (see ``spaces``).
 """
 from __future__ import annotations
 
@@ -48,51 +47,19 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class Surjection:
-    """Class assignment for the points of a finite space.
-
-    ``class_of[i]`` is the class index of point i; every class in
-    range(class_count) must be hit.
-    """
-
-    source: FiniteMetricSpace
-    class_count: int
-    class_of: tuple
-
-    def __post_init__(self) -> None:
-        if type(self.class_count) is not int or self.class_count <= 0:
-            raise StructuralError("class_count must be a positive integer")
-        if len(self.class_of) != self.source.n:
-            raise StructuralError("class_of must assign every point")
-        hit = index_set(self.class_of, self.class_count, "class index")
-        if len(hit) != self.class_count:
-            missing = sorted(set(range(self.class_count)).difference(hit))
-            raise StructuralError(f"classes {missing} are empty")
-
-    @staticmethod
-    def from_classes(space: FiniteMetricSpace, classes: Sequence[Iterable[int]]) -> "Surjection":
-        """Build from explicit index sets, as ``_assign_classes`` reads them."""
-        class_of, count = _assign_classes(space.points, classes)
-        return Surjection(space, count, class_of)
-
-    def classes(self) -> tuple:
-        out: list = [[] for _ in range(self.class_count)]
-        for i, c in enumerate(self.class_of):
-            out[c].append(i)
-        return tuple(tuple(members) for members in out)
-
-    def class_labels(self) -> tuple:
-        return tuple(
-            tuple(self.source.points[i] for i in members) for members in self.classes()
-        )
+def class_members(class_of: Sequence[int], count: int) -> list:
+    """The member indices of each of ``count`` classes, in index order."""
+    members_of: list = [[] for _ in range(count)]
+    for i, c in enumerate(class_of):
+        members_of[c].append(i)
+    return members_of
 
 
 def _assign_classes(
     labels: Sequence, groups: Iterable[Iterable[int]],
     overlap: Type[Exception] = StructuralError,
 ) -> tuple:
-    """``(class_of, class_count)`` for groups of indices into ``labels``.
+    """``(class_of, members_of)`` for groups of indices into ``labels``.
 
     Groups must be nonempty, in range and disjoint; every index is range
     checked before any overlap, and a point in two groups raises
@@ -115,7 +82,7 @@ def _assign_classes(
         if class_of[i] is None:
             class_of[i] = count
             count += 1
-    return tuple(class_of), count
+    return tuple(class_of), class_members(class_of, count)
 
 
 def _class_block(dist, members_of: Sequence[Sequence[int]]) -> list:
@@ -139,11 +106,6 @@ def _class_block(dist, members_of: Sequence[Sequence[int]]) -> list:
     return [list(row) for row in zip(*merge(list(zip(*merge(dist)))))]
 
 
-def block_distance(sur: Surjection) -> tuple:
-    """Matrix of infimum distances between class preimages."""
-    return tuple(map(tuple, _class_block(sur.source.dist, sur.classes())))
-
-
 def _hops(block: list, steps: int) -> int:
     """``max(1, min(steps, class_count - 1))``: chains never need more hops
     than class_count - 1, because repeats drop out."""
@@ -163,72 +125,21 @@ def _triangle_holds(space: FiniteMetricSpace) -> bool:
     return "triangle" not in check_metric_axioms(space).violated_axioms()
 
 
-@dataclass(frozen=True)
-class ChainMetric:
-    """A chain distance d_n (or d_infinity for steps None) on the classes.
-
-    ``space`` wraps the values with the class labels; it is flagged pseudo
-    because positivity is a theorem to check, not a given.  ``is_metric``
-    reads what the values actually satisfy from the space's own scan.
-    """
-
-    surjection: Surjection
-    steps: Optional[int]
-    space: FiniteMetricSpace
-
-    @property
-    def values(self) -> tuple:
-        return self.space.dist
-
-    def is_metric(self) -> bool:
-        return check_metric_axioms(self.space, allow_pseudo=False).ok
-
-
-def _finish_chain(sur: Surjection, steps: Optional[int], matrix: list, scale: int) -> ChainMetric:
-    """Wrap an integer chain matrix over ``scale`` as a ChainMetric."""
-    for row in matrix:
-        if None in row:
-            raise PreconditionError(
-                "chain distance is infinite: the quotient is disconnected "
-                "at the requested chain length"
-            )
-    space = FiniteMetricSpace.from_int(sur.class_labels(), matrix, scale, pseudo=True)
-    return ChainMetric(sur, steps, space)
-
-
-def chain_metric(sur: Surjection, steps: Optional[int]) -> ChainMetric:
-    """Chain distance over the quotient classes.
-
-    steps = n >= 1 gives d_n (cheapest chain of at most n block hops; chains
-    may idle at a class for free, so at-most equals exactly-n).  steps = None
-    gives d_infinity via all-pairs shortest paths.  Chains never need more
-    hops than class_count - 1 (repeats drop out), so d_n with larger n equals
-    d_infinity; the computation caps there.
-    """
-    block = _class_block(sur.source.ints, sur.classes())
-    if steps is None:
-        return _finish_chain(sur, None, closure(block), sur.source.scale)
-    if not isinstance(steps, int) or steps < 1:
-        raise StructuralError("steps must be a positive integer or None")
-    return _finish_chain(sur, steps, _power(block, steps), sur.source.scale)
-
-
 # ---- quotients by families and glued unions ----
 
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Quotient by a disjoint family with its certificates.
+    """Quotient by a disjoint family with its settle index.
 
-    ``chain`` holds d_2; ``settled_at`` is the least n with d_n = d_infinity,
-    1 or 2; ``d2_equals_dinf`` is the identity the two-hop formula relies
-    on, read from the triangle scan of the chain space.
+    ``class_of[i]`` is the class of point i; ``settled_at`` is the least n
+    with d_n = d_infinity, 1 or 2.  A family whose d_2 falls short of
+    d_infinity is refused, so every result has d_2 = d_infinity.
     """
 
     space: FiniteMetricSpace
-    chain: ChainMetric
-    d2_equals_dinf: bool
-    settled_at: Optional[int]
+    class_of: tuple
+    settled_at: int
 
 
 def quotient_by_discrete_family(
@@ -238,19 +149,19 @@ def quotient_by_discrete_family(
     """Collapse each set of a disjoint family to a point, with certificates.
 
     For a metric source, the result is certified to be a metric.  The
-    two-hop distance d_2 is certified equal to d_infinity; this holds
-    automatically when the family has a single set (chains pivot at the one
-    glued class), and is checked, not assumed, for larger families, where it
-    can genuinely fail; failure raises, because callers rely on d_2 being
-    the quotient metric.
+    two-hop distance d_2 is certified equal to d_infinity, read from the
+    triangle scan of d_2; this holds automatically when the family has a
+    single set (chains pivot at the one glued class), and is checked, not
+    assumed, for larger families, where it can genuinely fail; failure
+    raises, because callers rely on d_2 being the quotient metric.
     """
     ensure_metric(space, "quotient_by_discrete_family")
-    class_of, count = _assign_classes(space.points, family, PreconditionError)
-    sur = Surjection(space, count, class_of)
-    block = _class_block(space.ints, sur.classes())
+    class_of, members_of = _assign_classes(space.points, family, PreconditionError)
+    block = _class_block(space.ints, members_of)
     two = _power(block, 2)
-    chain = _finish_chain(sur, 2, two, space.scale)
-    if not _triangle_holds(chain.space):
+    labels = tuple(tuple(space.points[i] for i in members) for members in members_of)
+    chain = FiniteMetricSpace.from_int(labels, two, space.scale, pseudo=True)
+    if not _triangle_holds(chain):
         # d_2 falls short, so d_1 and d_2 differ; the powers settle at the
         # first n with d_n = d_{n+1}, since d_{n+1} = d_n then holds for good.
         settled, power = 2, two
@@ -260,9 +171,8 @@ def quotient_by_discrete_family(
             "two-hop quotient distance differs from the chain limit for this "
             f"family (they agree first at n = {settled})"
         )
-    ensure_metric(chain.space, "quotient of a metric by a disjoint family")
-    quotient_space = reflagged(chain.space, False)
-    return QuotientResult(quotient_space, chain, True, 1 if two == block else 2)
+    ensure_metric(chain, "quotient of a metric by a disjoint family")
+    return QuotientResult(reflagged(chain, False), class_of, 1 if two == block else 2)
 
 
 @dataclass(frozen=True)
@@ -320,7 +230,7 @@ def glue_parts(
 
     places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
     point_labels = [(p, parts[p].points[i]) for p, i in places]
-    class_of, count = _assign_classes(
+    class_of, members_of = _assign_classes(
         point_labels, [[global_index(*pair) for pair in group] for group in identifications]
     )
     union = [
@@ -332,9 +242,6 @@ def glue_parts(
         ]
         for g, (p, i) in enumerate(places)
     ]
-    members_of: list = [[] for _ in range(count)]
-    for g in range(total):
-        members_of[class_of[g]].append(g)
     labels = tuple(tuple(point_labels[g] for g in members) for members in members_of)
 
     block = _class_block(union, members_of)

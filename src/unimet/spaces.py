@@ -103,19 +103,9 @@ class FiniteMetricSpace:
         return to_fractions(self.ints, self.scale)
 
     @cached_property
-    def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
     def _axiom_report(self) -> AxiomReport:
         """The strict ``AxiomReport`` (positivity checked), scanned once."""
         return _scan_axioms(self)
-
-    def index_of(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise StructuralError(f"unknown point label {label!r}") from None
 
     def diameter(self) -> Scalar:
         """Largest entry of the matrix, zero for the empty space."""
@@ -166,11 +156,6 @@ class FiniteMetricSpace:
         if diam == 0:
             return self
         return self.scaled(as_scalar(target) / diam)
-
-    def relabeled(self, points: Sequence) -> "FiniteMetricSpace":
-        if len(points) != self.n:
-            raise StructuralError("relabeling must preserve point count")
-        return FiniteMetricSpace.from_int(points, self.ints, self.scale, self.pseudo)
 
 
 @dataclass(frozen=True)

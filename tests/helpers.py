@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from unimet.covers import Cover, FundamentalSequence
 from unimet.invlim import inverse_sequence, ladder
 from unimet.jsonio import space_to_json
+from unimet.quotients import glue_parts
 from unimet.spaces import FiniteMetricSpace
 
 ZERO = Fraction(0)
@@ -110,6 +111,14 @@ def random_partition(rng, size, classes):
     return class_of
 
 
+def chain_on_classes(sp, class_of, steps):
+    """d_steps on the classes that ``class_of`` assigns: ``glue_parts`` of
+    the one part ``sp`` with class k as group k, which is the chain
+    distance on the quotient, with ``dn_equals_dinf`` and ``is_metric``."""
+    classes = [[i for i, c in enumerate(class_of) if c == k] for k in range(max(class_of) + 1)]
+    return glue_parts([sp], [[(0, i) for i in cls] for cls in classes], None, steps)
+
+
 # ---- Moon–Moser graphs: 3^k maximal cliques on 3k points ----
 
 
@@ -118,16 +127,6 @@ def moon_moser_neighbours(triples):
     its maximal cliques take one point from each triangle."""
     size = 3 * triples
     return [{v for v in range(size) if v // 3 != u // 3} for u in range(size)]
-
-
-def moon_moser_space(triples):
-    """Distance 1 inside each triple of points and 1/2 across triples, so
-    the pairs closer than 1 form the Moon–Moser graph."""
-    size = 3 * triples
-    return space(range(size), {
-        (i, j): "1" if i // 3 == j // 3 else "1/2"
-        for i in range(size) for j in range(i + 1, size)
-    })
 
 
 def moon_moser_sequence(triples):

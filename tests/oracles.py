@@ -2,8 +2,8 @@
 
 Each oracle recomputes a published quantity along an independent route:
 chain quotient metrics as min-plus powers of the block matrix (with the
-limit taken by a plain Floyd–Warshall), Hausdorff values by the raw
-formulas, cover gauges straight from membership tables, maximal cliques
+limit taken by a plain Floyd–Warshall), cover gauges straight from
+membership tables, maximal cliques
 by a scan over every vertex subset, and cone and join metrics through
 product-then-quotient pipelines.  Everything operates on plain distance
 matrices (lists of Fraction rows) so the oracles never depend on the
@@ -290,30 +290,6 @@ def axiom_scan_reference(space):
         violations.append(AxiomViolation(
             "triangle", (pts[i], pts[j], pts[k]), frac(m[i][k]), frac(m[i][j] + m[j][k])))
     return AxiomReport(ok=not violations, allow_pseudo=False, violations=tuple(violations))
-
-
-# ---- Hausdorff ----
-
-
-def point_to_set(dist, x, subset):
-    return min(dist[x][y] for y in subset)
-
-
-def hausdorff_formula(dist, a, b):
-    """Classical max of the two directed sup-min distances, uncapped."""
-    d_a = max(point_to_set(dist, x, b) for x in a)
-    d_b = max(point_to_set(dist, y, a) for y in b)
-    return d_a if d_a >= d_b else d_b
-
-
-def hausdorff_identity_rhs(dist, a, b):
-    """min(1, max_x |d(x,A) - d(x,B)|) over every point of the space."""
-    best = ZERO
-    for x in range(len(dist)):
-        gap = abs(point_to_set(dist, x, a) - point_to_set(dist, x, b))
-        if gap > best:
-            best = gap
-    return best if best <= 1 else ONE
 
 
 # ---- cover gauge ----
@@ -706,7 +682,7 @@ def extend_metric_reference(space, subset, partial):
         coords.append([min(v, diam_d) for v in extended])
     quotient = quotient_by_discrete_family(space, [A]) if len(A) < space.n else None
     if quotient is not None:
-        q_class = quotient.chain.surjection.class_of
+        q_class = quotient.class_of
         q_diam = quotient.space.diameter()
         q_scale = ONE / q_diam if q_diam > 1 else ONE
     rows = []

@@ -216,6 +216,51 @@ def test_quotient_family_indices_are_range_checked_before_the_overlap(tmp_path):
     assert err.startswith("precondition failed:") and "'b'" in err
 
 
+EMPTY = {"points": [], "dist": []}
+# Per kind and the space keys of its input made empty: the exit code
+# without and with --oracle, and the refusal an exit 1 prints.  The cone's
+# input is its base itself, so it has no key.  An emptied cylinder factor
+# comes with the empty map, which is not total on a nonempty source.
+EMPTY_FACTOR_CASES = {
+    ("cone", ()): (0, 1, "the collapsed-slice comparison needs a nonempty base"),
+    ("join", ("left",)): (0, 1, "the amalgam comparison needs a nonempty left factor"),
+    ("join", ("right",)): (0, 1, "the amalgam comparison needs a nonempty right factor"),
+    ("join", ("left", "right")): (0, 1, "the amalgam comparison needs a nonempty left factor"),
+    ("cylinder", ("source",)): (0, 1, "adjunction_space: the subset must be nonempty"),
+    ("cylinder", ("target",)): (
+        1, 1, "mapping_cylinder_metric must be total on the source points"),
+}
+
+
+@pytest.mark.parametrize("kind, keys", sorted(EMPTY_FACTOR_CASES),
+                         ids=["-".join((kind, *keys)) for kind, keys in sorted(EMPTY_FACTOR_CASES)])
+@pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+def test_an_empty_factor_builds_or_is_refused_by_name(tmp_path, kind, keys, oracle):
+    tree = {
+        "cone": EMPTY,
+        "join": {"left": space_to_json(S2), "right": space_to_json(S3)},
+        "cylinder": {"source": space_to_json(S3), "target": space_to_json(S2), "mapping": []},
+    }[kind]
+    tree = dict(tree, **{key: EMPTY for key in keys})
+    plain, with_oracle, refusal = EMPTY_FACTOR_CASES[kind, keys]
+    argv = ["build", kind, write(tmp_path, "empty.json", tree)] + ["--oracle"] * oracle
+    code, out, err = run(argv)
+    assert "Traceback" not in err
+    assert code == (with_oracle if oracle else plain), err
+    if code == 1:
+        assert (out, err) == ("", f"precondition failed: {refusal}\n")
+
+
+@pytest.mark.parametrize("key", ["family", "class_of"])
+def test_the_quotient_of_the_empty_space_is_the_empty_space(tmp_path, key):
+    tree = {"space": EMPTY, key: []}
+    code, out, err = run(["build", "quotient", write(tmp_path, "q.json", tree)])
+    assert code == 0, err
+    found = rows(out)
+    assert found["constructed space"]["witnesses"] == [EMPTY]
+    assert found["chain settles"]["scalars"] == {"settled_at": 1}
+
+
 @pytest.mark.parametrize("depth, expected", [(None, 0), (2, 0), (0, 0), (9, 1)])
 def test_build_telescope_depths(tower, depth, expected):
     extra = [] if depth is None else ["--depth", depth]
@@ -515,6 +560,20 @@ def test_invlim_perturb_detects_an_over_budget_cross_map(tmp_path):
         if r["status"] == "fail" and "ladder square" in name
     ]
     assert failing
+
+
+def test_invlim_perturb_names_a_continuity_budget_witness(tmp_path):
+    """Budgets of alpha 1 and beta 1/1000 fail the continuity rows; each
+    failing row carries the first pair that ``check_uniform_continuity``
+    finds within alpha yet past the bound."""
+    doc = _identity_ladder()
+    doc["alphas"] = ["1"] * TOWER.top
+    doc["betas"] = ["1/1000"] * (TOWER.top + 1)
+    code, out, err = run(["invlim", "perturb", write(tmp_path, "tight.json", doc)])
+    assert code == 1, err
+    row = rows(out)["bonds from level 1 to 1 honor the alpha budget"]
+    assert row["status"] == "fail"
+    assert row["witnesses"] == [[0, 1, "1/8", "1/8"]]
 
 
 # ---- determinism and --out ----

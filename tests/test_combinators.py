@@ -1,4 +1,4 @@
-"""Products, unions, hyperspaces, and extension operators."""
+"""Products, weighted-sup rows, and extension operators."""
 
 import random
 from fractions import Fraction
@@ -6,18 +6,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import interval_points, random_space, space
-from oracles import hausdorff_formula, sup_distance, weighted_sup_reference
-from unimet import combinators
+from oracles import sup_distance, weighted_sup_reference
 from unimet.combinators import (
-    disjoint_union_metric,
-    hausdorff_distance,
-    hausdorff_hyperspace,
+    check_weighted_levels,
     kuratowski_embed,
-    mcshane_extend,
+    mcshane_rows,
     product_metric,
-    weighted_sup_metric,
+    weighted_sup_rows,
 )
 from unimet.errors import PreconditionError, StructuralError
+from unimet.kernel import to_int_matrix
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
 
@@ -72,32 +70,6 @@ def test_product_propagates_pseudo_flag():
     assert not product_metric(plain, plain, "linf").pseudo
 
 
-# ---- disjoint unions ----
-
-
-def test_disjoint_union_cross_distance_is_one():
-    left = space("ab", {(0, 1): "1/2"})
-    right = space("xy", {(0, 1): "1/4"})
-    union = disjoint_union_metric(left, right)
-    assert union.points[:2] == (("L", "a"), ("L", "b"))
-    assert union.points[2:] == (("R", "x"), ("R", "y"))
-    assert union.d(0, 1) == Fraction(1, 2)
-    assert union.d(2, 3) == Fraction(1, 4)
-    for a in range(2):
-        for b in range(2, 4):
-            assert union.d(a, b) == 1
-    assert check_metric_axioms(union).ok
-
-
-def test_disjoint_union_needs_small_diameter():
-    small = interval_points([0, 1], Fraction(1, 2))
-    big = interval_points([0, 1], Fraction(3, 2))
-    with pytest.raises(PreconditionError, match="diameter"):
-        disjoint_union_metric(small, big)
-    with pytest.raises(PreconditionError, match="diameter"):
-        disjoint_union_metric(big, small)
-
-
 # ---- weighted sup products ----
 
 
@@ -106,12 +78,12 @@ def test_weighted_sup_matches_reference():
     for _ in range(10):
         count = rng.randint(1, 3)
         levels = [random_space(rng, rng.randint(2, 3), den=16, top=16) for _ in range(count)]
-        prod = weighted_sup_metric(levels)
         dists = [[list(r) for r in lv.dist] for lv in levels]
         tuples = [()]
         for lv in levels:
             tuples = [t + (i,) for t in tuples for i in range(lv.n)]
-        assert prod.n == len(tuples)
+        rows, scale = weighted_sup_rows(levels, tuples)
+        prod = FiniteMetricSpace.from_int(tuples, rows, scale)
         for a, ta in enumerate(tuples):
             for b, tb in enumerate(tuples):
                 assert prod.d(a, b) == weighted_sup_reference(dists, ta, tb)
@@ -119,56 +91,9 @@ def test_weighted_sup_matches_reference():
 
 
 def test_weighted_sup_guards():
-    with pytest.raises(StructuralError, match="at least one"):
-        weighted_sup_metric([])
     big = interval_points([0, 1], Fraction(3, 2))
-    with pytest.raises(PreconditionError, match="diameter"):
-        weighted_sup_metric([big])
-
-
-# ---- hyperspaces ----
-
-
-def test_hyperspace_values_are_capped_hausdorff_distances():
-    rng = random.Random(41)
-    sp = random_space(rng, 5, den=4, top=8)
-    hyper = hausdorff_hyperspace(sp)
-    assert hyper.n == 2**5 - 1
-    dist = [list(r) for r in sp.dist]
-    masks = list(range(1, 1 << 5))
-    for a, ma in enumerate(masks):
-        members_a = [i for i in range(5) if ma >> i & 1]
-        assert hyper.points[a] == tuple(sp.points[i] for i in members_a)
-        for b, mb in enumerate(masks):
-            members_b = [i for i in range(5) if mb >> i & 1]
-            want = min(Fraction(1), hausdorff_formula(dist, members_a, members_b))
-            assert hyper.d(a, b) == want
-    assert check_metric_axioms(hyper).ok
-
-
-def test_hyperspace_guards(monkeypatch):
-    rng = random.Random(42)
-    sp = random_space(rng, 6)
-    monkeypatch.setattr(combinators, "HYPERSPACE_CAP", 5)
-    with pytest.raises(PreconditionError, match="cap"):
-        hausdorff_hyperspace(sp)
-    bad = space("abc", {(0, 1): 1, (0, 2): "1/4", (1, 2): "1/4"})
-    with pytest.raises(PreconditionError):
-        hausdorff_hyperspace(bad)
-
-
-def test_hausdorff_distance_matches_reference_and_guards():
-    rng = random.Random(43)
-    sp = random_space(rng, 6, den=4, top=12)
-    dist = [list(r) for r in sp.dist]
-    for _ in range(40):
-        a = rng.sample(range(6), rng.randint(1, 6))
-        b = rng.sample(range(6), rng.randint(1, 6))
-        assert hausdorff_distance(sp, a, b) == hausdorff_formula(dist, a, b)
-    with pytest.raises(StructuralError, match="nonempty"):
-        hausdorff_distance(sp, [], [0])
-    with pytest.raises(StructuralError, match="range"):
-        hausdorff_distance(sp, [0], [6])
+    with pytest.raises(PreconditionError, match="weighted sup level 1.*diameter"):
+        check_weighted_levels([interval_points([0, 1]), big])
 
 
 # ---- isometric embedding into sequences ----
@@ -210,32 +135,11 @@ def test_mcshane_extension_restricts_exactly_and_keeps_constant():
         L = Fraction(rng.randint(1, 4), 2)
         # generate Lipschitz data by restricting an L-scaled distance function
         anchor = rng.randrange(sp.n)
-        values = [L * sp.d(a, anchor) for a in subset]
-        extended = mcshane_extend(sp, subset, values, L)
-        for a, v in zip(subset, values):
-            assert extended[a] == v
+        (row,), scale = to_int_matrix([[L * sp.d(a, anchor) for a in subset]])
+        (out,), out_scale = mcshane_rows(sp, subset, [row], scale, L)
+        extended = [Fraction(v, out_scale) for v in out]
+        for a, v in zip(subset, row):
+            assert extended[a] == Fraction(v, scale)
         for x in range(sp.n):
             for y in range(sp.n):
                 assert abs(extended[x] - extended[y]) <= L * sp.d(x, y)
-
-
-def test_mcshane_accepts_mapping_values():
-    sp = interval_points([0, 1, 2], Fraction(1, 4))
-    out = mcshane_extend(sp, [0, 2], {0: Fraction(0), 2: Fraction(1, 2)}, 1)
-    assert out[0] == 0
-    assert out[2] == Fraction(1, 2)
-    assert out[1] == Fraction(1, 4)
-
-
-def test_mcshane_guards():
-    sp = interval_points([0, 1, 2], Fraction(1, 4))
-    with pytest.raises(PreconditionError, match="Lipschitz"):
-        mcshane_extend(sp, [0, 2], [Fraction(0), Fraction(2)], 1)
-    with pytest.raises(StructuralError, match="nonnegative"):
-        mcshane_extend(sp, [0], [Fraction(0)], -1)
-    with pytest.raises(PreconditionError, match="nonempty"):
-        mcshane_extend(sp, [], [], 1)
-    with pytest.raises(StructuralError, match="duplicate"):
-        mcshane_extend(sp, [0, 0], [Fraction(0), Fraction(0)], 1)
-    with pytest.raises(StructuralError, match="align"):
-        mcshane_extend(sp, [0, 1], [Fraction(0)], 1)

@@ -133,8 +133,8 @@ def test_euclidean_cone_sampling_and_guards():
     cone = euclidean_cone_metric(ok, (0, "1/2", 1))
     assert cone.points[0] == ("apex",)
     assert cone.points[1] == ("seg", "a", Fraction(1, 2))
-    apex = cone.index_of(("apex",))
-    seg = cone.index_of(("seg", "b", Fraction(1)))
+    apex = cone.points.index(("apex",))
+    seg = cone.points.index(("seg", "b", Fraction(1)))
     assert abs(cone.matrix[apex][seg] - 1.0) < 1e-15
     with pytest.raises(PreconditionError, match="apex"):
         euclidean_cone_metric(ok, ("1/2", 1))

@@ -12,7 +12,6 @@ from helpers import (
     metric_closure,
     moon_moser_neighbours,
     moon_moser_sequence,
-    moon_moser_space,
     random_space,
     wide_matrix,
     wide_space,
@@ -34,7 +33,6 @@ from unimet.covers import (
     ball_fundamental_sequence,
     complement_distances,
     containment_from_distances,
-    lebesgue_number,
     maximal_cliques,
     point_finite_refinement,
     star_refines,
@@ -116,51 +114,6 @@ def test_ball_cover_uses_closed_balls():
         ball_cover(sp, Fraction(-1))
 
 
-# ---- Lebesgue-style numbers ----
-
-
-def brute_lebesgue(space, cover):
-    best = None
-    targets = cover.member_sets()
-    for threshold in space.positive_spectrum():
-        ok = True
-        for mask in range(1, 1 << space.n):
-            pts = [i for i in range(space.n) if mask >> i & 1]
-            diam = max((space.d(a, b) for a in pts for b in pts), default=Fraction(0))
-            if diam < threshold and not any(set(pts) <= t for t in targets):
-                ok = False
-                break
-        if ok:
-            best = threshold
-        else:
-            break
-    return best
-
-
-def test_lebesgue_number_matches_brute_force():
-    rng = random.Random(137)
-    for _ in range(10):
-        sp = random_space(rng, rng.randint(3, 6))
-        cover = ball_cover(sp, Fraction(rng.randint(1, 12), 16))
-        result = lebesgue_number(sp, cover)
-        if any(len(m) == sp.n for m in cover.members):
-            assert result.infinite
-        else:
-            assert not result.infinite
-            assert result.value == brute_lebesgue(sp, cover)
-
-
-def test_lebesgue_number_degenerate_cases():
-    sp = interval_points([0, 1], Fraction(1, 2))
-    assert lebesgue_number(sp, Cover(2, ((0, 1),))).infinite
-    degenerate = pseudo_pair()
-    singletons = Cover(2, ((0,), (1,)))
-    result = lebesgue_number(degenerate, singletons)
-    assert result.value is None and not result.infinite
-    with pytest.raises(StructuralError, match="ground"):
-        lebesgue_number(sp, Cover(3, ((0, 1, 2),)))
-
-
 # ---- maximal cliques ----
 
 
@@ -200,15 +153,9 @@ def test_clique_cap_stops_the_listing(monkeypatch):
     # 3^10 maximal cliques on 30 points, past the default cap
     triples = 10
     assert 3**triples > CLIQUE_CAP
-    sp = moon_moser_space(triples)
-    singletons = Cover(sp.n, tuple((x,) for x in range(sp.n)))
-    with pytest.raises(PreconditionError, match="CLIQUE_CAP"):
-        lebesgue_number(sp, singletons)
     with pytest.raises(PreconditionError, match="CLIQUE_CAP"):
         au_metrize(moon_moser_sequence(triples))
-    # below the cap both run: the cross-triple pairs are the cliques at 1
-    six = Cover(6, tuple((x,) for x in range(6)))
-    assert lebesgue_number(moon_moser_space(2), six).value == Fraction(1, 2)
+    # below the cap it runs
     assert au_metrize(moon_moser_sequence(2)).clique_containment_ok
 
 

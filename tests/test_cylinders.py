@@ -1,4 +1,4 @@
-"""Mapping cylinders and the uniform modulus for map families."""
+"""Mapping cylinders and the sup distance between maps."""
 
 import random
 from fractions import Fraction
@@ -21,10 +21,8 @@ from unimet.cylinders import (
     cylinder_adjunction_check,
     map_sup_distance,
     mapping_cylinder_metric,
-    uniform_modulus,
 )
 from unimet.errors import PreconditionError
-from unimet.moduli import check_uniform_continuity
 from unimet.spaces import check_metric_axioms
 
 GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -138,46 +136,10 @@ def test_sub_cylinder_is_the_induced_submetric():
         assert sub.mapping == tuple(mapping[i] for i in keep)
 
 
-# ---- uniform modulus ----
+# ---- maps ----
 
 
 def test_map_sup_distance():
     target = interval_points([0, 1, 2], Fraction(1, 4))
     assert map_sup_distance(target, (0, 1), (2, 1)) == Fraction(1, 2)
     assert map_sup_distance(target, (0, 1), (0, 1)) == 0
-
-
-def test_uniform_modulus_certificates():
-    rng = random.Random(331)
-    for _ in range(8):
-        source = random_space(rng, rng.randint(2, 5))
-        target = random_space(rng, rng.randint(2, 4))
-        count = rng.randint(1, 6)
-        maps = [
-            tuple(rng.randrange(target.n) for _ in range(source.n))
-            for _ in range(count)
-        ]
-        eps = Fraction(rng.randint(1, 4), 4)
-        table = uniform_modulus(source, target, maps, eps)
-        assert table.continuity_ok and table.lipschitz_ok
-        assert table.band_count >= 1
-        assert table.lipschitz_constant == 6 / eps
-        for k, f in enumerate(maps):
-            delta = table.delta_for(k)
-            assert 0 < delta <= 1
-            assert check_uniform_continuity(source, target, f, delta, eps) is None
-        for a in range(count):
-            for b in range(count):
-                gap = abs(table.values[a] - table.values[b])
-                bound = table.lipschitz_constant * map_sup_distance(
-                    target, maps[a], maps[b]
-                )
-                assert gap <= bound
-
-
-def test_uniform_modulus_guards():
-    source = interval_points([0, 1], Fraction(1, 2))
-    with pytest.raises(PreconditionError, match="positive"):
-        uniform_modulus(source, source, [(0, 1)], 0)
-    with pytest.raises(PreconditionError, match="at least one"):
-        uniform_modulus(source, source, [], Fraction(1, 2))

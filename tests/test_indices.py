@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import interval_points
-from unimet.combinators import hausdorff_distance, mcshane_extend
 from unimet.conemodels import NormedPointSet, cone_comparison_bounds
 from unimet.covers import Cover
 from unimet.cubohedra import Cube
 from unimet.errors import StructuralError
 from unimet.gluing import adjunction_space, extend_metric
 from unimet.invlim import InverseSequenceTruncation, inverse_sequence, ladder
-from unimet.quotients import Surjection, quotient_by_discrete_family
+from unimet.quotients import quotient_by_discrete_family
 from unimet.spaces import index_set
 
 S3 = interval_points([0, 1, 2], Fraction(1, 4))
@@ -29,11 +28,8 @@ IDENTITY = (0, 1, 2)
 # A cube's extent holds unbounded coordinate indices: it has no bound.
 INDEX_PLACES = {
     "quotient family": (3, lambda bad: quotient_by_discrete_family(S3, [bad])),
-    "surjection class_of": (2, lambda bad: Surjection(S3, 2, (*bad, 0, 1)[:3])),
     "adjunction subset": (3, lambda bad: adjunction_space(S3, bad, POINT, {0: 0})),
     "extension subset": (3, lambda bad: extend_metric(S3, bad, [[0]])),
-    "hausdorff subset": (3, lambda bad: hausdorff_distance(S3, bad, [0])),
-    "mcshane subset": (3, lambda bad: mcshane_extend(S3, bad, [0] * len(bad), 1)),
     "cover member": (3, lambda bad: Cover(3, (bad, (0, 1, 2)))),
     "submetric": (3, lambda bad: S3.submetric(bad)),
     "truncation bond": (
@@ -78,5 +74,3 @@ def test_index_set_sorts_after_it_checks():
 def test_a_bool_is_not_a_count():
     with pytest.raises(StructuralError, match="positive integer"):
         Cover(True, ((0,),))
-    with pytest.raises(StructuralError, match="positive integer"):
-        Surjection(POINT, True, (0,))

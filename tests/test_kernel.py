@@ -16,6 +16,7 @@ import unimet.quotients
 import unimet.spaces
 from helpers import (
     PRIMES_7_TO_31,
+    chain_on_classes,
     interval_points,
     matrix_of,
     random_partition,
@@ -36,7 +37,7 @@ from unimet.cli import main
 from unimet.errors import PreconditionError
 from unimet.jsonio import space_to_json
 from unimet.kernel import closure, min_plus, to_fractions, to_int_matrix
-from unimet.quotients import Surjection, chain_metric, glue_parts
+from unimet.quotients import glue_parts
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms, reflagged
 
 ZERO = Fraction(0)
@@ -172,14 +173,14 @@ def test_chain_metric_matches_oracles_on_wide_denominators():
         classes = rng.randint(1, size)
         sp = wide_space(rng, size)
         class_of = random_partition(rng, size, classes)
-        sur = Surjection(sp, classes, tuple(class_of))
         block = block_distance_matrix(matrix_of(sp), class_of)
-        inf = chain_metric(sur, None)
-        assert [list(r) for r in inf.values] == chain_limit_apsp(block)
+        limit = chain_limit_apsp(block)
         for n in range(1, classes + 1):
-            dn = chain_metric(sur, n)
-            assert [list(r) for r in dn.values] == chain_power(block, n)
-            assert dn.is_metric() == axiom_report_reference(dn.space.points, dn.values, False)[0]
+            dn = chain_on_classes(sp, class_of, n)
+            values = [list(r) for r in dn.space.dist]
+            assert values == chain_power(block, n)
+            assert dn.dn_equals_dinf == (values == limit)
+            assert dn.is_metric() == axiom_report_reference(dn.space.points, dn.space.dist, False)[0]
 
 
 def _random_glue_cases(rng, count):

@@ -98,4 +98,4 @@ def test_the_closed_form_collapse_is_the_one_set_quotient(case):
     quotient = quotient_by_discrete_family(space, [A])
     collapsed = FiniteMetricSpace.from_int(quotient.space.points, q, space.scale)
     assert (collapsed.ints, collapsed.scale) == (quotient.space.ints, quotient.space.scale)
-    assert tuple(class_of) == quotient.chain.surjection.class_of
+    assert tuple(class_of) == quotient.class_of

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import unimet.quotients
 from helpers import (
+    chain_on_classes,
     interval_points,
     matrix_of,
     metric_closure,
@@ -25,70 +26,70 @@ from oracles import (
     triangle_valid,
 )
 from unimet.errors import PreconditionError, StructuralError
+from unimet.jsonio import classes_from_json
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 from unimet.quotients import (
-    Surjection,
     amalgamated_union,
-    block_distance,
-    chain_metric,
     glue_parts,
     quotient_by_discrete_family,
 )
 
 
-# ---- surjections ----
+# ---- class assignments ----
 
 
 def test_surjection_guards():
+    """A ``class_of`` array must hit each class from 0 to its largest
+    index, for every point; each failure names its rule."""
     s = interval_points([0, 1, 2], Fraction(1, 4))
-    with pytest.raises(StructuralError):
-        Surjection(s, 2, (0, 1))
-    with pytest.raises(StructuralError):
-        Surjection(s, 3, (0, 1, 1))
-    with pytest.raises(StructuralError):
-        Surjection(s, 2, (0, 2, 1))
+    for class_of, message in [
+        ([], "class_count must be a positive integer"),
+        ([0, 1], "class_of must assign every point"),
+        ([0, -1, 1], "class index -1 out of range"),
+        ([0, 2, 2], r"classes \[1\] are empty"),
+    ]:
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            classes_from_json({"class_of": class_of}, s)
+    assert classes_from_json({"class_of": [1, 0, 1]}, s) == [[1], [0, 2]]
 
 
 def test_surjection_from_classes_appends_singletons():
     s = interval_points([0, 1, 2, 3], Fraction(1, 8))
-    sur = Surjection.from_classes(s, [[1, 3]])
-    assert sur.class_of == (1, 0, 2, 0)
-    assert sur.classes() == ((1, 3), (0,), (2,))
-    with pytest.raises(StructuralError):
-        Surjection.from_classes(s, [[0], [0]])
-    with pytest.raises(StructuralError):
-        Surjection.from_classes(s, [[]])
+    assert quotient_by_discrete_family(s, [[1, 3]]).class_of == (1, 0, 2, 0)
+    with pytest.raises(PreconditionError, match="two classes"):
+        quotient_by_discrete_family(s, [[0], [0]])
+    with pytest.raises(StructuralError, match="nonempty"):
+        quotient_by_discrete_family(s, [[]])
 
 
 # ---- chain metrics vs oracle ----
 
 
 def test_chain_metrics_match_oracle_and_biconditional():
+    """d_n on the classes is the oracle's chain power, decreasing in n, and
+    ``dn_equals_dinf`` holds exactly when d_n is the chain limit, which is
+    exactly when d_n satisfies the triangle inequality."""
     rng = random.Random(2024)
     for _ in range(60):
         size = rng.randint(2, 8)
         classes = rng.randint(1, size)
         sp = random_space(rng, size)
         class_of = random_partition(rng, size, classes)
-        sur = Surjection(sp, classes, tuple(class_of))
         block = block_distance_matrix(matrix_of(sp), class_of)
-        assert [list(r) for r in block_distance(sur)] == block
-        inf = chain_metric(sur, None)
-        assert [list(r) for r in inf.values] == chain_limit_apsp(block)
+        limit = chain_limit_apsp(block)
         previous = None
         for n in range(1, classes + 1):
-            dn = chain_metric(sur, n)
-            assert [list(r) for r in dn.values] == chain_power(block, n)
+            glued = chain_on_classes(sp, class_of, n)
+            dn = [list(r) for r in glued.space.dist]
+            assert dn == chain_power(block, n)
             # d_n decreases in n
             if previous is not None:
                 for p in range(classes):
                     for q in range(classes):
-                        assert dn.values[p][q] <= previous[p][q]
-            previous = dn.values
+                        assert dn[p][q] <= previous[p][q]
+            previous = dn
             # the settling criterion: d_n = d_inf iff d_n is triangle-valid
-            assert (dn.values == inf.values) == triangle_valid(
-                [list(r) for r in dn.values]
-            )
+            assert glued.dn_equals_dinf == (dn == limit) == triangle_valid(dn)
 
 
 @st.composite
@@ -138,10 +139,10 @@ def test_chain_doubling_composes():
         size = rng.randint(3, 7)
         classes = rng.randint(2, size)
         sp = random_space(rng, size)
-        sur = Surjection(sp, classes, tuple(random_partition(rng, size, classes)))
+        class_of = random_partition(rng, size, classes)
         for n in (1, 2):
-            dn = chain_metric(sur, n).values
-            d2n = chain_metric(sur, 2 * n).values
+            dn = chain_on_classes(sp, class_of, n).space.dist
+            d2n = chain_on_classes(sp, class_of, 2 * n).space.dist
             for p in range(classes):
                 for q in range(classes):
                     best = min(dn[p][r] + dn[r][q] for r in range(classes))
@@ -150,12 +151,12 @@ def test_chain_doubling_composes():
 
 def test_chain_metric_guards():
     s = interval_points([0, 1, 2], Fraction(1, 4))
-    sur = Surjection.from_classes(s, [[0, 1]])
-    with pytest.raises(StructuralError):
-        chain_metric(sur, 0)
+    class_of = [0, 0, 1]
     # steps beyond class_count - 1 equal the chain limit
-    big = chain_metric(sur, 99)
-    assert big.values == chain_metric(sur, None).values
+    big = chain_on_classes(s, class_of, 99)
+    block = block_distance_matrix(matrix_of(s), class_of)
+    assert [list(r) for r in big.space.dist] == chain_limit_apsp(block)
+    assert big.dn_equals_dinf
 
 
 # ---- quotients by families ----
@@ -168,8 +169,7 @@ def test_single_set_quotient_settles_at_two_hops():
         sp = random_space(rng, size)
         members = sorted(rng.sample(range(size), rng.randint(2, size - 1)))
         result = quotient_by_discrete_family(sp, [members])
-        assert result.d2_equals_dinf
-        assert result.settled_at is not None and result.settled_at <= 2
+        assert result.settled_at <= 2
         assert check_metric_axioms(result.space).ok
 
 
@@ -203,11 +203,9 @@ def test_two_set_family_failure_raises():
     # through the glued classes; engineered so d_2 > d_inf
     s = interval_points([0, 1, 2, 3, 4, 5], Fraction(1, 8))
     family = [[0, 2], [3, 5]]
-    sur = Surjection.from_classes(s, family)
-    two = chain_metric(sur, 2).values
-    inf = chain_metric(sur, None).values
-    settled = least_settling_hops(block_distance_matrix(matrix_of(s), sur.class_of))
-    if two != inf:
+    block = block_distance_matrix(matrix_of(s), [0, 2, 0, 1, 3, 1])
+    settled = least_settling_hops(block)
+    if chain_power(block, 2) != chain_limit_apsp(block):
         with pytest.raises(PreconditionError, match="two-hop"):
             quotient_by_discrete_family(s, family)
     else:
@@ -217,8 +215,8 @@ def test_two_set_family_failure_raises():
     # two hops, so d_2 > d_inf here for certain
     line = interval_points(range(10), Fraction(1, 8))
     family = [[1, 4], [5, 8]]
-    sur = Surjection.from_classes(line, family)
-    settled = least_settling_hops(block_distance_matrix(matrix_of(line), sur.class_of))
+    class_of = [2, 0, 3, 4, 0, 1, 5, 6, 1, 7]
+    settled = least_settling_hops(block_distance_matrix(matrix_of(line), class_of))
     assert settled > 2
     message = (
         "two-hop quotient distance differs from the chain limit for this "
@@ -270,14 +268,14 @@ def test_quotient_matches_the_chain_limit_oracle(case):
             quotient_by_discrete_family(sp, family)
         return
     result = quotient_by_discrete_family(sp, family)
-    assert result.chain.surjection.class_of == tuple(class_of)
+    assert result.class_of == tuple(class_of)
     assert [list(row) for row in result.space.dist] == limit
     assert result.settled_at == settled
 
 
 def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
-    """d_2 on the line above needs one min-plus product and no closure,
-    although its powers settle only at n = 3."""
+    """d_2 on the classes of the line above needs one min-plus product and
+    no closure, although its powers settle only at n = 3."""
     calls = []
     for name in ("closure", "min_plus"):
         original = getattr(unimet.quotients, name)
@@ -287,12 +285,13 @@ def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(unimet.quotients, name, counted)
-    line = interval_points(range(10), Fraction(1, 8))
-    sur = Surjection.from_classes(line, [[1, 4], [5, 8]])
-    two = chain_metric(sur, 2)
+    line, family = THREE_HOP_LINE
+    groups = [[(0, i) for i in members] for members in family]
+    two = glue_parts([line], groups, None, 2)
     assert calls == ["min_plus"]
-    block = block_distance_matrix(matrix_of(line), sur.class_of)
-    assert [list(row) for row in two.values] == chain_power(block, 2)
+    block = block_distance_matrix(matrix_of(line), two.class_of_part[0])
+    assert [list(row) for row in two.space.dist] == chain_power(block, 2)
+    assert not two.dn_equals_dinf
 
 
 # ---- glued unions ----

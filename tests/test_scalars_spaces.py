@@ -93,9 +93,6 @@ def test_space_structural_guards():
 def test_space_lookup_and_views():
     s = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
     assert s.n == 3
-    assert s.index_of("b") == 1
-    with pytest.raises(StructuralError):
-        s.index_of("zzz")
     assert s.diameter() == Fraction(1, 2)
     assert s.spectrum() == (ZERO, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
     assert s.positive_spectrum() == (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
@@ -103,7 +100,6 @@ def test_space_lookup_and_views():
     sub = s.submetric([0, 2])
     assert sub.points == ("a", "c")
     assert sub.d(0, 1) == Fraction(1, 3)
-    assert s.relabeled(["x", "y", "z"]).points == ("x", "y", "z")
 
 
 def test_scaling_helpers():

@@ -47,7 +47,7 @@ from oracles import (
 from unimet.combinators import (
     PRODUCT_NORMS,
     interval_space,
-    mcshane_extend,
+    mcshane_rows,
     product_metric,
     weighted_sup_rows,
 )
@@ -295,14 +295,6 @@ def test_adjunction_certificates_match_the_fraction_code(case):
 # ---- McShane's extension, the metric extension and the adjunction's default route ----
 
 
-def _outcome(build, *args):
-    """The result of ``build(*args)``, or the type and words of its refusal."""
-    try:
-        return build(*args)
-    except PreconditionError as exc:
-        return type(exc), str(exc)
-
-
 @st.composite
 def extension_inputs(draw):
     """(space, subset, partial): a ``coprime_inputs``-style pair of spaces,
@@ -354,21 +346,19 @@ def mcshane_inputs(draw):
     return space, subset, values, L
 
 
-# On this asymmetric matrix the values (0, 1) are their own extension's
-# restriction, yet |g(a) - g(b)| = 1 > d(a, b) = 0: only the pair scan
-# refuses them.
-ASYMMETRIC = FiniteMetricSpace("ab", ((ZERO, ZERO), (Fraction(5), ZERO)))
-
-
 @given(mcshane_inputs())
-@example((ASYMMETRIC, [0, 1], [ZERO, ONE], ONE))
 def test_mcshane_extend_matches_the_fraction_code(case):
-    """Equal Fractions, or the same refusal naming the same first pair."""
+    """One ``mcshane_rows`` row is the Fraction extension of values that
+    are L-Lipschitz on the subset; the reference refuses the others, which
+    no caller passes."""
     space, subset, values, L = case
-    want = _outcome(mcshane_extend_reference, space, subset, values, L)
-    assert _outcome(mcshane_extend, space, subset, values, L) == want
-    keyed = dict(zip(subset, values))
-    assert _outcome(mcshane_extend, space, subset, keyed, L) == want
+    try:
+        want = mcshane_extend_reference(space, subset, values, L)
+    except PreconditionError:
+        return
+    (row,), scale = to_int_matrix([values])
+    (out,), out_scale = mcshane_rows(space, subset, [row], scale, L)
+    assert [Fraction(v, out_scale) for v in out] == want
 
 
 @given(adjunction_inputs())
