@@ -53,14 +53,13 @@ _EXPORTS = {
     "gluing": ("AdjunctionResult", "adjunction_space", "extend_metric"),
     "invlim": (
         "CauchyAnchorVerdict", "InverseSequenceTruncation", "LadderData",
-        "MittagLefflerReport", "PerturbationReport", "SeparationIndexResult",
-        "Telescope", "Thread", "ThreadSpace", "cauchy_report", "cauchy_row",
-        "convergence_report", "convergence_row", "inverse_sequence", "ladder",
-        "level_anchor_verdict", "level_shadow_reached", "mittag_leffler_report",
-        "perturbation_limit", "separation_index", "telescope_metric",
-        "thread_space", "threads",
+        "PerturbationReport", "SeparationIndexResult", "Telescope",
+        "ThreadSpace", "convergence_report", "convergence_row",
+        "inverse_sequence", "ladder", "level_anchor_verdict",
+        "mittag_leffler_report", "perturbation_limit", "separation_index",
+        "telescope_metric", "thread_space", "threads",
     ),
-    "moduli": ("ModulusTable", "check_uniform_continuity", "continuity_modulus"),
+    "moduli": ("ModulusTable", "continuity_modulus"),
     "quotients": (
         "QuotientResult", "amalgamated_union", "glue_parts",
         "quotient_by_discrete_family",

@@ -548,16 +548,15 @@ def _invlim_threads(truncation, builder: ReportBuilder) -> None:
     )
     builder.check(
         "every thread is bond compatible",
-        all(t.compatible_with(truncation) for t in found),
+        all(bond[t[i + 1]] == t[i] for t in found for i, bond in enumerate(truncation.bonds)),
     )
-    builder.info("threads", witnesses=[t.entries for t in found])
+    builder.info("threads", witnesses=found)
 
 
 def _invlim_ml(truncation, builder: ReportBuilder) -> None:
     from .invlim import mittag_leffler_report
 
-    report = mittag_leffler_report(truncation)
-    for row in report.rows:
+    for row in mittag_leffler_report(truncation):
         builder.check(
             f"image chain at level {row.level} stabilizes inside the window",
             row.stabilized,
@@ -568,37 +567,35 @@ def _invlim_ml(truncation, builder: ReportBuilder) -> None:
         )
 
 
-def _neighborhood_rows(builder: ReportBuilder, report, level: int, label: str) -> None:
-    for row in report.rows:
-        if row.level == level:
-            builder.info(
-                label,
-                scalars={
-                    "level": row.level,
-                    "epsilon": row.epsilon,
-                    "holds_from": row.holds_from,
-                    "witnessed": row.witnessed,
-                },
-            )
+def _neighborhood_rows(builder: ReportBuilder, rows, label: str) -> None:
+    for row in rows:
+        builder.info(
+            label,
+            scalars={
+                "level": row.level,
+                "epsilon": row.epsilon,
+                "holds_from": row.holds_from,
+                "witnessed": row.witnessed,
+            },
+        )
 
 
 def _invlim_converge(truncation, builder: ReportBuilder) -> None:
-    from .invlim import convergence_report, level_shadow_reached
+    from .invlim import convergence_report
 
-    report = convergence_report(truncation)
-    for level in range(truncation.top + 1):
+    for level, rows in enumerate(convergence_report(truncation)):
+        # The first row of a level is its row at scale 0.
         builder.check(
             f"images reach the shadow at level {level} inside the window",
-            level_shadow_reached(truncation, level),
+            rows[0].witnessed,
         )
-        _neighborhood_rows(builder, report, level, "convergence row")
+        _neighborhood_rows(builder, rows, "convergence row")
 
 
 def _invlim_cauchy(truncation, builder: ReportBuilder) -> None:
-    from .invlim import cauchy_report, level_anchor_verdict
+    from .invlim import convergence_report, level_anchor_verdict
 
-    report = cauchy_report(truncation)
-    for level in range(truncation.top + 1):
+    for level, rows in enumerate(convergence_report(truncation)):
         verdict = level_anchor_verdict(truncation, level)
         witnesses = []
         scalars = {}
@@ -617,7 +614,7 @@ def _invlim_cauchy(truncation, builder: ReportBuilder) -> None:
             witnesses=witnesses,
             scalars=scalars,
         )
-        _neighborhood_rows(builder, report, level, "cauchy row")
+        _neighborhood_rows(builder, rows, "cauchy row")
 
 
 def _invlim_separate(truncation, builder: ReportBuilder) -> None:

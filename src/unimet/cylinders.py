@@ -11,7 +11,6 @@ measures the gap, as the oracle that tests and ``--oracle`` run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -158,8 +157,11 @@ def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
     Rebuilds the cylinder as adjunction_space(adjusted X x I, top slice, Y)
     with cross hops at 3 (above every displayed value, so chains pivot at
     glued classes) and the product metric itself as the extension, requires
-    every adjunction certificate, and compares entrywise.
+    every adjunction certificate, and compares entrywise.  The empty
+    source has no top slice to attach, so it is refused.
     """
+    if not cylinder.source.n:
+        raise PreconditionError("the attachment comparison needs a nonempty source")
     k = len(cylinder.t_grid)
     product = product_metric(cylinder.adjusted, interval_space(cylinder.t_grid), "l1")
     top = [i * k + k - 1 for i in range(cylinder.source.n)]
@@ -182,13 +184,3 @@ def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
         for tp in range(k - 1)
     ]
     return largest_gap(cylinder.space, result.space, index + list(result.y_class))
-
-
-# ---- maps ----
-
-
-def map_sup_distance(target: FiniteMetricSpace, f: Sequence[int], g) -> Scalar:
-    """Sup distance between two maps into the same target, coordinatewise;
-    zero for maps on an empty source."""
-    m = target.ints
-    return Fraction(max([m[y][z] for y, z in zip(f, g)], default=0), target.scale)

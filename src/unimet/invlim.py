@@ -10,11 +10,13 @@ is not given.  Composites are built in a loop, one bond at a time, so no
 truncation needs a deep stack; ``check_level_count`` refuses more than
 ``LEVEL_CAP`` levels, in a file before any level is parsed.  The pieces:
 
-- threads: compatible tuples (x_0, .., x_N) with p_i(x_{i+1}) = x_i, and the
-  weighted-sup metric on them (the restriction of the full product metric).
-- stabilization (discrete image chains) and neighborhood tables: per level
-  and per spectrum scale, from which image on every image lies near the
-  limit shadow, which answers the convergence and the Cauchy question.
+- threads: compatible tuples (x_0, .., x_N) with p_i(x_{i+1}) = x_i, held
+  as plain index tuples, and the weighted-sup metric on them (the
+  restriction of the full product metric).
+- stabilization (discrete image chains) and the neighborhood table: per
+  level and per spectrum scale, from which image on every image lies near
+  the limit shadow.  The truncation builds the table once, and it answers
+  the convergence, the shadow and the Cauchy question alike.
 - separation index: the first level whose thread projection pins thread
   distances, with the certifying threshold.
 - telescope metrics: iterated mapping-cylinder attachments over a segment
@@ -27,20 +29,22 @@ Neighborhoods are closed throughout: the eps-neighborhood of a set contains
 the points at distance <= eps from it, so all containments are exact
 rational comparisons.  Every scan over point pairs reads a
 ``moduli.PairSweep``; a truncation builds each of its sweeps, its excess
-tables and its thread space once and keeps them beside its composites.
+tables, its neighborhood table and its thread space once and keeps them
+beside its composites.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .combinators import check_weighted_levels, weighted_sup_rows
-from .cylinders import map_sup_distance, mapping_cylinder_metric
+from .cylinders import mapping_cylinder_metric
 from .errors import PreconditionError, StructuralError
 from .gluing import adjunction_space
-from .moduli import PairSweep, check_uniform_continuity, pair_distances
+from .moduli import PairSweep, pair_distances
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid, pow2
 from .spaces import FiniteMetricSpace, ensure_total_map, index_set
 
@@ -48,7 +52,7 @@ from .spaces import FiniteMetricSpace, ensure_total_map, index_set
 THREAD_CAP = 16
 
 # Most levels a truncation may have.  The composite cache holds one tuple
-# per level pair and the neighborhood reports one row per (level, later
+# per level pair and the neighborhood table one entry per (level, later
 # level, scale), so the work grows with the square of the level count: on
 # one-point levels ``invlim converge`` takes 0.85 / 3.6 / 6.5 / 11.7 s at
 # 600 / 1,200 / 1,500 / 2,000 levels (Python 3.11, in process).
@@ -76,7 +80,8 @@ class InverseSequenceTruncation:
     p_i o .. o p_{j-1} are cached, each extending the deepest cached one
     into the same level; ``composite(j, i)`` is the identity when j == i.
     So are what the diagnostics read of them: the pair sweep of each
-    composite, the excess table of each level and the thread space.
+    composite, the excess table of each level, the neighborhood table and
+    the thread space.
     More than ``LEVEL_CAP`` levels raise a PreconditionError.
     """
 
@@ -131,12 +136,15 @@ class InverseSequenceTruncation:
 
     def composite_sweep(self, j: int, i: int) -> PairSweep:
         """Pairs a < b of level j as (d_j(a, b), distance of their images
-        under p^j_i), swept once: its ``largest_within(alpha)`` is the worst
-        image distance the composite attains on pairs within alpha."""
+        under p^j_i, a, b), swept once: its ``largest_within(alpha)`` is the
+        worst image distance the composite attains on pairs within alpha."""
         key = (j, i)
         if key not in self._sweeps:
+            source, target, f = self.levels[j].dist, self.levels[i].dist, self.composite(j, i)
             self._sweeps[key] = PairSweep(
-                pair_distances(self.levels[j].dist, self.levels[i].dist, self.composite(j, i))
+                (row[b], target[f[a]][f[b]], a, b)
+                for a, row in enumerate(source)
+                for b in range(a + 1, len(source))
             )
         return self._sweeps[key]
 
@@ -167,25 +175,26 @@ class InverseSequenceTruncation:
                 table.append(tuple(None if image else ZERO for image in images))
         return tuple(table)
 
-    def surjective_bonds(self) -> tuple:
-        """Per-bond surjectivity flags; informational, never required."""
+    @cached_property
+    def _convergence_rows(self) -> tuple:
+        """Per level, its neighborhood row at each scale of its spectrum, in
+        spectrum order: the first row of each group is the one at scale 0."""
         return tuple(
-            set(bond) == set(range(self.levels[i].n)) for i, bond in enumerate(self.bonds)
+            tuple(convergence_row(self, i, eps) for eps in level.spectrum())
+            for i, level in enumerate(self.levels)
         )
 
     @cached_property
     def _threads(self) -> tuple:
         composites = [self.composite(self.top, i) for i in range(self.top + 1)]
         return tuple(
-            Thread(tuple(comp[x] for comp in composites))
-            for x in range(self.levels[self.top].n)
+            tuple(comp[x] for comp in composites) for x in range(self.levels[self.top].n)
         )
 
     @cached_property
     def _thread_space(self) -> "ThreadSpace":
-        entries = [thread.entries for thread in self._threads]
-        points = [tuple(lv.points[x] for lv, x in zip(self.levels, e)) for e in entries]
-        rows, scale = weighted_sup_rows(self.levels, entries)
+        points = [tuple(lv.points[x] for lv, x in zip(self.levels, e)) for e in self._threads]
+        rows, scale = weighted_sup_rows(self.levels, self._threads)
         space = FiniteMetricSpace.from_int(points, rows, scale)
         return ThreadSpace(self, self._threads, space)
 
@@ -199,21 +208,6 @@ def inverse_sequence(levels: Sequence[FiniteMetricSpace], bonds: Sequence) -> In
 # ---- threads ----
 
 
-@dataclass(frozen=True)
-class Thread:
-    """Compatible tuple of per-level point indices."""
-
-    entries: tuple
-
-    def compatible_with(self, truncation: InverseSequenceTruncation) -> bool:
-        if len(self.entries) != truncation.top + 1:
-            return False
-        return all(
-            truncation.bonds[i][self.entries[i + 1]] == self.entries[i]
-            for i in range(truncation.top)
-        )
-
-
 def _check_cap(truncation: InverseSequenceTruncation) -> None:
     for i, level in enumerate(truncation.levels):
         if level.n > THREAD_CAP:
@@ -223,7 +217,8 @@ def _check_cap(truncation: InverseSequenceTruncation) -> None:
 
 
 def threads(truncation: InverseSequenceTruncation) -> list:
-    """All threads of the truncation, in top-level point order.
+    """All threads of the truncation as tuples of per-level point indices,
+    in top-level point order.
 
     Compatibility pins every lower entry from the top one (x_i must equal
     p^N_i(x_N)), so the exhaustive thread set is exactly one thread per
@@ -237,9 +232,10 @@ def threads(truncation: InverseSequenceTruncation) -> list:
 class ThreadSpace:
     """Thread set with the weighted-sup metric restriction.
 
-    ``space`` carries d(t, t') = max_i 2^{-(i+1)} d_i(t_i, t'_i) on the
-    thread tuples, the restriction of the full product metric to the thread
-    set; its points are the per-level label tuples in thread order.
+    ``threads`` holds the index tuples of ``threads()``.  ``space`` carries
+    d(t, t') = max_i 2^{-(i+1)} d_i(t_i, t'_i) on them, the restriction of
+    the full product metric to the thread set; its points are the per-level
+    label tuples in thread order.
     """
 
     truncation: InverseSequenceTruncation
@@ -248,7 +244,7 @@ class ThreadSpace:
 
     def projection(self, i: int) -> tuple:
         """Index tuple of the projection to level i, in thread order."""
-        return tuple(thread.entries[i] for thread in self.threads)
+        return tuple(thread[i] for thread in self.threads)
 
     @cached_property
     def pair_sweeps(self) -> tuple:
@@ -302,17 +298,8 @@ class StabilizationRow:
         return self.stabilized_at is not None
 
 
-@dataclass(frozen=True)
-class MittagLefflerReport:
-    rows: tuple
-
-    @property
-    def all_stabilized(self) -> bool:
-        return all(row.stabilized for row in self.rows)
-
-
-def mittag_leffler_report(truncation: InverseSequenceTruncation) -> MittagLefflerReport:
-    """Per-level stabilization verdicts for the image chains.
+def mittag_leffler_report(truncation: InverseSequenceTruncation) -> tuple:
+    """Per-level stabilization rows for the image chains.
 
     Treats the levels as discrete sets: only images of the bonding maps
     matter, distances are ignored.  Levels flagged as pseudo-metrics are
@@ -332,7 +319,7 @@ def mittag_leffler_report(truncation: InverseSequenceTruncation) -> MittagLeffle
         settle = next(k for k in range(i, top + 1) if images[k - i] == images[-1])
         witnessed = settle < top or i == top
         rows.append(StabilizationRow(i, images, settle if witnessed else None))
-    return MittagLefflerReport(tuple(rows))
+    return tuple(rows)
 
 
 # ---- neighborhood tables ----
@@ -368,15 +355,6 @@ class NeighborhoodRow:
         return self.holds_from < self.top or self.level == self.top
 
 
-@dataclass(frozen=True)
-class NeighborhoodReport:
-    rows: tuple
-
-    @property
-    def all_hold(self) -> bool:
-        return all(row.all_hold for row in self.rows)
-
-
 def convergence_row(
     truncation: InverseSequenceTruncation, level: int, epsilon: ScalarLike
 ) -> NeighborhoodRow:
@@ -394,34 +372,22 @@ def convergence_row(
     return NeighborhoodRow(level, truncation.top, eps, holds, start)
 
 
-def convergence_report(truncation: InverseSequenceTruncation) -> NeighborhoodReport:
-    """Neighborhood rows for every level and every spectrum scale of it."""
-    return NeighborhoodReport(tuple(
-        convergence_row(truncation, i, eps)
-        for i in range(truncation.top + 1)
-        for eps in truncation.levels[i].spectrum()
-    ))
+def convergence_report(truncation: InverseSequenceTruncation) -> tuple:
+    """The neighborhood table: per level, one row per spectrum scale of it,
+    built once per truncation.
 
-
-# A Cauchy anchor k needs image k inside the neighborhood of every later
-# image, and the smallest of those neighborhoods is the shadow's: the
-# anchor rows are the convergence rows.
-cauchy_row = convergence_row
-cauchy_report = convergence_report
+    A Cauchy anchor k needs image k inside the neighborhood of every later
+    image, and the smallest of those neighborhoods is the shadow's, so the
+    table answers the Cauchy question too.  The first row of a level, at
+    scale 0, is ``witnessed`` when the image chain descends into the shadow
+    inside the window: images only shrink, so that is the chain being
+    constant from some j below the top on, the sharpest convergence verdict
+    a single window can certify.
+    """
+    return truncation._convergence_rows
 
 
 # ---- window-scoped summary verdicts ----
-
-
-def level_shadow_reached(truncation: InverseSequenceTruncation, level: int) -> bool:
-    """Whether the image chain descends into the thread shadow inside the window.
-
-    True when some j strictly below the top (or the top level itself) has
-    image(j) contained in the shadow at scale zero.  Images only shrink, so
-    this is the same as the chain being constant from j on: the sharpest
-    convergence verdict a single window can certify.
-    """
-    return convergence_row(truncation, level, ZERO).witnessed
 
 
 @dataclass(frozen=True)
@@ -432,7 +398,8 @@ class CauchyAnchorVerdict:
     scales, so the verdict asks for what a window can show: either the
     image chain stabilizes outright, or some scale at most half the level
     diameter admits an anchor covering at least half of the remaining
-    window.  Windows shorter than three steps are not judged.
+    window.  Windows shorter than three steps are not judged.  The verdict
+    reads the level's rows of the neighborhood table.
     """
 
     level: int
@@ -449,20 +416,19 @@ class CauchyAnchorVerdict:
 def level_anchor_verdict(
     truncation: InverseSequenceTruncation, level: int
 ) -> CauchyAnchorVerdict:
-    if level_shadow_reached(truncation, level):
+    if not 0 <= level <= truncation.top:
+        raise StructuralError(f"level {level} out of range")
+    rows = truncation._convergence_rows[level]
+    if rows[0].witnessed:
         return CauchyAnchorVerdict(level, True, False, None, None)
     top = truncation.top
     if top - level < 3:
         return CauchyAnchorVerdict(level, False, True, None, None)
-    space = truncation.levels[level]
-    half = space.diameter() / 2
+    half = truncation.levels[level].diameter() / 2
     depth_needed = (top - level + 1) // 2
-    for eps in space.spectrum():
-        if eps == 0 or eps > half:
-            continue
-        row = cauchy_row(truncation, level, eps)
-        if top - row.holds_from >= depth_needed:
-            return CauchyAnchorVerdict(level, False, False, eps, row.holds_from)
+    for row in rows[1:]:
+        if row.epsilon <= half and top - row.holds_from >= depth_needed:
+            return CauchyAnchorVerdict(level, False, False, row.epsilon, row.holds_from)
     return CauchyAnchorVerdict(level, False, False, None, None)
 
 
@@ -707,7 +673,8 @@ class LadderData:
 
 def _worst_gap(level: FiniteMetricSpace, f: tuple, g: tuple) -> tuple:
     """Sup distance between two maps into ``level`` and the first point
-    attaining it (None for maps on an empty source)."""
+    attaining it (None for maps on an empty source): the gap that the
+    square, telescoping and limit rows measure."""
     gaps = [level.ints[y][z] for y, z in zip(f, g)]
     worst = max(gaps, default=0)
     return Fraction(worst, level.scale), gaps.index(worst) if gaps else None
@@ -763,7 +730,9 @@ class ContinuityBudgetRow:
     The composite from target level ``upper`` down to ``lower`` must send
     pairs within alpha to pairs within the halving bound; ``attained`` is
     the exact worst image distance, read from the composite's pair sweep,
-    which the truncation builds once for ``ladder`` and this row alike.
+    which the truncation builds once for ``ladder`` and this row alike.  A
+    failing row's ``witness`` is the lexicographically least pair (a, b,
+    distance, image distance) of that sweep within alpha and past the bound.
     """
 
     upper: int
@@ -955,11 +924,14 @@ def perturbation_limit(ladder_data: LadderData) -> PerturbationReport:
     for i in range(stages):
         for j in range(i, -1, -1):
             bound = pow2(j - i) * betas[j]
-            attained = target.composite_sweep(i, j).largest_within(alphas[i])
+            sweep = target.composite_sweep(i, j)
+            attained = sweep.largest_within(alphas[i])
             witness = None
             if attained > bound:
-                witness = check_uniform_continuity(
-                    levels[i], levels[j], target.composite(i, j), alphas[i], bound
+                witness = min(
+                    (a, b, near, far)
+                    for near, far, a, b in sweep.pairs[:bisect_right(sweep.firsts, alphas[i])]
+                    if far > bound
                 )
             continuity_rows.append(
                 ContinuityBudgetRow(i, j, alphas[i], bound, attained, witness)
@@ -973,7 +945,7 @@ def perturbation_limit(ladder_data: LadderData) -> PerturbationReport:
     telescoping_rows = tuple(
         TelescopingRow(
             i, j, pow2(j - i) * betas[j],
-            map_sup_distance(levels[j], stage_map(i, j), stage_map(i + 1, j)),
+            _worst_gap(levels[j], stage_map(i, j), stage_map(i + 1, j))[0],
         )
         for j in range(stages + 1)
         for i in range(j, stages)

@@ -6,11 +6,11 @@ most delta, the output distance is at most epsilon.  Distances compare with
 <= on both sides, so a delta of 0 is already a nontrivial claim when the map
 glues points.
 
-The table, and the pair scans of ``cylinders`` and ``invlim``, read one
-primitive: a ``PairSweep`` sorts a list of pairs of distances once by the
-first, and then answers, for any threshold t, with the largest second
-distance among the pairs whose first distance is at most t, or with the
-first pair whose second distance exceeds a bound.
+The table, and the pair scans of ``invlim``, read one primitive: a
+``PairSweep`` sorts a list of pairs of distances once by the first, and
+then answers, for any threshold t, with the largest second distance among
+the pairs whose first distance is at most t, or with the first pair whose
+second distance exceeds a bound.
 """
 from __future__ import annotations
 
@@ -52,22 +52,6 @@ class ModulusTable:
             if last_e is not None and e < last_e:
                 raise StructuralError("modulus epsilon column must be nondecreasing")
             last_d, last_e = d, e
-
-    def epsilon_for(self, delta: Scalar) -> Optional[Scalar]:
-        """Tightest epsilon valid at input scale delta, None if none."""
-        best: Optional[Scalar] = None
-        for d, e in self.rows:
-            if d >= delta and (best is None or e < best):
-                best = e
-        return best
-
-    def delta_for(self, epsilon: Scalar) -> Optional[Scalar]:
-        """Largest delta whose epsilon is within the budget, None if none."""
-        best: Optional[Scalar] = None
-        for d, e in self.rows:
-            if e <= epsilon and (best is None or d > best):
-                best = d
-        return best
 
 
 class PairSweep:
@@ -132,23 +116,3 @@ def continuity_modulus(
         (Fraction(delta, source.scale), Fraction(sweep.largest_within(delta), target.scale))
         for delta in sorted({0, *sweep.firsts})
     ))
-
-
-def check_uniform_continuity(
-    source: FiniteMetricSpace,
-    target: FiniteMetricSpace,
-    mapping,
-    delta: Scalar,
-    epsilon: Scalar,
-):
-    """Witness check of one (delta, epsilon)-continuity claim.
-
-    Returns None when the claim holds, else the lexicographically first
-    offending pair (i, j, source_distance, image_distance).
-    """
-    m = ensure_total_map(mapping, source, target, "check_uniform_continuity")
-    for i in range(source.n):
-        for j in range(i + 1, source.n):
-            if source.d(i, j) <= delta and target.d(m[i], m[j]) > epsilon:
-                return (i, j, source.d(i, j), target.d(m[i], m[j]))
-    return None

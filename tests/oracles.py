@@ -877,6 +877,17 @@ def continuity_modulus_reference(source, target, mapping):
     return ModulusTable(tuple(rows))
 
 
+def uniform_continuity_witness_reference(source, target, mapping, delta, epsilon):
+    """None when pairs within delta map to pairs within epsilon, else the
+    lexicographically first offending pair (i, j, source distance, image
+    distance)."""
+    for i in range(source.n):
+        for j in range(i + 1, source.n):
+            if source.d(i, j) <= delta and target.d(mapping[i], mapping[j]) > epsilon:
+                return (i, j, source.d(i, j), target.d(mapping[i], mapping[j]))
+    return None
+
+
 def aharoni_embed_reference(space, depth):
     """The embedding computed on Fractions, point by point and member by
     member, with its certificate, as the package built it before its
@@ -1038,7 +1049,7 @@ def separation_index_reference(truncation, bundle, epsilon):
     scanned = []
     for i in range(truncation.top + 1):
         level_space = truncation.levels[i]
-        proj = [thread.entries[i] for thread in bundle.threads]
+        proj = [thread[i] for thread in bundle.threads]
         cut = None
         witness = None
         for a in range(count):
@@ -1080,7 +1091,7 @@ def uniqueness_rows_reference(ladder_data, target_bundle):
     rows = []
     for j, level in enumerate(ladder_data.target.levels):
         threshold = 4 * ladder_data.betas[j]
-        proj = [thread.entries[j] for thread in target_bundle.threads]
+        proj = [thread[j] for thread in target_bundle.threads]
         rows.append(UniquenessRow(j, threshold, _largest_forced(level, proj, target_bundle, threshold)))
     return tuple(rows)
 
@@ -1099,7 +1110,7 @@ def injectivity_rows_reference(ladder_data, source_bundle):
                 if image_level.d(cross_map[a], cross_map[b]) <= five:
                     if level.d(a, b) > gamma:
                         gamma = level.d(a, b)
-        proj = [thread.entries[ladder_data.indices[j]] for thread in source_bundle.threads]
+        proj = [thread[ladder_data.indices[j]] for thread in source_bundle.threads]
         rows.append(InjectivityRow(j, gamma, _largest_forced(level, proj, source_bundle, gamma)))
     return tuple(rows)
 

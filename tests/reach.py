@@ -3,8 +3,9 @@
 Runs ``tests/test_cli.py`` in this process under a line tracer and, for
 each module of ``src/unimet``, prints the executable lines inside function
 bodies (methods, nested functions and comprehensions included) that no
-test ran, grouped by function, then the unreached share of all such lines.
-Module-level and class-level statements run on import, so they are left
+test ran, grouped by function, then the unreached share of all such lines
+and the package's size, the line count of ``src/unimet/*.py`` (what
+``cat src/unimet/*.py | wc -l`` prints).  Module-level and class-level statements run on import, so they are left
 out.  It is a report, not a gate: it exits with pytest's status, which is
 0 whenever the tests pass, whatever the share.
 
@@ -85,8 +86,9 @@ def run_traced(pytest_args):
 def main():
     sys.path.insert(0, str(PACKAGE.parent))
     status, ran = run_traced(["-q", "-p", "no:cacheprovider", str(TESTS / "test_cli.py")])
-    total = unreached = 0
+    total = unreached = size = 0
     for path in sorted(PACKAGE.glob("*.py")):
+        size += path.read_text(encoding="utf-8").count("\n")
         lines = executable_lines(path)
         missed = defaultdict(list)
         for line, name in lines.items():
@@ -100,6 +102,7 @@ def main():
             print(f"  {name}: {ranges(missed[name])}")
     share = unreached / total if total else 0.0
     print(f"unreached: {unreached} of {total} executable function-body lines ({share:.1%})")
+    print(f"package size: {size} lines in src/unimet/*.py")
     return status
 
 

@@ -29,7 +29,7 @@ from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP
 from unimet.errors import PreconditionError, StructuralError
-from unimet.invlim import LEVEL_CAP, telescope_metric
+from unimet.invlim import LEVEL_CAP, THREAD_CAP, inverse_sequence, telescope_metric
 from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
 from unimet.reporting import canonical_bytes
 from unimet.scalars import ONE, ZERO, parameter_grid
@@ -226,7 +226,7 @@ EMPTY_FACTOR_CASES = {
     ("join", ("left",)): (0, 1, "the amalgam comparison needs a nonempty left factor"),
     ("join", ("right",)): (0, 1, "the amalgam comparison needs a nonempty right factor"),
     ("join", ("left", "right")): (0, 1, "the amalgam comparison needs a nonempty left factor"),
-    ("cylinder", ("source",)): (0, 1, "adjunction_space: the subset must be nonempty"),
+    ("cylinder", ("source",)): (0, 1, "the attachment comparison needs a nonempty source"),
     ("cylinder", ("target",)): (
         1, 1, "mapping_cylinder_metric must be total on the source points"),
 }
@@ -564,8 +564,8 @@ def test_invlim_perturb_detects_an_over_budget_cross_map(tmp_path):
 
 def test_invlim_perturb_names_a_continuity_budget_witness(tmp_path):
     """Budgets of alpha 1 and beta 1/1000 fail the continuity rows; each
-    failing row carries the first pair that ``check_uniform_continuity``
-    finds within alpha yet past the bound."""
+    failing row carries the lexicographically first pair within alpha
+    whose images lie past the bound."""
     doc = _identity_ladder()
     doc["alphas"] = ["1"] * TOWER.top
     doc["betas"] = ["1/1000"] * (TOWER.top + 1)
@@ -574,6 +574,29 @@ def test_invlim_perturb_names_a_continuity_budget_witness(tmp_path):
     row = rows(out)["bonds from level 1 to 1 honor the alpha budget"]
     assert row["status"] == "fail"
     assert row["witnesses"] == [[0, 1, "1/8", "1/8"]]
+
+
+@pytest.mark.parametrize("level, note", [
+    (
+        space(range(THREAD_CAP + 1), {
+            (a, b): "1/2" for a in range(THREAD_CAP + 1) for b in range(a + 1, THREAD_CAP + 1)
+        }),
+        f"separation readouts skipped: a level exceeds the enumeration cap {THREAD_CAP}",
+    ),
+    (
+        space("pq", {(0, 1): 3}),
+        "separation readouts skipped: thread metrics need every level of diameter <= 1",
+    ),
+], ids=["past-the-cap", "too-wide"])
+def test_invlim_perturb_notes_why_the_thread_metric_sections_are_skipped(tmp_path, level, note):
+    doc = truncation_to_json(inverse_sequence([level], []))
+    doc["cross"] = [list(range(level.n))]
+    code, out, err = run(["invlim", "perturb", write(tmp_path, "one.json", doc)])
+    assert code == 0, err
+    found = rows(out)
+    assert found["thread metric sections skipped"]["witnesses"] == [note]
+    assert "limit map pinned within thresholds" not in found
+    assert "certified injectivity is observed" not in found
 
 
 # ---- determinism and --out ----

