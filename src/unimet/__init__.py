@@ -59,7 +59,6 @@ _EXPORTS = {
         "mittag_leffler_report", "perturbation_limit", "separation_index",
         "telescope_metric", "thread_space", "threads",
     ),
-    "moduli": ("ModulusTable", "continuity_modulus"),
     "quotients": (
         "QuotientResult", "amalgamated_union", "glue_parts",
         "quotient_by_discrete_family",

@@ -519,7 +519,7 @@ def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
     builder.check("map is injective", embedding.certificate.injective)
     builder.info(
         "modulus of continuity",
-        witnesses=[list(pair) for pair in embedding.certificate.continuity.rows],
+        witnesses=[list(pair) for pair in embedding.certificate.continuity],
     )
     builder.info(
         "embedded images",

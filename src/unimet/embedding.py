@@ -14,10 +14,14 @@ table's columns, clamped.  From the depth where the radius drops below the
 smallest positive distance on, every level has the same target and helper
 covers, so consecutive levels with equal covers share one refinement and
 one table, and only the clamp is taken again for the level's own cap.
-The coordinates, image distances and every certificate run on ints over
-one denominator, ``lcm(L, 2^(depth+2))`` with ``L`` the space's
-``scale``, so that each clamp 2^-n and radius 2^-(n+2) is an int too;
-Fractions are built only for the returned embedding.
+The coordinates and image distances run on ints over one denominator,
+``lcm(L, 2^(depth+2))`` with ``L`` the space's ``scale``, so that each
+clamp 2^-n and radius 2^-(n+2) is an int too.  Each pair a < b is listed
+once, as (point distance, image distance), and every certificate reads
+that one list: two of them directly, the separation rows from one
+``PairSweep`` keyed by twice the image distance and the modulus of
+continuity from one keyed by the point distance.  Fractions are built
+only for the returned embedding.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .covers import (
     point_finite_refinement,
 )
 from .errors import PreconditionError
-from .moduli import ModulusTable, continuity_modulus
+from .moduli import PairSweep
 from .scalars import ONE, Scalar, pow2
 from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
@@ -82,14 +86,11 @@ class SeparationRow:
 class EmbeddingCertificate:
     """Quantitative properties of the embedding, all checked exhaustively."""
 
-    continuity: ModulusTable
+    continuity: tuple
     separation: tuple
     injective: bool
     nonexpansive_ok: bool
     coordinate_bounds_ok: bool
-
-    def all_separation_rows_hold(self) -> bool:
-        return all(row.holds for row in self.separation)
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,6 @@ class AharoniEmbedding:
     levels: tuple
     images: tuple
     certificate: EmbeddingCertificate
-
-    def image_of(self, i: int) -> SequencePoint:
-        return self.images[i]
 
 
 def sufficient_depth(space: FiniteMetricSpace) -> int:
@@ -136,7 +134,8 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     V is the whole space.  The certificate checks: the map is nonexpansive,
     level-n coordinates lie in [0, 2^-n], and image distance <= clamp/2 at
     level n forces point distance <= 2^(1-n); injectivity is checked
-    directly.
+    directly.  The modulus of continuity maps each delta of the spectrum to
+    the largest image distance among pairs at point distance <= delta.
 
     A level whose target and helper covers equal the previous level's
     reuses that level's refinement and its table of distances to the
@@ -146,9 +145,11 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     space's ``scale``, so every distance, clamp, cap
     2^-n and bound 2^(1-n) is an int over ``big``.  Each image is a dense
     int vector whose tail is 0, so an image gap is the largest coordinate
-    difference.  Fractions are built only for the returned clamps, images,
-    rows and image space.
+    difference.  Fractions are built only for the returned clamps, images
+    and rows.
     """
+    if not space.n:
+        raise PreconditionError("aharoni_embed needs a nonempty space")
     ensure_metric(space, "aharoni_embed")
     ensure_diameter_at_most(
         space, ONE, "aharoni_embed (rescale with rescaled_to_diameter)"
@@ -181,8 +182,6 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
 
     big = lcm(space.scale, 2 ** (depth + 2))
     factor = big // space.scale
-    rows = [[v * factor for v in row] for row in space.ints]
-    everything = range(space.n)
     clamps = [data.clamp.numerator * (big // data.clamp.denominator) for data in levels]
     # One column of coordinates per member: min(d(x, complement), clamp).
     columns = []
@@ -196,45 +195,44 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
                 for value in (v * factor for v in column)
             ])
     vectors = list(zip(*columns))
-    gaps = [[0] * space.n for _ in everything]
-    for a, va in enumerate(vectors):
-        for b in range(a + 1, space.n):
-            gaps[a][b] = gaps[b][a] = max(map(abs, map(sub, va, vectors[b])))
+    # Each pair a < b once: (point distance, image distance) over ``big``.
+    pairs = [
+        (row[b] * factor, max(map(abs, map(sub, vectors[a], vectors[b]))))
+        for a, row in enumerate(space.ints)
+        for b in range(a + 1, space.n)
+    ]
 
-    nonexpansive = all(
-        gap <= d for gap_row, row in zip(gaps, rows) for gap, d in zip(gap_row, row)
-    )
+    nonexpansive = all(gap <= d for d, gap in pairs)
     bounds_ok = True
     for data in levels:
         hi = big >> data.level
         block = columns[data.offset:data.offset + len(data.cover.members)]
         if not all(0 <= value <= hi for column in block for value in column):
             bounds_ok = False
-    separation = []
-    for data, clamp in zip(levels, clamps):
-        bound = big >> (data.level - 1)
-        holds = all(
-            2 * gap > clamp or d <= bound
-            for gap_row, row in zip(gaps, rows)
-            for gap, d in zip(gap_row, row)
+    # Level n fails when some pair has image gap <= clamp/2 but point
+    # distance > 2^(1-n): the sweep keyed by twice the gap finds the
+    # largest such point distance in one bisection.
+    separating = PairSweep((2 * gap, d) for d, gap in pairs)
+    separation = tuple(
+        SeparationRow(
+            data.level, data.clamp / 2, pow2(1 - data.level),
+            separating.largest_within(clamp) <= big >> (data.level - 1),
         )
-        separation.append(
-            SeparationRow(data.level, data.clamp / 2, pow2(1 - data.level), holds)
-        )
-    injective = all(
-        gap > 0 for a, gap_row in enumerate(gaps) for gap in gap_row[a + 1:]
+        for data, clamp in zip(levels, clamps)
     )
+    injective = all(gap > 0 for _, gap in pairs)
 
     exact = {v: Fraction(v, big) for v in set().union(*columns)}
     images = tuple(
         SequencePoint(tuple((i, exact[v]) for i, v in enumerate(vector) if v))
         for vector in vectors
     )
-    image_space = FiniteMetricSpace.from_int(
-        tuple(everything), gaps, big, pseudo=not injective
+    sweep = PairSweep(pairs)
+    continuity = tuple(
+        (Fraction(delta, big), Fraction(sweep.largest_within(delta), big))
+        for delta in sorted({0, *sweep.firsts})
     )
-    table = continuity_modulus(space, image_space, tuple(everything))
     certificate = EmbeddingCertificate(
-        table, tuple(separation), injective, nonexpansive, bounds_ok
+        continuity, separation, injective, nonexpansive, bounds_ok
     )
     return AharoniEmbedding(space, depth, tuple(levels), images, certificate)

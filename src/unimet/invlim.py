@@ -44,7 +44,7 @@ from .combinators import check_weighted_levels, weighted_sup_rows
 from .cylinders import mapping_cylinder_metric
 from .errors import PreconditionError, StructuralError
 from .gluing import adjunction_space
-from .moduli import PairSweep, pair_distances
+from .moduli import PairSweep
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid, pow2
 from .spaces import FiniteMetricSpace, ensure_total_map, index_set
 
@@ -875,11 +875,11 @@ def _separation_readouts(ladder_data: LadderData) -> tuple:
     for j in range(target.top + 1):
         n = ladder_data.indices[j]
         # Cross-map pairs keyed by image distance, valued by source distance.
+        sdist, tdist, f = source.levels[n].dist, target.levels[j].dist, ladder_data.cross[j]
         crossing = PairSweep(
-            (td, sd)
-            for sd, td in pair_distances(
-                source.levels[n].dist, target.levels[j].dist, ladder_data.cross[j]
-            )
+            (tdist[f[a]][f[b]], row[b])
+            for a, row in enumerate(sdist)
+            for b in range(a + 1, len(sdist))
         )
         gamma = crossing.largest_within(5 * betas[j])
         epsilon = source_bundle.pair_sweeps[n].largest_within(gamma)

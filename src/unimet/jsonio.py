@@ -230,11 +230,9 @@ def classes_from_json(obj, space: FiniteMetricSpace) -> list:
     from .quotients import class_members
 
     class_of = _index_list(expect_key(obj, "class_of", "a quotient file"), "class_of")
-    count = max(class_of, default=-1) + 1
-    if space.n and count <= 0:
-        raise StructuralError("class_count must be a positive integer")
     if len(class_of) != space.n:
         raise StructuralError("class_of must assign every point")
+    count = max(class_of, default=-1) + 1
     index_set(class_of, count, "class index")
     classes = class_members(class_of, count)
     missing = [c for c, members in enumerate(classes) if not members]

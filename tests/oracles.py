@@ -59,7 +59,6 @@ from unimet.invlim import (
     UniquenessRow,
 )
 from unimet.jsonio import _ratio_from_json, expect_key, label_from_json
-from unimet.moduli import ModulusTable
 from unimet.quotients import quotient_by_discrete_family
 from unimet.reporting import jsonable
 from unimet.scalars import as_scalar, format_scalar, pow2
@@ -874,7 +873,7 @@ def continuity_modulus_reference(source, target, mapping):
                     if image > eps:
                         eps = image
         rows.append((delta, eps))
-    return ModulusTable(tuple(rows))
+    return tuple(rows)
 
 
 def uniform_continuity_witness_reference(source, target, mapping, delta, epsilon):

@@ -441,6 +441,16 @@ def test_embed_diameter_rescale_and_depth(tmp_path, s3):
     assert code == 1, err
 
 
+@pytest.mark.parametrize("rescale", [False, True], ids=["plain", "rescale"])
+def test_embed_refuses_the_empty_space_by_name(tmp_path, rescale):
+    """``check`` accepts the empty space; ``embed`` refuses it as a
+    precondition, before any cover is built."""
+    empty = write(tmp_path, "empty.json", EMPTY)
+    assert run(["check", empty])[0] == 0
+    refusal = "precondition failed: aharoni_embed needs a nonempty space\n"
+    assert run(["embed", empty] + ["--rescale"] * rescale) == (1, "", refusal)
+
+
 def test_a_huge_diameter_is_named_briefly(tmp_path):
     """A diameter of 4,001 digits is refused with a message of bounded
     length that names the bound."""

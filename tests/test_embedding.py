@@ -44,13 +44,13 @@ def test_embedding_certificates_on_random_spaces():
         cert = emb.certificate
         assert cert.nonexpansive_ok
         assert cert.coordinate_bounds_ok
-        assert cert.all_separation_rows_hold()
+        assert all(row.holds for row in cert.separation)
         assert len(emb.levels) == depth
         assert len(emb.images) == sp.n
         # nonexpansive, rechecked directly on the images
         for a in range(sp.n):
             for b in range(sp.n):
-                assert sup_distance(emb.image_of(a), emb.image_of(b)) <= sp.d(a, b)
+                assert sup_distance(emb.images[a], emb.images[b]) <= sp.d(a, b)
         # level blocks carry coordinates in [0, 2^-n]
         for data in emb.levels:
             members = len(data.cover.members)
@@ -66,7 +66,7 @@ def test_embedding_certificates_on_random_spaces():
             assert row.point_bound == pow2(1 - data.level)
             for a in range(sp.n):
                 for b in range(sp.n):
-                    gap = sup_distance(emb.image_of(a), emb.image_of(b))
+                    gap = sup_distance(emb.images[a], emb.images[b])
                     if gap <= row.image_threshold:
                         assert sp.d(a, b) <= row.point_bound
 
@@ -79,16 +79,16 @@ def test_sufficient_depth_certifies_injectivity():
         assert emb.certificate.injective
         for a in range(sp.n):
             for b in range(a + 1, sp.n):
-                assert sup_distance(emb.image_of(a), emb.image_of(b)) > 0
+                assert sup_distance(emb.images[a], emb.images[b]) > 0
 
 
 def test_embedding_continuity_table_covers_the_spectrum():
     sp = interval_points([0, 1, 2, 3], Fraction(1, 4))
     emb = aharoni_embed(sp, 3)
     table = emb.certificate.continuity
-    assert [d for d, _ in table.rows] == sorted(sp.spectrum())
+    assert [d for d, _ in table] == sorted(sp.spectrum())
     # nonexpansiveness makes every epsilon at most its delta
-    for delta, eps in table.rows:
+    for delta, eps in table:
         assert eps <= delta
 
 
@@ -188,7 +188,7 @@ def test_embedding_properties(case):
         block = range(data.offset, data.offset + len(data.cover.members))
         for img in emb.images:
             assert all(0 <= img.value(i) <= data.clamp for i in block)
-    assert cert.all_separation_rows_hold()
+    assert all(row.holds for row in cert.separation)
     for data, row in zip(emb.levels, cert.separation):
         assert (row.image_threshold, row.point_bound) == (
             data.clamp / 2, pow2(1 - data.level)
@@ -202,3 +202,14 @@ def test_embedding_properties(case):
     assert cert.injective == injective
     if depth >= sufficient_depth(sp):
         assert injective
+    # The modulus: exact rows over the sorted spectrum, epsilons
+    # nonnegative and nondecreasing, each the largest image distance among
+    # pairs within its delta, so that it holds and is tight.
+    assert all(type(x) is Fraction for row in cert.continuity for x in row)
+    assert [delta for delta, _ in cert.continuity] == sorted(sp.spectrum())
+    epsilons = [eps for _, eps in cert.continuity]
+    assert epsilons[0] >= 0 and epsilons == sorted(epsilons)
+    for delta, eps in cert.continuity:
+        assert eps == max(
+            gaps[a][b] for a in range(sp.n) for b in range(sp.n) if sp.d(a, b) <= delta
+        )

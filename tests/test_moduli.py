@@ -1,35 +1,31 @@
-"""Continuity modulus tables."""
+"""Continuity rows from one pair sweep."""
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import interval_points, metric_spaces, random_space, space, wide_space
+from helpers import metric_spaces, random_space, wide_space
 from oracles import continuity_modulus_reference, uniform_continuity_witness_reference
-from unimet.errors import PreconditionError, StructuralError
-from unimet.moduli import ModulusTable, continuity_modulus
+from unimet.moduli import PairSweep
+from unimet.scalars import ZERO
 
 
-# ---- table shape ----
+def sweep_rows(source, target, mapping):
+    """Per delta of the source spectrum, the largest image distance among
+    pairs i < j at source distance <= delta, read from one sweep."""
+    sweep = PairSweep(
+        (row[j], target.dist[mapping[i]][mapping[j]])
+        for i, row in enumerate(source.dist)
+        for j in range(i + 1, source.n)
+    )
+    return tuple(
+        (delta, sweep.largest_within(delta)) for delta in sorted({ZERO, *sweep.firsts})
+    )
 
 
-def test_table_validates_rows():
-    rows = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)))
-    assert ModulusTable(rows).rows == rows
-    with pytest.raises(StructuralError, match="sorted"):
-        ModulusTable(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
-    with pytest.raises(StructuralError, match="nondecreasing"):
-        ModulusTable(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-    with pytest.raises(StructuralError, match="pairs"):
-        ModulusTable(((Fraction(0),),))
-    with pytest.raises(StructuralError, match="exact"):
-        ModulusTable(((0.5, Fraction(1)),))
-
-
-# ---- continuity tables ----
+# ---- continuity rows ----
 
 
 def test_continuity_rows_certify_and_are_tight():
@@ -38,10 +34,10 @@ def test_continuity_rows_certify_and_are_tight():
         source = make(rng, rng.randint(2, 6))
         target = make(rng, rng.randint(2, 5))
         mapping = [rng.randrange(target.n) for _ in range(source.n)]
-        table = continuity_modulus(source, target, mapping)
-        assert table == continuity_modulus_reference(source, target, mapping)
-        assert [d for d, _ in table.rows] == sorted(source.spectrum())
-        for delta, eps in table.rows:
+        rows = sweep_rows(source, target, mapping)
+        assert rows == continuity_modulus_reference(source, target, mapping)
+        assert [d for d, _ in rows] == sorted(source.spectrum())
+        for delta, eps in rows:
             assert uniform_continuity_witness_reference(source, target, mapping, delta, eps) is None
             # tight: shrinking epsilon breaks the row unless it is zero
             if eps > 0:
@@ -61,18 +57,6 @@ def test_continuity_rows_certify_and_are_tight():
 def test_moduli_tables_match_the_frozen_loops(source, target, data):
     image = st.integers(0, target.n - 1)
     mapping = data.draw(st.lists(image, min_size=source.n, max_size=source.n))
-    assert continuity_modulus(source, target, mapping) == continuity_modulus_reference(
+    assert sweep_rows(source, target, mapping) == continuity_modulus_reference(
         source, target, mapping
     )
-
-
-# ---- mapping guards ----
-
-
-def test_moduli_reject_partial_maps():
-    source = interval_points([0, 1, 2], Fraction(1, 4))
-    target = interval_points([0, 1], Fraction(1, 2))
-    with pytest.raises(PreconditionError):
-        continuity_modulus(source, target, {0: 0, 1: 1})
-    with pytest.raises(StructuralError):
-        continuity_modulus(source, target, [0, 1, 5])

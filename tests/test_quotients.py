@@ -43,9 +43,10 @@ def test_surjection_guards():
     index, for every point; each failure names its rule."""
     s = interval_points([0, 1, 2], Fraction(1, 4))
     for class_of, message in [
-        ([], "class_count must be a positive integer"),
+        ([], "class_of must assign every point"),
         ([0, 1], "class_of must assign every point"),
         ([0, -1, 1], "class index -1 out of range"),
+        ([-1, -1, -1], "class index -1 out of range"),
         ([0, 2, 2], r"classes \[1\] are empty"),
     ]:
         with pytest.raises(StructuralError, match=f"^{message}$"):
