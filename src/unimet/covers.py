@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, filterfalse
 from typing import Iterable, Optional
 
 from .errors import PreconditionError, StructuralError
@@ -96,16 +97,16 @@ def ball_cover(space: FiniteMetricSpace, radius: ScalarLike) -> Cover:
     """Cover by the closed balls of the given radius, one per point.
 
     Runs on the space's stored form: y lies in the ball of x when
-    ``ints[x][y] * q <= p * scale`` for the radius p/q, so the radius needs no
+    ``ints[x][y] * q <= p * scale`` for the radius p/q, that is when the int
+    ``ints[x][y]`` is at most ``p * scale // q``, so the radius needs no
     common denominator with the distances.
     """
     r = as_scalar(radius)
     if r < 0:
         raise StructuralError("ball radius must be nonnegative")
-    q, p = r.denominator, r.numerator * space.scale
-    members = tuple(
-        tuple(y for y, v in enumerate(row) if v * q <= p) for row in space.ints
-    )
+    within = (r.numerator * space.scale // r.denominator).__ge__
+    points = range(space.n)
+    members = tuple(tuple(compress(points, map(within, row))) for row in space.ints)
     return Cover(space.n, members)
 
 
@@ -164,14 +165,25 @@ def complement_distances(space: FiniteMetricSpace, cover: Cover) -> list:
     over the points x; None when V is the whole ground.
 
     The columns are ints over the space's ``scale``: the least entry of row
-    x of its ``ints`` over the complement's points.
+    x of its ``ints`` over the complement's points.  Each row is sorted by
+    value once, so that entry is the first of x's sorted row whose point
+    lies outside V; on a metric, a point outside V stops at its own 0.
     """
     if cover.ground != space.n:
         raise StructuralError("cover ground does not match the space")
+    rows = space.ints
+    orders = [sorted(range(space.n), key=row.__getitem__) for row in rows]
+    heads = [order[0] for order in orders]
     table = []
     for member in cover.member_sets():
-        rest = [y for y in range(space.n) if y not in member]
-        table.append([min(map(row.__getitem__, rest)) for row in space.ints] if rest else None)
+        if len(member) == space.n:
+            table.append(None)
+            continue
+        inside = member.__contains__
+        table.append([
+            row[next(filterfalse(inside, order)) if head in member else head]
+            for row, order, head in zip(rows, orders, heads)
+        ])
     return table
 
 

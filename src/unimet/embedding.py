@@ -10,13 +10,17 @@ outrun the smallest positive distance.
 The covers run on the space's stored form (see ``covers``).  Each level's
 refined cover gives one table of distances to its members' complements;
 the level's clamp is reduced from that table and its coordinates are the
-table's columns, clamped.  From the depth where the radius drops below the
-smallest positive distance on, every level has the same target and helper
-covers, so consecutive levels with equal covers share one refinement and
-one table, and only the clamp is taken again for the level's own cap.
+table's entries at each member's own points, clamped.  From the depth
+where the radius drops below the smallest positive distance on, every
+level has the same target and helper covers, so consecutive levels with
+equal covers share one refinement and one table, and only the clamp is
+taken again for the level's own cap.
 The coordinates and image distances run on ints over one denominator,
 ``lcm(L, 2^(depth+2))`` with ``L`` the space's ``scale``, so that each
-clamp 2^-n and radius 2^-(n+2) is an int too.  Each pair a < b is listed
+clamp 2^-n and radius 2^-(n+2) is an int too.  An image is stored as its
+support: a point has a nonzero coordinate only for the few members of each
+point-finite cover that hold it, so an image gap is read over the union
+of two supports, never over every member.  Each pair a < b is listed
 once, as (point distance, image distance), and every certificate reads
 that one list: two of them directly, the separation rows from one
 ``PairSweep`` keyed by twice the image distance and the modulus of
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import sub
 
@@ -46,10 +51,20 @@ from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
 
 # Deepest embedding built.  Each level adds a refinement and a block of
 # coordinates, so the time grows with the depth: at depth 256 on Python
-# 3.11, ``aharoni_embed`` takes 0.02 s on 3 points and about 1 s on 40.
-# The depth that separates the points is about log2 of the spread
-# diameter / smallest distance, so the cap admits spreads up to 2^255.
+# 3.11 (a Xeon vCPU), ``aharoni_embed`` takes 0.02 s on 3 points and 0.3 s
+# on the 40-point geometric space {2^-i}.  The depth that separates the
+# points is about log2 of the spread diameter / smallest distance, so the
+# cap admits spreads up to 2^255.
 DEPTH_CAP = 256
+
+# Most points embedded.  The ball covers and the pair gaps each grow with
+# the square of the point count, and a spread space needs a depth that
+# grows with it too.  On the same machine the geometric space {2^-i}
+# takes 0.09 / 0.6 / 1.9 / 4.0 s on 40 / 80 / 120 / 160 points at its
+# sufficient depth (equal to the point count) and 4.4-5.5 s on 160 points
+# at depth 256; random wide-denominator spaces of 160 points take 0.4 s
+# at their sufficient depth 5 and 2.5 s at depth 256.
+POINT_CAP = 160
 
 
 @dataclass(frozen=True)
@@ -143,17 +158,22 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     reduced from the table for each level's own cap 2^-n.  Everything after
     the covers runs on ints over ``big = lcm(L, 2^(depth+2))``, ``L`` the
     space's ``scale``, so every distance, clamp, cap
-    2^-n and bound 2^(1-n) is an int over ``big``.  Each image is a dense
-    int vector whose tail is 0, so an image gap is the largest coordinate
-    difference.  Fractions are built only for the returned clamps, images
-    and rows.
+    2^-n and bound 2^(1-n) is an int over ``big``.  Each image is its
+    support, ``{coordinate: value}`` over the members that hold the point,
+    and its tail is 0: a point outside V is at distance 0 from the
+    complement of V.  An image gap is the largest |a_k - b_k| over the
+    union of the two supports.  Fractions are built only for the returned
+    clamps, images and rows.  A space of more than ``POINT_CAP`` points is
+    refused before any cover is built.
     """
     if not space.n:
         raise PreconditionError("aharoni_embed needs a nonempty space")
+    if space.n > POINT_CAP:
+        raise PreconditionError(
+            f"{space.n} points exceed the embedding's POINT_CAP = {POINT_CAP}"
+        )
     ensure_metric(space, "aharoni_embed")
-    ensure_diameter_at_most(
-        space, ONE, "aharoni_embed (rescale with rescaled_to_diameter)"
-    )
+    ensure_diameter_at_most(space, ONE, "aharoni_embed")
     if not isinstance(depth, int) or depth < 1:
         raise PreconditionError("depth must be a positive integer")
     if depth > DEPTH_CAP:
@@ -183,32 +203,34 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     big = lcm(space.scale, 2 ** (depth + 2))
     factor = big // space.scale
     clamps = [data.clamp.numerator * (big // data.clamp.denominator) for data in levels]
-    # One column of coordinates per member: min(d(x, complement), clamp).
-    columns = []
-    for table, clamp in zip(tables, clamps):
-        for column in table:
+    # Each point's image as its support {coordinate: min(d(x, V^c), clamp)}
+    # over the members V holding it, in coordinate order: a point outside V
+    # is at distance 0 from V^c, since the space is a metric.
+    supports = [{} for _ in range(space.n)]
+    bounds_ok = True
+    for data, table, clamp in zip(levels, tables, clamps):
+        hi = big >> data.level
+        for k, (member, column) in enumerate(zip(data.cover.members, table), data.offset):
             if column is None:
-                columns.append([0] * space.n)
                 continue
-            columns.append([
-                value if value < clamp else clamp
-                for value in (v * factor for v in column)
-            ])
-    vectors = list(zip(*columns))
-    # Each pair a < b once: (point distance, image distance) over ``big``.
+            for x in member:
+                value = column[x] * factor
+                supports[x][k] = value = value if value < clamp else clamp
+                if not 0 <= value <= hi:
+                    bounds_ok = False
+    # Each pair a < b once: (point distance, image distance) over ``big``,
+    # the gap read over a's support and then over b's support outside a's.
+    zeros = repeat(0)
     pairs = [
-        (row[b] * factor, max(map(abs, map(sub, vectors[a], vectors[b]))))
-        for a, row in enumerate(space.ints)
-        for b in range(a + 1, space.n)
+        (d * factor, max(
+            max(map(abs, map(sub, sa.values(), map(sb.get, sa, zeros))), default=0),
+            max(map(sb.__getitem__, sb.keys() - sa.keys()), default=0),
+        ))
+        for a, (row, sa) in enumerate(zip(space.ints, supports))
+        for d, sb in zip(row[a + 1:], supports[a + 1:])
     ]
 
     nonexpansive = all(gap <= d for d, gap in pairs)
-    bounds_ok = True
-    for data in levels:
-        hi = big >> data.level
-        block = columns[data.offset:data.offset + len(data.cover.members)]
-        if not all(0 <= value <= hi for column in block for value in column):
-            bounds_ok = False
     # Level n fails when some pair has image gap <= clamp/2 but point
     # distance > 2^(1-n): the sweep keyed by twice the gap finds the
     # largest such point distance in one bisection.
@@ -222,10 +244,10 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     )
     injective = all(gap > 0 for _, gap in pairs)
 
-    exact = {v: Fraction(v, big) for v in set().union(*columns)}
+    exact = {v: Fraction(v, big) for support in supports for v in support.values()}
     images = tuple(
-        SequencePoint(tuple((i, exact[v]) for i, v in enumerate(vector) if v))
-        for vector in vectors
+        SequencePoint(tuple((k, exact[v]) for k, v in support.items()))
+        for support in supports
     )
     sweep = PairSweep(pairs)
     continuity = tuple(

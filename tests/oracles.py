@@ -11,7 +11,10 @@ package's own data structures, with one exception: the sequence-space
 embedding, its ball covers, its table of distances to the members'
 complements and its continuity table are frozen copies of the package's
 Fraction code, which read a space and build the package's own result
-types, so that a result compares whole against its reference; so are a
+types, so that a result compares whole against its reference; so is the
+integer embedding as it ran before it stored images as supports
+(``aharoni_embed_dense``: dense columns, each a least entry over the
+whole complement, and gaps over every coordinate); so are a
 space's diameter, spectrum and rescale, as they ran before the integer
 form.
 So are the pair scans of the inverse-sequence diagnostics: the loops
@@ -39,7 +42,12 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from unimet.covers import Cover, point_finite_refinement
+from unimet.covers import (
+    Cover,
+    ball_cover,
+    containment_from_distances,
+    point_finite_refinement,
+)
 from unimet.cubohedra import Cube
 from unimet.cylinders import mapping_cylinder_metric
 from unimet.embedding import (
@@ -59,6 +67,7 @@ from unimet.invlim import (
     UniquenessRow,
 )
 from unimet.jsonio import _ratio_from_json, expect_key, label_from_json
+from unimet.moduli import PairSweep
 from unimet.quotients import quotient_by_discrete_family
 from unimet.reporting import jsonable
 from unimet.scalars import as_scalar, format_scalar, pow2
@@ -976,6 +985,88 @@ def aharoni_embed_reference(space, depth):
     table = continuity_modulus_reference(space, image_space, tuple(range(space.n)))
     certificate = EmbeddingCertificate(
         table, tuple(rows), injective, nonexpansive, bounds_ok
+    )
+    return AharoniEmbedding(space, depth, tuple(levels), images, certificate)
+
+
+
+def complement_distances_dense(space, cover):
+    """Per member, d(x, complement of the member) as the least entry of
+    row x of the space's ``ints`` over the whole complement; None for a
+    member that is the whole ground."""
+    table = []
+    for member in cover.member_sets():
+        rest = [y for y in range(space.n) if y not in member]
+        table.append([min(map(row.__getitem__, rest)) for row in space.ints] if rest else None)
+    return table
+
+
+def aharoni_embed_dense(space, depth):
+    """The embedding on ints as it ran before it stored images as
+    supports: one dense column per cover member, each image the vector of
+    every coordinate, and each pair's gap the largest difference over all
+    of them; it returns the package's own ``AharoniEmbedding``."""
+    ensure_metric(space, "aharoni_embed")
+    ensure_diameter_at_most(space, ONE, "aharoni_embed")
+    levels = []
+    tables = []
+    offset = 0
+    for n in range(1, depth + 1):
+        radius = pow2(-n - 2)
+        refinement = point_finite_refinement(
+            ball_cover(space, radius), ball_cover(space, radius / 5)
+        )
+        table = complement_distances_dense(space, refinement.cover)
+        clamp = containment_from_distances(space, table, cap=pow2(-n))
+        if clamp is None or clamp <= 0:
+            raise PreconditionError(f"no positive containment number at level {n}")
+        levels.append(LevelData(n, refinement, clamp, offset))
+        tables.append(table)
+        offset += len(refinement.cover.members)
+
+    big = lcm(space.scale, 2 ** (depth + 2))
+    factor = big // space.scale
+    clamps = [data.clamp.numerator * (big // data.clamp.denominator) for data in levels]
+    columns = []
+    for table, clamp in zip(tables, clamps):
+        for column in table:
+            if column is None:
+                columns.append([0] * space.n)
+                continue
+            columns.append([min(v * factor, clamp) for v in column])
+    vectors = list(zip(*columns))
+    pairs = [
+        (row[b] * factor, max(map(abs, map(sub, vectors[a], vectors[b]))))
+        for a, row in enumerate(space.ints)
+        for b in range(a + 1, space.n)
+    ]
+    nonexpansive = all(gap <= d for d, gap in pairs)
+    bounds_ok = all(
+        0 <= value <= big >> data.level
+        for data in levels
+        for column in columns[data.offset:data.offset + len(data.cover.members)]
+        for value in column
+    )
+    separating = PairSweep((2 * gap, d) for d, gap in pairs)
+    separation = tuple(
+        SeparationRow(
+            data.level, data.clamp / 2, pow2(1 - data.level),
+            separating.largest_within(clamp) <= big >> (data.level - 1),
+        )
+        for data, clamp in zip(levels, clamps)
+    )
+    injective = all(gap > 0 for _, gap in pairs)
+    images = tuple(
+        SequencePoint(tuple((i, Fraction(v, big)) for i, v in enumerate(vector) if v))
+        for vector in vectors
+    )
+    sweep = PairSweep(pairs)
+    continuity = tuple(
+        (Fraction(delta, big), Fraction(sweep.largest_within(delta), big))
+        for delta in sorted({0, *sweep.firsts})
+    )
+    certificate = EmbeddingCertificate(
+        continuity, separation, injective, nonexpansive, bounds_ok
     )
     return AharoniEmbedding(space, depth, tuple(levels), images, certificate)
 

@@ -27,7 +27,7 @@ from helpers import (
 )
 from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
-from unimet.embedding import DEPTH_CAP
+from unimet.embedding import DEPTH_CAP, POINT_CAP
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import LEVEL_CAP, THREAD_CAP, inverse_sequence, telescope_metric
 from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
@@ -439,6 +439,29 @@ def test_embed_diameter_rescale_and_depth(tmp_path, s3):
     assert code == 0, err
     code, out, err = run(["embed", s3, "--depth", "0"])
     assert code == 1, err
+
+
+def test_embed_names_the_diameter_remedy_once(tmp_path):
+    wide = write(tmp_path, "wide.json", space_to_json(space("xy", {(0, 1): "3"})))
+    refusal = (
+        "precondition failed: aharoni_embed has diameter 3 > 1; "
+        "rescale explicitly first (rescaled_to_diameter)\n"
+    )
+    assert run(["embed", wide]) == (1, "", refusal)
+
+
+def test_embed_refuses_a_space_past_the_point_cap(tmp_path):
+    """One point past ``POINT_CAP`` is refused by name, with or without
+    ``--rescale``; at the cap the space embeds."""
+    def flat(n):
+        rows = [[int(i != j) for j in range(n)] for i in range(n)]
+        return write(tmp_path, f"flat_{n}.json", {"points": list(range(n)), "dist": rows})
+
+    n = POINT_CAP + 1
+    refusal = f"precondition failed: {n} points exceed the embedding's POINT_CAP = {POINT_CAP}\n"
+    assert run(["embed", flat(n)]) == (1, "", refusal)
+    assert run(["embed", flat(n), "--rescale"]) == (1, "", refusal)
+    assert run(["embed", flat(POINT_CAP)])[0] == 0
 
 
 @pytest.mark.parametrize("rescale", [False, True], ids=["plain", "rescale"])

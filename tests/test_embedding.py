@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import interval_points, metric_spaces, random_space, wide_space
-from oracles import aharoni_embed_reference, sup_distance
+from helpers import (
+    PRIMES_7_TO_31,
+    interval_points,
+    metric_spaces,
+    random_space,
+    wide_space,
+)
+from oracles import aharoni_embed_dense, aharoni_embed_reference, sup_distance
 from unimet import embedding
 from unimet.covers import ball_cover
 from unimet.embedding import aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError
 from unimet.scalars import pow2
+from unimet.spaces import FiniteMetricSpace
 
 
 # ---- depth heuristic ----
@@ -161,6 +168,67 @@ def test_levels_with_equal_covers_share_one_refinement(monkeypatch):
     assert (depth, len(pairs)) == (5, 2)
     assert refined == pairs
     assert got == aharoni_embed_reference(sp, depth)
+
+
+def _support_spaces():
+    """At 12, 24 and 40 points, each of diameter 1: a dyadic cluster with
+    many tied distances (multiples of 1/128 below 5/16, and 1), a cluster
+    over the denominators 8q for the primes q from 7 to 31 (up to 1/4,
+    and 1), and the geometric space {2^-i}.  In the clusters the helper balls
+    hold several points, so a point can lie in more than one member of a
+    level."""
+    rng = random.Random(761)
+    for size in (12, 24, 40):
+        yield interval_points(
+            [0, 1] + [Fraction(k, 128) for k in rng.sample(range(1, 40), size - 2)]
+        )
+        ends = {Fraction(0), Fraction(1)}
+        while len(ends) < size:
+            q = rng.choice(PRIMES_7_TO_31)
+            ends.add(Fraction(rng.randint(1, 2 * q), 8 * q))
+        yield interval_points(sorted(ends))
+        yield interval_points([Fraction(1, 2**i) for i in range(size)])
+
+
+def test_supports_match_the_dense_loop_and_the_fraction_reference():
+    """Images stored as supports give the same embedding, certificate and
+    all, as the dense integer loop at the sufficient depth and two levels
+    short of it, and as the Fraction code at the sufficient depth up to 24
+    points (on the 40-point geometric space at depth 40 it takes 20 s)."""
+    shared = []
+    for sp in _support_spaces():
+        deepest = sufficient_depth(sp)
+        for depth in sorted({max(1, deepest - 2), deepest}):
+            got = aharoni_embed(sp, depth)
+            assert got == aharoni_embed_dense(sp, depth)
+        if sp.n <= 24:
+            assert got == aharoni_embed_reference(sp, deepest)
+        shared.append(max(
+            len(data.cover.members_containing(x))
+            for data in got.levels
+            for x in range(sp.n)
+        ))
+    # The most members of one level that hold one point, per space.
+    assert shared == [2, 1, 1, 2, 2, 1, 2, 6, 1]
+
+
+def test_a_space_past_the_point_cap_is_refused_before_any_cover(monkeypatch):
+    """More than ``POINT_CAP`` points are refused by name, before the
+    metric scan and before any cover is built."""
+    n = embedding.POINT_CAP + 1
+    flat = FiniteMetricSpace.from_int(
+        tuple(range(n)), [[int(i != j) for j in range(n)] for i in range(n)], 1
+    )
+    monkeypatch.setattr(embedding, "ball_cover", None)
+    monkeypatch.setattr(embedding, "ensure_metric", None)
+    refusal = f"{n} points exceed the embedding's POINT_CAP = {n - 1}"
+    with pytest.raises(PreconditionError, match=refusal):
+        aharoni_embed(flat, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(embedding, "POINT_CAP", 2)
+    with pytest.raises(PreconditionError, match="3 points exceed .* POINT_CAP = 2"):
+        aharoni_embed(interval_points([0, 1, 2], Fraction(1, 2)), 2)
+    assert aharoni_embed(interval_points([0, 1], Fraction(1, 2)), 2).certificate.injective
 
 
 # ---- properties on generated spaces ----
