@@ -34,7 +34,7 @@ _EXPORTS = {
     "covers": (
         "AuMetrization", "Cover", "FundamentalSequence", "RefinementResult",
         "au_metrize", "ball_cover", "ball_fundamental_sequence",
-        "point_finite_refinement", "validate_fundamental_sequence",
+        "point_finite_refinement",
     ),
     "cubohedra": (
         "Cube", "Cubohedron", "RetractionReport", "distance_to_complex",

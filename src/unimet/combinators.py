@@ -3,27 +3,18 @@
 Everything here is exact.  The product, the grid interval that the cone and
 cylinder oracles multiply by, the weighted-sup rows and McShane's extension
 build ints over a common scale; the Kuratowski embedding reads the
-``Fraction`` view.
-The "l2" product returns squared distances, over the square of the common
-scale, as square roots leave the exact field: a squared metric, not a
-metric.  Every diameter-1 refusal is ``spaces.ensure_diameter_at_most``.
+``Fraction`` view.  Every diameter-1 refusal is
+``spaces.ensure_diameter_at_most``.
 """
 from __future__ import annotations
 
 from math import lcm
-from operator import add
 from typing import Sequence
 
-from .errors import StructuralError
 from .kernel import min_plus
 from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
 from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
-
-PRODUCT_NORMS = ("l1", "linf", "l2")
-# Per norm: how two factor entries over one scale combine.
-_COMBINE = {"l1": add, "linf": max, "l2": lambda x, y: x * x + y * y}
-
 
 def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
     """Grid points of a real interval with the absolute-value metric, built
@@ -34,28 +25,15 @@ def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_int(values, [[abs(u - v) for v in ticks] for u in ticks], scale)
 
 
-def product_metric(
-    left: FiniteMetricSpace,
-    right: FiniteMetricSpace,
-    norm: str = "linf",
-) -> FiniteMetricSpace:
-    """Product space on pairs (p, q), left index varying slowest.
-
-    norm "l1" sums the factor distances, "linf" takes their max, and "l2"
-    returns the *squared* Euclidean combination d_X^2 + d_Y^2 so the result
-    stays rational; the l2 matrix is a squared metric, not a metric.  The
-    factors' ints are lifted to the lcm of their scales, and the "l2" rows
-    are over its square.
-    """
-    if norm not in PRODUCT_NORMS:
-        raise StructuralError(f"unknown product norm {norm!r}; use one of {PRODUCT_NORMS}")
-    combine = _COMBINE[norm]
+def product_metric(left: FiniteMetricSpace, right: FiniteMetricSpace) -> FiniteMetricSpace:
+    """The l1 product on pairs (p, q), left index varying slowest: the sum
+    of the factor distances, on their ints lifted to the lcm of their
+    scales."""
     scale = lcm(left.scale, right.scale)
     a, b = scale // left.scale, scale // right.scale
     points = [(p, q) for p in left.points for q in right.points]
-    rows = [[combine(x * a, y * b) for x in row_l for y in row_r]
+    rows = [[x * a + y * b for x in row_l for y in row_r]
             for row_l in left.ints for row_r in right.ints]
-    scale = scale * scale if norm == "l2" else scale
     return FiniteMetricSpace.from_int(points, rows, scale, left.pseudo or right.pseudo)
 
 

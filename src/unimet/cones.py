@@ -79,7 +79,7 @@ def cone_quotient_check(cone: ConeSpace) -> Scalar:
     if not cone.base.n:
         raise PreconditionError("the collapsed-slice comparison needs a nonempty base")
     k = len(cone.t_grid)
-    product = product_metric(cone.base, interval_space(cone.t_grid), "l1")
+    product = product_metric(cone.base, interval_space(cone.t_grid))
     top = [i * k + k - 1 for i in range(cone.base.n)]
     quotient = quotient_by_discrete_family(product, [top])
     class_of = quotient.class_of
@@ -203,8 +203,8 @@ def join_amalgam_equality(join: JoinSpace) -> JoinAmalgamReport:
     grid_neg_u = tuple(sorted({-t for t in grid if t <= 0}))
     cone_x = cone_metric(left, grid_pos)
     cone_y = cone_metric(right, grid_neg_u)
-    part_top = product_metric(cone_x.space, right, "l1")
-    part_bottom = product_metric(left, cone_y.space, "l1")
+    part_top = product_metric(cone_x.space, right)
+    part_bottom = product_metric(left, cone_y.space)
 
     def top_index(i: int, t: Scalar, j: int) -> int:
         return cone_x.class_index(i, t) * right.n + j

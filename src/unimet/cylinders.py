@@ -163,7 +163,7 @@ def cylinder_adjunction_check(cylinder: CylinderSpace) -> Scalar:
     if not cylinder.source.n:
         raise PreconditionError("the attachment comparison needs a nonempty source")
     k = len(cylinder.t_grid)
-    product = product_metric(cylinder.adjusted, interval_space(cylinder.t_grid), "l1")
+    product = product_metric(cylinder.adjusted, interval_space(cylinder.t_grid))
     top = [i * k + k - 1 for i in range(cylinder.source.n)]
     attaching = {a: cylinder.mapping[i] for i, a in enumerate(top)}
     result = adjunction_space(

@@ -145,13 +145,13 @@ class AdjunctionResult:
     y_isometric: bool
     positivity_ok: bool
 
+    def failed_certificates(self) -> tuple:
+        """The names of the certificate flags that are false, in field order."""
+        names = ("d3_equals_dinf", "metric_ok", "y_isometric", "positivity_ok")
+        return tuple(name for name in names if not getattr(self, name))
+
     def all_certified(self) -> bool:
-        return (
-            self.d3_equals_dinf
-            and self.metric_ok
-            and self.y_isometric
-            and self.positivity_ok
-        )
+        return not self.failed_certificates()
 
 
 def adjunction_space(

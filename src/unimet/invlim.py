@@ -522,16 +522,11 @@ class Telescope:
     t_grid: tuple
     space: FiniteMetricSpace
     level_classes: tuple
-    stages_certified: tuple
 
     def level_class(self, j: int) -> tuple:
         if not self.start <= j <= self.stop:
             raise StructuralError(f"level {j} outside segment [{self.start}, {self.stop}]")
         return self.level_classes[j - self.start]
-
-    @property
-    def all_certified(self) -> bool:
-        return all(self.stages_certified)
 
 
 def telescope_metric(
@@ -551,7 +546,8 @@ def telescope_metric(
     adjunction keeping the new cylinder isometric while distances across
     the old part may legitimately shorten through the new one.  Every stage
     must come back fully certified (three-hop chains settle, metric axioms,
-    isometric target, positive clearance); a failed certificate raises.
+    isometric target, positive clearance); a failed certificate raises,
+    naming each flag that failed.
 
     Levels on the segment need diameter <= 1, inherited from the cylinder
     construction; rescale the levels first otherwise.  The grid is checked
@@ -566,7 +562,6 @@ def telescope_metric(
     current = truncation.levels[start]
     grid = parameter_grid(t_grid, ZERO, ONE, (ZERO, ONE))
     tracked = [tuple(range(current.n))]
-    certified = []
     for k in range(start, stop):
         level, upper = truncation.levels[k], truncation.levels[k + 1]
         cylinder = mapping_cylinder_metric(upper, level, truncation.bonds[k], grid)
@@ -583,18 +578,19 @@ def telescope_metric(
                 cross=None,
                 extension=current,
             )
-            if not result.all_certified():
+            failed = result.failed_certificates()
+            if failed:
                 raise PreconditionError(
-                    f"telescope stage at level {k} failed its certificates"
+                    f"telescope stage at level {k} failed its certificates: "
+                    + ", ".join(failed)
                 )
-            certified.append(True)
             tracked = [tuple(result.x_class[c] for c in classes) for classes in tracked]
             current, y_class = result.space, result.y_class
         tracked[-1:] = [
             tuple(y_class[cylinder.y_index(x)] for x in range(level.n)),
             tuple(y_class[cylinder.class_index(i, ZERO)] for i in range(upper.n)),
         ]
-    return Telescope(start, stop, grid, current, tuple(tracked), tuple(certified))
+    return Telescope(start, stop, grid, current, tuple(tracked))
 
 
 # ---- ladders and perturbation limits ----

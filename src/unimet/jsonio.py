@@ -214,13 +214,15 @@ def cover_from_json(obj) -> Cover:
 
 
 def fundamental_sequence_from_json(obj) -> FundamentalSequence:
-    from .covers import FundamentalSequence
+    from .covers import FundamentalSequence, check_ground_size
 
     covers = expect_key(obj, "covers", "a fundamental sequence")
     if not isinstance(covers, list) or not covers:
         raise StructuralError("a fundamental sequence needs a nonempty covers array")
-    levels = tuple(cover_from_json(c) for c in covers)
-    return FundamentalSequence(levels[0].ground, levels)
+    first = cover_from_json(covers[0])
+    check_ground_size(first.ground)
+    levels = (first, *map(cover_from_json, covers[1:]))
+    return FundamentalSequence(first.ground, levels)
 
 
 def classes_from_json(obj, space: FiniteMetricSpace) -> list:

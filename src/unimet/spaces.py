@@ -5,7 +5,8 @@ its distances: ``ints[i][j] / scale``, ``scale`` their least common
 denominator (see ``kernel``).  The constructor takes a ``Fraction`` matrix,
 checks only structure (unique labels, square matrix, exact scalars) and
 converts it once; ``from_int`` takes ints and reduces them to the least
-form.  ``dist``, the ``Fraction`` matrix, is a view built on first read.
+form.  ``dist``, the ``Fraction`` matrix, is a view built on first read,
+and so is the sorted ``spectrum``.
 Scans and constructions run on the ints, which order, add and multiply
 exactly as the Fractions do.  The metric axioms are the job of
 ``check_metric_axioms``, so that defective matrices can be represented and
@@ -111,12 +112,17 @@ class FiniteMetricSpace:
         """Largest entry of the matrix, zero for the empty space."""
         return Fraction(max(map(max, self.ints), default=0), self.scale)
 
-    def spectrum(self) -> tuple:
-        """Sorted distinct distance values above the diagonal, zero included."""
+    @cached_property
+    def _spectrum(self) -> tuple:
         values = {0}
         for i, row in enumerate(self.ints):
             values.update(row[i + 1:])
         return tuple(Fraction(v, self.scale) for v in sorted(values))
+
+    def spectrum(self) -> tuple:
+        """Sorted distinct distance values above the diagonal, zero
+        included: sorted once per space and cached."""
+        return self._spectrum
 
     def positive_spectrum(self) -> tuple:
         return tuple(v for v in self.spectrum() if v > 0)

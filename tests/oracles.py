@@ -305,7 +305,8 @@ def axiom_scan_reference(space):
 
 def gauge_from_covers(member_lists, ground):
     """f(x, y) = 2^-n with n the deepest even level 2n whose cover
-    co-contains x and y; 1 when only the trivial level qualifies.
+    co-contains x and y; 1 when only the trivial level qualifies.  On the
+    diagonal that is the deepest even level, since every level covers x.
 
     ``member_lists[k]`` holds the members of the (k+1)-th cover as index
     collections, mirroring the one-based level numbering.
@@ -314,8 +315,6 @@ def gauge_from_covers(member_lists, ground):
     gauge = [[ZERO] * ground for _ in range(ground)]
     for x in range(ground):
         for y in range(ground):
-            if x == y:
-                continue
             hit = 0
             for level in range(depth, 0, -1):
                 if level % 2 != 0:
@@ -521,8 +520,8 @@ def glued_union_reference(parts, identifications, cross):
     return union, class_of
 
 
-def product_metric_reference(left, right, norm):
-    """(points, rows) of the l1, linf or squared l2 product, left major."""
+def product_metric_reference(left, right):
+    """(points, rows) of the l1 product, left major."""
     points = []
     for p in left.points:
         for q in right.points:
@@ -535,14 +534,7 @@ def product_metric_reference(left, right, norm):
         row = []
         for b in range(size):
             k, l = divmod(b, n_r)
-            dx = left.d(i, k)
-            dy = right.d(j, l)
-            if norm == "l1":
-                row.append(dx + dy)
-            elif norm == "linf":
-                row.append(dx if dx >= dy else dy)
-            else:
-                row.append(dx * dx + dy * dy)
+            row.append(left.d(i, k) + right.d(j, l))
         rows.append(tuple(row))
     return tuple(points), tuple(rows)
 

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import unimet.cones
+import unimet.covers
 import unimet.cylinders
+import unimet.invlim
 import unimet.spaces
 from helpers import (
     fundamental_sequence_to_json,
@@ -268,6 +271,15 @@ def test_build_telescope_depths(tower, depth, expected):
     assert code == expected, err
 
 
+def test_a_failed_telescope_stage_exits_1_naming_its_certificate(tower, monkeypatch):
+    attach = unimet.invlim.adjunction_space
+    monkeypatch.setattr(unimet.invlim, "adjunction_space",
+                        lambda *a, **k: replace(attach(*a, **k), y_isometric=False))
+    assert run(["build", "telescope", tower]) == (1, "", (
+        "precondition failed: telescope stage at level 1 failed its certificates: "
+        "y_isometric\n"))
+
+
 def test_a_telescope_depth_past_the_top_reads_as_the_library_words_it(tower):
     code, out, err = run(["build", "telescope", tower, "--depth", 9])
     assert (code, out) == (1, "")
@@ -391,6 +403,29 @@ def test_metrize_rejects_a_sequence_without_star_refinement(tmp_path):
     }
     code, out, err = run(["metrize", write(tmp_path, "badseq.json", bad)])
     assert code == 1, err
+
+
+def test_metrize_checks_star_refinement_once(tmp_path, monkeypatch):
+    """The report row and ``au_metrize`` read one witness: one
+    ``star_refines`` call per level after the first."""
+    seq = fundamental_sequence_to_json(ball_fundamental_sequence(S3, 4))
+    calls = []
+    star_refines = unimet.covers.star_refines
+    monkeypatch.setattr(unimet.covers, "star_refines",
+                        lambda *a: calls.append(a) or star_refines(*a))
+    assert run(["metrize", write(tmp_path, "seq.json", seq)])[0] == 0
+    assert len(calls) == 3
+
+
+def test_metrize_refuses_a_ground_past_the_cap(tmp_path, monkeypatch):
+    """The cap is named before the star-refinement row, even on a sequence
+    that fails star-refinement; at the cap the sequence metrizes."""
+    monkeypatch.setattr(unimet.covers, "GROUND_CAP", 2)
+    bad = {"covers": [{"ground": 3, "sets": [[0, 1], [1, 2]]}] * 2}
+    refusal = "precondition failed: 3 points exceed the metrization's GROUND_CAP = 2\n"
+    assert run(["metrize", write(tmp_path, "bad.json", bad)]) == (1, "", refusal)
+    seq = fundamental_sequence_to_json(ball_fundamental_sequence(S2, 3))
+    assert run(["metrize", write(tmp_path, "seq.json", seq)])[0] == 0
 
 
 def test_metrize_refuses_a_bool_ground(tmp_path):

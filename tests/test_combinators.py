@@ -14,7 +14,7 @@ from unimet.combinators import (
     product_metric,
     weighted_sup_rows,
 )
-from unimet.errors import PreconditionError, StructuralError
+from unimet.errors import PreconditionError
 from unimet.kernel import to_int_matrix
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
@@ -23,42 +23,27 @@ from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
 
 def test_product_norms_agree_with_factor_distances():
+    """The l1 product sums the factor distances."""
     left = space("ab", {(0, 1): "1/2"})
     right = space("xyz", {(0, 1): "1/4", (0, 2): "1/3", (1, 2): "1/4"})
-    for norm in ("l1", "linf", "l2"):
-        prod = product_metric(left, right, norm)
-        assert prod.n == left.n * right.n
-        # left index varies slowest
-        assert prod.points[0] == ("a", "x")
-        assert prod.points[right.n] == ("b", "x")
-        for a in range(prod.n):
-            i, j = divmod(a, right.n)
-            for b in range(prod.n):
-                k, l = divmod(b, right.n)
-                dx = left.d(i, k)
-                dy = right.d(j, l)
-                if norm == "l1":
-                    want = dx + dy
-                elif norm == "linf":
-                    want = max(dx, dy)
-                else:
-                    want = dx * dx + dy * dy
-                assert prod.d(a, b) == want
+    prod = product_metric(left, right)
+    assert prod.n == left.n * right.n
+    # left index varies slowest
+    assert prod.points[0] == ("a", "x")
+    assert prod.points[right.n] == ("b", "x")
+    for a in range(prod.n):
+        i, j = divmod(a, right.n)
+        for b in range(prod.n):
+            k, l = divmod(b, right.n)
+            assert prod.d(a, b) == left.d(i, k) + right.d(j, l)
 
 
-def test_product_l1_and_linf_are_metrics():
+def test_product_of_metrics_is_a_metric():
     rng = random.Random(11)
     for _ in range(10):
         left = random_space(rng, rng.randint(2, 4))
         right = random_space(rng, rng.randint(2, 4))
-        for norm in ("l1", "linf"):
-            assert check_metric_axioms(product_metric(left, right, norm)).ok
-
-
-def test_product_rejects_unknown_norm():
-    s = interval_points([0, 1], Fraction(1, 2))
-    with pytest.raises(StructuralError, match="norm"):
-        product_metric(s, s, "l3")
+        assert check_metric_axioms(product_metric(left, right)).ok
 
 
 def test_product_propagates_pseudo_flag():
@@ -66,8 +51,8 @@ def test_product_propagates_pseudo_flag():
     degenerate = FiniteMetricSpace(
         ("u", "v"), ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))), pseudo=True
     )
-    assert product_metric(plain, degenerate, "linf").pseudo
-    assert not product_metric(plain, plain, "linf").pseudo
+    assert product_metric(plain, degenerate).pseudo
+    assert not product_metric(plain, plain).pseudo
 
 
 # ---- weighted sup products ----

@@ -36,7 +36,6 @@ from unimet.covers import (
     maximal_cliques,
     point_finite_refinement,
     star_refines,
-    validate_fundamental_sequence,
 )
 from unimet.errors import PreconditionError, StructuralError
 from unimet.spaces import FiniteMetricSpace
@@ -55,7 +54,7 @@ def test_cover_cleans_members():
     # members are sorted and duplicates keep the first occurrence
     assert cover.members == ((0, 2), (1,))
     assert len(cover) == 2
-    assert cover.members_containing(2) == [0]
+    assert cover.holders == ((0,), (1,), (0,))
 
 
 def test_cover_guards():
@@ -237,35 +236,27 @@ def test_ball_covers_match_the_fraction_reference():
 # ---- fundamental sequences ----
 
 
-def test_fundamental_sequence_level_access():
-    sp = interval_points([0, 1, 2], Fraction(1, 4))
-    seq = ball_fundamental_sequence(sp, 3)
-    assert seq.depth == 3
-    assert seq.level(1) is seq.levels[0]
-    with pytest.raises(StructuralError, match="range"):
-        seq.level(0)
-    with pytest.raises(StructuralError, match="range"):
-        seq.level(4)
+def test_fundamental_sequence_guards():
     with pytest.raises(StructuralError, match="at least one"):
         FundamentalSequence(3, ())
     with pytest.raises(StructuralError, match="ground"):
         FundamentalSequence(2, (Cover(3, ((0, 1, 2),)),))
 
 
-def test_validate_fundamental_sequence_reports_witness():
+def test_refinement_witness_names_level_and_member():
     whole = Cover(3, ((0, 1, 2),))
     halves = Cover(3, ((0, 1), (1, 2)))
     good = FundamentalSequence(3, (whole, whole))
-    assert validate_fundamental_sequence(good) is None
+    assert good.refinement_witness is None
     # the halves cover does not star-refine itself: witness names level 3
     bad = FundamentalSequence(3, (whole, halves, halves))
-    assert validate_fundamental_sequence(bad) == (3, 0)
+    assert bad.refinement_witness == (3, 0)
 
 
 def test_ball_fundamental_sequence_guards():
     sp = interval_points([0, 1, 2], Fraction(1, 4))
     seq = ball_fundamental_sequence(sp, 4)
-    assert validate_fundamental_sequence(seq) is None
+    assert len(seq.levels) == 4 and seq.refinement_witness is None
     with pytest.raises(StructuralError, match="depth"):
         ball_fundamental_sequence(sp, 0)
     with pytest.raises(PreconditionError, match="1/3"):
@@ -275,24 +266,36 @@ def test_ball_fundamental_sequence_guards():
 # ---- metrization ----
 
 
-def test_au_metrize_matches_gauge_reference():
-    rng = random.Random(139)
+def _metrize_inputs(rng):
+    """Ball sequences on small dyadic spaces at depth 2-4, then on wide
+    spaces of 7-14 points at depth 5-6 from balls of the space's diameter,
+    where a point lies in several members of one even level."""
     for _ in range(10):
         sp = random_space(rng, rng.randint(2, 6), den=16, top=16)
-        seq = ball_fundamental_sequence(sp, rng.randint(2, 4))
+        yield ball_fundamental_sequence(sp, rng.randint(2, 4))
+    for _ in range(6):
+        sp = wide_space(rng, rng.randint(7, 14))
+        yield ball_fundamental_sequence(sp, rng.randint(5, 6), base=sp.diameter())
+
+
+def test_au_metrize_matches_gauge_reference():
+    shared = []
+    for seq in _metrize_inputs(random.Random(139)):
         result = au_metrize(seq)
         member_lists = [list(level.members) for level in seq.levels]
-        want_gauge = gauge_from_covers(member_lists, sp.n)
-        for x in range(sp.n):
-            for y in range(sp.n):
-                if x != y:
-                    assert result.gauge[x][y] == want_gauge[x][y]
-        # the metric is the shortest-chain closure of the gauge
-        assert [list(row) for row in result.space.dist] == metric_closure(want_gauge)
+        want_gauge = gauge_from_covers(member_lists, seq.ground)
+        # the whole gauge, its nonzero diagonal included
+        assert [list(row) for row in result.gauge] == want_gauge
+        # the metric is the shortest-chain closure of the gauge off the diagonal
+        off = [[v if x != y else 0 for y, v in enumerate(row)]
+               for x, row in enumerate(want_gauge)]
+        assert [list(row) for row in result.space.dist] == metric_closure(off)
         assert result.comparison_ok
         assert result.member_diameter_ok
         assert result.clique_containment_ok
         assert result.witnesses == ()
+        shared.append(max(len(held) for level in seq.levels[1::2] for held in level.holders))
+    assert max(shared[10:]) > 2
 
 
 def test_au_metrize_rejects_bad_sequences():
@@ -301,6 +304,16 @@ def test_au_metrize_rejects_bad_sequences():
     bad = FundamentalSequence(3, (whole, halves, halves))
     with pytest.raises(PreconditionError, match="fundamental"):
         au_metrize(bad)
+
+
+def test_au_metrize_refuses_a_ground_past_the_cap_first(monkeypatch):
+    monkeypatch.setattr(covers, "GROUND_CAP", 2)
+    whole = Cover(3, ((0, 1, 2),))
+    halves = Cover(3, ((0, 1), (1, 2)))
+    with pytest.raises(PreconditionError, match="^3 points exceed the metrization's GROUND_CAP = 2$"):
+        au_metrize(FundamentalSequence(3, (whole, halves, halves)))
+    pair = Cover(2, ((0, 1),))
+    assert au_metrize(FundamentalSequence(2, (pair, pair))).comparison_ok
 
 
 # ---- point-finite refinement ----
@@ -318,9 +331,11 @@ def test_point_finite_refinement_with_singleton_helper():
 
 
 def test_point_finite_refinement_invariants():
+    """On small dyadic spaces, then on wide spaces of 7-14 points."""
     rng = random.Random(149)
-    for _ in range(15):
-        sp = random_space(rng, rng.randint(3, 8))
+    for k in range(23):
+        sp = (random_space(rng, rng.randint(3, 8)) if k < 15
+              else wide_space(rng, rng.randint(7, 14)))
         radius = Fraction(rng.randint(1, 8), 16)
         helper = ball_cover(sp, radius)
         target = ball_cover(sp, 5 * radius)

@@ -204,7 +204,7 @@ def test_supports_match_the_dense_loop_and_the_fraction_reference():
         if sp.n <= 24:
             assert got == aharoni_embed_reference(sp, deepest)
         shared.append(max(
-            len(data.cover.members_containing(x))
+            len(data.cover.holders[x])
             for data in got.levels
             for x in range(sp.n)
         ))

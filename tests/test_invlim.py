@@ -1,5 +1,6 @@
 """Inverse sequences: threads, convergence reports, telescopes, ladders."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     uniqueness_rows_reference,
     weighted_sup_reference,
 )
+from unimet import invlim
 from unimet.cylinders import mapping_cylinder_metric
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import (
@@ -266,7 +268,6 @@ def test_telescope_matches_mapping_cylinder(inputs):
 def test_telescope_stacks_cylinder_lengths():
     tower = retraction_tower(4)
     tele = telescope_metric(tower, 0, 3, GRID)
-    assert tele.all_certified
     assert tele.space.n > 0
     # the deep end slice keeps the adjusted metric of the last cylinder
     deep = tele.level_class(3)
@@ -274,6 +275,28 @@ def test_telescope_stacks_cylinder_lengths():
         for b in range(tower.levels[3].n):
             want = tower.levels[3].d(a, b) + tower.levels[2].d(min(a, 2), min(b, 2))
             assert tele.space.d(deep[a], deep[b]) == want
+
+
+def failing_stages(monkeypatch, **flags):
+    """Make every adjunction a telescope attaches come back with ``flags``."""
+    attach = invlim.adjunction_space
+    monkeypatch.setattr(
+        invlim, "adjunction_space", lambda *a, **k: replace(attach(*a, **k), **flags)
+    )
+
+
+def test_a_failed_telescope_stage_names_its_certificates(monkeypatch):
+    tower = retraction_tower(4)
+    failing_stages(monkeypatch, y_isometric=False)
+    with pytest.raises(PreconditionError) as caught:
+        telescope_metric(tower, 0, 3, GRID)
+    assert str(caught.value) == "telescope stage at level 1 failed its certificates: y_isometric"
+    monkeypatch.undo()
+    failing_stages(monkeypatch, metric_ok=False, positivity_ok=False)
+    with pytest.raises(PreconditionError, match="level 1 failed .*: metric_ok, positivity_ok$"):
+        telescope_metric(tower, 0, 3, GRID)
+    # the first stage is the first cylinder alone, with no adjunction to fail
+    assert telescope_metric(tower, 0, 1, GRID).space.n > 0
 
 
 def test_telescope_single_level_is_the_level():

@@ -45,7 +45,6 @@ from oracles import (
     weighted_sup_rows_reference,
 )
 from unimet.combinators import (
-    PRODUCT_NORMS,
     interval_space,
     mcshane_rows,
     product_metric,
@@ -216,14 +215,14 @@ UNIT_INPUTS = coprime_construction_inputs(ZERO, (ZERO, ONE), ONE)
 JOIN_INPUTS = coprime_construction_inputs(-ONE, (-ONE, ONE), 2)
 
 
-@given(UNIT_INPUTS, st.sampled_from(PRODUCT_NORMS))
-def test_product_metric_matches_the_fraction_code(inputs, norm):
+@given(UNIT_INPUTS)
+def test_product_metric_matches_the_fraction_code(inputs):
     """The product of the two drawn spaces, and of the source with its grid
     interval, as the cone and cylinder oracles take it."""
     left = inputs.source
     for right in (inputs.target, interval_space(inputs.grid)):
-        got = product_metric(left, right, norm)
-        assert (got.points, got.dist) == product_metric_reference(left, right, norm)
+        got = product_metric(left, right)
+        assert (got.points, got.dist) == product_metric_reference(left, right)
         assert got.pseudo == (left.pseudo or right.pseudo)
 
 
@@ -257,7 +256,7 @@ def test_largest_gap_matches_the_fraction_code(inputs):
     source, target = inputs.source, inputs.target
     got = largest_gap(source, target, inputs.mapping)
     assert got == largest_gap_reference(source, target, inputs.mapping)
-    product = product_metric(source, target, "l1")
+    product = product_metric(source, target)
     bottom = [i * target.n for i in range(source.n)]
     assert largest_gap(source, product, bottom) == 0
     assert largest_gap(target, source, [0] * target.n) == largest_gap_reference(
