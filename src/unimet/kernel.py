@@ -8,10 +8,14 @@ min-plus product, the shortest-path closure and the triangle scan run on
 Python ints and the results convert back exactly with ``Fraction(v, L)``.
 
 No sentinel stands in for ``None``: entries may be negative (``glue_parts``
-does not check its parts), so no finite value is safely "infinite".  Rows
-and columns free of ``None`` take the vector path, where C builtins
-(``map``, ``min``, ``max`` over ``operator.add`` and ``sub``) do the inner
-loops; the others skip the missing hops entry by entry.
+does not check its parts), so no finite value is safely "infinite".  In the
+product and the closure, rows and columns free of ``None`` take the vector
+path, where C builtins (``map``, ``min``, ``max`` over ``operator.add`` and
+``sub``) do the inner loops; the others skip the missing hops entry by
+entry.  The triangle scan packs each row into one int of ``w``-bit fields
+(``packed_rows``), so a few exact big-int operations on two rows compare
+every field at once (Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975).
 
 Every matrix returned here is a list of lists, so results compare equal
 exactly when their entries do.
@@ -21,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from itertools import repeat
-from operator import add, sub
+from operator import add, lshift, sub
 from typing import Optional, Sequence
 
 IntMatrix = list
@@ -127,22 +131,44 @@ def closure(block: IntMatrix) -> IntMatrix:
     return dist
 
 
-def first_triangle_witness(m: IntMatrix) -> Optional[tuple]:
+def packed_rows(m: IntMatrix) -> tuple:
+    """``(P, K, R, H)`` for the triangle scan of the square int matrix ``m``:
+    ``P[i]`` is the sum of ``m[i][k] << (w * k)``, ``R`` has a 1 in each
+    ``w``-bit field, ``K = (2**(w-1) - 1) * R`` and ``H = R << (w - 1)``.
+    For an entry ``d`` of ``m``, ``(P[i] + K - P[j] - d * R) & H`` has the
+    top bit of field k set exactly when ``m[i][k] - m[j][k] > d``."""
+    lo = min(map(min, m), default=0)
+    hi = max(map(max, m), default=0)
+    # The packing is linear, so field k of P[i] + K - P[j] - d*R holds
+    # c = 2**(w-1) - 1 + m[i][k] - m[j][k] - d, between 2**(w-1) - 1 - (hi -
+    # lo) - hi and 2**(w-1) - 1 + (hi - lo) - lo.  With 2**(w-1) > hi - lo +
+    # max(hi, -lo), c lies in [0, 2**w): no field borrows from the next.
+    w = (hi - lo + max(hi, -lo)).bit_length() + 1
+    offsets = range(0, w * len(m), w)
+    repunit = ((1 << w * len(m)) - 1) // ((1 << w) - 1)
+    return ([sum(map(lshift, row, offsets)) for row in m],
+            ((1 << (w - 1)) - 1) * repunit, repunit, repunit << (w - 1))
+
+
+def first_triangle_witness(m: IntMatrix, packed: Optional[tuple] = None) -> Optional[tuple]:
     """Lexicographically first (i, j, k), k not in {i, j}, with
     m[i][k] > m[i][j] + m[j][k]; None when the triangle inequality holds.
 
-    For each (i, j) the vector test ``max(row_i - row_j) <= m[i][j]`` clears
-    every k at once; only when it fails does the walk over k run.  The test
-    also covers k = i and k = j, so it can fail on a defective diagonal
+    ``packed`` is ``packed_rows(m)``, built here when not given.  For each
+    ordered pair (i, j) one packed test of the two rows clears every k at
+    once; only when it flags a field does the walk over k run.  The test
+    also covers k = i and k = j, so it can flag a defective diagonal
     (m[j][j] < 0, or m[i][i] large) without a witness; the walk then finds
     none and the scan moves on.
     """
-    for i, row_i in enumerate(m):
-        for j, row_j in enumerate(m):
+    rows, offset, repunit, tops = packed or packed_rows(m)
+    for i, (row_i, p) in enumerate(zip(m, rows)):
+        a = p + offset
+        for j, (row_j, q) in enumerate(zip(m, rows)):
             if j == i:
                 continue
             dij = row_i[j]
-            if max(map(sub, row_i, row_j)) <= dij:
+            if not (a - q - dij * repunit) & tops:
                 continue
             for k, (x, y) in enumerate(zip(row_i, row_j)):
                 if x - y > dij and k != i and k != j:

@@ -11,9 +11,10 @@ Scans and constructions run on the ints, which order, add and multiply
 exactly as the Fractions do.  The metric axioms are the job of
 ``check_metric_axioms``, so that defective matrices can be represented and
 reported with witnesses; its scan runs once per space, and ``reflagged``
-carries it to a copy that only changes the pseudo flag.  The scan decides
-first, by a one-pass verdict on the ints, and locates witnesses only on a
-matrix the verdict refuses.
+carries it to a copy that only changes the pseudo flag.  The scan packs
+each row of the ints into one int (``kernel.packed_rows``) and decides
+first, by a verdict that tests each pair of rows in a few big-int
+operations; it locates witnesses only on a matrix the verdict refuses.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -40,7 +41,7 @@ from operator import ne, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
-from .kernel import first_triangle_witness, to_fractions, to_int_matrix
+from .kernel import first_triangle_witness, packed_rows, to_fractions, to_int_matrix
 from .scalars import ZERO, Scalar, ScalarLike, as_scalar, brief_scalar
 
 
@@ -190,9 +191,11 @@ def check_metric_axioms(space: FiniteMetricSpace,
     the first index tuple in lexicographic order that breaks it, with the
     triangle witness (i, j, k) ranging over k distinct from i and j.  The
     scan runs on the space's stored form, so it is exact; the reported
-    ``lhs`` and ``rhs`` are Fractions.  A one-pass verdict clears a metric;
-    only a matrix it refuses is walked for witnesses.  ``allow_pseudo``
-    defaults to the space's own pseudo flag; when true, the positivity axiom is skipped.
+    ``lhs`` and ``rhs`` are Fractions.  A verdict clears a metric by row
+    checks and one packed test of the two rows of each pair i < j, every k
+    at once; only a matrix it refuses is walked for witnesses.
+    ``allow_pseudo`` defaults to the space's own pseudo flag; when true,
+    the positivity axiom is skipped.
     The scan is cached per object: every call on one space, in either mode,
     reads the same strict report, with the positivity violation dropped for
     a pseudo check.
@@ -235,9 +238,11 @@ AXIOMS = ("diagonal", "nonnegativity", "symmetry", "positivity", "triangle")
 def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
     """Decide by ``_is_metric``, then locate: a matrix it refuses runs every
     axiom, positivity included, once over the stored form; a violation's
-    witness values are the only Fractions built."""
+    witness values are the only Fractions built.  The verdict and the
+    locator share one packing of the rows."""
     pts, m = space.points, space.ints
-    if _is_metric(m):
+    packed = packed_rows(m)
+    if _is_metric(m, packed):
         return AxiomReport(ok=True, allow_pseudo=False, violations=())
     frac = partial(Fraction, denominator=space.scale)
     violations = []
@@ -252,16 +257,23 @@ def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
             violations.append(
                 AxiomViolation("nonnegativity", (pts[i], pts[j]), frac(row[j]), ZERO))
             break
-    pair = _first_pair(m, lambda a, b: a != b)
-    if pair is not None:
-        i, j = pair
-        violations.append(
-            AxiomViolation("symmetry", (pts[i], pts[j]), frac(m[i][j]), frac(m[j][i])))
-    pair = _first_pair(m, lambda a, b: a == 0 and b == 0)
+    cols = list(map(list, zip(*m)))
+    # The first row that differs from its column does so first above the
+    # diagonal: a difference at j < i would have shown in row j.
+    for i, (row, col) in enumerate(zip(m, cols)):
+        if row != col:
+            j = list(map(ne, row, col)).index(True)
+            violations.append(
+                AxiomViolation("symmetry", (pts[i], pts[j]), frac(row[j]), frac(col[j])))
+            break
+    # Only a row with a zero off its diagonal can start a zero pair.
+    pair = next(((i, j) for i, (row, col) in enumerate(zip(m, cols))
+                 if row.count(0) > (row[i] == 0)
+                 for j in range(i + 1, len(m)) if row[j] == 0 == col[j]), None)
     if pair is not None:
         i, j = pair
         violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
-    witness = first_triangle_witness(m)
+    witness = first_triangle_witness(m, packed)
     if witness is not None:
         i, j, k = witness
         violations.append(AxiomViolation(
@@ -271,26 +283,20 @@ def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
                        violations=tuple(violations))
 
 
-def _is_metric(m) -> bool:
+def _is_metric(m, packed: Optional[tuple] = None) -> bool:
     """Each row has a zero diagonal, no negative entry and no other zero,
-    the matrix is symmetric, and each pair i < j has ``max |row_i - row_j|
-    <= m[i][j]``: the triangles of (i, j) and (j, i), every k at once."""
+    the matrix is symmetric, and each pair i < j passes one test of the
+    ``packed`` rows (``packed_rows(m)``, built when not given) in both
+    directions: the triangles of (i, j) and (j, i), every k at once."""
     if any(row[i] != 0 or min(row) < 0 or row.count(0) != 1 for i, row in enumerate(m)):
         return False
     if any(map(ne, m, map(list, zip(*m)))):
         return False
-    return all(max(map(abs, map(sub, row_i, row_j))) <= dij
-               for i, row_i in enumerate(m) for row_j, dij in zip(m[i + 1:], row_i[i + 1:]))
-
-
-def _first_pair(m, test) -> Optional[tuple]:
-    """First (i, j) with i < j, in lexicographic order, where
-    ``test(m[i][j], m[j][i])`` holds."""
-    for i, row in enumerate(m):
-        for j in range(i + 1, len(m)):
-            if test(row[j], m[j][i]):
-                return i, j
-    return None
+    rows, offset, repunit, tops = packed or packed_rows(m)
+    lifted = [p + offset for p in rows]
+    return not any((a - q - d * repunit | b - p - d * repunit) & tops
+                   for i, (p, a, row) in enumerate(zip(rows, lifted, m))
+                   for q, b, d in zip(rows[i + 1:], lifted[i + 1:], row[i + 1:]))
 
 
 def ensure_metric(space: FiniteMetricSpace, what: str = "space",

@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unimet.quotients
 import unimet.spaces
@@ -29,6 +31,7 @@ from helpers import (
 )
 from oracles import (
     axiom_report_reference,
+    axiom_scan_reference,
     block_distance_matrix,
     chain_limit_apsp,
     chain_power,
@@ -36,9 +39,21 @@ from oracles import (
 from unimet.cli import main
 from unimet.errors import PreconditionError
 from unimet.jsonio import space_to_json
-from unimet.kernel import closure, min_plus, to_fractions, to_int_matrix
+from unimet.kernel import (
+    closure,
+    first_triangle_witness,
+    min_plus,
+    to_fractions,
+    to_int_matrix,
+)
 from unimet.quotients import glue_parts
-from unimet.spaces import FiniteMetricSpace, check_metric_axioms, reflagged
+from unimet.spaces import (
+    FiniteMetricSpace,
+    _is_metric,
+    _scan_axioms,
+    check_metric_axioms,
+    reflagged,
+)
 
 ZERO = Fraction(0)
 
@@ -110,6 +125,72 @@ def test_axiom_scan_on_metrics_agrees_with_reference():
             space = make(rng, rng.randint(2, 9))
             assert check_metric_axioms(space).ok
             _assert_same_report(space)
+
+
+# Where ``int_matrices`` plants its triangle break: k on the lowest field,
+# k on the highest, (i, j) the last pair the verdict tests, or nowhere.
+PLANTS = ("none", "k=0", "k=n-1", "last pair")
+
+
+@st.composite
+def int_matrices(draw):
+    """A square int matrix of 0..40 points for the packed triangle kernel.
+
+    Off the diagonal the entries are drawn in [B, 2B], B one of 1, 2**8,
+    2**33 and 2**72 (past 2**70), so every triangle holds.  A planted break raises
+    m[i][k] to m[i][j] + m[j][k] + 1 with m[i][j] = m[j][k] = B, one unit
+    past the least sum any middle point can give; then up to three
+    defects: a negative entry, a nonzero diagonal entry (of either sign, up
+    to 3B), an asymmetric entry or a zero pair.
+    """
+    n = draw(st.integers(0, 40))
+    low = 1 << draw(st.sampled_from((0, 8, 33, 72)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.randint(low, 2 * low)
+    plant = draw(st.sampled_from(PLANTS))
+    if n >= 3 and plant != "none":
+        if plant == "last pair":
+            i, j, k = n - 2, n - 1, draw(st.integers(0, n - 3))
+        else:
+            k = 0 if plant == "k=0" else n - 1
+            others = [x for x in range(n) if x != k]
+            i, j = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        m[i][j] = m[j][i] = m[j][k] = m[k][j] = low
+        m[i][k] = m[k][i] = 2 * low + 1
+    index = st.integers(0, max(n - 1, 0))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        defect = draw(st.sampled_from(("negative", "diagonal", "asymmetric", "zero")))
+        a, b = draw(index), draw(index)
+        if defect == "negative":
+            m[a][b] = -m[a][b] - 1
+        elif defect == "diagonal":
+            m[a][a] = draw(st.sampled_from((-1, 1))) * rng.randint(1, 3 * low)
+        elif defect == "asymmetric":
+            m[a][b] += 1
+        elif a != b:
+            m[a][b] = m[b][a] = 0
+    return m
+
+
+@given(int_matrices())
+@settings(max_examples=150)
+# The break (1, 0, 2) and its mirror (2, 0, 1) have their middle point
+# first: only the test of row_j - row_i on a pair i < j sees them.
+@example([[0, 1, 1], [1, 0, 3], [1, 3, 0]])
+def test_the_packed_kernel_gives_the_references_report(m):
+    n = len(m)
+    sp = FiniteMetricSpace.from_int(range(n), m, 1)
+    ok, expected = axiom_report_reference(sp.points, m, False)
+    want = axiom_scan_reference(sp)
+    assert _is_metric(m) == ok == want.ok
+    assert first_triangle_witness(m) == next(
+        (witness for axiom, witness, _, _ in expected if axiom == "triangle"), None)
+    report = _scan_axioms(sp)
+    assert report == want
+    assert [(v.axiom, v.witness, v.lhs, v.rhs) for v in report.violations] == expected
 
 
 def test_integer_form_round_trips():
