@@ -38,12 +38,14 @@ from .spaces import FiniteMetricSpace, index_set
 # about 60 ms on a 2.0 GHz Xeon vCPU; on 30 points, 59,049 take 265 ms.
 CLIQUE_CAP = 20_000
 
-# Most points a metrized ground may have.  The gauge's closure grows with
-# the cube of the point count: ``au_metrize`` on random closure spaces at
-# depth 4 / 8 takes 0.13 / 0.14 s on 112 points, 0.99 / 0.95 s on 224 and
-# 2.67 / 2.40 s on 320, and ``unimet metrize`` 2.5 / 2.9 s on 320 (single
-# shots, Python 3.11, Xeon vCPU).
-GROUND_CAP = 320
+# Most points a metrized ground may have.  ``unimet metrize`` on ball covers
+# of depth 4 / 8 over random closure spaces takes 0.8–1.2 / 0.8–1.0 s on 320
+# points, 2.8–3.6 / 2.9–3.6 s on 448, 5.0–5.1 / 4.6–5.2 s on 512 and
+# 11.9–12.7 s (depth 4) on 640, as long on 448 points as it took on 320
+# when 320 was the cap (2.9–3.1 / 3.1–3.6 s); two to eight runs each,
+# Python 3.11, Xeon vCPU.  On 448 points the star-refinement check takes
+# 1.5 s and ``au_metrize`` 1.35 s, of which its closure is 0.55 s.
+GROUND_CAP = 448
 
 
 def check_ground_size(ground: int) -> None:

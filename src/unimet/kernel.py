@@ -7,15 +7,18 @@ denominators and ``M[i][j] = entry * L`` as an ``int``, ``None`` kept as
 min-plus product, the shortest-path closure and the triangle scan run on
 Python ints and the results convert back exactly with ``Fraction(v, L)``.
 
-No sentinel stands in for ``None``: entries may be negative (``glue_parts``
-does not check its parts), so no finite value is safely "infinite".  In the
-product and the closure, rows and columns free of ``None`` take the vector
-path, where C builtins (``map``, ``min``, ``max`` over ``operator.add`` and
-``sub``) do the inner loops; the others skip the missing hops entry by
-entry.  The triangle scan packs each row into one int of ``w``-bit fields
-(``packed_rows``), so a few exact big-int operations on two rows compare
-every field at once (Lamport, "Multiple byte processing with full-word
-instructions", CACM 1975).
+Every kernel packs each row into one int of ``w``-bit fields, so a few
+exact big-int operations on two rows act on every field at once (Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975).  The
+triangle scan packs the signed entries (``packed_rows``).  The product and
+the closure relax a whole row in one step, and pack ``None`` as a sentinel
+INF that no finite result reaches: the largest sum plus one,
+``max(a) + max(b) + 1``, in the product, and one above the longest simple
+path, ``(n - 1) * max + 1``, in the closure.  Fields at or above INF read
+back as ``None``.  The sentinel is exact only on matrices without a negative
+entry; one with a negative entry (only ``glue_parts`` on unchecked parts
+builds one) takes the entry path, which skips the missing hops one at a
+time.
 
 Every matrix returned here is a list of lists, so results compare equal
 exactly when their entries do.
@@ -23,9 +26,9 @@ exactly when their entries do.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from itertools import repeat
-from operator import add, lshift, sub
+from math import lcm
+from operator import and_, lshift, rshift
 from typing import Optional, Sequence
 
 IntMatrix = list
@@ -68,67 +71,131 @@ def to_fractions(m: IntMatrix, scale: int) -> tuple:
     return tuple(out)
 
 
-def _min_sum(row: Sequence[Optional[int]], col: Sequence[Optional[int]]) -> Optional[int]:
-    """min over k of row[k] + col[k], skipping None; None if every k is None."""
-    return min(
-        (x + y for x, y in zip(row, col) if x is not None and y is not None),
-        default=None,
-    )
+def _span(m: IntMatrix) -> tuple:
+    """``(least, largest)`` entry of ``m`` other than None, ``(0, 0)`` if none."""
+    rows = [[v for v in row if v is not None] if None in row else row for row in m]
+    rows = [row for row in rows if row]
+    return min(map(min, rows), default=0), max(map(max, rows), default=0)
+
+
+def _fields(top: int, count: int) -> tuple:
+    """``(w, offsets, R, H)`` for ``count`` fields of values in [0, top]
+    below a guard bit: field k starts at bit ``offsets[k] = w * k``, ``R``
+    has a 1 in each field and ``H = R << (w - 1)`` holds the guard bits."""
+    w = top.bit_length() + 1
+    repunit = ((1 << w * count) - 1) // ((1 << w) - 1)
+    return w, range(0, w * count, w), repunit, repunit << (w - 1)
+
+
+def _pack(row: Sequence[Optional[int]], offsets: range, inf: Optional[int] = None) -> int:
+    """The sum of ``row[k] << offsets[k]``, None as ``inf`` when it is given."""
+    if inf is not None and None in row:
+        row = [inf if v is None else v for v in row]
+    return sum(map(lshift, row, offsets))
+
+
+def _unpack(p: int, w: int, offsets: range, inf: int) -> list:
+    """The fields of ``p``, each at or above ``inf`` as None."""
+    values = list(map(and_, map(rshift, repeat(p), offsets), repeat((1 << w) - 1)))
+    if max(values, default=0) < inf:
+        return values
+    return [v if v < inf else None for v in values]
+
+
+# One relax step on packed rows keeps, field by field, the smaller of a
+# and b, both in [0, 2**(w-1)), below the guard bit.  Field k of
+# (a | H) - (b + R) holds 2**(w-1) + a[k] - b[k] - 1, in [0, 2**w), so no
+# field borrows from the next, and its guard bit is set exactly when
+# a[k] > b[k]; t keeps those bits.  (t << 1) - (t >> (w-1)) fills each
+# flagged field with ones, and a ^ (a ^ b) & fill takes b there.  The
+# kernels build b + R directly, from a row that already holds its R.
 
 
 def min_plus(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Min-plus product: out[i][j] = min over k of a[i][k] + b[k][j].
+    """Min-plus product of an m x p ``a`` and a p x q ``b``:
+    out[i][j] = min over k of a[i][k] + b[k][j].
 
     Pairs with a None factor are skipped; an entry with no finite pair is
-    None.
+    None.  Without a negative entry, row i of the product is the fieldwise
+    minimum of a[i][k] * R + b_k over the k with a[i][k] not None, b_k the
+    packed row k of ``b``: one relax step per k.
     """
-    cols = list(zip(*b))
-    full = [None not in col for col in cols]
+    lo_a, hi_a = _span(a)
+    lo_b, hi_b = _span(b)
+    if min(lo_a, lo_b) < 0:
+        cols = list(zip(*b))
+        return [[min((x + y for x, y in zip(row, col) if x is not None and y is not None),
+                     default=None) for col in cols] for row in a]
+    inf = hi_a + hi_b + 1
+    # A field holds at most a[i][k] + INF.
+    w, offsets, repunit, tops = _fields(hi_a + inf, len(b[0]) if b else 0)
+    guard = w - 1
+    rows = [_pack(row, offsets, inf) + repunit for row in b]
     out = []
     for row in a:
-        if None in row:
-            out.append([_min_sum(row, col) for col in cols])
-        else:
-            out.append([
-                min(map(add, row, col)) if ok else _min_sum(row, col)
-                for col, ok in zip(cols, full)
-            ])
+        acc = None
+        for x, p in zip(row, rows):
+            if x is None:
+                continue
+            c = p + x * repunit
+            if acc is None:
+                acc = c - repunit
+                continue
+            t = ((acc | tops) - c) & tops
+            if t:
+                acc ^= (acc ^ (c - repunit)) & ((t << 1) - (t >> guard))
+        out.append([None] * len(offsets) if acc is None else _unpack(acc, w, offsets, inf))
     return out
 
 
 def closure(block: IntMatrix) -> IntMatrix:
     """Shortest-path closure by Floyd–Warshall, diagonal set to zero first.
 
-    The loop order is k, then i, each row i relaxed through row k in place,
-    so the result is defined on any input, negative entries included.  A
-    None entry is unreachable and stays None.
+    The loop order is k, then i, each row i relaxed through row k in place;
+    a None entry is unreachable and stays None.  Without a negative entry,
+    each relaxation is one step on packed rows, ``row_i <- min(row_i, d_ik
+    * R + row_k)`` fieldwise.  The entry path is defined on any input.
     """
+    n = len(block)
     dist = [list(row) for row in block]
     for i, row in enumerate(dist):
         row[i] = 0
-    for k, row_k in enumerate(dist):
-        k_full = None not in row_k
-        for row_i in dist:
-            dik = row_i[k]
-            if dik is None:
-                continue
-            # The slice assignment builds the whole new row before it
-            # writes, so each entry relaxes against row k as it stood for
-            # this i; the entry-by-entry loop reads row_k[j] before it
-            # writes j, which is the same value even when row_i is row_k.
-            if k_full and None not in row_i:
-                # Row i improves through k only where row_i - row_k > dik.
-                if max(map(sub, row_i, row_k)) > dik:
-                    row_i[:] = [
-                        a if a <= b else b
-                        for a, b in zip(row_i, map(add, repeat(dik), row_k))
-                    ]
-            else:
+    lo, hi = _span(dist)
+    if lo < 0:
+        for k, row_k in enumerate(dist):
+            for row_i in dist:
+                dik = row_i[k]
+                if dik is None:
+                    continue
+                # The slice assignment builds the whole new row before it
+                # writes, so each entry relaxes against row k as it stood
+                # for this i, even when row_i is row_k.
                 row_i[:] = [
                     a if b is None else dik + b if a is None or dik + b < a else a
                     for a, b in zip(row_i, row_k)
                 ]
-    return dist
+        return dist
+    inf = (n - 1) * hi + 1
+    # A relaxed field d_ik + d_kj is below 2 * INF.  Fields never rise, and
+    # where row i has no path to j yet, the paths i -> k and k -> j through
+    # points below k share no point (else such a path would exist): their
+    # sum is a simple path, below INF.
+    w, offsets, repunit, tops = _fields(2 * inf - 1, n)
+    mask, guard = (1 << w) - 1, w - 1
+    rows = [_pack(row, offsets, inf) for row in dist]
+    # Row k relaxes through itself with d_kk = 0 and stays as it is.
+    for k, row_k in enumerate(rows):
+        shift = offsets[k]
+        above = row_k + repunit
+        for i, row_i in enumerate(rows):
+            dik = row_i >> shift & mask
+            if dik >= inf:
+                continue
+            b = above + dik * repunit
+            t = ((row_i | tops) - b) & tops
+            if t:
+                rows[i] = row_i ^ (row_i ^ (b - repunit)) & ((t << 1) - (t >> guard))
+    return [_unpack(p, w, offsets, inf) for p in rows]
 
 
 def packed_rows(m: IntMatrix) -> tuple:
@@ -137,17 +204,16 @@ def packed_rows(m: IntMatrix) -> tuple:
     ``w``-bit field, ``K = (2**(w-1) - 1) * R`` and ``H = R << (w - 1)``.
     For an entry ``d`` of ``m``, ``(P[i] + K - P[j] - d * R) & H`` has the
     top bit of field k set exactly when ``m[i][k] - m[j][k] > d``."""
-    lo = min(map(min, m), default=0)
-    hi = max(map(max, m), default=0)
+    # The rows hold no None, so min and max take them as they are; the None
+    # test of ``_span`` on every row makes this a quarter slower on 40 points.
+    lo, hi = min(map(min, m), default=0), max(map(max, m), default=0)
     # The packing is linear, so field k of P[i] + K - P[j] - d*R holds
     # c = 2**(w-1) - 1 + m[i][k] - m[j][k] - d, between 2**(w-1) - 1 - (hi -
     # lo) - hi and 2**(w-1) - 1 + (hi - lo) - lo.  With 2**(w-1) > hi - lo +
     # max(hi, -lo), c lies in [0, 2**w): no field borrows from the next.
-    w = (hi - lo + max(hi, -lo)).bit_length() + 1
-    offsets = range(0, w * len(m), w)
-    repunit = ((1 << w * len(m)) - 1) // ((1 << w) - 1)
-    return ([sum(map(lshift, row, offsets)) for row in m],
-            ((1 << (w - 1)) - 1) * repunit, repunit, repunit << (w - 1))
+    w, offsets, repunit, tops = _fields(hi - lo + max(hi, -lo), len(m))
+    return ([_pack(row, offsets) for row in m],
+            ((1 << (w - 1)) - 1) * repunit, repunit, tops)
 
 
 def first_triangle_witness(m: IntMatrix, packed: Optional[tuple] = None) -> Optional[tuple]:

@@ -31,6 +31,9 @@ witness on every space (``axiom_scan_reference``), the parse that read
 every matrix entry (``space_from_json_reference``, on ``jsonio``'s own
 entry reader) and the render through the ``Fraction`` view
 (``space_to_json_reference``).
+So are the min-plus product and the shortest-path closure on int
+matrices as they ran before they packed rows (``min_plus_reference``,
+``closure_reference``).
 A cubical complex, which the package stores as its maximal cubes, is
 checked against its face-closed listing: every face of every cube.  The
 sup distance of sequence space and the sub-cylinder of a restricted map
@@ -39,8 +42,9 @@ are references only the tests use.
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import sub
+from operator import add, sub
 
 from unimet.covers import (
     Cover,
@@ -298,6 +302,63 @@ def axiom_scan_reference(space):
         violations.append(AxiomViolation(
             "triangle", (pts[i], pts[j], pts[k]), frac(m[i][k]), frac(m[i][j] + m[j][k])))
     return AxiomReport(ok=not violations, allow_pseudo=False, violations=tuple(violations))
+
+
+# ---- the relax kernels before packing ----
+
+
+def _min_sum_reference(row, col):
+    return min(
+        (x + y for x, y in zip(row, col) if x is not None and y is not None),
+        default=None,
+    )
+
+
+def min_plus_reference(a, b):
+    """``kernel.min_plus`` as it ran before it packed rows: a row or column
+    free of None by ``min(map(add, row, col))``, the others entry by entry.
+    Rectangular inputs (m x p times p x q) work as in the package."""
+    cols = list(zip(*b))
+    full = [None not in col for col in cols]
+    out = []
+    for row in a:
+        if None in row:
+            out.append([_min_sum_reference(row, col) for col in cols])
+        else:
+            out.append([
+                min(map(add, row, col)) if ok else _min_sum_reference(row, col)
+                for col, ok in zip(cols, full)
+            ])
+    return out
+
+
+def closure_reference(block):
+    """``kernel.closure`` as it ran before it packed rows: Floyd–Warshall on
+    the int matrix, diagonal zeroed first, loop order k then i, a row free
+    of None relaxed by ``max(map(sub, …))`` and the others entry by entry.
+    Unlike ``chain_limit_apsp`` it keeps the block directed and runs on any
+    entries, negative ones included."""
+    dist = [list(row) for row in block]
+    for i, row in enumerate(dist):
+        row[i] = 0
+    for k, row_k in enumerate(dist):
+        k_full = None not in row_k
+        for row_i in dist:
+            dik = row_i[k]
+            if dik is None:
+                continue
+            if k_full and None not in row_i:
+                if max(map(sub, row_i, row_k)) > dik:
+                    row_i[:] = [
+                        a if a <= b else b
+                        for a, b in zip(row_i, map(add, repeat(dik), row_k))
+                    ]
+            else:
+                row_i[:] = [
+                    a if b is None else dik + b if a is None or dik + b < a else a
+                    for a, b in zip(row_i, row_k)
+                ]
+    return dist
 
 
 # ---- cover gauge ----

@@ -7,6 +7,7 @@ import json
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,12 @@ import unimet.cones
 import unimet.covers
 import unimet.cylinders
 import unimet.invlim
+import unimet.quotients
 import unimet.spaces
 from helpers import (
     fundamental_sequence_to_json,
     halving_chain,
+    interval_points,
     moon_moser_sequence,
     retraction_tower,
     space,
@@ -206,6 +209,19 @@ def test_quotient_family_and_class_of_give_the_same_space(tmp_path):
         assert code == 0, err
         spaces.append(rows(out)["constructed space"]["witnesses"])
     assert spaces[0] == spaces[1]
+
+
+def test_quotient_names_the_cap_when_its_powers_settle_past_it(tmp_path, monkeypatch):
+    """A family whose chain powers still differ at ``QUOTIENT_CAP`` hops is
+    refused by the cap's name; one that settles within two hops builds."""
+    monkeypatch.setattr(unimet.quotients, "QUOTIENT_CAP", 2)
+    line = interval_points(range(10), Fraction(1, 8))
+    tree = {"space": space_to_json(line), "family": [[1, 4], [5, 8]]}
+    refusal = ("precondition failed: two-hop quotient distance differs from the chain "
+               "limit for this family (they still differ at n = QUOTIENT_CAP = 2)\n")
+    assert run(["build", "quotient", write(tmp_path, "q.json", tree)]) == (1, "", refusal)
+    tree = {"space": space_to_json(S3), "family": [[0, 1]]}
+    assert run(["build", "quotient", write(tmp_path, "q.json", tree)])[0] == 0
 
 
 def test_quotient_family_indices_are_range_checked_before_the_overlap(tmp_path):

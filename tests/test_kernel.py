@@ -9,11 +9,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import unimet.kernel
 import unimet.quotients
 import unimet.spaces
 from helpers import (
@@ -35,6 +37,8 @@ from oracles import (
     block_distance_matrix,
     chain_limit_apsp,
     chain_power,
+    closure_reference,
+    min_plus_reference,
 )
 from unimet.cli import main
 from unimet.errors import PreconditionError
@@ -191,6 +195,72 @@ def test_the_packed_kernel_gives_the_references_report(m):
     report = _scan_axioms(sp)
     assert report == want
     assert [(v.axiom, v.witness, v.lhs, v.rhs) for v in report.violations] == expected
+
+
+def _hop_path(n, hop):
+    """The directed path 0 -> 1 -> ... -> n-1, each hop ``hop``, no other
+    hop: its closure holds (n - 1) * hop, one below the closure's INF, and
+    each product d_t times the path reaches max(d_t) + hop at (0, t + 1),
+    one below the product's INF."""
+    return [[hop if j == i + 1 else None for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def relax_inputs(draw):
+    """``(block, a, b, path, negative)`` for the packed relax kernels.
+
+    ``block`` is square, ``a`` is n x p and ``b`` is p x q, with n, p, q in
+    0..24: asymmetric, entries in {0} and [B, 2B] for B one of 1, 2**8,
+    2**33 and 2**72, None at a drawn density.  With ``path``, the block is a
+    directed hop path through the points in a drawn order, each hop 2B, and
+    only hops back along that order besides, so the path is the one chain
+    from its first point to its last.  With ``negative``, one entry of the
+    block off its diagonal and one of ``a`` are negative.
+    """
+    n, p, q = draw(st.integers(0, 24)), draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    low = 1 << draw(st.sampled_from((0, 8, 33, 72)))
+    holes = draw(st.sampled_from((0.0, 0.2, 0.6, 0.95)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(rows, cols):
+        return [[None if rng.random() < holes else 0 if rng.random() < 0.1
+                 else rng.randint(low, 2 * low) for _ in range(cols)] for _ in range(rows)]
+
+    block, a, b = entries(n, n), entries(n, p), entries(p, q)
+    path = n >= 2 and draw(st.booleans())
+    if path:
+        order = draw(st.permutations(range(n)))
+        rank = {u: r for r, u in enumerate(order)}
+        for u in range(n):
+            for v in range(n):
+                if rank[v] == rank[u] + 1:
+                    block[u][v] = 2 * low
+                elif rank[v] > rank[u]:
+                    block[u][v] = None
+    negative = n >= 2 and p >= 1 and draw(st.booleans())
+    if negative:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        block[i][j] = -rng.randint(1, low)
+        a[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = -rng.randint(1, 2 * low)
+    return block, a, b, path, negative
+
+
+@given(relax_inputs())
+@settings(max_examples=150)
+@example((_hop_path(9, 5), [], [], True, False))
+@example((_hop_path(2, 1), [[0]], [[None, 3]], True, False))
+def test_the_packed_relax_kernels_give_the_references(case):
+    block, a, b, path, negative = case
+    # A negative entry must take the entry path, which packs no row.
+    packing = (mock.patch.object(unimet.kernel, "_pack", side_effect=AssertionError)
+               if negative else contextlib.nullcontext())
+    with packing:
+        assert closure(block) == closure_reference(block)
+        assert min_plus(a, b) == min_plus_reference(a, b)
+        power = block
+        for _ in range(len(block) - 1 if path else 1):
+            power, want = min_plus(power, block), min_plus_reference(power, block)
+            assert power == want
 
 
 def test_integer_form_round_trips():

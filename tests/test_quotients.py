@@ -227,6 +227,45 @@ def test_two_set_family_failure_raises():
         quotient_by_discrete_family(line, family)
 
 
+def test_a_refused_quotient_follows_its_powers_up_to_the_cap(monkeypatch):
+    """The refusal names the settle index when it is at most ``QUOTIENT_CAP``
+    and the cap otherwise, after at most ``QUOTIENT_CAP`` products."""
+    line = interval_points(range(40), Fraction(1, 8))
+    family = [[6 * m + 1, 6 * m + 6] for m in range(6)]
+    class_of = [None] * 40
+    for c, members in enumerate(family):
+        for i in members:
+            class_of[i] = c
+    singles = [i for i in range(40) if class_of[i] is None]
+    for c, i in enumerate(singles, len(family)):
+        class_of[i] = c
+    settled = least_settling_hops(block_distance_matrix(matrix_of(line), class_of))
+    assert settled > 4
+    products = []
+    product = unimet.quotients.min_plus
+
+    def counted(a, b):
+        products.append(a)
+        return product(a, b)
+
+    monkeypatch.setattr(unimet.quotients, "min_plus", counted)
+    for cap in (2, settled - 1, settled):
+        monkeypatch.setattr(unimet.quotients, "QUOTIENT_CAP", cap)
+        products.clear()
+        found = f"agree first at n = {settled}" if cap == settled else (
+            f"still differ at n = QUOTIENT_CAP = {cap}")
+        with pytest.raises(PreconditionError, match=re.escape(f"family (they {found})")):
+            quotient_by_discrete_family(line, family)
+        assert len(products) <= cap
+
+
+def test_a_quotient_that_settles_in_two_hops_builds_past_the_cap(monkeypatch):
+    monkeypatch.setattr(unimet.quotients, "QUOTIENT_CAP", 2)
+    line = interval_points(range(193), Fraction(1, 8))
+    result = quotient_by_discrete_family(line, [[0, 96, 192]])
+    assert (result.space.n, result.settled_at) == (191, 2)
+
+
 @st.composite
 def spaces_with_families(draw):
     """A ``metric_spaces`` space of 1..6 points and a disjoint family: each
