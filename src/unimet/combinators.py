@@ -86,8 +86,9 @@ def mcshane_rows(space: FiniteMetricSpace, subset: Sequence[int], rows: Sequence
     """``(ints, out_scale)``: McShane's extension g'(x) = min over a of
     g(a) + L d(x, a) of each row of values g(a) * ``scale`` in subset order,
     one min-plus product over ``lcm(scale, L.denominator * space.scale)``.
-    The caller passes L-Lipschitz rows, so each extension restricts to its
-    row and is L-Lipschitz on the whole space."""
+    The caller passes L-Lipschitz rows of distances, never negative, as the
+    product requires, so each extension restricts to its row and is
+    L-Lipschitz on the whole space."""
     L, m = lipschitz, space.ints
     out_scale = lcm(scale, L.denominator * space.scale)
     factor = L.numerator * (out_scale // (L.denominator * space.scale))

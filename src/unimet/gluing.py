@@ -170,6 +170,8 @@ def adjunction_space(
     at distance 1.  With an explicit extension (a metric on X's points
     making f 1-Lipschitz, checked), the cross constant defaults to
     1 + diam(extension) + diam(target) so cross hops never shorten chains.
+    An explicit ``cross`` must be at least 0; ``glue_parts`` refuses a
+    negative one before any product.
 
     The returned certificates are computed on the instance: the three-hop
     chain distance equals the chain limit, it is a metric, the target embeds

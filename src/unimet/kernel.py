@@ -15,10 +15,10 @@ the closure relax a whole row in one step, and pack ``None`` as a sentinel
 INF that no finite result reaches: the largest sum plus one,
 ``max(a) + max(b) + 1``, in the product, and one above the longest simple
 path, ``(n - 1) * max + 1``, in the closure.  Fields at or above INF read
-back as ``None``.  The sentinel is exact only on matrices without a negative
-entry; one with a negative entry (only ``glue_parts`` on unchecked parts
-builds one) takes the entry path, which skips the missing hops one at a
-time.
+back as ``None``.  The sentinel is exact on matrices without a negative
+entry, the one domain of both: a chain block is a matrix of distances, and
+``glue_parts`` refuses a negative cross or a defective part before its
+first product.
 
 Every matrix returned here is a list of lists, so results compare equal
 exactly when their entries do.
@@ -71,11 +71,10 @@ def to_fractions(m: IntMatrix, scale: int) -> tuple:
     return tuple(out)
 
 
-def _span(m: IntMatrix) -> tuple:
-    """``(least, largest)`` entry of ``m`` other than None, ``(0, 0)`` if none."""
+def _largest(m: IntMatrix) -> int:
+    """The largest entry of ``m`` other than None, 0 if none."""
     rows = [[v for v in row if v is not None] if None in row else row for row in m]
-    rows = [row for row in rows if row]
-    return min(map(min, rows), default=0), max(map(max, rows), default=0)
+    return max(map(max, filter(None, rows)), default=0)
 
 
 def _fields(top: int, count: int) -> tuple:
@@ -116,17 +115,12 @@ def min_plus(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     out[i][j] = min over k of a[i][k] + b[k][j].
 
     Pairs with a None factor are skipped; an entry with no finite pair is
-    None.  Without a negative entry, row i of the product is the fieldwise
-    minimum of a[i][k] * R + b_k over the k with a[i][k] not None, b_k the
-    packed row k of ``b``: one relax step per k.
+    None.  Neither factor has a negative entry.  Row i of the product is the
+    fieldwise minimum of a[i][k] * R + b_k over the k with a[i][k] not None,
+    b_k the packed row k of ``b``: one relax step per k.
     """
-    lo_a, hi_a = _span(a)
-    lo_b, hi_b = _span(b)
-    if min(lo_a, lo_b) < 0:
-        cols = list(zip(*b))
-        return [[min((x + y for x, y in zip(row, col) if x is not None and y is not None),
-                     default=None) for col in cols] for row in a]
-    inf = hi_a + hi_b + 1
+    hi_a = _largest(a)
+    inf = hi_a + _largest(b) + 1
     # A field holds at most a[i][k] + INF.
     w, offsets, repunit, tops = _fields(hi_a + inf, len(b[0]) if b else 0)
     guard = w - 1
@@ -152,30 +146,15 @@ def closure(block: IntMatrix) -> IntMatrix:
     """Shortest-path closure by Floyd–Warshall, diagonal set to zero first.
 
     The loop order is k, then i, each row i relaxed through row k in place;
-    a None entry is unreachable and stays None.  Without a negative entry,
-    each relaxation is one step on packed rows, ``row_i <- min(row_i, d_ik
-    * R + row_k)`` fieldwise.  The entry path is defined on any input.
+    a None entry is unreachable and stays None.  The block has no negative
+    entry, and each relaxation is one step on packed rows, ``row_i <-
+    min(row_i, d_ik * R + row_k)`` fieldwise.
     """
     n = len(block)
     dist = [list(row) for row in block]
     for i, row in enumerate(dist):
         row[i] = 0
-    lo, hi = _span(dist)
-    if lo < 0:
-        for k, row_k in enumerate(dist):
-            for row_i in dist:
-                dik = row_i[k]
-                if dik is None:
-                    continue
-                # The slice assignment builds the whole new row before it
-                # writes, so each entry relaxes against row k as it stood
-                # for this i, even when row_i is row_k.
-                row_i[:] = [
-                    a if b is None else dik + b if a is None or dik + b < a else a
-                    for a, b in zip(row_i, row_k)
-                ]
-        return dist
-    inf = (n - 1) * hi + 1
+    inf = (n - 1) * _largest(dist) + 1
     # A relaxed field d_ik + d_kj is below 2 * INF.  Fields never rise, and
     # where row i has no path to j yet, the paths i -> k and k -> j through
     # points below k share no point (else such a path would exist): their
@@ -204,8 +183,9 @@ def packed_rows(m: IntMatrix) -> tuple:
     ``w``-bit field, ``K = (2**(w-1) - 1) * R`` and ``H = R << (w - 1)``.
     For an entry ``d`` of ``m``, ``(P[i] + K - P[j] - d * R) & H`` has the
     top bit of field k set exactly when ``m[i][k] - m[j][k] > d``."""
-    # The rows hold no None, so min and max take them as they are; the None
-    # test of ``_span`` on every row makes this a quarter slower on 40 points.
+    # The rows hold no None, so min and max take them as they are; a None
+    # test on every row, as ``_largest`` makes, made this a quarter slower on
+    # 40 points.
     lo, hi = min(map(min, m), default=0), max(map(max, m), default=0)
     # The packing is linear, so field k of P[i] + K - P[j] - d*R holds
     # c = 2**(w-1) - 1 + m[i][k] - m[j][k] - d, between 2**(w-1) - 1 - (hi -

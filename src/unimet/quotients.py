@@ -11,10 +11,11 @@ One engine serves every construction: ``_class_block`` reduces a point
 matrix to the class block, and the integer kernel takes its min-plus powers
 (``_power``).  On a nonnegative block with a zero diagonal (None is +inf),
 d_n = d_infinity exactly when d_n has no triangle violation, so the result's
-one axiom scan is also that certificate.  The shortest-path closure runs
-only in ``glue_parts``, on a block outside that hypothesis (it does not
-check its parts) or on a union that d_steps leaves unconnected, to tell a
-union that needs more hops from one that is disconnected.
+one axiom scan is also that certificate.  ``glue_parts`` does not check its
+parts, so it refuses a negative cross and a block outside that hypothesis
+before its first product.  The shortest-path closure runs only there, on a
+union that d_steps leaves unconnected, to tell a union that needs more hops
+from one that is disconnected.
 
 Gluing several spaces along identifications builds one union matrix over
 the points of all parts first: distances inside a part are its metric,
@@ -23,8 +24,8 @@ in different parts sit at distance zero, so they share a class.
 
 One routine, ``_assign_classes``, turns index groups into classes and
 their member lists for ``quotient_by_discrete_family`` and ``glue_parts``
-alike.  No result stores an axiom verdict: ``is_metric`` reads the scan
-that its space caches (see ``spaces``).
+alike.  No result stores an axiom verdict: ``is_metric`` and
+``dn_equals_dinf`` read the scan that their space caches (see ``spaces``).
 """
 from __future__ import annotations
 
@@ -197,15 +198,18 @@ class GluedUnion:
     """Union of parts glued along identified points, via the chain engine.
 
     ``space`` carries d_steps on the classes; ``class_of_part`` maps (part
-    index, point index) to a class index; the equality flag is the triangle
-    verdict of the space's own scan (see ``glue_parts``), which ``is_metric``
-    reads too.
+    index, point index) to a class index.
     """
 
     space: FiniteMetricSpace
     steps: int
-    dn_equals_dinf: bool
     class_of_part: tuple
+
+    @property
+    def dn_equals_dinf(self) -> bool:
+        """Whether d_steps is the chain limit: the triangle verdict of the
+        space's own scan, which ``is_metric`` reads too."""
+        return _triangle_holds(self.space)
 
     def is_metric(self) -> bool:
         return check_metric_axioms(self.space, allow_pseudo=False).ok
@@ -224,12 +228,15 @@ def glue_parts(
     existing points; points not identified become singleton classes.  One
     int matrix over the points of all parts, over one scale (None for a
     forbidden cross hop, zero between identified points of different parts),
-    is reduced to the class block, and the chain engine runs on it; a block
-    with a negative entry or a nonzero diagonal is compared to its closure.
+    is reduced to the class block, and the chain engine runs on it.  A
+    negative ``cross`` and a block with a negative entry or a nonzero
+    diagonal are refused before any product.
     """
     if not parts:
         raise StructuralError("glue_parts needs at least one part")
     cross_val = as_scalar(cross) if cross is not None else None
+    if cross_val is not None and cross_val < 0:
+        raise PreconditionError(f"glue_parts cross distance {cross_val} is negative")
     den = 1 if cross_val is None else cross_val.denominator
     scale = lcm(den, *(part.scale for part in parts))
     factors = [scale // part.scale for part in parts]
@@ -262,6 +269,13 @@ def glue_parts(
     labels = tuple(tuple(point_labels[g] for g in members) for members in members_of)
 
     block = _class_block(union, members_of)
+    defect = next((c for c, row in enumerate(block)
+                   if row[c] != 0 or min(v for v in row if v is not None) < 0), None)
+    if defect is not None:
+        raise PreconditionError(
+            "glue_parts needs nonnegative distances and a zero diagonal, which "
+            f"class {labels[defect]!r} breaks"
+        )
     power = _power(block, steps)
     # A None in d_steps means no chain of at most ``steps`` hops; only the
     # closure tells whether a longer chain connects the pair.
@@ -270,14 +284,11 @@ def glue_parts(
             raise PreconditionError("glued union is disconnected")
         raise PreconditionError(f"glued union needs more hops than steps = {steps}")
     space = FiniteMetricSpace.from_int(labels, power, scale, pseudo=True)
-    nonneg_zero_diag = all(row[c] == 0 and min(v for v in row if v is not None) >= 0
-                           for c, row in enumerate(block))
-    dn_equals_dinf = _triangle_holds(space) if nonneg_zero_diag else power == closure(block)
     class_of_part = tuple(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))
     )
-    return GluedUnion(space, steps, dn_equals_dinf, class_of_part)
+    return GluedUnion(space, steps, class_of_part)
 
 
 def amalgamated_union(

@@ -200,6 +200,24 @@ def test_build_adjunction_and_amalgam(tmp_path):
         assert code == 0, (kind, err)
 
 
+def test_adjunction_refuses_a_negative_cross_by_name(tmp_path):
+    """A negative cross is refused before any product; a zero cross is the
+    boundary, so it builds and its report fails the metric row."""
+    tree = {
+        "space": space_to_json(S3),
+        "subset": [0, 1],
+        "target": space_to_json(S2),
+        "attaching": {"pairs": [[0, 0], [1, 1]]},
+        "cross": "-1/4",
+    }
+    refusal = "precondition failed: glue_parts cross distance -1/4 is negative\n"
+    assert run(["build", "adjunction", write(tmp_path, "in.json", tree)]) == (1, "", refusal)
+    tree["cross"] = "0"
+    code, out, err = run(["build", "adjunction", write(tmp_path, "in.json", tree)])
+    assert (code, err) == (1, "")
+    assert rows(out)["result satisfies the metric axioms"]["status"] == "fail"
+
+
 def test_quotient_family_and_class_of_give_the_same_space(tmp_path):
     by_family = {"space": space_to_json(S3), "family": [[0, 1]]}
     by_class = {"space": space_to_json(S3), "class_of": [0, 0, 1]}

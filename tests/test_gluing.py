@@ -122,3 +122,9 @@ def test_adjunction_guards():
         adjunction_space(big, [0], target, {0: 0})
     with pytest.raises(StructuralError, match="points of the space"):
         adjunction_space(sp, [0], target, {0: 0}, extension=target)
+    with pytest.raises(PreconditionError, match="cross distance -1/4 is negative"):
+        adjunction_space(sp, [0], target, {0: 0}, cross="-1/4")
+    # A zero cross is at the boundary: it builds, and its certificates say
+    # that the result is no metric.
+    zero = adjunction_space(sp, [0], target, {0: 0}, cross=0)
+    assert not zero.metric_ok

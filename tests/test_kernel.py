@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import unimet.kernel
 import unimet.quotients
 import unimet.spaces
 from helpers import (
@@ -207,15 +206,14 @@ def _hop_path(n, hop):
 
 @st.composite
 def relax_inputs(draw):
-    """``(block, a, b, path, negative)`` for the packed relax kernels.
+    """``(block, a, b, path)`` for the packed relax kernels.
 
     ``block`` is square, ``a`` is n x p and ``b`` is p x q, with n, p, q in
     0..24: asymmetric, entries in {0} and [B, 2B] for B one of 1, 2**8,
     2**33 and 2**72, None at a drawn density.  With ``path``, the block is a
     directed hop path through the points in a drawn order, each hop 2B, and
     only hops back along that order besides, so the path is the one chain
-    from its first point to its last.  With ``negative``, one entry of the
-    block off its diagonal and one of ``a`` are negative.
+    from its first point to its last.
     """
     n, p, q = draw(st.integers(0, 24)), draw(st.integers(0, 24)), draw(st.integers(0, 24))
     low = 1 << draw(st.sampled_from((0, 8, 33, 72)))
@@ -237,30 +235,21 @@ def relax_inputs(draw):
                     block[u][v] = 2 * low
                 elif rank[v] > rank[u]:
                     block[u][v] = None
-    negative = n >= 2 and p >= 1 and draw(st.booleans())
-    if negative:
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        block[i][j] = -rng.randint(1, low)
-        a[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = -rng.randint(1, 2 * low)
-    return block, a, b, path, negative
+    return block, a, b, path
 
 
 @given(relax_inputs())
 @settings(max_examples=150)
-@example((_hop_path(9, 5), [], [], True, False))
-@example((_hop_path(2, 1), [[0]], [[None, 3]], True, False))
+@example((_hop_path(9, 5), [], [], True))
+@example((_hop_path(2, 1), [[0]], [[None, 3]], True))
 def test_the_packed_relax_kernels_give_the_references(case):
-    block, a, b, path, negative = case
-    # A negative entry must take the entry path, which packs no row.
-    packing = (mock.patch.object(unimet.kernel, "_pack", side_effect=AssertionError)
-               if negative else contextlib.nullcontext())
-    with packing:
-        assert closure(block) == closure_reference(block)
-        assert min_plus(a, b) == min_plus_reference(a, b)
-        power = block
-        for _ in range(len(block) - 1 if path else 1):
-            power, want = min_plus(power, block), min_plus_reference(power, block)
-            assert power == want
+    block, a, b, path = case
+    assert closure(block) == closure_reference(block)
+    assert min_plus(a, b) == min_plus_reference(a, b)
+    power = block
+    for _ in range(len(block) - 1 if path else 1):
+        power, want = min_plus(power, block), min_plus_reference(power, block)
+        assert power == want
 
 
 def test_integer_form_round_trips():
@@ -356,19 +345,33 @@ def _random_glue_cases(rng, count):
 
 # Parts outside the hypothesis under which a chain power equals the limit
 # exactly when it has no triangle violation: a negative entry, a nonzero
-# diagonal.  Each glued to one point, the block has two classes and no
-# triple to break, yet its power is not its limit.
+# diagonal.  Each is glued to one point; on the first two the block has two
+# classes and no triple to break, yet its power is not its limit, and the
+# third has three classes, so its two-hop power takes a product.  Each
+# case ends with the class that ``glue_parts`` names when it refuses it.
 DEFECTIVE_GLUE_CASES = [
-    ([FiniteMetricSpace.from_rows("ab", rows), FiniteMetricSpace.from_rows("c", [[0]])],
-     [((0, 0), (1, 0))], 2)
-    for rows in ([[0, "-1/3"], ["-1/3", 0]], [[0, "1/2"], ["1/2", "1/5"]])
+    ([FiniteMetricSpace.from_rows(points, rows), FiniteMetricSpace.from_rows("z", [[0]])],
+     [((0, 0), (1, 0))], 2, defect)
+    for points, rows, defect in (
+        ("ab", [[0, "-1/3"], ["-1/3", 0]], ((0, "a"), (1, "z"))),
+        ("ab", [[0, "1/2"], ["1/2", "1/5"]], ((0, "b"),)),
+        ("abc", [[0, "1/2", "1/2"], ["1/2", 0, "-1/4"], ["1/2", "-1/4", 0]], ((0, "b"),)),
+    )
 ]
 
 
 def test_glue_parts_matches_oracles_on_none_blocks():
-    cases = [*_random_glue_cases(random.Random(303), 40), *DEFECTIVE_GLUE_CASES]
-    for parts, groups, steps in cases:
+    for parts, groups, steps in _random_glue_cases(random.Random(303), 40):
         _check_glue(parts, groups, steps)
+
+
+@pytest.mark.parametrize("parts, groups, steps, defect", DEFECTIVE_GLUE_CASES)
+def test_glue_parts_refuses_a_defective_part_before_any_product(parts, groups, steps, defect):
+    with (mock.patch.object(unimet.quotients, "min_plus", side_effect=AssertionError),
+          pytest.raises(PreconditionError) as refusal):
+        glue_parts(parts, groups, None, steps)
+    assert str(refusal.value) == ("glue_parts needs nonnegative distances and a zero "
+                                  f"diagonal, which class {defect!r} breaks")
 
 
 def _check_glue(parts, groups, steps):

@@ -16,11 +16,13 @@ dropped from a common scale shows.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import unimet.quotients
 from helpers import (
     construction_inputs,
     metric_spaces,
@@ -155,12 +157,14 @@ def test_weighted_sup_rows_match_the_fraction_code(levels):
 def glue_inputs(draw):
     """(parts, identifications, cross, steps): 2..3 parts of 1..3 points
     drawn by ``metric_spaces``, each point in one of up to three groups or
-    in none, a cross constant over 3, 5, 9 (or None) and 1..3 steps."""
+    in none, a cross constant over 3, 5, 9, positive or negative (or None),
+    and 1..3 steps."""
     parts = draw(st.lists(metric_spaces(1, 3), min_size=2, max_size=3))
     places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
     picks = draw(st.lists(st.integers(-1, 2), min_size=len(places), max_size=len(places)))
     groups = [[pl for pl, k in zip(places, picks) if k == g] for g in range(3)]
-    cross = draw(st.none() | st.sampled_from(GRID_VALUES).map(lambda v: 2 * v))
+    cross = draw(st.none() | st.builds(lambda v, sign: sign * 2 * v,
+                                       st.sampled_from(GRID_VALUES), st.sampled_from((1, -1))))
     return parts, [g for g in groups if g], cross, draw(st.integers(1, 3))
 
 
@@ -180,8 +184,17 @@ def _block(union, class_of):
 @given(glue_inputs())
 def test_glued_union_matches_the_fraction_code(case):
     """``glue_parts`` equals the chain power of the Fraction union's class
-    block at the capped hop count, and flags its agreement with the limit."""
+    block at the capped hop count, and flags its agreement with the limit;
+    a negative cross is refused before any product."""
     parts, identifications, cross, steps = case
+    if cross is not None and cross < 0:
+        products = []
+        with (mock.patch.object(unimet.quotients, "min_plus",
+                                side_effect=lambda a, b: products.append(a)),
+              pytest.raises(PreconditionError, match=f"cross distance {cross} is negative$")):
+            glue_parts(parts, identifications, cross, steps)
+        assert products == []
+        return
     union, class_of = glued_union_reference(parts, identifications, cross)
     block = _block(union, class_of)
     power = chain_power(block, max(1, min(steps, len(block) - 1)))
