@@ -13,7 +13,7 @@ members that hold x, ``point_stars[x]`` is their union, and the star of a
 subset is the union of its points' stars.  Ball containment numbers are
 reduced, for any cap, from one table of int distances to the members'
 complements (``complement_distances``), which a caller can build once and
-reuse, by one bisection into the space's sorted spectrum.
+reuse, by one bisection into the space's sorted distinct ints.
 
 Sets of small diameter are tested through the maximal cliques of a
 threshold graph, listed by ``maximal_cliques``.  Their number can grow as
@@ -106,11 +106,14 @@ class Cover:
 
 def star_refines(cover: Cover, target: Cover):
     """None if the star of every member of cover lies in a member of target,
-    else the index of the first member whose star does not."""
+    else the index of the first member whose star does not.  A target
+    member that holds the star holds the member's first point, so only the
+    members in that point's ``holders`` are tested."""
     targets = target.member_sets()
+    holders = target.holders
     for k, member in enumerate(cover.members):
         st = cover.star_of(member)
-        if not any(st <= t for t in targets):
+        if not any(st <= targets[j] for j in holders[member[0]]):
             return k
     return None
 
@@ -227,20 +230,21 @@ def containment_from_distances(
     distance from x to the complement of V, so a threshold works exactly
     when it is at most ``reach``, the least over x of the largest such
     distance over the members (unbounded when a member is the whole
-    ground).  A cap that does not fit exceeds ``reach``, so the limit
-    min(cap, reach) is then ``reach``, and the answer is the last entry of
-    the space's sorted ``spectrum`` at or below it: one bisection.
+    ground), an int over the space's ``scale`` like the table.  A cap that
+    does not fit exceeds ``reach``, so the limit min(cap, reach) is then
+    ``reach``, and the answer is the last of the space's sorted
+    ``spectrum_ints`` at or below it: one bisection, and one ``Fraction``.
     """
     reach = None
     if all(column is not None for column in table):
-        reach = Fraction(min(map(max, zip(*table))), space.scale)
+        reach = min(map(max, zip(*table)))
     if cap is not None:
         capped = as_scalar(cap)
-        if reach is None or capped <= reach:
+        if reach is None or capped <= Fraction(reach, space.scale):
             return capped
-    spectrum = space.spectrum()
-    pos = len(spectrum) if reach is None else bisect_right(spectrum, reach)
-    return spectrum[pos - 1] if pos and spectrum[pos - 1] > 0 else None
+    values = space.spectrum_ints
+    pos = len(values) if reach is None else bisect_right(values, reach)
+    return Fraction(values[pos - 1], space.scale) if pos and values[pos - 1] > 0 else None
 
 
 # ---- fundamental sequences and metrization ----

@@ -10,25 +10,30 @@ outrun the smallest positive distance.
 The covers run on the space's stored form (see ``covers``).  Each level's
 refined cover gives one table of distances to its members' complements;
 the level's clamp is reduced from that table and its coordinates are the
-table's entries at each member's own points, clamped.  From the depth
-where the radius drops below the smallest positive distance on, every
-level has the same target and helper covers, so consecutive levels with
-equal covers share one refinement and one table, and only the clamp is
-taken again for the level's own cap.
+table's entries at each member's own points, clamped.  A level's two ball
+covers are fixed by how many of the space's sorted distinct ints
+(``spectrum_ints``) lie within each radius, so the level is keyed by those
+two counts, and the covers, the refinement and the table are built only
+when the key changes: from the depth where the radius drops below the
+smallest positive distance on, every level shares one of each, and only
+the clamp is taken again for the level's own cap.
 The coordinates and image distances run on ints over one denominator,
 ``lcm(L, 2^(depth+2))`` with ``L`` the space's ``scale``, so that each
 clamp 2^-n and radius 2^-(n+2) is an int too.  An image is stored as its
 support: a point has a nonzero coordinate only for the few members of each
-point-finite cover that hold it, so an image gap is read over the union
-of two supports, never over every member.  Each pair a < b is listed
-once, as (point distance, image distance), and every certificate reads
-that one list: two of them directly, the separation rows from one
-``PairSweep`` keyed by twice the image distance and the modulus of
-continuity from one keyed by the point distance.  Fractions are built
-only for the returned embedding.
+point-finite cover that hold it.  Each image also keeps its peak, its
+largest coordinate, and an int mask of its support's coordinates.  Since
+every coordinate is >= 0, two images whose masks do not meet are apart by
+the larger peak; only a pair whose masks meet has its gap read over the
+union of its two supports.  Each pair a < b is listed once, as (point
+distance, image distance), and every certificate reads that one list: two
+of them directly, the separation rows from one ``PairSweep`` keyed by
+twice the image distance and the modulus of continuity from one keyed by
+the point distance.  Fractions are built only for the returned embedding.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -152,16 +157,20 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     directly.  The modulus of continuity maps each delta of the spectrum to
     the largest image distance among pairs at point distance <= delta.
 
-    A level whose target and helper covers equal the previous level's
-    reuses that level's refinement and its table of distances to the
-    members' complements (``covers.complement_distances``); the clamp is
-    reduced from the table for each level's own cap 2^-n.  Everything after
-    the covers runs on ints over ``big = lcm(L, 2^(depth+2))``, ``L`` the
-    space's ``scale``, so every distance, clamp, cap
-    2^-n and bound 2^(1-n) is an int over ``big``.  Each image is its
-    support, ``{coordinate: value}`` over the members that hold the point,
-    and its tail is 0: a point outside V is at distance 0 from the
-    complement of V.  An image gap is the largest |a_k - b_k| over the
+    A level is keyed by the counts of the space's ``spectrum_ints`` within
+    its radius and within a fifth of it, which fix its target and helper
+    covers.  A level whose key equals the previous level's reuses that
+    level's covers, refinement and table of distances to the members'
+    complements (``covers.complement_distances``); the clamp is reduced
+    from the table for each level's own cap 2^-n.  Everything after the
+    covers runs on ints over ``big = lcm(L, 2^(depth+2))``, ``L`` the
+    space's ``scale``, so every distance, clamp, cap 2^-n and bound
+    2^(1-n) is an int over ``big``.  Each image is its support,
+    ``{coordinate: value}`` over the members that hold the point, and its
+    tail is 0: a point outside V is at distance 0 from the complement of
+    V.  An image gap is the largest |a_k - b_k| over all coordinates: the
+    larger of the two peaks (largest values) when the supports share no
+    coordinate, as every coordinate is >= 0, and else the largest over the
     union of the two supports.  Fractions are built only for the returned
     clamps, images and rows.  A space of more than ``POINT_CAP`` points is
     refused before any cover is built.
@@ -183,16 +192,22 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     tables = []
     offset = 0
     previous = None
+    values, scale = space.spectrum_ints, space.scale
     for n in range(1, depth + 1):
-        radius = pow2(-n - 2)
-        covers = (ball_cover(space, radius), ball_cover(space, radius / 5))
-        if covers != previous:
+        # The ball covers of radius r and r/5 hold the pairs whose ints are
+        # at most scale * r and scale * r/5, floored, so the counts of the
+        # space's distinct ints up to those two fix both covers.
+        within = scale >> (n + 2)
+        key = (bisect_right(values, within), bisect_right(values, within // 5))
+        if key != previous:
+            radius = pow2(-n - 2)
             try:
-                refinement = point_finite_refinement(*covers)
+                refinement = point_finite_refinement(
+                    ball_cover(space, radius), ball_cover(space, radius / 5))
             except PreconditionError as exc:
                 raise PreconditionError(f"refinement failed at level {n}: {exc}")
             table = complement_distances(space, refinement.cover)
-            previous = covers
+            previous = key
         clamp = containment_from_distances(space, table, cap=pow2(-n))
         if clamp is None or clamp <= 0:
             raise PreconditionError(f"no positive containment number at level {n}")
@@ -218,16 +233,20 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
                 supports[x][k] = value = value if value < clamp else clamp
                 if not 0 <= value <= hi:
                     bounds_ok = False
-    # Each pair a < b once: (point distance, image distance) over ``big``,
-    # the gap read over a's support and then over b's support outside a's.
+    # Each pair a < b once: (point distance, image distance) over ``big``.
+    # Coordinates are >= 0, so two images whose supports do not meet are
+    # apart by the larger of their peaks; a pair whose masks meet has its
+    # gap read over a's support and then over b's support outside a's.
+    peaks = [max(support.values(), default=0) for support in supports]
+    masks = [sum(1 << k for k in support) for support in supports]
     zeros = repeat(0)
     pairs = [
         (d * factor, max(
-            max(map(abs, map(sub, sa.values(), map(sb.get, sa, zeros))), default=0),
+            max(map(abs, map(sub, sa.values(), map(sb.get, sa, zeros)))),
             max(map(sb.__getitem__, sb.keys() - sa.keys()), default=0),
-        ))
-        for a, (row, sa) in enumerate(zip(space.ints, supports))
-        for d, sb in zip(row[a + 1:], supports[a + 1:])
+        ) if ma & mb else pa if pa > pb else pb)
+        for a, (row, sa, pa, ma) in enumerate(zip(space.ints, supports, peaks, masks))
+        for d, sb, pb, mb in zip(row[a + 1:], supports[a + 1:], peaks[a + 1:], masks[a + 1:])
     ]
 
     nonexpansive = all(gap <= d for d, gap in pairs)

@@ -11,7 +11,8 @@ nonzero denominator, is read with ``int``, and the space is built from
 the entries over their common denominator with
 ``FiniteMetricSpace.from_int``, whose gcd step leaves the least integer
 form, the one form a space stores.  Each distinct string or int entry of
-a matrix is parsed once.  Every other entry (a sign,
+a matrix is parsed once, and each row is then mapped through one table
+from entry to int over the common denominator.  Every other entry (a sign,
 whitespace, an underscore, a decimal, an exponent, a zero denominator, a
 non-ASCII digit, a bool, null, or digits past
 ``sys.get_int_max_str_digits()``) goes through ``as_scalar``, so it
@@ -58,6 +59,8 @@ LABEL_DEPTH_CAP = 64
 # The wire format of an exact scalar, ASCII digits only: ``int`` alone would
 # also take a sign, whitespace, underscores and other scripts' digits.
 _WIRE_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+# The JSON types of a distance entry that can be read: strings and ints.
+_WIRE_TYPES = {str, int}
 
 
 # ---- primitives ----
@@ -129,29 +132,27 @@ def space_from_json(obj) -> FiniteMetricSpace:
     if not isinstance(points, list) or not isinstance(dist, list):
         raise StructuralError("space points and dist must be arrays")
     labels = tuple(label_from_json(p) for p in points)
-    # Each distinct str or int entry is read once.  The type is in the key:
-    # a bool is an int, and True == 1, yet a bool must still be refused.
+    # Each distinct entry is read once, row by row, so the first entry that
+    # fails is the first in row order.  A row of str and int entries only
+    # is read through the table; any other row is read entry by entry, so
+    # that a bool, which equals an int (True == 1), is still refused.
     read = {}
-    rows = []
     for row in dist:
         if not isinstance(row, list):
             raise StructuralError("dist must be an array of arrays")
-        out = []
-        for v in row:
-            if isinstance(v, (str, int)):
-                key = (type(v), v)
-                ratio = read.get(key)
-                if ratio is None:
-                    ratio = read[key] = _ratio_from_json(v)
-            else:
-                ratio = _ratio_from_json(v)
-            out.append(ratio)
-        rows.append(out)
+        if {*map(type, row)} <= _WIRE_TYPES:
+            for v in row:
+                if v not in read:
+                    read[v] = _ratio_from_json(v)
+        else:
+            for v in row:
+                read.setdefault(v, _ratio_from_json(v))
     pseudo = obj.get("pseudo", False)
     if not isinstance(pseudo, bool):
         raise StructuralError("pseudo must be a boolean")
-    scale = lcm(*{q for row in rows for _, q in row})
-    m = [[p * (scale // q) for p, q in row] for row in rows]
+    scale = lcm(*{q for _, q in read.values()})
+    table = {v: p * (scale // q) for v, (p, q) in read.items()}
+    m = [list(map(table.__getitem__, row)) for row in dist]
     return FiniteMetricSpace.from_int(labels, m, scale, pseudo)
 
 

@@ -6,7 +6,8 @@ denominator (see ``kernel``).  The constructor takes a ``Fraction`` matrix,
 checks only structure (unique labels, square matrix, exact scalars) and
 converts it once; ``from_int`` takes ints and reduces them to the least
 form.  ``dist``, the ``Fraction`` matrix, is a view built on first read,
-and so is the sorted ``spectrum``.
+and so are the sorted distinct ints above the diagonal,
+``spectrum_ints``, and the ``spectrum`` built from them.
 Scans and constructions run on the ints, which order, add and multiply
 exactly as the Fractions do.  The metric axioms are the job of
 ``check_metric_axioms``, so that defective matrices can be represented and
@@ -32,6 +33,7 @@ coordinate indices have no bound, keeps its own check.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -114,23 +116,32 @@ class FiniteMetricSpace:
         return Fraction(max(map(max, self.ints), default=0), self.scale)
 
     @cached_property
-    def _spectrum(self) -> tuple:
+    def spectrum_ints(self) -> tuple:
+        """Sorted distinct ints of ``ints`` above the diagonal, zero
+        included: the spectrum over ``scale``, sorted once and cached."""
         values = {0}
         for i, row in enumerate(self.ints):
             values.update(row[i + 1:])
-        return tuple(Fraction(v, self.scale) for v in sorted(values))
+        return tuple(sorted(values))
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        return tuple(Fraction(v, self.scale) for v in self.spectrum_ints)
 
     def spectrum(self) -> tuple:
         """Sorted distinct distance values above the diagonal, zero
-        included: sorted once per space and cached."""
+        included: built once per space from ``spectrum_ints`` and cached."""
         return self._spectrum
 
     def positive_spectrum(self) -> tuple:
         return tuple(v for v in self.spectrum() if v > 0)
 
     def min_positive_distance(self) -> Optional[Scalar]:
-        pos = self.positive_spectrum()
-        return pos[0] if pos else None
+        """Least positive distance above the diagonal, None when there is
+        none: one ``Fraction``, of the least positive ``spectrum_ints``."""
+        values = self.spectrum_ints
+        pos = bisect_right(values, 0)
+        return Fraction(values[pos], self.scale) if pos < len(values) else None
 
     def submetric(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         idx = list(indices)

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,7 +17,7 @@ from helpers import (
 )
 from oracles import aharoni_embed_dense, aharoni_embed_reference, sup_distance
 from unimet import embedding
-from unimet.covers import ball_cover
+from unimet.covers import ball_cover, point_finite_refinement
 from unimet.embedding import aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError
 from unimet.scalars import pow2
@@ -143,31 +144,58 @@ def test_embedding_matches_the_fraction_reference():
     assert cases > 50
 
 
-def test_levels_with_equal_covers_share_one_refinement(monkeypatch):
-    """From level depth - 3 on, the radius 2^-(n+2) is below the smallest
-    positive distance, so target and helper are both the singleton cover:
-    those levels share one refinement, and each still clamps at its own
-    cap 2^-n."""
-    sp = wide_space(random.Random(757), 12).rescaled_to_diameter(1)
-    depth = sufficient_depth(sp)
+def _counted_embedding(sp, depth):
+    """``aharoni_embed(sp, depth)`` with the covers it builds and the
+    refinements it takes recorded, and the distinct (target, helper) pairs
+    of ball covers over its levels, in level order."""
     pairs = []
     for n in range(1, depth + 1):
         radius = pow2(-n - 2)
         pair = (ball_cover(sp, radius), ball_cover(sp, radius / 5))
         if pair not in pairs:
             pairs.append(pair)
-    refined = []
-    real = embedding.point_finite_refinement
+    covers, refined = [], []
 
-    def counted(target, helper):
+    def counted_cover(space, radius):
+        covers.append(ball_cover(space, radius))
+        return covers[-1]
+
+    def counted_refinement(target, helper):
         refined.append((target, helper))
-        return real(target, helper)
+        return point_finite_refinement(target, helper)
 
-    monkeypatch.setattr(embedding, "point_finite_refinement", counted)
-    got = aharoni_embed(sp, depth)
+    with mock.patch.object(embedding, "ball_cover", counted_cover), \
+            mock.patch.object(embedding, "point_finite_refinement", counted_refinement):
+        got = aharoni_embed(sp, depth)
+    return got, pairs, list(zip(covers[::2], covers[1::2])), refined
+
+
+def test_levels_with_equal_covers_share_one_refinement():
+    """From level depth - 3 on, the radius 2^-(n+2) is below the smallest
+    positive distance, so target and helper are both the singleton cover:
+    those levels share one refinement, and each still clamps at its own
+    cap 2^-n.  On every support space, at its sufficient depth and two
+    levels short of it, the covers are built in pairs, one pair and one
+    refinement per distinct pair of a level's covers, and the embedding is
+    the dense loop's."""
+    sp = wide_space(random.Random(757), 12).rescaled_to_diameter(1)
+    depth = sufficient_depth(sp)
+    got, pairs, built, refined = _counted_embedding(sp, depth)
     assert (depth, len(pairs)) == (5, 2)
-    assert refined == pairs
+    assert built == refined == pairs
     assert got == aharoni_embed_reference(sp, depth)
+    counts = []
+    for sp in _support_spaces():
+        deepest = sufficient_depth(sp)
+        for depth in sorted({max(1, deepest - 2), deepest}):
+            got, pairs, built, refined = _counted_embedding(sp, depth)
+            assert built == refined == pairs
+            assert got == aharoni_embed_dense(sp, depth)
+        counts.append((deepest, len(pairs)))
+    # (sufficient depth, distinct pairs) per space: on {2^-i} the last
+    # four levels share one pair, on the clusters more levels do.
+    assert counts == [(9, 6), (10, 6), (13, 10), (9, 6), (11, 8), (25, 22),
+                      (9, 6), (13, 10), (41, 38)]
 
 
 def _support_spaces():
@@ -240,6 +268,19 @@ def embedding_inputs(draw):
     ``sufficient_depth``."""
     sp = draw(metric_spaces(2, 6)).rescaled_to_diameter(1)
     return sp, draw(st.integers(1, sufficient_depth(sp) + 1))
+
+
+@given(embedding_inputs())
+# From level 1 to 2 the target cover stays (no distance in (1/16, 1/8]) and
+# the helper cover changes (1/50 lies in (1/80, 1/40]).
+@example((interval_points([0, Fraction(1, 50), 1]), 3))
+def test_covers_are_built_once_per_distinct_level_pair(case):
+    """One pair of covers built and one refinement taken per distinct pair
+    of a level's target and helper covers, and the dense loop's result."""
+    sp, depth = case
+    got, pairs, built, refined = _counted_embedding(sp, depth)
+    assert built == refined == pairs
+    assert got == aharoni_embed_dense(sp, depth)
 
 
 @given(embedding_inputs())

@@ -106,6 +106,37 @@ def test_reflagged_shares_the_stored_form(sp):
     assert reflagged(fresh, True).ints is fresh.ints
 
 
+@st.composite
+def int_matrices(draw):
+    """A space of 0..5 points over any int matrix with entries in -3..3
+    and a scale 1..12: negative, asymmetric and all-zero matrices, and a
+    nonzero diagonal, as well as metrics."""
+    n = draw(st.integers(0, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    return FiniteMetricSpace.from_int(range(n), rows, draw(st.integers(1, 12)))
+
+
+def positive_spectrum_route(sp):
+    """The least positive distance as it was read: the first entry of the
+    positive spectrum, built from the Fractions above the diagonal."""
+    spectrum = sorted({ZERO, *(v for i, row in enumerate(sp.dist) for v in row[i + 1:])})
+    positive = [v for v in spectrum if v > 0]
+    return positive[0] if positive else None
+
+
+@given(st.one_of(int_matrices(), stored_spaces()))
+@example(EMPTY)
+@example(ZEROS)
+@example(FiniteMetricSpace(("a",), ((ONE,),)))
+@example(FiniteMetricSpace.from_int("ab", [[0, 2], [1, 0]], 3))
+@example(FiniteMetricSpace.from_int("ab", [[0, -1], [1, 0]], 1))
+def test_min_positive_distance_is_the_least_positive_above_the_diagonal(sp):
+    least = sp.min_positive_distance()
+    assert least == positive_spectrum_route(sp)
+    assert least is None or type(least) is Fraction
+
+
 # ---- producers on ints against their Fraction code ----
 
 
