@@ -4,12 +4,13 @@ Finite metric spaces with rational distances, and the constructions that
 combine them: quotients by disjoint families through chain metrics, glued
 unions and adjunctions, cones, joins and mapping cylinders over parameter
 grids, cover calculus with an exact metrization, embeddings into weighted
-sequence space, cubical complexes with retraction homotopies, and
-inverse-sequence truncations with convergence, separation, and
-perturbation analysis.
+sequence space, and inverse-sequence truncations with convergence,
+separation, and perturbation analysis.
 
-All arithmetic is exact (fractions); floats appear only in the Euclidean
-cone comparison, which is explicitly tolerance-based.
+All arithmetic is exact (ints and fractions); no module does float
+arithmetic.  The normed-space cone models and the cubical complexes that
+the paper compares these constructions with live beside the tests, as
+reference models, not in the package.
 
 ``import unimet`` loads no submodule.  Each public name below loads its
 module on first use (``unimet.cone_metric``, ``from unimet import
@@ -21,25 +22,15 @@ import importlib
 
 # Defining module -> the public names it exports through the package.
 _EXPORTS = {
-    "combinators": ("interval_space", "kuratowski_embed", "product_metric"),
+    "combinators": ("interval_space", "product_metric"),
     "cones": (
         "ConeSpace", "JoinAmalgamReport", "JoinSpace", "cone_metric",
         "cone_quotient_check", "join_amalgam_equality", "join_metric",
-    ),
-    "conemodels": (
-        "ConeComparisonReport", "NormedPointSet", "cone_comparison_bounds",
-        "euclidean_cone_metric", "independent_rectilinear_join",
-        "rectilinear_cone",
     ),
     "covers": (
         "AuMetrization", "Cover", "FundamentalSequence", "RefinementResult",
         "au_metrize", "ball_cover", "ball_fundamental_sequence",
         "point_finite_refinement",
-    ),
-    "cubohedra": (
-        "Cube", "Cubohedron", "RetractionReport", "distance_to_complex",
-        "lattice_homotopy", "minimal_enclosing_subcomplex",
-        "neighborhood_retract_check", "subcomplex_membership",
     ),
     "cylinders": (
         "CylinderSpace", "adjusted_metric", "cylinder_adjunction_check",

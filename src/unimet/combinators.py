@@ -2,8 +2,7 @@
 
 Everything here is exact.  The product, the grid interval that the cone and
 cylinder oracles multiply by, the weighted-sup rows and McShane's extension
-build ints over a common scale; the Kuratowski embedding reads the
-``Fraction`` view.  Every diameter-1 refusal is
+build ints over a common scale.  Every diameter-1 refusal is
 ``spaces.ensure_diameter_at_most``.
 """
 from __future__ import annotations
@@ -12,9 +11,8 @@ from math import lcm
 from typing import Sequence
 
 from .kernel import min_plus
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar
-from .sequences import SequencePoint
-from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
+from .scalars import ONE, Scalar, ScalarLike, as_scalar
+from .spaces import FiniteMetricSpace, ensure_diameter_at_most
 
 def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
     """Grid points of a real interval with the absolute-value metric, built
@@ -62,23 +60,7 @@ def weighted_sup_rows(levels: Sequence[FiniteMetricSpace], index_tuples) -> tupl
     return rows, scale
 
 
-# ---- embeddings and extensions ----
-
-
-def kuratowski_embed(space: FiniteMetricSpace) -> list:
-    """Isometric embedding into sequence space by distance coordinates.
-
-    Point x maps to the sequence (d(x, p_0), d(x, p_1), ...) with tail 0.
-    Requires diameter <= 1 so the image lives in the unit cube; rescale
-    first if needed.  The embedding is exactly isometric for the sup norm.
-    """
-    ensure_metric(space, "kuratowski_embed", allow_pseudo=True)
-    ensure_diameter_at_most(space, ONE, "kuratowski_embed")
-    out = []
-    for x in range(space.n):
-        support = tuple((i, space.d(x, i)) for i in range(space.n))
-        out.append(SequencePoint(support, ZERO))
-    return out
+# ---- extensions ----
 
 
 def mcshane_rows(space: FiniteMetricSpace, subset: Sequence[int], rows: Sequence[Sequence[int]],

@@ -1,9 +1,9 @@
 """Exact scalar arithmetic.
 
-All combinatorial constructions in this package run on ``fractions.Fraction``
-so that every certified identity is exact, never approximate.  Floats appear
-only in the Euclidean-cone comparisons (see ``conemodels``), where
-trigonometric functions make exactness impossible; the boundary is explicit.
+All combinatorial constructions in this package run on ints and
+``fractions.Fraction`` so that every certified identity is exact, never
+approximate.  No float enters: a float input is refused, and even the
+decimal exponent of a long scalar in a message is found in ints.
 
 Wire format: a scalar serializes to the string ``"p/q"`` (or ``"p"`` for an
 integer value) and parses from that form, from a decimal string, or from a
@@ -14,7 +14,6 @@ in k.
 """
 from __future__ import annotations
 
-import math
 import re
 import sys
 from fractions import Fraction
@@ -103,13 +102,14 @@ def brief_scalar(value: Fraction) -> str:
     num, den = magnitude.numerator, magnitude.denominator
     if num.bit_length() + den.bit_length() <= 128:
         return str(value)
-    # The bit lengths place log10 of the value within one of this guess.
-    exponent = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    # The bit lengths place log10 of the value within one of this guess
+    # (30103 / 100000 is log10 2 to five places); the loops make it exact.
+    exponent = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while Fraction(10) ** exponent > magnitude:
         exponent -= 1
     while Fraction(10) ** (exponent + 1) <= magnitude:
         exponent += 1
-    head = str(math.floor(magnitude * 1000 / Fraction(10) ** exponent))
+    head = str(magnitude * 1000 // Fraction(10) ** exponent)
     sign = "-" if value < 0 else ""
     return f"about {sign}{head[0]}.{head[1:]}e{exponent}"
 

@@ -4,8 +4,7 @@ A ``SequencePoint`` models an element of the bounded sequence space whose
 coordinates are eventually constant: finitely many explicit coordinates plus a
 ``tail`` value taken by every other index.  The sup-norm distance between two
 such points is exact (beyond the union of supports both sequences sit at their
-tails), so embeddings and retractions can be certified in rational arithmetic.
-``tail_ramp`` is the contraction profile of the cubical retraction homotopy.
+tails), so the embedding's images can be certified in rational arithmetic.
 """
 from __future__ import annotations
 
@@ -72,12 +71,3 @@ class SequencePoint:
         """Apply fn to every coordinate (support values and the tail)."""
         return SequencePoint(tuple((i, fn(v)) for i, v in self.support), fn(self.tail))
 
-
-def tail_ramp(v: Scalar, t: Scalar) -> Scalar:
-    """The contraction profile: v -> max(0, 1 - (1 - v)(1 + t)) on [0, 1].
-
-    t = 0 is the identity; t = 1 collapses [0, 1/2] to 0 and stretches the
-    rest linearly onto [0, 1]; 1 is fixed throughout.
-    """
-    candidate = 1 - (1 - v) * (1 + t)
-    return candidate if candidate > 0 else ZERO

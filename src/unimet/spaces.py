@@ -28,8 +28,7 @@ between two spaces comes in one of two forms, which ``as_mapping`` reads and
 range-checks on both sides through ``index_set``: a dict from source to
 target indices (what ``jsonio`` parses), or a flat sequence of images.
 Every construction reads its subsets, families, members and maps through
-these two, so none checks an index of its own; only a cube's extent, whose
-coordinate indices have no bound, keeps its own check.
+these two, so none checks an index of its own.
 """
 from __future__ import annotations
 

@@ -1,10 +1,12 @@
 """Euclidean and rectilinear cone models and their comparison bounds.
 
-Both models put the apex at parameter t = 0 and the base at t = 1 (the
-radial convention; the quotient-style cone elsewhere collapses t = 1
-instead).  The Euclidean cone metric follows the Law of Cosines and is the
-one place floats enter: comparisons with it run at documented tolerances,
-everything else stays exact.
+Reference models for Result 1 of the paper: the tests check the package's
+quotient cone against them.  Both models put the apex at parameter t = 0
+and the base at t = 1 (the radial convention; the package's quotient cone
+collapses t = 1 instead).  The rectilinear models and the Kuratowski
+embedding that feeds them are exact; the Euclidean cone metric follows the
+Law of Cosines in floats, and comparisons with it run at documented
+tolerances.
 """
 from __future__ import annotations
 
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .errors import PreconditionError, StructuralError
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
-from .spaces import FiniteMetricSpace, ensure_metric, index_set
+from unimet.errors import PreconditionError, StructuralError
+from unimet.scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
+from unimet.sequences import SequencePoint
+from unimet.spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric, index_set
 
 # rational lower bound of pi: guards "diameter <= pi" conservatively
 # (inputs between this and pi are rejected, never the other way around)
@@ -92,6 +95,22 @@ class NormedPointSet:
             rows[i][j] == 0 for i in range(self.n) for j in range(i + 1, self.n)
         )
         return FiniteMetricSpace(tuple(pts), rows, pseudo=pseudo)
+
+
+def kuratowski_embed(space: FiniteMetricSpace) -> list:
+    """Isometric embedding into sequence space by distance coordinates.
+
+    Point x maps to the sequence (d(x, p_0), d(x, p_1), ...) with tail 0.
+    Requires diameter <= 1 so the image lives in the unit cube; rescale
+    first if needed.  The embedding is exactly isometric for the sup norm.
+    """
+    ensure_metric(space, "kuratowski_embed", allow_pseudo=True)
+    ensure_diameter_at_most(space, ONE, "kuratowski_embed")
+    out = []
+    for x in range(space.n):
+        support = tuple((i, space.d(x, i)) for i in range(space.n))
+        out.append(SequencePoint(support, ZERO))
+    return out
 
 
 def _scaled(vector: tuple, factor: Scalar) -> tuple:

@@ -6,6 +6,9 @@ edge 2^-n along finitely many coordinates.  The lattice homotopy squeezes
 each coordinate toward the nearest vertex; at t = 1 it collapses the closed
 quarter-edge band around every vertex, which retracts a 2^-(n+2)
 neighborhood of any subcomplex into it.
+
+A reference model the tests check the embedding side of the paper against;
+no command of the package builds a complex.
 """
 from __future__ import annotations
 
@@ -14,14 +17,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .errors import PreconditionError, StructuralError
-from .scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
-from .sequences import SequencePoint, tail_ramp
+from unimet.errors import PreconditionError, StructuralError
+from unimet.scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
+from unimet.sequences import SequencePoint
 
 HALF = Fraction(1, 2)
 
 
 # ---- the coordinate homotopy ----
+
+
+def tail_ramp(v: Scalar, t: Scalar) -> Scalar:
+    """The contraction profile: v -> max(0, 1 - (1 - v)(1 + t)) on [0, 1].
+
+    t = 0 is the identity; t = 1 collapses [0, 1/2] to 0 and stretches the
+    rest linearly onto [0, 1]; 1 is fixed throughout.
+    """
+    candidate = 1 - (1 - v) * (1 + t)
+    return candidate if candidate > 0 else ZERO
 
 
 def nearest_lattice_integer(u: ScalarLike) -> int:

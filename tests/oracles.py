@@ -2,7 +2,8 @@
 
 Each oracle recomputes a published quantity along an independent route:
 chain quotient metrics as min-plus powers of the block matrix (with the
-limit taken by a plain Floyd–Warshall), cover gauges straight from
+limit taken by a plain Floyd–Warshall, itself checked against Dijkstra's
+search from each node), cover gauges straight from
 membership tables, maximal cliques
 by a scan over every vertex subset, and cone and join metrics through
 product-then-quotient pipelines.  Everything operates on plain distance
@@ -40,19 +41,20 @@ sup distance of sequence space and the sub-cylinder of a restricted map
 are references only the tests use.
 """
 
+import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import add, sub
 
+from cubohedra import Cube
 from unimet.covers import (
     Cover,
     ball_cover,
     containment_from_distances,
     point_finite_refinement,
 )
-from unimet.cubohedra import Cube
 from unimet.cylinders import mapping_cylinder_metric
 from unimet.embedding import (
     AharoniEmbedding,
@@ -167,6 +169,33 @@ def chain_limit_apsp(block):
                 if dist[i][j] is None or v < dist[i][j]:
                     dist[i][j] = v
     return dist
+
+
+def dijkstra_apsp(size, edges):
+    """All-pairs shortest paths by Dijkstra from each node, on Fractions,
+    None for no path: a stdlib route independent of Floyd–Warshall.
+
+    ``edges`` maps a pair (i, j), i < j, to the nonnegative weight of the
+    undirected edge between them.
+    """
+    neighbours = [[] for _ in range(size)]
+    for (i, j), w in edges.items():
+        neighbours[i].append((j, w))
+        neighbours[j].append((i, w))
+    rows = []
+    for source in range(size):
+        dist = [None] * size
+        heap = [(ZERO, source)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if dist[node] is not None:
+                continue
+            dist[node] = d
+            for other, w in neighbours[node]:
+                if dist[other] is None:
+                    heapq.heappush(heap, (d + w, other))
+        rows.append(dist)
+    return rows
 
 
 def triangle_valid(matrix):

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conemodels import kuratowski_embed
 from helpers import interval_points, random_space, space
 from oracles import sup_distance, weighted_sup_reference
 from unimet.combinators import (
     check_weighted_levels,
-    kuratowski_embed,
     mcshane_rows,
     product_metric,
     weighted_sup_rows,

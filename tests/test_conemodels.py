@@ -1,12 +1,14 @@
-"""Rectilinear and Euclidean cone models and their comparison bounds."""
+"""Rectilinear and Euclidean cone models, their comparison bounds, and the
+quotient cone measured against both (Result 1 for the cone)."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from unimet.conemodels import (
+from conemodels import (
     COMPARISON_TOL,
     PI_FLOOR,
     NormedPointSet,
@@ -14,10 +16,13 @@ from unimet.conemodels import (
     euclidean_cone_distance,
     euclidean_cone_metric,
     independent_rectilinear_join,
+    kuratowski_embed,
     rectilinear_cone,
     rectilinear_cone_point,
     rectilinear_join_point,
 )
+from helpers import construction_inputs
+from unimet.cones import cone_metric
 from unimet.errors import PreconditionError, StructuralError
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 
@@ -174,3 +179,43 @@ def test_comparison_guards():
     with pytest.raises(StructuralError, match="parameters"):
         cone_comparison_bounds(inside, [(0, 0, 0, 2)])
     assert PI_FLOOR < Fraction(31416, 10000)
+
+
+# ---- the quotient cone against the models ----
+
+
+@given(construction_inputs(Fraction(0), (Fraction(0), Fraction(1)), Fraction(1)))
+def test_the_quotient_cone_coincides_with_the_rectilinear_and_euclidean_cones(inputs):
+    """Result 1 for the cone, on a base of diameter <= 1.
+
+    The quotient point (x, t), apex at t = 1, goes to the rectilinear point
+    ((1 - t) Kx, t), Kx the Kuratowski image.  Then d_R <= d_Q and
+    d_Q^2 <= 9 d_R, exactly, and the same pairs, in the rectilinear model's
+    radial parameter 1 - t, meet the Euclidean cone's bounds E <= 3 d_R and
+    d_R <= 5 E: the identity is uniformly continuous both ways along
+    quotient <-> rectilinear <-> Euclidean.
+    """
+    base = inputs.source
+    cone = cone_metric(base, inputs.grid)
+    images = kuratowski_embed(base)
+    kuratowski = NormedPointSet(
+        base.n, tuple(tuple(im.value(z) for z in range(base.n)) for im in images)
+    )
+    # (base index, radial parameter 1 - t) of each cone point; the apex is
+    # the radial parameter 0 over any base point.
+    radial = [
+        (base.points.index(label[1]), 1 - label[2]) if label[0] == "seg" else (0, Fraction(0))
+        for label in cone.space.points
+    ]
+    model = [rectilinear_cone_point(kuratowski.points[x], r) for x, r in radial]
+    samples = []
+    for a in range(cone.space.n):
+        for b in range(cone.space.n):
+            d_q = cone.space.d(a, b)
+            d_r = max(abs(u - v) for u, v in zip(model[a], model[b]))
+            assert d_r <= d_q
+            assert d_q * d_q <= 9 * d_r
+            samples.append((*radial[a], *radial[b]))
+    report = cone_comparison_bounds(kuratowski, samples)
+    assert report.samples_checked == cone.space.n ** 2
+    assert report.e_le_3s_ok and report.s_le_5e_ok, report.violations

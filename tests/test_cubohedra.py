@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (
-    cube_faces,
-    distance_to_cubes_reference,
-    face_closure,
-    maximal_cubes_reference,
-    membership_reference,
-)
-from unimet.cubohedra import (
+from cubohedra import (
     Cube,
     Cubohedron,
     carrier_cube,
@@ -28,6 +21,13 @@ from unimet.cubohedra import (
     neighborhood_retract_check,
     squeeze_to_integer,
     subcomplex_membership,
+)
+from oracles import (
+    cube_faces,
+    distance_to_cubes_reference,
+    face_closure,
+    maximal_cubes_reference,
+    membership_reference,
 )
 from unimet.errors import PreconditionError, StructuralError
 from unimet.sequences import SequencePoint

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, every
-local a function assigns is read, and the package exports each public name
-from the module that defines it."""
+"""Every name a module of the package or a test-side reference model
+imports is used in that module, every local a function there assigns is
+read, no module of the package does float arithmetic, and the package
+exports each public name from the module that defines it."""
 
 import ast
 import importlib
@@ -11,7 +12,12 @@ import pytest
 import unimet
 
 PACKAGE = Path(unimet.__file__).parent
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+PACKAGE_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The lint scans read the package's modules and the reference models the
+# tests keep beside them, each under its file name.
+SOURCES = {p.name: p for p in PACKAGE_MODULES + [TESTS / "conemodels.py", TESTS / "cubohedra.py"]}
+MODULES = sorted(SOURCES)
 
 
 def imported_names(tree):
@@ -32,11 +38,13 @@ def referenced_names(tree):
 
 def test_every_module_is_scanned():
     assert "quotients.py" in MODULES and "spaces.py" in MODULES
+    assert "conemodels.py" in MODULES and "cubohedra.py" in MODULES
+    assert len(SOURCES) == len(PACKAGE_MODULES) + 2
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"))
     imported = imported_names(tree)
     unused = sorted(set(imported) - referenced_names(tree))
     assert not unused, [f"{module}:{imported[name]} {name}" for name in unused]
@@ -76,7 +84,7 @@ def unread_locals(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unread_locals(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"))
     assert not unread_locals(tree), [f"{module} {hit}" for hit in unread_locals(tree)]
 
 
@@ -91,6 +99,53 @@ def test_scan_flags_an_unread_local():
         "    return g\n"
     )
     assert unread_locals(tree) == ["f:2 unused"]
+
+
+# ---- no float in the package ----
+
+# What ``math`` may lend the package: exact integer functions only.
+MATH_ALLOWED = {"gcd", "lcm"}
+
+
+def float_uses(tree):
+    """``line what`` of each float the source asks for: a ``float(...)``
+    call, a float literal, ``import math``, or a name from ``math`` other
+    than those in ``MATH_ALLOWED``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            found.append(f"{node.lineno} float()")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{node.lineno} literal {node.value!r}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno} import {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{node.lineno} math.{a.name}" for a in node.names
+                      if a.name not in MATH_ALLOWED]
+    return found
+
+
+@pytest.mark.parametrize("module", [p.name for p in PACKAGE_MODULES])
+def test_no_float_arithmetic(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not float_uses(tree), [f"{module}:{hit}" for hit in float_uses(tree)]
+
+
+def test_scan_flags_float_arithmetic():
+    # Each kind of float use the scan refuses, beside the gcd and lcm it allows.
+    tree = ast.parse(
+        "import math\n"
+        "from math import gcd, log10, lcm\n"
+        "def exponent(bits):\n"
+        "    return math.floor(bits * math.log10(2)) + gcd(1, lcm(1, 2))\n"
+        "def head(x):\n"
+        "    return float(x) * 1e3 + log10(2)\n"
+    )
+    assert float_uses(tree) == [
+        "1 import math", "2 math.log10", "6 float()", "6 literal 1000.0",
+    ]
 
 
 # ---- the package loads each module on first use ----

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from conemodels import NormedPointSet, cone_comparison_bounds
+from cubohedra import Cube
 from helpers import interval_points
-from unimet.conemodels import NormedPointSet, cone_comparison_bounds
 from unimet.covers import Cover
-from unimet.cubohedra import Cube
 from unimet.errors import StructuralError
 from unimet.gluing import adjunction_space, extend_metric
 from unimet.invlim import InverseSequenceTruncation, inverse_sequence, ladder

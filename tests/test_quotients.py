@@ -23,6 +23,7 @@ from oracles import (
     block_distance_matrix,
     chain_limit_apsp,
     chain_power,
+    dijkstra_apsp,
     triangle_valid,
 )
 from unimet.errors import PreconditionError, StructuralError
@@ -131,6 +132,18 @@ def test_chain_limit_oracle_matches_networkx(block):
         for i in range(size)
     ]
     assert chain_limit_apsp(block) == expected
+
+
+@given(blocks(symmetric=False))
+def test_chain_limit_oracle_matches_dijkstra(block):
+    # The networkx test's graph, searched by the stdlib Dijkstra instead.
+    edges = {}
+    for i in range(len(block)):
+        for j in range(i + 1, len(block)):
+            weights = [w for w in (block[i][j], block[j][i]) if w is not None]
+            if weights:
+                edges[i, j] = min(weights)
+    assert chain_limit_apsp(block) == dijkstra_apsp(len(block), edges)
 
 
 def test_chain_doubling_composes():

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from cubohedra import tail_ramp
 from oracles import sup_distance
 from unimet.errors import StructuralError
-from unimet.sequences import SequencePoint, tail_ramp
+from unimet.sequences import SequencePoint
 
 
 def random_unit_point(rng):
