@@ -22,14 +22,14 @@ threshold graph, listed by ``maximal_cliques``.  Their number can grow as
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, filterfalse
 from typing import Iterable, Optional
 
 from .errors import PreconditionError, StructuralError
-from .kernel import closure, to_fractions
+from .kernel import closure
 from .scalars import Scalar, ScalarLike, as_scalar, pow2
 from .spaces import FiniteMetricSpace, index_set
 
@@ -313,7 +313,8 @@ class AuMetrization:
     """Output of the cover metrization: exact metric plus checked bounds."""
 
     space: FiniteMetricSpace
-    gauge: tuple  # the two-point function f as a matrix
+    gauge_ints: list = field(hash=False)  # the two-point function f, ints over gauge_scale
+    gauge_scale: int
     comparison_ok: bool  # d <= f <= 2d entrywise
     member_diameter_ok: bool  # members of C_{2n} have d-diameter <= 2^-n
     clique_containment_ok: bool  # d-diameter <= 2^-(n+1) sets sit in C_{2n-1}
@@ -385,7 +386,8 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
                 witnesses.append(("clique_containment", 2 * h, tuple(sorted(clique))))
     return AuMetrization(
         space,
-        to_fractions(gauge, scale),
+        gauge,
+        scale,
         comparison_ok,
         member_diameter_ok,
         clique_containment_ok,

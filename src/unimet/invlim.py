@@ -26,11 +26,16 @@ truncation needs a deep stack; ``check_level_count`` refuses more than
   advertised closeness, uniqueness, and injectivity bounds.
 
 Neighborhoods are closed throughout: the eps-neighborhood of a set contains
-the points at distance <= eps from it, so all containments are exact
-rational comparisons.  Every scan over point pairs reads a
-``moduli.PairSweep``; a truncation builds each of its sweeps, its excess
-tables, its neighborhood table and its thread space once and keeps them
-beside its composites.
+the points at distance <= eps from it.  Every table here is kept on the
+stored form: a level's excess table holds ints over the level's ``scale``,
+and a pair sweep holds ints over one scale, the lcm of the two spaces it
+compares.  A query floors its rational threshold into that scale
+(``_floor``), so each containment and each bound is an exact int
+comparison, and Fractions are built only for the values and witnesses a
+report prints.  Every scan over point pairs reads a ``moduli.PairSweep``;
+a truncation builds each of its sweeps, its excess tables, its
+neighborhood table and its thread space once and keeps them beside its
+composites.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .combinators import check_weighted_levels, weighted_sup_rows
@@ -53,12 +59,41 @@ THREAD_CAP = 16
 
 # Most levels a truncation may have.  The composite cache holds one tuple
 # per level pair and the neighborhood table one entry per (level, later
-# level, scale), so the work grows with the square of the level count: on
-# one-point levels ``invlim converge`` takes 0.85 / 3.6 / 6.5 / 11.7 s at
-# 600 / 1,200 / 1,500 / 2,000 levels (Python 3.11, in process).
+# level, scale), so the work and the memory grow with the square of the
+# level count: on one-point levels ``invlim converge`` takes 0.36 / 1.4 /
+# 2.3 / 4.2 s at 600 / 1,200 / 1,500 / 2,000 levels, and the process peaks
+# at 67 / 207 / 270 / 440 MiB (Python 3.11, in process, best of three).
 LEVEL_CAP = 1_500
 
 DEFAULT_TELESCOPE_GRID = (ZERO, Fraction(1, 2), ONE)
+
+
+def _floor(t: Scalar, scale: int) -> int:
+    """floor(t * scale): an int v over ``scale`` is at most the rational t
+    exactly when v <= _floor(t, scale), and above it exactly when v > it."""
+    return t.numerator * scale // t.denominator
+
+
+def _within(sweep: PairSweep, t: Scalar) -> Scalar:
+    """``sweep.largest_within`` at the rational t, as a Fraction."""
+    return Fraction(sweep.largest_within(_floor(t, sweep.scale)), sweep.scale)
+
+
+def _map_sweep(source: FiniteMetricSpace, target: FiniteMetricSpace, f: tuple,
+               by_image: bool = False) -> PairSweep:
+    """The pairs a < b of ``source`` as (d(a, b), d(f(a), f(b)), a, b), the
+    two distances swapped when ``by_image``, swept once: ints over the lcm
+    of the two scales."""
+    scale = lcm(source.scale, target.scale)
+    lift, image_lift, m = scale // source.scale, scale // target.scale, target.ints
+    pairs = (
+        (row[b] * lift, m[fa][f[b]] * image_lift, a, b)
+        for a, (row, fa) in enumerate(zip(source.ints, f))
+        for b in range(a + 1, len(f))
+    )
+    if by_image:
+        pairs = ((far, near, a, b) for near, far, a, b in pairs)
+    return PairSweep(pairs, scale)
 
 
 def check_level_count(count: int) -> None:
@@ -136,16 +171,13 @@ class InverseSequenceTruncation:
 
     def composite_sweep(self, j: int, i: int) -> PairSweep:
         """Pairs a < b of level j as (d_j(a, b), distance of their images
-        under p^j_i, a, b), swept once: its ``largest_within(alpha)`` is the
-        worst image distance the composite attains on pairs within alpha."""
+        under p^j_i, a, b), ints over the lcm of the two levels' scales,
+        swept once: its largest second distance within alpha is the worst
+        image distance the composite attains on pairs within alpha."""
         key = (j, i)
         if key not in self._sweeps:
-            source, target, f = self.levels[j].dist, self.levels[i].dist, self.composite(j, i)
-            self._sweeps[key] = PairSweep(
-                (row[b], target[f[a]][f[b]], a, b)
-                for a, row in enumerate(source)
-                for b in range(a + 1, len(source))
-            )
+            self._sweeps[key] = _map_sweep(
+                self.levels[j], self.levels[i], self.composite(j, i))
         return self._sweeps[key]
 
     def image(self, j: int, i: int) -> tuple:
@@ -153,8 +185,9 @@ class InverseSequenceTruncation:
         return tuple(sorted(set(self.composite(j, i))))
 
     @cached_property
-    def shadow_excess(self) -> tuple:
-        """Per level i, the excess over the shadow of each image p^k_i(X_k).
+    def _excess(self) -> tuple:
+        """Per level i, the excess over the shadow of each image p^k_i(X_k),
+        as an int over the level's ``scale``.
 
         The shadow is the top image, where every thread projects.  Entry
         k - i of row i is the largest distance from a point of image k to
@@ -163,16 +196,20 @@ class InverseSequenceTruncation:
         as k grows, so the entries never increase along a row.
         """
         table = []
+        top, cache = self.top, self._composites
         for i, space in enumerate(self.levels):
-            shadow = self.image(self.top, i)
-            images = [self.image(k, i) for k in range(i, self.top + 1)]
+            # Building the composite from the top caches each one into level
+            # i on its way; image k is the set of values of the one from k.
+            self.composite(top, i)
+            images = [cache[k, i] for k in range(i, top + 1)]
+            shadow = set(images[-1])
             if shadow:
-                near = [min(space.d(x, y) for y in shadow) for x in range(space.n)]
+                near = [min([row[y] for y in shadow]) for row in space.ints]
                 table.append(tuple(
-                    max((near[x] for x in image), default=ZERO) for image in images
+                    max([near[x] for x in image], default=0) for image in images
                 ))
             else:
-                table.append(tuple(None if image else ZERO for image in images))
+                table.append(tuple(None if image else 0 for image in images))
         return tuple(table)
 
     @cached_property
@@ -249,16 +286,12 @@ class ThreadSpace:
     @cached_property
     def pair_sweeps(self) -> tuple:
         """Per level i, the thread pairs a < b as (distance of their
-        projections to level i, thread distance, a, b), each swept once."""
-        count = len(self.threads)
-        pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
-        sweeps = []
-        for i, level in enumerate(self.truncation.levels):
-            proj = self.projection(i)
-            sweeps.append(PairSweep(
-                (level.d(proj[a], proj[b]), self.space.d(a, b), a, b) for a, b in pairs
-            ))
-        return tuple(sweeps)
+        projections to level i, thread distance, a, b), ints over the lcm of
+        the level's and the thread space's scales, each swept once."""
+        return tuple(
+            _map_sweep(self.space, level, self.projection(i), by_image=True)
+            for i, level in enumerate(self.truncation.levels)
+        )
 
 
 def thread_space(truncation: InverseSequenceTruncation) -> ThreadSpace:
@@ -358,18 +391,23 @@ class NeighborhoodRow:
 def convergence_row(
     truncation: InverseSequenceTruncation, level: int, epsilon: ScalarLike
 ) -> NeighborhoodRow:
-    """One neighborhood row, read from the level's excess table."""
-    if not 0 <= level <= truncation.top:
+    """One neighborhood row, read from the level's excess table: an image
+    lies in the neighborhood when its excess is at most epsilon floored
+    into the level's scale."""
+    top = truncation.top
+    if not 0 <= level <= top:
         raise StructuralError(f"level {level} out of range")
     eps = as_scalar(epsilon)
-    if eps < 0:
+    # The floor is negative exactly when epsilon is.
+    cut = _floor(eps, truncation.levels[level].scale)
+    if cut < 0:
         raise PreconditionError("a neighborhood scale must be nonnegative")
     holds = tuple(
-        excess is not None and excess <= eps
-        for excess in truncation.shadow_excess[level]
+        excess is not None and excess <= cut
+        for excess in truncation._excess[level]
     )
-    start = next((level + k for k, ok in enumerate(holds) if ok), truncation.top)
-    return NeighborhoodRow(level, truncation.top, eps, holds, start)
+    start = next((level + k for k, ok in enumerate(holds) if ok), top)
+    return NeighborhoodRow(level, top, eps, holds, start)
 
 
 def convergence_report(truncation: InverseSequenceTruncation) -> tuple:
@@ -424,10 +462,13 @@ def level_anchor_verdict(
     top = truncation.top
     if top - level < 3:
         return CauchyAnchorVerdict(level, False, True, None, None)
-    half = truncation.levels[level].diameter() / 2
+    space = truncation.levels[level]
+    # The rows after the first are at the positive spectrum ints, over the
+    # level's scale like its diameter.
+    diameter = max(map(max, space.ints), default=0)
     depth_needed = (top - level + 1) // 2
-    for row in rows[1:]:
-        if row.epsilon <= half and top - row.holds_from >= depth_needed:
+    for row, value in zip(rows[1:], space.spectrum_ints[1:]):
+        if 2 * value <= diameter and top - row.holds_from >= depth_needed:
             return CauchyAnchorVerdict(level, False, False, row.epsilon, row.holds_from)
     return CauchyAnchorVerdict(level, False, False, None, None)
 
@@ -485,19 +526,22 @@ def separation_index(
     if not bundle.threads:
         raise PreconditionError("separation_index needs at least one thread")
     scanned = []
-    for i in range(truncation.top + 1):
+    for i, level in enumerate(truncation.levels):
         # The closest pair at level i among the threads further apart than
         # epsilon; ties go to the lexicographically first pair.
-        blocking = bundle.pair_sweeps[i].first_above(eps)
+        sweep = bundle.pair_sweeps[i]
+        blocking = sweep.first_above(_floor(eps, sweep.scale))
         if blocking is None:
-            # Nothing to separate at this scale: any threshold certifies.
-            positive = truncation.levels[i].positive_spectrum()
-            row = SeparationLevel(i, positive[-1] if positive else ONE, None)
+            # Nothing to separate at this scale: any threshold certifies,
+            # the level's largest distance when it is positive.
+            largest = Fraction(level.spectrum_ints[-1], level.scale)
+            row = SeparationLevel(i, largest or ONE, None)
         elif blocking[0] > 0:
-            row = SeparationLevel(i, blocking[0], None)
+            row = SeparationLevel(i, Fraction(blocking[0], sweep.scale), None)
         else:
             gap, apart, a, b = blocking
-            row = SeparationLevel(i, None, (a, b, gap, apart))
+            row = SeparationLevel(
+                i, None, (a, b, Fraction(gap, sweep.scale), Fraction(apart, sweep.scale)))
         scanned.append(row)
         if row.separates:
             return SeparationIndexResult(eps, i, row.threshold, tuple(scanned))
@@ -654,7 +698,7 @@ class LadderData:
                 floor = level.min_positive_distance()
                 beta = floor / 9 if floor is not None else ONE
                 for i in range(j, squares):
-                    attained = self.target.composite_sweep(i, j).largest_within(alphas[i])
+                    attained = _within(self.target.composite_sweep(i, j), alphas[i])
                     beta = max(beta, pow2(i - j) * attained)
                 betas.append(beta)
         else:
@@ -860,7 +904,7 @@ def _separation_readouts(ladder_data: LadderData) -> tuple:
     betas = ladder_data.betas
 
     uniqueness_rows = tuple(
-        UniquenessRow(j, 4 * betas[j], target_bundle.pair_sweeps[j].largest_within(4 * betas[j]))
+        UniquenessRow(j, 4 * betas[j], _within(target_bundle.pair_sweeps[j], 4 * betas[j]))
         for j in range(target.top + 1)
     )
     unique = len(target_bundle.threads) <= 1 or any(
@@ -871,14 +915,10 @@ def _separation_readouts(ladder_data: LadderData) -> tuple:
     for j in range(target.top + 1):
         n = ladder_data.indices[j]
         # Cross-map pairs keyed by image distance, valued by source distance.
-        sdist, tdist, f = source.levels[n].dist, target.levels[j].dist, ladder_data.cross[j]
-        crossing = PairSweep(
-            (tdist[f[a]][f[b]], row[b])
-            for a, row in enumerate(sdist)
-            for b in range(a + 1, len(sdist))
-        )
-        gamma = crossing.largest_within(5 * betas[j])
-        epsilon = source_bundle.pair_sweeps[n].largest_within(gamma)
+        crossing = _map_sweep(
+            source.levels[n], target.levels[j], ladder_data.cross[j], by_image=True)
+        gamma = _within(crossing, 5 * betas[j])
+        epsilon = _within(source_bundle.pair_sweeps[n], gamma)
         injectivity_rows.append(InjectivityRow(j, gamma, epsilon))
     injective_certified = len(source_bundle.threads) <= 1 or any(
         row.epsilon == 0 for row in injectivity_rows
@@ -921,16 +961,19 @@ def perturbation_limit(ladder_data: LadderData) -> PerturbationReport:
         for j in range(i, -1, -1):
             bound = pow2(j - i) * betas[j]
             sweep = target.composite_sweep(i, j)
-            attained = sweep.largest_within(alphas[i])
+            scale = sweep.scale
+            within, over = _floor(alphas[i], scale), _floor(bound, scale)
+            peak = sweep.largest_within(within)
             witness = None
-            if attained > bound:
-                witness = min(
+            if peak > over:
+                a, b, near, far = min(
                     (a, b, near, far)
-                    for near, far, a, b in sweep.pairs[:bisect_right(sweep.firsts, alphas[i])]
-                    if far > bound
+                    for near, far, a, b in sweep.pairs[:bisect_right(sweep.firsts, within)]
+                    if far > over
                 )
+                witness = (a, b, Fraction(near, scale), Fraction(far, scale))
             continuity_rows.append(
-                ContinuityBudgetRow(i, j, alphas[i], bound, attained, witness)
+                ContinuityBudgetRow(i, j, alphas[i], bound, Fraction(peak, scale), witness)
             )
 
     def stage_map(i: int, j: int) -> tuple:

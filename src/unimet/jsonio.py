@@ -116,9 +116,9 @@ def expect_key(obj, key: str, what: str):
 
 
 def _index_list(value, what: str) -> list:
-    if not isinstance(value, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in value
-    ):
+    # One set of entry types: a bool's type is bool, not int, so it is
+    # refused with every other non-int.
+    if not isinstance(value, list) or not {*map(type, value)} <= {int}:
         raise StructuralError(f"{what} must be an array of integers")
     return list(value)
 

@@ -6,7 +6,7 @@ the pairs whose first distance is at most t, or with the first pair whose
 second distance exceeds a bound.  Both compare with <=, so a threshold of
 0 is already a nontrivial query when a map glues points.  The embedding's
 separation rows and modulus of continuity, and the pair scans of
-``invlim``, all read it.
+``invlim``, all read it, each on ints over one scale.
 """
 from __future__ import annotations
 
@@ -24,10 +24,12 @@ class PairSweep:
     The sort is stable, so pairs with equal first distances keep the order
     they came in.  ``firsts`` lists the first distances in that order and
     ``peaks[k]`` is the largest second distance among pairs 0..k, so every
-    query is one bisection.
+    query is one bisection.  ``scale`` is kept for the reader of distances
+    given as ints over it; the sweep itself only compares them.
     """
 
-    def __init__(self, pairs: Iterable[Sequence]) -> None:
+    def __init__(self, pairs: Iterable[Sequence], scale: int = 1) -> None:
+        self.scale = scale
         self.pairs = tuple(sorted(pairs, key=itemgetter(0)))
         self.firsts = tuple(pair[0] for pair in self.pairs)
         self.peaks = tuple(accumulate((pair[1] for pair in self.pairs), max))

@@ -317,6 +317,14 @@ def window_chain(depth, width=3):
     return inverse_sequence(levels, bonds)
 
 
+def empty_top_chain():
+    """Levels of 2, 1 and 0 points.  The top level is empty, and so is the
+    shadow at every level, and the nonempty images below the top lie in no
+    neighborhood of it."""
+    levels = [interval_points(range(n), Fraction(1, 8)) for n in (2, 1, 0)]
+    return inverse_sequence(levels, [(0,), ()])
+
+
 # ---- input files ----
 
 

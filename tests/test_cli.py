@@ -22,6 +22,7 @@ import unimet.invlim
 import unimet.quotients
 import unimet.spaces
 from helpers import (
+    empty_top_chain,
     fundamental_sequence_to_json,
     halving_chain,
     interval_points,
@@ -589,8 +590,9 @@ def test_invlim_threads_and_ml(tmp_path, tower):
         (TOWER, 0, 0),
         (halving_chain(5, 6), 1, 0),
         (window_chain(4), 1, 1),
+        (empty_top_chain(), 1, 0),
     ],
-    ids=["tower", "halving", "window"],
+    ids=["tower", "halving", "window", "empty-top"],
 )
 def test_invlim_converge_and_cauchy(tmp_path, chain, converge_code, cauchy_code):
     path = write(tmp_path, "chain.json", truncation_to_json(chain))
@@ -1018,6 +1020,38 @@ def test_usage_errors_read_the_process_arguments(case, monkeypatch):
     argv, stderr = USAGE_ERRORS[case]
     monkeypatch.setattr(sys, "argv", ["unimet", *argv])
     assert exits(None, monkeypatch) == (2, "", stderr)
+
+
+def test_a_kept_parser_leaks_nothing_between_runs(monkeypatch, join_file, s3):
+    """One in-process sequence on the kept parsers gives, run by run, what
+    the same run gives on parsers built afresh: the usage error of build's
+    ``usage_error``, help wrapped at 40 and then at 80 columns, a build
+    whose grid starts below zero, and a check."""
+    def outcome(argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        return code, out.getvalue(), err.getvalue()
+
+    sequence = [
+        (["build", "cone", str(s3), "--depth", "1"], "80"),
+        (["build", "--help"], "40"),
+        (["build", "--help"], "80"),
+        (["build", "join", str(join_file), "--grid", "-1,1"], "80"),
+        (["check", str(s3)], "80"),
+    ]
+    kept = [outcome(argv, columns) for argv, columns in sequence]
+    fresh = []
+    for argv, columns in sequence:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv, columns))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [2, 0, 0, 0, 0]
+    assert kept[1] != kept[2] and kept[2] == (0, HELP_TEXTS["build"], "")
 
 
 # ---- the report schema ----

@@ -284,8 +284,8 @@ def test_au_metrize_matches_gauge_reference():
         result = au_metrize(seq)
         member_lists = [list(level.members) for level in seq.levels]
         want_gauge = gauge_from_covers(member_lists, seq.ground)
-        # the whole gauge, its nonzero diagonal included
-        assert [list(row) for row in result.gauge] == want_gauge
+        # the whole gauge, its nonzero diagonal included, as ints over its scale
+        assert result.gauge_ints == [[v * result.gauge_scale for v in row] for row in want_gauge]
         # the metric is the shortest-chain closure of the gauge off the diagonal
         off = [[v if x != y else 0 for y, v in enumerate(row)]
                for x, row in enumerate(want_gauge)]

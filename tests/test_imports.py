@@ -148,6 +148,48 @@ def test_scan_flags_float_arithmetic():
     ]
 
 
+# ---- the stored form, not its Fraction view ----
+
+
+def fraction_view_reads(tree):
+    """``line what`` of each read of a space's ``Fraction`` view, a
+    ``.dist`` attribute or a ``.d(...)`` call, outside ``raise`` statements,
+    whose messages may quote a distance."""
+    in_raise = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_raise:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "dist" \
+                and isinstance(node.ctx, ast.Load):
+            found.append(f"{node.lineno} .dist")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "d":
+            found.append(f"{node.lineno} .d()")
+    return sorted(found, key=lambda hit: int(hit.split()[0]))
+
+
+@pytest.mark.parametrize("module", [p.name for p in PACKAGE_MODULES if p.name != "spaces.py"])
+def test_no_fraction_view_reads(module):
+    """Only ``spaces.py``, which builds the view, reads it; every other
+    module computes on the stored ints and their scale."""
+    hits = fraction_view_reads(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+    assert not hits, [f"{module}:{hit}" for hit in hits]
+
+
+def test_scan_flags_fraction_view_reads():
+    # A view read in code is refused; one in a raise message is not.
+    tree = ast.parse(
+        "def gap(space, a, b):\n"
+        "    rows = space.dist\n"
+        "    if rows[a][b] != space.d(b, a):\n"
+        "        raise ValueError(f'{space.d(a, b)} vs {space.dist[b][a]}')\n"
+        "    return space.ints[a][b]\n"
+    )
+    assert fraction_view_reads(tree) == ["2 .dist", "3 .d()"]
+
+
 # ---- the package loads each module on first use ----
 
 

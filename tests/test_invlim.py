@@ -9,6 +9,7 @@ from hypothesis import example, given
 from helpers import (
     ConstructionInputs,
     construction_inputs,
+    empty_top_chain,
     halving_chain,
     interval_points,
     ladders,
@@ -437,7 +438,7 @@ def test_ladder_shape_validation():
 
 
 @given(truncations())
-@with_examples([retraction_tower(5), halving_chain(5, 6), window_chain(4)])
+@with_examples([retraction_tower(5), halving_chain(5, 6), window_chain(4), empty_top_chain()])
 def test_neighborhood_rows_match_the_frozen_loops(truncation):
     # Every spectrum scale, plus one between two scales and one past them all.
     for i, level in enumerate(truncation.levels):
