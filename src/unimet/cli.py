@@ -60,7 +60,7 @@ from .jsonio import (
     truncation_from_json,
 )
 from .reporting import ReportBuilder, canonical_bytes, digest_inputs
-from .scalars import ONE, ZERO, as_scalar, brief_text
+from .scalars import ONE, ZERO, as_scalar, brief_text, ratio_texts
 from .spaces import AXIOMS, FiniteMetricSpace, check_metric_axioms, largest_gap
 
 # ---- constants ----
@@ -527,18 +527,23 @@ def _cmd_embed(args: argparse.Namespace) -> ReportBuilder:
             },
         )
     builder.check("map is injective", embedding.certificate.injective)
+    # The continuity rows and the images print from their ints over ``big``,
+    # through one text per distinct value.
+    rows, supports = embedding.certificate.continuity_ints, embedding.supports
+    text = ratio_texts(set().union(*rows, *map(dict.values, supports)), embedding.big)
     builder.info(
         "modulus of continuity",
-        witnesses=[list(pair) for pair in embedding.certificate.continuity],
+        witnesses=[[text[delta], text[eps]] for delta, eps in rows],
     )
     builder.info(
         "embedded images",
         witnesses=[
             {
-                "point": space.points[i],
-                "image": {"support": {str(k): v for k, v in img.support}, "tail": img.tail},
+                "point": point,
+                "image": {"support": {str(k): text[v] for k, v in support.items()},
+                          "tail": "0"},
             }
-            for i, img in enumerate(embedding.images)
+            for point, support in zip(space.points, supports)
         ],
     )
     return builder

@@ -8,12 +8,22 @@ The metrization routine turns a fundamental sequence of covers (each level a
 star-refinement of the one before) into an exact metric via shortest chains,
 with the classical two-sided comparison d <= f <= 2d checked entrywise.
 
-A cover indexes its points once, on first use: ``holders[x]`` lists the
-members that hold x, ``point_stars[x]`` is their union, and the star of a
-subset is the union of its points' stars.  Ball containment numbers are
-reduced, for any cap, from one table of int distances to the members'
-complements (``complement_distances``), which a caller can build once and
-reuse, by one bisection into the space's sorted distinct ints.
+Each member is kept twice: as its sorted tuple of points and as an int
+mask, bit x set when x is in it.  A cover indexes its points once, on first
+use: ``holders[x]`` lists the members that hold x, and ``star_masks[x]``,
+the mask of the point star st(x), is the OR of their masks; the star of a
+subset is the OR of its points' star masks.  Containment is one big-int
+test, ``s | t == t`` for s inside t, so the star check and the kernels
+and stars of the point-finite refinement run on masks, and the
+metrization writes its gauge from the points of the star masks.  A cover
+read from a file goes through ``index_set`` and builds its masks on first
+use, so no mask is built before the metrization's ``GROUND_CAP`` is asked;
+the ball covers and refinements built here are in range by construction,
+skip ``index_set`` and carry their masks from the start.
+Ball containment numbers are reduced, for any cap, from one table of int
+distances to the members' complements (``complement_distances``), which a
+caller can build once and reuse, by one bisection into the space's sorted
+distinct ints.
 
 Sets of small diameter are tested through the maximal cliques of a
 threshold graph, listed by ``maximal_cliques``.  Their number can grow as
@@ -24,8 +34,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress, filterfalse
+from functools import cached_property, reduce
+from itertools import compress, count, filterfalse
+from operator import or_
 from typing import Iterable, Optional
 
 from .errors import PreconditionError, StructuralError
@@ -39,13 +50,12 @@ from .spaces import FiniteMetricSpace, index_set
 CLIQUE_CAP = 20_000
 
 # Most points a metrized ground may have.  ``unimet metrize`` on ball covers
-# of depth 4 / 8 over random closure spaces takes 0.8–1.2 / 0.8–1.0 s on 320
-# points, 2.8–3.6 / 2.9–3.6 s on 448, 5.0–5.1 / 4.6–5.2 s on 512 and
-# 11.9–12.7 s (depth 4) on 640, as long on 448 points as it took on 320
-# when 320 was the cap (2.9–3.1 / 3.1–3.6 s); two to eight runs each,
-# Python 3.11, Xeon vCPU.  On 448 points the star-refinement check takes
-# 1.5 s and ``au_metrize`` 1.35 s, of which its closure is 0.55 s.
-GROUND_CAP = 448
+# of depth 4 / 8 over random closure spaces takes 0.9-1.0 / 1.0-1.1 s on 448
+# points, 1.1-1.2 / 1.0-1.3 s on 512 and 1.8-2.7 / 2.3-2.6 s on 640, within
+# the 2.8-3.6 / 2.9-3.6 s it took on 448 points when 448 was the cap; three
+# runs each, Python 3.11, Xeon vCPU.  With the covers on masks, the
+# shortest-path closure leads: 0.57 of 1.29 s in a cProfile of 448 points.
+GROUND_CAP = 640
 
 
 def check_ground_size(ground: int) -> None:
@@ -53,6 +63,26 @@ def check_ground_size(ground: int) -> None:
     if ground > GROUND_CAP:
         raise PreconditionError(
             f"{ground} points exceed the metrization's GROUND_CAP = {GROUND_CAP}")
+
+
+# A mask's binary digits, lowest bit first, as the bytes 0 and 1, and back.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask_flags(mask: int) -> bytes:
+    """Byte x is 1 when bit x of the mask is set, else 0, up to its top bit."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def _points(mask: int) -> tuple:
+    """The points of a mask, ascending: the positions of its set bits."""
+    return tuple(compress(count(), _mask_flags(mask)))
+
+
+def _flag_mask(flags: bytes) -> int:
+    """The mask whose bit x is ``flags[x]``, each flag 0 or 1."""
+    return int(flags.translate(_DIGITS)[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -76,11 +106,26 @@ class Cover:
             missing = sorted(set(range(self.ground)) - covered)
             raise StructuralError(f"not a cover: points {missing} uncovered")
 
+    @classmethod
+    def _built(cls, ground: int, members: Iterable[tuple], masks: Iterable[int]) -> "Cover":
+        """A cover built here from sorted in-range members and their masks,
+        kept as the constructor keeps them (the first of equal members) but
+        without its ``index_set`` pass; the empty member and the uncovered
+        point are refused on the masks."""
+        if ground <= 0:
+            raise StructuralError("cover ground must be a positive integer")
+        kept = dict(zip(masks, members))
+        if 0 in kept:
+            raise StructuralError("cover members must be nonempty")
+        missing = ((1 << ground) - 1) & ~reduce(or_, kept, 0)
+        if missing:
+            raise StructuralError(f"not a cover: points {list(_points(missing))} uncovered")
+        cover = object.__new__(cls)
+        cover.__dict__.update(ground=ground, members=tuple(kept.values()), masks=tuple(kept))
+        return cover
+
     def __len__(self) -> int:
         return len(self.members)
-
-    def member_sets(self) -> list:
-        return [frozenset(m) for m in self.members]
 
     @cached_property
     def holders(self) -> tuple:
@@ -92,28 +137,35 @@ class Cover:
         return tuple(map(tuple, held))
 
     @cached_property
-    def point_stars(self) -> tuple:
-        """Per point x, st(x): the union of the members holding x, built
-        once and cached."""
-        members = self.members
-        return tuple(frozenset().union(*map(members.__getitem__, held))
-                     for held in self.holders)
+    def masks(self) -> tuple:
+        """Per member, its mask: the int with bit x set when x is in it.
+        Built on first use, after any cap on the ground has been asked; the
+        covers built here carry theirs from the start."""
+        return tuple(sum(map((1).__lshift__, member)) for member in self.members)
 
-    def star_of(self, subset: Iterable[int]) -> set:
-        """Union of the members meeting the subset, read off ``point_stars``."""
-        return set().union(*map(self.point_stars.__getitem__, subset))
+    @cached_property
+    def star_masks(self) -> tuple:
+        """Per point x, the mask of st(x): the OR of the masks of the members
+        holding x, built once and cached."""
+        masks = self.masks
+        return tuple(reduce(or_, map(masks.__getitem__, held)) for held in self.holders)
+
+    def star_of(self, points: Iterable[int]) -> int:
+        """The mask of the union of the members meeting the points: the OR
+        of their ``star_masks``."""
+        return reduce(or_, map(self.star_masks.__getitem__, points), 0)
 
 
 def star_refines(cover: Cover, target: Cover):
     """None if the star of every member of cover lies in a member of target,
     else the index of the first member whose star does not.  A target
     member that holds the star holds the member's first point, so only the
-    members in that point's ``holders`` are tested."""
-    targets = target.member_sets()
+    members in that point's ``holders`` are tested, each by one mask test."""
+    targets = target.masks
     holders = target.holders
     for k, member in enumerate(cover.members):
         st = cover.star_of(member)
-        if not any(st <= targets[j] for j in holders[member[0]]):
+        if not any(st | targets[j] == targets[j] for j in holders[member[0]]):
             return k
     return None
 
@@ -124,15 +176,17 @@ def ball_cover(space: FiniteMetricSpace, radius: ScalarLike) -> Cover:
     Runs on the space's stored form: y lies in the ball of x when
     ``ints[x][y] * q <= p * scale`` for the radius p/q, that is when the int
     ``ints[x][y]`` is at most ``p * scale // q``, so the radius needs no
-    common denominator with the distances.
+    common denominator with the distances.  Each row gives one byte flag per
+    point, read as the member and as its mask.
     """
     r = as_scalar(radius)
     if r < 0:
         raise StructuralError("ball radius must be nonnegative")
     within = (r.numerator * space.scale // r.denominator).__ge__
     points = range(space.n)
-    members = tuple(tuple(compress(points, map(within, row))) for row in space.ints)
-    return Cover(space.n, members)
+    flags = [bytes(map(within, row)) for row in space.ints]
+    return Cover._built(space.n, [tuple(compress(points, f)) for f in flags],
+                        map(_flag_mask, flags))
 
 
 # ---- small sets and containment numbers ----
@@ -192,23 +246,32 @@ def complement_distances(space: FiniteMetricSpace, cover: Cover) -> list:
     The columns are ints over the space's ``scale``: the least entry of row
     x of its ``ints`` over the complement's points.  Each row is sorted by
     value once, so that entry is the first of x's sorted row whose point
-    lies outside V; on a metric, a point outside V stops at its own 0.
+    lies outside V, read off V's byte flags.  A row whose first point (its
+    head) lies outside V holds its least entry there, so a column starts
+    as the rows' least entries and only the rows headed by a point of V
+    scan on; on a metric, row x is headed by x itself, so a column costs
+    one scan per point of V.
     """
     if cover.ground != space.n:
         raise StructuralError("cover ground does not match the space")
     rows = space.ints
     orders = [sorted(range(space.n), key=row.__getitem__) for row in rows]
-    heads = [order[0] for order in orders]
+    lows = [row[order[0]] for row, order in zip(rows, orders)]
+    headed = [[] for _ in rows]
+    for x, order in enumerate(orders):
+        headed[order[0]].append(x)
+    whole = (1 << space.n) - 1
     table = []
-    for member in cover.member_sets():
-        if len(member) == space.n:
+    for member, mask in zip(cover.members, cover.masks):
+        if mask == whole:
             table.append(None)
             continue
-        inside = member.__contains__
-        table.append([
-            row[next(filterfalse(inside, order)) if head in member else head]
-            for row, order, head in zip(rows, orders, heads)
-        ])
+        inside = _mask_flags(mask).ljust(space.n, b"\0").__getitem__
+        column = lows.copy()
+        for y in member:
+            for x in headed[y]:
+                column[x] = rows[x][next(filterfalse(inside, orders[x]))]
+        table.append(column)
     return table
 
 
@@ -330,7 +393,10 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
     deepest, which writes last.  The metric is the shortest-chain closure
     of f.  Star-refinement (``refinement_witness``) makes f at most 2d, so
     the metric determines the same uniformity as the covers; both
-    inequalities are checked exactly.
+    inequalities are checked exactly.  The gauge rows are written from
+    the points of each level's ``star_masks``; the same points clear the
+    diameters of the members of C_{2n} in one pass per level, and a level
+    that fails has its member pairs walked for the witnesses.
     Sets of diameter at most 2^-(n+1) are checked through the maximal
     cliques of the threshold graph (``maximal_cliques``, at most ``CLIQUE_CAP``
     per level), in the order of their sorted tuples.  A ground past
@@ -351,9 +417,11 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
     halves = range(1, top + 1)
     scale = 2**top
     gauge = [[scale] * g for _ in range(g)]
+    stars = {}
     for h in halves:
         val = 2 ** (top - h)
-        for row, star in zip(gauge, levels[2 * h - 1].point_stars):
+        stars[h] = list(map(_points, levels[2 * h - 1].star_masks))
+        for row, star in zip(gauge, stars[h]):
             for y in star:
                 row[y] = val
     dist = closure(gauge)
@@ -371,6 +439,11 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
     member_diameter_ok = True
     for h in halves:
         bound = 2 ** (top - h)
+        # y shares a member of C_{2h} with x exactly when y lies in st(x), so
+        # no member has a pair past the bound when no row of dist passes it
+        # over its point's star; only a level where one does is walked.
+        if all(max(map(row.__getitem__, star)) <= bound for row, star in zip(dist, stars[h])):
+            continue
         for idx, member in enumerate(levels[2 * h - 1].members):
             for a in range(len(member)):
                 for b in member[a + 1:]:
@@ -379,7 +452,7 @@ def au_metrize(seq: FundamentalSequence) -> AuMetrization:
                         witnesses.append(("member_diameter", 2 * h, idx, member[a], b))
     clique_containment_ok = True
     for h in halves:
-        targets = levels[2 * h - 2].member_sets()
+        targets = list(map(frozenset, levels[2 * h - 2].members))
         for clique in _cliques_within(space, pow2(-(h + 1))):
             if not any(clique <= t for t in targets):
                 clique_containment_ok = False
@@ -422,10 +495,11 @@ def point_finite_refinement(target: Cover, helper: Cover) -> RefinementResult:
     Requires the helper to star-refine the target (star of every helper
     member inside some target member).  Kernels W_n peel the helper-star of
     target member n off the earlier stars; the output members are the helper
-    stars of the surviving kernels.  Every star is a union of the helper's
-    ``point_stars``, and each target member's star is taken once, for its
-    kernel and again as the inner star of its double star.  The index bound
-    is read per point off the ``holders`` of the result and of the target.
+    stars of the surviving kernels.  Every star is the OR of the helper's
+    ``star_masks`` over a set's points, and each target member's star is
+    taken once, for its kernel and again as the inner star of its double
+    star.  The index bound is read per point off the ``holders`` of the
+    result and of the target.
     """
     if target.ground != helper.ground:
         raise StructuralError("covers must share the ground")
@@ -434,35 +508,35 @@ def point_finite_refinement(target: Cover, helper: Cover) -> RefinementResult:
         raise PreconditionError(
             f"helper member {bad} has a star inside no target member"
         )
-    ground = target.ground
-    # The helper star of each target member, each a union of point stars.
-    stars = [helper.star_of(member) for member in target.members]
-    eaten: set = set()
-    members = []
+    # The helper star of each target member, as a mask.
+    stars = list(map(helper.star_of, target.members))
+    eaten = 0
+    masks = []
     origins = []
     core = []
     for n, st_n in enumerate(stars):
-        kernel = st_n - eaten
+        kernel = st_n & ~eaten
         eaten |= st_n
         if not kernel:
             continue
-        members.append(helper.star_of(kernel))
+        points = _points(kernel)
+        masks.append(helper.star_of(points))
         origins.append(n)
-        core.append(tuple(sorted(kernel)))
-    result_cover = Cover(ground, tuple(members))
+        core.append(points)
+    result_cover = Cover._built(target.ground, map(_points, masks), masks)
     double_star_ok = all(
-        helper.star_of(stars[origins[pos]]).issuperset(v)
-        for pos, v in enumerate(result_cover.members)
+        v & ~helper.star_of(_points(stars[origins[pos]])) == 0
+        for pos, v in enumerate(result_cover.masks)
     )
     # Per x, the largest origin among the refined members holding x against
     # the least target member containing st(x): the first in x's holders
     # that does, since x lies in st(x); the helper's star-refinement makes
     # one exist.
-    target_sets = target.member_sets()
+    targets = target.masks
     index_bound_ok = all(
         max(map(origins.__getitem__, held))
-        <= next(j for j in target.holders[x] if point_star <= target_sets[j])
-        for x, (held, point_star) in enumerate(zip(result_cover.holders, helper.point_stars))
+        <= next(j for j in target.holders[x] if point_star | targets[j] == targets[j])
+        for x, (held, point_star) in enumerate(zip(result_cover.holders, helper.star_masks))
     )
     return RefinementResult(
         result_cover, tuple(origins), tuple(core), double_star_ok, index_bound_ok

@@ -29,13 +29,14 @@ union of its two supports.  Each pair a < b is listed once, as (point
 distance, image distance), and every certificate reads that one list: two
 of them directly, the separation rows from one ``PairSweep`` keyed by
 twice the image distance and the modulus of continuity from one keyed by
-the point distance.  Fractions are built only for the returned embedding.
+the point distance.  The result keeps the supports and the continuity rows
+as these ints over ``big``; ``unimet embed`` prints them through
+``scalars.ratio_texts`` and builds no Fraction for them.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import repeat
 from math import lcm
 from operator import sub
@@ -51,7 +52,6 @@ from .covers import (
 from .errors import PreconditionError
 from .moduli import PairSweep
 from .scalars import ONE, Scalar, pow2
-from .sequences import SequencePoint
 from .spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric
 
 # Deepest embedding built.  Each level adds a refinement and a block of
@@ -64,11 +64,13 @@ DEPTH_CAP = 256
 
 # Most points embedded.  The ball covers and the pair gaps each grow with
 # the square of the point count, and a spread space needs a depth that
-# grows with it too.  On the same machine the geometric space {2^-i}
-# takes 0.09 / 0.6 / 1.9 / 4.0 s on 40 / 80 / 120 / 160 points at its
-# sufficient depth (equal to the point count) and 4.4-5.5 s on 160 points
-# at depth 256; random wide-denominator spaces of 160 points take 0.4 s
-# at their sufficient depth 5 and 2.5 s at depth 256.
+# grows with it too.  On the same machine ``unimet embed`` on the geometric
+# space {2^-i} takes 0.6-0.7 / 1.5-1.7 / 3.0-3.5 s on 80 / 120 / 160 points
+# at its sufficient depth (equal to the point count) and 3.6-4.0 s on 160
+# points at depth 256; a random wide-denominator space of 160 points takes
+# 0.3 s at its sufficient depth and 0.7-0.8 s at depth 256 (three runs
+# each).  A 176-point geometric space would take about (176/160)^3 times
+# as long, past the 4.0 s that 160 points took when the cap was set.
 POINT_CAP = 160
 
 
@@ -104,9 +106,14 @@ class SeparationRow:
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
-    """Quantitative properties of the embedding, all checked exhaustively."""
+    """Quantitative properties of the embedding, all checked exhaustively.
 
-    continuity: tuple
+    ``continuity_ints`` lists the modulus of continuity as (delta, epsilon)
+    rows of ints over ``big``.
+    """
+
+    continuity_ints: tuple
+    big: int
     separation: tuple
     injective: bool
     nonexpansive_ok: bool
@@ -115,12 +122,18 @@ class EmbeddingCertificate:
 
 @dataclass(frozen=True)
 class AharoniEmbedding:
-    """The embedding map with its levels and certificate."""
+    """The embedding map with its levels and certificate.
+
+    ``supports[x]`` is the image of point x as ``{coordinate: value}``, in
+    coordinate order, each value a positive int over ``big``, every other
+    coordinate 0.
+    """
 
     space: FiniteMetricSpace
     depth: int
     levels: tuple
-    images: tuple
+    supports: tuple = field(hash=False)
+    big: int
     certificate: EmbeddingCertificate
 
 
@@ -171,9 +184,10 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     V.  An image gap is the largest |a_k - b_k| over all coordinates: the
     larger of the two peaks (largest values) when the supports share no
     coordinate, as every coordinate is >= 0, and else the largest over the
-    union of the two supports.  Fractions are built only for the returned
-    clamps, images and rows.  A space of more than ``POINT_CAP`` points is
-    refused before any cover is built.
+    union of the two supports.  The supports and the continuity rows are
+    returned as these ints; Fractions are built only for the clamps and the
+    separation rows.  A space of more than ``POINT_CAP`` points is refused
+    before any cover is built.
     """
     if not space.n:
         raise PreconditionError("aharoni_embed needs a nonempty space")
@@ -263,17 +277,13 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     )
     injective = all(gap > 0 for _, gap in pairs)
 
-    exact = {v: Fraction(v, big) for support in supports for v in support.values()}
-    images = tuple(
-        SequencePoint(tuple((k, exact[v]) for k, v in support.items()))
-        for support in supports
-    )
+    # ``largest_within`` answers the Fraction ``ZERO`` when no pair within
+    # delta is apart; ``or 0`` keeps every row an int.
     sweep = PairSweep(pairs)
     continuity = tuple(
-        (Fraction(delta, big), Fraction(sweep.largest_within(delta), big))
-        for delta in sorted({0, *sweep.firsts})
+        (delta, sweep.largest_within(delta) or 0) for delta in sorted({0, *sweep.firsts})
     )
     certificate = EmbeddingCertificate(
-        continuity, separation, injective, nonexpansive, bounds_ok
+        continuity, big, separation, injective, nonexpansive, bounds_ok
     )
-    return AharoniEmbedding(space, depth, tuple(levels), images, certificate)
+    return AharoniEmbedding(space, depth, tuple(levels), tuple(supports), big, certificate)

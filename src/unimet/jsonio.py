@@ -1,6 +1,7 @@
 """JSON wire formats: readers for every shape the command line takes in,
 and the space writer, ``space_to_json``, which prints each distinct int of
-the stored form once, as ``format_scalar`` prints it over the scale.
+the stored form once, through the table of ``scalars.ratio_texts`` over the
+scale.
 
 Scalars travel as exact strings ("p/q", or "p" for integers; decimal
 strings parse too); ``scalars.as_scalar`` owns their rules and refuses
@@ -42,13 +43,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .errors import StructuralError
 from .reporting import jsonable
-from .scalars import Scalar, as_scalar, format_scalar
+from .scalars import Scalar, as_scalar, ratio_texts
 from .spaces import FiniteMetricSpace, index_set
 
 # Array nesting a point label may reach; deeper labels are refused before
@@ -157,14 +157,7 @@ def space_from_json(obj) -> FiniteMetricSpace:
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
-    scale, text = space.scale, {}
-    for v in set().union(*space.ints):
-        common = gcd(v, scale)
-        p, q = v // common, scale // common
-        try:
-            text[v] = str(p) if q == 1 else f"{p}/{q}"
-        except ValueError:  # past the digit limit: format_scalar's refusal
-            text[v] = format_scalar(Fraction(p, q))
+    text = ratio_texts(set().union(*space.ints), space.scale)
     out = {
         "points": jsonable(space.points),
         "dist": [list(map(text.__getitem__, row)) for row in space.ints],

@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Iterable, Union
 
 from .errors import PreconditionError, StructuralError
 
@@ -83,10 +84,31 @@ def format_scalar(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        raise StructuralError(
-            f"a scalar has more than {sys.get_int_max_str_digits()} digits "
-            "and cannot be printed"
-        ) from None
+        raise _unprintable() from None
+
+
+def _unprintable() -> StructuralError:
+    return StructuralError(
+        f"a scalar has more than {sys.get_int_max_str_digits()} digits "
+        "and cannot be printed"
+    )
+
+
+def ratio_texts(values: Iterable[int], scale: int) -> dict:
+    """Per int v of ``values``, the text of v / scale as ``format_scalar``
+    writes its Fraction: "p/q" in lowest terms, or "p" when q is 1.  One
+    gcd per value and no Fraction, so a caller holding ints over one
+    denominator prints them through one table; a value past the digit limit
+    is refused as ``format_scalar`` refuses it."""
+    text = {}
+    for v in values:
+        common = gcd(v, scale)
+        p, q = v // common, scale // common
+        try:
+            text[v] = str(p) if q == 1 else f"{p}/{q}"
+        except ValueError:
+            raise _unprintable() from None
+    return text
 
 
 def brief_scalar(value: Fraction) -> str:

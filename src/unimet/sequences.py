@@ -4,7 +4,7 @@ A ``SequencePoint`` models an element of the bounded sequence space whose
 coordinates are eventually constant: finitely many explicit coordinates plus a
 ``tail`` value taken by every other index.  The sup-norm distance between two
 such points is exact (beyond the union of supports both sequences sit at their
-tails), so the embedding's images can be certified in rational arithmetic.
+tails), so images in sequence space can be certified in rational arithmetic.
 """
 from __future__ import annotations
 

@@ -34,7 +34,10 @@ entry reader) and the render through the ``Fraction`` view
 (``space_to_json_reference``).
 So are the min-plus product and the shortest-path closure on int
 matrices as they ran before they packed rows (``min_plus_reference``,
-``closure_reference``).
+``closure_reference``), and the star check, the metrization's
+member-diameter loop and the point-finite refinement as they ran on sets
+before covers kept int masks (``star_refines_reference``,
+``member_diameter_reference``, ``point_finite_refinement_reference``).
 A cubical complex, which the package stores as its maximal cubes, is
 checked against its face-closed listing: every face of every cube.  The
 sup distance of sequence space and the sub-cylinder of a restricted map
@@ -51,9 +54,9 @@ from operator import add, sub
 from cubohedra import Cube
 from unimet.covers import (
     Cover,
+    RefinementResult,
     ball_cover,
     containment_from_distances,
-    point_finite_refinement,
 )
 from unimet.cylinders import mapping_cylinder_metric
 from unimet.embedding import (
@@ -437,6 +440,95 @@ def maximal_cliques_reference(neighbours):
             continue
         cliques.append(frozenset(members))
     return cliques
+
+
+# ---- covers on sets, as they ran before int masks ----
+
+
+def _holders(cover):
+    """Per point, the indices of the members holding it, in cover order."""
+    held = [[] for _ in range(cover.ground)]
+    for k, member in enumerate(cover.members):
+        for x in member:
+            held[x].append(k)
+    return held
+
+
+def _point_stars(cover):
+    """Per point, the union of the members holding it, as a frozenset."""
+    return [frozenset().union(*(cover.members[k] for k in held)) for held in _holders(cover)]
+
+
+def star_refines_reference(cover, target):
+    """None if the star of every member of cover lies in a member of target,
+    else the index of the first member whose star does not: each star a
+    union of point stars, tested as a set against the target members that
+    hold the member's first point."""
+    point_stars = _point_stars(cover)
+    targets = [frozenset(member) for member in target.members]
+    holders = _holders(target)
+    for k, member in enumerate(cover.members):
+        st = set().union(*map(point_stars.__getitem__, member))
+        if not any(st <= targets[j] for j in holders[member[0]]):
+            return k
+    return None
+
+
+def member_diameter_reference(cover, dist, bound):
+    """The metrization's member-diameter loop on one level: (member index,
+    a, b) for each pair a < b of a member, in member order, with
+    ``dist[a][b] > bound``."""
+    found = []
+    for idx, member in enumerate(cover.members):
+        for a in range(len(member)):
+            for b in member[a + 1:]:
+                if dist[member[a]][b] > bound:
+                    found.append((idx, member[a], b))
+    return found
+
+
+def point_finite_refinement_reference(target, helper):
+    """The point-finite refinement on sets: kernels peeled off the helper
+    stars of the target members, their stars as members, and both
+    certificates, with stars as unions of point stars."""
+    if target.ground != helper.ground:
+        raise StructuralError("covers must share the ground")
+    bad = star_refines_reference(helper, target)
+    if bad is not None:
+        raise PreconditionError(
+            f"helper member {bad} has a star inside no target member"
+        )
+    point_stars = _point_stars(helper)
+
+    def star_of(subset):
+        return set().union(*map(point_stars.__getitem__, subset))
+
+    stars = [star_of(member) for member in target.members]
+    eaten = set()
+    members, origins, core = [], [], []
+    for n, st_n in enumerate(stars):
+        kernel = st_n - eaten
+        eaten |= st_n
+        if not kernel:
+            continue
+        members.append(star_of(kernel))
+        origins.append(n)
+        core.append(tuple(sorted(kernel)))
+    result_cover = Cover(target.ground, tuple(members))
+    double_star_ok = all(
+        star_of(stars[origins[pos]]).issuperset(v)
+        for pos, v in enumerate(result_cover.members)
+    )
+    target_sets = [frozenset(member) for member in target.members]
+    target_holders = _holders(target)
+    index_bound_ok = all(
+        max(map(origins.__getitem__, held))
+        <= next(j for j in target_holders[x] if point_star <= target_sets[j])
+        for x, (held, point_star) in enumerate(zip(_holders(result_cover), point_stars))
+    )
+    return RefinementResult(
+        result_cover, tuple(origins), tuple(core), double_star_ok, index_bound_ok
+    )
 
 
 # ---- product helpers ----
@@ -935,7 +1027,7 @@ def ball_containment_number_reference(space, cover, cap=None):
     if capped is not None:
         candidates = [v for v in candidates if v <= capped]
         candidates.append(capped)
-    targets = cover.member_sets()
+    targets = [frozenset(member) for member in cover.members]
     best = None
     for threshold in sorted(set(candidates)):
         ok = True
@@ -997,7 +1089,7 @@ def aharoni_embed_reference(space, depth):
         target = ball_cover_reference(space, radius)
         helper = ball_cover_reference(space, radius / 5)
         try:
-            refinement = point_finite_refinement(target, helper)
+            refinement = point_finite_refinement_reference(target, helper)
         except PreconditionError as exc:
             raise PreconditionError(f"refinement failed at level {n}: {exc}")
         clamp = ball_containment_number_reference(
@@ -1065,10 +1157,36 @@ def aharoni_embed_reference(space, depth):
         pseudo=not injective,
     )
     table = continuity_modulus_reference(space, image_space, tuple(range(space.n)))
+    # The package keeps images and rows as ints over one denominator.
+    big = lcm(space.scale, 2 ** (depth + 2))
+    supports = tuple({k: _over(v, big) for k, v in img.support} for img in images)
+    rows_ints = tuple((_over(delta, big), _over(eps, big)) for delta, eps in table)
     certificate = EmbeddingCertificate(
-        table, tuple(rows), injective, nonexpansive, bounds_ok
+        rows_ints, big, tuple(rows), injective, nonexpansive, bounds_ok
     )
-    return AharoniEmbedding(space, depth, tuple(levels), images, certificate)
+    return AharoniEmbedding(space, depth, tuple(levels), supports, big, certificate)
+
+
+def _over(value, big):
+    """A Fraction as an int over ``big``, which its denominator divides."""
+    scaled = value * big
+    if scaled.denominator != 1:
+        raise AssertionError(f"{value} is not an int over {big}")
+    return scaled.numerator
+
+
+def embedded_images(emb):
+    """Each point's image as a ``SequencePoint``: its support's ints over
+    the embedding's ``big`` as Fractions, every other coordinate 0."""
+    return tuple(
+        SequencePoint(tuple((k, Fraction(v, emb.big)) for k, v in support.items()))
+        for support in emb.supports
+    )
+
+
+def continuity_rows(cert):
+    """The modulus of continuity as (delta, epsilon) Fractions."""
+    return tuple((Fraction(d, cert.big), Fraction(e, cert.big)) for d, e in cert.continuity_ints)
 
 
 
@@ -1077,7 +1195,7 @@ def complement_distances_dense(space, cover):
     row x of the space's ``ints`` over the whole complement; None for a
     member that is the whole ground."""
     table = []
-    for member in cover.member_sets():
+    for member in map(frozenset, cover.members):
         rest = [y for y in range(space.n) if y not in member]
         table.append([min(map(row.__getitem__, rest)) for row in space.ints] if rest else None)
     return table
@@ -1095,7 +1213,7 @@ def aharoni_embed_dense(space, depth):
     offset = 0
     for n in range(1, depth + 1):
         radius = pow2(-n - 2)
-        refinement = point_finite_refinement(
+        refinement = point_finite_refinement_reference(
             ball_cover(space, radius), ball_cover(space, radius / 5)
         )
         table = complement_distances_dense(space, refinement.cover)
@@ -1138,19 +1256,15 @@ def aharoni_embed_dense(space, depth):
         for data, clamp in zip(levels, clamps)
     )
     injective = all(gap > 0 for _, gap in pairs)
-    images = tuple(
-        SequencePoint(tuple((i, Fraction(v, big)) for i, v in enumerate(vector) if v))
-        for vector in vectors
-    )
+    supports = tuple({i: v for i, v in enumerate(vector) if v} for vector in vectors)
     sweep = PairSweep(pairs)
     continuity = tuple(
-        (Fraction(delta, big), Fraction(sweep.largest_within(delta), big))
-        for delta in sorted({0, *sweep.firsts})
+        (delta, sweep.largest_within(delta)) for delta in sorted({0, *sweep.firsts})
     )
     certificate = EmbeddingCertificate(
-        continuity, separation, injective, nonexpansive, bounds_ok
+        continuity, big, separation, injective, nonexpansive, bounds_ok
     )
-    return AharoniEmbedding(space, depth, tuple(levels), images, certificate)
+    return AharoniEmbedding(space, depth, tuple(levels), supports, big, certificate)
 
 
 # ---- pair scans, as the loops ran them ----

@@ -4,8 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -31,14 +33,16 @@ from helpers import (
     space,
     truncation_to_json,
     window_chain,
+    wide_space,
 )
+from oracles import continuity_rows
 from unimet.cli import INVLIM_MODES, build_parser, main
 from unimet.covers import ball_fundamental_sequence
-from unimet.embedding import DEPTH_CAP, POINT_CAP
+from unimet.embedding import DEPTH_CAP, POINT_CAP, aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import LEVEL_CAP, THREAD_CAP, inverse_sequence, telescope_metric
 from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
-from unimet.reporting import canonical_bytes
+from unimet.reporting import canonical_bytes, jsonable
 from unimet.scalars import ONE, ZERO, parameter_grid
 
 S3 = space("abc", {(0, 1): "1/2", (0, 2): "1/3", (1, 2): "1/4"})
@@ -463,6 +467,29 @@ def test_metrize_refuses_a_ground_past_the_cap(tmp_path, monkeypatch):
     assert run(["metrize", write(tmp_path, "seq.json", seq)])[0] == 0
 
 
+def test_metrize_refuses_a_wide_ground_in_memory_linear_in_it(tmp_path):
+    """A file naming 10^5 points is refused in the words it had when covers
+    kept no masks, a cover missing points as not a cover and a whole one by
+    the cap, tracing well under a megabyte per thousand points: no mask is
+    built before the cap is asked."""
+    ground = 10**5
+    sparse = {"covers": [{"ground": ground, "sets": [[0]]}]}
+    whole = {"covers": [{"ground": ground, "sets": [list(range(ground))]}]}
+    tracemalloc.start()
+    try:
+        got = [run(["metrize", write(tmp_path, "sparse.json", sparse)]),
+               run(["metrize", write(tmp_path, "whole.json", whole)])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [
+        (2, "", f"input error: not a cover: points {list(range(1, ground))} uncovered\n"),
+        (1, "", f"precondition failed: {ground} points exceed the metrization's "
+                f"GROUND_CAP = {unimet.covers.GROUND_CAP}\n"),
+    ]
+    assert peak < 64 * 2**20
+
+
 def test_metrize_refuses_a_bool_ground(tmp_path):
     bad = {"covers": [{"ground": True, "sets": [[0]]}]}
     code, out, err = run(["metrize", write(tmp_path, "bool.json", bad)])
@@ -572,6 +599,28 @@ def test_embed_refuses_a_depth_past_the_cap(tmp_path, s3):
     assert (code, out) == (1, "") and f"DEPTH_CAP = {DEPTH_CAP}" in err
     code, out, err = run(["embed", wide, "--rescale", "--depth", "2"])
     assert (code, out) == (2, "") and "cannot be printed" in err
+
+
+def test_embed_prints_the_ints_as_their_fractions(tmp_path):
+    """``embed`` prints the modulus of continuity and the images from the
+    embedding's ints over ``big``: the rows are those ints as Fractions, as
+    ``jsonable`` writes them."""
+    sp = wide_space(random.Random(787), 9)
+    path = write(tmp_path, "wide.json", space_to_json(sp))
+    code, out, err = run(["embed", path, "--rescale"])
+    assert code == 0, err
+    unit = sp.rescaled_to_diameter(ONE)
+    emb = aharoni_embed(unit, sufficient_depth(unit))
+    printed = rows(out)
+    assert printed["modulus of continuity"]["witnesses"] == jsonable(
+        [list(pair) for pair in continuity_rows(emb.certificate)])
+    assert printed["embedded images"]["witnesses"] == jsonable([
+        {"point": point,
+         "image": {"support": {k: Fraction(v, emb.big) for k, v in support.items()}, "tail": ZERO}}
+        for point, support in zip(unit.points, emb.supports)
+    ])
+    assert any("/" in v for w in printed["embedded images"]["witnesses"]
+               for v in w["image"]["support"].values())
 
 
 # ---- invlim ----

@@ -1,6 +1,8 @@
 """Cover calculus: refinement relations, metrization, point-finite refinement."""
 
 import random
+import re
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,9 @@ from oracles import (
     complement_distances_reference,
     gauge_from_covers,
     maximal_cliques_reference,
+    member_diameter_reference,
+    point_finite_refinement_reference,
+    star_refines_reference,
 )
 from unimet import covers
 from unimet.covers import (
@@ -73,16 +78,22 @@ def test_cover_guards():
 
 def test_star_is_union_of_meeting_members():
     cover = Cover(4, ((0, 1), (1, 2), (3,)))
-    assert cover.point_stars == ({0, 1}, {0, 1, 2}, {1, 2}, {3})
-    assert cover.star_of((0,)) == {0, 1}
-    assert cover.star_of((1,)) == {0, 1, 2}
-    assert cover.star_of((0, 3)) == {0, 1, 3}
-    assert cover.star_of(()) == set()
+    assert cover.masks == (0b11, 0b110, 0b1000)
+    assert cover.star_masks == (0b11, 0b111, 0b110, 0b1000)
+    assert cover.star_of((0,)) == 0b11
+    assert cover.star_of((1,)) == 0b111
+    assert cover.star_of((0, 3)) == 0b1011
+    assert cover.star_of(()) == 0
+
+
+def _sets(masks):
+    """Each mask as the frozenset of its set bits."""
+    return [frozenset(x for x in range(m.bit_length()) if m >> x & 1) for m in masks]
 
 
 def refines(cover, target):
     """Every member of cover sits inside some member of target."""
-    return all(any(set(m) <= t for t in target.member_sets()) for m in cover.members)
+    return all(any(set(m) <= set(t) for t in target.members) for m in cover.members)
 
 
 def test_star_refinement_implies_weaker_relations():
@@ -94,7 +105,7 @@ def test_star_refinement_implies_weaker_relations():
         coarse = ball_cover(sp, radius)
         assert star_refines(fine, coarse) is None
         # the star of every point lies in a member, and so does every member
-        assert all(any(s <= t for t in coarse.member_sets()) for s in fine.point_stars)
+        assert all(any(s <= set(t) for t in coarse.members) for s in _sets(fine.star_masks))
         assert refines(fine, coarse)
 
 
@@ -354,7 +365,7 @@ def test_point_finite_refinement_invariants():
         assert result.index_bound_ok
         # index bound, checked independently: membership index never exceeds
         # the index of any target member containing the point's helper star
-        target_sets = target.member_sets()
+        target_sets = [set(u) for u in target.members]
         for x in range(sp.n):
             hits = [
                 result.origins[pos]
@@ -373,3 +384,140 @@ def test_point_finite_refinement_guards():
         point_finite_refinement(coarse, coarse)
     with pytest.raises(StructuralError, match="ground"):
         point_finite_refinement(coarse, Cover(2, ((0, 1),)))
+
+
+# ---- the masks against the set code ----
+
+
+@st.composite
+def covers_on(draw, ground):
+    """An ordered cover of {0, ..., ground-1}: random members, repeats
+    allowed, each point they leave out joined to one of them, shuffled."""
+    members = draw(st.lists(
+        st.sets(st.integers(0, ground - 1), min_size=1), min_size=1, max_size=ground + 2))
+    for x in range(ground):
+        if not any(x in m for m in members):
+            members[draw(st.integers(0, len(members) - 1))].add(x)
+    return Cover(ground, tuple(map(tuple, draw(st.permutations(members)))))
+
+
+@st.composite
+def cover_pairs(draw):
+    """A helper cover and a target cover of one ground.  The target holds
+    random members and the helper stars of some of the helper's members, so
+    the helper star-refines it in some draws and fails in others."""
+    ground = draw(st.integers(1, 8))
+    helper = draw(covers_on(ground))
+    stars = [
+        tuple(sorted(set().union(*(v for v in helper.members if set(u) & set(v)))))
+        for u in helper.members
+    ]
+    members = draw(st.lists(
+        st.sets(st.integers(0, ground - 1), min_size=1, max_size=3), max_size=ground))
+    members += [star for star in stars if draw(st.booleans())]
+    members += [(x,) for x in range(ground) if not any(x in m for m in members)]
+    return Cover(ground, tuple(map(tuple, draw(st.permutations(members))))), helper
+
+
+@given(cover_pairs())
+def test_star_refines_matches_the_set_reference(pair):
+    """The first member whose star lies in no target member, or None."""
+    target, helper = pair
+    assert star_refines(helper, target) == star_refines_reference(helper, target)
+    assert star_refines(target, helper) == star_refines_reference(target, helper)
+
+
+@given(cover_pairs())
+def test_point_finite_refinement_matches_the_set_reference(pair):
+    """Every field of the refinement, or the same refusal."""
+    target, helper = pair
+    try:
+        got = point_finite_refinement(target, helper)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(str(exc))}$"):
+            point_finite_refinement_reference(target, helper)
+        return
+    want = point_finite_refinement_reference(target, helper)
+    assert got == want
+    assert got.cover.masks == tuple(sum(1 << x for x in m) for m in want.cover.members)
+
+
+@st.composite
+def cover_sequences(draw):
+    """Two to five covers of one ground; each level after the first holds
+    singletons and some random pairs, so most draws star-refine."""
+    ground = draw(st.integers(1, 7))
+    levels = [draw(covers_on(ground))]
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(st.sets(st.integers(0, ground - 1), min_size=1, max_size=2),
+                              max_size=3))
+        members = [(x,) for x in range(ground)] + [tuple(p) for p in pairs]
+        levels.append(Cover(ground, tuple(draw(st.permutations(members)))))
+    return FundamentalSequence(ground, tuple(levels))
+
+
+def _clique_witnesses(space, levels, top):
+    """The metrization's clique rows by brute force: per h, each maximal
+    clique of diameter at most 2^-(h+1) inside no member of C_{2h-1}."""
+    found = []
+    for h in range(1, top + 1):
+        bound = Fraction(1, 2 ** (h + 1))
+        neighbours = [{y for y in range(space.n) if y != x and space.d(x, y) <= bound}
+                      for x in range(space.n)]
+        for clique in sorted(maximal_cliques_reference(neighbours), key=sorted):
+            if not any(clique <= set(m) for m in levels[2 * h - 2].members):
+                found.append(("clique_containment", 2 * h, tuple(sorted(clique))))
+    return found
+
+
+@given(cover_sequences())
+def test_au_metrize_matches_the_set_references(seq):
+    """The refinement witness, the gauge, the member-diameter rows and the
+    clique rows against the set code, on sequences that fail too."""
+    levels = seq.levels
+    bad = next(((k + 1, b) for k in range(1, len(levels))
+                if (b := star_refines_reference(levels[k], levels[k - 1])) is not None), None)
+    assert seq.refinement_witness == bad
+    if bad is not None:
+        with pytest.raises(PreconditionError, match="not a fundamental sequence"):
+            au_metrize(seq)
+        return
+    result = au_metrize(seq)
+    scale = result.gauge_scale
+    gauge = gauge_from_covers([list(level.members) for level in levels], seq.ground)
+    assert result.gauge_ints == [[v * scale for v in row] for row in gauge]
+    dist = [[v * scale for v in row] for row in result.space.dist]
+    top = len(levels) // 2
+    diameters = [("member_diameter", 2 * h, *w) for h in range(1, top + 1)
+                 for w in member_diameter_reference(levels[2 * h - 1], dist, 2 ** (top - h))]
+    cliques = _clique_witnesses(result.space, levels, top)
+    assert result.member_diameter_ok == (not diameters)
+    assert result.clique_containment_ok == (not cliques)
+    assert [w for w in result.witnesses if w[0] != "comparison"] == diameters + cliques
+
+
+@st.composite
+def sequences_with_a_metric(draw):
+    """A fundamental sequence and an int matrix on its ground, asymmetric
+    and with any diagonal, as no closure returns, so that both the star
+    verdict and the pair walk run."""
+    seq = draw(cover_sequences().filter(lambda seq: seq.refinement_witness is None))
+    scale = 2 ** (len(seq.levels) // 2)
+    values = st.integers(0, 2 * scale)
+    return seq, [[draw(values) for _ in range(seq.ground)] for _ in range(seq.ground)]
+
+
+@given(sequences_with_a_metric())
+def test_member_diameter_rows_match_the_pair_loop(case):
+    """Whatever the closure returns, the member-diameter rows are the pair
+    loop's on it, level by level: the star verdict skips only levels the
+    loop clears."""
+    seq, dist = case
+    levels = seq.levels
+    top = len(levels) // 2
+    with mock.patch.object(covers, "closure", lambda gauge: dist):
+        result = au_metrize(seq)
+    diameters = [("member_diameter", 2 * h, *w) for h in range(1, top + 1)
+                 for w in member_diameter_reference(levels[2 * h - 1], dist, 2 ** (top - h))]
+    assert [w for w in result.witnesses if w[0] == "member_diameter"] == diameters
+    assert result.member_diameter_ok == (not diameters)

@@ -15,7 +15,13 @@ from helpers import (
     random_space,
     wide_space,
 )
-from oracles import aharoni_embed_dense, aharoni_embed_reference, sup_distance
+from oracles import (
+    aharoni_embed_dense,
+    aharoni_embed_reference,
+    continuity_rows,
+    embedded_images,
+    sup_distance,
+)
 from unimet import embedding
 from unimet.covers import ball_cover, point_finite_refinement
 from unimet.embedding import aharoni_embed, sufficient_depth
@@ -54,16 +60,17 @@ def test_embedding_certificates_on_random_spaces():
         assert cert.coordinate_bounds_ok
         assert all(row.holds for row in cert.separation)
         assert len(emb.levels) == depth
-        assert len(emb.images) == sp.n
+        images = embedded_images(emb)
+        assert len(images) == sp.n
         # nonexpansive, rechecked directly on the images
         for a in range(sp.n):
             for b in range(sp.n):
-                assert sup_distance(emb.images[a], emb.images[b]) <= sp.d(a, b)
+                assert sup_distance(images[a], images[b]) <= sp.d(a, b)
         # level blocks carry coordinates in [0, 2^-n]
         for data in emb.levels:
             members = len(data.cover.members)
             assert data.clamp <= pow2(-data.level)
-            for img in emb.images:
+            for img in images:
                 for idx, value in img.support:
                     if data.offset <= idx < data.offset + members:
                         assert 0 <= value <= pow2(-data.level)
@@ -74,7 +81,7 @@ def test_embedding_certificates_on_random_spaces():
             assert row.point_bound == pow2(1 - data.level)
             for a in range(sp.n):
                 for b in range(sp.n):
-                    gap = sup_distance(emb.images[a], emb.images[b])
+                    gap = sup_distance(images[a], images[b])
                     if gap <= row.image_threshold:
                         assert sp.d(a, b) <= row.point_bound
 
@@ -85,15 +92,16 @@ def test_sufficient_depth_certifies_injectivity():
         sp = random_space(rng, rng.randint(2, 5), den=16, top=16)
         emb = aharoni_embed(sp, sufficient_depth(sp))
         assert emb.certificate.injective
+        images = embedded_images(emb)
         for a in range(sp.n):
             for b in range(a + 1, sp.n):
-                assert sup_distance(emb.images[a], emb.images[b]) > 0
+                assert sup_distance(images[a], images[b]) > 0
 
 
 def test_embedding_continuity_table_covers_the_spectrum():
     sp = interval_points([0, 1, 2, 3], Fraction(1, 4))
     emb = aharoni_embed(sp, 3)
-    table = emb.certificate.continuity
+    table = continuity_rows(emb.certificate)
     assert [d for d, _ in table] == sorted(sp.spectrum())
     # nonexpansiveness makes every epsilon at most its delta
     for delta, eps in table:
@@ -132,13 +140,13 @@ def test_embedding_matches_the_fraction_reference():
         assert [(d.cover, d.clamp, d.offset) for d in got.levels] == [
             (d.cover, d.clamp, d.offset) for d in want.levels
         ]
-        assert got.images == want.images
+        assert embedded_images(got) == embedded_images(want)
         cert, ref = got.certificate, want.certificate
         assert cert.separation == ref.separation
         assert cert.injective == ref.injective
         assert cert.nonexpansive_ok == ref.nonexpansive_ok
         assert cert.coordinate_bounds_ok == ref.coordinate_bounds_ok
-        assert cert.continuity == ref.continuity
+        assert continuity_rows(cert) == continuity_rows(ref)
         assert got == want
         cases += 1
     assert cases > 50
@@ -288,14 +296,15 @@ def test_embedding_properties(case):
     sp, depth = case
     emb = aharoni_embed(sp, depth)
     cert = emb.certificate
-    gaps = [[sup_distance(a, b) for b in emb.images] for a in emb.images]
+    images = embedded_images(emb)
+    gaps = [[sup_distance(a, b) for b in images] for a in images]
     assert cert.nonexpansive_ok
     assert all(gaps[a][b] <= sp.d(a, b) for a in range(sp.n) for b in range(sp.n))
     assert cert.coordinate_bounds_ok
     for data in emb.levels:
         assert 0 < data.clamp <= pow2(-data.level)
         block = range(data.offset, data.offset + len(data.cover.members))
-        for img in emb.images:
+        for img in images:
             assert all(0 <= img.value(i) <= data.clamp for i in block)
     assert all(row.holds for row in cert.separation)
     for data, row in zip(emb.levels, cert.separation):
@@ -314,11 +323,12 @@ def test_embedding_properties(case):
     # The modulus: exact rows over the sorted spectrum, epsilons
     # nonnegative and nondecreasing, each the largest image distance among
     # pairs within its delta, so that it holds and is tight.
-    assert all(type(x) is Fraction for row in cert.continuity for x in row)
-    assert [delta for delta, _ in cert.continuity] == sorted(sp.spectrum())
-    epsilons = [eps for _, eps in cert.continuity]
+    assert all(type(x) is int for row in cert.continuity_ints for x in row)
+    rows = continuity_rows(cert)
+    assert [delta for delta, _ in rows] == sorted(sp.spectrum())
+    epsilons = [eps for _, eps in rows]
     assert epsilons[0] >= 0 and epsilons == sorted(epsilons)
-    for delta, eps in cert.continuity:
+    for delta, eps in rows:
         assert eps == max(
             gaps[a][b] for a in range(sp.n) for b in range(sp.n) if sp.d(a, b) <= delta
         )
