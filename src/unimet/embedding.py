@@ -277,11 +277,9 @@ def aharoni_embed(space: FiniteMetricSpace, depth: int) -> AharoniEmbedding:
     )
     injective = all(gap > 0 for _, gap in pairs)
 
-    # ``largest_within`` answers the Fraction ``ZERO`` when no pair within
-    # delta is apart; ``or 0`` keeps every row an int.
     sweep = PairSweep(pairs)
     continuity = tuple(
-        (delta, sweep.largest_within(delta) or 0) for delta in sorted({0, *sweep.firsts})
+        (delta, sweep.largest_within(delta)) for delta in sorted({0, *sweep.firsts})
     )
     certificate = EmbeddingCertificate(
         continuity, big, separation, injective, nonexpansive, bounds_ok

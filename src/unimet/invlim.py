@@ -25,17 +25,19 @@ truncation needs a deep stack; ``check_level_count`` refuses more than
   closeness budgets, build the telescoping limit maps and verify the
   advertised closeness, uniqueness, and injectivity bounds.
 
+Every diagnostic but the ladder reads one int per point, its survival
+depth, in work linear in the point count; only a ladder builds composites.
+
 Neighborhoods are closed throughout: the eps-neighborhood of a set contains
 the points at distance <= eps from it.  Every table here is kept on the
-stored form: a level's excess table holds ints over the level's ``scale``,
-and a pair sweep holds ints over one scale, the lcm of the two spaces it
-compares.  A query floors its rational threshold into that scale
+stored form: a level's distances to the shadow are ints over the level's
+``scale``, and a pair sweep holds ints over one scale, the lcm of the two
+spaces it compares.  A query floors its rational threshold into that scale
 (``_floor``), so each containment and each bound is an exact int
 comparison, and Fractions are built only for the values and witnesses a
 report prints.  Every scan over point pairs reads a ``moduli.PairSweep``;
-a truncation builds each of its sweeps, its excess tables, its
-neighborhood table and its thread space once and keeps them beside its
-composites.
+a truncation builds its depths, its distances to the shadow, each of its
+sweeps, its neighborhood table and its thread space once and keeps them.
 """
 from __future__ import annotations
 
@@ -57,12 +59,11 @@ from .spaces import FiniteMetricSpace, ensure_total_map, index_set
 # Exhaustive thread enumeration refuses levels larger than this.
 THREAD_CAP = 16
 
-# Most levels a truncation may have.  The composite cache holds one tuple
-# per level pair and the neighborhood table one entry per (level, later
-# level, scale), so the work and the memory grow with the square of the
-# level count: on one-point levels ``invlim converge`` takes 0.36 / 1.4 /
-# 2.3 / 4.2 s at 600 / 1,200 / 1,500 / 2,000 levels, and the process peaks
-# at 67 / 207 / 270 / 440 MiB (Python 3.11, in process, best of three).
+# Most levels a truncation may have.  All modes but ``perturb`` read one
+# depth per point: on 1,500 one- or six-point levels each takes at most 0.4 s
+# and peaks under 46 MiB RSS (Python 3.11, in process, best of three).  But
+# ``ml`` prints each chain that does not settle: on one that never does, 61 MB
+# in 4.1 s and 285 MiB at 1,500 levels, growing with the square of the count.
 LEVEL_CAP = 1_500
 
 DEFAULT_TELESCOPE_GRID = (ZERO, Fraction(1, 2), ONE)
@@ -111,12 +112,11 @@ class InverseSequenceTruncation:
 
     ``bonds[i]`` is the index tuple of p_i, so ``bonds[i][x]`` is the image
     in level i of point x of level i+1; a bond given as a dict or a sequence
-    is normalized to that tuple, checked total and in range.  Composites
-    p_i o .. o p_{j-1} are cached, each extending the deepest cached one
-    into the same level; ``composite(j, i)`` is the identity when j == i.
-    So are what the diagnostics read of them: the pair sweep of each
-    composite, the excess table of each level, the neighborhood table and
-    the thread space.
+    is normalized to that tuple, checked total and in range.  Its survival
+    depths, distances to the shadow, neighborhood table and thread space are
+    built once and kept, as are the composites p_i o .. o p_{j-1} that a
+    ladder asks for and their pair sweeps, each composite extending the
+    deepest cached one into its level; ``composite(j, i)`` is the identity.
     More than ``LEVEL_CAP`` levels raise a PreconditionError.
     """
 
@@ -180,37 +180,33 @@ class InverseSequenceTruncation:
                 self.levels[j], self.levels[i], self.composite(j, i))
         return self._sweeps[key]
 
-    def image(self, j: int, i: int) -> tuple:
-        """Sorted index set of p^j_i(X_j) inside level i."""
-        return tuple(sorted(set(self.composite(j, i))))
+    @cached_property
+    def _depths(self) -> tuple:
+        """Per level i, the survival depth of each point x, the deepest k
+        with x in p^k_i(X_k): image k is the points of depth >= k and the
+        shadow those of depth ``top``.  One pass down the bonds: a point
+        takes the largest of its level and the depths of its preimages."""
+        depth = (self.top,) * self.levels[self.top].n
+        table = [depth]
+        for i in range(self.top - 1, -1, -1):
+            below = [i] * self.levels[i].n
+            for x, d in zip(self.bonds[i], depth):
+                if d > below[x]:
+                    below[x] = d
+            depth = tuple(below)
+            table.append(depth)
+        return tuple(reversed(table))
 
     @cached_property
-    def _excess(self) -> tuple:
-        """Per level i, the excess over the shadow of each image p^k_i(X_k),
-        as an int over the level's ``scale``.
-
-        The shadow is the top image, where every thread projects.  Entry
-        k - i of row i is the largest distance from a point of image k to
-        the shadow: zero for an empty image, None for a nonempty image over
-        an empty shadow, which no neighborhood reaches.  Images only shrink
-        as k grows, so the entries never increase along a row.
-        """
-        table = []
-        top, cache = self.top, self._composites
-        for i, space in enumerate(self.levels):
-            # Building the composite from the top caches each one into level
-            # i on its way; image k is the set of values of the one from k.
-            self.composite(top, i)
-            images = [cache[k, i] for k in range(i, top + 1)]
-            shadow = set(images[-1])
-            if shadow:
-                near = [min([row[y] for y in shadow]) for row in space.ints]
-                table.append(tuple(
-                    max([near[x] for x in image], default=0) for image in images
-                ))
-            else:
-                table.append(tuple(None if image else 0 for image in images))
-        return tuple(table)
+    def _near(self) -> tuple:
+        """Per level, each point's distance to the shadow as an int over the
+        level's ``scale``; None for a level whose shadow is empty, which no
+        neighborhood reaches."""
+        shadows = ([y for y, d in enumerate(depth) if d == self.top] for depth in self._depths)
+        return tuple(
+            tuple(min([row[y] for y in shadow]) for row in space.ints) if shadow else None
+            for space, shadow in zip(self.levels, shadows)
+        )
 
     @cached_property
     def _convergence_rows(self) -> tuple:
@@ -223,10 +219,13 @@ class InverseSequenceTruncation:
 
     @cached_property
     def _threads(self) -> tuple:
-        composites = [self.composite(self.top, i) for i in range(self.top + 1)]
-        return tuple(
-            tuple(comp[x] for comp in composites) for x in range(self.levels[self.top].n)
-        )
+        # Column i is p^top_i, composed from the top one bond at a time.
+        column = tuple(range(self.levels[self.top].n))
+        columns = [column]
+        for bond in reversed(self.bonds):
+            column = tuple(bond[x] for x in column)
+            columns.append(column)
+        return tuple(zip(*reversed(columns)))
 
     @cached_property
     def _thread_space(self) -> "ThreadSpace":
@@ -320,6 +319,7 @@ class StabilizationRow:
     the top, provided at least one equality step witnesses it (or the chain
     has a single entry); None means the images were still changing at the
     last step, so stabilization cannot be claimed within the window.
+    Only such a row lists its sorted ``images``; the others keep ().
     """
 
     level: int
@@ -346,11 +346,13 @@ def mittag_leffler_report(truncation: InverseSequenceTruncation) -> tuple:
             )
     rows = []
     top = truncation.top
-    for i in range(top + 1):
-        images = tuple(truncation.image(k, i) for k in range(i, top + 1))
-        # Images are nested, so once one equals the last, all later ones do.
-        settle = next(k for k in range(i, top + 1) if images[k - i] == images[-1])
+    for i, depth in enumerate(truncation._depths):
+        # Image k is the points of depth >= k, so it equals the shadow from
+        # one past the deepest point below the top on.
+        settle = max([d + 1 for d in depth if d < top], default=i)
         witnessed = settle < top or i == top
+        images = () if witnessed else tuple(
+            tuple(x for x, d in enumerate(depth) if d >= k) for k in range(i, top + 1))
         rows.append(StabilizationRow(i, images, settle if witnessed else None))
     return tuple(rows)
 
@@ -362,25 +364,19 @@ def mittag_leffler_report(truncation: InverseSequenceTruncation) -> tuple:
 class NeighborhoodRow:
     """Containments of the level images in a neighborhood of the shadow.
 
-    ``holds[k]`` says whether p^j_i(X_j), j = level + k, lies inside the
+    ``holds_from`` is the first j >= level with p^j_i(X_j) inside the
     closed epsilon-neighborhood of the shadow, the thread projection.  That
     is the convergence containment, and it is also the Cauchy condition
     that image j lies in the neighborhood of every later image: each later
     image contains the shadow, so the shadow's neighborhood is the
-    smallest of them.  Images only shrink, so ``holds`` turns true at most
-    once and stays true; ``holds_from`` is its first true index (the top
-    index when none is).
+    smallest of them.  Images only shrink, so the containment holds for
+    every image from ``holds_from`` on; it always holds at the top.
     """
 
     level: int
     top: int
     epsilon: Scalar
-    holds: tuple
     holds_from: int
-
-    @property
-    def all_hold(self) -> bool:
-        return self.holds_from == self.level
 
     @property
     def witnessed(self) -> bool:
@@ -391,9 +387,10 @@ class NeighborhoodRow:
 def convergence_row(
     truncation: InverseSequenceTruncation, level: int, epsilon: ScalarLike
 ) -> NeighborhoodRow:
-    """One neighborhood row, read from the level's excess table: an image
-    lies in the neighborhood when its excess is at most epsilon floored
-    into the level's scale."""
+    """One neighborhood row, read from the level's depths and distances to
+    the shadow: image j holds a point farther than epsilon, floored into the
+    level's scale, exactly while j is at most that point's depth; over an
+    empty shadow every point is too far."""
     top = truncation.top
     if not 0 <= level <= top:
         raise StructuralError(f"level {level} out of range")
@@ -402,12 +399,9 @@ def convergence_row(
     cut = _floor(eps, truncation.levels[level].scale)
     if cut < 0:
         raise PreconditionError("a neighborhood scale must be nonnegative")
-    holds = tuple(
-        excess is not None and excess <= cut
-        for excess in truncation._excess[level]
-    )
-    start = next((level + k for k, ok in enumerate(holds) if ok), top)
-    return NeighborhoodRow(level, top, eps, holds, start)
+    depth, near = truncation._depths[level], truncation._near[level]
+    far = depth if near is None else [d for d, v in zip(depth, near) if v > cut]
+    return NeighborhoodRow(level, top, eps, 1 + max(far) if far else level)
 
 
 def convergence_report(truncation: InverseSequenceTruncation) -> tuple:

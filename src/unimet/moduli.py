@@ -15,8 +15,6 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ZERO
-
 
 class PairSweep:
     """Pairs ``(first, second, *tags)`` sorted once by their first distance.
@@ -36,9 +34,9 @@ class PairSweep:
 
     def largest_within(self, t):
         """Largest second distance among pairs with first distance <= t;
-        ``ZERO`` when no such pair is at a positive distance."""
+        the int 0 when no such pair is at a positive distance."""
         k = bisect_right(self.firsts, t)
-        return self.peaks[k - 1] if k and self.peaks[k - 1] > 0 else ZERO
+        return self.peaks[k - 1] if k and self.peaks[k - 1] > 0 else 0
 
     def first_above(self, bound) -> Optional[Sequence]:
         """First pair, in sweep order, whose second distance exceeds bound.

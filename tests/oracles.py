@@ -20,6 +20,10 @@ space's diameter, spectrum and rescale, as they ran before the integer
 form.
 So are the pair scans of the inverse-sequence diagnostics: the loops
 over point pairs as they ran before those scans read one sorted sweep;
+and the neighborhood rows, the stabilization rows and the threads as they
+ran before they read survival depths, each image folded through the bonds
+(``convergence_row_reference``, ``mittag_leffler_reference``,
+``threads_reference``);
 and the adjusted metric, the cylinder slices, the weighted-sup rows, the
 glued union, the product, the interval, the largest isometry gap, the
 four-case join distance and the adjunction's certificates as they ran on
@@ -1270,9 +1274,10 @@ def aharoni_embed_dense(space, depth):
 # ---- pair scans, as the loops ran them ----
 
 
-def image_reference(truncation, j, i):
-    """Sorted image of level j in level i, folding the bonds one by one."""
-    points = set(range(truncation.levels[j].n))
+def image_reference(truncation, j, i, points=None):
+    """Sorted image of level j in level i, folding the bonds one by one;
+    of the given points of level j when ``points`` is set."""
+    points = set(range(truncation.levels[j].n) if points is None else points)
     for k in range(j - 1, i - 1, -1):
         points = {truncation.bonds[k][x] for x in points}
     return tuple(sorted(points))
@@ -1303,7 +1308,7 @@ def convergence_row_reference(truncation, level, epsilon):
             start = j
         else:
             break
-    return NeighborhoodRow(level, truncation.top, eps, holds, start)
+    return NeighborhoodRow(level, truncation.top, eps, start)
 
 
 def cauchy_row_reference(truncation, level, epsilon):
@@ -1323,7 +1328,35 @@ def cauchy_row_reference(truncation, level, epsilon):
         for k in range(level, truncation.top + 1)
     )
     start = next(k for k in range(level, truncation.top + 1) if viable[k - level])
-    return NeighborhoodRow(level, truncation.top, eps, viable, start)
+    return NeighborhoodRow(level, truncation.top, eps, start)
+
+
+def mittag_leffler_reference(truncation):
+    """The stabilization rows as they ran on the composites: every image
+    chain folded through the bonds, settled at its first image equal to the
+    last, and listed only for a row that does not stabilize."""
+    from unimet.invlim import StabilizationRow
+
+    top = truncation.top
+    rows = []
+    for i in range(top + 1):
+        images = tuple(image_reference(truncation, k, i) for k in range(i, top + 1))
+        settle = next(k for k in range(i, top + 1) if images[k - i] == images[-1])
+        if settle < top or i == top:
+            rows.append(StabilizationRow(i, (), settle))
+        else:
+            rows.append(StabilizationRow(i, images, None))
+    return tuple(rows)
+
+
+def threads_reference(truncation):
+    """One thread per top-level point, each entry the image of that point
+    folded down through the bonds."""
+    top = truncation.top
+    return [
+        tuple(image_reference(truncation, top, i, (x,))[0] for i in range(top + 1))
+        for x in range(truncation.levels[top].n)
+    ]
 
 
 def separation_index_reference(truncation, bundle, epsilon):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+import unimet.cli
 import unimet.cones
 import unimet.covers
 import unimet.cylinders
@@ -41,7 +42,7 @@ from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP, POINT_CAP, aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import LEVEL_CAP, THREAD_CAP, inverse_sequence, telescope_metric
-from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
+from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json, truncation_from_json
 from unimet.reporting import canonical_bytes, jsonable
 from unimet.scalars import ONE, ZERO, parameter_grid
 
@@ -652,8 +653,9 @@ def test_invlim_converge_and_cauchy(tmp_path, chain, converge_code, cauchy_code)
 
 
 def test_invlim_threads_on_a_long_truncation(tmp_path):
-    """1,200 one-point levels: deeper than the recursion limit, so each
-    composite must be built without recursion."""
+    """1,200 one-point levels: deeper than the recursion limit, so the
+    depths and the threads must be built one bond at a time, without
+    recursion."""
     level = {"points": ["p"], "dist": [["0"]]}
     long = {"levels": [level] * 1200, "bonds": [[0]] * 1199}
     code, out, err = run(["invlim", "threads", write(tmp_path, "long.json", long)])
@@ -679,6 +681,46 @@ def test_an_over_cap_truncation_is_refused_before_its_levels_are_parsed(tmp_path
     long = {"levels": [level] * LEVEL_CAP + [bad], "bonds": [[0]] * LEVEL_CAP}
     code, out, err = run(["invlim", "threads", write(tmp_path, "long.json", long)])
     assert (code, out) == (1, "") and "LEVEL_CAP" in err
+
+
+def test_invlim_at_the_level_cap_traces_memory_linear_in_it(tmp_path):
+    """Every mode but ``perturb`` reads one survival depth per point, so on
+    LEVEL_CAP one-point levels nothing holds an entry per pair of levels
+    (1,124,250 pairs) and the traced peak stays well under a megabyte per
+    hundred levels."""
+    level = {"points": ["p"], "dist": [["0"]]}
+    long = {"levels": [level] * LEVEL_CAP, "bonds": [[0]] * (LEVEL_CAP - 1)}
+    path = str(write(tmp_path, "cap.json", long))
+    # ``main``, not ``run``: validating 3,000-row reports against the schema
+    # would take most of the traced time, and the other invlim tests do it.
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["invlim", mode, path]) for mode in INVLIM_MODES if mode != "perturb"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == [0] * 5
+    assert peak < 16 * 2**20
+
+
+def test_only_a_ladder_builds_composites(tmp_path, monkeypatch):
+    """``threads``, ``ml``, ``converge``, ``cauchy`` and ``separate`` leave
+    the truncation's composite cache empty."""
+    built = []
+
+    def recording(doc):
+        built.append(truncation_from_json(doc))
+        return built[-1]
+
+    monkeypatch.setattr(unimet.cli, "truncation_from_json", recording)
+    for chain in (TOWER, halving_chain(5, 6), window_chain(4), empty_top_chain()):
+        path = write(tmp_path, "chain.json", truncation_to_json(chain))
+        for mode in INVLIM_MODES:
+            if mode != "perturb":
+                assert run(["invlim", mode, path])[0] in (0, 1)
+    assert len(built) == 20
+    assert all(vars(truncation).get("_composites", {}) == {} for truncation in built)
 
 
 def test_invlim_separate_passes(tower):

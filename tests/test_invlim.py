@@ -23,8 +23,11 @@ from oracles import (
     cauchy_row_reference,
     closeness_rows_reference,
     convergence_row_reference,
+    image_reference,
     injectivity_rows_reference,
+    mittag_leffler_reference,
     separation_index_reference,
+    threads_reference,
     uniform_continuity_witness_reference,
     uniqueness_rows_reference,
     weighted_sup_reference,
@@ -60,7 +63,9 @@ def test_truncation_composites_and_images():
     assert tower.composite(4, 0) == (0, 0, 0, 0, 0)
     assert tower.composite(3, 1) == (0, 1, 1, 1)
     assert tower.composite(2, 2) == (0, 1, 2)
-    assert tower.image(4, 2) == (0, 1, 2)
+    # image 4 into level 2 is the points of level 2 with depth >= 4
+    image = tuple(x for x, d in enumerate(tower._depths[2]) if d >= 4)
+    assert image == image_reference(tower, 4, 2) == (0, 1, 2)
 
 
 def test_truncation_bond_validation():
@@ -121,7 +126,7 @@ def test_identity_tower_reports():
     level = interval_points([0, 1], Fraction(1, 2))
     ident = inverse_sequence([level, level, level], [(0, 1), (0, 1)])
     assert all(row.stabilized for row in mittag_leffler_report(ident))
-    assert all(row.all_hold for rows in convergence_report(ident) for row in rows)
+    assert all(row.holds_from == row.level for rows in convergence_report(ident) for row in rows)
     sep = separation_index(ident, Fraction(0))
     assert sep.found and sep.level == 0
     assert sep.threshold == Fraction(1, 2)
@@ -167,7 +172,7 @@ def test_window_chain_rows():
 def test_full_reports_on_tower():
     tower = retraction_tower(5)
     table = convergence_report(tower)
-    assert all(row.all_hold for rows in table for row in rows)
+    assert all(row.holds_from == row.level for rows in table for row in rows)
     for rows in table:
         for row in rows:
             assert row.holds_from <= row.level + 1
@@ -409,7 +414,7 @@ def test_a_continuity_budget_witness_is_the_lexicographically_first_pair():
 def test_convergence_report_fails_when_a_row_fails():
     chain = halving_chain(5, 6)
     rows = [row for group in convergence_report(chain) for row in group]
-    assert not all(row.all_hold for row in rows)
+    assert not all(row.holds_from == row.level for row in rows)
 
 
 def test_ladder_shape_validation():
@@ -452,6 +457,14 @@ def test_neighborhood_rows_match_the_frozen_loops(truncation):
         tuple(convergence_row_reference(truncation, i, eps) for eps in level.spectrum())
         for i, level in enumerate(truncation.levels)
     )
+
+
+@given(truncations())
+@with_examples([empty_top_chain(), halving_chain(5, 6), window_chain(4), retraction_tower(5)])
+def test_stabilization_rows_and_threads_match_the_frozen_folds(truncation):
+    # Every row, the image lists of a row that does not stabilize included.
+    assert mittag_leffler_report(truncation) == mittag_leffler_reference(truncation)
+    assert threads(truncation) == threads_reference(truncation)
 
 
 @given(truncations())

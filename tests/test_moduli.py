@@ -60,3 +60,12 @@ def test_moduli_tables_match_the_frozen_loops(source, target, data):
     assert sweep_rows(source, target, mapping) == continuity_modulus_reference(
         source, target, mapping
     )
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=8))
+def test_an_int_sweep_answers_ints(pairs):
+    # Below every first distance, and where every pair within is at 0, the
+    # answer is the int 0 too.
+    sweep = PairSweep(pairs)
+    for t in range(-1, 11):
+        assert type(sweep.largest_within(t)) is int
