@@ -55,7 +55,6 @@ _EXPORTS = {
         "quotient_by_discrete_family",
     ),
     "scalars": ("Scalar", "as_scalar", "format_scalar", "pow2"),
-    "sequences": ("SequencePoint",),
     "spaces": (
         "AxiomReport", "FiniteMetricSpace", "check_metric_axioms",
         "ensure_diameter_at_most", "ensure_metric",

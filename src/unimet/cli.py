@@ -14,15 +14,10 @@ reads its input once (``_open``), so the parse and the report digest see
 the same bytes, and ``_cmd_build`` alone ends a build report with the
 space built.
 
-Each process builds each parser once, and only what it parses: when the
-first argument names a command, ``main`` takes the parser of that one
-subcommand, under a metavar that lists all five, so its help, usage lines
-and errors are the full parser's byte for byte.  Any other first argument
-(``--help``, an unknown command, none) gets the parser of all five.
-``build_parser`` keeps each of these six parsers for the next run in the
-same process; argparse reads ``COLUMNS``, ``sys.stdout`` and
-``sys.stderr`` when it prints, not when it builds, so a kept parser prints
-what a new one would.
+Each process builds its parser once: ``build_parser`` keeps it for the
+next run in the same process; argparse reads ``COLUMNS``, ``sys.stdout``
+and ``sys.stderr`` when it prints, not when it builds, so a kept parser
+prints what a new one would.
 
 The command line restates no rule of the library it calls.  It only splits
 and parses ``--grid``; the library refuses a bad grid, a join grid without
@@ -185,37 +180,20 @@ def _add_invlim(sub) -> None:
     _common(p)
 
 
-# Each subcommand's parser, in the order the usage lists them.
-_SUBPARSERS = {
-    "check": _add_check,
-    "build": _add_build,
-    "metrize": _add_metrize,
-    "embed": _add_embed,
-    "invlim": _add_invlim,
-}
-_COMMAND_METAVAR = "{" + ",".join(_SUBPARSERS) + "}"
-
-
 @cache
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given a command's name, of that
-    one alone.  The one-command parser lists all five in its usage line, so
-    every help text and error it prints is the full parser's, byte for byte.
-    Built once per argument and kept: parsing leaves a parser as it was, so
-    every run in a process shares it, and no caller may change it.
-    ``main`` passes a command's name or None, so it keeps at most six.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Built once and kept: parsing leaves
+    a parser as it was, so every run in a process shares it, and no caller
+    may change it.
     """
     parser = argparse.ArgumentParser(
         prog="unimet",
         description="exact metric constructions on finite spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command in _SUBPARSERS:
-        sub.metavar = _COMMAND_METAVAR
-        _SUBPARSERS[command](sub)
-    else:
-        for add in _SUBPARSERS.values():
-            add(sub)
+    # In the order the usage lists them.
+    for add in (_add_check, _add_build, _add_metrize, _add_embed, _add_invlim):
+        add(sub)
     return parser
 
 
@@ -765,8 +743,7 @@ def main(argv: Optional[list] = None) -> int:
             if (len(flag) > 2 and "--grid".startswith(flag)
                     and value[:1] == "-" and value[1:2].isdecimal()):
                 argv[i - 1:i + 1] = [f"--grid={value}"]
-    command = argv[0] if argv and argv[0] in _SUBPARSERS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         builder = _COMMANDS[args.command](args)
         status = 0 if builder.all_passed else 1

@@ -26,7 +26,9 @@ truncation needs a deep stack; ``check_level_count`` refuses more than
   advertised closeness, uniqueness, and injectivity bounds.
 
 Every diagnostic but the ladder reads one int per point, its survival
-depth, in work linear in the point count; only a ladder builds composites.
+depth, in work linear in the point count.  A ladder reads each pair of
+levels once: it pushes the pairs it checks, and the columns of its stage
+maps, down one bond at a time, and caches nothing per level pair.
 
 Neighborhoods are closed throughout: the eps-neighborhood of a set contains
 the points at distance <= eps from it.  Every table here is kept on the
@@ -35,13 +37,13 @@ stored form: a level's distances to the shadow are ints over the level's
 spaces it compares.  A query floors its rational threshold into that scale
 (``_floor``), so each containment and each bound is an exact int
 comparison, and Fractions are built only for the values and witnesses a
-report prints.  Every scan over point pairs reads a ``moduli.PairSweep``;
-a truncation builds its depths, its distances to the shadow, each of its
-sweeps, its neighborhood table and its thread space once and keeps them.
+report prints.  A scan over thread pairs that answers several thresholds
+reads a ``moduli.PairSweep``; a truncation builds its depths, its distances
+to the shadow, its columns, its neighborhood table and its thread space once
+and keeps them.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,21 +82,17 @@ def _within(sweep: PairSweep, t: Scalar) -> Scalar:
     return Fraction(sweep.largest_within(_floor(t, sweep.scale)), sweep.scale)
 
 
-def _map_sweep(source: FiniteMetricSpace, target: FiniteMetricSpace, f: tuple,
-               by_image: bool = False) -> PairSweep:
-    """The pairs a < b of ``source`` as (d(a, b), d(f(a), f(b)), a, b), the
-    two distances swapped when ``by_image``, swept once: ints over the lcm
-    of the two scales."""
+def _map_sweep(source: FiniteMetricSpace, target: FiniteMetricSpace, f: tuple) -> PairSweep:
+    """The pairs a < b of ``source`` as (d(f(a), f(b)), d(a, b), a, b),
+    keyed by image distance and swept once: ints over the lcm of the two
+    scales."""
     scale = lcm(source.scale, target.scale)
     lift, image_lift, m = scale // source.scale, scale // target.scale, target.ints
-    pairs = (
-        (row[b] * lift, m[fa][f[b]] * image_lift, a, b)
+    return PairSweep((
+        (m[fa][f[b]] * image_lift, row[b] * lift, a, b)
         for a, (row, fa) in enumerate(zip(source.ints, f))
         for b in range(a + 1, len(f))
-    )
-    if by_image:
-        pairs = ((far, near, a, b) for near, far, a, b in pairs)
-    return PairSweep(pairs, scale)
+    ), scale)
 
 
 def check_level_count(count: int) -> None:
@@ -113,11 +111,10 @@ class InverseSequenceTruncation:
     ``bonds[i]`` is the index tuple of p_i, so ``bonds[i][x]`` is the image
     in level i of point x of level i+1; a bond given as a dict or a sequence
     is normalized to that tuple, checked total and in range.  Its survival
-    depths, distances to the shadow, neighborhood table and thread space are
-    built once and kept, as are the composites p_i o .. o p_{j-1} that a
-    ladder asks for and their pair sweeps, each composite extending the
-    deepest cached one into its level; ``composite(j, i)`` is the identity.
-    More than ``LEVEL_CAP`` levels raise a PreconditionError.
+    depths, distances to the shadow, columns p^top_i, neighborhood table and
+    thread space are built once and kept; a composite p_i o .. o p_{j-1} is
+    built on each call, one bond at a time, and ``composite(i, i)`` is the
+    identity.  More than ``LEVEL_CAP`` levels raise a PreconditionError.
     """
 
     levels: tuple
@@ -144,41 +141,14 @@ class InverseSequenceTruncation:
     def top(self) -> int:
         return len(self.levels) - 1
 
-    @cached_property
-    def _composites(self) -> dict:
-        return {}
-
-    @cached_property
-    def _sweeps(self) -> dict:
-        return {}
-
     def composite(self, j: int, i: int) -> tuple:
         """Index tuple of p^j_i: X_j -> X_i for i <= j."""
         if not 0 <= i <= j <= self.top:
             raise StructuralError(f"composite needs 0 <= i <= j <= {self.top}")
-        cache = self._composites
-        # The cached composites into level i are those from levels i .. k:
-        # extend the deepest of them one bond at a time up to level j.
-        k = j
-        while (k, i) not in cache and k > i:
-            k -= 1
-        if (k, i) not in cache:
-            cache[(i, i)] = tuple(range(self.levels[i].n))
-        for m in range(k, j):
-            upper = cache[(m, i)]
-            cache[(m + 1, i)] = tuple(upper[x] for x in self.bonds[m])
-        return cache[(j, i)]
-
-    def composite_sweep(self, j: int, i: int) -> PairSweep:
-        """Pairs a < b of level j as (d_j(a, b), distance of their images
-        under p^j_i, a, b), ints over the lcm of the two levels' scales,
-        swept once: its largest second distance within alpha is the worst
-        image distance the composite attains on pairs within alpha."""
-        key = (j, i)
-        if key not in self._sweeps:
-            self._sweeps[key] = _map_sweep(
-                self.levels[j], self.levels[i], self.composite(j, i))
-        return self._sweeps[key]
+        column = tuple(range(self.levels[j].n))
+        for bond in reversed(self.bonds[i:j]):
+            column = tuple(bond[x] for x in column)
+        return column
 
     @cached_property
     def _depths(self) -> tuple:
@@ -218,14 +188,19 @@ class InverseSequenceTruncation:
         )
 
     @cached_property
-    def _threads(self) -> tuple:
-        # Column i is p^top_i, composed from the top one bond at a time.
+    def _columns(self) -> tuple:
+        """Per level i, the index tuple of p^top_i, composed from the top
+        one bond at a time."""
         column = tuple(range(self.levels[self.top].n))
         columns = [column]
         for bond in reversed(self.bonds):
             column = tuple(bond[x] for x in column)
             columns.append(column)
-        return tuple(zip(*reversed(columns)))
+        return tuple(reversed(columns))
+
+    @cached_property
+    def _threads(self) -> tuple:
+        return tuple(zip(*self._columns))
 
     @cached_property
     def _thread_space(self) -> "ThreadSpace":
@@ -280,7 +255,7 @@ class ThreadSpace:
 
     def projection(self, i: int) -> tuple:
         """Index tuple of the projection to level i, in thread order."""
-        return tuple(thread[i] for thread in self.threads)
+        return self.truncation._columns[i]
 
     @cached_property
     def pair_sweeps(self) -> tuple:
@@ -288,7 +263,7 @@ class ThreadSpace:
         projections to level i, thread distance, a, b), ints over the lcm of
         the level's and the thread space's scales, each swept once."""
         return tuple(
-            _map_sweep(self.space, level, self.projection(i), by_image=True)
+            _map_sweep(self.space, level, self.projection(i))
             for i, level in enumerate(self.truncation.levels)
         )
 
@@ -688,13 +663,15 @@ class LadderData:
         object.__setattr__(self, "alphas", alphas)
         if self.betas is None:
             betas = []
-            for j, level in enumerate(self.target.levels):
+            for level in self.target.levels:
                 floor = level.min_positive_distance()
-                beta = floor / 9 if floor is not None else ONE
-                for i in range(j, squares):
-                    attained = _within(self.target.composite_sweep(i, j), alphas[i])
-                    beta = max(beta, pow2(i - j) * attained)
-                betas.append(beta)
+                betas.append(floor / 9 if floor is not None else ONE)
+            for i, j, _, gaps in _pushed_pairs(self.target, alphas):
+                # Every beta is positive already, so a row attaining 0 keeps it.
+                peak = max(gaps, default=0)
+                if peak:
+                    attained = Fraction(peak, self.target.levels[j].scale)
+                    betas[j] = max(betas[j], pow2(i - j) * attained)
         else:
             betas = [as_scalar(b) for b in self.betas]
         if len(betas) != squares + 1:
@@ -703,6 +680,28 @@ class LadderData:
             if beta <= 0:
                 raise PreconditionError("beta scales must be positive")
         object.__setattr__(self, "betas", tuple(betas))
+
+
+def _pushed_pairs(truncation: InverseSequenceTruncation, alphas: tuple):
+    """For each level i below ``len(alphas)``, the pairs a < b of level i
+    within alpha_i, in (a, b) order, found once and pushed down one bond per
+    level: yields (i, j, pairs, gaps) for j = i, i - 1, .., 0, where
+    ``gaps`` holds the distances of the pairs' images under p^i_j as ints
+    over level j's scale."""
+    levels = truncation.levels
+    for i, alpha in enumerate(alphas):
+        cut = _floor(alpha, levels[i].scale)
+        pairs = [
+            (a, b) for a, row in enumerate(levels[i].ints)
+            for b in range(a + 1, len(row)) if row[b] <= cut
+        ]
+        images = pairs
+        for j in range(i, -1, -1):
+            if j < i:
+                bond = truncation.bonds[j]
+                images = [(bond[x], bond[y]) for x, y in images]
+            m = levels[j].ints
+            yield i, j, pairs, [m[x][y] for x, y in images]
 
 
 def _worst_gap(level: FiniteMetricSpace, f: tuple, g: tuple) -> tuple:
@@ -763,10 +762,10 @@ class ContinuityBudgetRow:
 
     The composite from target level ``upper`` down to ``lower`` must send
     pairs within alpha to pairs within the halving bound; ``attained`` is
-    the exact worst image distance, read from the composite's pair sweep,
-    which the truncation builds once for ``ladder`` and this row alike.  A
+    the exact worst image distance over the pairs within alpha, 0 when
+    there are none, read from the scan that the default betas read too.  A
     failing row's ``witness`` is the lexicographically least pair (a, b,
-    distance, image distance) of that sweep within alpha and past the bound.
+    distance, image distance) within alpha and past the bound.
     """
 
     upper: int
@@ -908,10 +907,14 @@ def _separation_readouts(ladder_data: LadderData) -> tuple:
     injectivity_rows = []
     for j in range(target.top + 1):
         n = ladder_data.indices[j]
-        # Cross-map pairs keyed by image distance, valued by source distance.
-        crossing = _map_sweep(
-            source.levels[n], target.levels[j], ladder_data.cross[j], by_image=True)
-        gamma = _within(crossing, 5 * betas[j])
+        # The largest source distance among cross-map pairs whose images
+        # lie within five betas.
+        level, f, m = source.levels[n], ladder_data.cross[j], target.levels[j].ints
+        cut = _floor(5 * betas[j], target.levels[j].scale)
+        gamma = Fraction(max((
+            row[b] for a, row in enumerate(level.ints)
+            for b in range(a + 1, len(row)) if m[f[a]][f[b]] <= cut
+        ), default=0), level.scale)
         epsilon = _within(source_bundle.pair_sweeps[n], gamma)
         injectivity_rows.append(InjectivityRow(j, gamma, epsilon))
     injective_certified = len(source_bundle.threads) <= 1 or any(
@@ -942,6 +945,7 @@ def perturbation_limit(ladder_data: LadderData) -> PerturbationReport:
     top = source.top
     stages = target.top
     levels = target.levels
+    indices = ladder_data.indices
     alphas = ladder_data.alphas
     betas = ladder_data.betas
 
@@ -951,52 +955,47 @@ def perturbation_limit(ladder_data: LadderData) -> PerturbationReport:
     )
 
     continuity_rows = []
-    for i in range(stages):
-        for j in range(i, -1, -1):
-            bound = pow2(j - i) * betas[j]
-            sweep = target.composite_sweep(i, j)
-            scale = sweep.scale
-            within, over = _floor(alphas[i], scale), _floor(bound, scale)
-            peak = sweep.largest_within(within)
-            witness = None
-            if peak > over:
-                a, b, near, far = min(
-                    (a, b, near, far)
-                    for near, far, a, b in sweep.pairs[:bisect_right(sweep.firsts, within)]
-                    if far > over
-                )
-                witness = (a, b, Fraction(near, scale), Fraction(far, scale))
-            continuity_rows.append(
-                ContinuityBudgetRow(i, j, alphas[i], bound, Fraction(peak, scale), witness)
-            )
-
-    def stage_map(i: int, j: int) -> tuple:
-        across = ladder_data.cross[i]
-        out = target.composite(i, j)
-        return tuple(out[across[y]] for y in source.composite(top, ladder_data.indices[i]))
-
-    telescoping_rows = tuple(
-        TelescopingRow(
-            i, j, pow2(j - i) * betas[j],
-            _worst_gap(levels[j], stage_map(i, j), stage_map(i + 1, j))[0],
+    for i, j, pairs, gaps in _pushed_pairs(target, alphas):
+        bound = pow2(j - i) * betas[j]
+        upper, scale = levels[i], levels[j].scale
+        over = _floor(bound, scale)
+        peak = max(gaps, default=0)
+        witness = None
+        if peak > over:
+            k = next(k for k, gap in enumerate(gaps) if gap > over)
+            a, b = pairs[k]
+            witness = (a, b, Fraction(upper.ints[a][b], upper.scale), Fraction(gaps[k], scale))
+        continuity_rows.append(
+            ContinuityBudgetRow(i, j, alphas[i], bound, Fraction(peak, scale), witness)
         )
-        for j in range(stages + 1)
-        for i in range(j, stages)
-    )
 
-    limit_maps = tuple(stage_map(stages, j) for j in range(stages + 1))
-    limit_rows = tuple(
-        LimitClosenessRow(j, 2 * betas[j], *_worst_gap(levels[j], limit_maps[j], stage_map(j, j)))
-        for j in range(stages + 1)
-    )
+    # Stage map (i, j) for i = j .. stages: the source column into level
+    # indices[i], across by cross map i, then down the target column p^i_j,
+    # which each stage extends by one bond.
+    telescoping_rows, limit_maps, limit_rows = [], [], []
+    for j in range(stages + 1):
+        column, stage_maps = range(levels[j].n), []
+        for i in range(j, stages + 1):
+            if i > j:
+                column = tuple(column[x] for x in target.bonds[i - 1])
+            across = ladder_data.cross[i]
+            stage_maps.append(tuple(column[across[y]] for y in source._columns[indices[i]]))
+        telescoping_rows += [
+            TelescopingRow(i, j, pow2(j - i) * betas[j], _worst_gap(levels[j], f, g)[0])
+            for i, f, g in zip(range(j, stages), stage_maps, stage_maps[1:])
+        ]
+        limit_maps.append(stage_maps[-1])
+        limit_rows.append(LimitClosenessRow(
+            j, 2 * betas[j], *_worst_gap(levels[j], stage_maps[-1], stage_maps[0])))
+
     thread_map = limit_maps[stages]
     return PerturbationReport(
         ladder_data,
         square_rows,
         tuple(continuity_rows),
-        telescoping_rows,
-        limit_rows,
-        limit_maps,
+        tuple(telescoping_rows),
+        tuple(limit_rows),
+        tuple(limit_maps),
         thread_map,
         len(set(thread_map)) == source.levels[top].n,
         *_separation_readouts(ladder_data),

@@ -5,8 +5,9 @@ then answers, for any threshold t, with the largest second distance among
 the pairs whose first distance is at most t, or with the first pair whose
 second distance exceeds a bound.  Both compare with <=, so a threshold of
 0 is already a nontrivial query when a map glues points.  The embedding's
-separation rows and modulus of continuity, and the pair scans of
-``invlim``, all read it, each on ints over one scale.
+separation rows and modulus of continuity, and ``invlim``'s scans over
+thread pairs, all read it, each on ints over one scale.  A scan that asks
+one threshold only takes a direct max instead and sorts nothing.
 """
 from __future__ import annotations
 

@@ -309,14 +309,14 @@ def _is_metric(m, packed: Optional[tuple] = None) -> bool:
                    for q, b, d in zip(rows[i + 1:], lifted[i + 1:], row[i + 1:]))
 
 
-def ensure_metric(space: FiniteMetricSpace, what: str = "space",
-                  allow_pseudo: bool = False) -> None:
-    """Raise PreconditionError unless the space passes the metric axioms."""
-    report = check_metric_axioms(space, allow_pseudo=allow_pseudo)
+def ensure_metric(space: FiniteMetricSpace, what: str = "space") -> None:
+    """Raise PreconditionError unless the space passes the metric axioms,
+    positivity included."""
+    report = check_metric_axioms(space, allow_pseudo=False)
     if not report.ok:
         first = report.violations[0]
         raise PreconditionError(
-            f"{what} is not a {'pseudo-metric' if allow_pseudo else 'metric'}: "
+            f"{what} is not a metric: "
             f"{first.axiom} fails at {first.witness} ({first.lhs} vs {first.rhs})")
 
 

@@ -15,10 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from sequences import SequencePoint
 from unimet.errors import PreconditionError, StructuralError
 from unimet.scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, parameter_grid
-from unimet.sequences import SequencePoint
-from unimet.spaces import FiniteMetricSpace, ensure_diameter_at_most, ensure_metric, index_set
+from unimet.spaces import (
+    FiniteMetricSpace,
+    check_metric_axioms,
+    ensure_diameter_at_most,
+    ensure_metric,
+    index_set,
+)
 
 # rational lower bound of pi: guards "diameter <= pi" conservatively
 # (inputs between this and pi are rejected, never the other way around)
@@ -104,7 +110,10 @@ def kuratowski_embed(space: FiniteMetricSpace) -> list:
     Requires diameter <= 1 so the image lives in the unit cube; rescale
     first if needed.  The embedding is exactly isometric for the sup norm.
     """
-    ensure_metric(space, "kuratowski_embed", allow_pseudo=True)
+    audit = check_metric_axioms(space, allow_pseudo=True)
+    if not audit.ok:
+        first = audit.violations[0]
+        raise PreconditionError(f"kuratowski_embed: {first.axiom} fails at {first.witness}")
     ensure_diameter_at_most(space, ONE, "kuratowski_embed")
     out = []
     for x in range(space.n):

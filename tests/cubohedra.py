@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from sequences import SequencePoint
 from unimet.errors import PreconditionError, StructuralError
 from unimet.scalars import ONE, ZERO, Scalar, ScalarLike, as_scalar, pow2
-from unimet.sequences import SequencePoint
 
 HALF = Fraction(1, 2)
 

@@ -56,6 +56,7 @@ from math import lcm
 from operator import add, sub
 
 from cubohedra import Cube
+from sequences import SequencePoint
 from unimet.covers import (
     Cover,
     RefinementResult,
@@ -84,7 +85,6 @@ from unimet.moduli import PairSweep
 from unimet.quotients import quotient_by_discrete_family
 from unimet.reporting import jsonable
 from unimet.scalars import as_scalar, format_scalar, pow2
-from unimet.sequences import SequencePoint
 from unimet.spaces import (
     AxiomReport,
     AxiomViolation,

@@ -5,9 +5,10 @@ each module of ``src/unimet``, prints the executable lines inside function
 bodies (methods, nested functions and comprehensions included) that no
 test ran, grouped by function, then the unreached share of all such lines
 and the package's size, the line count of ``src/unimet/*.py`` (what
-``cat src/unimet/*.py | wc -l`` prints).  Module-level and class-level statements run on import, so they are left
-out.  It is a report, not a gate: it exits with pytest's status, which is
-0 whenever the tests pass, whatever the share.
+``cat src/unimet/*.py | wc -l`` prints).  Module-level and class-level
+statements run on import, so they are left out.  It exits with pytest's
+status when the tests fail, else with 1 when the unreached share is above
+``UNREACHED_LIMIT``, else with 0.
 
     python3 tests/reach.py
 
@@ -21,6 +22,8 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "unimet"
+# The largest share of function-body lines that no command-line test may run.
+UNREACHED_LIMIT = 0.10
 
 
 def _function_codes(code):
@@ -103,6 +106,9 @@ def main():
     share = unreached / total if total else 0.0
     print(f"unreached: {unreached} of {total} executable function-body lines ({share:.1%})")
     print(f"package size: {size} lines in src/unimet/*.py")
+    if status == 0 and share > UNREACHED_LIMIT:
+        print(f"the unreached share is above {UNREACHED_LIMIT:.0%}")
+        return 1
     return status
 
 

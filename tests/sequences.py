@@ -5,6 +5,8 @@ coordinates are eventually constant: finitely many explicit coordinates plus a
 ``tail`` value taken by every other index.  The sup-norm distance between two
 such points is exact (beyond the union of supports both sequences sit at their
 tails), so images in sequence space can be certified in rational arithmetic.
+The test suite's reference models (the cone models, the cubohedra) and its
+embedding oracles build their sequence-space images from it.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import StructuralError
-from .scalars import ZERO, Scalar, ScalarLike, as_scalar
+from unimet.errors import StructuralError
+from unimet.scalars import ZERO, Scalar, ScalarLike, as_scalar
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-import unimet.cli
 import unimet.cones
 import unimet.covers
 import unimet.cylinders
@@ -42,7 +41,7 @@ from unimet.covers import ball_fundamental_sequence
 from unimet.embedding import DEPTH_CAP, POINT_CAP, aharoni_embed, sufficient_depth
 from unimet.errors import PreconditionError, StructuralError
 from unimet.invlim import LEVEL_CAP, THREAD_CAP, inverse_sequence, telescope_metric
-from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json, truncation_from_json
+from unimet.jsonio import LABEL_DEPTH_CAP, space_to_json
 from unimet.reporting import canonical_bytes, jsonable
 from unimet.scalars import ONE, ZERO, parameter_grid
 
@@ -702,25 +701,6 @@ def test_invlim_at_the_level_cap_traces_memory_linear_in_it(tmp_path):
         tracemalloc.stop()
     assert codes == [0] * 5
     assert peak < 16 * 2**20
-
-
-def test_only_a_ladder_builds_composites(tmp_path, monkeypatch):
-    """``threads``, ``ml``, ``converge``, ``cauchy`` and ``separate`` leave
-    the truncation's composite cache empty."""
-    built = []
-
-    def recording(doc):
-        built.append(truncation_from_json(doc))
-        return built[-1]
-
-    monkeypatch.setattr(unimet.cli, "truncation_from_json", recording)
-    for chain in (TOWER, halving_chain(5, 6), window_chain(4), empty_top_chain()):
-        path = write(tmp_path, "chain.json", truncation_to_json(chain))
-        for mode in INVLIM_MODES:
-            if mode != "perturb":
-                assert run(["invlim", mode, path])[0] in (0, 1)
-    assert len(built) == 20
-    assert all(vars(truncation).get("_composites", {}) == {} for truncation in built)
 
 
 def test_invlim_separate_passes(tower):

@@ -29,8 +29,8 @@ from oracles import (
     maximal_cubes_reference,
     membership_reference,
 )
+from sequences import SequencePoint
 from unimet.errors import PreconditionError, StructuralError
-from unimet.sequences import SequencePoint
 
 
 def point(support, tail=0):

@@ -1,7 +1,8 @@
 """Every name a module of the package or a test-side reference model
 imports is used in that module, every local a function there assigns is
-read, no module of the package does float arithmetic, and the package
-exports each public name from the module that defines it."""
+read, no module of the package (nor the exact sequence model beside it)
+does float arithmetic, and the package exports each public name from the
+module that defines it."""
 
 import ast
 import importlib
@@ -16,7 +17,11 @@ TESTS = Path(__file__).parent
 PACKAGE_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # The lint scans read the package's modules and the reference models the
 # tests keep beside them, each under its file name.
-SOURCES = {p.name: p for p in PACKAGE_MODULES + [TESTS / "conemodels.py", TESTS / "cubohedra.py"]}
+MODELS = [TESTS / name for name in ("conemodels.py", "cubohedra.py", "sequences.py")]
+SOURCES = {p.name: p for p in PACKAGE_MODULES + MODELS}
+# The exactness scans read the package and ``sequences.py``, whose sup
+# distance the embedding oracles certify against.
+EXACT_MODULES = [p.name for p in PACKAGE_MODULES] + ["sequences.py"]
 MODULES = sorted(SOURCES)
 
 
@@ -38,8 +43,9 @@ def referenced_names(tree):
 
 def test_every_module_is_scanned():
     assert "quotients.py" in MODULES and "spaces.py" in MODULES
-    assert "conemodels.py" in MODULES and "cubohedra.py" in MODULES
-    assert len(SOURCES) == len(PACKAGE_MODULES) + 2
+    assert {"conemodels.py", "cubohedra.py", "sequences.py"} <= set(MODULES)
+    assert "sequences.py" not in {p.name for p in PACKAGE_MODULES}
+    assert len(SOURCES) == len(PACKAGE_MODULES) + len(MODELS)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -127,9 +133,9 @@ def float_uses(tree):
     return found
 
 
-@pytest.mark.parametrize("module", [p.name for p in PACKAGE_MODULES])
+@pytest.mark.parametrize("module", EXACT_MODULES)
 def test_no_float_arithmetic(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"))
     assert not float_uses(tree), [f"{module}:{hit}" for hit in float_uses(tree)]
 
 
@@ -170,11 +176,11 @@ def fraction_view_reads(tree):
     return sorted(found, key=lambda hit: int(hit.split()[0]))
 
 
-@pytest.mark.parametrize("module", [p.name for p in PACKAGE_MODULES if p.name != "spaces.py"])
+@pytest.mark.parametrize("module", [name for name in EXACT_MODULES if name != "spaces.py"])
 def test_no_fraction_view_reads(module):
     """Only ``spaces.py``, which builds the view, reads it; every other
     module computes on the stored ints and their scale."""
-    hits = fraction_view_reads(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+    hits = fraction_view_reads(ast.parse(SOURCES[module].read_text(encoding="utf-8")))
     assert not hits, [f"{module}:{hit}" for hit in hits]
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given
 
 from helpers import (
     ConstructionInputs,
+    LadderCase,
     construction_inputs,
     empty_top_chain,
     halving_chain,
@@ -482,7 +483,40 @@ def test_separation_index_matches_the_frozen_loop(truncation):
         )
 
 
+def _collapsing_ladder():
+    """Four four-point levels 1/8 apart, under bonds that glue 0 and 1,
+    reverse, and glue again: from level 1 down, the first pair within 1/8
+    meets its bound and a later one fails, and tight betas fail rows at
+    every depth."""
+    line = interval_points(range(4), Fraction(1, 8))
+    chain = inverse_sequence([line] * 4, [(0, 0, 2, 3), (3, 2, 1, 0), (0, 0, 2, 3)])
+    identity = [range(4)] * 4
+    data = ladder(chain, chain, identity, alphas=["1/8"] * 3, betas=["1/64"] * 4)
+    return LadderCase(data, False)
+
+
+def _skipping_ladder():
+    """Target levels fed from source levels 0, 2 and 4, the lowest on
+    thirds and the others on eighths, with default betas."""
+    eighths = interval_points(range(3), Fraction(1, 8))
+    target = inverse_sequence(
+        [interval_points(range(2), Fraction(1, 3)), eighths, eighths], [(0, 1, 1), range(3)])
+    cross = [(0,), (0, 1, 2), (0, 1, 2, 2, 2)]
+    data = ladder(retraction_tower(5), target, cross, indices=[0, 2, 4], alphas=["1/8"] * 2)
+    return LadderCase(data, True)
+
+
+def _swapped_ladder():
+    """The depth-5 tower against itself with cross map 2 swapping two
+    points and zero alphas: square 2 fails its budget."""
+    tower = retraction_tower(5)
+    cross = [range(level.n) for level in tower.levels]
+    cross[2] = (0, 2, 1)
+    return LadderCase(ladder(tower, tower, cross, alphas=["0"] * tower.top), True)
+
+
 @given(ladders())
+@with_examples([_collapsing_ladder(), _skipping_ladder(), _swapped_ladder()])
 def test_ladder_pair_scans_match_the_frozen_loops(case):
     data = case.data
     target = data.target

@@ -8,8 +8,8 @@ import pytest
 
 from cubohedra import tail_ramp
 from oracles import sup_distance
+from sequences import SequencePoint
 from unimet.errors import StructuralError
-from unimet.sequences import SequencePoint
 
 
 def random_unit_point(rng):
