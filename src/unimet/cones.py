@@ -49,10 +49,6 @@ class ConeSpace(CylinderSpace):
     def base(self) -> FiniteMetricSpace:
         return self.source
 
-    @property
-    def apex_index(self) -> int:
-        return self.y_index(0)
-
 
 def cone_metric(space: FiniteMetricSpace, t_grid) -> ConeSpace:
     """Cone over a space of diameter <= 2 (so the base slice is isometric).

@@ -166,12 +166,16 @@ def adjunction_space(
 
     Default route (no explicit extension): both spaces need diameter <= 1;
     the union metric on the X side is the extension of
-    D(a, b) = d_X(a, b) + d_Y(f(a), f(b)) capped at 1, and cross pairs sit
-    at distance 1.  With an explicit extension (a metric on X's points
-    making f 1-Lipschitz, checked), the cross constant defaults to
+    D(a, b) = d_X(a, b) + d_Y(f(a), f(b)) capped at 1 (the extension itself,
+    with its scan, when no entry exceeds 1), and cross pairs sit at
+    distance 1.  With an explicit extension (a metric on X's points making
+    f 1-Lipschitz, checked), the cross constant defaults to
     1 + diam(extension) + diam(target) so cross hops never shorten chains.
-    An explicit ``cross`` must be at least 0; ``glue_parts`` refuses a
-    negative one before any product.
+    Either default is at least half of both diameters, so the three-hop
+    chains of ``glue_parts`` turn only at the attached classes; an explicit
+    ``cross`` below half a diameter makes them turn at every class.  An
+    explicit ``cross`` must be at least 0; ``glue_parts`` refuses a negative
+    one before any relax pass.
 
     The returned certificates are computed on the instance: the three-hop
     chain distance equals the chain limit, it is a metric, the target embeds
@@ -193,8 +197,12 @@ def adjunction_space(
         u, w, d = scale // space.scale, scale // target.scale, space.ints
         D = [[d[a][b] * u + image[f[a]][f[b]] * w for b in A] for a in A]
         raw = extend_metric(space, A, FiniteMetricSpace.from_int(A, D, scale))
-        capped = [[min(v, raw.scale) for v in row] for row in raw.ints]
-        ext = FiniteMetricSpace.from_int(space.points, capped, raw.scale)
+        # Capped at 1.  An extension that the cap leaves as it is stays the
+        # same object, so ``glue_parts`` reads the scan it already has.
+        ext = raw
+        if max(map(max, raw.ints)) > raw.scale:
+            capped = [[min(v, raw.scale) for v in row] for row in raw.ints]
+            ext = FiniteMetricSpace.from_int(space.points, capped, raw.scale)
         default_cross = ONE
     else:
         if extension.n != space.n:

@@ -10,15 +10,22 @@ Python ints and the results convert back exactly with ``Fraction(v, L)``.
 Every kernel packs each row into one int of ``w``-bit fields, so a few
 exact big-int operations on two rows act on every field at once (Lamport,
 "Multiple byte processing with full-word instructions", CACM 1975).  The
-triangle scan packs the signed entries (``packed_rows``).  The product and
-the closure relax a whole row in one step, and pack ``None`` as a sentinel
-INF that no finite result reaches: the largest sum plus one,
-``max(a) + max(b) + 1``, in the product, and one above the longest simple
-path, ``(n - 1) * max + 1``, in the closure.  Fields at or above INF read
-back as ``None``.  The sentinel is exact on matrices without a negative
-entry, the one domain of both: a chain block is a matrix of distances, and
-``glue_parts`` refuses a negative cross or a defective part before its
-first product.
+triangle scan packs the signed entries (``packed_rows``).  The product, the
+chain powers (``ChainPowers``) and the closure relax a whole row in one
+step, and pack ``None`` as a sentinel INF that no finite result reaches:
+the largest sum plus one, ``max(a) + max(b) + 1``, in the product, and one
+above the longest simple path, ``(n - 1) * max + 1``, in the chain powers
+and the closure, where a cheapest chain is simple.  Fields at or above INF
+read back as ``None``.  The sentinel is exact on matrices without a
+negative entry, the one domain of all three: a chain block is a matrix of
+distances, and ``glue_parts`` refuses a negative cross or a defective part
+before its first relax pass.
+
+``ChainPowers`` is the one chain engine: it packs a class block once and
+takes each power d_(n+1) = min(B, d_n[:, P] (x) B[P, :]) by one relax step
+per row and pivot in P, keeping the powers packed; ``quotients`` says which
+pivots are exact.  ``min_plus`` serves the one-sided products of
+``combinators.mcshane_rows``.
 
 Every matrix returned here is a list of lists, so results compare equal
 exactly when their entries do.
@@ -175,6 +182,61 @@ def closure(block: IntMatrix) -> IntMatrix:
             if t:
                 rows[i] = row_i ^ (row_i ^ (b - repunit)) & ((t << 1) - (t >> guard))
     return [_unpack(p, w, offsets, inf) for p in rows]
+
+
+class ChainPowers:
+    """The chain powers d_1, d_2, ... of a class block, pivoting at ``pivots``.
+
+    ``block`` is square, with a zero diagonal and no negative entry (None
+    forbids a hop).  The powers start at d_1 = ``block``, and each ``step``
+    takes d_(n+1) = min(block, d_n[:, P] (x) block[P, :]) for P the pivots:
+    the cheapest chain of at most n + 1 hops whose inner classes all lie in
+    P.  With every class in P this is d_n (x) block, the full chain power
+    (the pivot k = i gives the block row, k = j keeps d_n[i][j]).
+
+    The block is packed once.  Row i of a step starts from the packed block
+    row i and relaxes once through each pivot k with d_n[i][k] finite,
+    ``row_i <- min(row_i, d_n[i][k] * R + block_k)`` fieldwise.  The powers
+    stay packed; ``matrix`` unpacks the current one.
+    """
+
+    def __init__(self, block: IntMatrix, pivots: Sequence[int]) -> None:
+        n = len(block)
+        # No entry is negative, so the cheapest chain between two classes is
+        # simple, at most (n - 1) * max: INF is one above.  A relaxed field
+        # d_n[i][k] + block[k][j] is below 2 * INF.  A field starts at the
+        # block's entry, INF for None, and only a smaller sum replaces it, so
+        # every field is INF or its finite value: two powers are equal
+        # exactly when their packed rows are.
+        inf = (n - 1) * _largest(block) + 1
+        self._inf = inf
+        self._fields = _, offsets, repunit, _ = _fields(2 * inf - 1, n)
+        self._block = self.rows = [_pack(row, offsets, inf) for row in block]
+        self._pivots = [(offsets[k], self.rows[k] + repunit) for k in pivots]
+
+    def step(self) -> bool:
+        """Advance from d_n to d_(n+1), one relax pass; whether they differ."""
+        w, _, repunit, tops = self._fields
+        mask, guard, inf = (1 << w) - 1, w - 1, self._inf
+        following = []
+        for row, acc in zip(self.rows, self._block):
+            for shift, above in self._pivots:
+                d = row >> shift & mask
+                if d >= inf:
+                    continue
+                b = above + d * repunit
+                t = ((acc | tops) - b) & tops
+                if t:
+                    acc ^= (acc ^ (b - repunit)) & ((t << 1) - (t >> guard))
+            following.append(acc)
+        changed = following != self.rows
+        self.rows = following
+        return changed
+
+    def matrix(self) -> IntMatrix:
+        """The current power, None for no chain."""
+        w, offsets, _, _ = self._fields
+        return [_unpack(p, w, offsets, self._inf) for p in self.rows]
 
 
 def packed_rows(m: IntMatrix) -> tuple:

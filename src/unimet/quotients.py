@@ -7,20 +7,30 @@ made checkable here: d_n decreases in n, doubling composes in the min-plus
 sense, and d_infinity = d_n exactly when d_n already satisfies the triangle
 inequality.
 
-One engine serves every construction: ``_class_block`` reduces a point
-matrix to the class block, and the integer kernel takes its min-plus powers
-(``_power``).  On a nonnegative block with a zero diagonal (None is +inf),
-d_n = d_infinity exactly when d_n has no triangle violation, so the result's
-one axiom scan is also that certificate.  ``glue_parts`` does not check its
-parts, so it refuses a negative cross and a block outside that hypothesis
-before its first product.  The shortest-path closure runs only there, on a
-union that d_steps leaves unconnected, to tell a union that needs more hops
-from one that is disconnected.
+One engine serves every construction: ``_class_block`` builds the class
+block straight from the parts' rows, and ``kernel.ChainPowers`` takes its
+chain powers (``_power``), packed from the first to the last.  On a
+nonnegative block with a zero diagonal (None is +inf), d_n = d_infinity
+exactly when d_n has no triangle violation, so the result's one axiom scan
+is also that certificate.  ``glue_parts`` does not check its parts, so it
+refuses a negative cross and a block outside that hypothesis before its
+first relax pass.  The shortest-path closure runs only there, on a union
+that d_steps leaves unconnected, to tell a union that needs more hops from
+one that is disconnected.
 
-Gluing several spaces along identifications builds one union matrix over
-the points of all parts first: distances inside a part are its metric,
-distances across parts are a constant (or forbidden), and identified points
-in different parts sit at distance zero, so they share a class.
+Chains turn only at pivots.  ``quotient_by_discrete_family`` pivots at its
+family's classes, since its space is checked to be a metric.
+``glue_parts`` pivots at its multi-member classes when every part passes
+the triangle inequality, read from the part's cached scan, and the cross
+constant is None or at least half of every part's diameter; otherwise at
+every class, which is the full min-plus power.  ``_power`` says why the
+pivots are exact.
+
+Gluing several spaces along identifications makes one union over the
+points of all parts: distances inside a part are its metric, distances
+across parts are a constant (or forbidden), and identified points in
+different parts sit at distance zero, so they share a class.  Only its
+class block is built, never the union matrix.
 
 One routine, ``_assign_classes``, turns index groups into classes and
 their member lists for ``quotient_by_discrete_family`` and ``glue_parts``
@@ -30,11 +40,13 @@ alike.  No result stores an axiom verdict: ``is_metric`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence, Tuple, Type
 
 from .errors import PreconditionError, StructuralError
-from .kernel import closure, min_plus
+from .kernel import ChainPowers, closure
 from .scalars import ONE, ScalarLike, as_scalar
 from .spaces import (
     FiniteMetricSpace,
@@ -96,39 +108,83 @@ def _assign_classes(
     return tuple(class_of), class_members(class_of, count)
 
 
-def _class_block(dist, members_of: Sequence[Sequence[int]]) -> list:
-    """Class-to-class minimum of ``dist`` over member pairs.
+def _class_block(parts, factors, hop, class_of, members_of, shared) -> list:
+    """The class block of ``parts`` glued along classes, over one scale.
 
-    ``None`` entries are forbidden hops; a pair of classes with no allowed
-    hop gets None.  The rows of each class merge first, then the columns;
-    a singleton class passes its row through.  Works on Fractions and on
-    integer forms alike.
+    A hop inside part p costs its int distance times ``factors[p]``, a hop
+    between parts costs ``hop`` (None forbids it), and two members of one
+    class in different parts sit at zero; a class hop is the least over
+    member pairs, None when no pair has an allowed hop.  ``class_of`` runs
+    over the points of all parts in order.  Classes from ``shared`` on are
+    single points, those of a part in its index order (``_assign_classes``),
+    so a point's row over the classes reads its part's row at those points,
+    ``hop`` at the other parts' single points, and at each shared class the
+    least over its members in the part, with ``hop`` when one lies outside.
+    A shared class's row is the least of its members' rows, with a zero
+    diagonal when its members lie in two parts.
     """
+    count = len(members_of)
+    point_rows, part_of = [], []
+    start, offset = shared, 0
+    for p, (part, f) in enumerate(zip(parts, factors)):
+        m = part.ints if f == 1 else [list(map(mul, row, repeat(f))) for row in part.ints]
+        end = offset + part.n
+        single = [c >= shared for c in class_of[offset:end]]
+        stop = start + sum(single)
+        # Per shared class, its column over the part's points: the least
+        # over its members here, and ``hop`` when one lies outside.
+        columns = []
+        for members in members_of[:shared]:
+            cols = [g - offset for g in members if offset <= g < end]
+            column = map(itemgetter(*cols), m) if cols else repeat(hop)
+            if len(cols) > 1:
+                column = map(min, column)
+            if cols and len(cols) < len(members) and hop is not None:
+                column = map(min, column, repeat(hop))
+            columns.append(column)
+        before, after = [hop] * (start - shared), [hop] * (count - stop)
+        heads = zip(*columns) if columns else repeat(())
+        point_rows += [[*head, *before, *compress(row, single), *after]
+                       for head, row in zip(heads, m)]
+        part_of += [p] * part.n
+        offset, start = end, stop
+    block = []
+    for c, members in enumerate(members_of):
+        row = point_rows[members[0]]
+        for g in members[1:]:
+            row = [b if a is None or b is not None and b < a else a
+                   for a, b in zip(row, point_rows[g])]
+        if len({part_of[g] for g in members}) > 1 and row[c] > 0:
+            row[c] = 0
+        block.append(row)
+    return block
 
-    def merge(rows):
-        return [
-            rows[members[0]] if len(members) == 1 else [
-                min((v for v in column if v is not None), default=None)
-                for column in zip(*(rows[u] for u in members))
-            ]
-            for members in members_of
-        ]
 
-    return [list(row) for row in zip(*merge(list(zip(*merge(dist)))))]
+def _power(block: list, steps: int, pivots: Sequence[int]) -> list:
+    """d_steps of an integer block matrix, with chains turning only at
+    ``pivots`` (``kernel.ChainPowers``).  Chains never need more hops than
+    class_count - 1, because repeats drop out, so no more steps are taken.
 
-
-def _hops(block: list, steps: int) -> int:
-    """``max(1, min(steps, class_count - 1))``: chains never need more hops
-    than class_count - 1, because repeats drop out."""
-    return max(1, min(steps, len(block) - 1))
-
-
-def _power(block: list, steps: int) -> list:
-    """d_hops of an integer block matrix, hops as ``_hops`` caps them."""
-    power = block
-    for _ in range(_hops(block, steps) - 1):
-        power = min_plus(power, block)
-    return power
+    That is exact for the pivots that ``glue_parts`` passes under its
+    guard, the multi-member classes of parts that each pass the triangle
+    inequality, glued with no cross constant or one at least half of every
+    part's diameter; and so for the family's classes that
+    ``quotient_by_discrete_family`` pivots at, one metric part with no cross
+    hop.  A single-point class s of part p drops out of any chain: for the
+    nearest members r and q of its neighbours, u(r, s) + u(s, q) >= u(r, q),
+    where u is the union's distance,
+    - by the triangle inequality when r and q both lie in p;
+    - because u is the cross constant when exactly one of them lies
+      outside p;
+    - because 2 * cross >= diam when both lie in one other part (and u is
+      at most the cross constant when they lie in two).
+    Dropping s saves a hop and costs nothing, so the cheapest chain of at
+    most n hops turns only at multi-member classes.
+    """
+    powers = ChainPowers(block, pivots)
+    for _ in range(min(steps, len(block) - 1) - 1):
+        powers.step()
+    return powers.matrix()
 
 
 def _triangle_holds(space: FiniteMetricSpace) -> bool:
@@ -170,27 +226,29 @@ def quotient_by_discrete_family(
     """
     ensure_metric(space, "quotient_by_discrete_family")
     class_of, members_of = _assign_classes(space.points, family, PreconditionError)
-    block = _class_block(space.ints, members_of)
-    two = _power(block, 2)
+    shared = len(family)
+    block = _class_block([space], [1], None, class_of, members_of, shared)
+    # The space is a metric, so chains turn only at the family's classes.
+    powers = ChainPowers(block, range(shared))
+    settled = 2 if powers.step() else 1
     labels = tuple(tuple(space.points[i] for i in members) for members in members_of)
-    chain = FiniteMetricSpace.from_int(labels, two, space.scale, pseudo=True)
+    chain = FiniteMetricSpace.from_int(labels, powers.matrix(), space.scale, pseudo=True)
     if not _triangle_holds(chain):
         # d_2 falls short, so d_1 and d_2 differ; the powers settle at the
         # first n with d_n = d_{n+1}, since d_{n+1} = d_n then holds for good.
-        settled, power = 2, two
-        while (following := min_plus(power, block)) != power:
+        while powers.step():
             if settled == QUOTIENT_CAP:
                 raise PreconditionError(
                     "two-hop quotient distance differs from the chain limit for "
                     f"this family (they still differ at n = QUOTIENT_CAP = {settled})"
                 )
-            settled, power = settled + 1, following
+            settled += 1
         raise PreconditionError(
             "two-hop quotient distance differs from the chain limit for this "
             f"family (they agree first at n = {settled})"
         )
     ensure_metric(chain, "quotient of a metric by a disjoint family")
-    return QuotientResult(reflagged(chain, False), class_of, 1 if two == block else 2)
+    return QuotientResult(reflagged(chain, False), class_of, settled)
 
 
 @dataclass(frozen=True)
@@ -252,31 +310,26 @@ def glue_parts(
         index_set((point_idx,), parts[part_idx].n, f"part {part_idx} point index")
         return offsets[part_idx] + point_idx
 
-    places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
-    point_labels = [(p, parts[p].points[i]) for p, i in places]
-    class_of, members_of = _assign_classes(
-        point_labels, [[global_index(*pair) for pair in group] for group in identifications]
-    )
-    union = [
-        [
-            parts[p].ints[i][j] * factors[p] if p == q
-            else 0 if class_of[g] == class_of[h]
-            else hop
-            for h, (q, j) in enumerate(places)
-        ]
-        for g, (p, i) in enumerate(places)
-    ]
+    point_labels = [(p, point) for p, part in enumerate(parts) for point in part.points]
+    groups = [[global_index(*pair) for pair in group] for group in identifications]
+    class_of, members_of = _assign_classes(point_labels, groups)
     labels = tuple(tuple(point_labels[g] for g in members) for members in members_of)
 
-    block = _class_block(union, members_of)
+    block = _class_block(parts, factors, hop, class_of, members_of, len(groups))
     defect = next((c for c, row in enumerate(block)
-                   if row[c] != 0 or min(v for v in row if v is not None) < 0), None)
+                   if row[c] != 0
+                   or min(row if None not in row else [v for v in row if v is not None]) < 0),
+                  None)
     if defect is not None:
         raise PreconditionError(
             "glue_parts needs nonnegative distances and a zero diagonal, which "
             f"class {labels[defect]!r} breaks"
         )
-    power = _power(block, steps)
+    pivots = range(len(block))
+    if (all(cross_val is None or 2 * cross_val >= part.diameter() for part in parts)
+            and all(map(_triangle_holds, parts))):
+        pivots = [c for c, members in enumerate(members_of) if len(members) > 1]
+    power = _power(block, steps, pivots)
     # A None in d_steps means no chain of at most ``steps`` hops; only the
     # closure tells whether a longer chain connects the pair.
     if any(None in row for row in power):

@@ -132,24 +132,12 @@ class FiniteMetricSpace:
         included: built once per space from ``spectrum_ints`` and cached."""
         return self._spectrum
 
-    def positive_spectrum(self) -> tuple:
-        return tuple(v for v in self.spectrum() if v > 0)
-
     def min_positive_distance(self) -> Optional[Scalar]:
         """Least positive distance above the diagonal, None when there is
         none: one ``Fraction``, of the least positive ``spectrum_ints``."""
         values = self.spectrum_ints
         pos = bisect_right(values, 0)
         return Fraction(values[pos], self.scale) if pos < len(values) else None
-
-    def submetric(self, indices: Sequence[int]) -> "FiniteMetricSpace":
-        idx = list(indices)
-        if len(index_set(idx, self.n, "index")) != len(idx):
-            raise StructuralError("subset indices must be distinct")
-        m = self.ints
-        return FiniteMetricSpace.from_int(
-            [self.points[i] for i in idx], [[m[i][j] for j in idx] for i in idx],
-            self.scale, self.pseudo)
 
     def scaled(self, factor: ScalarLike) -> "FiniteMetricSpace":
         """Every distance times ``factor`` > 0, built from the stored form:

@@ -103,7 +103,9 @@ ONE = Fraction(1)
 
 
 def block_distance_matrix(dist, class_of):
-    """Minimum cross distance between classes, zero on the diagonal."""
+    """Minimum cross distance between classes, zero on the diagonal; a None
+    entry is a forbidden hop, and a pair of classes with no allowed hop gets
+    None."""
     classes = max(class_of) + 1
     block = [[None] * classes for _ in range(classes)]
     for c in range(classes):
@@ -115,7 +117,7 @@ def block_distance_matrix(dist, class_of):
             if a == b:
                 continue
             v = dist[i][j]
-            if block[a][b] is None or v < block[a][b]:
+            if v is not None and (block[a][b] is None or v < block[a][b]):
                 block[a][b] = v
     return block
 
@@ -974,6 +976,19 @@ def distance_to_cubes_reference(x, cubes, edge):
 # ---- mapping cylinders ----
 
 
+def submetric(space, indices):
+    """The space on the points at ``indices``, in that order, with the
+    induced distances; each index is read by ``index_set`` and must be
+    distinct."""
+    idx = list(indices)
+    if len(index_set(idx, space.n, "index")) != len(idx):
+        raise StructuralError("subset indices must be distinct")
+    m = space.ints
+    return FiniteMetricSpace.from_int(
+        [space.points[i] for i in idx], [[m[i][j] for j in idx] for i in idx],
+        space.scale, space.pseudo)
+
+
 def sub_cylinder(cylinder, indices):
     """Cylinder of the restriction f|_A, with the induced-submetric check.
 
@@ -983,14 +998,14 @@ def sub_cylinder(cylinder, indices):
     """
     idx = list(indices)
     sub = mapping_cylinder_metric(
-        cylinder.source.submetric(idx),
+        submetric(cylinder.source, idx),
         cylinder.target,
         tuple(cylinder.mapping[i] for i in idx),
         cylinder.t_grid,
     )
     ambient = [cylinder.seg_index(i, t) for i in idx for t in sub.inner_ts]
     ambient += [cylinder.y_index(j) for j in range(cylinder.target.n)]
-    return sub, cylinder.space.submetric(ambient).dist == sub.space.dist
+    return sub, submetric(cylinder.space, ambient).dist == sub.space.dist
 
 
 # ---- sequence-space embedding, as the Fraction code ran it ----
@@ -1027,7 +1042,7 @@ def ball_containment_number_reference(space, cover, cap=None):
     if cover.ground != space.n:
         raise StructuralError("cover ground does not match the space")
     capped = as_scalar(cap) if cap is not None else None
-    candidates = [v for v in space.positive_spectrum()]
+    candidates = [v for v in space.spectrum() if v > 0]
     if capped is not None:
         candidates = [v for v in candidates if v <= capped]
         candidates.append(capped)
@@ -1380,7 +1395,7 @@ def separation_index_reference(truncation, bundle, epsilon):
                     cut = gap
                     witness = (a, b, gap, bundle.space.d(a, b))
         if cut is None:
-            positive = level_space.positive_spectrum()
+            positive = [v for v in level_space.spectrum() if v > 0]
             row = SeparationLevel(i, positive[-1] if positive else ONE, None)
         elif cut > 0:
             row = SeparationLevel(i, cut, None)

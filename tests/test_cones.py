@@ -65,13 +65,13 @@ def test_cone_matches_collapsed_product_reference():
             assert cone.space.n == len(seen)
             for key_a, qa in seen.items():
                 ca = (
-                    cone.apex_index
+                    cone.y_index(0)
                     if key_a == ("apex",)
                     else cone.seg_index(key_a[1], key_a[2])
                 )
                 for key_b, qb in seen.items():
                     cb = (
-                        cone.apex_index
+                        cone.y_index(0)
                         if key_b == ("apex",)
                         else cone.seg_index(key_b[1], key_b[2])
                     )
@@ -83,12 +83,12 @@ def test_cone_indexing_and_base_slice():
     cone = cone_metric(base, CONE_GRID)
     assert cone.inner_ts == (Fraction(0), Fraction(1, 2))
     assert cone.space.points[-1] == ("apex",)
-    assert cone.apex_index == cone.space.n - 1
-    assert cone.class_index(1, Fraction(1)) == cone.apex_index
+    assert cone.y_index(0) == cone.space.n - 1
+    assert cone.class_index(1, Fraction(1)) == cone.y_index(0)
     # the bottom slice is isometric to the base
     assert cone.space.d(cone.seg_index(0, Fraction(0)), cone.seg_index(1, Fraction(0))) == Fraction(1, 2)
     # apex sits at height 1 - t above each segment point
-    assert cone.space.d(cone.apex_index, cone.seg_index(0, Fraction(1, 2))) == Fraction(1, 2)
+    assert cone.space.d(cone.y_index(0), cone.seg_index(0, Fraction(1, 2))) == Fraction(1, 2)
 
 
 @given(construction_inputs(Fraction(0), (Fraction(0), Fraction(1)), ONE))

@@ -9,6 +9,7 @@ import pytest
 from conemodels import NormedPointSet, cone_comparison_bounds
 from cubohedra import Cube
 from helpers import interval_points
+from oracles import submetric
 from unimet.covers import Cover
 from unimet.errors import StructuralError
 from unimet.gluing import adjunction_space, extend_metric
@@ -31,7 +32,7 @@ INDEX_PLACES = {
     "adjunction subset": (3, lambda bad: adjunction_space(S3, bad, POINT, {0: 0})),
     "extension subset": (3, lambda bad: extend_metric(S3, bad, [[0]])),
     "cover member": (3, lambda bad: Cover(3, (bad, (0, 1, 2)))),
-    "submetric": (3, lambda bad: S3.submetric(bad)),
+    "submetric": (3, lambda bad: submetric(S3, bad)),
     "truncation bond": (
         3, lambda bad: InverseSequenceTruncation((S3, S3), ((*bad, 0, 0)[:3],))
     ),

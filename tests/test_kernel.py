@@ -43,6 +43,7 @@ from unimet.cli import main
 from unimet.errors import PreconditionError
 from unimet.jsonio import space_to_json
 from unimet.kernel import (
+    ChainPowers,
     closure,
     first_triangle_witness,
     min_plus,
@@ -252,6 +253,41 @@ def test_the_packed_relax_kernels_give_the_references(case):
         assert power == want
 
 
+def _turning_power_reference(block, power, pivots):
+    """min(block, power[:, P] (x) block[P, :]) for P = ``pivots``, entry by
+    entry: the chains one hop longer than ``power``'s that turn last at a
+    pivot, or one hop of the block."""
+    return [
+        [min([power[i][k] + block[k][j] for k in pivots
+              if power[i][k] is not None and block[k][j] is not None]
+             + ([] if block[i][j] is None else [block[i][j]]), default=None)
+         for j in range(len(block))]
+        for i in range(len(block))
+    ]
+
+
+@given(relax_inputs(), st.sets(st.integers(0, 23)))
+@settings(max_examples=150)
+@example((_hop_path(9, 5), [], [], True), set())
+def test_the_chain_power_kernel_gives_the_references(case, drawn):
+    """On a block with a zero diagonal, ``ChainPowers`` over every class
+    takes the min-plus powers of the block, and over drawn pivots the
+    chains that turn only at them; each step says whether the power moved.
+    On the hop path, d_(n-1) reaches (n - 1) * hop, one below its INF."""
+    block = [[0 if i == j else v for j, v in enumerate(row)] for i, row in enumerate(case[0])]
+    n = len(block)
+    every, some = range(n), sorted(drawn & set(range(n)))
+    for pivots, following in (
+        (every, lambda power: min_plus_reference(power, block)),
+        (some, lambda power: _turning_power_reference(block, power, some)),
+    ):
+        powers, want = ChainPowers(block, pivots), block
+        for _ in range(n):
+            want, last = following(want), want
+            assert powers.step() == (want != last)
+            assert powers.matrix() == want
+
+
 def test_integer_form_round_trips():
     rng = random.Random(5)
     rows = wide_matrix(rng, 6)
@@ -367,7 +403,7 @@ def test_glue_parts_matches_oracles_on_none_blocks():
 
 @pytest.mark.parametrize("parts, groups, steps, defect", DEFECTIVE_GLUE_CASES)
 def test_glue_parts_refuses_a_defective_part_before_any_product(parts, groups, steps, defect):
-    with (mock.patch.object(unimet.quotients, "min_plus", side_effect=AssertionError),
+    with (mock.patch.object(ChainPowers, "step", side_effect=AssertionError),
           pytest.raises(PreconditionError) as refusal):
         glue_parts(parts, groups, None, steps)
     assert str(refusal.value) == ("glue_parts needs nonnegative distances and a zero "

@@ -24,10 +24,12 @@ from oracles import (
     chain_limit_apsp,
     chain_power,
     dijkstra_apsp,
+    glued_union_reference,
     triangle_valid,
 )
 from unimet.errors import PreconditionError, StructuralError
 from unimet.jsonio import classes_from_json
+from unimet.kernel import ChainPowers, to_fractions, to_int_matrix
 from unimet.spaces import FiniteMetricSpace, check_metric_axioms
 from unimet.quotients import (
     amalgamated_union,
@@ -206,6 +208,18 @@ def test_a_family_index_is_range_checked_before_the_overlap():
         quotient_by_discrete_family(s, [[0, 1], [1, 2]])
 
 
+def _family_classes(n, family):
+    """Group k is class k and the other points follow as singletons."""
+    class_of = [None] * n
+    for k, members in enumerate(family):
+        for i in members:
+            class_of[i] = k
+    singles = [i for i in range(n) if class_of[i] is None]
+    for k, i in enumerate(singles, len(family)):
+        class_of[i] = k
+    return class_of
+
+
 def least_settling_hops(block):
     """The least n with d_n = d_infinity, by the oracles."""
     limit = chain_limit_apsp(block)
@@ -242,34 +256,28 @@ def test_two_set_family_failure_raises():
 
 def test_a_refused_quotient_follows_its_powers_up_to_the_cap(monkeypatch):
     """The refusal names the settle index when it is at most ``QUOTIENT_CAP``
-    and the cap otherwise, after at most ``QUOTIENT_CAP`` products."""
+    and the cap otherwise, after at most ``QUOTIENT_CAP`` relax passes."""
     line = interval_points(range(40), Fraction(1, 8))
     family = [[6 * m + 1, 6 * m + 6] for m in range(6)]
-    class_of = [None] * 40
-    for c, members in enumerate(family):
-        for i in members:
-            class_of[i] = c
-    singles = [i for i in range(40) if class_of[i] is None]
-    for c, i in enumerate(singles, len(family)):
-        class_of[i] = c
+    class_of = _family_classes(40, family)
     settled = least_settling_hops(block_distance_matrix(matrix_of(line), class_of))
     assert settled > 4
-    products = []
-    product = unimet.quotients.min_plus
+    passes = []
+    step = ChainPowers.step
 
-    def counted(a, b):
-        products.append(a)
-        return product(a, b)
+    def counted(powers):
+        passes.append(powers)
+        return step(powers)
 
-    monkeypatch.setattr(unimet.quotients, "min_plus", counted)
+    monkeypatch.setattr(ChainPowers, "step", counted)
     for cap in (2, settled - 1, settled):
         monkeypatch.setattr(unimet.quotients, "QUOTIENT_CAP", cap)
-        products.clear()
+        passes.clear()
         found = f"agree first at n = {settled}" if cap == settled else (
             f"still differ at n = QUOTIENT_CAP = {cap}")
         with pytest.raises(PreconditionError, match=re.escape(f"family (they {found})")):
             quotient_by_discrete_family(line, family)
-        assert len(products) <= cap
+        assert len(passes) <= cap
 
 
 def test_a_quotient_that_settles_in_two_hops_builds_past_the_cap(monkeypatch):
@@ -302,13 +310,7 @@ def test_quotient_matches_the_chain_limit_oracle(case):
     refusal exactly where two hops fall short of that limit.  Either way it
     names the least n whose chain power is that limit."""
     sp, family = case
-    class_of = [None] * sp.n
-    for k, members in enumerate(family):
-        for i in members:
-            class_of[i] = k
-    singles = [i for i in range(sp.n) if class_of[i] is None]
-    for k, i in enumerate(singles, len(family)):
-        class_of[i] = k
+    class_of = _family_classes(sp.n, family)
     block = block_distance_matrix(matrix_of(sp), class_of)
     limit = chain_limit_apsp(block)
     settled = least_settling_hops(block)
@@ -327,24 +329,77 @@ def test_quotient_matches_the_chain_limit_oracle(case):
 
 
 def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
-    """d_2 on the classes of the line above needs one min-plus product and
-    no closure, although its powers settle only at n = 3."""
+    """d_2 on the classes of the line above needs one relax pass and no
+    closure, although its powers settle only at n = 3."""
     calls = []
-    for name in ("closure", "min_plus"):
-        original = getattr(unimet.quotients, name)
+    for owner, name in ((unimet.quotients, "closure"), (ChainPowers, "step")):
+        original = getattr(owner, name)
 
         def counted(*args, name=name, original=original):
             calls.append(name)
             return original(*args)
 
-        monkeypatch.setattr(unimet.quotients, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     line, family = THREE_HOP_LINE
     groups = [[(0, i) for i in members] for members in family]
     two = glue_parts([line], groups, None, 2)
-    assert calls == ["min_plus"]
+    assert calls == ["step"]
     block = block_distance_matrix(matrix_of(line), two.class_of_part[0])
     assert [list(row) for row in two.space.dist] == chain_power(block, 2)
     assert not two.dn_equals_dinf
+
+
+@st.composite
+def pivot_cases(draw):
+    """(block, pivots): the Fraction class block of a quotient or a glued
+    union, and the classes its chains turn at.  A quotient of a
+    ``spaces_with_families`` space pivots at its family's classes.  A union
+    of 1..3 ``metric_spaces`` parts of 1..3 points, each point in one of up
+    to three groups or in none, pivots at its multi-member classes; its
+    cross constant is None, half the largest part diameter, or above every
+    diameter."""
+    if draw(st.booleans()):
+        sp, family = draw(spaces_with_families())
+        class_of = _family_classes(sp.n, family)
+        return block_distance_matrix(matrix_of(sp), class_of), range(len(family))
+    parts = draw(st.lists(metric_spaces(1, 3), min_size=1, max_size=3))
+    places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
+    picks = draw(st.lists(st.integers(-1, 2), min_size=len(places), max_size=len(places)))
+    groups = [[pl for pl, k in zip(places, picks) if k == g] for g in range(3)]
+    largest = max(part.diameter() for part in parts)
+    cross = draw(st.sampled_from((None, largest / 2, largest + Fraction(1, 7))))
+    union, class_of = glued_union_reference(parts, [g for g in groups if g], cross)
+    pivots = [c for c in set(class_of) if class_of.count(c) > 1]
+    return block_distance_matrix(union, class_of), pivots
+
+
+@given(pivot_cases(), st.integers(1, 4))
+@example((block_distance_matrix(matrix_of(THREE_HOP_LINE[0]), _family_classes(10, THREE_HOP_LINE[1])),
+          range(2)), 3)
+def test_chains_that_turn_only_at_glued_classes_are_the_chain_powers(case, hops):
+    """Under the pivot guard of ``glue_parts``, the chains of at most
+    ``hops`` hops that turn only at glued classes are as cheap as all of
+    them: ``_power`` over those pivots is the oracle's chain power."""
+    block, pivots = case
+    ints, scale = to_int_matrix(block)
+    power = unimet.quotients._power(ints, hops, pivots)
+    assert [list(row) for row in to_fractions(power, scale)] == chain_power(block, hops)
+
+
+def test_glue_parts_turns_at_every_class_outside_the_pivot_guard():
+    """Two unions whose cheapest chain turns at a single-point class, so
+    ``glue_parts`` takes every class as a pivot: X two points at distance 1
+    and Y one point with cross 1/4, below half of diam X, where the chain
+    through Y costs 1/2; and one part that breaks the triangle inequality,
+    where the chain through its middle point costs 1/2."""
+    two, point = interval_points([0, 1]), interval_points([0])
+    bad = space("abc", {(0, 1): "1/4", (1, 2): "1/4", (0, 2): 1})
+    for parts, cross, ends in (([two, point], Fraction(1, 4), (0, 1)), ([bad], None, (0, 2))):
+        glued = glue_parts(parts, [], cross, 2)
+        union, class_of = glued_union_reference(parts, [], cross)
+        block = block_distance_matrix(union, class_of)
+        assert [list(row) for row in glued.space.dist] == chain_power(block, 2)
+        assert glued.space.d(*ends) == Fraction(1, 2)
 
 
 # ---- glued unions ----

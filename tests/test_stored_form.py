@@ -22,7 +22,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import unimet.quotients
 from helpers import (
     construction_inputs,
     metric_spaces,
@@ -34,6 +33,7 @@ from oracles import (
     adjunction_clearance_reference,
     adjusted_metric_reference,
     attaching_is_lipschitz_reference,
+    block_distance_matrix,
     chain_limit_apsp,
     chain_power,
     cylinder_slices_reference,
@@ -56,7 +56,7 @@ from unimet.cones import join_metric
 from unimet.cylinders import adjusted_metric, cylinder_slices
 from unimet.errors import PreconditionError
 from unimet.gluing import adjunction_space, extend_metric
-from unimet.kernel import to_int_matrix
+from unimet.kernel import ChainPowers, to_int_matrix
 from unimet.quotients import glue_parts
 from unimet.spaces import FiniteMetricSpace, largest_gap, reflagged
 
@@ -199,35 +199,21 @@ def glue_inputs(draw):
     return parts, [g for g in groups if g], cross, draw(st.integers(1, 3))
 
 
-def _block(union, class_of):
-    """Class block of ``union``: the least allowed hop between two classes,
-    None when none is allowed, zero on the diagonal."""
-    count = max(class_of) + 1
-    block = [[ZERO if a == b else None for b in range(count)] for a in range(count)]
-    for g, row in enumerate(union):
-        for h, v in enumerate(row):
-            a, b = class_of[g], class_of[h]
-            if a != b and v is not None and (block[a][b] is None or v < block[a][b]):
-                block[a][b] = v
-    return block
-
-
 @given(glue_inputs())
 def test_glued_union_matches_the_fraction_code(case):
     """``glue_parts`` equals the chain power of the Fraction union's class
     block at the capped hop count, and flags its agreement with the limit;
-    a negative cross is refused before any product."""
+    a negative cross is refused before any relax pass."""
     parts, identifications, cross, steps = case
     if cross is not None and cross < 0:
-        products = []
-        with (mock.patch.object(unimet.quotients, "min_plus",
-                                side_effect=lambda a, b: products.append(a)),
+        passes = []
+        with (mock.patch.object(ChainPowers, "step", side_effect=lambda *args: passes.append(args)),
               pytest.raises(PreconditionError, match=f"cross distance {cross} is negative$")):
             glue_parts(parts, identifications, cross, steps)
-        assert products == []
+        assert passes == []
         return
     union, class_of = glued_union_reference(parts, identifications, cross)
-    block = _block(union, class_of)
+    block = block_distance_matrix(union, class_of)
     power = chain_power(block, max(1, min(steps, len(block) - 1)))
     limit = chain_limit_apsp(block)
     if any(v is None for row in power + limit for v in row):
