@@ -24,7 +24,9 @@ before its first relax pass.
 ``ChainPowers`` is the one chain engine: it packs a class block once and
 takes each power d_(n+1) = min(B, d_n[:, P] (x) B[P, :]) by one relax step
 per row and pivot in P, keeping the powers packed; ``quotients`` says which
-pivots are exact.  ``min_plus`` serves the one-sided products of
+pivots are exact.  Each step says whether the power moved, so one more
+step after d_n certifies d_n = d_infinity when it leaves d_n as it is, in
+place of a triangle scan of d_n.  ``min_plus serves the one-sided products of
 ``combinators.mcshane_rows``.
 
 Every matrix returned here is a list of lists, so results compare equal

@@ -5,14 +5,20 @@ representatives) and the chain distances d_n = cheapest n-segment chain of
 block hops.  d_infinity is the shortest-path closure.  The classical facts
 made checkable here: d_n decreases in n, doubling composes in the min-plus
 sense, and d_infinity = d_n exactly when d_n already satisfies the triangle
-inequality.
+inequality, and exactly when d_(n+1) = d_n.
 
 One engine serves every construction: ``_class_block`` builds the class
 block straight from the parts' rows, and ``kernel.ChainPowers`` takes its
 chain powers (``_power``), packed from the first to the last.  On a
 nonnegative block with a zero diagonal (None is +inf), d_n = d_infinity
-exactly when d_n has no triangle violation, so the result's one axiom scan
-is also that certificate.  ``glue_parts`` does not check its parts, so it
+exactly when one more relax pass leaves d_n as it is, so that pass is the
+certificate: on k classes and pivots P it takes k * |P| packed relax
+steps, where a triangle scan of d_n takes k(k - 1)/2 packed pair tests.
+A result whose powers settled is a chain limit, which satisfies the
+triangle inequality because chains concatenate, so its axiom scan leaves
+that test out (``spaces._scan_proved_triangle``); a result that did not
+settle is scanned in full when first checked, and the scan finds a
+triangle violation.  ``glue_parts`` does not check its parts, so it
 refuses a negative cross and a block outside that hypothesis before its
 first relax pass.  The shortest-path closure runs only there, on a union
 that d_steps leaves unconnected, to tell a union that needs more hops from
@@ -34,8 +40,9 @@ class block is built, never the union matrix.
 
 One routine, ``_assign_classes``, turns index groups into classes and
 their member lists for ``quotient_by_discrete_family`` and ``glue_parts``
-alike.  No result stores an axiom verdict: ``is_metric`` and
-``dn_equals_dinf`` read the scan that their space caches (see ``spaces``).
+alike.  No result stores an axiom verdict apart from its space's report:
+``is_metric`` and ``dn_equals_dinf`` read the scan that their space caches
+(see ``spaces``), made as the space is built when its powers settled.
 """
 from __future__ import annotations
 
@@ -50,6 +57,7 @@ from .kernel import ChainPowers, closure
 from .scalars import ONE, ScalarLike, as_scalar
 from .spaces import (
     FiniteMetricSpace,
+    _scan_proved_triangle,
     as_mapping,
     check_metric_axioms,
     ensure_diameter_at_most,
@@ -61,12 +69,13 @@ from .spaces import (
 
 
 # Most hops a refused quotient's chain powers are followed to name where
-# they settle, one min-plus product per hop; a quotient that is built never
-# runs this loop.  ``unimet build quotient`` on an irregular line with a
-# two-point class every six points, whose powers settle past the cap, is
-# refused in 0.74 / 4.1 / 27 s on 160 / 320 / 640 points, and the same line
-# with one two-point class builds in 0.53 / 2.3 / 14 s (two runs each,
-# Python 3.11, Xeon vCPU).
+# they settle, one ``ChainPowers.step`` relax pass per hop; a quotient that
+# is built runs at most the first of them, the pass that certifies d_2.
+# ``unimet build quotient`` on an irregular line (gaps in [1/2, 1] over
+# denominators 7..31) with a two-point class every six points, whose powers
+# settle past the cap, is refused in 0.31 / 1.4-1.7 / 8.8-13 s on 160 / 320
+# / 640 points, and the same line with one two-point class builds in
+# 0.30-0.34 / 1.3 / 5.7-5.8 s (two runs each, Python 3.11, 2-vCPU Xeon).
 QUOTIENT_CAP = 8
 
 
@@ -160,10 +169,14 @@ def _class_block(parts, factors, hop, class_of, members_of, shared) -> list:
     return block
 
 
-def _power(block: list, steps: int, pivots: Sequence[int]) -> list:
-    """d_steps of an integer block matrix, with chains turning only at
-    ``pivots`` (``kernel.ChainPowers``).  Chains never need more hops than
-    class_count - 1, because repeats drop out, so no more steps are taken.
+def _power(block: list, steps: int, pivots: Sequence[int]) -> tuple:
+    """``(d_steps, settled)`` of an integer block matrix, with chains
+    turning only at ``pivots`` (``kernel.ChainPowers``): ``settled`` says
+    whether d_steps = d_infinity.  Chains never need more hops than
+    class_count - 1, because repeats drop out, so no more steps are taken,
+    and d_steps has settled when steps reaches that bound.  Below it, one
+    more relax pass decides: d_(n+1) = d_n holds for good once it holds,
+    so d_n = d_infinity exactly when d_(n+1) = d_n.
 
     That is exact for the pivots that ``glue_parts`` passes under its
     guard, the multi-member classes of parts that each pass the triangle
@@ -179,12 +192,15 @@ def _power(block: list, steps: int, pivots: Sequence[int]) -> list:
     - because 2 * cross >= diam when both lie in one other part (and u is
       at most the cross constant when they lie in two).
     Dropping s saves a hop and costs nothing, so the cheapest chain of at
-    most n hops turns only at multi-member classes.
+    most n hops turns only at multi-member classes.  That holds for every
+    n, so the restricted powers equal the full ones, and a restricted
+    fixed point, d_(n+1) = d_n over the pivots, is d_infinity.
     """
     powers = ChainPowers(block, pivots)
     for _ in range(min(steps, len(block) - 1) - 1):
         powers.step()
-    return powers.matrix()
+    power = powers.matrix()
+    return power, steps >= len(block) - 1 or not powers.step()
 
 
 def _triangle_holds(space: FiniteMetricSpace) -> bool:
@@ -216,13 +232,14 @@ def quotient_by_discrete_family(
     """Collapse each set of a disjoint family to a point, with certificates.
 
     For a metric source, the result is certified to be a metric.  The
-    two-hop distance d_2 is certified equal to d_infinity, read from the
-    triangle scan of d_2; this holds automatically when the family has a
-    single set (chains pivot at the one glued class), and is checked, not
-    assumed, for larger families, where it can genuinely fail; failure
-    raises, because callers rely on d_2 being the quotient metric, and names
-    the least n with d_n = d_infinity, or that none is at most
-    ``QUOTIENT_CAP``.
+    two-hop distance d_2 is certified equal to d_infinity: d_2 = d_1, at
+    most three classes, or one more relax pass that leaves d_2 as it is.
+    This holds automatically when the family has a single set (chains pivot
+    at the one glued class), and is checked, not assumed, for larger
+    families, where it can genuinely fail; failure raises, because callers
+    rely on d_2 being the quotient metric, and names the least n with d_n =
+    d_infinity, or that none is at most ``QUOTIENT_CAP``.  The result's
+    axiom scan leaves out the triangle test, which d_infinity passes.
     """
     ensure_metric(space, "quotient_by_discrete_family")
     class_of, members_of = _assign_classes(space.points, family, PreconditionError)
@@ -231,11 +248,12 @@ def quotient_by_discrete_family(
     # The space is a metric, so chains turn only at the family's classes.
     powers = ChainPowers(block, range(shared))
     settled = 2 if powers.step() else 1
-    labels = tuple(tuple(space.points[i] for i in members) for members in members_of)
-    chain = FiniteMetricSpace.from_int(labels, powers.matrix(), space.scale, pseudo=True)
-    if not _triangle_holds(chain):
-        # d_2 falls short, so d_1 and d_2 differ; the powers settle at the
-        # first n with d_n = d_{n+1}, since d_{n+1} = d_n then holds for good.
+    power = powers.matrix()
+    # d_2 = d_1 is a fixed point, and d_2 on at most three classes is
+    # d_infinity by the hop bound.  Otherwise the powers settle at the first
+    # n with d_n = d_{n+1}, since d_{n+1} = d_n then holds for good; the
+    # first pass of this loop decides d_2 = d_infinity.
+    if settled == 2 and len(block) > 3:
         while powers.step():
             if settled == QUOTIENT_CAP:
                 raise PreconditionError(
@@ -243,12 +261,16 @@ def quotient_by_discrete_family(
                     f"this family (they still differ at n = QUOTIENT_CAP = {settled})"
                 )
             settled += 1
-        raise PreconditionError(
-            "two-hop quotient distance differs from the chain limit for this "
-            f"family (they agree first at n = {settled})"
-        )
+        if settled > 2:
+            raise PreconditionError(
+                "two-hop quotient distance differs from the chain limit for this "
+                f"family (they agree first at n = {settled})"
+            )
+    labels = tuple(tuple(space.points[i] for i in members) for members in members_of)
+    chain = FiniteMetricSpace.from_int(labels, power, space.scale)
+    _scan_proved_triangle(chain)
     ensure_metric(chain, "quotient of a metric by a disjoint family")
-    return QuotientResult(reflagged(chain, False), class_of, settled)
+    return QuotientResult(chain, class_of, settled)
 
 
 @dataclass(frozen=True)
@@ -256,7 +278,10 @@ class GluedUnion:
     """Union of parts glued along identified points, via the chain engine.
 
     ``space`` carries d_steps on the classes; ``class_of_part`` maps (part
-    index, point index) to a class index.
+    index, point index) to a class index.  When d_steps settled, its space
+    holds the report scanned as it was built, without the triangle test;
+    otherwise the first check scans it in full.  Either way the two
+    certificates read that one report.
     """
 
     space: FiniteMetricSpace
@@ -266,7 +291,8 @@ class GluedUnion:
     @property
     def dn_equals_dinf(self) -> bool:
         """Whether d_steps is the chain limit: the triangle verdict of the
-        space's own scan, which ``is_metric`` reads too."""
+        space's report, which ``is_metric`` reads too.  d_steps passes the
+        triangle inequality exactly when it settled."""
         return _triangle_holds(self.space)
 
     def is_metric(self) -> bool:
@@ -286,9 +312,10 @@ def glue_parts(
     existing points; points not identified become singleton classes.  One
     int matrix over the points of all parts, over one scale (None for a
     forbidden cross hop, zero between identified points of different parts),
-    is reduced to the class block, and the chain engine runs on it.  A
-    negative ``cross`` and a block with a negative entry or a nonzero
-    diagonal are refused before any product.
+    is reduced to the class block, and the chain engine runs on it,
+    with one more relax pass to tell whether d_steps settled.  A negative
+    ``cross`` and a block with a negative entry or a nonzero diagonal are
+    refused before any product.
     """
     if not parts:
         raise StructuralError("glue_parts needs at least one part")
@@ -329,7 +356,7 @@ def glue_parts(
     if (all(cross_val is None or 2 * cross_val >= part.diameter() for part in parts)
             and all(map(_triangle_holds, parts))):
         pivots = [c for c, members in enumerate(members_of) if len(members) > 1]
-    power = _power(block, steps, pivots)
+    power, settled = _power(block, steps, pivots)
     # A None in d_steps means no chain of at most ``steps`` hops; only the
     # closure tells whether a longer chain connects the pair.
     if any(None in row for row in power):
@@ -337,6 +364,8 @@ def glue_parts(
             raise PreconditionError("glued union is disconnected")
         raise PreconditionError(f"glued union needs more hops than steps = {steps}")
     space = FiniteMetricSpace.from_int(labels, power, scale, pseudo=True)
+    if settled:
+        _scan_proved_triangle(space)
     class_of_part = tuple(
         tuple(class_of[offsets[p] + i] for i in range(parts[p].n))
         for p in range(len(parts))

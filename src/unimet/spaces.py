@@ -16,6 +16,9 @@ carries it to a copy that only changes the pseudo flag.  The scan packs
 each row of the ints into one int (``kernel.packed_rows``) and decides
 first, by a verdict that tests each pair of rows in a few big-int
 operations; it locates witnesses only on a matrix the verdict refuses.
+A space whose builder has proved the triangle inequality, a chain limit,
+is scanned as it is built, with that test left out
+(``_scan_proved_triangle``): its report is the one a full scan gives.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -220,6 +223,15 @@ def reflagged(space: FiniteMetricSpace, pseudo: bool) -> FiniteMetricSpace:
     return copy
 
 
+def _scan_proved_triangle(space: FiniteMetricSpace) -> None:
+    """Cache the strict report of ``space``, whose builder has proved the
+    triangle inequality: ``_scan_axioms`` with the triangle test left out.
+    Every other axiom is decided and located as in a full scan, so the
+    report equals the one a full scan of the same matrix gives.  A chain
+    limit is such a matrix (see ``quotients``)."""
+    space.__dict__["_axiom_report"] = _scan_axioms(space, False)
+
+
 def _check_shape(points: Sequence, rows: Sequence) -> None:
     """Refuse repeated labels, then a matrix that is not n x n."""
     n = len(points)
@@ -233,14 +245,17 @@ def _check_shape(points: Sequence, rows: Sequence) -> None:
 AXIOMS = ("diagonal", "nonnegativity", "symmetry", "positivity", "triangle")
 
 
-def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
+def _scan_axioms(space: FiniteMetricSpace, triangle: bool = True) -> AxiomReport:
     """Decide by ``_is_metric``, then locate: a matrix it refuses runs every
     axiom, positivity included, once over the stored form; a violation's
     witness values are the only Fractions built.  The verdict and the
-    locator share one packing of the rows."""
+    locator share one packing of the rows.  With ``triangle`` false the
+    triangle inequality is already proved (see ``_scan_proved_triangle``):
+    the rows are not packed, and neither the verdict's pair test nor the
+    witness walk runs."""
     pts, m = space.points, space.ints
-    packed = packed_rows(m)
-    if _is_metric(m, packed):
+    packed = packed_rows(m) if triangle else None
+    if _is_metric(m, packed, triangle):
         return AxiomReport(ok=True, allow_pseudo=False, violations=())
     frac = partial(Fraction, denominator=space.scale)
     violations = []
@@ -271,7 +286,7 @@ def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
     if pair is not None:
         i, j = pair
         violations.append(AxiomViolation("positivity", (pts[i], pts[j]), ZERO, ZERO))
-    witness = first_triangle_witness(m, packed)
+    witness = first_triangle_witness(m, packed) if triangle else None
     if witness is not None:
         i, j, k = witness
         violations.append(AxiomViolation(
@@ -281,15 +296,18 @@ def _scan_axioms(space: FiniteMetricSpace) -> AxiomReport:
                        violations=tuple(violations))
 
 
-def _is_metric(m, packed: Optional[tuple] = None) -> bool:
+def _is_metric(m, packed: Optional[tuple] = None, triangle: bool = True) -> bool:
     """Each row has a zero diagonal, no negative entry and no other zero,
-    the matrix is symmetric, and each pair i < j passes one test of the
-    ``packed`` rows (``packed_rows(m)``, built when not given) in both
-    directions: the triangles of (i, j) and (j, i), every k at once."""
+    the matrix is symmetric, and, unless ``triangle`` is false, each pair
+    i < j passes one test of the ``packed`` rows (``packed_rows(m)``, built
+    when not given) in both directions: the triangles of (i, j) and (j, i),
+    every k at once."""
     if any(row[i] != 0 or min(row) < 0 or row.count(0) != 1 for i, row in enumerate(m)):
         return False
     if any(map(ne, m, map(list, zip(*m)))):
         return False
+    if not triangle:
+        return True
     rows, offset, repunit, tops = packed or packed_rows(m)
     lifted = [p + offset for p in rows]
     return not any((a - q - d * repunit | b - p - d * repunit) & tops

@@ -412,14 +412,51 @@ def test_each_built_matrix_is_scanned_once(monkeypatch, tmp_path, kind):
     scanned = []
     original = unimet.spaces._scan_axioms
 
-    def counted(space):
+    def counted(space, *triangle):
         scanned.append(space.dist)
-        return original(space)
+        return original(space, *triangle)
 
     monkeypatch.setattr(unimet.spaces, "_scan_axioms", counted)
     code, out, err = run(["build", kind, write(tmp_path, "in.json", BUILD_TREES[kind])])
     assert code == 0, err
     assert scanned and len(scanned) == len(set(scanned))
+
+
+@pytest.mark.parametrize("argv, tree, full, chained", [
+    (["build", "quotient"], BUILD_TREES["quotient"], 1, 1),
+    (["build", "amalgam"], BUILD_TREES["amalgam"], 2, 1),
+    (["build", "adjunction"], BUILD_TREES["adjunction"], 4, 1),
+    (["build", "join", "--oracle"], {"left": space_to_json(S2), "right": space_to_json(S3)}, 5, 1),
+    (["build", "telescope"], truncation_to_json(retraction_tower(5)), 9, 3),
+])
+def test_a_chain_limit_is_scanned_without_its_triangle_test(
+    monkeypatch, tmp_path, argv, tree, full, chained
+):
+    """A build scans in full its inputs and the spaces it builds outside
+    the chain engine, and scans each chain-engine result, whose powers
+    settled, with the triangle test left out: neither the packing of the
+    rows nor the witness walk runs on that result's matrix."""
+    scans, triangle_tested = [], []
+    original = unimet.spaces._scan_axioms
+
+    def counted(space, triangle=True):
+        scans.append((space.ints, triangle))
+        return original(space, triangle)
+
+    monkeypatch.setattr(unimet.spaces, "_scan_axioms", counted)
+    for name in ("packed_rows", "first_triangle_witness"):
+        def tested(m, *rest, kernel=getattr(unimet.spaces, name)):
+            triangle_tested.append(m)
+            return kernel(m, *rest)
+
+        monkeypatch.setattr(unimet.spaces, name, tested)
+    path = write(tmp_path, "in.json", tree)
+    code, out, err = run([*argv[:2], path, *argv[2:]])
+    assert code == 0, err
+    assert sum(triangle for _, triangle in scans) == full
+    results = [m for m, triangle in scans if not triangle]
+    assert len(results) == chained
+    assert not any(m is r for m in triangle_tested for r in results)
 
 
 # ---- metrize ----

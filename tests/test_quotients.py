@@ -30,7 +30,7 @@ from oracles import (
 from unimet.errors import PreconditionError, StructuralError
 from unimet.jsonio import classes_from_json
 from unimet.kernel import ChainPowers, to_fractions, to_int_matrix
-from unimet.spaces import FiniteMetricSpace, check_metric_axioms
+from unimet.spaces import FiniteMetricSpace, _scan_axioms, check_metric_axioms
 from unimet.quotients import (
     amalgamated_union,
     glue_parts,
@@ -329,8 +329,9 @@ def test_quotient_matches_the_chain_limit_oracle(case):
 
 
 def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
-    """d_2 on the classes of the line above needs one relax pass and no
-    closure, although its powers settle only at n = 3."""
+    """d_2 on the classes of the line above needs two relax passes, d_2 and
+    the one that finds d_3 below it, and no closure, although its powers
+    settle only at n = 3."""
     calls = []
     for owner, name in ((unimet.quotients, "closure"), (ChainPowers, "step")):
         original = getattr(owner, name)
@@ -343,7 +344,7 @@ def test_chain_metric_takes_only_the_powers_it_returns(monkeypatch):
     line, family = THREE_HOP_LINE
     groups = [[(0, i) for i in members] for members in family]
     two = glue_parts([line], groups, None, 2)
-    assert calls == ["step"]
+    assert calls == ["step", "step"]
     block = block_distance_matrix(matrix_of(line), two.class_of_part[0])
     assert [list(row) for row in two.space.dist] == chain_power(block, 2)
     assert not two.dn_equals_dinf
@@ -379,11 +380,14 @@ def pivot_cases(draw):
 def test_chains_that_turn_only_at_glued_classes_are_the_chain_powers(case, hops):
     """Under the pivot guard of ``glue_parts``, the chains of at most
     ``hops`` hops that turn only at glued classes are as cheap as all of
-    them: ``_power`` over those pivots is the oracle's chain power."""
+    them: ``_power`` over those pivots is the oracle's chain power, and it
+    has settled exactly when the oracle's next power equals it."""
     block, pivots = case
     ints, scale = to_int_matrix(block)
-    power = unimet.quotients._power(ints, hops, pivots)
-    assert [list(row) for row in to_fractions(power, scale)] == chain_power(block, hops)
+    power, settled = unimet.quotients._power(ints, hops, pivots)
+    want = chain_power(block, hops)
+    assert [list(row) for row in to_fractions(power, scale)] == want
+    assert settled == (chain_power(block, hops + 1) == want)
 
 
 def test_glue_parts_turns_at_every_class_outside_the_pivot_guard():
@@ -400,6 +404,92 @@ def test_glue_parts_turns_at_every_class_outside_the_pivot_guard():
         block = block_distance_matrix(union, class_of)
         assert [list(row) for row in glued.space.dist] == chain_power(block, 2)
         assert glued.space.d(*ends) == Fraction(1, 2)
+
+
+@st.composite
+def glue_cases(draw):
+    """(parts, groups, cross, steps) for ``glue_parts``: 1..3
+    ``metric_spaces`` parts of 1..3 points, the first perhaps of three
+    points with one triangle broken by a unit; each point in one of up to
+    three groups or in none; a cross constant that is None, half the
+    largest diameter, above every diameter, or below half of one part's
+    diameter (the pivot guard off); and 1..4 steps or the hop bound, one
+    below the class count."""
+    parts = draw(st.lists(metric_spaces(1, 3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        part = draw(metric_spaces(3, 3))
+        i, j, k = draw(st.permutations(range(3)))
+        m = [list(row) for row in part.ints]
+        m[i][k] = m[k][i] = m[i][j] + m[j][k] + 1
+        parts[0] = FiniteMetricSpace.from_int(part.points, m, part.scale)
+    places = [(p, i) for p, part in enumerate(parts) for i in range(part.n)]
+    picks = draw(st.lists(st.integers(-1, 2), min_size=len(places), max_size=len(places)))
+    groups = [[pl for pl, k in zip(places, picks) if k == g] for g in range(3)]
+    groups = [group for group in groups if group]
+    diameters = [part.diameter() for part in parts]
+    cross = draw(st.sampled_from((None, max(diameters) / 2, max(diameters) + Fraction(1, 7),
+                                  draw(st.sampled_from(diameters)) / 3)))
+    _, class_of = glued_union_reference(parts, groups, cross)
+    steps = draw(st.sampled_from((1, 2, 3, 4, max(class_of))))
+    return parts, groups, cross, max(steps, 1)
+
+
+@given(glue_cases())
+def test_a_union_settles_exactly_when_a_fresh_scan_finds_no_triangle_defect(case):
+    """``glue_parts`` scans d_steps as it builds it exactly when one more
+    relax pass, or the hop bound, shows that it settled; that is when a
+    fresh scan of an equal copy finds no triangle violation, and the
+    report it keeps is that fresh scan's.  A union that did not settle is
+    left to the full scan of its first check."""
+    parts, groups, cross, steps = case
+    try:
+        glued = glue_parts(parts, groups, cross, steps)
+    except PreconditionError as refusal:
+        assert re.search("disconnected|needs more hops", str(refusal))
+        return
+    sp = glued.space
+    fresh = _scan_axioms(FiniteMetricSpace.from_int(sp.points, sp.ints, sp.scale, sp.pseudo))
+    settled = "_axiom_report" in sp.__dict__
+    assert settled == ("triangle" not in fresh.violated_axioms())
+    if settled:
+        assert sp.__dict__["_axiom_report"] == fresh
+    assert glued.dn_equals_dinf == settled
+
+
+@st.composite
+def quotient_cases(draw):
+    """A ``spaces_with_families`` case, or a line of 4..9 points with one to
+    three disjoint pairs collapsed, where chains of three hops and more can
+    beat two."""
+    if draw(st.booleans()):
+        return draw(spaces_with_families())
+    n = draw(st.integers(4, 9))
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(1, min(3, n // 2)))
+    return interval_points(range(n)), [order[2 * k:2 * k + 2] for k in range(pairs)]
+
+
+@given(quotient_cases())
+@example(THREE_HOP_LINE)
+# Four classes, the fewest on which d_2 can fall short: 0 -> 1 ~ 2 -> 3 ~ 4
+# -> 5 costs 3, and every two-hop chain from 0 to 5 costs 4.
+@example((interval_points(range(6)), [[1, 2], [3, 4]]))
+def test_a_quotient_builds_exactly_when_a_fresh_scan_of_d2_finds_no_triangle_defect(case):
+    """A quotient is built exactly when a fresh scan of the oracle's d_2
+    finds no triangle violation, and its space keeps the report that a
+    fresh scan of an equal copy gives."""
+    sp, family = case
+    class_of = _family_classes(sp.n, family)
+    two = chain_power(block_distance_matrix(matrix_of(sp), class_of), 2)
+    holds = "triangle" not in _scan_axioms(
+        FiniteMetricSpace.from_rows(range(len(two)), two)).violated_axioms()
+    if not holds:
+        with pytest.raises(PreconditionError, match="two-hop"):
+            quotient_by_discrete_family(sp, family)
+        return
+    q = quotient_by_discrete_family(sp, family).space
+    fresh = _scan_axioms(FiniteMetricSpace.from_int(q.points, q.ints, q.scale, q.pseudo))
+    assert q.__dict__["_axiom_report"] == fresh
 
 
 # ---- glued unions ----
