@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .kernel import min_plus
 from .scalars import ONE, Scalar, ScalarLike, as_scalar
-from .spaces import FiniteMetricSpace, ensure_diameter_at_most
+from .spaces import FiniteMetricSpace, _scan_proved_triangle, ensure_diameter_at_most
 
 def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
     """Grid points of a real interval with the absolute-value metric, built
@@ -26,13 +26,30 @@ def interval_space(grid: Sequence[ScalarLike]) -> FiniteMetricSpace:
 def product_metric(left: FiniteMetricSpace, right: FiniteMetricSpace) -> FiniteMetricSpace:
     """The l1 product on pairs (p, q), left index varying slowest: the sum
     of the factor distances, on their ints lifted to the lcm of their
-    scales."""
+    scales.
+
+    When the cached scans of both factors found a zero diagonal, no negative
+    entry and no triangle defect, each factor's triangles hold for every k,
+    k = i and k = j included, so their sums do: the product is scanned as it
+    is built with the triangle test left out (``_scan_proved_triangle``).
+    A factor that was never scanned is not scanned here."""
     scale = lcm(left.scale, right.scale)
     a, b = scale // left.scale, scale // right.scale
     points = [(p, q) for p in left.points for q in right.points]
     rows = [[x * a + y * b for x in row_l for y in row_r]
             for row_l in left.ints for row_r in right.ints]
-    return FiniteMetricSpace.from_int(points, rows, scale, left.pseudo or right.pseudo)
+    space = FiniteMetricSpace.from_int(points, rows, scale, left.pseudo or right.pseudo)
+    if all(map(_cached_triangles_hold, (left, right))):
+        _scan_proved_triangle(space)
+    return space
+
+
+def _cached_triangles_hold(space: FiniteMetricSpace) -> bool:
+    """Whether ``space`` has a cached scan that found a zero diagonal, no
+    negative entry and no triangle defect."""
+    report = space.__dict__.get("_axiom_report")
+    return report is not None and {"diagonal", "nonnegativity", "triangle"}.isdisjoint(
+        report.violated_axioms())
 
 
 def check_weighted_levels(levels: Sequence[FiniteMetricSpace]) -> None:

@@ -25,6 +25,7 @@ from .quotients import GluedUnion, glue_parts, quotient_by_discrete_family
 from .scalars import ONE, ZERO, Scalar, parameter_grid
 from .spaces import (
     FiniteMetricSpace,
+    check_metric_axioms,
     ensure_diameter_at_most,
     ensure_metric,
     largest_gap,
@@ -199,6 +200,10 @@ def join_amalgam_equality(join: JoinSpace) -> JoinAmalgamReport:
     grid_neg_u = tuple(sorted({-t for t in grid if t <= 0}))
     cone_x = cone_metric(left, grid_pos)
     cone_y = cone_metric(right, grid_neg_u)
+    # Scanning the two cones lets each product keep a scan without its
+    # triangle test, which the glue's pivot guard then reads.
+    check_metric_axioms(cone_x.space)
+    check_metric_axioms(cone_y.space)
     part_top = product_metric(cone_x.space, right)
     part_bottom = product_metric(left, cone_y.space)
 

@@ -16,7 +16,10 @@ truncation needs a deep stack; ``check_level_count`` refuses more than
 - stabilization (discrete image chains) and the neighborhood table: per
   level and per spectrum scale, from which image on every image lies near
   the limit shadow.  The truncation builds the table once, and it answers
-  the convergence, the shadow and the Cauchy question alike.
+  the convergence, the shadow and the Cauchy question alike.  Each level
+  keeps its points sorted by their distance to the shadow, with the
+  suffix maxima of their survival depths, so a row of the table, and a
+  ``convergence_row`` at any scale, is one bisection.
 - separation index: the first level whose thread projection pins thread
   distances, with the certifying threshold.
 - telescope metrics: iterated mapping-cylinder attachments over a segment
@@ -38,15 +41,17 @@ spaces it compares.  A query floors its rational threshold into that scale
 (``_floor``), so each containment and each bound is an exact int
 comparison, and Fractions are built only for the values and witnesses a
 report prints.  A scan over thread pairs that answers several thresholds
-reads a ``moduli.PairSweep``; a truncation builds its depths, its distances
-to the shadow, its columns, its neighborhood table and its thread space once
-and keeps them.
+reads a ``moduli.PairSweep``; a truncation builds its depths, its points'
+order by distance to the shadow, its columns, its neighborhood table and its
+thread space once and keeps them.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Optional, Sequence
 
@@ -111,10 +116,11 @@ class InverseSequenceTruncation:
     ``bonds[i]`` is the index tuple of p_i, so ``bonds[i][x]`` is the image
     in level i of point x of level i+1; a bond given as a dict or a sequence
     is normalized to that tuple, checked total and in range.  Its survival
-    depths, distances to the shadow, columns p^top_i, neighborhood table and
-    thread space are built once and kept; a composite p_i o .. o p_{j-1} is
-    built on each call, one bond at a time, and ``composite(i, i)`` is the
-    identity.  More than ``LEVEL_CAP`` levels raise a PreconditionError.
+    depths, per level the order of its points by distance to the shadow,
+    columns p^top_i, neighborhood table and thread space are built once and
+    kept; a composite p_i o .. o p_{j-1} is built on each call, one bond at
+    a time, and ``composite(i, i)`` is the identity.  More than
+    ``LEVEL_CAP`` levels raise a PreconditionError.
     """
 
     levels: tuple
@@ -168,23 +174,36 @@ class InverseSequenceTruncation:
         return tuple(reversed(table))
 
     @cached_property
-    def _near(self) -> tuple:
-        """Per level, each point's distance to the shadow as an int over the
-        level's ``scale``; None for a level whose shadow is empty, which no
-        neighborhood reaches."""
-        shadows = ([y for y, d in enumerate(depth) if d == self.top] for depth in self._depths)
-        return tuple(
-            tuple(min([row[y] for y in shadow]) for row in space.ints) if shadow else None
-            for space, shadow in zip(self.levels, shadows)
-        )
+    def _reach(self) -> tuple:
+        """Per level i, ``(cuts, starts)``: its points' distances to the
+        shadow, ints over the level's ``scale``, sorted, and for each k the
+        first image inside the closed neighborhood of the shadow at a scale
+        floored into [cuts[k - 1], cuts[k]): one past the deepest point at a
+        distance in cuts[k:], or i past them all.  A level whose shadow is
+        empty has no cuts: no neighborhood reaches any of its points."""
+        top, table = self.top, []
+        for i, (space, depth) in enumerate(zip(self.levels, self._depths)):
+            shadow = [y for y, d in enumerate(depth) if d == top]
+            if shadow:
+                near = [min(map(row.__getitem__, shadow)) for row in space.ints]
+                cuts, depths = zip(*sorted(zip(near, depth)))
+                deepest = i - 1
+            else:
+                cuts, depths, deepest = (), (), max(depth, default=i - 1)
+            starts = [d + 1 for d in accumulate(reversed(depths), max, initial=deepest)]
+            table.append((cuts, starts[::-1]))
+        return tuple(table)
 
     @cached_property
     def _convergence_rows(self) -> tuple:
         """Per level, its neighborhood row at each scale of its spectrum, in
-        spectrum order: the first row of each group is the one at scale 0."""
+        spectrum order: the first row of each group is the one at scale 0.
+        A spectrum int is its own floor, so each row is one bisection."""
+        top = self.top
         return tuple(
-            tuple(convergence_row(self, i, eps) for eps in level.spectrum())
-            for i, level in enumerate(self.levels)
+            tuple(NeighborhoodRow(i, top, eps, starts[bisect_right(cuts, v)])
+                  for eps, v in zip(level.spectrum(), level.spectrum_ints))
+            for i, (level, (cuts, starts)) in enumerate(zip(self.levels, self._reach))
         )
 
     @cached_property
@@ -362,10 +381,11 @@ class NeighborhoodRow:
 def convergence_row(
     truncation: InverseSequenceTruncation, level: int, epsilon: ScalarLike
 ) -> NeighborhoodRow:
-    """One neighborhood row, read from the level's depths and distances to
-    the shadow: image j holds a point farther than epsilon, floored into the
-    level's scale, exactly while j is at most that point's depth; over an
-    empty shadow every point is too far."""
+    """One neighborhood row, read from the level's points in order of their
+    distance to the shadow: image j holds a point farther than epsilon,
+    floored into the level's scale, exactly while j is at most that point's
+    depth, so one bisection of the floor finds the first j that holds none;
+    over an empty shadow every point is too far."""
     top = truncation.top
     if not 0 <= level <= top:
         raise StructuralError(f"level {level} out of range")
@@ -374,9 +394,8 @@ def convergence_row(
     cut = _floor(eps, truncation.levels[level].scale)
     if cut < 0:
         raise PreconditionError("a neighborhood scale must be nonnegative")
-    depth, near = truncation._depths[level], truncation._near[level]
-    far = depth if near is None else [d for d, v in zip(depth, near) if v > cut]
-    return NeighborhoodRow(level, top, eps, 1 + max(far) if far else level)
+    cuts, starts = truncation._reach[level]
+    return NeighborhoodRow(level, top, eps, starts[bisect_right(cuts, cut)])
 
 
 def convergence_report(truncation: InverseSequenceTruncation) -> tuple:

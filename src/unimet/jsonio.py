@@ -18,7 +18,10 @@ whitespace, an underscore, a decimal, an exponent, a zero denominator, a
 non-ASCII digit, a bool, null, or digits past
 ``sys.get_int_max_str_digits()``) goes through ``as_scalar``, so it
 parses, or fails, exactly as it would alone.  Truncation levels are
-spaces, so they take the same path, once their count is checked.
+spaces, so they take the same path, once their count is checked.  The
+levels of one file, a ladder's target levels included, share one table of
+parsed entries: each distinct entry of the file is parsed once, and each
+level is still built over its own entries' least common denominator.
 
 Point labels map JSON arrays to tuples, at most ``LABEL_DEPTH_CAP`` deep;
 rational labels serialize to their scalar strings and come back as
@@ -127,6 +130,14 @@ def _index_list(value, what: str) -> list:
 
 
 def space_from_json(obj) -> FiniteMetricSpace:
+    return _space_from_json(obj, {})
+
+
+def _space_from_json(obj, read: dict) -> FiniteMetricSpace:
+    """The space of ``obj``, its distance entries read through ``read``, a
+    table from each entry to (numerator, denominator) that every space of
+    one file shares: an entry already in it is not parsed again.  The space
+    is built over the least common denominator of its own entries."""
     points = expect_key(obj, "points", "a metric space")
     dist = expect_key(obj, "dist", "a metric space")
     if not isinstance(points, list) or not isinstance(dist, list):
@@ -136,7 +147,7 @@ def space_from_json(obj) -> FiniteMetricSpace:
     # fails is the first in row order.  A row of str and int entries only
     # is read through the table; any other row is read entry by entry, so
     # that a bool, which equals an int (True == 1), is still refused.
-    read = {}
+    fresh = not read
     for row in dist:
         if not isinstance(row, list):
             raise StructuralError("dist must be an array of arrays")
@@ -150,8 +161,10 @@ def space_from_json(obj) -> FiniteMetricSpace:
     pseudo = obj.get("pseudo", False)
     if not isinstance(pseudo, bool):
         raise StructuralError("pseudo must be a boolean")
-    scale = lcm(*{q for _, q in read.values()})
-    table = {v: p * (scale // q) for v, (p, q) in read.items()}
+    # A table that held nothing before this space holds its entries alone.
+    own = read if fresh else {v: read[v] for v in set().union(*dist)}
+    scale = lcm(*{q for _, q in own.values()})
+    table = {v: p * (scale // q) for v, (p, q) in own.items()}
     m = [list(map(table.__getitem__, row)) for row in dist]
     return FiniteMetricSpace.from_int(labels, m, scale, pseudo)
 
@@ -241,6 +254,12 @@ def classes_from_json(obj, space: FiniteMetricSpace) -> list:
 
 
 def truncation_from_json(obj) -> InverseSequenceTruncation:
+    return _truncation_from_json(obj, {})
+
+
+def _truncation_from_json(obj, read: dict) -> InverseSequenceTruncation:
+    """The truncation of ``obj``, its levels read through the shared entry
+    table ``read`` (see ``_space_from_json``)."""
     from .invlim import check_level_count, inverse_sequence
 
     levels = expect_key(obj, "levels", "a truncation")
@@ -248,7 +267,7 @@ def truncation_from_json(obj) -> InverseSequenceTruncation:
     if not isinstance(levels, list) or not isinstance(bonds, list):
         raise StructuralError("truncation levels and bonds must be arrays")
     check_level_count(len(levels))
-    spaces = [space_from_json(level) for level in levels]
+    spaces = [_space_from_json(level, read) for level in levels]
     maps = [mapping_from_json(bond) for bond in bonds]
     return inverse_sequence(spaces, maps)
 
@@ -266,8 +285,9 @@ def ladder_from_json(obj) -> LadderData:
     """
     from .invlim import ladder
 
-    source = truncation_from_json(obj)
-    target = truncation_from_json(obj["target"]) if "target" in obj else source
+    read: dict = {}
+    source = _truncation_from_json(obj, read)
+    target = _truncation_from_json(obj["target"], read) if "target" in obj else source
     cross_raw = expect_key(obj, "cross", "a ladder")
     if not isinstance(cross_raw, list):
         raise StructuralError("ladder cross maps must be an array")

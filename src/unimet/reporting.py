@@ -10,6 +10,11 @@ ensure_ascii=True)`` would, and each Fraction through ``format_scalar`` as
 a "p/q" string.  Any other type, a float, a set or a subclass of the
 above, is refused: no report holds a float, so identical inputs always
 produce byte-identical bytes.
+
+The walk appends to one list of chunks and joins it once.  Report rows
+repeat a few key tuples many times, so each distinct tuple is checked,
+sorted and quoted once per call, in a table the call owns: a later dict
+whose keys equal a checked tuple is written through it unchecked.
 """
 from __future__ import annotations
 
@@ -41,46 +46,89 @@ def jsonable(value):
     raise StructuralError(f"cannot serialize {type(value).__name__} into a report")
 
 
-def _render(value, indent: str) -> str:
-    """``value`` as canonical JSON text, its nested lines at ``indent``.
-    Strings inside a container are quoted in place, not by a call."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is Fraction:
-        return '"' + format_scalar(value) + '"'
-    if kind is int:
-        return str(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = indent + "  "
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        body = (",\n" + inner).join(
-            [_quote(v) if type(v) is str else _render(v, inner) for v in value]
-        )
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        for key in value:
-            if type(key) is not str:
-                raise StructuralError(
-                    f"cannot serialize a {type(key).__name__} key into a report"
-                )
-        body = (",\n" + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _render(v, inner))
-            for k, v in sorted(value.items())
-        ])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    raise StructuralError(f"cannot serialize {kind.__name__} into a report")
+def _fraction_text(value: Fraction) -> str:
+    return '"' + format_scalar(value) + '"'
+
+
+# The text of each leaf, by its exact type: a subclass is no leaf.
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    Fraction: _fraction_text,
+}
 
 
 def canonical_bytes(tree) -> bytes:
-    return (_render(tree, "") + "\n").encode("ascii")
+    """``tree`` as canonical JSON bytes, in one walk that appends to one
+    list of chunks.  A dict's keys are checked, sorted and quoted once per
+    distinct key tuple at each depth of the call: a dict that repeats one
+    reads them from the call's table.  A leaf inside a container is
+    written in place, not by a call of the walk."""
+    chunks = []
+    put = chunks.append
+    shapes = {}
+    leaf_text = _LEAVES.get
+
+    def emit(value, indent):
+        kind = type(value)
+        if kind is list or kind is tuple:
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep, head = ",\n" + inner, "[\n" + inner
+            for v in value:
+                put(head)
+                head = sep
+                text = leaf_text(type(v))
+                if text is None:
+                    emit(v, inner)
+                else:
+                    put(text(v))
+            put("\n" + indent + "]")
+        elif kind is dict:
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            shape = (inner, *value)
+            heads = shapes.get(shape)
+            if heads is None:
+                for key in value:
+                    if type(key) is not str:
+                        raise StructuralError(
+                            f"cannot serialize a {type(key).__name__} key into a report"
+                        )
+                # Each key after the first opens its line with a comma.
+                heads = shapes[shape] = [
+                    (key, (",\n" if pos else "{\n") + inner + _quote(key) + ": ")
+                    for pos, key in enumerate(sorted(value))
+                ]
+            for key, head in heads:
+                put(head)
+                v = value[key]
+                text = leaf_text(type(v))
+                if text is None:
+                    emit(v, inner)
+                else:
+                    put(text(v))
+            put("\n" + indent + "}")
+        else:
+            text = leaf_text(kind)
+            if text is None:
+                raise StructuralError(f"cannot serialize {kind.__name__} into a report")
+            put(text(value))
+
+    # ``emit`` refers to itself: clearing it breaks that cycle, so the
+    # chunks are freed on return, not by the cycle collector.
+    try:
+        emit(tree, "")
+    finally:
+        del emit
+    put("\n")
+    return "".join(chunks).encode("ascii")
 
 
 def digest_inputs(data: bytes, seed: Optional[int] = None) -> str:

@@ -16,9 +16,10 @@ carries it to a copy that only changes the pseudo flag.  The scan packs
 each row of the ints into one int (``kernel.packed_rows``) and decides
 first, by a verdict that tests each pair of rows in a few big-int
 operations; it locates witnesses only on a matrix the verdict refuses.
-A space whose builder has proved the triangle inequality, a chain limit,
-is scanned as it is built, with that test left out
-(``_scan_proved_triangle``): its report is the one a full scan gives.
+A space whose builder has proved the triangle inequality, a chain limit
+or an l1 product whose factors' scans prove it, is scanned as it is built,
+with that test left out (``_scan_proved_triangle``): its report is the one
+a full scan gives.
 
 Witness order is deterministic: the checker scans index tuples in
 lexicographic order and reports, per violated axiom, the first witness found,
@@ -228,7 +229,8 @@ def _scan_proved_triangle(space: FiniteMetricSpace) -> None:
     triangle inequality: ``_scan_axioms`` with the triangle test left out.
     Every other axiom is decided and located as in a full scan, so the
     report equals the one a full scan of the same matrix gives.  A chain
-    limit is such a matrix (see ``quotients``)."""
+    limit is such a matrix (see ``quotients``), and so is a product whose
+    factors' scans prove its triangles (see ``combinators``)."""
     space.__dict__["_axiom_report"] = _scan_axioms(space, False)
 
 
@@ -310,7 +312,7 @@ def _is_metric(m, packed: Optional[tuple] = None, triangle: bool = True) -> bool
         return True
     rows, offset, repunit, tops = packed or packed_rows(m)
     lifted = [p + offset for p in rows]
-    return not any((a - q - d * repunit | b - p - d * repunit) & tops
+    return not any((a - q - (dr := d * repunit) | b - p - dr) & tops
                    for i, (p, a, row) in enumerate(zip(rows, lifted, m))
                    for q, b, d in zip(rows[i + 1:], lifted[i + 1:], row[i + 1:]))
 

@@ -426,7 +426,8 @@ def test_each_built_matrix_is_scanned_once(monkeypatch, tmp_path, kind):
     (["build", "quotient"], BUILD_TREES["quotient"], 1, 1),
     (["build", "amalgam"], BUILD_TREES["amalgam"], 2, 1),
     (["build", "adjunction"], BUILD_TREES["adjunction"], 4, 1),
-    (["build", "join", "--oracle"], {"left": space_to_json(S2), "right": space_to_json(S3)}, 5, 1),
+    # The join's two l1 products keep a scan without the triangle test too.
+    (["build", "join", "--oracle"], {"left": space_to_json(S2), "right": space_to_json(S3)}, 5, 3),
     (["build", "telescope"], truncation_to_json(retraction_tower(5)), 9, 3),
 ])
 def test_a_chain_limit_is_scanned_without_its_triangle_test(
@@ -457,6 +458,36 @@ def test_a_chain_limit_is_scanned_without_its_triangle_test(
     results = [m for m, triangle in scans if not triangle]
     assert len(results) == chained
     assert not any(m is r for m in triangle_tested for r in results)
+
+
+@pytest.mark.parametrize("left, right", [(S2, S3), (S3, S3)], ids=["S2-S3", "S3-S3"])
+def test_the_join_oracle_scans_its_cones_in_full_and_not_its_products(
+    monkeypatch, tmp_path, left, right
+):
+    """The full scans of ``build join --oracle``: the two factors, the join
+    and the two cones of the amalgam comparison.  Each l1 product of a cone
+    with a factor, and the glued union of the two, is scanned without its
+    triangle test."""
+    scans = []
+    original = unimet.spaces._scan_axioms
+
+    def counted(space, triangle=True):
+        scans.append((space.n, triangle))
+        return original(space, triangle)
+
+    monkeypatch.setattr(unimet.spaces, "_scan_axioms", counted)
+    tree = {"left": space_to_json(left), "right": space_to_json(right)}
+    code, out, err = run(["build", "join", write(tmp_path, "in.json", tree), "--oracle"])
+    assert code == 0, err
+    # The default grid -1, -1/2, 0, 1/2, 1: each cone has three slices, the
+    # apex's included, and the join three inner slices.
+    cones = [2 * left.n + 1, 2 * right.n + 1]
+    join = left.n + right.n + 3 * left.n * right.n
+    assert sorted(n for n, triangle in scans if triangle) == sorted(
+        [left.n, right.n, join, *cones])
+    products = [cones[0] * right.n, left.n * cones[1]]
+    glued = sum(products) - left.n * right.n
+    assert sorted(n for n, triangle in scans if not triangle) == sorted([*products, glued])
 
 
 # ---- metrize ----

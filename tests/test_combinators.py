@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conemodels import kuratowski_embed
-from helpers import interval_points, random_space, space
+from helpers import interval_points, metric_spaces, random_space, space, stored_spaces
 from oracles import sup_distance, weighted_sup_reference
 from unimet.combinators import (
     check_weighted_levels,
@@ -16,7 +18,7 @@ from unimet.combinators import (
 )
 from unimet.errors import PreconditionError
 from unimet.kernel import to_int_matrix
-from unimet.spaces import FiniteMetricSpace, check_metric_axioms
+from unimet.spaces import FiniteMetricSpace, _scan_axioms, check_metric_axioms
 
 
 # ---- products ----
@@ -53,6 +55,59 @@ def test_product_propagates_pseudo_flag():
     )
     assert product_metric(plain, degenerate).pseudo
     assert not product_metric(plain, plain).pseudo
+
+
+def scanned(sp):
+    """``sp`` with its axiom scan cached."""
+    check_metric_axioms(sp)
+    return sp
+
+
+@st.composite
+def product_factors(draw):
+    """A factor for ``product_metric``: a ``metric_spaces`` space of 1..4
+    points, perhaps with one triangle broken by a unit, or a
+    ``stored_spaces`` space, whose negative entries may sit on the
+    diagonal; with its axiom scan cached or not."""
+    if draw(st.booleans()):
+        sp = draw(stored_spaces())
+    else:
+        sp = draw(metric_spaces(1, 4))
+        if sp.n >= 3 and draw(st.booleans()):
+            i, j, k = draw(st.permutations(range(sp.n)))[:3]
+            m = [list(row) for row in sp.ints]
+            m[i][k] = m[k][i] = m[i][j] + m[j][k] + 1
+            sp = FiniteMetricSpace.from_int(sp.points, m, sp.scale)
+    return scanned(sp) if draw(st.booleans()) else sp
+
+
+# Factors whose scans find no triangle defect, but whose product's does:
+# a negative diagonal entry, and a negative entry off it.
+LINE = space("xyz", {(0, 1): 1, (1, 2): 1, (0, 2): 2})
+NEGATIVE_DIAGONAL = FiniteMetricSpace.from_int("ab", [[-1, 1], [1, 0]], 1)
+NEGATIVE_PAIR = FiniteMetricSpace.from_int("ab", [[0, -1], [-1, 0]], 1)
+
+
+@given(product_factors(), product_factors())
+@example(scanned(NEGATIVE_DIAGONAL), scanned(LINE))
+@example(scanned(LINE), scanned(NEGATIVE_PAIR))
+def test_a_product_keeps_a_scan_exactly_when_its_factors_prove_its_triangles(left, right):
+    """The product keeps a scan as it is built exactly when both factors
+    have cached scans that find a zero diagonal, no negative entry and no
+    triangle defect; the kept report is a fresh full scan's of the same
+    matrix, whose triangle test then finds nothing."""
+    prod = product_metric(left, right)
+    kept = prod.__dict__.get("_axiom_report")
+    fresh = _scan_axioms(FiniteMetricSpace.from_int(prod.points, prod.ints, prod.scale, prod.pseudo))
+    proved = all(
+        "_axiom_report" in factor.__dict__
+        and not {"diagonal", "nonnegativity", "triangle"} & {
+            *_scan_axioms(factor).violated_axioms()}
+        for factor in (left, right)
+    )
+    assert (kept is not None) == proved
+    if proved:
+        assert kept == fresh
 
 
 # ---- weighted sup products ----

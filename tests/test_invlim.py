@@ -446,10 +446,14 @@ def test_ladder_shape_validation():
 @given(truncations())
 @with_examples([retraction_tower(5), halving_chain(5, 6), window_chain(4), empty_top_chain()])
 def test_neighborhood_rows_match_the_frozen_loops(truncation):
-    # Every spectrum scale, plus one between two scales and one past them all.
+    # Every spectrum scale, plus one between two scales, one past them all
+    # and one below the least positive distance.  ``empty_top_chain`` has
+    # levels whose shadow is empty.
     for i, level in enumerate(truncation.levels):
         spectrum = level.spectrum()
         scales = set(spectrum) | {spectrum[-1] / 2, spectrum[-1] + 1}
+        if len(spectrum) > 1:
+            scales.add(spectrum[1] / 2)
         for eps in sorted(scales):
             row = convergence_row(truncation, i, eps)
             assert row == convergence_row_reference(truncation, i, eps)
